@@ -96,10 +96,23 @@ def _parse_lambdas(spec: str, n_covers: int, preset: Preset | None) -> list[Lamb
         if preset is not None:
             return [LambdaIndex.of(ids) for ids in preset.chain]
         return [LambdaIndex.of(range(i + 1)) for i in range(n_covers)]
-    try:
-        return [LambdaIndex.of(int(i) for i in part.split(",")) for part in spec.split(";")]
-    except ValueError as exc:
-        raise InputError(f"cannot parse lambda selection {spec!r}") from exc
+    out = []
+    for part in spec.split(";"):
+        items = part.split(",")
+        if any(not i.strip() for i in items):
+            raise InputError(f"lambda selection {spec!r} has an empty part")
+        try:
+            ids = [int(i) for i in items]
+        except ValueError as exc:
+            raise InputError(f"cannot parse lambda selection {spec!r}") from exc
+        bad = [i for i in ids if not 0 <= i < n_covers]
+        if bad:
+            raise InputError(
+                f"lambda selection {spec!r} names cover {bad[0]}; "
+                f"cover ids run from 0 to {n_covers - 1}"
+            )
+        out.append(LambdaIndex.of(ids))
+    return out
 
 
 def _load_context(config: RunConfig) -> RunContext:
@@ -154,9 +167,9 @@ def _run_check(name: str, ctx: RunContext) -> tuple[Report, dict]:
     elif name == "fibers":
         report = systems.check_fibers(ctx.system)
     elif name == "fiber_homotopy":
-        count = ctx.config.homotopy_count or (
-            ctx.preset.homotopy_count if ctx.preset else 50
-        )
+        count = ctx.config.homotopy_count
+        if count is None:
+            count = ctx.preset.homotopy_count if ctx.preset else 50
         report = systems.check_homotopy(ctx.system, count, ctx.config.seed)
     elif name == "nerve_absorption":
         report = systems.check_nerve_absorption(ctx.system)
@@ -183,7 +196,9 @@ def _run_check(name: str, ctx: RunContext) -> tuple[Report, dict]:
                 "checks": {"quotient_comparison": report.passed},
             }
     elif name == "cauchy_sweep":
-        count = ctx.config.nets or (ctx.preset.cauchy_nets if ctx.preset else 10000)
+        count = ctx.config.nets
+        if count is None:
+            count = ctx.preset.cauchy_nets if ctx.preset else 10000
         report = cells.cauchy_sweep(ctx.gsystem, ctx.system, count, ctx.config.seed)
     elif name == "betti_stabilization":
         missing = [lam for lam in ctx.chain if lam not in ctx.system.levels]
@@ -379,6 +394,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "report":
             config = RunConfig("", None, "all", None, args.out, 0, 8, "exhaustive")
             return cmd_report(config)
+        for flag, value in (
+            ("--nets", getattr(args, "nets", None)),
+            ("--homotopy-samples", getattr(args, "homotopy_samples", None)),
+        ):
+            if value is not None and value < 1:
+                raise InputError(f"{flag} must be at least 1, got {value}")
         checks = None
         if args.command == "check" and args.checks is not None:
             checks = [c.strip() for c in args.checks.split(",") if c.strip()]

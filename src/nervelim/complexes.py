@@ -259,18 +259,32 @@ class SimplicialMap:
 
 
 def build_vertices(family: CoverFamily, lam: LambdaIndex) -> list[Vertex]:
-    """All element tuples with nonempty intersection, in lexicographic order."""
-    covers = [family.covers[i] for i in lam.cover_ids]
-    out = []
-    for choice in product(*(c.elements for c in covers)):
-        wedge = choice[0].pointset
-        for e in choice[1:]:
-            wedge = wedge & e.pointset
-            if not wedge:
-                break
-        if wedge:
-            out.append(Vertex(lam, tuple(e.id for e in choice), frozenset(wedge)))
-    return out
+    """All element tuples with nonempty intersection, in lexicographic order.
+
+    A tuple's wedge is the set of points lying in all of its elements, so
+    the tuples are exactly those in the product, over the covers, of the
+    elements containing some point x; x then belongs to the wedge.  The
+    work is the total size of these point fibers, not the product of the
+    cover sizes.
+    """
+    wedges: dict[tuple[ElementId, ...], list[PointId]] = {}
+    for x, row in enumerate(family.memberships()):
+        for choice in product(*(row[i] for i in lam.cover_ids)):
+            wedges.setdefault(choice, []).append(x)
+    return [Vertex(lam, choice, frozenset(wedges[choice])) for choice in sorted(wedges)]
+
+
+def point_fibers(vertices: Sequence[Vertex], n_points: int) -> list[tuple[int, ...]]:
+    """Per point x, the ids of the vertices whose wedge contains x, ascending."""
+    fibers: list[list[int]] = [[] for _ in range(n_points)]
+    for i, v in enumerate(vertices):
+        for x in v.wedge:
+            fibers[x].append(i)
+    return [tuple(f) for f in fibers]
+
+
+def _level_name(lam: LambdaIndex) -> str:
+    return "level {" + lam.json_key() + "}"
 
 
 def build_flag(
@@ -279,26 +293,41 @@ def build_flag(
     max_dim: int = DEFAULT_MAX_DIM,
     vertices: list[Vertex] | None = None,
 ) -> SimplicialComplex:
-    """Flag complex: edges where wedges meet, simplices on every clique."""
+    """Flag complex: edges where wedges meet, simplices on every clique.
+
+    Two wedges meet exactly when both vertices lie in one point fiber.
+    """
     verts = build_vertices(family, lam) if vertices is None else vertices
     n = len(verts)
     adj = [0] * n
-    for i, j in combinations(range(n), 2):
-        if verts[i].wedge & verts[j].wedge:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    simplices = _all_cliques(n, adj, max_dim)
+    for fib in point_fibers(verts, family.ground.n_points):
+        mask = 0
+        for i in fib:
+            mask |= 1 << i
+        for i in fib:
+            adj[i] |= mask & ~(1 << i)
+    simplices = _all_cliques(n, adj, max_dim, _level_name(lam) + ": ")
     return SimplicialComplex(n, frozenset(simplices), tuple(verts), is_flag_complex=True)
 
 
-def _all_cliques(n: int, adj: list[int], max_dim: int) -> set[Simplex]:
-    """Every clique up to max_dim+1 vertices; raises past the guard."""
+def _all_cliques(n: int, adj: list[int], max_dim: int, where: str = "") -> set[Simplex]:
+    """Every clique up to max_dim+1 vertices; raises past the guard.
+
+    The message starts with ``where`` and gives the size of a maximal
+    clique grown greedily from the first clique past the guard.
+    """
     out: set[Simplex] = set()
 
     def extend(clique: tuple[int, ...], candidates: int) -> None:
         if len(clique) == max_dim + 2:
+            size = len(clique)
+            while candidates:
+                v = (candidates & -candidates).bit_length() - 1
+                candidates &= adj[v]
+                size += 1
             raise GuardExceeded(
-                f"clique of more than {max_dim + 1} vertices exceeds the dimension guard"
+                f"{where}a clique of {size} vertices exceeds the dimension guard"
+                f" (max_dim {max_dim} allows {max_dim + 1})"
             )
         out.add(clique)
         c = candidates
@@ -318,15 +347,16 @@ def build_nerve(
     max_dim: int = DEFAULT_MAX_DIM,
     vertices: list[Vertex] | None = None,
 ) -> SimplicialComplex:
-    """Nerve: a vertex set spans a simplex iff the wedges share a point."""
+    """Nerve: a vertex set spans a simplex iff the wedges share a point,
+    that is, iff it lies in one point fiber."""
     verts = build_vertices(family, lam) if vertices is None else vertices
     n = len(verts)
     simplices: set[Simplex] = {(v,) for v in range(n)}
-    for x in family.ground.points:
-        carrier = [i for i, v in enumerate(verts) if x in v.wedge]
+    for x, carrier in enumerate(point_fibers(verts, family.ground.n_points)):
         if len(carrier) > max_dim + 1:
             raise GuardExceeded(
-                f"point {x} lies in {len(carrier)} wedges; simplex would exceed the guard"
+                f"{_level_name(lam)}: point {x} lies in a fiber of {len(carrier)} wedges,"
+                f" past the dimension guard (max_dim {max_dim} allows {max_dim + 1})"
             )
         for k in range(2, len(carrier) + 1):
             simplices.update(combinations(carrier, k))

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from nervelim.complexes import SimplicialComplex
+from nervelim.complexes import LambdaIndex, SimplicialComplex, SimplicialMap, Vertex
+from nervelim.ground import CoverFamily
+from nervelim.report import Report
+from nervelim.systems import InverseSystem, bonding_map
 
 
 def path_complex(n_vertices: int) -> SimplicialComplex:
@@ -79,6 +82,44 @@ def brute_flag_simplices(wedges: list[frozenset[int]], max_size: int) -> set[tup
             if all(wedges[i] & wedges[j] for i, j in combinations(subset, 2)):
                 out.add(subset)
     return out
+
+
+def product_scan_vertices(family: CoverFamily, lam: LambdaIndex) -> list[Vertex]:
+    """Level vertices by scanning the full product of element choices, one
+    per cover, in lexicographic order: the construction before point
+    fibers, linear in the product of the cover sizes."""
+    covers = [family.covers[i] for i in lam.cover_ids]
+    out = []
+    for choice in product(*(c.elements for c in covers)):
+        wedge = frozenset.intersection(*(e.pointset for e in choice))
+        if wedge:
+            out.append(Vertex(lam, tuple(e.id for e in choice), wedge))
+    return out
+
+
+def full_bond_check(m: SimplicialMap) -> bool:
+    """Simpliciality by pushing every simplex of the source forward."""
+    return all(
+        tuple(sorted({m.vertex_map[v] for v in s})) in m.target.simplices
+        for s in m.source.simplices
+    )
+
+
+def full_check_simpliciality(system: InverseSystem) -> Report:
+    """The simpliciality check on every flag and nerve simplex of every
+    bond's source, in the order and with the witness of the library's
+    check."""
+    bad = None
+    for lam, mu in system.comparable_pairs():
+        bond = bonding_map(system, lam, mu)
+        lo, hi = system.levels[lam], system.levels[mu]
+        for kind, source, target in (("F", hi.flag, lo.flag), ("N", hi.nerve, lo.nerve)):
+            if not full_bond_check(SimplicialMap(source, target, bond.vertex_map)):
+                bad = {"lambda": list(lam.cover_ids), "mu": list(mu.cover_ids), "complex": kind}
+                break
+        if bad:
+            break
+    return Report("simpliciality", bad is None, counterexample=bad)
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,22 @@ def test_check_needs_supporting_levels(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("spec", ["0;5", "-1", "0;;1", "0,;1", ""])
+def test_bad_lambda_selection_exits_2(tmp_path, capsys, spec):
+    # cover ids out of range, negative ids and empty parts
+    code = run("build", "--space", "cantor-d3", "--out", tmp_path / "o", "--lambdas", spec)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "lambda selection" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag", ["--nets", "--homotopy-samples"])
+def test_zero_sample_count_exits_2(tmp_path, capsys, flag):
+    code = run("check", "--space", "wedge2", "--out", tmp_path / "o", flag, 0)
+    assert code == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_check_explicit_lambdas(tmp_path):
     out = tmp_path / "out"
     code = run(

@@ -166,9 +166,10 @@ def test_nerve_common_point_full_simplex():
 def test_flag_guard_exceeded():
     space = GroundSpace(1)
     family = _family(space, [[{0}] * 6])
-    with pytest.raises(GuardExceeded):
+    # the message names the level and the size of the offending clique or fiber
+    with pytest.raises(GuardExceeded, match=r"^level \{0\}: a clique of 6 vertices"):
         build_flag(family, LambdaIndex.of([0]), max_dim=3)
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(GuardExceeded, match=r"^level \{0\}: point 0 lies in a fiber of 6 wedges"):
         build_nerve(family, LambdaIndex.of([0]), max_dim=3)
 
 
