@@ -230,13 +230,25 @@ class SimplicialMap:
     def image_simplex(self, s: Sequence[int]) -> Simplex:
         return tuple(sorted({self.vertex_map[v] for v in s}))
 
-    def is_simplicial(self) -> bool:
-        return all(self.image_simplex(s) in self.target.simplices for s in self.source.simplices)
+    def unmapped(self, simplices: Iterable[Simplex] | None = None) -> Simplex | None:
+        """The first of ``simplices`` (default: every source simplex) whose
+        image is not a target simplex, or None.
 
-    def verify(self) -> None:
-        for s in self.source.simplices:
-            if self.image_simplex(s) not in self.target.simplices:
-                raise AssertionError(f"image of {s} is not a simplex of the target")
+        A subset of the source decides simpliciality when every source
+        simplex is a face of one of its members, or, for a flag target, when
+        it holds every source edge (see ``systems.build_system``).
+        """
+        target = self.target.simplices
+        for s in self.source.simplices if simplices is None else simplices:
+            if self.image_simplex(s) not in target:
+                return s
+        return None
+
+    def verify(self, simplices: Iterable[Simplex] | None = None) -> None:
+        """Raise unless ``unmapped(simplices)`` is None."""
+        s = self.unmapped(simplices)
+        if s is not None:
+            raise AssertionError(f"image of {s} is not a simplex of the target")
 
     def push_point(self, point: BarycentricPoint) -> BarycentricPoint:
         """Push a barycentric point forward, summing merged coordinates."""
@@ -267,9 +279,11 @@ def build_vertices(family: CoverFamily, lam: LambdaIndex) -> list[Vertex]:
     work is the total size of these point fibers, not the product of the
     cover sizes.
     """
+    covers = [family.covers[i] for i in lam.cover_ids]
     wedges: dict[tuple[ElementId, ...], list[PointId]] = {}
-    for x, row in enumerate(family.memberships()):
-        for choice in product(*(row[i] for i in lam.cover_ids)):
+    for x in family.ground.points:
+        rows = [[e.id for e in c.elements_containing(x)] for c in covers]
+        for choice in product(*rows):
             wedges.setdefault(choice, []).append(x)
     return [Vertex(lam, choice, frozenset(wedges[choice])) for choice in sorted(wedges)]
 

@@ -287,22 +287,6 @@ class CoverFamily:
             if c.union() != all_points:
                 raise ValueError(f"cover {c.id} does not cover the space")
 
-    def memberships(self) -> tuple[tuple[tuple[ElementId, ...], ...], ...]:
-        """Per point, per cover: the ids of the elements containing the
-        point, ascending.  Computed once per family."""
-        if not hasattr(self, "_memberships"):
-            rows: list[list[list[ElementId]]] = [
-                [[] for _ in self.covers] for _ in self.ground.points
-            ]
-            for c in self.covers:
-                for e in c.elements:
-                    for x in e.pointset:
-                        rows[x][c.id].append(e.id)
-            object.__setattr__(
-                self, "_memberships", tuple(tuple(map(tuple, row)) for row in rows)
-            )
-        return self._memberships  # type: ignore[attr-defined]
-
 
 def make_family(space: GroundSpace, pointset_lists: Sequence[Sequence[Iterable[PointId]]]) -> CoverFamily:
     covers = tuple(cover_from_pointsets(i, ps) for i, ps in enumerate(pointset_lists))

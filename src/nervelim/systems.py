@@ -16,7 +16,6 @@ from typing import Iterable, Sequence
 from .complexes import (
     BarycentricPoint,
     LambdaIndex,
-    Simplex,
     SimplicialComplex,
     SimplicialMap,
     Vertex,
@@ -87,8 +86,14 @@ def build_system(
     lambdas: Sequence[LambdaIndex] | None = None,
     max_dim: int = 8,
 ) -> InverseSystem:
-    """Construct all selected levels and verify every bond is simplicial,
-    on the edges of its source (see ``unmapped_edge``)."""
+    """Construct all selected levels and verify every bond is simplicial.
+
+    Each bond is checked on the edges of its source.  The target is a flag
+    complex from ``build_flag``, which holds every clique of its 1-skeleton
+    up to the guard (it raises rather than leave one out), and every source
+    simplex is a clique of source edges.  So the image of each simplex is a
+    target simplex once the image of each edge is an edge or one vertex.
+    """
     lams = sorted(
         all_lambdas(len(family.covers)) if lambdas is None else lambdas,
         key=lambda l: l.sort_key,
@@ -102,46 +107,8 @@ def build_system(
     system = InverseSystem(family, lams, levels, max_dim, partition_tables(family))
     edges = {lam: level.flag.edges() for lam, level in levels.items()}
     for lam, mu in system.comparable_pairs():
-        bad = unmapped_edge(bonding_map(system, lam, mu), edges[mu])
-        if bad is not None:
-            raise AssertionError(
-                f"image of {bad} under the bond {mu} -> {lam} is not a simplex of the target"
-            )
+        bonding_map(system, lam, mu).verify(edges[mu])
     return system
-
-
-def unmapped_edge(m: SimplicialMap, edges: Iterable[Simplex]) -> Simplex | None:
-    """The first of the source ``edges`` whose image is neither one vertex
-    nor an edge of the target, or None.
-
-    For a map into a flag complex built by ``build_flag`` this decides
-    simpliciality: every source simplex is a clique of source edges, so
-    its image is a clique of the target's 1-skeleton, and the target holds
-    every such clique (``build_flag`` raises rather than leave one out).
-    A target of any other origin needs ``SimplicialMap.verify``.
-    """
-    vm, target = m.vertex_map, m.target.simplices
-    for a, b in edges:
-        fa, fb = vm[a], vm[b]
-        if fa != fb and ((fa, fb) if fa < fb else (fb, fa)) not in target:
-            return (a, b)
-    return None
-
-
-def unmapped_fiber(m: SimplicialMap, fibers: Iterable[Simplex]) -> Simplex | None:
-    """The first of the source ``fibers`` whose image is not a target
-    simplex, or None.
-
-    For a map out of a nerve built by ``build_nerve`` with the fibers of
-    ``point_fibers`` this decides simpliciality: the nerve is the downward
-    closure of its fibers, the image of a face is a face of the image,
-    and the target is downward closed.
-    """
-    target = m.target.simplices
-    for f in fibers:
-        if m.image_simplex(f) not in target:
-            return f
-    return None
 
 
 def bonding_map(system: InverseSystem, lam: LambdaIndex, mu: LambdaIndex) -> SimplicialMap:
@@ -577,9 +544,13 @@ def check_functoriality(system: InverseSystem) -> Report:
 
 
 def check_simpliciality(system: InverseSystem) -> Report:
-    """Every bond is simplicial on the flag complexes and on the nerves,
-    decided on edges and on point fibers (see ``unmapped_edge`` and
-    ``unmapped_fiber``)."""
+    """Every bond is simplicial on the flag complexes and on the nerves.
+
+    The flag half is decided on edges, as in ``build_system``.  The nerve
+    half is decided on point fibers: the nerve is the downward closure of
+    its fibers, the image of a face is a face of the image, and the target
+    nerve is downward closed.
+    """
     n_points = system.family.ground.n_points
     edges = {lam: system.levels[lam].flag.edges() for lam in system.lambdas}
     fibers = {
@@ -588,12 +559,12 @@ def check_simpliciality(system: InverseSystem) -> Report:
     bad = None
     for lam, mu in system.comparable_pairs():
         bond = bonding_map(system, lam, mu)
-        if unmapped_edge(bond, edges[mu]) is not None:
+        if bond.unmapped(edges[mu]) is not None:
             bad = {"lambda": list(lam.cover_ids), "mu": list(mu.cover_ids), "complex": "F"}
             break
         nerve_lo, nerve_hi = system.levels[lam].nerve, system.levels[mu].nerve
         nerve_bond = SimplicialMap(nerve_hi, nerve_lo, bond.vertex_map)
-        if unmapped_fiber(nerve_bond, fibers[mu]) is not None:
+        if nerve_bond.unmapped(fibers[mu]) is not None:
             bad = {"lambda": list(lam.cover_ids), "mu": list(mu.cover_ids), "complex": "N"}
             break
     return Report("simpliciality", bad is None, counterexample=bad)

@@ -27,8 +27,6 @@ from nervelim.systems import (
     bonding_map,
     build_system,
     check_simpliciality,
-    unmapped_edge,
-    unmapped_fiber,
 )
 
 
@@ -83,10 +81,10 @@ def test_edge_and_fiber_checks_match_full_check(family, data):
     vm = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size)))
 
     flag_map = SimplicialMap(hi.flag, lo.flag, vm)
-    assert (unmapped_edge(flag_map, hi.flag.edges()) is None) == full_bond_check(flag_map)
+    assert (flag_map.unmapped(hi.flag.edges()) is None) == full_bond_check(flag_map)
     nerve_map = SimplicialMap(hi.nerve, lo.nerve, vm)
     fibers = point_fibers(hi.vertices, family.ground.n_points)
-    assert (unmapped_fiber(nerve_map, fibers) is None) == full_bond_check(nerve_map)
+    assert (nerve_map.unmapped(fibers) is None) == full_bond_check(nerve_map)
 
 
 @given(overlapping_family(), st.data())
@@ -98,6 +96,29 @@ def test_simpliciality_report_matches_full_check(family, data):
     bond = bonding_map(system, lam, mu)
     system._bonds[(lam, mu)] = SimplicialMap(bond.source, bond.target, data.draw(other_map(bond)))
     assert check_simpliciality(system) == full_check_simpliciality(system)
+
+
+def test_simpliciality_catches_a_bond_simplicial_only_on_flags():
+    # cover 0 is a hollow triangle: its flag complex is the full triangle,
+    # its nerve has no 2-simplex; cover 1 has point 0 in all three elements
+    family = CoverFamily(
+        (
+            cover_from_pointsets(0, [{0, 1}, {1, 2}, {0, 2}]),
+            cover_from_pointsets(1, [{0}, {0, 1}, {0, 2}]),
+        ),
+        GroundSpace(3),
+    )
+    system = build_system(family)
+    lam, mu = LambdaIndex.of([0]), LambdaIndex.of([0, 1])
+    bond = bonding_map(system, lam, mu)
+    vm = list(bond.vertex_map)
+    # three vertices over point 0 onto the three vertices of the hollow triangle
+    for elements, target in (((0, 0), 0), ((0, 1), 1), ((0, 2), 2)):
+        vm[system.levels[mu].index_of[elements]] = target
+    system._bonds[(lam, mu)] = SimplicialMap(bond.source, bond.target, tuple(vm))
+    report = check_simpliciality(system)
+    assert report.counterexample == {"lambda": [0], "mu": [0, 1], "complex": "N"}
+    assert report == full_check_simpliciality(system)
 
 
 def test_cantor_d6_top_level_has_64_vertices():
