@@ -32,15 +32,16 @@ from .ground import (
 from .homology import BettiVector, betti, betti_stabilization
 from .systems import (
     InverseSystem,
-    PointThread,
-    VertexThread,
     bonding_map,
     build_system,
     canonical_map,
     canonical_thread,
     fiber,
     fiber_homotopy,
+    is_compatible,
+    point_thread,
     thread_image,
+    vertex_thread,
     vertex_threads,
 )
 

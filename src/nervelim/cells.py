@@ -1,8 +1,11 @@
 """Cell structures: level graphs, thread equivalence, Cauchy nets.
 
-Each level's graph is the 1-skeleton of its flag complex with loops; bonds
-are graph homomorphisms.  Threads are identified up to levelwise adjacency,
-and the quotient is compared against the ground space point for point.
+Each level's graph is the 1-skeleton of its flag complex with loops, held
+as ``Level.adjacency``.  Bonds are graph homomorphisms: ``build_system``
+verifies that every bond sends each source edge to an edge or to one
+vertex.  Threads are identified up to levelwise adjacency, and the
+quotient is compared against the ground space point for point.  Threads
+and nets are tuples of vertex ids aligned with ``system.lambdas``.
 
 On a finite index set with a maximum level the eventual ("there exists a
 level such that ...") quantifier of the Cauchy and convergence definitions
@@ -17,87 +20,40 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import LambdaIndex, flag_completion, flag_map
+from .complexes import LambdaIndex
 from .ground import PointId
 from .report import Report
 from .systems import (
     InverseSystem,
-    VertexThread,
     bonding_map,
     canonical_map,
     thread_image,
+    vertex_thread,
     vertex_threads,
 )
 
 
-@dataclass(frozen=True)
-class CellGraph:
-    """A reflexive symmetric relation; loops are implicit, edges stored as
-    unordered pairs."""
-
-    n_vertices: int
-    edges: frozenset[frozenset[int]]
-
-    def __post_init__(self) -> None:
-        for e in self.edges:
-            if len(e) != 2:
-                raise ValueError("edges must be unordered pairs of distinct vertices")
-            if not all(0 <= v < self.n_vertices for v in e):
-                raise ValueError("edge endpoint out of range")
-
-    def adjacent(self, a: int, b: int) -> bool:
-        return a == b or frozenset((a, b)) in self.edges
-
-    def star(self, a: int) -> frozenset[int]:
-        out = {a}
-        for e in self.edges:
-            if a in e:
-                out |= e
-        return frozenset(out)
-
-    def star_set(self, vertices: frozenset[int]) -> frozenset[int]:
-        out: set[int] = set()
-        for v in vertices:
-            out |= self.star(v)
-        return frozenset(out)
+def _adjacencies(system: InverseSystem) -> list[list[int]]:
+    return [system.levels[lam].adjacency for lam in system.lambdas]
 
 
-def graph_of_level(system: InverseSystem, lam: LambdaIndex) -> CellGraph:
-    flag = system.levels[lam].flag
-    return CellGraph(flag.n_vertices, frozenset(frozenset(e) for e in flag.k_simplices(1)))
+def _adjacent(adj: list[int], a: int, b: int) -> bool:
+    return a == b or bool(adj[a] >> b & 1)
 
 
-@dataclass
-class GraphSystem:
-    lambdas: list[LambdaIndex]
-    levels: dict[LambdaIndex, CellGraph]
-    bonds: dict[tuple[LambdaIndex, LambdaIndex], tuple[int, ...]]
-
-    def project(self, lam: LambdaIndex, mu: LambdaIndex, v: int) -> int:
-        return self.bonds[(lam, mu)][v]
-
-    def comparable_pairs(self) -> list[tuple[LambdaIndex, LambdaIndex]]:
-        return [(a, b) for a in self.lambdas for b in self.lambdas if a <= b]
-
-    @property
-    def top(self) -> LambdaIndex | None:
-        best = max(self.lambdas, key=lambda l: l.sort_key)
-        return best if all(l <= best for l in self.lambdas) else None
+def _star(adj: list[int], v: int) -> int:
+    """The closed neighbourhood of v as a bitmask."""
+    return adj[v] | 1 << v
 
 
-def build_graph_system(system: InverseSystem) -> GraphSystem:
-    """Extract the level graphs and verify every bond preserves adjacency."""
-    levels = {lam: graph_of_level(system, lam) for lam in system.lambdas}
-    bonds = {}
-    for lam, mu in system.comparable_pairs():
-        vm = bonding_map(system, lam, mu).vertex_map
-        src, dst = levels[mu], levels[lam]
-        for e in src.edges:
-            a, b = sorted(e)
-            if not dst.adjacent(vm[a], vm[b]):
-                raise AssertionError("bond is not a graph homomorphism")
-        bonds[(lam, mu)] = vm
-    return GraphSystem(list(system.lambdas), levels, bonds)
+def _members(mask: int) -> list[int]:
+    """The vertices of a bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -105,38 +61,40 @@ def build_graph_system(system: InverseSystem) -> GraphSystem:
 
 
 def check_star_contraction(
-    gsystem: GraphSystem, z: VertexThread, lam: LambdaIndex
+    system: InverseSystem, z: tuple[int, ...], lam: LambdaIndex
 ) -> tuple[bool, LambdaIndex | None]:
     """Find a level above lam whose double star of the thread projects into
     the single star at lam."""
-    target = gsystem.levels[lam].star(z.at(lam))
-    for mu in sorted((m for m in gsystem.lambdas if lam <= m), key=lambda l: l.sort_key):
-        g = gsystem.levels[mu]
-        double = g.star_set(g.star(z.at(mu)))
-        vm = gsystem.bonds[(lam, mu)]
-        if {vm[v] for v in double} <= target:
+    i = system.position[lam]
+    target = _star(system.levels[lam].adjacency, z[i])
+    for j in system.above[i]:
+        mu = system.lambdas[j]
+        adj = system.levels[mu].adjacency
+        double = 0
+        for v in _members(_star(adj, z[j])):
+            double |= _star(adj, v)
+        vm = bonding_map(system, lam, mu).vertex_map
+        image = 0
+        for v in _members(double):
+            image |= 1 << vm[v]
+        if not image & ~target:
             return True, mu
     return False, None
 
 
-def check_star_finiteness(
-    gsystem: GraphSystem, z: VertexThread, lam: LambdaIndex
-) -> tuple[bool, LambdaIndex | None]:
-    """Vacuous on finite models; reported with the star size for profiling."""
-    return True, lam
-
-
-def check_star_conditions(gsystem: GraphSystem, system: InverseSystem) -> Report:
+def check_star_conditions(system: InverseSystem) -> Report:
     threads = vertex_threads(system)
+    t = system.position[system.top]
+    adjs = _adjacencies(system)
     bad = None
-    star_sizes = []
+    max_star = 0
     for z in threads:
-        for lam in gsystem.lambdas:
-            found, _ = check_star_contraction(gsystem, z, lam)
+        for i, lam in enumerate(system.lambdas):
+            found, _ = check_star_contraction(system, z, lam)
             if not found:
-                bad = {"thread_top": z.at(gsystem.top), "lambda": list(lam.cover_ids)}
+                bad = {"thread_top": z[t], "lambda": list(lam.cover_ids)}
                 break
-            star_sizes.append(len(gsystem.levels[lam].star(z.at(lam))))
+            max_star = max(max_star, _star(adjs[i], z[i]).bit_count())
         if bad:
             break
     return Report(
@@ -146,7 +104,7 @@ def check_star_conditions(gsystem: GraphSystem, system: InverseSystem) -> Report
         details={
             "threads": len(threads),
             "finiteness": "vacuous on finite ground models",
-            "max_star": max(star_sizes, default=0),
+            "max_star": max_star,
         },
     )
 
@@ -178,22 +136,15 @@ class EquivalenceResult:
     quotient: QuotientSpace | None
 
 
-def equivalence_classes(gsystem: GraphSystem) -> EquivalenceResult:
+def equivalence_classes(system: InverseSystem) -> EquivalenceResult:
     """Relate threads adjacent at every level; verify the relation is an
     equivalence before quotienting.  Failures are reported, not repaired."""
-    top = gsystem.top
-    if top is None:
-        raise ValueError("graph system has no maximum level")
-    n = gsystem.levels[top].n_vertices
-    threads = [
-        {lam: gsystem.bonds[(lam, top)][v] for lam in gsystem.lambdas} for v in range(n)
-    ]
+    threads = vertex_threads(system)
+    adjs = _adjacencies(system)
+    n = len(threads)
 
     def related(i: int, j: int) -> bool:
-        return all(
-            gsystem.levels[lam].adjacent(threads[i][lam], threads[j][lam])
-            for lam in gsystem.lambdas
-        )
+        return all(map(_adjacent, adjs, threads[i], threads[j]))
 
     rel = [[related(i, j) for j in range(n)] for i in range(n)]
     for i in range(n):
@@ -215,12 +166,12 @@ def equivalence_classes(gsystem: GraphSystem) -> EquivalenceResult:
         for j in members:
             class_of[j] = idx
     adjacency = {}
-    for lam in gsystem.lambdas:
+    for p, lam in enumerate(system.lambdas):
         pairs = set()
-        g = gsystem.levels[lam]
+        adj = adjs[p]
         for ci, cj in combinations(range(len(classes)), 2):
             if any(
-                g.adjacent(threads[i][lam], threads[j][lam])
+                _adjacent(adj, threads[i][p], threads[j][p])
                 for i in classes[ci]
                 for j in classes[cj]
             ):
@@ -233,8 +184,7 @@ def equivalence_classes(gsystem: GraphSystem) -> EquivalenceResult:
     )
 
 
-def check_equivalence(gsystem: GraphSystem) -> Report:
-    result = equivalence_classes(gsystem)
+def check_equivalence(result: EquivalenceResult) -> Report:
     return Report(
         "equivalence_classes",
         result.transitive,
@@ -245,8 +195,9 @@ def check_equivalence(gsystem: GraphSystem) -> Report:
     )
 
 
-def compare_quotient_to_ground(gsystem: GraphSystem, system: InverseSystem) -> Report:
-    """Match quotient classes with ground points.
+def compare_quotient_to_ground(system: InverseSystem, result: EquivalenceResult) -> Report:
+    """Match the quotient classes of ``equivalence_classes(system)`` with
+    ground points.
 
     Sends a point to the class of a vertex thread through the support of
     its canonical image at the top level, then checks the assignment is a
@@ -254,7 +205,6 @@ def compare_quotient_to_ground(gsystem: GraphSystem, system: InverseSystem) -> R
     points share a level element exactly when their classes share a vertex
     there.
     """
-    result = equivalence_classes(gsystem)
     if not result.transitive:
         return Report(
             "quotient_comparison",
@@ -263,8 +213,9 @@ def compare_quotient_to_ground(gsystem: GraphSystem, system: InverseSystem) -> R
         )
     quotient = result.quotient
     assert quotient is not None
-    top = gsystem.top
+    top = system.top
     assert top is not None
+    t = system.position[top]
     points = list(system.family.ground.points)
 
     h: dict[PointId, int] = {}
@@ -291,7 +242,7 @@ def compare_quotient_to_ground(gsystem: GraphSystem, system: InverseSystem) -> R
                 details={"skipped": "a vertex thread has a non-singleton image"},
             )
         (x,) = res.points
-        if h[x] != quotient.class_of[z.at(top)]:
+        if h[x] != quotient.class_of[z[t]]:
             return Report(
                 "quotient_comparison",
                 False,
@@ -301,21 +252,15 @@ def compare_quotient_to_ground(gsystem: GraphSystem, system: InverseSystem) -> R
 
     # Shared-element consistency: x and y lie in a common wedge of the level
     # exactly when their classes share a vertex there.
-    thread_level = {
-        (i, lam): gsystem.bonds[(lam, top)][threads[i].at(top)]
-        for i in range(len(threads))
-        for lam in gsystem.lambdas
-    }
-    class_vertices = {
-        (ci, lam): {thread_level[(i, lam)] for i in quotient.classes[ci]}
-        for ci in range(len(quotient.classes))
-        for lam in gsystem.lambdas
-    }
-    for lam in gsystem.lambdas:
+    class_vertices = [
+        [{threads[i][p] for i in members} for p in range(len(system.lambdas))]
+        for members in quotient.classes
+    ]
+    for p, lam in enumerate(system.lambdas):
         level = system.levels[lam]
         for x, y in combinations(points, 2):
             common = any(x in v.wedge and y in v.wedge for v in level.vertices)
-            shared = bool(class_vertices[(h[x], lam)] & class_vertices[(h[y], lam)])
+            shared = bool(class_vertices[h[x]][p] & class_vertices[h[y]][p])
             if common != shared:
                 return Report(
                     "quotient_comparison",
@@ -331,101 +276,82 @@ def compare_quotient_to_ground(gsystem: GraphSystem, system: InverseSystem) -> R
 
 
 # ---------------------------------------------------------------------------
-# nets
+# nets: one vertex per level, with no compatibility required
 
 
-@dataclass(frozen=True)
-class Net:
-    """A choice of one vertex per level, with no compatibility required."""
-
-    entries: tuple[tuple[LambdaIndex, int], ...]
-
-    def at(self, lam: LambdaIndex) -> int:
-        for l, v in self.entries:
-            if l == lam:
-                return v
-        raise KeyError(lam)
-
-
-def is_cauchy(gsystem: GraphSystem, y: Net) -> bool:
+def is_cauchy(system: InverseSystem, y: tuple[int, ...]) -> bool:
     """Projections of any two levels above a base must be adjacent there."""
-    for lam0 in gsystem.lambdas:
-        above = [m for m in gsystem.lambdas if lam0 <= m]
-        projected = [gsystem.bonds[(lam0, m)][y.at(m)] for m in above]
-        g = gsystem.levels[lam0]
-        for a, b in combinations(projected, 2):
-            if not g.adjacent(a, b):
+    for i, up in enumerate(system.above):
+        lam = system.lambdas[i]
+        adj = system.levels[lam].adjacency
+        projected = 0
+        for j in up:
+            projected |= 1 << bonding_map(system, lam, system.lambdas[j]).vertex_map[y[j]]
+        for a in _members(projected):
+            if projected & ~_star(adj, a):
                 return False
     return True
 
 
-def converge(gsystem: GraphSystem, y: Net) -> tuple[bool, VertexThread | None]:
+def converge(system: InverseSystem, y: tuple[int, ...]) -> tuple[bool, tuple[int, ...] | None]:
     """Search all vertex threads for one levelwise adjacent to the net."""
-    if not is_cauchy(gsystem, y):
+    if not is_cauchy(system, y):
         raise ValueError("convergence is only defined for Cauchy nets")
-    top = gsystem.top
+    top = system.top
     if top is None:
-        raise ValueError("graph system has no maximum level")
-    n = gsystem.levels[top].n_vertices
-    for v in range(n):
-        if all(
-            gsystem.levels[lam].adjacent(gsystem.bonds[(lam, top)][v], y.at(lam))
-            for lam in gsystem.lambdas
-        ):
-            entries = tuple(
-                (lam, gsystem.bonds[(lam, top)][v])
-                for lam in sorted(gsystem.lambdas, key=lambda l: l.sort_key)
-            )
-            return True, VertexThread(entries)
+        raise ValueError("system has no maximum level")
+    adjs = _adjacencies(system)
+    down = [bonding_map(system, lam, top).vertex_map for lam in system.lambdas]
+    for v in range(len(system.levels[top].vertices)):
+        if all(_adjacent(adj, vm[v], b) for adj, vm, b in zip(adjs, down, y)):
+            return True, vertex_thread(system, v)
     return False, None
 
 
-def thread_as_net(z: VertexThread) -> Net:
-    return Net(z.entries)
-
-
 def perturbed_thread_net(
-    gsystem: GraphSystem, z: VertexThread, rng: random.Random
-) -> Net:
-    """Move one non-maximal level of a thread to an adjacent vertex."""
-    top = gsystem.top
-    non_max = [lam for lam in gsystem.lambdas if lam != top]
-    lam = non_max[rng.randrange(len(non_max))]
-    star = sorted(gsystem.levels[lam].star(z.at(lam)))
-    new = star[rng.randrange(len(star))]
-    entries = tuple((l, new if l == lam else v) for l, v in z.entries)
-    return Net(entries)
+    system: InverseSystem, z: tuple[int, ...], rng: random.Random
+) -> tuple[int, ...]:
+    """Move one non-maximal level of a thread to an adjacent vertex; with
+    no level below the top, the thread itself."""
+    non_max = [i for i, lam in enumerate(system.lambdas) if lam != system.top]
+    if not non_max:
+        return z
+    i = non_max[rng.randrange(len(non_max))]
+    star = _members(_star(system.levels[system.lambdas[i]].adjacency, z[i]))
+    return z[:i] + (star[rng.randrange(len(star))],) + z[i + 1 :]
 
 
-def sample_cauchy_nets(
-    gsystem: GraphSystem, system: InverseSystem, count: int, seed: int
-) -> list[Net]:
-    """Seeded mix of perturbed threads and random nets kept when Cauchy."""
+def sample_cauchy_nets(system: InverseSystem, count: int, seed: int) -> list[tuple[int, ...]]:
+    """Seeded mix of perturbed threads and random nets kept when Cauchy,
+    from at most 50 * count candidates."""
     rng = random.Random(seed)
     threads = vertex_threads(system)
-    lambdas = sorted(gsystem.lambdas, key=lambda l: l.sort_key)
-    nets: list[Net] = []
-    while len(nets) < count:
+    sizes = [len(system.levels[lam].vertices) for lam in system.lambdas]
+    nets: list[tuple[int, ...]] = []
+    attempts = 0
+    while len(nets) < count and attempts < 50 * count:
+        attempts += 1
         if rng.random() < 0.5:
             z = threads[rng.randrange(len(threads))]
-            candidate = perturbed_thread_net(gsystem, z, rng)
+            candidate = perturbed_thread_net(system, z, rng)
         else:
-            entries = tuple(
-                (lam, rng.randrange(gsystem.levels[lam].n_vertices)) for lam in lambdas
-            )
-            candidate = Net(entries)
-        if is_cauchy(gsystem, candidate):
+            candidate = tuple(rng.randrange(n) for n in sizes)
+        if is_cauchy(system, candidate):
             nets.append(candidate)
     return nets
 
 
-def cauchy_sweep(
-    gsystem: GraphSystem, system: InverseSystem, count: int, seed: int
-) -> Report:
-    nets = sample_cauchy_nets(gsystem, system, count, seed)
+def cauchy_sweep(system: InverseSystem, count: int, seed: int) -> Report:
+    nets = sample_cauchy_nets(system, count, seed)
+    if len(nets) < count:
+        return Report(
+            "cauchy_sweep",
+            False,
+            details={"reason": "not enough Cauchy nets", "found": len(nets)},
+        )
     bad = None
     for i, y in enumerate(nets):
-        ok, _ = converge(gsystem, y)
+        ok, _ = converge(system, y)
         if not ok:
             bad = {"net": i}
             break
@@ -435,36 +361,3 @@ def cauchy_sweep(
         counterexample=bad,
         details={"nets": count, "seed": seed},
     )
-
-
-# ---------------------------------------------------------------------------
-# consistency of the flag functor with the complex-level system
-
-
-def check_flag_functor(gsystem: GraphSystem, system: InverseSystem) -> Report:
-    """Flag completions of the level graphs and bonds must reproduce the
-    flag complexes and their bonding maps."""
-    bad = None
-    for lam in gsystem.lambdas:
-        rebuilt = flag_completion(gsystem.levels[lam], system.max_dim)
-        if rebuilt.simplices != system.levels[lam].flag.simplices:
-            bad = {"lambda": list(lam.cover_ids), "reason": "complex mismatch"}
-            break
-    if bad is None:
-        for lam, mu in gsystem.comparable_pairs():
-            vm = gsystem.bonds[(lam, mu)]
-            induced = flag_map(vm, system.levels[mu].flag, system.levels[lam].flag)
-            if induced.vertex_map != bonding_map(system, lam, mu).vertex_map:
-                bad = {"lambda": list(lam.cover_ids), "mu": list(mu.cover_ids)}
-                break
-    return Report("flag_functor", bad is None, counterexample=bad)
-
-
-def graph_dot(g: CellGraph, name: str) -> str:
-    lines = [f"graph {name} {{"]
-    for v in range(g.n_vertices):
-        lines.append(f"  {v};")
-    for e in sorted(sorted(e) for e in g.edges):
-        lines.append(f"  {e[0]} -- {e[1]};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

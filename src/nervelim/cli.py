@@ -10,7 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -68,13 +69,11 @@ class RunContext:
     space: GroundSpace
     family: CoverFamily
     system: systems.InverseSystem
-    _gsystem: cells.GraphSystem | None = field(default=None, repr=False)
 
-    @property
-    def gsystem(self) -> cells.GraphSystem:
-        if self._gsystem is None:
-            self._gsystem = cells.build_graph_system(self.system)
-        return self._gsystem
+    @cached_property
+    def equivalence(self) -> cells.EquivalenceResult:
+        """The thread quotient, shared by the checks that read it."""
+        return cells.equivalence_classes(self.system)
 
     @property
     def chain(self) -> list[LambdaIndex]:
@@ -111,7 +110,10 @@ def _parse_lambdas(spec: str, n_covers: int, preset: Preset | None) -> list[Lamb
                 f"lambda selection {spec!r} names cover {bad[0]}; "
                 f"cover ids run from 0 to {n_covers - 1}"
             )
-        out.append(LambdaIndex.of(ids))
+        lam = LambdaIndex.of(ids)
+        if lam in out:
+            raise InputError(f"lambda selection {spec!r} lists level {lam.json_key()} twice")
+        out.append(lam)
     return out
 
 
@@ -174,10 +176,10 @@ def _run_check(name: str, ctx: RunContext) -> tuple[Report, dict]:
     elif name == "nerve_absorption":
         report = systems.check_nerve_absorption(ctx.system)
     elif name == "star_conditions":
-        report = cells.check_star_conditions(ctx.gsystem, ctx.system)
+        report = cells.check_star_conditions(ctx.system)
     elif name == "equivalence_classes":
-        result = cells.equivalence_classes(ctx.gsystem)
-        report = cells.check_equivalence(ctx.gsystem)
+        result = ctx.equivalence
+        report = cells.check_equivalence(result)
         if result.quotient is not None:
             extra["quotient.json"] = {
                 "format_version": FORMAT_VERSION,
@@ -186,20 +188,20 @@ def _run_check(name: str, ctx: RunContext) -> tuple[Report, dict]:
                 "checks": {"equivalence_classes": report.passed},
             }
     elif name == "quotient_comparison":
-        report = cells.compare_quotient_to_ground(ctx.gsystem, ctx.system)
-        result = cells.equivalence_classes(ctx.gsystem)
+        result = ctx.equivalence
+        report = cells.compare_quotient_to_ground(ctx.system, result)
         if result.quotient is not None:
             extra["quotient.json"] = {
                 "format_version": FORMAT_VERSION,
                 **result.quotient.to_json(),
-                "bijection": _bijection_rows(ctx),
+                "bijection": _bijection_rows(ctx.system, result.quotient),
                 "checks": {"quotient_comparison": report.passed},
             }
     elif name == "cauchy_sweep":
         count = ctx.config.nets
         if count is None:
             count = ctx.preset.cauchy_nets if ctx.preset else 10000
-        report = cells.cauchy_sweep(ctx.gsystem, ctx.system, count, ctx.config.seed)
+        report = cells.cauchy_sweep(ctx.system, count, ctx.config.seed)
     elif name == "betti_stabilization":
         missing = [lam for lam in ctx.chain if lam not in ctx.system.levels]
         if missing:
@@ -226,15 +228,13 @@ def _run_check(name: str, ctx: RunContext) -> tuple[Report, dict]:
     return report, extra
 
 
-def _bijection_rows(ctx: RunContext) -> list[list[int]]:
-    result = cells.equivalence_classes(ctx.gsystem)
-    if result.quotient is None:
-        return []
-    top = ctx.gsystem.top
+def _bijection_rows(
+    system: systems.InverseSystem, quotient: cells.QuotientSpace
+) -> list[list[int]]:
     rows = []
-    for x in ctx.space.points:
-        support = systems.canonical_map(ctx.system, top, x).carrier
-        rows.append([x, result.quotient.class_of[support[0]]])
+    for x in system.family.ground.points:
+        support = systems.canonical_map(system, system.top, x).carrier
+        rows.append([x, quotient.class_of[support[0]]])
     return rows
 
 

@@ -140,11 +140,15 @@ class SimplicialComplex:
             is_flag_complex=False,
         )
 
-    def adjacency(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(self.n_vertices)]
-        for a, b in self.k_simplices(1):
-            adj[a].add(b)
-            adj[b].add(a)
+    def adjacency(self) -> list[int]:
+        """The 1-skeleton as per-vertex neighbour bitmasks: bit b of entry a
+        is set when (a, b) is an edge.  Loops are left implicit."""
+        adj = [0] * self.n_vertices
+        for s in self.simplices:
+            if len(s) == 2:
+                a, b = s
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
         return adj
 
     def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:
@@ -324,7 +328,7 @@ def build_flag(
     return SimplicialComplex(n, frozenset(simplices), tuple(verts), is_flag_complex=True)
 
 
-def _all_cliques(n: int, adj: list[int], max_dim: int, where: str = "") -> set[Simplex]:
+def _all_cliques(n: int, adj: Sequence[int], max_dim: int, where: str = "") -> set[Simplex]:
     """Every clique up to max_dim+1 vertices; raises past the guard.
 
     The message starts with ``where`` and gives the size of a maximal
@@ -392,22 +396,12 @@ def carrier_wedge(point: BarycentricPoint) -> frozenset[PointId]:
 # flag completion of graphs
 
 
-def flag_completion(graph, max_dim: int = DEFAULT_MAX_DIM) -> SimplicialComplex:
-    """Clique complex of a reflexive symmetric graph (loops ignored).
-
-    Accepts any object with ``n_vertices`` and ``edges`` (a set of 2-element
-    frozensets); graph homomorphisms induce simplicial maps via flag_map.
-    """
-    n = graph.n_vertices
-    adj = [0] * n
-    for e in graph.edges:
-        pair = sorted(e)
-        if len(pair) != 2:
-            continue
-        a, b = pair
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-    simplices = _all_cliques(n, adj, max_dim)
+def flag_completion(adjacency: Sequence[int], max_dim: int = DEFAULT_MAX_DIM) -> SimplicialComplex:
+    """Clique complex of a graph given as per-vertex neighbour bitmasks, the
+    form of ``SimplicialComplex.adjacency``; graph homomorphisms induce
+    simplicial maps via flag_map."""
+    n = len(adjacency)
+    simplices = _all_cliques(n, adjacency, max_dim)
     return SimplicialComplex(n, frozenset(simplices), None, is_flag_complex=True)
 
 

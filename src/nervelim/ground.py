@@ -288,11 +288,6 @@ class CoverFamily:
                 raise ValueError(f"cover {c.id} does not cover the space")
 
 
-def make_family(space: GroundSpace, pointset_lists: Sequence[Sequence[Iterable[PointId]]]) -> CoverFamily:
-    covers = tuple(cover_from_pointsets(i, ps) for i, ps in enumerate(pointset_lists))
-    return CoverFamily(covers, space)
-
-
 # --- cover schemes ----------------------------------------------------------
 
 

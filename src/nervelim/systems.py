@@ -2,12 +2,15 @@
 
 With finitely many covers the index set has a maximum level, so limit
 objects are computed at the top and consistency with lower levels is
-verified rather than assumed.  Threads are bond-compatible assignments of
-a vertex (or barycentric point) to every built level.
+verified rather than assumed.  A thread is a tuple aligned with
+``system.lambdas``: a vertex id per level (a vertex thread) or a
+barycentric point per level (a point thread), bond-compatible when built
+from the top.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -39,39 +42,42 @@ class Level:
     flag: SimplicialComplex
     nerve: SimplicialComplex
     index_of: dict[tuple[int, ...], int]
+    # the flag 1-skeleton, as ``SimplicialComplex.adjacency`` gives it
+    adjacency: list[int]
 
 
 @dataclass
 class InverseSystem:
+    """Levels in ``lambdas`` order, by size and then by cover ids.
+
+    A level is also named by its position in ``lambdas``; ``above[i]``
+    lists, ascending, the positions of the levels at or above position i.
+    """
+
     family: CoverFamily
     lambdas: list[LambdaIndex]
     levels: dict[LambdaIndex, Level]
     max_dim: int
     tables: dict[int, WeightTable]
     _bonds: dict[tuple[LambdaIndex, LambdaIndex], SimplicialMap] = field(default_factory=dict)
+    position: dict[LambdaIndex, int] = field(init=False)
+    above: list[tuple[int, ...]] = field(init=False)
+    top: LambdaIndex | None = field(init=False)  # the maximum level, when one exists
 
-    @property
-    def top(self) -> LambdaIndex | None:
-        """The maximum built level, when one exists."""
-        best = max(self.lambdas, key=lambda l: l.sort_key)
-        return best if all(l <= best for l in self.lambdas) else None
+    def __post_init__(self) -> None:
+        self.position = {lam: i for i, lam in enumerate(self.lambdas)}
+        if len(self.position) != len(self.lambdas):
+            raise ValueError("a level is listed twice")
+        ids = [frozenset(lam.cover_ids) for lam in self.lambdas]
+        self.above = [tuple(j for j, b in enumerate(ids) if a <= b) for a in ids]
+        last = len(self.lambdas) - 1
+        has_top = self.lambdas and all(up[-1] == last for up in self.above)
+        self.top = self.lambdas[last] if has_top else None
 
     def comparable_pairs(self) -> list[tuple[LambdaIndex, LambdaIndex]]:
-        return [
-            (a, b)
-            for a in self.lambdas
-            for b in self.lambdas
-            if a <= b
-        ]
-
-    def chains(self) -> list[tuple[LambdaIndex, LambdaIndex, LambdaIndex]]:
-        return [
-            (a, b, c)
-            for a in self.lambdas
-            for b in self.lambdas
-            for c in self.lambdas
-            if a <= b and b <= c
-        ]
+        """Every (lam, mu) with lam <= mu, in level order of lam, then mu."""
+        lams = self.lambdas
+        return [(lams[i], lams[j]) for i, up in enumerate(self.above) for j in up]
 
 
 def all_lambdas(n_covers: int) -> list[LambdaIndex]:
@@ -86,13 +92,15 @@ def build_system(
     lambdas: Sequence[LambdaIndex] | None = None,
     max_dim: int = 8,
 ) -> InverseSystem:
-    """Construct all selected levels and verify every bond is simplicial.
+    """Construct all selected levels and every bond, and verify that each
+    bond is simplicial.
 
     Each bond is checked on the edges of its source.  The target is a flag
     complex from ``build_flag``, which holds every clique of its 1-skeleton
     up to the guard (it raises rather than leave one out), and every source
     simplex is a clique of source edges.  So the image of each simplex is a
-    target simplex once the image of each edge is an edge or one vertex.
+    target simplex once the image of each edge is an edge or one vertex;
+    the bond is then also a homomorphism of the reflexive level graphs.
     """
     lams = sorted(
         all_lambdas(len(family.covers)) if lambdas is None else lambdas,
@@ -103,99 +111,70 @@ def build_system(
         verts = build_vertices(family, lam)
         flag = build_flag(family, lam, max_dim, verts)
         nerve = build_nerve(family, lam, max_dim, verts)
-        levels[lam] = Level(lam, tuple(verts), flag, nerve, {v.elements: i for i, v in enumerate(verts)})
+        index_of = {v.elements: i for i, v in enumerate(verts)}
+        levels[lam] = Level(lam, tuple(verts), flag, nerve, index_of, flag.adjacency())
     system = InverseSystem(family, lams, levels, max_dim, partition_tables(family))
     edges = {lam: level.flag.edges() for lam, level in levels.items()}
     for lam, mu in system.comparable_pairs():
-        bonding_map(system, lam, mu).verify(edges[mu])
+        bond = _projection(levels[lam], levels[mu])
+        bond.verify(edges[mu])
+        system._bonds[(lam, mu)] = bond
     return system
+
+
+def _projection(dst: Level, src: Level) -> SimplicialMap:
+    positions = [src.lam.cover_ids.index(i) for i in dst.lam.cover_ids]
+    vm = tuple(dst.index_of[tuple(v.elements[p] for p in positions)] for v in src.vertices)
+    return SimplicialMap(src.flag, dst.flag, vm)
 
 
 def bonding_map(system: InverseSystem, lam: LambdaIndex, mu: LambdaIndex) -> SimplicialMap:
     """The coordinate projection from level mu down to level lam."""
-    if not lam <= mu:
+    bond = system._bonds.get((lam, mu))
+    if bond is None:
         raise ValueError(f"{lam} is not below {mu}")
-    key = (lam, mu)
-    if key in system._bonds:
-        return system._bonds[key]
-    src, dst = system.levels[mu], system.levels[lam]
-    positions = [mu.cover_ids.index(i) for i in lam.cover_ids]
-    vm = []
-    for v in src.vertices:
-        dropped = tuple(v.elements[p] for p in positions)
-        vm.append(dst.index_of[dropped])
-    m = SimplicialMap(src.flag, dst.flag, tuple(vm))
-    system._bonds[key] = m
-    return m
+    return bond
 
 
 # ---------------------------------------------------------------------------
 # threads
 
 
-@dataclass(frozen=True)
-class VertexThread:
-    """A bond-compatible choice of one vertex per level."""
-
-    entries: tuple[tuple[LambdaIndex, int], ...]
-
-    def at(self, lam: LambdaIndex) -> int:
-        for l, v in self.entries:
-            if l == lam:
-                return v
-        raise KeyError(lam)
-
-    @classmethod
-    def from_top(cls, system: InverseSystem, top_vid: int) -> "VertexThread":
-        top = system.top
-        if top is None:
-            raise ValueError("system has no maximum level")
-        entries = []
-        for lam in system.lambdas:
-            entries.append((lam, bonding_map(system, lam, top).apply(top_vid)))
-        return cls(tuple(sorted(entries, key=lambda e: e[0].sort_key)))
-
-    def is_compatible(self, system: InverseSystem) -> bool:
-        for lam, mu in system.comparable_pairs():
-            if bonding_map(system, lam, mu).apply(self.at(mu)) != self.at(lam):
-                return False
-        return True
-
-
-@dataclass(frozen=True)
-class PointThread:
-    """A bond-compatible choice of one barycentric point per level."""
-
-    entries: tuple[tuple[LambdaIndex, BarycentricPoint], ...]
-
-    def at(self, lam: LambdaIndex) -> BarycentricPoint:
-        for l, p in self.entries:
-            if l == lam:
-                return p
-        raise KeyError(lam)
-
-    @classmethod
-    def from_top(cls, system: InverseSystem, top_point: BarycentricPoint) -> "PointThread":
-        top = system.top
-        if top is None:
-            raise ValueError("system has no maximum level")
-        entries = []
-        for lam in system.lambdas:
-            entries.append((lam, bonding_map(system, lam, top).push_point(top_point)))
-        return cls(tuple(sorted(entries, key=lambda e: e[0].sort_key)))
-
-    def is_compatible(self, system: InverseSystem) -> bool:
-        for lam, mu in system.comparable_pairs():
-            if bonding_map(system, lam, mu).push_point(self.at(mu)) != self.at(lam):
-                return False
-        return True
-
-
-def vertex_threads(system: InverseSystem) -> list[VertexThread]:
-    top = system.top
-    if top is None:
+def _top(system: InverseSystem) -> LambdaIndex:
+    if system.top is None:
         raise ValueError("system has no maximum level")
-    return [VertexThread.from_top(system, v) for v in range(len(system.levels[top].vertices))]
+    return system.top
+
+
+def vertex_thread(system: InverseSystem, top_vid: int) -> tuple[int, ...]:
+    """The vertex thread through vertex ``top_vid`` of the top level."""
+    top = _top(system)
+    return tuple(bonding_map(system, lam, top).apply(top_vid) for lam in system.lambdas)
+
+
+def point_thread(
+    system: InverseSystem, top_point: BarycentricPoint
+) -> tuple[BarycentricPoint, ...]:
+    """The point thread through a barycentric point of the top level."""
+    top = _top(system)
+    return tuple(bonding_map(system, lam, top).push_point(top_point) for lam in system.lambdas)
+
+
+def vertex_threads(system: InverseSystem) -> list[tuple[int, ...]]:
+    top = _top(system)
+    return [vertex_thread(system, v) for v in range(len(system.levels[top].vertices))]
+
+
+def is_compatible(system: InverseSystem, z: tuple) -> bool:
+    """Every bond carries the thread's value at its source to the value at
+    its target."""
+    for lam, mu in system.comparable_pairs():
+        bond = bonding_map(system, lam, mu)
+        value = z[system.position[mu]]
+        image = bond.push_point(value) if isinstance(value, BarycentricPoint) else bond.apply(value)
+        if image != z[system.position[lam]]:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +198,8 @@ def canonical_map(system: InverseSystem, lam: LambdaIndex, x: PointId) -> Baryce
     return point
 
 
-def canonical_thread(system: InverseSystem, x: PointId) -> PointThread:
-    entries = tuple(
-        (lam, canonical_map(system, lam, x))
-        for lam in sorted(system.lambdas, key=lambda l: l.sort_key)
-    )
-    return PointThread(entries)
+def canonical_thread(system: InverseSystem, x: PointId) -> tuple[BarycentricPoint, ...]:
+    return tuple(canonical_map(system, lam, x) for lam in system.lambdas)
 
 
 @dataclass(frozen=True)
@@ -243,7 +218,7 @@ class PiResult:
         }
 
 
-def thread_image(system: InverseSystem, z: VertexThread | PointThread) -> PiResult:
+def thread_image(system: InverseSystem, z: tuple) -> PiResult:
     """Intersect the carrier wedges of all levels of the thread.
 
     A point thread whose top carrier only spans a flag simplex (not a nerve
@@ -251,7 +226,7 @@ def thread_image(system: InverseSystem, z: VertexThread | PointThread) -> PiResu
     """
     common: frozenset[PointId] | None = None
     off_nerve = False
-    for lam, entry in z.entries:
+    for lam, entry in zip(system.lambdas, z):
         level = system.levels[lam]
         if isinstance(entry, BarycentricPoint):
             wedge = carrier_wedge(entry)
@@ -310,6 +285,7 @@ def check_fibers(system: InverseSystem) -> Report:
     bad = None
     top = system.top
     threads = vertex_threads(system) if top is not None else []
+    t = system.position.get(top)
     images = [thread_image(system, z).points for z in threads]
     for x in system.family.ground.points:
         fibers = {lam: fiber(system, x, lam) for lam in system.lambdas}
@@ -323,7 +299,7 @@ def check_fibers(system: InverseSystem) -> Report:
             break
         if top is not None:
             through_x = {
-                z.at(top) for z, pts in zip(threads, images) if x in pts
+                z[t] for z, pts in zip(threads, images) if x in pts
             }
             if through_x != set(fibers[top].carrier_vertices):
                 bad = {"point": x, "reason": "top fiber not realized by threads"}
@@ -335,7 +311,9 @@ def check_fibers(system: InverseSystem) -> Report:
 # the fiberwise homotopy
 
 
-def fiber_homotopy(system: InverseSystem, z: PointThread, t: Fraction) -> PointThread:
+def fiber_homotopy(
+    system: InverseSystem, z: tuple[BarycentricPoint, ...], t: Fraction
+) -> tuple[BarycentricPoint, ...]:
     """Levelwise convex combination pulling a thread onto its canonical
     image without moving its ground point."""
     res = thread_image(system, z)
@@ -343,15 +321,15 @@ def fiber_homotopy(system: InverseSystem, z: PointThread, t: Fraction) -> PointT
         raise ValueError("thread image is not a single ground point")
     (x,) = res.points
     entries = []
-    for lam, point in z.entries:
+    for lam, point in zip(system.lambdas, z):
         level = system.levels[lam]
         target = canonical_map(system, lam, x)
         moved = convex_combination(Fraction(t), target, point)
         ambient = tuple(sorted(set(point.carrier) | set(target.carrier)))
         if ambient not in level.nerve.simplices:
             raise AssertionError("homotopy leaves the nerve")
-        entries.append((lam, moved))
-    return PointThread(tuple(entries))
+        entries.append(moved)
+    return tuple(entries)
 
 
 def check_homotopy(
@@ -359,11 +337,7 @@ def check_homotopy(
 ) -> Report:
     """Seeded sample of resolved point threads: endpoints and image
     preservation of the homotopy, with exact equality."""
-    import random
-
-    top = system.top
-    if top is None:
-        raise ValueError("system has no maximum level")
+    top = _top(system)
     rng = random.Random(seed)
     level = system.levels[top]
     candidates = sorted(level.nerve.simplices)
@@ -377,7 +351,7 @@ def check_homotopy(
         point = BarycentricPoint.from_dict(
             level.flag, {v: w / total for v, w in zip(s, weights)}
         )
-        z = PointThread.from_top(system, point)
+        z = point_thread(system, point)
         if thread_image(system, z).resolved:
             threads.append(z)
     if len(threads) < count:
@@ -421,7 +395,7 @@ def find_nerve_absorbing_level(
     """Smallest built level above lam whose whole flag complex projects
     into the nerve of lam."""
     nerve = system.levels[lam].nerve
-    for mu in sorted((m for m in system.lambdas if lam <= m), key=lambda l: l.sort_key):
+    for mu in (system.lambdas[j] for j in system.above[system.position[lam]]):
         bond = bonding_map(system, lam, mu)
         if all(
             bond.image_simplex(s) in nerve.simplices
@@ -471,7 +445,7 @@ def iterated_star_witness(
         raise ValueError("neighborhood does not contain its point")
     if n < 1:
         raise ValueError("star depth must be positive")
-    for lam in sorted(system.lambdas, key=lambda l: l.sort_key):
+    for lam in system.lambdas:
         wedges = sorted(
             {v.wedge for v in system.levels[lam].vertices}, key=sorted
         )
@@ -507,10 +481,10 @@ def check_fiber_adjacency(system: InverseSystem) -> Report:
     bad = None
     for i, j in combinations(range(len(threads)), 2):
         adjacent_everywhere = True
-        for lam in system.lambdas:
+        for p, lam in enumerate(system.lambdas):
             level = system.levels[lam]
-            wi = level.vertices[threads[i].at(lam)].wedge
-            wj = level.vertices[threads[j].at(lam)].wedge
+            wi = level.vertices[threads[i][p]].wedge
+            wj = level.vertices[threads[j][p]].wedge
             if not wi & wj:
                 adjacent_everywhere = False
                 break
@@ -527,9 +501,18 @@ def check_fiber_adjacency(system: InverseSystem) -> Report:
 
 
 def check_functoriality(system: InverseSystem) -> Report:
+    """The bond along every chain lam <= mu <= nu of built levels equals
+    the composite of the two bonds through mu."""
+    lams = system.lambdas
+    chains = (
+        (lams[i], lams[j], lams[k])
+        for i, up in enumerate(system.above)
+        for j in up
+        for k in system.above[j]
+    )
     bad = None
     count = 0
-    for lam, mu, nu in system.chains():
+    for lam, mu, nu in chains:
         count += 1
         direct = bonding_map(system, lam, nu)
         through = bonding_map(system, lam, mu).compose(bonding_map(system, mu, nu))
@@ -576,8 +559,7 @@ def check_flag_reconstruction(system: InverseSystem) -> Report:
     bad = None
     for lam in system.lambdas:
         level = system.levels[lam]
-        graph = _SkeletonGraph(level.flag)
-        rebuilt = flag_completion(graph, system.max_dim)
+        rebuilt = flag_completion(level.flag.adjacency(), system.max_dim)
         if rebuilt.simplices != level.flag.simplices:
             bad = {"lambda": list(lam.cover_ids), "reason": "flag reconstruction"}
             break
@@ -596,8 +578,3 @@ def check_skeleton_equality(system: InverseSystem) -> Report:
             break
     return Report("skeleton_equality", bad is None, counterexample=bad)
 
-
-class _SkeletonGraph:
-    def __init__(self, cx: SimplicialComplex):
-        self.n_vertices = cx.n_vertices
-        self.edges = {frozenset(e) for e in cx.k_simplices(1)}

@@ -9,7 +9,6 @@ from hypothesis import HealthCheck, settings
 sys.path.insert(0, str(Path(__file__).parent))
 
 from nervelim import build_system
-from nervelim.cells import build_graph_system
 from nervelim.presets import PRESETS
 
 settings.register_profile(
@@ -51,12 +50,3 @@ def circle_system(preset_systems):
 def wedge_system(preset_systems):
     return preset_systems["wedge2"][2]
 
-
-@pytest.fixture(scope="session")
-def cantor_graphs(cantor_system):
-    return build_graph_system(cantor_system)
-
-
-@pytest.fixture(scope="session")
-def interval_graphs(interval_system):
-    return build_graph_system(interval_system)

@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from oracles import cycle_complex, discrete_complex, path_complex, wedge_graph_complex
 from nervelim.cells import (
-    build_graph_system,
     cauchy_sweep,
     check_star_conditions,
     compare_quotient_to_ground,
@@ -51,12 +50,6 @@ def _criterion(n: int, desc: str, bound_s: float, body) -> None:
     assert elapsed < bound_s, f"runtime {elapsed:.2f}s exceeds the {bound_s}s budget"
 
 
-class _Skeleton:
-    def __init__(self, cx):
-        self.n_vertices = cx.n_vertices
-        self.edges = {frozenset(e) for e in cx.k_simplices(1)}
-
-
 def test_criterion_1_flag_reconstruction(preset_systems):
     def body():
         for name in PRESET_NAMES:
@@ -64,7 +57,7 @@ def test_criterion_1_flag_reconstruction(preset_systems):
             _, _, system = preset_systems[name]
             for lam in system.lambdas:
                 level = system.levels[lam]
-                rebuilt = flag_completion(_Skeleton(level.flag), system.max_dim)
+                rebuilt = flag_completion(level.flag.adjacency(), system.max_dim)
                 assert rebuilt.simplices == level.flag.simplices
                 assert level.nerve.simplices <= level.flag.simplices
                 assert level.nerve.skeleton(1).simplices == level.flag.skeleton(1).simplices
@@ -100,6 +93,7 @@ def test_criterion_4_fiber_formula(preset_systems):
         for name in PRESET_NAMES:
             _, _, system = preset_systems[name]
             top = system.top
+            t = system.position[top]
             threads = vertex_threads(system)
             images = [thread_image(system, z).points for z in threads]
             for x in system.family.ground.points:
@@ -114,7 +108,7 @@ def test_criterion_4_fiber_formula(preset_systems):
                     assert image <= set(fibers[lam].carrier_vertices)
                 # the top fiber is realized by exactly the threads through x
                 through = {
-                    threads[i].at(top) for i in range(len(threads)) if x in images[i]
+                    threads[i][t] for i in range(len(threads)) if x in images[i]
                 }
                 assert through == set(fibers[top].carrier_vertices)
 
@@ -171,14 +165,13 @@ def test_criterion_7_homology_stabilization(preset_systems):
 def test_criterion_8_cell_structure_suite(preset_systems):
     def body():
         _, _, system = preset_systems["cantor-d3"]
-        gsystem = build_graph_system(system)
-        assert check_star_conditions(gsystem, system).passed
-        result = equivalence_classes(gsystem)
+        assert check_star_conditions(system).passed
+        result = equivalence_classes(system)
         assert result.transitive
-        comparison = compare_quotient_to_ground(gsystem, system)
+        comparison = compare_quotient_to_ground(system, result)
         assert comparison.passed
         assert comparison.details == {"classes": 8, "points": 8}
-        sweep = cauchy_sweep(gsystem, system, count=10_000, seed=2026)
+        sweep = cauchy_sweep(system, count=10_000, seed=2026)
         assert sweep.passed
         assert sweep.details["nets"] == 10_000
 

@@ -5,25 +5,18 @@ from fractions import Fraction
 
 import pytest
 
+from nervelim import cells
 from nervelim.cells import (
-    CellGraph,
-    Net,
-    build_graph_system,
     cauchy_sweep,
     check_equivalence,
-    check_flag_functor,
     check_star_conditions,
     check_star_contraction,
-    check_star_finiteness,
     compare_quotient_to_ground,
     converge,
     equivalence_classes,
-    graph_dot,
-    graph_of_level,
     is_cauchy,
     perturbed_thread_net,
     sample_cauchy_nets,
-    thread_as_net,
 )
 from nervelim.complexes import LambdaIndex
 from nervelim.ground import (
@@ -31,7 +24,7 @@ from nervelim.ground import (
     GroundSpace,
     cover_from_pointsets,
 )
-from nervelim.systems import build_system, vertex_threads
+from nervelim.systems import bonding_map, build_system, vertex_threads
 
 F = Fraction
 
@@ -58,129 +51,119 @@ def _one_point_system():
 # level graphs
 
 
-def test_cell_graph_reflexive_and_symmetric():
-    g = CellGraph(3, frozenset({frozenset({0, 1})}))
-    assert g.adjacent(0, 0) and g.adjacent(2, 2)
-    assert g.adjacent(0, 1) and g.adjacent(1, 0)
-    assert not g.adjacent(0, 2)
-    assert g.star(0) == frozenset({0, 1})
-    with pytest.raises(ValueError):
-        CellGraph(2, frozenset({frozenset({0})}))
+def _edges(adj):
+    return {(a, b) for a, mask in enumerate(adj) for b in range(a + 1, len(adj)) if mask >> b & 1}
+
+
+def test_cell_graph_reflexive_and_symmetric(preset_systems):
+    # loops are implicit: no vertex is its own neighbour
+    for name, (_, _, system) in preset_systems.items():
+        for lam in system.lambdas:
+            adj = system.levels[lam].adjacency
+            for a, mask in enumerate(adj):
+                assert not mask >> a & 1, name
+                assert all(adj[b] >> a & 1 for b in range(len(adj)) if mask >> b & 1), name
 
 
 def test_graph_of_level_matches_skeleton(cantor_system, circle_system):
     for system in (cantor_system, circle_system):
         for lam in system.lambdas:
-            g = graph_of_level(system, lam)
-            edges = {frozenset(e) for e in system.levels[lam].flag.k_simplices(1)}
-            assert g.edges == edges
+            flag = system.levels[lam].flag
+            assert _edges(system.levels[lam].adjacency) == set(flag.k_simplices(1))
 
 
 def test_graph_of_level_discrete(cantor_system):
-    g = graph_of_level(cantor_system, cantor_system.top)
-    assert g.edges == frozenset()
+    assert set(cantor_system.levels[cantor_system.top].adjacency) == {0}
 
 
 def test_graph_of_level_triangle(circle_system):
-    g = graph_of_level(circle_system, _lam(0))
-    assert len(g.edges) == 3
+    assert len(_edges(circle_system.levels[_lam(0)].adjacency)) == 3
 
 
 def test_bonds_are_graph_homomorphisms(preset_systems):
     for name, (_, _, system) in preset_systems.items():
-        build_graph_system(system)  # raises if a bond breaks an edge
-
-
-def test_flag_functor_consistency(cantor_graphs, cantor_system):
-    assert check_flag_functor(cantor_graphs, cantor_system).passed
+        for lam, mu in system.comparable_pairs():
+            vm = bonding_map(system, lam, mu).vertex_map
+            target = system.levels[lam].adjacency
+            for a, b in _edges(system.levels[mu].adjacency):
+                assert vm[a] == vm[b] or target[vm[a]] >> vm[b] & 1, name
 
 
 # ---------------------------------------------------------------------------
 # the star conditions
 
 
-def test_star_contraction_cantor_all_threads(cantor_graphs, cantor_system):
-    report = check_star_conditions(cantor_graphs, cantor_system)
+def test_star_contraction_cantor_all_threads(cantor_system):
+    report = check_star_conditions(cantor_system)
     assert report.passed
     assert report.details["finiteness"] == "vacuous on finite ground models"
 
 
 def test_star_contraction_fails_on_path():
     system = _path_system()
-    g = build_graph_system(system)
     z = vertex_threads(system)[0]  # an end of the path
-    found, mu = check_star_contraction(g, z, _lam(0))
+    found, mu = check_star_contraction(system, z, _lam(0))
     assert not found and mu is None
 
 
 def test_star_contraction_trivial_on_one_point():
     system = _one_point_system()
-    g = build_graph_system(system)
     z = vertex_threads(system)[0]
-    assert check_star_contraction(g, z, _lam(0)) == (True, _lam(0))
-
-
-def test_star_finiteness_vacuous(cantor_graphs, cantor_system):
-    z = vertex_threads(cantor_system)[0]
-    found, mu = check_star_finiteness(cantor_graphs, z, _lam(0))
-    assert found and mu == _lam(0)
+    assert check_star_contraction(system, z, _lam(0)) == (True, _lam(0))
 
 
 # ---------------------------------------------------------------------------
 # equivalence and the quotient
 
 
-def test_equivalence_cantor_singletons(cantor_graphs):
-    result = equivalence_classes(cantor_graphs)
+def test_equivalence_cantor_singletons(cantor_system):
+    result = equivalence_classes(cantor_system)
     assert result.transitive
     assert all(len(c) == 1 for c in result.quotient.classes)
     assert len(result.quotient.classes) == 8
 
 
-def test_equivalence_interval_classes(interval_graphs):
-    result = equivalence_classes(interval_graphs)
+def test_equivalence_interval_classes(interval_system):
+    result = equivalence_classes(interval_system)
     assert result.transitive
     assert len(result.quotient.classes) == 9
 
 
 def test_equivalence_reports_transitivity_failure(circle_system):
-    g = build_graph_system(circle_system)
-    result = equivalence_classes(g)
+    result = equivalence_classes(circle_system)
     assert not result.transitive
     a, b, c = result.witness
     assert result.quotient is None
-    assert not check_equivalence(g).passed
+    assert not check_equivalence(result).passed
 
 
-def test_quotient_comparison_cantor(cantor_graphs, cantor_system):
-    report = compare_quotient_to_ground(cantor_graphs, cantor_system)
+def test_quotient_comparison_cantor(cantor_system):
+    report = compare_quotient_to_ground(cantor_system, equivalence_classes(cantor_system))
     assert report.passed
     assert report.details == {"classes": 8, "points": 8}
 
 
-def test_quotient_comparison_interval(interval_graphs, interval_system):
-    report = compare_quotient_to_ground(interval_graphs, interval_system)
+def test_quotient_comparison_interval(interval_system):
+    report = compare_quotient_to_ground(interval_system, equivalence_classes(interval_system))
     assert report.passed
     assert report.details == {"classes": 9, "points": 9}
 
 
 def test_quotient_comparison_one_point():
     system = _one_point_system()
-    g = build_graph_system(system)
-    report = compare_quotient_to_ground(g, system)
+    report = compare_quotient_to_ground(system, equivalence_classes(system))
     assert report.passed
     assert report.details == {"classes": 1, "points": 1}
 
 
 def test_quotient_comparison_skipped_without_transitivity(circle_system):
-    g = build_graph_system(circle_system)
-    report = compare_quotient_to_ground(g, circle_system)
+    report = compare_quotient_to_ground(circle_system, equivalence_classes(circle_system))
     assert not report.passed
     assert "skipped" in report.details
 
 
-def test_quotient_json_shape(cantor_graphs):
-    q = equivalence_classes(cantor_graphs).quotient.to_json()
+def test_quotient_json_shape(cantor_system):
+    q = equivalence_classes(cantor_system).quotient.to_json()
     assert sorted(q) == ["adjacency", "classes"]
     assert len(q["classes"]) == 8
 
@@ -189,68 +172,68 @@ def test_quotient_json_shape(cantor_graphs):
 # Cauchy nets and convergence
 
 
-def test_thread_is_cauchy(cantor_graphs, cantor_system):
+def test_thread_is_cauchy(cantor_system):
     for z in vertex_threads(cantor_system):
-        assert is_cauchy(cantor_graphs, thread_as_net(z))
+        assert is_cauchy(cantor_system, z)
 
 
-def test_alternating_net_not_cauchy(cantor_graphs, cantor_system):
+def _alternating_net(system):
     # two non-adjacent top vertices alternated by level-size parity
-    threads = vertex_threads(cantor_system)
+    threads = vertex_threads(system)
     u, v = threads[0], threads[7]
-    entries = tuple(
-        (lam, (u if len(lam.cover_ids) % 2 == 0 else v).at(lam))
-        for lam in cantor_graphs.lambdas
+    return tuple(
+        (u if len(lam.cover_ids) % 2 == 0 else v)[i] for i, lam in enumerate(system.lambdas)
     )
-    assert not is_cauchy(cantor_graphs, Net(entries))
 
 
-def test_perturbed_thread_is_cauchy(cantor_graphs, cantor_system):
+def test_alternating_net_not_cauchy(cantor_system):
+    assert not is_cauchy(cantor_system, _alternating_net(cantor_system))
+
+
+def test_perturbed_thread_is_cauchy(cantor_system):
     rng = random.Random(5)
     for _ in range(100):
         z = vertex_threads(cantor_system)[rng.randrange(8)]
-        net = perturbed_thread_net(cantor_graphs, z, rng)
-        assert is_cauchy(cantor_graphs, net)
+        net = perturbed_thread_net(cantor_system, z, rng)
+        assert is_cauchy(cantor_system, net)
 
 
-def test_thread_converges_to_itself(cantor_graphs, cantor_system):
+def test_thread_converges_to_itself(cantor_system):
     z = vertex_threads(cantor_system)[3]
-    ok, witness = converge(cantor_graphs, thread_as_net(z))
+    ok, witness = converge(cantor_system, z)
     assert ok and witness == z
 
 
-def test_perturbed_threads_converge(cantor_graphs, cantor_system):
+def test_perturbed_threads_converge(cantor_system):
     rng = random.Random(11)
     for _ in range(100):
         z = vertex_threads(cantor_system)[rng.randrange(8)]
-        ok, witness = converge(cantor_graphs, perturbed_thread_net(cantor_graphs, z, rng))
+        ok, witness = converge(cantor_system, perturbed_thread_net(cantor_system, z, rng))
         assert ok and witness is not None
 
 
-def test_converge_rejects_non_cauchy(cantor_graphs, cantor_system):
-    threads = vertex_threads(cantor_system)
-    entries = tuple(
-        (lam, (threads[0] if len(lam.cover_ids) % 2 == 0 else threads[7]).at(lam))
-        for lam in cantor_graphs.lambdas
-    )
+def test_converge_rejects_non_cauchy(cantor_system):
     with pytest.raises(ValueError):
-        converge(cantor_graphs, Net(entries))
+        converge(cantor_system, _alternating_net(cantor_system))
 
 
-def test_sampled_sweep_converges(cantor_graphs, cantor_system):
-    report = cauchy_sweep(cantor_graphs, cantor_system, 500, seed=9)
+def test_sampled_sweep_converges(cantor_system):
+    report = cauchy_sweep(cantor_system, 500, seed=9)
     assert report.passed
-    nets = sample_cauchy_nets(cantor_graphs, cantor_system, 50, seed=9)
+    nets = sample_cauchy_nets(cantor_system, 50, seed=9)
     assert len(nets) == 50
-    assert all(is_cauchy(cantor_graphs, y) for y in nets)
+    assert all(is_cauchy(cantor_system, y) for y in nets)
 
 
-def test_sweep_deterministic(cantor_graphs, cantor_system):
-    a = sample_cauchy_nets(cantor_graphs, cantor_system, 30, seed=4)
-    b = sample_cauchy_nets(cantor_graphs, cantor_system, 30, seed=4)
+def test_sweep_deterministic(cantor_system):
+    a = sample_cauchy_nets(cantor_system, 30, seed=4)
+    b = sample_cauchy_nets(cantor_system, 30, seed=4)
     assert a == b
 
 
-def test_graph_dot(cantor_graphs):
-    dot = graph_dot(cantor_graphs.levels[_lam(0)], "G0")
-    assert dot.startswith("graph G0 {")
+def test_sweep_fails_when_nets_are_rare(cantor_system, monkeypatch):
+    monkeypatch.setattr(cells, "is_cauchy", lambda system, y: False)
+    assert sample_cauchy_nets(cantor_system, 10, seed=0) == []
+    report = cauchy_sweep(cantor_system, 10, seed=0)
+    assert not report.passed
+    assert report.details == {"reason": "not enough Cauchy nets", "found": 0}

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -157,6 +158,13 @@ def test_check_wedge_defaults_pass(tmp_path):
     assert report["all_pass"] and len(report["checks"]) == 12
 
 
+def test_cauchy_sweep_on_one_level_system(tmp_path, capsys):
+    # circle-a3 has no level below the top, so nets are perturbed nowhere
+    out = tmp_path / "out"
+    assert run("check", "--space", "circle-a3", "--out", out, "--checks", "cauchy_sweep") == 0
+    assert "PASS  cauchy_sweep" in capsys.readouterr().out
+
+
 def test_check_sampled_mode_marks_report(tmp_path):
     out = tmp_path / "out"
     code = run(
@@ -192,9 +200,9 @@ def test_check_needs_supporting_levels(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("spec", ["0;5", "-1", "0;;1", "0,;1", ""])
+@pytest.mark.parametrize("spec", ["0;5", "-1", "0;;1", "0,;1", "", "0;0", "0,1;1,0"])
 def test_bad_lambda_selection_exits_2(tmp_path, capsys, spec):
-    # cover ids out of range, negative ids and empty parts
+    # cover ids out of range, negative ids, empty parts and a level twice
     code = run("build", "--space", "cantor-d3", "--out", tmp_path / "o", "--lambdas", spec)
     assert code == 2
     err = capsys.readouterr().err
@@ -249,10 +257,39 @@ def test_report_renders_tables(tmp_path, capsys):
 # determinism
 
 
-@pytest.mark.parametrize("preset", ["cantor-d3", "wedge2"])
+# sha256 of every file a seeded check run writes, recorded from an earlier
+# version of the code: a change to any byte of these artifacts fails here,
+# even when two runs of the changed code agree with each other.
+PINNED_ARTIFACTS = {
+    "cantor-d3": {
+        "betti.csv": "551e9835c72ad7ee43a80a444a6174cca1b4d49e2c0aed6461fd21610995aa40",
+        "quotient.json": "4ca45a426a0e4968cdef46a0d2454997634e0bb82ed75c2c9f7b7dc76c05cc94",
+        "report.json": "3505f59cd82354531e5603a0773fd9859a7249a1f5c28daf736c14caf8602e50",
+    },
+    "interval-g8": {
+        "betti.csv": "48c5917b6a9a6b58df8b682e53fd418d4913379a969560855d67dca2d421b820",
+        "quotient.json": "cfb498a329f9e920e047e8ab90411d076117dc2242818d25da201c9d8a2101e2",
+        "report.json": "2a5bedf1155332e13edff99cd77e21e5bd8a4c84dc148566c6cdeee525f2b582",
+    },
+    "circle-a3612": {
+        "betti.csv": "89e015260a25b286ed0f7a7e9e70607fc6915c67e39cdc5554fad624131aa63c",
+        "report.json": "f510e4d9d52a543b476554612b6f6e91baab4ef5251d34fc225669067807a730",
+    },
+    "circle-a3": {
+        "report.json": "1debb960bbc4110656269a389268352384d8d71a4358ee6840c5c06caa2f8c07",
+    },
+    "wedge2": {
+        "betti.csv": "3fbc10e665d2c69426846e37b2b37044bfa789b581f332f02d2c8d7ab0b286bc",
+        "report.json": "b5596805992eb82b3d5c141ff57a54aa25e70917c352a19d9e93869b82dd5517",
+    },
+}
+
+
+@pytest.mark.parametrize("preset", list(PINNED_ARTIFACTS))
 def test_repeat_runs_are_byte_identical(tmp_path, preset):
-    a, b = tmp_path / "a", tmp_path / "b"
-    for out in (a, b):
-        assert run("check", "--space", preset, "--out", out, "--seed", 123, "--nets", 150) in (0, 1)
-    for name in ("report.json", "betti.csv"):
-        assert (a / name).read_bytes() == (b / name).read_bytes()
+    samples = () if preset in ("cantor-d3", "wedge2") else ("--homotopy-samples", 5)
+    for out in (tmp_path / "a", tmp_path / "b"):
+        code = run("check", "--space", preset, "--out", out, "--seed", 123, "--nets", 150, *samples)
+        assert code in (0, 1)
+        written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+        assert written == PINNED_ARTIFACTS[preset]

@@ -18,8 +18,6 @@ from nervelim.ground import (
     generate_space,
 )
 from nervelim.systems import (
-    PointThread,
-    VertexThread,
     bonding_map,
     build_system,
     canonical_map,
@@ -36,8 +34,11 @@ from nervelim.systems import (
     fiber,
     fiber_homotopy,
     find_nerve_absorbing_level,
+    is_compatible,
     iterated_star_witness,
+    point_thread,
     thread_image,
+    vertex_thread,
     vertex_threads,
 )
 from nervelim.ground import check_local_refinement
@@ -84,6 +85,12 @@ def test_bond_requires_comparable(cantor_system):
         bonding_map(cantor_system, _lam(0, 1), _lam(1, 2))
 
 
+def test_duplicate_level_rejected(cantor_system):
+    # a level is named by its position, so it may be listed only once
+    with pytest.raises(ValueError):
+        build_system(cantor_system.family, [_lam(0), _lam(0)])
+
+
 def test_functoriality_all_chains(cantor_system):
     report = check_functoriality(cantor_system)
     assert report.passed
@@ -128,7 +135,7 @@ def test_canonical_maps_commute_with_bonds(cantor_system):
 
 def test_canonical_thread_is_compatible(interval_system):
     for x in (0, 4, 8):
-        assert canonical_thread(interval_system, x).is_compatible(interval_system)
+        assert is_compatible(interval_system, canonical_thread(interval_system, x))
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +143,7 @@ def test_canonical_thread_is_compatible(interval_system):
 
 
 def test_thread_image_cantor_resolved(cantor_system):
-    top = cantor_system.top
-    z = VertexThread.from_top(cantor_system, 0)
+    z = vertex_thread(cantor_system, 0)
     res = thread_image(cantor_system, z)
     assert res.resolved and res.points == {0}
     assert not res.off_nerve
@@ -149,7 +155,7 @@ def test_thread_image_off_nerve(circle_system):
     flag = circle_system.levels[lam].flag
     interior = BarycentricPoint.from_dict(flag, {0: F(1, 3), 1: F(1, 3), 2: F(1, 3)})
     system_one = build_system(circle_system.family, [lam])
-    z = PointThread.from_top(system_one, interior)
+    z = point_thread(system_one, interior)
     res = thread_image(system_one, z)
     assert res.points == frozenset()
     assert res.off_nerve and not res.resolved
@@ -159,28 +165,24 @@ def test_thread_image_unresolved_overlap():
     space = GroundSpace(3)
     family = CoverFamily((cover_from_pointsets(0, [{0, 1, 2}, {1, 2}]),), space)
     system = build_system(family)
-    z = VertexThread.from_top(system, 1)
+    z = vertex_thread(system, 1)
     res = thread_image(system, z)
     assert res.points == {1, 2} and not res.resolved
 
 
 def test_incompatible_thread_detected(cantor_system):
-    a = VertexThread.from_top(cantor_system, 0)
-    b = VertexThread.from_top(cantor_system, 7)
-    top = cantor_system.top
-    mixed = VertexThread(
-        tuple((lam, (b if lam == top else a).at(lam)) for lam, _ in a.entries)
-    )
-    assert not mixed.is_compatible(cantor_system)
+    a = vertex_thread(cantor_system, 0)
+    b = vertex_thread(cantor_system, 7)
+    mixed = a[:-1] + b[-1:]  # the top level is last
+    assert not is_compatible(cantor_system, mixed)
 
 
 def test_vertex_threads_determined_by_top(cantor_system):
     threads = vertex_threads(cantor_system)
-    top = cantor_system.top
+    t = cantor_system.position[cantor_system.top]
     for z in threads:
-        assert z.is_compatible(cantor_system)
-        rebuilt = VertexThread.from_top(cantor_system, z.at(top))
-        assert rebuilt == z
+        assert is_compatible(cantor_system, z)
+        assert vertex_thread(cantor_system, z[t]) == z
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +230,7 @@ def test_fiber_projection_inclusion(preset_systems):
 
 
 def test_homotopy_endpoints(cantor_system):
-    z = PointThread.from_top(
+    z = point_thread(
         cantor_system, vertex_point(cantor_system.levels[cantor_system.top].flag, 2)
     )
     assert fiber_homotopy(cantor_system, z, F(0)) == z
@@ -242,20 +244,20 @@ def test_homotopy_preserves_image(interval_system):
     # an edge of the top nerve: two vertices over the same grid point
     edge = interval_system.levels[top].nerve.k_simplices(1)[0]
     point = BarycentricPoint.from_dict(flag, {edge[0]: F(1, 3), edge[1]: F(2, 3)})
-    z = PointThread.from_top(interval_system, point)
+    z = point_thread(interval_system, point)
     base = thread_image(interval_system, z)
     assert base.resolved
     for t in (F(0), F(1, 4), F(1, 2), F(3, 4), F(1)):
         moved = fiber_homotopy(interval_system, z, t)
         assert thread_image(interval_system, moved).points == base.points
-        assert moved.is_compatible(interval_system)
+        assert is_compatible(interval_system, moved)
 
 
 def test_homotopy_needs_resolved_thread():
     space = GroundSpace(2)
     family = CoverFamily((cover_from_pointsets(0, [{0, 1}]),), space)
     system = build_system(family)
-    z = PointThread.from_top(system, vertex_point(system.levels[system.top].flag, 0))
+    z = point_thread(system, vertex_point(system.levels[system.top].flag, 0))
     with pytest.raises(ValueError):
         fiber_homotopy(system, z, F(1, 2))
 
@@ -351,8 +353,9 @@ def test_fiber_adjacency_disjoint_cylinders(cantor_system):
     ia, ib = thread_image(cantor_system, za), thread_image(cantor_system, zb)
     assert ia.points != ib.points
     top = cantor_system.top
-    va = cantor_system.levels[top].vertices[za.at(top)]
-    vb = cantor_system.levels[top].vertices[zb.at(top)]
+    t = cantor_system.position[top]
+    va = cantor_system.levels[top].vertices[za[t]]
+    vb = cantor_system.levels[top].vertices[zb[t]]
     assert not va.wedge & vb.wedge
 
 
