@@ -25,7 +25,6 @@ from .ground import PointId
 from .report import Report
 from .systems import (
     InverseSystem,
-    bonding_map,
     canonical_map,
     thread_image,
     vertex_thread,
@@ -73,7 +72,7 @@ def check_star_contraction(
         double = 0
         for v in _members(_star(adj, z[j])):
             double |= _star(adj, v)
-        vm = bonding_map(system, lam, mu).vertex_map
+        vm = system.bond(i, j).vertex_map
         image = 0
         for v in _members(double):
             image |= 1 << vm[v]
@@ -282,11 +281,10 @@ def compare_quotient_to_ground(system: InverseSystem, result: EquivalenceResult)
 def is_cauchy(system: InverseSystem, y: tuple[int, ...]) -> bool:
     """Projections of any two levels above a base must be adjacent there."""
     for i, up in enumerate(system.above):
-        lam = system.lambdas[i]
-        adj = system.levels[lam].adjacency
+        adj = system.levels[system.lambdas[i]].adjacency
         projected = 0
         for j in up:
-            projected |= 1 << bonding_map(system, lam, system.lambdas[j]).vertex_map[y[j]]
+            projected |= 1 << system.bond(i, j).vertex_map[y[j]]
         for a in _members(projected):
             if projected & ~_star(adj, a):
                 return False
@@ -301,7 +299,8 @@ def converge(system: InverseSystem, y: tuple[int, ...]) -> tuple[bool, tuple[int
     if top is None:
         raise ValueError("system has no maximum level")
     adjs = _adjacencies(system)
-    down = [bonding_map(system, lam, top).vertex_map for lam in system.lambdas]
+    t = system.position[top]
+    down = [system.bond(i, t).vertex_map for i in range(len(system.lambdas))]
     for v in range(len(system.levels[top].vertices)):
         if all(_adjacent(adj, vm[v], b) for adj, vm, b in zip(adjs, down, y)):
             return True, vertex_thread(system, v)

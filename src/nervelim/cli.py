@@ -212,9 +212,9 @@ def _run_check(name: str, ctx: RunContext) -> tuple[Report, dict]:
         passed = table.nerve_stabilized
         expected = None
         if ctx.preset is not None:
-            last = [r for r in table.rows if r.complex_kind == "N"][-1].bettis.padded(3)
+            last = [r for r in table.rows if r.complex_kind == "N"][-1].bettis
             expected = ctx.preset.expected_betti
-            passed = (expected is None or tuple(last[:3]) == expected) and (
+            passed = (expected is None or last.agrees_with(expected)) and (
                 table.nerve_stabilized or not ctx.preset.expect_stabilized
             )
         report = Report(

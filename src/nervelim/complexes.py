@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Mapping, Sequence
 
@@ -119,12 +120,24 @@ class SimplicialComplex:
                 closed.update(combinations(m, k))
         return cls(n_vertices, frozenset(closed), vertices, is_flag_complex)
 
+    @cached_property
+    def _by_size(self) -> dict[int, list[Simplex]]:
+        """The simplices grouped by vertex count in one pass, each group
+        sorted once; never handed out, so it cannot change."""
+        groups: dict[int, list[Simplex]] = {}
+        for s in self.simplices:
+            groups.setdefault(len(s), []).append(s)
+        for group in groups.values():
+            group.sort()
+        return groups
+
     @property
     def dim(self) -> int:
-        return max(len(s) for s in self.simplices) - 1
+        return max(self._by_size) - 1
 
     def k_simplices(self, k: int) -> list[Simplex]:
-        return sorted(s for s in self.simplices if len(s) == k + 1)
+        """The k-simplices in sorted order, as a new list."""
+        return list(self._by_size.get(k + 1, ()))
 
     def edges(self) -> list[Simplex]:
         return self.k_simplices(1)
@@ -144,11 +157,9 @@ class SimplicialComplex:
         """The 1-skeleton as per-vertex neighbour bitmasks: bit b of entry a
         is set when (a, b) is an edge.  Loops are left implicit."""
         adj = [0] * self.n_vertices
-        for s in self.simplices:
-            if len(s) == 2:
-                a, b = s
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
+        for a, b in self._by_size.get(2, ()):
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
         return adj
 
     def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:

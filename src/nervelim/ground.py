@@ -742,7 +742,17 @@ def family_from_json(data: dict, space: GroundSpace) -> CoverFamily:
         )
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed covers file: {exc}") from exc
-    return CoverFamily(covers, space)
+    for cover in covers:
+        outside = sorted(cover.union() - set(space.points))
+        if outside:
+            raise InputError(
+                f"cover {cover.id} names point {outside[0]}; "
+                f"the space has points 0 to {space.n_points - 1}"
+            )
+    try:
+        return CoverFamily(covers, space)
+    except ValueError as exc:
+        raise InputError(f"bad covers file: {exc}") from exc
 
 
 def load_family(path: Path, space: GroundSpace) -> CoverFamily:

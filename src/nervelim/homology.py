@@ -45,17 +45,24 @@ def boundary_matrix(cx: SimplicialComplex, k: int) -> BoundaryMatrix:
 
 
 def gf2_rank(vectors: list[int]) -> int:
-    """Rank of a set of GF(2) vectors encoded as integer bitmasks."""
-    basis: list[int] = []
-    rank = 0
+    """Rank of a set of GF(2) vectors encoded as integer bitmasks.
+
+    Column reduction with pivots indexed by leading bit: each incoming
+    vector is XORed with the stored vector at its current leading bit until
+    it vanishes or its leading bit is free, and is then stored there.  Each
+    step lowers the leading bit, so the work follows the pivots met, not
+    the size of the basis.  The rank is the number of pivots.
+    """
+    pivots: dict[int, int] = {}
     for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-            rank += 1
-    return rank
+        while v:
+            lead = v.bit_length()
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = v
+                break
+            v ^= pivot
+    return len(pivots)
 
 
 def boundary_composition_is_zero(cx: SimplicialComplex, k: int) -> bool:
@@ -90,6 +97,16 @@ class BettiVector:
         if any(self.numbers[length:]):
             raise ValueError("nonzero entries beyond the requested length")
         return (self.numbers + (0,) * length)[:length]
+
+    def support(self) -> int:
+        """One past the highest index with a nonzero entry."""
+        return max((k + 1 for k, b in enumerate(self.numbers) if b), default=0)
+
+    def agrees_with(self, other: tuple[int, ...]) -> bool:
+        """Equal to ``other`` once both are padded with zeros to the longer
+        length."""
+        width = max(len(self.numbers), len(other))
+        return self.padded(width) == BettiVector(other).padded(width)
 
     def to_json(self) -> list[int]:
         return list(self.numbers)
@@ -135,11 +152,14 @@ class StabilizationTable:
         }
 
     def csv(self) -> str:
-        lines = ["level,complex,b0,b1,b2"]
+        """Columns b0..b{m-1}, with m at least 3 and past every nonzero
+        Betti number of the table."""
+        width = max([3] + [r.bettis.support() for r in self.rows])
+        lines = ["level,complex," + ",".join(f"b{k}" for k in range(width))]
         for r in self.rows:
-            b = r.bettis.padded(3)[:3]
             level = "|".join(str(i) for i in r.lam.cover_ids)
-            lines.append(f"{level},{r.complex_kind},{b[0]},{b[1]},{b[2]}")
+            numbers = ",".join(str(b) for b in r.bettis.padded(width))
+            lines.append(f"{level},{r.complex_kind},{numbers}")
         return "\n".join(lines) + "\n"
 
 
@@ -157,8 +177,10 @@ def betti_stabilization(system: InverseSystem, chain: list[LambdaIndex]) -> Stab
         bf = betti(level.flag)
         rows.append(StabilizationRow(lam, "N", bn))
         rows.append(StabilizationRow(lam, "F", bf))
-        nerve_values.append(bn.padded(3))
-    stabilized = len(nerve_values) >= 2 and nerve_values[-1] == nerve_values[-2]
+        nerve_values.append(bn)
+    stabilized = len(nerve_values) >= 2 and nerve_values[-1].agrees_with(
+        nerve_values[-2].numbers
+    )
     return StabilizationTable(rows, stabilized)
 
 

@@ -52,6 +52,7 @@ class InverseSystem:
 
     A level is also named by its position in ``lambdas``; ``above[i]``
     lists, ascending, the positions of the levels at or above position i.
+    Bonds are keyed by the position pair (i, j), with i below j.
     """
 
     family: CoverFamily
@@ -59,7 +60,7 @@ class InverseSystem:
     levels: dict[LambdaIndex, Level]
     max_dim: int
     tables: dict[int, WeightTable]
-    _bonds: dict[tuple[LambdaIndex, LambdaIndex], SimplicialMap] = field(default_factory=dict)
+    _bonds: dict[tuple[int, int], SimplicialMap] = field(default_factory=dict)
     position: dict[LambdaIndex, int] = field(init=False)
     above: list[tuple[int, ...]] = field(init=False)
     top: LambdaIndex | None = field(init=False)  # the maximum level, when one exists
@@ -78,6 +79,10 @@ class InverseSystem:
         """Every (lam, mu) with lam <= mu, in level order of lam, then mu."""
         lams = self.lambdas
         return [(lams[i], lams[j]) for i, up in enumerate(self.above) for j in up]
+
+    def bond(self, i: int, j: int) -> SimplicialMap:
+        """The bond from the level at position j down to position i."""
+        return self._bonds[(i, j)]
 
 
 def all_lambdas(n_covers: int) -> list[LambdaIndex]:
@@ -114,11 +119,12 @@ def build_system(
         index_of = {v.elements: i for i, v in enumerate(verts)}
         levels[lam] = Level(lam, tuple(verts), flag, nerve, index_of, flag.adjacency())
     system = InverseSystem(family, lams, levels, max_dim, partition_tables(family))
-    edges = {lam: level.flag.edges() for lam, level in levels.items()}
-    for lam, mu in system.comparable_pairs():
-        bond = _projection(levels[lam], levels[mu])
-        bond.verify(edges[mu])
-        system._bonds[(lam, mu)] = bond
+    edges = [levels[lam].flag.edges() for lam in lams]
+    for i, up in enumerate(system.above):
+        for j in up:
+            bond = _projection(levels[lams[i]], levels[lams[j]])
+            bond.verify(edges[j])
+            system._bonds[(i, j)] = bond
     return system
 
 
@@ -130,7 +136,7 @@ def _projection(dst: Level, src: Level) -> SimplicialMap:
 
 def bonding_map(system: InverseSystem, lam: LambdaIndex, mu: LambdaIndex) -> SimplicialMap:
     """The coordinate projection from level mu down to level lam."""
-    bond = system._bonds.get((lam, mu))
+    bond = system._bonds.get((system.position.get(lam), system.position.get(mu)))
     if bond is None:
         raise ValueError(f"{lam} is not below {mu}")
     return bond
@@ -148,8 +154,8 @@ def _top(system: InverseSystem) -> LambdaIndex:
 
 def vertex_thread(system: InverseSystem, top_vid: int) -> tuple[int, ...]:
     """The vertex thread through vertex ``top_vid`` of the top level."""
-    top = _top(system)
-    return tuple(bonding_map(system, lam, top).apply(top_vid) for lam in system.lambdas)
+    t = system.position[_top(system)]
+    return tuple(system.bond(i, t).apply(top_vid) for i in range(len(system.lambdas)))
 
 
 def point_thread(

@@ -123,7 +123,23 @@ def full_check_simpliciality(system: InverseSystem) -> Report:
 
 
 # ---------------------------------------------------------------------------
-# independent GF(2) rank via sympy
+# GF(2) ranks: the former re-sorted-basis reduction, and sympy
+
+
+def basis_gf2_rank(vectors: list[int]) -> int:
+    """Rank by reducing each vector against the whole basis, kept sorted
+    in decreasing order: the library's rank before pivot indexing."""
+    basis: list[int] = []
+    rank = 0
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+            basis.sort(reverse=True)
+            rank += 1
+    return rank
+
 
 
 def sympy_gf2_rank(cx: SimplicialComplex, k: int) -> int:

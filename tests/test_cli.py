@@ -77,6 +77,30 @@ def test_build_from_files(tmp_path):
     assert len(list(out.glob("level_*.json"))) == 7
 
 
+@pytest.mark.parametrize(
+    "elements, message",
+    [
+        ([[0, 1, 2], [2, 3]], "cover 0 does not cover the space"),
+        ([[0, 1, 2], [3, 4, 7]], "cover 0 names point 7"),
+    ],
+    ids=["misses-a-point", "names-point-7"],
+)
+def test_bad_covers_file_exits_2(tmp_path, capsys, elements, message):
+    from nervelim.ground import GroundSpace, space_to_json
+    from nervelim.report import dump_json
+
+    (tmp_path / "space.json").write_text(dump_json(space_to_json(GroundSpace(5))))
+    covers = {"covers": [{"elements": [{"points": e} for e in elements]}]}
+    (tmp_path / "covers.json").write_text(json.dumps(covers))
+    code = run(
+        "build", "--space", tmp_path / "space.json", "--covers", tmp_path / "covers.json",
+        "--out", tmp_path / "o",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err and len(err.splitlines()) == 1
+
+
 def test_space_file_without_covers_exits_2(tmp_path):
     from nervelim.ground import space_to_json
     from nervelim.presets import PRESETS
@@ -198,6 +222,30 @@ def test_check_needs_supporting_levels(tmp_path, capsys):
         "--lambdas", "0,1,2", "--checks", "betti_stabilization",
     )
     assert code == 2
+
+
+def test_betti_above_dimension_2(tmp_path):
+    # one cover of 5 points by the complements of single points: its nerve
+    # is the boundary of a 4-simplex, and one level cannot stabilize
+    from itertools import combinations
+
+    from nervelim.ground import GroundSpace, space_to_json
+    from nervelim.report import dump_json
+
+    (tmp_path / "space.json").write_text(dump_json(space_to_json(GroundSpace(5))))
+    elements = [{"points": list(s)} for s in reversed(list(combinations(range(5), 4)))]
+    (tmp_path / "covers.json").write_text(json.dumps({"covers": [{"elements": elements}]}))
+    out = tmp_path / "out"
+    code = run(
+        "check", "--space", tmp_path / "space.json", "--covers", tmp_path / "covers.json",
+        "--out", out, "--checks", "betti_stabilization",
+    )
+    assert code == 1
+    rows = json.loads((out / "report.json").read_text())["checks"][0]["details"]["table"]["rows"]
+    assert [r["betti"] for r in rows if r["complex"] == "N"] == [[1, 0, 0, 1]]
+    assert (out / "betti.csv").read_text() == (
+        "level,complex,b0,b1,b2,b3\n0,N,1,0,0,1\n0,F,1,0,0,0\n"
+    )
 
 
 @pytest.mark.parametrize("spec", ["0;5", "-1", "0;;1", "0,;1", "", "0;0", "0,1;1,0"])

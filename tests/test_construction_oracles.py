@@ -94,7 +94,8 @@ def test_simpliciality_report_matches_full_check(family, data):
     # replace one bond by another vertex map, often not simplicial
     lam, mu = data.draw(st.sampled_from(system.comparable_pairs()))
     bond = bonding_map(system, lam, mu)
-    system._bonds[(lam, mu)] = SimplicialMap(bond.source, bond.target, data.draw(other_map(bond)))
+    pair = (system.position[lam], system.position[mu])
+    system._bonds[pair] = SimplicialMap(bond.source, bond.target, data.draw(other_map(bond)))
     assert check_simpliciality(system) == full_check_simpliciality(system)
 
 
@@ -115,7 +116,9 @@ def test_simpliciality_catches_a_bond_simplicial_only_on_flags():
     # three vertices over point 0 onto the three vertices of the hollow triangle
     for elements, target in (((0, 0), 0), ((0, 1), 1), ((0, 2), 2)):
         vm[system.levels[mu].index_of[elements]] = target
-    system._bonds[(lam, mu)] = SimplicialMap(bond.source, bond.target, tuple(vm))
+    system._bonds[(system.position[lam], system.position[mu])] = SimplicialMap(
+        bond.source, bond.target, tuple(vm)
+    )
     report = check_simpliciality(system)
     assert report.counterexample == {"lambda": [0], "mu": [0, 1], "complex": "N"}
     assert report == full_check_simpliciality(system)

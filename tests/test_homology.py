@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    basis_gf2_rank,
     cycle_complex,
     discrete_complex,
     path_complex,
@@ -23,6 +25,7 @@ from nervelim.homology import (
     check_boundary_identity,
     gf2_rank,
 )
+from nervelim.systems import build_system
 
 F = Fraction
 
@@ -85,6 +88,50 @@ def test_rank_matches_sympy_oracle(preset_systems):
     for lam in system.lambdas:
         for cx in (system.levels[lam].nerve, system.levels[lam].flag):
             assert betti(cx).numbers == sympy_betti(cx), lam
+
+
+@st.composite
+def random_complexes(draw):
+    n = draw(st.integers(1, 9))
+    facet = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+    return SimplicialComplex.from_maximal(n, draw(st.lists(facet, min_size=1, max_size=6)))
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(
+        random_complexes(),
+        st.sampled_from(
+            [sphere_boundary_complex(), SimplicialComplex.from_maximal(5, combinations(range(5), 4))]
+        ),
+    )
+)
+def test_pivot_rank_matches_basis_rank_and_sympy(cx):
+    for k in range(1, cx.dim + 1):
+        bits = list(boundary_matrix(cx, k).column_bits)
+        assert gf2_rank(bits) == basis_gf2_rank(bits), k
+    assert betti(cx).numbers == sympy_betti(cx)
+
+
+@given(
+    st.lists(
+        st.one_of(st.just(0), st.integers(1, 15), st.integers(0, 2**40 - 1)), max_size=30
+    )
+)
+def test_pivot_rank_on_bitmasks_with_zeros_and_repeats(vectors):
+    vectors += vectors[::2]
+    assert gf2_rank(vectors) == basis_gf2_rank(vectors)
+
+
+def test_k_simplices_hands_out_copies():
+    cx = sphere_boundary_complex()
+    cx.k_simplices(1).clear()
+    cx.edges().append((0, 9))
+    assert cx.k_simplices(1) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    assert betti(cx).numbers == (1, 0, 1)
+    assert cx.k_simplices(cx.dim + 1) == [] and cx.k_simplices(-2) == []
+    empty = SimplicialComplex(0, frozenset())
+    assert empty.k_simplices(0) == [] and empty.edges() == []
 
 
 @given(st.randoms(use_true_random=False))
@@ -181,3 +228,25 @@ def test_stabilization_csv(preset_systems):
     assert lines[0] == "level,complex,b0,b1,b2"
     assert lines[1] == "0,N,1,0,0"
     assert len(lines) == 7
+
+
+def test_circle_24_3812_chain_table():
+    # 24 circle points; arcs 3/8/12 with overlaps 1/2, 1/4, 1/4; the top
+    # nerve and flag complex have 5,088 simplices each
+    space = generate_space(CircleGrid(), 24)
+    arcs = ((3, F(1, 2)), (8, F(1, 4)), (12, F(1, 4)))
+    family = CoverFamily(
+        tuple(generate_cover(space, Arcs(n, o), cover_id=i) for i, (n, o) in enumerate(arcs)),
+        space,
+    )
+    chain = [LambdaIndex.of(range(i + 1)) for i in range(3)]
+    table = betti_stabilization(build_system(family, chain, max_dim=16), chain)
+    assert [r.bettis.numbers for r in table.rows] == [
+        (1, 0, 0),
+        (1, 0, 0),
+        (1, 1, 0, 0, 0, 0),
+        (1, 1, 0, 0, 0, 0),
+        (1, 1) + (0,) * 10,
+        (1, 1) + (0,) * 10,
+    ]
+    assert table.nerve_stabilized
