@@ -27,7 +27,6 @@ from .ground import (
     generate_cover,
     generate_space,
     partition_of_unity,
-    restrict_family,
 )
 from .homology import BettiVector, betti, betti_stabilization
 from .systems import (

@@ -25,6 +25,7 @@ from .ground import PointId
 from .report import Report
 from .systems import (
     InverseSystem,
+    _top,
     canonical_map,
     thread_image,
     vertex_thread,
@@ -295,9 +296,7 @@ def converge(system: InverseSystem, y: tuple[int, ...]) -> tuple[bool, tuple[int
     """Search all vertex threads for one levelwise adjacent to the net."""
     if not is_cauchy(system, y):
         raise ValueError("convergence is only defined for Cauchy nets")
-    top = system.top
-    if top is None:
-        raise ValueError("system has no maximum level")
+    top = _top(system)
     adjs = _adjacencies(system)
     t = system.position[top]
     down = [system.bond(i, t).vertex_map for i in range(len(system.lambdas))]

@@ -1,0 +1,150 @@
+"""The check registry: the one place a check is defined.
+
+``CHECKS`` maps each check name, in report order, to a runner that takes
+the run's context and returns the report and the extra artifacts to write,
+by file name.  A runner looks its check function up in the defining module
+when it is called, so a function rebound there is the one that runs.  A
+check whose precondition the selected levels do not meet raises
+``PreconditionUnmet``, and the check command records it as skipped.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable
+
+from . import cells, ground, homology, systems
+from .complexes import LambdaIndex
+from .errors import PreconditionUnmet
+from .report import FORMAT_VERSION, Report
+
+if TYPE_CHECKING:
+    from .cli import RunConfig
+    from .presets import Preset
+
+
+@dataclass
+class RunContext:
+    config: RunConfig
+    preset: Preset | None
+    space: ground.GroundSpace
+    family: ground.CoverFamily
+    system: systems.InverseSystem
+
+    @cached_property
+    def equivalence(self) -> cells.EquivalenceResult:
+        """The thread quotient, shared by the checks that read it."""
+        return cells.equivalence_classes(self.system)
+
+    @property
+    def chain(self) -> list[LambdaIndex]:
+        if self.preset is not None:
+            return [LambdaIndex.of(ids) for ids in self.preset.chain]
+        k = len(self.family.covers)
+        return [LambdaIndex.of(range(i + 1)) for i in range(k)]
+
+    def neighborhoods(self):
+        if self.preset is not None:
+            return self.preset.neighborhoods(self.space)
+        return ground.singleton_neighborhoods(self.space)
+
+
+Runner = Callable[[RunContext], tuple[Report, dict]]
+
+
+def _selection_completeness(ctx: RunContext) -> tuple[Report, dict]:
+    mode, n = ctx.config.selection
+    return ground.check_selection_completeness(
+        ctx.family, mode, sample_count=n, seed=ctx.config.seed
+    ), {}
+
+
+def _fiber_homotopy(ctx: RunContext) -> tuple[Report, dict]:
+    count = ctx.config.homotopy_count
+    if count is None:
+        count = ctx.preset.homotopy_count if ctx.preset else 50
+    return systems.check_homotopy(ctx.system, count, ctx.config.seed), {}
+
+
+def _cauchy_sweep(ctx: RunContext) -> tuple[Report, dict]:
+    count = ctx.config.nets
+    if count is None:
+        count = ctx.preset.cauchy_nets if ctx.preset else 10000
+    return cells.cauchy_sweep(ctx.system, count, ctx.config.seed), {}
+
+
+def _with_quotient(ctx: RunContext, report: Report, bijection: bool) -> tuple[Report, dict]:
+    """The report, and ``quotient.json`` when the thread relation has a
+    quotient."""
+    quotient = ctx.equivalence.quotient
+    if quotient is None:
+        return report, {}
+    return report, {
+        "quotient.json": {
+            "format_version": FORMAT_VERSION,
+            **quotient.to_json(),
+            "bijection": _bijection_rows(ctx.system, quotient) if bijection else [],
+            "checks": {report.check: report.passed},
+        }
+    }
+
+
+def _bijection_rows(
+    system: systems.InverseSystem, quotient: cells.QuotientSpace
+) -> list[list[int]]:
+    rows = []
+    for x in system.family.ground.points:
+        support = systems.canonical_map(system, system.top, x).carrier
+        rows.append([x, quotient.class_of[support[0]]])
+    return rows
+
+
+def _betti_stabilization(ctx: RunContext) -> tuple[Report, dict]:
+    missing = [lam for lam in ctx.chain if lam not in ctx.system.levels]
+    if missing:
+        raise PreconditionUnmet(
+            f"betti chain level {missing[0]} is not among the built levels"
+        )
+    table = homology.betti_stabilization(ctx.system, ctx.chain)
+    passed = table.nerve_stabilized
+    expected = None
+    if ctx.preset is not None:
+        last = [r for r in table.rows if r.complex_kind == "N"][-1].bettis
+        expected = ctx.preset.expected_betti
+        passed = (expected is None or last.agrees_with(expected)) and (
+            table.nerve_stabilized or not ctx.preset.expect_stabilized
+        )
+    report = Report(
+        "betti_stabilization",
+        passed,
+        details={"table": table.to_json(), "expected_nerve": expected},
+    )
+    return report, {"betti.csv": table.csv()}
+
+
+CHECKS: dict[str, Runner] = {
+    "local_refinement": lambda ctx: (
+        ground.check_local_refinement(ctx.family, ctx.neighborhoods()), {}
+    ),
+    "selection_completeness": _selection_completeness,
+    "flag_reconstruction": lambda ctx: (systems.check_flag_reconstruction(ctx.system), {}),
+    "skeleton_equality": lambda ctx: (systems.check_skeleton_equality(ctx.system), {}),
+    "functoriality": lambda ctx: (systems.check_functoriality(ctx.system), {}),
+    "simpliciality": lambda ctx: (systems.check_simpliciality(ctx.system), {}),
+    "section_identity": lambda ctx: (systems.check_section_identity(ctx.system), {}),
+    "fibers": lambda ctx: (systems.check_fibers(ctx.system), {}),
+    "fiber_homotopy": _fiber_homotopy,
+    "nerve_absorption": lambda ctx: (systems.check_nerve_absorption(ctx.system), {}),
+    "star_conditions": lambda ctx: (cells.check_star_conditions(ctx.system), {}),
+    "equivalence_classes": lambda ctx: _with_quotient(
+        ctx, cells.check_equivalence(ctx.equivalence), bijection=False
+    ),
+    "quotient_comparison": lambda ctx: _with_quotient(
+        ctx, cells.compare_quotient_to_ground(ctx.system, ctx.equivalence), bijection=True
+    ),
+    "cauchy_sweep": _cauchy_sweep,
+    "betti_stabilization": _betti_stabilization,
+}
+
+ALL_CHECKS = tuple(CHECKS)

@@ -10,26 +10,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from . import cells, homology, systems
+from . import systems
+from .checks import ALL_CHECKS, CHECKS, RunContext
 from .complexes import LambdaIndex, complex_to_json, skeleton_dot
-from .errors import GuardExceeded, InputError
-from .ground import (
-    CoverFamily,
-    GroundSpace,
-    check_local_refinement,
-    check_selection_completeness,
-    family_to_json,
-    load_family,
-    load_space,
-    singleton_neighborhoods,
-    space_to_json,
-)
-from .presets import ALL_CHECKS, PRESETS, Preset
+from .errors import GuardExceeded, InputError, PreconditionUnmet
+from .ground import family_to_json, load_family, load_space, space_to_json
+from .presets import PRESETS, Preset
 from .report import FORMAT_VERSION, Report, dump_json
 
 EXIT_OK = 0
@@ -50,6 +40,10 @@ class RunConfig:
     mode: str
     nets: int | None = None
     homotopy_count: int | None = None
+    selection: tuple[str, int] = field(init=False)  # the parsed mode
+
+    def __post_init__(self) -> None:
+        self.selection = _parse_mode(self.mode)
 
     def echo(self) -> dict:
         return {
@@ -60,32 +54,6 @@ class RunConfig:
             "max_dim": self.max_dim,
             "mode": self.mode,
         }
-
-
-@dataclass
-class RunContext:
-    config: RunConfig
-    preset: Preset | None
-    space: GroundSpace
-    family: CoverFamily
-    system: systems.InverseSystem
-
-    @cached_property
-    def equivalence(self) -> cells.EquivalenceResult:
-        """The thread quotient, shared by the checks that read it."""
-        return cells.equivalence_classes(self.system)
-
-    @property
-    def chain(self) -> list[LambdaIndex]:
-        if self.preset is not None:
-            return [LambdaIndex.of(ids) for ids in self.preset.chain]
-        k = len(self.family.covers)
-        return [LambdaIndex.of(range(i + 1)) for i in range(k)]
-
-    def neighborhoods(self):
-        if self.preset is not None:
-            return self.preset.neighborhoods(self.space)
-        return singleton_neighborhoods(self.space)
 
 
 def _parse_lambdas(spec: str, n_covers: int, preset: Preset | None) -> list[LambdaIndex] | None:
@@ -131,111 +99,31 @@ def _load_context(config: RunConfig) -> RunContext:
     return RunContext(config, preset, space, family, system)
 
 
-# ---------------------------------------------------------------------------
-# checks
-
-
 def _parse_mode(mode: str) -> tuple[str, int]:
     if mode == "exhaustive":
         return "exhaustive", 0
     if mode.startswith("sampled:"):
         try:
-            return "sampled", int(mode.split(":", 1)[1])
+            n = int(mode.split(":", 1)[1])
         except ValueError as exc:
             raise InputError(f"cannot parse mode {mode!r}") from exc
+        if n < 1:
+            raise InputError(f"--mode sampled:<n> needs n at least 1, got {n}")
+        return "sampled", n
     raise InputError(f"unknown mode {mode!r}")
 
 
-def _run_check(name: str, ctx: RunContext) -> tuple[Report, dict]:
-    """Returns the report plus any extra artifacts to write."""
-    extra: dict = {}
-    if name == "local_refinement":
-        report = check_local_refinement(ctx.family, ctx.neighborhoods())
-    elif name == "selection_completeness":
-        mode, n = _parse_mode(ctx.config.mode)
-        report = check_selection_completeness(
-            ctx.family, mode, sample_count=n, seed=ctx.config.seed
-        )
-    elif name == "flag_reconstruction":
-        report = systems.check_flag_reconstruction(ctx.system)
-    elif name == "skeleton_equality":
-        report = systems.check_skeleton_equality(ctx.system)
-    elif name == "functoriality":
-        report = systems.check_functoriality(ctx.system)
-    elif name == "simpliciality":
-        report = systems.check_simpliciality(ctx.system)
-    elif name == "section_identity":
-        report = systems.check_section_identity(ctx.system)
-    elif name == "fibers":
-        report = systems.check_fibers(ctx.system)
-    elif name == "fiber_homotopy":
-        count = ctx.config.homotopy_count
-        if count is None:
-            count = ctx.preset.homotopy_count if ctx.preset else 50
-        report = systems.check_homotopy(ctx.system, count, ctx.config.seed)
-    elif name == "nerve_absorption":
-        report = systems.check_nerve_absorption(ctx.system)
-    elif name == "star_conditions":
-        report = cells.check_star_conditions(ctx.system)
-    elif name == "equivalence_classes":
-        result = ctx.equivalence
-        report = cells.check_equivalence(result)
-        if result.quotient is not None:
-            extra["quotient.json"] = {
-                "format_version": FORMAT_VERSION,
-                **result.quotient.to_json(),
-                "bijection": [],
-                "checks": {"equivalence_classes": report.passed},
-            }
-    elif name == "quotient_comparison":
-        result = ctx.equivalence
-        report = cells.compare_quotient_to_ground(ctx.system, result)
-        if result.quotient is not None:
-            extra["quotient.json"] = {
-                "format_version": FORMAT_VERSION,
-                **result.quotient.to_json(),
-                "bijection": _bijection_rows(ctx.system, result.quotient),
-                "checks": {"quotient_comparison": report.passed},
-            }
-    elif name == "cauchy_sweep":
-        count = ctx.config.nets
-        if count is None:
-            count = ctx.preset.cauchy_nets if ctx.preset else 10000
-        report = cells.cauchy_sweep(ctx.system, count, ctx.config.seed)
-    elif name == "betti_stabilization":
-        missing = [lam for lam in ctx.chain if lam not in ctx.system.levels]
-        if missing:
-            raise InputError(
-                f"betti chain level {missing[0]} is not among the built levels"
-            )
-        table = homology.betti_stabilization(ctx.system, ctx.chain)
-        passed = table.nerve_stabilized
-        expected = None
-        if ctx.preset is not None:
-            last = [r for r in table.rows if r.complex_kind == "N"][-1].bettis
-            expected = ctx.preset.expected_betti
-            passed = (expected is None or last.agrees_with(expected)) and (
-                table.nerve_stabilized or not ctx.preset.expect_stabilized
-            )
-        report = Report(
-            "betti_stabilization",
-            passed,
-            details={"table": table.to_json(), "expected_nerve": expected},
-        )
-        extra["betti.csv"] = table.csv()
-    else:
-        raise InputError(f"unknown check name {name!r}")
-    return report, extra
-
-
-def _bijection_rows(
-    system: systems.InverseSystem, quotient: cells.QuotientSpace
-) -> list[list[int]]:
-    rows = []
-    for x in system.family.ground.points:
-        support = systems.canonical_map(system, system.top, x).carrier
-        rows.append([x, quotient.class_of[support[0]]])
-    return rows
+def _parse_checks(spec: str) -> list[str]:
+    names: list[str] = []
+    for name in (c.strip() for c in spec.split(",")):
+        if not name:
+            continue
+        if name not in CHECKS:
+            raise InputError(f"unknown check name {name!r}")
+        if name in names:
+            raise InputError(f"check list {spec!r} names {name!r} twice")
+        names.append(name)
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -280,19 +168,15 @@ def cmd_check(config: RunConfig) -> int:
     names = config.checks
     if names is None:
         names = list(ctx.preset.checks) if ctx.preset else list(ALL_CHECKS)
-    for name in names:
-        if name not in ALL_CHECKS:
-            raise InputError(f"unknown check name {name!r}")
     out = config.out
     out.mkdir(parents=True, exist_ok=True)
     reports = []
     extras: dict[str, object] = {}
     for name in names:
         try:
-            report, extra = _run_check(name, ctx)
-        except ValueError as exc:
-            # thread checks need a maximum level among the selected ones
-            raise InputError(f"check {name!r} cannot run on the selected levels: {exc}") from exc
+            report, extra = CHECKS[name](ctx)
+        except PreconditionUnmet as exc:
+            report, extra = Report(name, False, details={"skipped": str(exc)}), {}
         reports.append(report)
         extras.update(extra)
     payload = {
@@ -402,7 +286,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise InputError(f"{flag} must be at least 1, got {value}")
         checks = None
         if args.command == "check" and args.checks is not None:
-            checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+            checks = _parse_checks(args.checks)
         config = RunConfig(
             space=args.space,
             covers=args.covers,

@@ -115,24 +115,13 @@ def _arc_distance(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> Fraction:
 
 
 def _euclidean_distance(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> Fraction:
+    """The exact distance; ``ValueError`` when it is not rational."""
     sq = sum(((x - y) ** 2 for x, y in zip(a, b)), Fraction(0))
-    root = _exact_sqrt(sq)
-    if root is not None:
-        return root
-    # No rational root: fall back to the float value.  All shipped space
-    # generators are one-dimensional or arc/hamming metric, so this branch
-    # only serves imported point clouds.
-    return Fraction(math.sqrt(float(sq)))
-
-
-def _exact_sqrt(x: Fraction) -> Fraction | None:
-    if x < 0:
-        raise ValueError("negative squared distance")
-    num, den = x.numerator, x.denominator
+    num, den = sq.numerator, sq.denominator
     rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
+    if rn * rn != num or rd * rd != den:
+        raise ValueError(f"distance sqrt({sq}) is not rational; compare distance_sq instead")
+    return Fraction(rn, rd)
 
 
 # --- generators ------------------------------------------------------------
@@ -160,11 +149,6 @@ class CantorDepth(SpaceKind):
 @dataclass(frozen=True)
 class WedgeOfCircles(SpaceKind):
     count: int
-
-
-@dataclass(frozen=True)
-class PointCloudFile(SpaceKind):
-    path: str
 
 
 def generate_space(kind: SpaceKind, resolution: int) -> GroundSpace:
@@ -199,8 +183,6 @@ def generate_space(kind: SpaceKind, resolution: int) -> GroundSpace:
             for k in range(1, m):
                 coords.append((Fraction(circle), Fraction(k, m)))
         return GroundSpace(len(coords), tuple(coords), Metric.CIRCLE_ARC)
-    if isinstance(kind, PointCloudFile):
-        return load_space(Path(kind.path))
     raise ValueError(f"unknown space kind {kind!r}")
 
 
@@ -280,6 +262,8 @@ class CoverFamily:
     ground: GroundSpace
 
     def __post_init__(self) -> None:
+        if not self.covers:
+            raise ValueError("a family needs at least one cover")
         if [c.id for c in self.covers] != list(range(len(self.covers))):
             raise ValueError("cover ids must be 0..k-1 in list order")
         all_points = frozenset(self.ground.points)
@@ -618,53 +602,6 @@ def partition_tables(family: CoverFamily) -> dict[CoverId, WeightTable]:
 
 
 # ---------------------------------------------------------------------------
-# restriction
-
-
-def restrict_family(family: CoverFamily, subset: Iterable[PointId]) -> CoverFamily:
-    """Trace the family on a nonempty point subset; empty traces are dropped.
-
-    Points are reindexed densely in their original order.  Linear-bump
-    specs survive when every center lies in the subset, otherwise the
-    restricted cover falls back to indicator weights.
-    """
-    keep = sorted(set(subset))
-    if not keep:
-        raise ValueError("cannot restrict to the empty set")
-    if not set(keep) <= set(family.ground.points):
-        raise ValueError("subset contains unknown points")
-    old_to_new = {old: new for new, old in enumerate(keep)}
-    g = family.ground
-    space = GroundSpace(
-        len(keep),
-        tuple(g.coords[p] for p in keep) if g.coords is not None else None,
-        g.metric,
-        tuple(g.labels[p] for p in keep) if g.labels is not None else None,
-    )
-    covers = []
-    for cover in family.covers:
-        traces: list[tuple[ElementId, frozenset[PointId]]] = []
-        for e in cover.elements:
-            trace = frozenset(old_to_new[p] for p in e.pointset if p in old_to_new)
-            if trace:
-                traces.append((e.id, trace))
-        spec: WeightSpec = Indicator()
-        if isinstance(cover.weight_spec, LinearBump):
-            surviving = {eid for eid, _ in traces}
-            bumps = [b for b in cover.weight_spec.bumps if b[0] in surviving]
-            if all(center in old_to_new for _, center, _ in bumps):
-                remap = {old: new for new, (old, _) in enumerate(traces)}
-                spec = LinearBump(
-                    tuple((remap[eid], old_to_new[center], radius) for eid, center, radius in bumps)
-                )
-        elements = tuple(
-            CoverElement(i, cover.id, ps) for i, (_, ps) in enumerate(traces)
-        )
-        covers.append(Cover(cover.id, elements, spec))
-    return CoverFamily(tuple(covers), space)
-
-
-# ---------------------------------------------------------------------------
 # JSON formats
 
 
@@ -695,7 +632,7 @@ def space_from_json(data: dict) -> GroundSpace:
             Metric(data["metric"]),
             None if labels is None else tuple(labels),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise InputError(f"malformed space file: {exc}") from exc
 
 
@@ -724,7 +661,7 @@ def cover_from_json(data: dict, cover_id: CoverId | None = None) -> Cover:
         return cover_from_pointsets(
             cid, [set(map(int, e["points"])) for e in data["elements"]]
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise InputError(f"malformed cover object: {exc}") from exc
 
 

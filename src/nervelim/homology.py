@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import LambdaIndex, SimplicialComplex
-from .report import Report
 from .systems import InverseSystem
 
 
@@ -63,25 +62,6 @@ def gf2_rank(vectors: list[int]) -> int:
                 break
             v ^= pivot
     return len(pivots)
-
-
-def boundary_composition_is_zero(cx: SimplicialComplex, k: int) -> bool:
-    """d_k . d_{k+1} = 0, checked column by column."""
-    outer = boundary_matrix(cx, k)
-    inner = boundary_matrix(cx, k + 1)
-    outer_index = {s: outer.column_bits[i] for i, s in enumerate(outer.cols)}
-    for s, mask in zip(inner.cols, inner.column_bits):
-        acc = 0
-        i = 0
-        m = mask
-        while m:
-            if m & 1:
-                acc ^= outer_index[inner.rows[i]]
-            m >>= 1
-            i += 1
-        if acc:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -183,18 +163,3 @@ def betti_stabilization(system: InverseSystem, chain: list[LambdaIndex]) -> Stab
     )
     return StabilizationTable(rows, stabilized)
 
-
-def check_boundary_identity(system: InverseSystem) -> Report:
-    """d.d = 0 for every level complex and every dimension."""
-    bad = None
-    for lam in system.lambdas:
-        for cx, kind in ((system.levels[lam].nerve, "N"), (system.levels[lam].flag, "F")):
-            for k in range(1, cx.dim + 1):
-                if not boundary_composition_is_zero(cx, k):
-                    bad = {"lambda": list(lam.cover_ids), "complex": kind, "k": k}
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    return Report("boundary_identity", bad is None, counterexample=bad)

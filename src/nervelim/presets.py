@@ -3,9 +3,9 @@
 Each preset fixes a ground model, a cover family, a Betti chain, a
 neighborhood schedule for the local refinement check, and the list of
 checks the family legitimately satisfies at finite scale.  Families built
-from overlapping covers need not resolve every thread to a point; checks
-whose preconditions fail on such a family are left out of its defaults and
-report the unmet precondition when forced.
+from overlapping covers need not resolve every thread to a point; the
+checks that such a family fails at finite scale are left out of its
+defaults.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+from .checks import ALL_CHECKS
 from .ground import (
     Arcs,
     Balls,
@@ -31,24 +32,6 @@ from .ground import (
     generate_cover,
     generate_space,
     singleton_neighborhoods,
-)
-
-ALL_CHECKS = (
-    "local_refinement",
-    "selection_completeness",
-    "flag_reconstruction",
-    "skeleton_equality",
-    "functoriality",
-    "simpliciality",
-    "section_identity",
-    "fibers",
-    "fiber_homotopy",
-    "nerve_absorption",
-    "star_conditions",
-    "equivalence_classes",
-    "quotient_comparison",
-    "cauchy_sweep",
-    "betti_stabilization",
 )
 
 # Checks that need every vertex thread to resolve to a single point, or a

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .complexes import (
     BarycentricPoint,
@@ -31,6 +31,7 @@ from .complexes import (
     point_fibers,
     product_weights,
 )
+from .errors import PreconditionUnmet
 from .ground import CoverFamily, PointId, WeightTable, partition_tables
 from .report import Report
 
@@ -148,7 +149,7 @@ def bonding_map(system: InverseSystem, lam: LambdaIndex, mu: LambdaIndex) -> Sim
 
 def _top(system: InverseSystem) -> LambdaIndex:
     if system.top is None:
-        raise ValueError("system has no maximum level")
+        raise PreconditionUnmet("the selected levels have no maximum level")
     return system.top
 
 
@@ -425,81 +426,6 @@ def check_nerve_absorption(system: InverseSystem) -> Report:
         )
         passed = passed and found
     return Report("nerve_absorption", passed, details={"levels": rows})
-
-
-# ---------------------------------------------------------------------------
-# iterated stars
-
-
-def _iterated_star(
-    wedges: Sequence[frozenset[PointId]], x: PointId, n: int
-) -> list[frozenset[PointId]]:
-    star = [w for w in wedges if x in w]
-    for _ in range(n - 1):
-        current = star
-        star = [w for w in wedges if any(w & s for s in current)]
-    return star
-
-
-def iterated_star_witness(
-    system: InverseSystem, x: PointId, n: int, nbhd: Iterable[PointId]
-) -> tuple[bool, LambdaIndex | None]:
-    """Find a built level whose n-fold star of x stays inside the
-    neighborhood."""
-    u = frozenset(nbhd)
-    if x not in u:
-        raise ValueError("neighborhood does not contain its point")
-    if n < 1:
-        raise ValueError("star depth must be positive")
-    for lam in system.lambdas:
-        wedges = sorted(
-            {v.wedge for v in system.levels[lam].vertices}, key=sorted
-        )
-        union: set[PointId] = set()
-        for w in _iterated_star(wedges, x, n):
-            union |= w
-        if union <= u:
-            return True, lam
-    return False, None
-
-
-# ---------------------------------------------------------------------------
-# adjacency characterization of equal images
-
-
-def check_fiber_adjacency(system: InverseSystem) -> Report:
-    """For vertex threads: equal singleton images exactly when the wedges
-    meet at every level.  Needs every thread image to be a singleton."""
-    threads = vertex_threads(system)
-    images = []
-    for z in threads:
-        res = thread_image(system, z)
-        if not res.resolved:
-            return Report(
-                "fiber_adjacency",
-                False,
-                details={
-                    "skipped": "a vertex thread has a non-singleton image",
-                    "image": sorted(res.points),
-                },
-            )
-        images.append(res.points)
-    bad = None
-    for i, j in combinations(range(len(threads)), 2):
-        adjacent_everywhere = True
-        for p, lam in enumerate(system.lambdas):
-            level = system.levels[lam]
-            wi = level.vertices[threads[i][p]].wedge
-            wj = level.vertices[threads[j][p]].wedge
-            if not wi & wj:
-                adjacent_everywhere = False
-                break
-        if (images[i] == images[j]) != adjacent_everywhere:
-            bad = {"threads": [i, j], "equal_image": images[i] == images[j]}
-            break
-    return Report(
-        "fiber_adjacency", bad is None, counterexample=bad, details={"threads": len(threads)}
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from itertools import combinations, product
 
 from nervelim.complexes import LambdaIndex, SimplicialComplex, SimplicialMap, Vertex
 from nervelim.ground import CoverFamily
+from nervelim.homology import boundary_matrix
 from nervelim.report import Report
 from nervelim.systems import InverseSystem, bonding_map
 
@@ -140,6 +141,24 @@ def basis_gf2_rank(vectors: list[int]) -> int:
             rank += 1
     return rank
 
+
+def boundary_composition_is_zero(cx: SimplicialComplex, k: int) -> bool:
+    """d_k . d_{k+1} = 0, checked column by column."""
+    outer = boundary_matrix(cx, k)
+    inner = boundary_matrix(cx, k + 1)
+    outer_index = {s: outer.column_bits[i] for i, s in enumerate(outer.cols)}
+    for s, mask in zip(inner.cols, inner.column_bits):
+        acc = 0
+        i = 0
+        m = mask
+        while m:
+            if m & 1:
+                acc ^= outer_index[inner.rows[i]]
+            m >>= 1
+            i += 1
+        if acc:
+            return False
+    return True
 
 
 def sympy_gf2_rank(cx: SimplicialComplex, k: int) -> int:

@@ -1,13 +1,25 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
+import io
 import json
+import re
+import string
+import traceback
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from tempfile import TemporaryDirectory
 
 import pytest
+from hypothesis import event, example, given, settings, strategies as st
 
+from nervelim.checks import ALL_CHECKS
 from nervelim.cli import main
 from nervelim.complexes import complex_from_json
+from nervelim.ground import GroundSpace, space_to_json
 from nervelim.homology import betti
+from nervelim.report import dump_json
 
 
 def run(*args):
@@ -47,10 +59,13 @@ def test_build_circle_complex_contents(tmp_path):
 
 def test_build_malformed_space_exits_2(tmp_path, capsys):
     bad = tmp_path / "space.json"
-    bad.write_text("{this is not json")
-    code = run("build", "--space", bad, "--covers", bad, "--out", tmp_path / "o")
-    assert code == 2
-    assert "space" in capsys.readouterr().err
+    zero_denominator = {"points": 1, "coords": [["1/0"]], "metric": "euclidean", "labels": None}
+    for text in ("{this is not json", json.dumps(zero_denominator)):
+        bad.write_text(text)
+        code = run("build", "--space", bad, "--covers", bad, "--out", tmp_path / "o")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "space" in err and len(err.splitlines()) == 1
 
 
 def test_build_from_files(tmp_path):
@@ -78,20 +93,21 @@ def test_build_from_files(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "elements, message",
+    "covers, message",
     [
-        ([[0, 1, 2], [2, 3]], "cover 0 does not cover the space"),
-        ([[0, 1, 2], [3, 4, 7]], "cover 0 names point 7"),
+        ([[[0, 1, 2], [2, 3]]], "cover 0 does not cover the space"),
+        ([[[0, 1, 2], [3, 4, 7]]], "cover 0 names point 7"),
+        ([], "a family needs at least one cover"),
     ],
-    ids=["misses-a-point", "names-point-7"],
+    ids=["misses-a-point", "names-point-7", "no-covers"],
 )
-def test_bad_covers_file_exits_2(tmp_path, capsys, elements, message):
+def test_bad_covers_file_exits_2(tmp_path, capsys, covers, message):
     from nervelim.ground import GroundSpace, space_to_json
     from nervelim.report import dump_json
 
     (tmp_path / "space.json").write_text(dump_json(space_to_json(GroundSpace(5))))
-    covers = {"covers": [{"elements": [{"points": e} for e in elements]}]}
-    (tmp_path / "covers.json").write_text(json.dumps(covers))
+    data = {"covers": [{"elements": [{"points": e} for e in c]} for c in covers]}
+    (tmp_path / "covers.json").write_text(json.dumps(data))
     code = run(
         "build", "--space", tmp_path / "space.json", "--covers", tmp_path / "covers.json",
         "--out", tmp_path / "o",
@@ -208,20 +224,43 @@ def test_check_sampled_mode_marks_report(tmp_path):
     assert details["note"] == "sampled, not a proof" and details["samples"] == 40
 
 
-def test_check_needs_supporting_levels(tmp_path, capsys):
+def test_check_needs_supporting_levels(tmp_path):
     # an antichain of levels has no maximum, so thread checks cannot run
     code = run(
         "check", "--space", "cantor-d3", "--out", tmp_path / "o1",
         "--lambdas", "0;1", "--checks", "star_conditions",
     )
-    assert code == 2
-    assert "star_conditions" in capsys.readouterr().err
+    assert code == 1
+    (entry,) = json.loads((tmp_path / "o1" / "report.json").read_text())["checks"]
+    assert entry["check"] == "star_conditions" and entry["pass"] is False
+    assert entry["details"]["skipped"] == "the selected levels have no maximum level"
     # the preset's betti chain must be among the built levels
     code = run(
         "check", "--space", "cantor-d3", "--out", tmp_path / "o2",
         "--lambdas", "0,1,2", "--checks", "betti_stabilization",
     )
-    assert code == 2
+    assert code == 1
+    (entry,) = json.loads((tmp_path / "o2" / "report.json").read_text())["checks"]
+    assert entry["check"] == "betti_stabilization" and entry["pass"] is False
+    assert entry["details"]["skipped"] == "betti chain level L(0) is not among the built levels"
+
+
+def test_default_checks_on_an_antichain_skip_six(tmp_path):
+    out = tmp_path / "out"
+    assert run("check", "--space", "cantor-d3", "--out", out, "--lambdas", "0;1") == 1
+    checks = json.loads((out / "report.json").read_text())["checks"]
+    assert [c["check"] for c in checks] == list(ALL_CHECKS)
+    skipped = [c["check"] for c in checks if "skipped" in c["details"]]
+    assert skipped == [
+        "fiber_homotopy",
+        "star_conditions",
+        "equivalence_classes",
+        "quotient_comparison",
+        "cauchy_sweep",
+        "betti_stabilization",
+    ]
+    assert not any(c["pass"] for c in checks if c["check"] in skipped)
+    assert not (out / "betti.csv").exists() and not (out / "quotient.json").exists()
 
 
 def test_betti_above_dimension_2(tmp_path):
@@ -257,11 +296,32 @@ def test_bad_lambda_selection_exits_2(tmp_path, capsys, spec):
     assert "lambda selection" in err and len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("flag", ["--nets", "--homotopy-samples"])
-def test_zero_sample_count_exits_2(tmp_path, capsys, flag):
-    code = run("check", "--space", "wedge2", "--out", tmp_path / "o", flag, 0)
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--nets", 0), ("--homotopy-samples", 0), ("--mode", "sampled:-3")],
+    ids=["--nets", "--homotopy-samples", "--mode"],
+)
+def test_zero_sample_count_exits_2(tmp_path, capsys, flag, value):
+    code = run("check", "--space", "wedge2", "--out", tmp_path / "o", flag, value)
     assert code == 2
-    assert flag in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert flag in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--mode", "bogus", "--checks", "flag_reconstruction"], "unknown mode 'bogus'"),
+        (["--checks", "local_refinement,local_refinement"], "names 'local_refinement' twice"),
+    ],
+    ids=["mode-unused-by-checks", "check-twice"],
+)
+def test_bad_run_flags_exit_2(tmp_path, capsys, args, message):
+    # flags are validated when they are read, whatever checks run
+    assert run("check", "--space", "cantor-d3", "--out", tmp_path / "o", *args) == 2
+    err = capsys.readouterr().err
+    assert message in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_check_explicit_lambdas(tmp_path):
@@ -341,3 +401,116 @@ def test_repeat_runs_are_byte_identical(tmp_path, preset):
         assert code in (0, 1)
         written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
         assert written == PINNED_ARTIFACTS[preset]
+
+
+# ---------------------------------------------------------------------------
+# the command line as a whole
+
+
+def test_runners_look_up_their_checks_when_called(monkeypatch):
+    # A tracer rebinds the functions of the library modules.  A runner that
+    # held a function object would run it unseen, and that function would
+    # reach a rebound name only from inside its own body.
+    from nervelim import cells, ground, homology, systems
+    from nervelim.checks import CHECKS
+    from nervelim.cli import RunConfig, _load_context
+
+    class Called(Exception):
+        pass
+
+    def stub(*args, **kwargs):
+        raise Called
+
+    config = RunConfig("cantor-d3", None, "all", None, Path("unused"), 0, 8, "exhaustive")
+    ctx = _load_context(config)
+    modules = (cells, ground, homology, systems)
+    for mod in modules:
+        for name, value in list(vars(mod).items()):
+            if inspect.isfunction(value) and value.__module__ == mod.__name__:
+                monkeypatch.setattr(mod, name, stub)
+    library_files = {mod.__file__ for mod in modules}
+    for name, runner in CHECKS.items():
+        with pytest.raises(Called) as called:
+            runner(ctx)
+        frames = traceback.extract_tb(called.tb)
+        assert not [f for f in frames if f.filename in library_files], name
+
+
+def test_readme_lists_every_check_in_order():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    start = readme.index("Check names for `--checks`:")
+    listed = re.findall(r"`(\w+)`", readme[start : readme.index(".\n", start)])
+    assert listed == list(ALL_CHECKS)
+
+
+TWO_COVERS = [[[0, 1], [1, 2, 3]], [[0], [1, 2], [2, 3]]]
+SPACE_FILES = {
+    "four-points": dump_json(space_to_json(GroundSpace(4))),
+    "zero-denominator": json.dumps(
+        {"points": 1, "coords": [["1/0"]], "metric": "euclidean", "labels": None}
+    ),
+    "truncated": '{"points": 4',
+    "a-list": "[]",
+}
+COVERS_FILES = {
+    "two-covers": json.dumps(
+        {"covers": [{"elements": [{"points": e} for e in c]} for c in TWO_COVERS]}
+    ),
+    "no-covers": '{"covers": []}',
+    "empty-element": '{"covers": [{"elements": [{"points": []}]}]}',
+    "infinite-point": '{"covers": [{"elements": [{"points": [0, 1, 2, 3, 1e400]}]}]}',
+    "a-list": "[1, 2]",
+    "truncated": '{"covers": [',
+}
+# a valid command line around each crashing file of the explicit examples
+FUZZ_DEFAULTS = dict(lambdas="all", checks=None, mode="exhaustive", nets=1, samples=1)
+
+
+def _mostly(valid, junk):
+    """Valid values two draws in three, so that many runs get past parsing."""
+    return st.one_of(valid, valid, junk)
+
+
+@settings(max_examples=100, deadline=None)
+@example(command="check", space="four-points", covers="no-covers", **FUZZ_DEFAULTS)
+@example(command="build", space="four-points", covers="no-covers", **FUZZ_DEFAULTS)
+@example(command="check", space="zero-denominator", covers="two-covers", **FUZZ_DEFAULTS)
+@given(
+    command=st.sampled_from(["build", "check"]),
+    space=_mostly(st.sampled_from(["cantor-d3", "four-points"]), st.sampled_from(list(SPACE_FILES))),
+    covers=_mostly(st.just("two-covers"), st.sampled_from(list(COVERS_FILES))),
+    lambdas=_mostly(
+        st.sampled_from(["all", "chain", "0", "0;1", "0;0,1", "1;0,1,2"]),
+        st.text("0123456789;,- ", max_size=8),
+    ),
+    checks=st.none()
+    | st.lists(st.sampled_from([*ALL_CHECKS, "nope", " fibers ", ""]), max_size=4).map(",".join),
+    mode=_mostly(
+        st.sampled_from(["exhaustive", "sampled:2"]),
+        st.sampled_from(["sampled:0", "sampled:x", "bogus"]) | st.text(string.printable, max_size=10),
+    ),
+    nets=_mostly(st.integers(1, 3), st.integers(-1, 3)),
+    samples=_mostly(st.integers(1, 3), st.integers(-1, 3)),
+)
+def test_fuzzed_command_lines_exit_cleanly(command, space, covers, lambdas, checks, mode, nets, samples):
+    # every run ends in an exit code, and an input error in one stderr line
+    with TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        argv = [command, f"--out={root / 'out'}", f"--lambdas={lambdas}", f"--mode={mode}"]
+        if space in SPACE_FILES:
+            (root / "space.json").write_text(SPACE_FILES[space])
+            (root / "covers.json").write_text(COVERS_FILES[covers])
+            argv += [f"--space={root / 'space.json'}", f"--covers={root / 'covers.json'}"]
+        else:
+            argv.append(f"--space={space}")
+        if command == "check":
+            argv += [f"--nets={nets}", f"--homotopy-samples={samples}"]
+            if checks is not None:
+                argv.append(f"--checks={checks}")
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+    event(f"exit {code}")
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()

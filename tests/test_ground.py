@@ -16,11 +16,9 @@ from nervelim.ground import (
     Cylinders,
     DyadicIntervals,
     GroundSpace,
-    Indicator,
     IntervalGrid,
     LinearBump,
     Metric,
-    PointCloudFile,
     WedgeOfCircles,
     ball_neighborhoods,
     check_local_refinement,
@@ -30,7 +28,6 @@ from nervelim.ground import (
     generate_space,
     load_space,
     partition_of_unity,
-    restrict_family,
     singleton_neighborhoods,
     space_from_json,
     space_to_json,
@@ -100,6 +97,9 @@ def test_euclidean_plane_distances():
     )
     # rational hypotenuse is exact
     assert space.distance(0, 1) == 5
+    # an irrational distance is refused, not rounded to a float
+    with pytest.raises(ValueError, match="not rational"):
+        space.distance(0, 2)
     # irrational distances still give exact squared comparisons
     assert space.distance_sq(0, 2) == 2
     assert space.ball(0, F(3, 2)) == frozenset({0, 2})
@@ -110,11 +110,11 @@ def test_generate_space_errors(tmp_path):
     with pytest.raises(ValueError):
         generate_space(IntervalGrid(), 0)
     with pytest.raises(FileNotFoundError):
-        generate_space(PointCloudFile(str(tmp_path / "missing.json")), 1)
+        load_space(tmp_path / "missing.json")
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(InputError):
-        generate_space(PointCloudFile(str(bad)), 1)
+        load_space(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -356,87 +356,6 @@ def test_linear_bump_needs_metric():
 
 
 # ---------------------------------------------------------------------------
-# restriction
-
-
-def test_restrict_identity():
-    space, family = _cylinder_family([1, 2])
-    restricted = restrict_family(family, set(space.points))
-    assert restricted.ground.n_points == space.n_points
-    for a, b in zip(restricted.covers, family.covers):
-        assert [e.pointset for e in a.elements] == [e.pointset for e in b.elements]
-
-
-def test_restrict_cantor_prefix():
-    space, family = _cylinder_family([1, 2, 3])
-    restricted = restrict_family(family, {0, 1, 2, 3})  # labels 000..011
-    assert restricted.ground.labels == ("000", "001", "010", "011")
-    # the depth-1 cover loses its prefix-1 element
-    assert len(restricted.covers[0].elements) == 1
-    assert len(restricted.covers[1].elements) == 2
-    assert len(restricted.covers[2].elements) == 4
-
-
-def test_restrict_dyadic_drops_traces():
-    space = generate_space(IntervalGrid(), 10)
-    covers = (
-        generate_cover(space, DyadicIntervals(1, F(1, 10)), cover_id=0),
-        generate_cover(space, DyadicIntervals(2, F(1, 20)), cover_id=1),
-    )
-    family = CoverFamily(covers, space)
-    restricted = restrict_family(family, set(range(6)))  # points 0..0.5
-    assert len(restricted.covers[0].elements) == 2  # both halves still trace
-    # the [0.75, 1] cell of depth 2 is gone
-    assert len(restricted.covers[1].elements) == 3
-
-
-def test_restrict_empty_subset():
-    _, family = _cylinder_family([1])
-    with pytest.raises(ValueError):
-        restrict_family(family, set())
-
-
-def test_restrict_linear_bump_spec():
-    space = generate_space(IntervalGrid(), 4)
-    spec = LinearBump(((0, 0, F(3, 4)), (1, 4, F(3, 4))))
-    cover = Cover(0, cover_from_pointsets(0, [{0, 1, 2}, {2, 3, 4}]).elements, spec)
-    family = CoverFamily((cover,), space)
-    # both centers survive: bump parameters are remapped
-    kept = restrict_family(family, {0, 1, 2, 3, 4})
-    assert isinstance(kept.covers[0].weight_spec, LinearBump)
-    # a dropped center falls back to indicator weights
-    dropped = restrict_family(family, {0, 1, 2, 3})
-    assert dropped.covers[0].weight_spec == Indicator()
-
-
-def test_restriction_heredity_local_refinement():
-    # a passing singleton schedule stays passing after restriction, with
-    # the neighborhoods intersected into the subset
-    space, family = _cylinder_family([1, 2, 3])
-    assert check_local_refinement(family, singleton_neighborhoods(space)).passed
-    for subset in ({0, 1, 2, 3}, {0, 7}, {2}):
-        restricted = restrict_family(family, subset)
-        schedule = singleton_neighborhoods(restricted.ground)
-        assert check_local_refinement(restricted, schedule).passed
-
-
-def test_restriction_heredity_exhaustive():
-    # selection completeness survives every restriction of size <= 4
-    space = generate_space(IntervalGrid(), 4)
-    covers = (
-        generate_cover(space, DyadicIntervals(1, F(1, 10)), cover_id=0),
-        generate_cover(space, DyadicIntervals(2, F(1, 10)), cover_id=1),
-    )
-    family = CoverFamily(covers, space)
-    assert check_selection_completeness(family).passed
-    from itertools import combinations
-
-    for size in (1, 2, 3, 4):
-        for subset in combinations(space.points, size):
-            assert check_selection_completeness(restrict_family(family, subset)).passed
-
-
-# ---------------------------------------------------------------------------
 # property tests
 
 
@@ -469,14 +388,6 @@ def test_partition_rows_sum_to_one_exactly(family):
             for eid, w in table.column(x).items():
                 if w > 0:
                     assert x in cover.elements[eid].pointset
-
-
-@given(small_families(), st.integers(min_value=1, max_value=4))
-def test_restriction_heredity_property(family, size):
-    if not check_selection_completeness(family).passed:
-        return
-    points = list(family.ground.points)[:size]
-    assert check_selection_completeness(restrict_family(family, points)).passed
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from nervelim.systems import (
     build_system,
     canonical_map,
     canonical_thread,
-    check_fiber_adjacency,
     check_fibers,
     check_flag_reconstruction,
     check_functoriality,
@@ -35,13 +34,11 @@ from nervelim.systems import (
     fiber_homotopy,
     find_nerve_absorbing_level,
     is_compatible,
-    iterated_star_witness,
     point_thread,
     thread_image,
     vertex_thread,
     vertex_threads,
 )
-from nervelim.ground import check_local_refinement
 
 F = Fraction
 
@@ -295,54 +292,7 @@ def test_nerve_absorption_not_found_when_truncated():
 
 
 # ---------------------------------------------------------------------------
-# iterated stars
-
-
-def test_iterated_star_full_space(cantor_system):
-    space = cantor_system.family.ground
-    found, lam = iterated_star_witness(cantor_system, 0, 3, set(space.points))
-    assert found and lam == _lam(0)  # the first level in search order works
-
-
-def test_iterated_star_cantor_prefix(cantor_system):
-    # point 000, neighborhood = prefix-0 cylinder, double star: cylinder
-    # covers are partitions, so stars never spread and the first level in
-    # search order already witnesses
-    found, lam = iterated_star_witness(cantor_system, 0, 2, {0, 1, 2, 3})
-    assert found and lam == _lam(0)
-    # tighter neighborhoods need deeper cylinder covers
-    assert iterated_star_witness(cantor_system, 0, 2, {0, 1}) == (True, _lam(1))
-    assert iterated_star_witness(cantor_system, 0, 2, {0}) == (True, _lam(2))
-
-
-def test_iterated_star_depth_one_matches_local_refinement(cantor_system):
-    # singleton neighborhoods: depth-1 stars shrink only at cylinder depth 3
-    family = cantor_system.family
-    for x in family.ground.points:
-        found, lam = iterated_star_witness(cantor_system, x, 1, {x})
-        assert found
-        per_cover = check_local_refinement(family, [(x, {x})])
-        assert per_cover.passed
-    with pytest.raises(ValueError):
-        iterated_star_witness(cantor_system, 0, 1, {1})
-
-
-# ---------------------------------------------------------------------------
 # adjacency characterization of equal images
-
-
-def test_fiber_adjacency_cantor(cantor_system):
-    assert check_fiber_adjacency(cantor_system).passed
-
-
-def test_fiber_adjacency_interval(interval_system):
-    assert check_fiber_adjacency(interval_system).passed
-
-
-def test_fiber_adjacency_skipped_on_unresolved(circle_system):
-    report = check_fiber_adjacency(circle_system)
-    assert not report.passed
-    assert "skipped" in report.details
 
 
 def test_fiber_adjacency_disjoint_cylinders(cantor_system):
