@@ -26,12 +26,17 @@ def run(out_root: Path, seed: int, nets: int | None) -> int:
         code = cli_main(args)
         worst = max(worst, code)
         report = json.loads((out / "report.json").read_text())
-        failed = [c["check"] for c in report["checks"] if not c["pass"]]
-        rows.append((name, len(report["checks"]), failed))
+        skipped = [c["check"] for c in report["checks"] if c["details"].get("skipped")]
+        failed = [
+            c["check"] for c in report["checks"] if not c["pass"] and c["check"] not in skipped
+        ]
+        rows.append((name, len(report["checks"]), failed, skipped))
     print()
-    print(f"{'preset':<16} {'checks':>6}  failures")
-    for name, n, failed in rows:
-        print(f"{name:<16} {n:>6}  {', '.join(failed) if failed else '-'}")
+    print(f"{'preset':<16} {'checks':>6}  {'failures':<32} skipped")
+    for name, n, failed, skipped in rows:
+        print(
+            f"{name:<16} {n:>6}  {', '.join(failed) or '-':<32} {', '.join(skipped) or '-'}"
+        )
     return worst
 
 

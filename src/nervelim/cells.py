@@ -257,9 +257,10 @@ def compare_quotient_to_ground(system: InverseSystem, result: EquivalenceResult)
         for members in quotient.classes
     ]
     for p, lam in enumerate(system.lambdas):
-        level = system.levels[lam]
+        fibers = system.levels[lam].fibers
+        fiber_sets = [set(f) for f in fibers]
         for x, y in combinations(points, 2):
-            common = any(x in v.wedge and y in v.wedge for v in level.vertices)
+            common = not fiber_sets[x].isdisjoint(fibers[y])
             shared = bool(class_vertices[h[x]][p] & class_vertices[h[y]][p])
             if common != shared:
                 return Report(
@@ -281,37 +282,54 @@ def compare_quotient_to_ground(system: InverseSystem, result: EquivalenceResult)
 
 def is_cauchy(system: InverseSystem, y: tuple[int, ...]) -> bool:
     """Projections of any two levels above a base must be adjacent there."""
-    for i, up in enumerate(system.above):
-        adj = system.levels[system.lambdas[i]].adjacency
+    bonds = system._bonds
+    for i, (lam, up) in enumerate(zip(system.lambdas, system.above)):
         projected = 0
         for j in up:
-            projected |= 1 << system.bond(i, j).vertex_map[y[j]]
-        for a in _members(projected):
-            if projected & ~_star(adj, a):
-                return False
+            projected |= 1 << bonds[i, j].vertex_map[y[j]]
+        if projected & (projected - 1):  # more than one vertex
+            adj = system.levels[lam].adjacency
+            for a in _members(projected):
+                if projected & ~_star(adj, a):
+                    return False
     return True
 
 
 def converge(system: InverseSystem, y: tuple[int, ...]) -> tuple[bool, tuple[int, ...] | None]:
-    """Search all vertex threads for one levelwise adjacent to the net."""
+    """Search the vertex threads, by ascending top vertex, for one levelwise
+    adjacent to the net.
+
+    Such a thread's top vertex is adjacent to the net's, so only the closed
+    star of ``y[top]`` is searched.
+    """
     if not is_cauchy(system, y):
         raise ValueError("convergence is only defined for Cauchy nets")
     top = _top(system)
     adjs = _adjacencies(system)
     t = system.position[top]
     down = [system.bond(i, t).vertex_map for i in range(len(system.lambdas))]
-    for v in range(len(system.levels[top].vertices)):
+    for v in _members(_star(adjs[t], y[t])):
         if all(_adjacent(adj, vm[v], b) for adj, vm, b in zip(adjs, down, y)):
             return True, vertex_thread(system, v)
     return False, None
 
 
+def _non_max(system: InverseSystem) -> list[int]:
+    """The positions of the levels other than the top one."""
+    return [i for i, lam in enumerate(system.lambdas) if lam != system.top]
+
+
 def perturbed_thread_net(
-    system: InverseSystem, z: tuple[int, ...], rng: random.Random
+    system: InverseSystem,
+    z: tuple[int, ...],
+    rng: random.Random,
+    non_max: list[int] | None = None,
 ) -> tuple[int, ...]:
     """Move one non-maximal level of a thread to an adjacent vertex; with
-    no level below the top, the thread itself."""
-    non_max = [i for i, lam in enumerate(system.lambdas) if lam != system.top]
+    no level below the top, the thread itself.  ``non_max``, when given,
+    must be ``_non_max(system)``."""
+    if non_max is None:
+        non_max = _non_max(system)
     if not non_max:
         return z
     i = non_max[rng.randrange(len(non_max))]
@@ -325,21 +343,28 @@ def sample_cauchy_nets(system: InverseSystem, count: int, seed: int) -> list[tup
     rng = random.Random(seed)
     threads = vertex_threads(system)
     sizes = [len(system.levels[lam].vertices) for lam in system.lambdas]
+    non_max = _non_max(system)
+    verdicts: dict[tuple[int, ...], bool] = {}  # is_cauchy, by distinct candidate
     nets: list[tuple[int, ...]] = []
     attempts = 0
     while len(nets) < count and attempts < 50 * count:
         attempts += 1
         if rng.random() < 0.5:
             z = threads[rng.randrange(len(threads))]
-            candidate = perturbed_thread_net(system, z, rng)
+            candidate = perturbed_thread_net(system, z, rng, non_max)
         else:
             candidate = tuple(rng.randrange(n) for n in sizes)
-        if is_cauchy(system, candidate):
+        ok = verdicts.get(candidate)
+        if ok is None:
+            ok = verdicts[candidate] = is_cauchy(system, candidate)
+        if ok:
             nets.append(candidate)
     return nets
 
 
 def cauchy_sweep(system: InverseSystem, count: int, seed: int) -> Report:
+    """Every sampled Cauchy net converges; each distinct net is searched
+    once, and a failure names its first index in the sample."""
     nets = sample_cauchy_nets(system, count, seed)
     if len(nets) < count:
         return Report(
@@ -347,9 +372,12 @@ def cauchy_sweep(system: InverseSystem, count: int, seed: int) -> Report:
             False,
             details={"reason": "not enough Cauchy nets", "found": len(nets)},
         )
+    converges: dict[tuple[int, ...], bool] = {}
     bad = None
     for i, y in enumerate(nets):
-        ok, _ = converge(system, y)
+        ok = converges.get(y)
+        if ok is None:
+            ok = converges[y] = converge(system, y)[0]
         if not ok:
             bad = {"net": i}
             break

@@ -192,7 +192,8 @@ def cmd_check(config: RunConfig) -> int:
         else:
             (out / fname).write_text(dump_json(content))
     for r in reports:
-        print(f"{'PASS' if r.passed else 'FAIL'}  {r.check}")
+        status = "SKIP" if r.details.get("skipped") else "PASS" if r.passed else "FAIL"
+        print(f"{status}  {r.check}")
     return EXIT_OK if payload["all_pass"] else EXIT_CHECK_FAILED
 
 
@@ -206,7 +207,7 @@ def cmd_report(config: RunConfig) -> int:
     lines = ["check results", "-------------"]
     rows = [["check", "pass", "witness"]]
     for chk in data["checks"]:
-        status = "pass" if chk["pass"] else "FAIL"
+        status = "SKIP" if chk["details"].get("skipped") else "pass" if chk["pass"] else "FAIL"
         lines.append(f"{chk['check']:<24} {status}")
         rows.append([chk["check"], status, json.dumps(chk.get("witness"))])
     betti_path = out / "betti.csv"

@@ -216,11 +216,10 @@ def convex_combination(
     t = Fraction(t)
     if not 0 <= t <= 1:
         raise ValueError("parameter must lie in [0, 1]")
-    coords: dict[int, Fraction] = {}
-    for v, w in target.coords:
-        coords[v] = coords.get(v, Fraction(0)) + t * w
+    coords = {v: t * w for v, w in target.coords}
+    rest = 1 - t
     for v, w in source.coords:
-        coords[v] = coords.get(v, Fraction(0)) + (1 - t) * w
+        coords[v] = coords[v] + rest * w if v in coords else rest * w
     return BarycentricPoint.from_dict(target.complex, coords)
 
 
@@ -321,15 +320,19 @@ def build_flag(
     lam: LambdaIndex,
     max_dim: int = DEFAULT_MAX_DIM,
     vertices: list[Vertex] | None = None,
+    fibers: Sequence[tuple[int, ...]] | None = None,
 ) -> SimplicialComplex:
     """Flag complex: edges where wedges meet, simplices on every clique.
 
     Two wedges meet exactly when both vertices lie in one point fiber.
+    ``fibers``, when given, must be ``point_fibers`` of the vertices.
     """
     verts = build_vertices(family, lam) if vertices is None else vertices
+    if fibers is None:
+        fibers = point_fibers(verts, family.ground.n_points)
     n = len(verts)
     adj = [0] * n
-    for fib in point_fibers(verts, family.ground.n_points):
+    for fib in fibers:
         mask = 0
         for i in fib:
             mask |= 1 << i
@@ -375,13 +378,17 @@ def build_nerve(
     lam: LambdaIndex,
     max_dim: int = DEFAULT_MAX_DIM,
     vertices: list[Vertex] | None = None,
+    fibers: Sequence[tuple[int, ...]] | None = None,
 ) -> SimplicialComplex:
     """Nerve: a vertex set spans a simplex iff the wedges share a point,
-    that is, iff it lies in one point fiber."""
+    that is, iff it lies in one point fiber.  ``fibers``, when given, must
+    be ``point_fibers`` of the vertices."""
     verts = build_vertices(family, lam) if vertices is None else vertices
+    if fibers is None:
+        fibers = point_fibers(verts, family.ground.n_points)
     n = len(verts)
     simplices: set[Simplex] = {(v,) for v in range(n)}
-    for x, carrier in enumerate(point_fibers(verts, family.ground.n_points)):
+    for x, carrier in enumerate(fibers):
         if len(carrier) > max_dim + 1:
             raise GuardExceeded(
                 f"{_level_name(lam)}: point {x} lies in a fiber of {len(carrier)} wedges,"

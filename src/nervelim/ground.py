@@ -434,8 +434,24 @@ def singleton_neighborhoods(space: GroundSpace) -> list[tuple[PointId, frozenset
 def ball_neighborhoods(
     space: GroundSpace, radii: Sequence[Fraction]
 ) -> list[tuple[PointId, frozenset[PointId]]]:
-    """Metric-ball schedule: one neighborhood per point per radius."""
-    return [(p, space.ball(p, Fraction(r))) for r in radii for p in space.points]
+    """Metric-ball schedule: one neighborhood per point per radius, radius
+    by radius.  Each distance is computed once and compared with every
+    radius, exactly as ``GroundSpace.ball`` compares it: squared under the
+    euclidean metric, plain otherwise."""
+    points = space.points
+    if not radii:
+        return []
+    if space.metric is Metric.EUCLIDEAN:
+        rows = [[space.distance_sq(p, q) for q in points] for p in points]
+        bounds = [Fraction(r) * Fraction(r) for r in radii]
+    else:
+        rows = [[space.distance(p, q) for q in points] for p in points]
+        bounds = [Fraction(r) for r in radii]
+    return [
+        (p, frozenset(q for q, d in enumerate(rows[p]) if d <= bound))
+        for bound in bounds
+        for p in points
+    ]
 
 
 SELECTION_GUARD = 10**6

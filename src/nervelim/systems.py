@@ -29,7 +29,6 @@ from .complexes import (
     convex_combination,
     flag_completion,
     point_fibers,
-    product_weights,
 )
 from .errors import PreconditionUnmet
 from .ground import CoverFamily, PointId, WeightTable, partition_tables
@@ -45,6 +44,9 @@ class Level:
     index_of: dict[tuple[int, ...], int]
     # the flag 1-skeleton, as ``SimplicialComplex.adjacency`` gives it
     adjacency: list[int]
+    # per ground point, the vertices whose wedge contains it, as
+    # ``complexes.point_fibers`` gives them
+    fibers: list[tuple[int, ...]]
 
 
 @dataclass
@@ -54,6 +56,7 @@ class InverseSystem:
     A level is also named by its position in ``lambdas``; ``above[i]``
     lists, ascending, the positions of the levels at or above position i.
     Bonds are keyed by the position pair (i, j), with i below j.
+    ``_canonical`` holds each canonical map once computed, by (level, point).
     """
 
     family: CoverFamily
@@ -62,6 +65,9 @@ class InverseSystem:
     max_dim: int
     tables: dict[int, WeightTable]
     _bonds: dict[tuple[int, int], SimplicialMap] = field(default_factory=dict)
+    _canonical: dict[tuple[LambdaIndex, PointId], BarycentricPoint] = field(
+        default_factory=dict
+    )
     position: dict[LambdaIndex, int] = field(init=False)
     above: list[tuple[int, ...]] = field(init=False)
     top: LambdaIndex | None = field(init=False)  # the maximum level, when one exists
@@ -115,10 +121,13 @@ def build_system(
     levels = {}
     for lam in lams:
         verts = build_vertices(family, lam)
-        flag = build_flag(family, lam, max_dim, verts)
-        nerve = build_nerve(family, lam, max_dim, verts)
+        fibers = point_fibers(verts, family.ground.n_points)
+        flag = build_flag(family, lam, max_dim, verts, fibers)
+        nerve = build_nerve(family, lam, max_dim, verts, fibers)
         index_of = {v.elements: i for i, v in enumerate(verts)}
-        levels[lam] = Level(lam, tuple(verts), flag, nerve, index_of, flag.adjacency())
+        levels[lam] = Level(
+            lam, tuple(verts), flag, nerve, index_of, flag.adjacency(), fibers
+        )
     system = InverseSystem(family, lams, levels, max_dim, partition_tables(family))
     edges = [levels[lam].flag.edges() for lam in lams]
     for i, up in enumerate(system.above):
@@ -190,18 +199,33 @@ def is_compatible(system: InverseSystem, z: tuple) -> bool:
 
 def canonical_map(system: InverseSystem, lam: LambdaIndex, x: PointId) -> BarycentricPoint:
     """Barycentric point of level lam whose coordinates are the product
-    weights of x; its support always spans a nerve simplex."""
+    weights of x; its support always spans a nerve simplex.
+
+    A cover's weight is positive only on elements that contain x (the
+    partition tables are checked for this), so every vertex outside x's
+    point fiber has weight 0 and the product runs over the fiber alone.
+    Each map is computed once per system and then shared.
+    """
+    point = system._canonical.get((lam, x))
+    if point is not None:
+        return point
     level = system.levels[lam]
-    weights = product_weights(system.family, level.vertices, x, system.tables)
-    coords = {
-        level.index_of[v.elements]: w for v, w in weights.items() if w > 0
-    }
+    coords = {}
+    for vid in level.fibers[x]:
+        w = Fraction(1)
+        for cover_id, eid in zip(lam.cover_ids, level.vertices[vid].elements):
+            w *= system.tables[cover_id].weight(eid, x)
+            if w == 0:
+                break
+        if w > 0:
+            coords[vid] = w
     point = BarycentricPoint.from_dict(level.flag, coords)
     if point.carrier not in level.nerve.simplices:
         raise AssertionError("canonical image does not span a nerve simplex")
     for vid in point.carrier:
         if x not in level.vertices[vid].wedge:
             raise AssertionError("canonical support must contain the point")
+    system._canonical[(lam, x)] = point
     return point
 
 
@@ -278,7 +302,7 @@ class Fiber:
 def fiber(system: InverseSystem, x: PointId, lam: LambdaIndex) -> Fiber:
     """All vertices over x and the nerve simplex they span."""
     level = system.levels[lam]
-    c = tuple(i for i, v in enumerate(level.vertices) if x in v.wedge)
+    c = level.fibers[x]
     if not c:
         raise AssertionError("covers cover, so the fiber set cannot be empty")
     if c not in level.nerve.simplices:
@@ -348,7 +372,7 @@ def check_homotopy(
     rng = random.Random(seed)
     level = system.levels[top]
     candidates = sorted(level.nerve.simplices)
-    threads = []
+    threads = []  # (thread, its image)
     attempts = 0
     while len(threads) < count and attempts < 50 * count:
         attempts += 1
@@ -359,8 +383,9 @@ def check_homotopy(
             level.flag, {v: w / total for v, w in zip(s, weights)}
         )
         z = point_thread(system, point)
-        if thread_image(system, z).resolved:
-            threads.append(z)
+        image = thread_image(system, z)
+        if image.resolved:
+            threads.append((z, image))
     if len(threads) < count:
         return Report(
             "fiber_homotopy",
@@ -369,19 +394,20 @@ def check_homotopy(
         )
     stages = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
     bad = None
-    for i, z in enumerate(threads):
-        image = thread_image(system, z)
+    for i, (z, image) in enumerate(threads):
         (x,) = image.points
-        if fiber_homotopy(system, z, Fraction(0)) != z:
+        # Whether a stage raises does not depend on t, so computing every
+        # stage up front raises exactly where the t=0 endpoint test would.
+        moved = [fiber_homotopy(system, z, t) for t in stages]
+        if moved[0] != z:
             bad = {"thread": i, "reason": "t=0 moved the thread"}
-            break
-        if fiber_homotopy(system, z, Fraction(1)) != canonical_thread(system, x):
+        elif moved[-1] != canonical_thread(system, x):
             bad = {"thread": i, "reason": "t=1 missed the canonical thread"}
-            break
-        for t in stages:
-            if thread_image(system, fiber_homotopy(system, z, t)).points != image.points:
-                bad = {"thread": i, "t": t, "reason": "image moved"}
-                break
+        else:
+            for t, w in zip(stages, moved):
+                if thread_image(system, w).points != image.points:
+                    bad = {"thread": i, "t": t, "reason": "image moved"}
+                    break
         if bad:
             break
     return Report(
@@ -466,11 +492,7 @@ def check_simpliciality(system: InverseSystem) -> Report:
     its fibers, the image of a face is a face of the image, and the target
     nerve is downward closed.
     """
-    n_points = system.family.ground.n_points
     edges = {lam: system.levels[lam].flag.edges() for lam in system.lambdas}
-    fibers = {
-        lam: point_fibers(system.levels[lam].vertices, n_points) for lam in system.lambdas
-    }
     bad = None
     for lam, mu in system.comparable_pairs():
         bond = bonding_map(system, lam, mu)
@@ -479,7 +501,7 @@ def check_simpliciality(system: InverseSystem) -> Report:
             break
         nerve_lo, nerve_hi = system.levels[lam].nerve, system.levels[mu].nerve
         nerve_bond = SimplicialMap(nerve_hi, nerve_lo, bond.vertex_map)
-        if nerve_bond.unmapped(fibers[mu]) is not None:
+        if nerve_bond.unmapped(system.levels[mu].fibers) is not None:
             bad = {"lambda": list(lam.cover_ids), "mu": list(mu.cover_ids), "complex": "N"}
             break
     return Report("simpliciality", bad is None, counterexample=bad)

@@ -7,13 +7,22 @@ frozen into the tests do not depend on the code paths they check.
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, product
 
-from nervelim.complexes import LambdaIndex, SimplicialComplex, SimplicialMap, Vertex
-from nervelim.ground import CoverFamily
+from nervelim import cells
+from nervelim.complexes import (
+    BarycentricPoint,
+    LambdaIndex,
+    SimplicialComplex,
+    SimplicialMap,
+    Vertex,
+    product_weights,
+)
+from nervelim.ground import CoverFamily, PointId
 from nervelim.homology import boundary_matrix
 from nervelim.report import Report
-from nervelim.systems import InverseSystem, bonding_map
+from nervelim.systems import InverseSystem, bonding_map, vertex_thread, vertex_threads
 
 
 def path_complex(n_vertices: int) -> SimplicialComplex:
@@ -184,3 +193,67 @@ def sympy_betti(cx: SimplicialComplex) -> tuple[int, ...]:
     counts = [len(cx.k_simplices(k)) for k in range(top + 2)]
     ranks = [0] + [sympy_gf2_rank(cx, k) for k in range(1, top + 2)]
     return tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(top + 1))
+
+
+# ---------------------------------------------------------------------------
+# per-point and per-net queries: the scans before point fibers and memos
+
+
+def scan_canonical_map(system: InverseSystem, lam: LambdaIndex, x: PointId) -> BarycentricPoint:
+    """The canonical map by product weights over every vertex of the level,
+    computed afresh on each call."""
+    level = system.levels[lam]
+    weights = product_weights(system.family, level.vertices, x, system.tables)
+    coords = {level.index_of[v.elements]: w for v, w in weights.items() if w > 0}
+    return BarycentricPoint.from_dict(level.flag, coords)
+
+
+def pairwise_is_cauchy(system: InverseSystem, y: tuple[int, ...]) -> bool:
+    """Projections of any two levels above a base are adjacent there, by
+    testing every pair of levels."""
+    for i, up in enumerate(system.above):
+        adj = system.levels[system.lambdas[i]].adjacency
+        for j, k in combinations(up, 2):
+            a = system.bond(i, j).vertex_map[y[j]]
+            b = system.bond(i, k).vertex_map[y[k]]
+            if a != b and not adj[a] >> b & 1:
+                return False
+    return True
+
+
+def scan_converge(system: InverseSystem, y: tuple[int, ...]) -> tuple[bool, tuple[int, ...] | None]:
+    """Convergence by trying every top vertex's thread in ascending order."""
+    if not pairwise_is_cauchy(system, y):
+        raise ValueError("convergence is only defined for Cauchy nets")
+    adjs = [system.levels[lam].adjacency for lam in system.lambdas]
+    for v in range(len(system.levels[system.top].vertices)):
+        z = vertex_thread(system, v)
+        if all(a == b or adj[a] >> b & 1 for adj, a, b in zip(adjs, z, y)):
+            return True, z
+    return False, None
+
+
+def sweep_every_net(system: InverseSystem, count: int, seed: int) -> Report:
+    """The Cauchy sweep with neither memo: every candidate is tested and
+    every kept net searched, with the library's draws and report."""
+    rng = random.Random(seed)
+    threads = vertex_threads(system)
+    sizes = [len(system.levels[lam].vertices) for lam in system.lambdas]
+    nets = []
+    attempts = 0
+    while len(nets) < count and attempts < 50 * count:
+        attempts += 1
+        if rng.random() < 0.5:
+            z = threads[rng.randrange(len(threads))]
+            candidate = cells.perturbed_thread_net(system, z, rng)
+        else:
+            candidate = tuple(rng.randrange(n) for n in sizes)
+        if pairwise_is_cauchy(system, candidate):
+            nets.append(candidate)
+    if len(nets) < count:
+        details = {"reason": "not enough Cauchy nets", "found": len(nets)}
+        return Report("cauchy_sweep", False, details=details)
+    bad = next(({"net": i} for i, y in enumerate(nets) if not scan_converge(system, y)[0]), None)
+    return Report(
+        "cauchy_sweep", bad is None, counterexample=bad, details={"nets": count, "seed": seed}
+    )

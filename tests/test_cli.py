@@ -245,6 +245,17 @@ def test_check_needs_supporting_levels(tmp_path):
     assert entry["details"]["skipped"] == "betti chain level L(0) is not among the built levels"
 
 
+def test_skipped_check_shows_as_skip(tmp_path, capsys):
+    out = tmp_path / "out"
+    args = ("--space", "cantor-d3", "--out", out, "--lambdas", "0;1")
+    assert run("check", *args, "--checks", "functoriality,star_conditions") == 1
+    assert capsys.readouterr().out.splitlines() == ["PASS  functoriality", "SKIP  star_conditions"]
+    assert run("report", "--out", out) == 0
+    assert "star_conditions          SKIP" in (out / "report.txt").read_text()
+    rows = (out / "checks.csv").read_text().splitlines()
+    assert rows[1:] == ["functoriality,pass,null", "star_conditions,SKIP,null"]
+
+
 def test_default_checks_on_an_antichain_skip_six(tmp_path):
     out = tmp_path / "out"
     assert run("check", "--space", "cantor-d3", "--out", out, "--lambdas", "0;1") == 1

@@ -1,0 +1,138 @@
+"""Per-point and per-net queries against the scans they replaced.
+
+Canonical maps come from point fibers and are memoized on the system, the
+Cauchy sampler and sweep test each distinct net once, and ``converge``
+searches only the closed star of the net's top vertex.  ``oracles`` keeps
+the old scans, and these tests require the same results on generated
+families, with indicator and with tent weights, and the same reports on
+every preset.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, strategies as st
+
+from oracles import pairwise_is_cauchy, scan_canonical_map, scan_converge, sweep_every_net
+from nervelim import systems
+from nervelim.errors import GuardExceeded
+from nervelim.cells import cauchy_sweep, converge, is_cauchy, perturbed_thread_net
+from nervelim.ground import (
+    CantorDepth,
+    CircleGrid,
+    CoverFamily,
+    Indicator,
+    IntervalGrid,
+    LinearBump,
+    WedgeOfCircles,
+    ball_neighborhoods,
+    cover_from_pointsets,
+    generate_space,
+)
+from nervelim.presets import PRESETS
+from nervelim.systems import build_system, canonical_map, check_homotopy, vertex_threads
+
+
+@st.composite
+def weighted_systems(draw):
+    """1-3 covers of an interval grid of 2-7 points by random, often
+    overlapping, elements, weighted by indicators or by tents that vanish
+    on some members, so a fiber vertex can have weight 0."""
+    space = generate_space(IntervalGrid(), draw(st.integers(min_value=1, max_value=6)))
+    n = space.n_points
+    covers = []
+    for cover_id in range(draw(st.integers(min_value=1, max_value=3))):
+        sets = [
+            set(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3)))
+            for _ in range(draw(st.integers(min_value=1, max_value=4)))
+        ]
+        for p in set(range(n)) - set().union(*sets):
+            sets[draw(st.integers(0, len(sets) - 1))].add(p)
+        spec = Indicator()
+        if draw(st.booleans()):
+            radii = st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(1)])
+            spec = LinearBump(
+                tuple(
+                    (eid, draw(st.sampled_from(sorted(s))), draw(radii))
+                    for eid, s in enumerate(sets)
+                )
+            )
+        covers.append(cover_from_pointsets(cover_id, sets, spec))
+    try:
+        return build_system(CoverFamily(tuple(covers), space), max_dim=7)
+    except GuardExceeded:
+        assume(False)
+
+
+@given(weighted_systems())
+def test_canonical_map_matches_scan(system):
+    for lam in system.lambdas:
+        for x in system.family.ground.points:
+            point = canonical_map(system, lam, x)
+            expected = scan_canonical_map(system, lam, x)
+            assert (point.carrier, point.coords) == (expected.carrier, expected.coords)
+            # memoized: the second call hands back the same point
+            assert canonical_map(system, lam, x) is point
+
+
+def test_canonical_maps_of_presets_match_scan(preset_systems):
+    for name, (_, _, system) in preset_systems.items():
+        for lam in system.lambdas:
+            for x in system.family.ground.points:
+                assert canonical_map(system, lam, x) == scan_canonical_map(system, lam, x), name
+
+
+@given(weighted_systems(), st.integers(0, 2**16))
+def test_cauchy_and_converge_match_scans(system, seed):
+    rng = random.Random(seed)
+    sizes = [len(system.levels[lam].vertices) for lam in system.lambdas]
+    threads = vertex_threads(system)
+    for _ in range(20):
+        if rng.random() < 0.5:
+            y = perturbed_thread_net(system, threads[rng.randrange(len(threads))], rng)
+        else:
+            y = tuple(rng.randrange(n) for n in sizes)
+        cauchy = is_cauchy(system, y)
+        assert cauchy == pairwise_is_cauchy(system, y)
+        if cauchy:
+            assert converge(system, y) == scan_converge(system, y)
+
+
+def test_preset_nets_converge_as_scanned(preset_systems):
+    for name, (_, _, system) in preset_systems.items():
+        rng = random.Random(3)
+        threads = vertex_threads(system)
+        for _ in range(200):
+            y = perturbed_thread_net(system, threads[rng.randrange(len(threads))], rng)
+            assert converge(system, y) == scan_converge(system, y), name
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name", list(PRESETS))
+def test_reports_match_oracle_path(preset_systems, monkeypatch, name, seed):
+    system = preset_systems[name][2]
+    assert cauchy_sweep(system, 1000, seed).to_json() == sweep_every_net(system, 1000, seed).to_json()
+    homotopy = check_homotopy(system, 10, seed).to_json()
+    # the homotopy and its endpoint tests, with canonical maps scanned afresh
+    monkeypatch.setattr(systems, "canonical_map", scan_canonical_map)
+    assert homotopy == check_homotopy(system, 10, seed).to_json()
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        generate_space(IntervalGrid(), 8),
+        generate_space(CircleGrid(), 12),
+        generate_space(WedgeOfCircles(2), 6),
+        generate_space(CantorDepth(), 3),
+    ],
+    ids=["interval", "circle", "wedge", "cantor"],
+)
+def test_ball_neighborhoods_match_balls(space):
+    radii = [Fraction(1, 2), Fraction(1, 8), Fraction(1, 3), Fraction(2)]
+    expected = [(p, space.ball(p, r)) for r in radii for p in space.points]
+    assert ball_neighborhoods(space, radii) == expected
+    assert ball_neighborhoods(space, []) == []
