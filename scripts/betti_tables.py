@@ -14,7 +14,7 @@ from nervelim.systems import build_system
 for name, preset in PRESETS.items():
     _, family = preset.factory()
     system = build_system(family, max_dim=preset.max_dim)
-    chain = [LambdaIndex.of(ids) for ids in preset.chain]
+    chain = [system.position[LambdaIndex.of(ids)] for ids in preset.chain]
     table = betti_stabilization(system, chain)
     print(f"\n{name}  (nerve stabilized: {table.nerve_stabilized})")
     print(table.csv(), end="")

@@ -12,8 +12,6 @@ from .complexes import (
     build_vertices,
     carrier_wedge,
     flag_completion,
-    identified_nerve,
-    product_weights,
 )
 from .ground import (
     Cover,
@@ -31,13 +29,11 @@ from .ground import (
 from .homology import BettiVector, betti, betti_stabilization
 from .systems import (
     InverseSystem,
-    bonding_map,
     build_system,
     canonical_map,
     canonical_thread,
     fiber,
     fiber_homotopy,
-    is_compatible,
     point_thread,
     thread_image,
     vertex_thread,

@@ -33,10 +33,6 @@ from .systems import (
 )
 
 
-def _adjacencies(system: InverseSystem) -> list[list[int]]:
-    return [system.levels[lam].adjacency for lam in system.lambdas]
-
-
 def _adjacent(adj: list[int], a: int, b: int) -> bool:
     return a == b or bool(adj[a] >> b & 1)
 
@@ -61,15 +57,13 @@ def _members(mask: int) -> list[int]:
 
 
 def check_star_contraction(
-    system: InverseSystem, z: tuple[int, ...], lam: LambdaIndex
-) -> tuple[bool, LambdaIndex | None]:
-    """Find a level above lam whose double star of the thread projects into
-    the single star at lam."""
-    i = system.position[lam]
-    target = _star(system.levels[lam].adjacency, z[i])
+    system: InverseSystem, z: tuple[int, ...], i: int
+) -> tuple[bool, int | None]:
+    """Find the position of a level above position i whose double star of
+    the thread projects into the single star at i."""
+    target = _star(system.levels[i].adjacency, z[i])
     for j in system.above[i]:
-        mu = system.lambdas[j]
-        adj = system.levels[mu].adjacency
+        adj = system.levels[j].adjacency
         double = 0
         for v in _members(_star(adj, z[j])):
             double |= _star(adj, v)
@@ -78,23 +72,22 @@ def check_star_contraction(
         for v in _members(double):
             image |= 1 << vm[v]
         if not image & ~target:
-            return True, mu
+            return True, j
     return False, None
 
 
 def check_star_conditions(system: InverseSystem) -> Report:
     threads = vertex_threads(system)
-    t = system.position[system.top]
-    adjs = _adjacencies(system)
+    t = system.top
     bad = None
     max_star = 0
     for z in threads:
-        for i, lam in enumerate(system.lambdas):
-            found, _ = check_star_contraction(system, z, lam)
+        for i, level in enumerate(system.levels):
+            found, _ = check_star_contraction(system, z, i)
             if not found:
-                bad = {"thread_top": z[t], "lambda": list(lam.cover_ids)}
+                bad = {"thread_top": z[t], "lambda": list(level.lam.cover_ids)}
                 break
-            max_star = max(max_star, _star(adjs[i], z[i]).bit_count())
+            max_star = max(max_star, _star(level.adjacency, z[i]).bit_count())
         if bad:
             break
     return Report(
@@ -140,7 +133,7 @@ def equivalence_classes(system: InverseSystem) -> EquivalenceResult:
     """Relate threads adjacent at every level; verify the relation is an
     equivalence before quotienting.  Failures are reported, not repaired."""
     threads = vertex_threads(system)
-    adjs = _adjacencies(system)
+    adjs = [level.adjacency for level in system.levels]
     n = len(threads)
 
     def related(i: int, j: int) -> bool:
@@ -213,14 +206,13 @@ def compare_quotient_to_ground(system: InverseSystem, result: EquivalenceResult)
         )
     quotient = result.quotient
     assert quotient is not None
-    top = system.top
-    assert top is not None
-    t = system.position[top]
+    t = system.top
+    assert t is not None
     points = list(system.family.ground.points)
 
     h: dict[PointId, int] = {}
     for x in points:
-        support = canonical_map(system, top, x).carrier
+        support = canonical_map(system, t, x).carrier
         h[x] = quotient.class_of[support[0]]
 
     bijection = len(set(h.values())) == len(points) == len(quotient.classes)
@@ -256,8 +248,8 @@ def compare_quotient_to_ground(system: InverseSystem, result: EquivalenceResult)
         [{threads[i][p] for i in members} for p in range(len(system.lambdas))]
         for members in quotient.classes
     ]
-    for p, lam in enumerate(system.lambdas):
-        fibers = system.levels[lam].fibers
+    for p, level in enumerate(system.levels):
+        fibers = level.fibers
         fiber_sets = [set(f) for f in fibers]
         for x, y in combinations(points, 2):
             common = not fiber_sets[x].isdisjoint(fibers[y])
@@ -266,7 +258,7 @@ def compare_quotient_to_ground(system: InverseSystem, result: EquivalenceResult)
                 return Report(
                     "quotient_comparison",
                     False,
-                    counterexample={"points": [x, y], "lambda": list(lam.cover_ids)},
+                    counterexample={"points": [x, y], "lambda": list(level.lam.cover_ids)},
                     details={"reason": "shared-element consistency"},
                 )
     return Report(
@@ -282,13 +274,13 @@ def compare_quotient_to_ground(system: InverseSystem, result: EquivalenceResult)
 
 def is_cauchy(system: InverseSystem, y: tuple[int, ...]) -> bool:
     """Projections of any two levels above a base must be adjacent there."""
-    bonds = system._bonds
-    for i, (lam, up) in enumerate(zip(system.lambdas, system.above)):
+    bond = system.bond
+    for i, (level, up) in enumerate(zip(system.levels, system.above)):
         projected = 0
         for j in up:
-            projected |= 1 << bonds[i, j].vertex_map[y[j]]
+            projected |= 1 << bond(i, j).vertex_map[y[j]]
         if projected & (projected - 1):  # more than one vertex
-            adj = system.levels[lam].adjacency
+            adj = level.adjacency
             for a in _members(projected):
                 if projected & ~_star(adj, a):
                     return False
@@ -304,10 +296,9 @@ def converge(system: InverseSystem, y: tuple[int, ...]) -> tuple[bool, tuple[int
     """
     if not is_cauchy(system, y):
         raise ValueError("convergence is only defined for Cauchy nets")
-    top = _top(system)
-    adjs = _adjacencies(system)
-    t = system.position[top]
-    down = [system.bond(i, t).vertex_map for i in range(len(system.lambdas))]
+    t = _top(system)
+    adjs = [level.adjacency for level in system.levels]
+    down = [system.bond(i, t).vertex_map for i in range(len(system.levels))]
     for v in _members(_star(adjs[t], y[t])):
         if all(_adjacent(adj, vm[v], b) for adj, vm, b in zip(adjs, down, y)):
             return True, vertex_thread(system, v)
@@ -316,7 +307,7 @@ def converge(system: InverseSystem, y: tuple[int, ...]) -> tuple[bool, tuple[int
 
 def _non_max(system: InverseSystem) -> list[int]:
     """The positions of the levels other than the top one."""
-    return [i for i, lam in enumerate(system.lambdas) if lam != system.top]
+    return [i for i in range(len(system.levels)) if i != system.top]
 
 
 def perturbed_thread_net(
@@ -333,7 +324,7 @@ def perturbed_thread_net(
     if not non_max:
         return z
     i = non_max[rng.randrange(len(non_max))]
-    star = _members(_star(system.levels[system.lambdas[i]].adjacency, z[i]))
+    star = _members(_star(system.levels[i].adjacency, z[i]))
     return z[:i] + (star[rng.randrange(len(star))],) + z[i + 1 :]
 
 
@@ -342,7 +333,7 @@ def sample_cauchy_nets(system: InverseSystem, count: int, seed: int) -> list[tup
     from at most 50 * count candidates."""
     rng = random.Random(seed)
     threads = vertex_threads(system)
-    sizes = [len(system.levels[lam].vertices) for lam in system.lambdas]
+    sizes = [len(level.vertices) for level in system.levels]
     non_max = _non_max(system)
     verdicts: dict[tuple[int, ...], bool] = {}  # is_cauchy, by distinct candidate
     nets: list[tuple[int, ...]] = []

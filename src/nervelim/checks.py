@@ -5,7 +5,8 @@ the run's context and returns the report and the extra artifacts to write,
 by file name.  A runner looks its check function up in the defining module
 when it is called, so a function rebound there is the one that runs.  A
 check whose precondition the selected levels do not meet raises
-``PreconditionUnmet``, and the check command records it as skipped.
+``PreconditionUnmet``, and one that hits an enumeration guard raises
+``GuardExceeded``; the check command records either as skipped.
 """
 
 from __future__ import annotations
@@ -101,12 +102,13 @@ def _bijection_rows(
 
 
 def _betti_stabilization(ctx: RunContext) -> tuple[Report, dict]:
-    missing = [lam for lam in ctx.chain if lam not in ctx.system.levels]
+    position = ctx.system.position
+    missing = [lam for lam in ctx.chain if lam not in position]
     if missing:
         raise PreconditionUnmet(
             f"betti chain level {missing[0]} is not among the built levels"
         )
-    table = homology.betti_stabilization(ctx.system, ctx.chain)
+    table = homology.betti_stabilization(ctx.system, [position[lam] for lam in ctx.chain])
     passed = table.nerve_stabilized
     expected = None
     if ctx.preset is not None:

@@ -136,8 +136,8 @@ def cmd_build(config: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "space.json").write_text(dump_json(space_to_json(ctx.space)))
     (out / "covers.json").write_text(dump_json(family_to_json(ctx.family)))
-    for lam in ctx.system.lambdas:
-        level = ctx.system.levels[lam]
+    system = ctx.system
+    for lam, level in zip(system.lambdas, system.levels):
         tag = "-".join(str(i) for i in lam.cover_ids)
         payload = {
             "format_version": FORMAT_VERSION,
@@ -147,19 +147,21 @@ def cmd_build(config: RunConfig) -> int:
         }
         (out / f"level_{tag}.json").write_text(dump_json(payload))
         (out / f"skeleton_{tag}.dot").write_text(skeleton_dot(level.flag, f"L{tag.replace('-', '_')}"))
+    lams = system.lambdas
     bonds = [
         {
-            "source": list(mu.cover_ids),
-            "target": list(lam.cover_ids),
-            "vertex_map": list(systems.bonding_map(ctx.system, lam, mu).vertex_map),
+            "source": list(lams[j].cover_ids),
+            "target": list(lams[i].cover_ids),
+            "vertex_map": list(system.bond(i, j).vertex_map),
         }
-        for lam, mu in ctx.system.comparable_pairs()
-        if lam != mu
+        for i, up in enumerate(system.above)
+        for j in up
+        if i != j
     ]
     (out / "bonds.json").write_text(
         dump_json({"format_version": FORMAT_VERSION, "bonds": bonds})
     )
-    print(f"wrote {len(ctx.system.lambdas)} level files to {out}")
+    print(f"wrote {len(system.lambdas)} level files to {out}")
     return EXIT_OK
 
 
@@ -175,7 +177,7 @@ def cmd_check(config: RunConfig) -> int:
     for name in names:
         try:
             report, extra = CHECKS[name](ctx)
-        except PreconditionUnmet as exc:
+        except (PreconditionUnmet, GuardExceeded) as exc:
             report, extra = Report(name, False, details={"skipped": str(exc)}), {}
         reports.append(report)
         extras.update(extra)
@@ -285,6 +287,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         ):
             if value is not None and value < 1:
                 raise InputError(f"{flag} must be at least 1, got {value}")
+        if args.max_dim < 0:
+            raise InputError(f"--max-dim must be at least 0, got {args.max_dim}")
         checks = None
         if args.command == "check" and args.checks is not None:
             checks = _parse_checks(args.checks)

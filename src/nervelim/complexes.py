@@ -16,7 +16,8 @@ from itertools import combinations, product
 from typing import Iterable, Mapping, Sequence
 
 from .errors import GuardExceeded
-from .ground import CoverFamily, CoverId, ElementId, PointId, WeightTable, partition_tables
+from .ground import CoverFamily, CoverId, ElementId, PointId
+
 DEFAULT_MAX_DIM = 8
 
 Simplex = tuple[int, ...]
@@ -24,7 +25,8 @@ Simplex = tuple[int, ...]
 
 @dataclass(frozen=True)
 class LambdaIndex:
-    """A nonempty sorted set of cover ids; ordered by inclusion."""
+    """A nonempty sorted set of cover ids: the name of a level.  The order
+    by inclusion is held by ``InverseSystem.above``, over level positions."""
 
     cover_ids: tuple[CoverId, ...]
 
@@ -38,15 +40,6 @@ class LambdaIndex:
     @classmethod
     def of(cls, ids: Iterable[CoverId]) -> "LambdaIndex":
         return cls(tuple(sorted(set(ids))))
-
-    def __le__(self, other: "LambdaIndex") -> bool:
-        return set(self.cover_ids) <= set(other.cover_ids)
-
-    def __ge__(self, other: "LambdaIndex") -> bool:
-        return other <= self
-
-    def __lt__(self, other: "LambdaIndex") -> bool:
-        return self <= other and self != other
 
     @property
     def sort_key(self) -> tuple[int, tuple[CoverId, ...]]:
@@ -80,45 +73,16 @@ class Vertex:
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Abstract complex on vertex ids 0..n-1, stored downward closed."""
+    """Abstract complex on vertex ids 0..n-1, stored downward closed.
+
+    ``build_flag`` and ``build_nerve`` make their complexes closed; a
+    complex from outside the program is checked by ``complex_from_json``.
+    """
 
     n_vertices: int
     simplices: frozenset[Simplex]
     vertices: tuple[Vertex, ...] | None = field(default=None, compare=False)
     is_flag_complex: bool = False
-
-    def __post_init__(self) -> None:
-        if self.vertices is not None and len(self.vertices) != self.n_vertices:
-            raise ValueError("vertex list length mismatch")
-        for s in self.simplices:
-            if list(s) != sorted(set(s)):
-                raise ValueError(f"simplex {s} is not a sorted id tuple")
-            if s and (s[0] < 0 or s[-1] >= self.n_vertices):
-                raise ValueError(f"simplex {s} has out-of-range vertices")
-        present = self.simplices
-        for v in range(self.n_vertices):
-            if (v,) not in present:
-                raise ValueError(f"vertex {v} is missing as a singleton simplex")
-        for s in present:
-            if len(s) > 1:
-                for f in combinations(s, len(s) - 1):
-                    if f not in present:
-                        raise ValueError(f"face {f} of {s} is missing")
-
-    @classmethod
-    def from_maximal(
-        cls,
-        n_vertices: int,
-        maximal: Iterable[Sequence[int]],
-        vertices: tuple[Vertex, ...] | None = None,
-        is_flag_complex: bool = False,
-    ) -> "SimplicialComplex":
-        closed: set[Simplex] = {(v,) for v in range(n_vertices)}
-        for m in maximal:
-            m = tuple(sorted(set(m)))
-            for k in range(1, len(m) + 1):
-                closed.update(combinations(m, k))
-        return cls(n_vertices, frozenset(closed), vertices, is_flag_complex)
 
     @cached_property
     def _by_size(self) -> dict[int, list[Simplex]]:
@@ -141,17 +105,6 @@ class SimplicialComplex:
 
     def edges(self) -> list[Simplex]:
         return self.k_simplices(1)
-
-    def has(self, s: Sequence[int]) -> bool:
-        return tuple(sorted(set(s))) in self.simplices
-
-    def skeleton(self, k: int) -> "SimplicialComplex":
-        return SimplicialComplex(
-            self.n_vertices,
-            frozenset(s for s in self.simplices if len(s) <= k + 1),
-            self.vertices,
-            is_flag_complex=False,
-        )
 
     def adjacency(self) -> list[int]:
         """The 1-skeleton as per-vertex neighbour bitmasks: bit b of entry a
@@ -193,19 +146,6 @@ class BarycentricPoint:
         items = tuple(sorted((v, w) for v, w in coords.items() if w != 0))
         return cls(cx, tuple(v for v, _ in items), items)
 
-    def coord(self, v: int) -> Fraction:
-        for u, w in self.coords:
-            if u == v:
-                return w
-        return Fraction(0)
-
-    def at_vertex(self) -> int | None:
-        return self.carrier[0] if len(self.carrier) == 1 else None
-
-
-def vertex_point(cx: SimplicialComplex, v: int) -> BarycentricPoint:
-    return BarycentricPoint(cx, (v,), ((v, Fraction(1)),))
-
 
 def convex_combination(
     t: Fraction, target: BarycentricPoint, source: BarycentricPoint
@@ -244,21 +184,21 @@ class SimplicialMap:
     def image_simplex(self, s: Sequence[int]) -> Simplex:
         return tuple(sorted({self.vertex_map[v] for v in s}))
 
-    def unmapped(self, simplices: Iterable[Simplex] | None = None) -> Simplex | None:
-        """The first of ``simplices`` (default: every source simplex) whose
-        image is not a target simplex, or None.
+    def unmapped(self, simplices: Iterable[Simplex]) -> Simplex | None:
+        """The first of ``simplices`` whose image is not a target simplex,
+        or None.
 
         A subset of the source decides simpliciality when every source
         simplex is a face of one of its members, or, for a flag target, when
         it holds every source edge (see ``systems.build_system``).
         """
         target = self.target.simplices
-        for s in self.source.simplices if simplices is None else simplices:
+        for s in simplices:
             if self.image_simplex(s) not in target:
                 return s
         return None
 
-    def verify(self, simplices: Iterable[Simplex] | None = None) -> None:
+    def verify(self, simplices: Iterable[Simplex]) -> None:
         """Raise unless ``unmapped(simplices)`` is None."""
         s = self.unmapped(simplices)
         if s is not None:
@@ -315,31 +255,28 @@ def _level_name(lam: LambdaIndex) -> str:
     return "level {" + lam.json_key() + "}"
 
 
-def build_flag(
-    family: CoverFamily,
-    lam: LambdaIndex,
-    max_dim: int = DEFAULT_MAX_DIM,
-    vertices: list[Vertex] | None = None,
-    fibers: Sequence[tuple[int, ...]] | None = None,
-) -> SimplicialComplex:
-    """Flag complex: edges where wedges meet, simplices on every clique.
-
-    Two wedges meet exactly when both vertices lie in one point fiber.
-    ``fibers``, when given, must be ``point_fibers`` of the vertices.
-    """
-    verts = build_vertices(family, lam) if vertices is None else vertices
-    if fibers is None:
-        fibers = point_fibers(verts, family.ground.n_points)
-    n = len(verts)
-    adj = [0] * n
+def wedge_adjacency(fibers: Sequence[tuple[int, ...]], n_vertices: int) -> list[int]:
+    """Per-vertex neighbour bitmasks, as ``SimplicialComplex.adjacency``
+    gives them, of the graph in which two vertices are adjacent when their
+    wedges meet, that is, when both lie in one point fiber."""
+    adj = [0] * n_vertices
     for fib in fibers:
         mask = 0
         for i in fib:
             mask |= 1 << i
         for i in fib:
             adj[i] |= mask & ~(1 << i)
-    simplices = _all_cliques(n, adj, max_dim, _level_name(lam) + ": ")
-    return SimplicialComplex(n, frozenset(simplices), tuple(verts), is_flag_complex=True)
+    return adj
+
+
+def build_flag(
+    lam: LambdaIndex, vertices: Sequence[Vertex], adjacency: Sequence[int], max_dim: int
+) -> SimplicialComplex:
+    """Flag complex: edges where wedges meet, simplices on every clique.
+    ``adjacency`` must be ``wedge_adjacency`` of the vertices' fibers."""
+    n = len(vertices)
+    simplices = _all_cliques(n, adjacency, max_dim, _level_name(lam) + ": ")
+    return SimplicialComplex(n, frozenset(simplices), tuple(vertices), is_flag_complex=True)
 
 
 def _all_cliques(n: int, adj: Sequence[int], max_dim: int, where: str = "") -> set[Simplex]:
@@ -351,7 +288,7 @@ def _all_cliques(n: int, adj: Sequence[int], max_dim: int, where: str = "") -> s
     out: set[Simplex] = set()
 
     def extend(clique: tuple[int, ...], candidates: int) -> None:
-        if len(clique) == max_dim + 2:
+        if len(clique) > max_dim + 1:
             size = len(clique)
             while candidates:
                 v = (candidates & -candidates).bit_length() - 1
@@ -374,19 +311,12 @@ def _all_cliques(n: int, adj: Sequence[int], max_dim: int, where: str = "") -> s
 
 
 def build_nerve(
-    family: CoverFamily,
-    lam: LambdaIndex,
-    max_dim: int = DEFAULT_MAX_DIM,
-    vertices: list[Vertex] | None = None,
-    fibers: Sequence[tuple[int, ...]] | None = None,
+    lam: LambdaIndex, vertices: Sequence[Vertex], fibers: Sequence[tuple[int, ...]], max_dim: int
 ) -> SimplicialComplex:
     """Nerve: a vertex set spans a simplex iff the wedges share a point,
-    that is, iff it lies in one point fiber.  ``fibers``, when given, must
-    be ``point_fibers`` of the vertices."""
-    verts = build_vertices(family, lam) if vertices is None else vertices
-    if fibers is None:
-        fibers = point_fibers(verts, family.ground.n_points)
-    n = len(verts)
+    that is, iff it lies in one point fiber.  ``fibers`` must be
+    ``point_fibers`` of the vertices."""
+    n = len(vertices)
     simplices: set[Simplex] = {(v,) for v in range(n)}
     for x, carrier in enumerate(fibers):
         if len(carrier) > max_dim + 1:
@@ -396,7 +326,7 @@ def build_nerve(
             )
         for k in range(2, len(carrier) + 1):
             simplices.update(combinations(carrier, k))
-    return SimplicialComplex(n, frozenset(simplices), tuple(verts), is_flag_complex=False)
+    return SimplicialComplex(n, frozenset(simplices), tuple(vertices), is_flag_complex=False)
 
 
 def carrier_wedge(point: BarycentricPoint) -> frozenset[PointId]:
@@ -416,89 +346,10 @@ def carrier_wedge(point: BarycentricPoint) -> frozenset[PointId]:
 
 def flag_completion(adjacency: Sequence[int], max_dim: int = DEFAULT_MAX_DIM) -> SimplicialComplex:
     """Clique complex of a graph given as per-vertex neighbour bitmasks, the
-    form of ``SimplicialComplex.adjacency``; graph homomorphisms induce
-    simplicial maps via flag_map."""
+    form of ``SimplicialComplex.adjacency``."""
     n = len(adjacency)
     simplices = _all_cliques(n, adjacency, max_dim)
     return SimplicialComplex(n, frozenset(simplices), None, is_flag_complex=True)
-
-
-def flag_map(
-    vertex_map: Sequence[int], source: SimplicialComplex, target: SimplicialComplex
-) -> SimplicialMap:
-    """The simplicial map a graph homomorphism induces on flag complexes."""
-    m = SimplicialMap(source, target, tuple(vertex_map))
-    m.verify()
-    return m
-
-
-# ---------------------------------------------------------------------------
-# nerve with duplicate wedges identified
-
-
-def identified_nerve(
-    family: CoverFamily,
-    lam: LambdaIndex,
-    nerve: SimplicialComplex | None = None,
-    max_dim: int = DEFAULT_MAX_DIM,
-) -> tuple[SimplicialComplex, SimplicialMap, bool]:
-    """Quotient the nerve by equal wedges.
-
-    Returns the quotient complex, the quotient map, and whether the
-    preimage of every quotient simplex spans a simplex of the nerve.
-    """
-    if nerve is None:
-        nerve = build_nerve(family, lam, max_dim)
-    verts = nerve.vertices
-    assert verts is not None
-    wedge_order: list[frozenset[PointId]] = []
-    seen: dict[frozenset[PointId], int] = {}
-    vmap = []
-    for v in verts:
-        if v.wedge not in seen:
-            seen[v.wedge] = len(wedge_order)
-            wedge_order.append(v.wedge)
-        vmap.append(seen[v.wedge])
-    q_simplices = {tuple(sorted({vmap[v] for v in s})) for s in nerve.simplices}
-    quotient = SimplicialComplex(len(wedge_order), frozenset(q_simplices))
-    qmap = SimplicialMap(nerve, quotient, tuple(vmap))
-    preimage_ok = True
-    for s in quotient.simplices:
-        classes = set(s)
-        preimage = tuple(
-            sorted(v for v in range(nerve.n_vertices) if vmap[v] in classes)
-        )
-        if preimage not in nerve.simplices:
-            preimage_ok = False
-            break
-    return quotient, qmap, preimage_ok
-
-
-# ---------------------------------------------------------------------------
-# product weights over a level
-
-
-def product_weights(
-    family: CoverFamily,
-    vertices: Sequence[Vertex],
-    x: PointId,
-    tables: Mapping[CoverId, WeightTable] | None = None,
-) -> dict[Vertex, Fraction]:
-    """Per-vertex products of the covers' weights at x; sums to 1 exactly."""
-    if not vertices:
-        raise ValueError("level has no vertices")
-    lam = vertices[0].lam
-    if tables is None:
-        tables = partition_tables(family)
-    out: dict[Vertex, Fraction] = {}
-    for v in vertices:
-        w = Fraction(1)
-        for cover_id, eid in zip(lam.cover_ids, v.elements):
-            w *= tables[cover_id].weight(eid, x)
-            if w == 0:
-                break
-        out[v] = w
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +371,27 @@ def complex_to_json(cx: SimplicialComplex, lam: LambdaIndex | None = None) -> di
 
 
 def complex_from_json(data: dict) -> SimplicialComplex:
+    """Read back a complex written by ``complex_to_json``.
+
+    The program builds its own complexes closed, so a complex from outside
+    it is checked here, and only here: sorted simplices on vertex ids
+    0..n-1, every vertex a simplex, and every face of a simplex a simplex.
+    """
     simplices = frozenset(tuple(s) for s in data["simplices"])
+    for s in simplices:
+        if list(s) != sorted(set(s)):
+            raise ValueError(f"simplex {s} is not a sorted id tuple")
+        if s and s[0] < 0:
+            raise ValueError(f"simplex {s} has out-of-range vertices")
     n = max((s[-1] for s in simplices if s), default=-1) + 1
+    for v in range(n):
+        if (v,) not in simplices:
+            raise ValueError(f"vertex {v} is missing as a singleton simplex")
+    for s in simplices:
+        if len(s) > 1:
+            for f in combinations(s, len(s) - 1):
+                if f not in simplices:
+                    raise ValueError(f"face {f} of {s} is missing")
     vertices = None
     if data.get("vertices") and data.get("lambda"):
         lam = LambdaIndex.of(data["lambda"])
@@ -529,6 +399,8 @@ def complex_from_json(data: dict) -> SimplicialComplex:
             Vertex(lam, tuple(v["tuple"]), frozenset(v["wedge"]))
             for v in data["vertices"]
         )
+        if len(vertices) != n:
+            raise ValueError("vertex list length mismatch")
     return SimplicialComplex(n, simplices, vertices, bool(data.get("flag", False)))
 
 

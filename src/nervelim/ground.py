@@ -552,9 +552,6 @@ class WeightTable:
             object.__setattr__(self, "_cache", dict(self.values))
         return self._cache  # type: ignore[attr-defined]
 
-    def column(self, point: PointId) -> dict[ElementId, Fraction]:
-        return {e: w for (e, p), w in self.values if p == point}
-
 
 def partition_of_unity(cover: Cover, space: GroundSpace | None = None) -> WeightTable:
     """Exact partition of unity subordinated to the cover.

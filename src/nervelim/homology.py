@@ -143,23 +143,23 @@ class StabilizationTable:
         return "\n".join(lines) + "\n"
 
 
-def betti_stabilization(system: InverseSystem, chain: list[LambdaIndex]) -> StabilizationTable:
-    """Betti vectors of nerve and flag complexes along an increasing chain,
-    flagged stabilized when the last two nerve entries agree."""
-    for a, b in zip(chain, chain[1:]):
-        if not a <= b:
+def betti_stabilization(system: InverseSystem, chain: list[int]) -> StabilizationTable:
+    """Betti vectors of nerve and flag complexes along a chain of level
+    positions, each at or above the one before, flagged stabilized when the
+    last two nerve entries agree."""
+    for i, j in zip(chain, chain[1:]):
+        if j not in system.above[i]:
             raise ValueError("chain must be increasing")
     rows = []
     nerve_values = []
-    for lam in chain:
-        level = system.levels[lam]
+    for i in chain:
+        level = system.levels[i]
         bn = betti(level.nerve)
         bf = betti(level.flag)
-        rows.append(StabilizationRow(lam, "N", bn))
-        rows.append(StabilizationRow(lam, "F", bf))
+        rows.append(StabilizationRow(level.lam, "N", bn))
+        rows.append(StabilizationRow(level.lam, "F", bf))
         nerve_values.append(bn)
     stabilized = len(nerve_values) >= 2 and nerve_values[-1].agrees_with(
         nerve_values[-2].numbers
     )
     return StabilizationTable(rows, stabilized)
-

@@ -29,6 +29,7 @@ from .complexes import (
     convex_combination,
     flag_completion,
     point_fibers,
+    wedge_adjacency,
 )
 from .errors import PreconditionUnmet
 from .ground import CoverFamily, PointId, WeightTable, partition_tables
@@ -42,7 +43,7 @@ class Level:
     flag: SimplicialComplex
     nerve: SimplicialComplex
     index_of: dict[tuple[int, ...], int]
-    # the flag 1-skeleton, as ``SimplicialComplex.adjacency`` gives it
+    # the flag 1-skeleton, as ``complexes.wedge_adjacency`` gives it
     adjacency: list[int]
     # per ground point, the vertices whose wedge contains it, as
     # ``complexes.point_fibers`` gives them
@@ -53,39 +54,36 @@ class Level:
 class InverseSystem:
     """Levels in ``lambdas`` order, by size and then by cover ids.
 
-    A level is also named by its position in ``lambdas``; ``above[i]``
-    lists, ascending, the positions of the levels at or above position i.
-    Bonds are keyed by the position pair (i, j), with i below j.
-    ``_canonical`` holds each canonical map once computed, by (level, point).
+    A level is named by its position in ``lambdas``, and ``levels`` is
+    aligned with it; ``lambdas[i]`` is the level's name for output.
+    ``position`` turns a name a user gives into a position.  ``above[i]``
+    lists, ascending, the positions of the levels at or above position i,
+    and ``bond(i, j)`` is the bond down from position j to i.
+    ``_canonical`` holds each canonical map once computed, by (level
+    position, point).
     """
 
     family: CoverFamily
     lambdas: list[LambdaIndex]
-    levels: dict[LambdaIndex, Level]
+    levels: list[Level]
     max_dim: int
     tables: dict[int, WeightTable]
     _bonds: dict[tuple[int, int], SimplicialMap] = field(default_factory=dict)
-    _canonical: dict[tuple[LambdaIndex, PointId], BarycentricPoint] = field(
-        default_factory=dict
-    )
+    _canonical: dict[tuple[int, PointId], BarycentricPoint] = field(default_factory=dict)
     position: dict[LambdaIndex, int] = field(init=False)
     above: list[tuple[int, ...]] = field(init=False)
-    top: LambdaIndex | None = field(init=False)  # the maximum level, when one exists
+    top: int | None = field(init=False)  # the position of the maximum level, when one exists
 
     def __post_init__(self) -> None:
-        self.position = {lam: i for i, lam in enumerate(self.lambdas)}
-        if len(self.position) != len(self.lambdas):
+        position = {lam: i for i, lam in enumerate(self.lambdas)}
+        if len(position) != len(self.lambdas):
             raise ValueError("a level is listed twice")
+        self.position = position
         ids = [frozenset(lam.cover_ids) for lam in self.lambdas]
         self.above = [tuple(j for j, b in enumerate(ids) if a <= b) for a in ids]
         last = len(self.lambdas) - 1
         has_top = self.lambdas and all(up[-1] == last for up in self.above)
-        self.top = self.lambdas[last] if has_top else None
-
-    def comparable_pairs(self) -> list[tuple[LambdaIndex, LambdaIndex]]:
-        """Every (lam, mu) with lam <= mu, in level order of lam, then mu."""
-        lams = self.lambdas
-        return [(lams[i], lams[j]) for i, up in enumerate(self.above) for j in up]
+        self.top = last if has_top else None
 
     def bond(self, i: int, j: int) -> SimplicialMap:
         """The bond from the level at position j down to position i."""
@@ -118,21 +116,20 @@ def build_system(
         all_lambdas(len(family.covers)) if lambdas is None else lambdas,
         key=lambda l: l.sort_key,
     )
-    levels = {}
+    levels = []
     for lam in lams:
         verts = build_vertices(family, lam)
         fibers = point_fibers(verts, family.ground.n_points)
-        flag = build_flag(family, lam, max_dim, verts, fibers)
-        nerve = build_nerve(family, lam, max_dim, verts, fibers)
+        adjacency = wedge_adjacency(fibers, len(verts))
+        flag = build_flag(lam, verts, adjacency, max_dim)
+        nerve = build_nerve(lam, verts, fibers, max_dim)
         index_of = {v.elements: i for i, v in enumerate(verts)}
-        levels[lam] = Level(
-            lam, tuple(verts), flag, nerve, index_of, flag.adjacency(), fibers
-        )
+        levels.append(Level(lam, tuple(verts), flag, nerve, index_of, adjacency, fibers))
     system = InverseSystem(family, lams, levels, max_dim, partition_tables(family))
-    edges = [levels[lam].flag.edges() for lam in lams]
+    edges = [level.flag.edges() for level in levels]
     for i, up in enumerate(system.above):
         for j in up:
-            bond = _projection(levels[lams[i]], levels[lams[j]])
+            bond = _projection(levels[i], levels[j])
             bond.verify(edges[j])
             system._bonds[(i, j)] = bond
     return system
@@ -144,19 +141,11 @@ def _projection(dst: Level, src: Level) -> SimplicialMap:
     return SimplicialMap(src.flag, dst.flag, vm)
 
 
-def bonding_map(system: InverseSystem, lam: LambdaIndex, mu: LambdaIndex) -> SimplicialMap:
-    """The coordinate projection from level mu down to level lam."""
-    bond = system._bonds.get((system.position.get(lam), system.position.get(mu)))
-    if bond is None:
-        raise ValueError(f"{lam} is not below {mu}")
-    return bond
-
-
 # ---------------------------------------------------------------------------
 # threads
 
 
-def _top(system: InverseSystem) -> LambdaIndex:
+def _top(system: InverseSystem) -> int:
     if system.top is None:
         raise PreconditionUnmet("the selected levels have no maximum level")
     return system.top
@@ -164,56 +153,44 @@ def _top(system: InverseSystem) -> LambdaIndex:
 
 def vertex_thread(system: InverseSystem, top_vid: int) -> tuple[int, ...]:
     """The vertex thread through vertex ``top_vid`` of the top level."""
-    t = system.position[_top(system)]
-    return tuple(system.bond(i, t).apply(top_vid) for i in range(len(system.lambdas)))
+    t = _top(system)
+    return tuple(system.bond(i, t).apply(top_vid) for i in range(len(system.levels)))
 
 
 def point_thread(
     system: InverseSystem, top_point: BarycentricPoint
 ) -> tuple[BarycentricPoint, ...]:
     """The point thread through a barycentric point of the top level."""
-    top = _top(system)
-    return tuple(bonding_map(system, lam, top).push_point(top_point) for lam in system.lambdas)
+    t = _top(system)
+    return tuple(system.bond(i, t).push_point(top_point) for i in range(len(system.levels)))
 
 
 def vertex_threads(system: InverseSystem) -> list[tuple[int, ...]]:
-    top = _top(system)
-    return [vertex_thread(system, v) for v in range(len(system.levels[top].vertices))]
-
-
-def is_compatible(system: InverseSystem, z: tuple) -> bool:
-    """Every bond carries the thread's value at its source to the value at
-    its target."""
-    for lam, mu in system.comparable_pairs():
-        bond = bonding_map(system, lam, mu)
-        value = z[system.position[mu]]
-        image = bond.push_point(value) if isinstance(value, BarycentricPoint) else bond.apply(value)
-        if image != z[system.position[lam]]:
-            return False
-    return True
+    t = _top(system)
+    return [vertex_thread(system, v) for v in range(len(system.levels[t].vertices))]
 
 
 # ---------------------------------------------------------------------------
 # the maps between system and space
 
 
-def canonical_map(system: InverseSystem, lam: LambdaIndex, x: PointId) -> BarycentricPoint:
-    """Barycentric point of level lam whose coordinates are the product
-    weights of x; its support always spans a nerve simplex.
+def canonical_map(system: InverseSystem, i: int, x: PointId) -> BarycentricPoint:
+    """Barycentric point of the level at position i whose coordinates are
+    the product weights of x; its support always spans a nerve simplex.
 
     A cover's weight is positive only on elements that contain x (the
     partition tables are checked for this), so every vertex outside x's
     point fiber has weight 0 and the product runs over the fiber alone.
     Each map is computed once per system and then shared.
     """
-    point = system._canonical.get((lam, x))
+    point = system._canonical.get((i, x))
     if point is not None:
         return point
-    level = system.levels[lam]
+    level = system.levels[i]
     coords = {}
     for vid in level.fibers[x]:
         w = Fraction(1)
-        for cover_id, eid in zip(lam.cover_ids, level.vertices[vid].elements):
+        for cover_id, eid in zip(level.lam.cover_ids, level.vertices[vid].elements):
             w *= system.tables[cover_id].weight(eid, x)
             if w == 0:
                 break
@@ -225,12 +202,12 @@ def canonical_map(system: InverseSystem, lam: LambdaIndex, x: PointId) -> Baryce
     for vid in point.carrier:
         if x not in level.vertices[vid].wedge:
             raise AssertionError("canonical support must contain the point")
-    system._canonical[(lam, x)] = point
+    system._canonical[(i, x)] = point
     return point
 
 
 def canonical_thread(system: InverseSystem, x: PointId) -> tuple[BarycentricPoint, ...]:
-    return tuple(canonical_map(system, lam, x) for lam in system.lambdas)
+    return tuple(canonical_map(system, i, x) for i in range(len(system.levels)))
 
 
 @dataclass(frozen=True)
@@ -252,16 +229,16 @@ class PiResult:
 def thread_image(system: InverseSystem, z: tuple) -> PiResult:
     """Intersect the carrier wedges of all levels of the thread.
 
-    A point thread whose top carrier only spans a flag simplex (not a nerve
-    one) is flagged off_nerve and yields the empty set.
+    A point thread with a carrier that only spans a flag simplex (not a
+    nerve one) is flagged off_nerve and yields the empty set.  A carrier
+    spans a nerve simplex exactly when its wedges share a point.
     """
     common: frozenset[PointId] | None = None
     off_nerve = False
-    for lam, entry in zip(system.lambdas, z):
-        level = system.levels[lam]
+    for level, entry in zip(system.levels, z):
         if isinstance(entry, BarycentricPoint):
             wedge = carrier_wedge(entry)
-            if entry.carrier not in level.nerve.simplices:
+            if not wedge:
                 off_nerve = True
         else:
             wedge = level.vertices[entry].wedge
@@ -290,49 +267,35 @@ def check_section_identity(system: InverseSystem) -> Report:
 # fibers
 
 
-@dataclass(frozen=True)
-class Fiber:
-    carrier_vertices: tuple[int, ...]  # all vertices whose wedge contains x
-    simplex: tuple[int, ...]
-
-    def __iter__(self):
-        return iter((self.carrier_vertices, self.simplex))
-
-
-def fiber(system: InverseSystem, x: PointId, lam: LambdaIndex) -> Fiber:
-    """All vertices over x and the nerve simplex they span."""
-    level = system.levels[lam]
-    c = level.fibers[x]
-    if not c:
-        raise AssertionError("covers cover, so the fiber set cannot be empty")
-    if c not in level.nerve.simplices:
-        raise AssertionError("fiber vertices fail to span a nerve simplex")
-    return Fiber(c, c)
+def fiber(system: InverseSystem, x: PointId, i: int) -> tuple[int, ...]:
+    """The vertices of the level at position i whose wedge contains x; the
+    nerve holds every such fiber as a simplex."""
+    return system.levels[i].fibers[x]
 
 
 def check_fibers(system: InverseSystem) -> Report:
     """Fiber sets project into each other along every bond, and the top
     fiber is realized by exactly the vertex threads through x."""
     bad = None
-    top = system.top
-    threads = vertex_threads(system) if top is not None else []
-    t = system.position.get(top)
+    t = system.top
+    threads = vertex_threads(system) if t is not None else []
     images = [thread_image(system, z).points for z in threads]
+    pairs = [(i, j) for i, up in enumerate(system.above) for j in up]
     for x in system.family.ground.points:
-        fibers = {lam: fiber(system, x, lam) for lam in system.lambdas}
-        for lam, mu in system.comparable_pairs():
-            bond = bonding_map(system, lam, mu)
-            image = {bond.apply(v) for v in fibers[mu].carrier_vertices}
-            if not image <= set(fibers[lam].carrier_vertices):
+        fibers = [fiber(system, x, i) for i in range(len(system.levels))]
+        for i, j in pairs:
+            vm = system.bond(i, j).vertex_map
+            if not {vm[v] for v in fibers[j]} <= set(fibers[i]):
+                lam, mu = system.lambdas[i], system.lambdas[j]
                 bad = {"point": x, "lam": list(lam.cover_ids), "mu": list(mu.cover_ids)}
                 break
         if bad:
             break
-        if top is not None:
+        if t is not None:
             through_x = {
                 z[t] for z, pts in zip(threads, images) if x in pts
             }
-            if through_x != set(fibers[top].carrier_vertices):
+            if through_x != set(fibers[t]):
                 bad = {"point": x, "reason": "top fiber not realized by threads"}
                 break
     return Report("fibers", bad is None, counterexample=bad)
@@ -352,9 +315,8 @@ def fiber_homotopy(
         raise ValueError("thread image is not a single ground point")
     (x,) = res.points
     entries = []
-    for lam, point in zip(system.lambdas, z):
-        level = system.levels[lam]
-        target = canonical_map(system, lam, x)
+    for i, (level, point) in enumerate(zip(system.levels, z)):
+        target = canonical_map(system, i, x)
         moved = convex_combination(Fraction(t), target, point)
         ambient = tuple(sorted(set(point.carrier) | set(target.carrier)))
         if ambient not in level.nerve.simplices:
@@ -368,9 +330,8 @@ def check_homotopy(
 ) -> Report:
     """Seeded sample of resolved point threads: endpoints and image
     preservation of the homotopy, with exact equality."""
-    top = _top(system)
     rng = random.Random(seed)
-    level = system.levels[top]
+    level = system.levels[_top(system)]
     candidates = sorted(level.nerve.simplices)
     threads = []  # (thread, its image)
     attempts = 0
@@ -422,32 +383,30 @@ def check_homotopy(
 # eventual absorption of the flag complex into the nerve
 
 
-def find_nerve_absorbing_level(
-    system: InverseSystem, lam: LambdaIndex
-) -> tuple[bool, LambdaIndex | None]:
-    """Smallest built level above lam whose whole flag complex projects
-    into the nerve of lam."""
-    nerve = system.levels[lam].nerve
-    for mu in (system.lambdas[j] for j in system.above[system.position[lam]]):
-        bond = bonding_map(system, lam, mu)
+def find_nerve_absorbing_level(system: InverseSystem, i: int) -> tuple[bool, int | None]:
+    """Position of the smallest built level above position i whose whole
+    flag complex projects into the nerve of level i."""
+    nerve = system.levels[i].nerve
+    for j in system.above[i]:
+        bond = system.bond(i, j)
         if all(
             bond.image_simplex(s) in nerve.simplices
-            for s in system.levels[mu].flag.simplices
+            for s in system.levels[j].flag.simplices
         ):
-            return True, mu
+            return True, j
     return False, None
 
 
 def check_nerve_absorption(system: InverseSystem) -> Report:
     rows = []
     passed = True
-    for lam in system.lambdas:
-        found, mu = find_nerve_absorbing_level(system, lam)
+    for i, lam in enumerate(system.lambdas):
+        found, j = find_nerve_absorbing_level(system, i)
         rows.append(
             {
                 "lambda": list(lam.cover_ids),
                 "found": found,
-                "mu": None if mu is None else list(mu.cover_ids),
+                "mu": None if j is None else list(system.lambdas[j].cover_ids),
             }
         )
         passed = passed and found
@@ -461,20 +420,20 @@ def check_nerve_absorption(system: InverseSystem) -> Report:
 def check_functoriality(system: InverseSystem) -> Report:
     """The bond along every chain lam <= mu <= nu of built levels equals
     the composite of the two bonds through mu."""
-    lams = system.lambdas
     chains = (
-        (lams[i], lams[j], lams[k])
+        (i, j, k)
         for i, up in enumerate(system.above)
         for j in up
         for k in system.above[j]
     )
     bad = None
     count = 0
-    for lam, mu, nu in chains:
+    for i, j, k in chains:
         count += 1
-        direct = bonding_map(system, lam, nu)
-        through = bonding_map(system, lam, mu).compose(bonding_map(system, mu, nu))
+        direct = system.bond(i, k)
+        through = system.bond(i, j).compose(system.bond(j, k))
         if direct.vertex_map != through.vertex_map:
+            lam, mu, nu = (system.lambdas[p] for p in (i, j, k))
             bad = {
                 "lambda": list(lam.cover_ids),
                 "mu": list(mu.cover_ids),
@@ -492,18 +451,21 @@ def check_simpliciality(system: InverseSystem) -> Report:
     its fibers, the image of a face is a face of the image, and the target
     nerve is downward closed.
     """
-    edges = {lam: system.levels[lam].flag.edges() for lam in system.lambdas}
+    levels = system.levels
+    edges = [level.flag.edges() for level in levels]
     bad = None
-    for lam, mu in system.comparable_pairs():
-        bond = bonding_map(system, lam, mu)
-        if bond.unmapped(edges[mu]) is not None:
-            bad = {"lambda": list(lam.cover_ids), "mu": list(mu.cover_ids), "complex": "F"}
-            break
-        nerve_lo, nerve_hi = system.levels[lam].nerve, system.levels[mu].nerve
-        nerve_bond = SimplicialMap(nerve_hi, nerve_lo, bond.vertex_map)
-        if nerve_bond.unmapped(system.levels[mu].fibers) is not None:
-            bad = {"lambda": list(lam.cover_ids), "mu": list(mu.cover_ids), "complex": "N"}
-            break
+    for i, j in ((i, j) for i, up in enumerate(system.above) for j in up):
+        bond = system.bond(i, j)
+        nerve_bond = SimplicialMap(levels[j].nerve, levels[i].nerve, bond.vertex_map)
+        if bond.unmapped(edges[j]) is not None:
+            kind = "F"
+        elif nerve_bond.unmapped(levels[j].fibers) is not None:
+            kind = "N"
+        else:
+            continue
+        lam, mu = levels[i].lam, levels[j].lam
+        bad = {"lambda": list(lam.cover_ids), "mu": list(mu.cover_ids), "complex": kind}
+        break
     return Report("simpliciality", bad is None, counterexample=bad)
 
 
@@ -511,24 +473,22 @@ def check_flag_reconstruction(system: InverseSystem) -> Report:
     """The flag complex must equal the clique complex of its own 1-skeleton,
     and the nerve must sit inside it with the same 1-skeleton."""
     bad = None
-    for lam in system.lambdas:
-        level = system.levels[lam]
+    for level in system.levels:
         rebuilt = flag_completion(level.flag.adjacency(), system.max_dim)
         if rebuilt.simplices != level.flag.simplices:
-            bad = {"lambda": list(lam.cover_ids), "reason": "flag reconstruction"}
+            bad = {"lambda": list(level.lam.cover_ids), "reason": "flag reconstruction"}
             break
         if not level.nerve.is_subcomplex_of(level.flag):
-            bad = {"lambda": list(lam.cover_ids), "reason": "nerve not a subcomplex"}
+            bad = {"lambda": list(level.lam.cover_ids), "reason": "nerve not a subcomplex"}
             break
     return Report("flag_reconstruction", bad is None, counterexample=bad)
 
 
 def check_skeleton_equality(system: InverseSystem) -> Report:
+    """The nerve and the flag complex of each level have the same edges."""
     bad = None
-    for lam in system.lambdas:
-        level = system.levels[lam]
-        if level.nerve.skeleton(1).simplices != level.flag.skeleton(1).simplices:
-            bad = {"lambda": list(lam.cover_ids)}
+    for level in system.levels:
+        if level.nerve.adjacency() != level.flag.adjacency():
+            bad = {"lambda": list(level.lam.cover_ids)}
             break
     return Report("skeleton_equality", bad is None, counterexample=bad)
-

@@ -21,6 +21,11 @@ settings.register_profile(
 settings.load_profile("ci")
 
 
+def build_level(family, lam, max_dim=8):
+    """The level ``lam`` of ``family``, built as ``build_system`` builds it."""
+    return build_system(family, [lam], max_dim).levels[0]
+
+
 @pytest.fixture(scope="session")
 def preset_systems():
     """Each preset's family and fully built inverse system, built once."""

@@ -8,7 +8,9 @@ frozen into the tests do not depend on the code paths they check.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations, product
+from typing import Iterable, Mapping, Sequence
 
 from nervelim import cells
 from nervelim.complexes import (
@@ -17,24 +19,53 @@ from nervelim.complexes import (
     SimplicialComplex,
     SimplicialMap,
     Vertex,
-    product_weights,
 )
-from nervelim.ground import CoverFamily, PointId
+from nervelim.ground import CoverFamily, CoverId, PointId, WeightTable, partition_tables
 from nervelim.homology import boundary_matrix
 from nervelim.report import Report
-from nervelim.systems import InverseSystem, bonding_map, vertex_thread, vertex_threads
+from nervelim.systems import InverseSystem, vertex_thread, vertex_threads
+
+
+def from_maximal(n_vertices: int, maximal: Iterable[Sequence[int]]) -> SimplicialComplex:
+    """The downward closure of the given simplices, with every vertex."""
+    closed: set[tuple[int, ...]] = {(v,) for v in range(n_vertices)}
+    for m in maximal:
+        m = tuple(sorted(set(m)))
+        for k in range(1, len(m) + 1):
+            closed.update(combinations(m, k))
+    return SimplicialComplex(n_vertices, frozenset(closed))
+
+
+def vertex_point(cx: SimplicialComplex, v: int) -> BarycentricPoint:
+    """The point of the complex at vertex v."""
+    return BarycentricPoint(cx, (v,), ((v, Fraction(1)),))
+
+
+def is_compatible(system: InverseSystem, z: tuple) -> bool:
+    """Every bond carries the thread's value at its source to the value at
+    its target."""
+    for i, up in enumerate(system.above):
+        for j in up:
+            bond, value = system.bond(i, j), z[j]
+            if isinstance(value, BarycentricPoint):
+                image = bond.push_point(value)
+            else:
+                image = bond.apply(value)
+            if image != z[i]:
+                return False
+    return True
 
 
 def path_complex(n_vertices: int) -> SimplicialComplex:
     """A path: the standard triangulation of an interval."""
     edges = [(i, i + 1) for i in range(n_vertices - 1)]
-    return SimplicialComplex.from_maximal(n_vertices, edges)
+    return from_maximal(n_vertices, edges)
 
 
 def cycle_complex(n_vertices: int) -> SimplicialComplex:
     """An n-gon: the standard triangulation of a circle."""
     edges = [(i, (i + 1) % n_vertices) for i in range(n_vertices)]
-    return SimplicialComplex.from_maximal(n_vertices, edges)
+    return from_maximal(n_vertices, edges)
 
 
 def wedge_graph_complex(arms: int, n_per_circle: int) -> SimplicialComplex:
@@ -46,17 +77,17 @@ def wedge_graph_complex(arms: int, n_per_circle: int) -> SimplicialComplex:
         next_id += n_per_circle - 1
         edges += [(ring[i], ring[(i + 1) % len(ring)]) for i in range(len(ring))]
     n = next_id
-    return SimplicialComplex.from_maximal(n, edges)
+    return from_maximal(n, edges)
 
 
 def discrete_complex(n_vertices: int) -> SimplicialComplex:
-    return SimplicialComplex.from_maximal(n_vertices, [])
+    return from_maximal(n_vertices, [])
 
 
 def sphere_boundary_complex() -> SimplicialComplex:
     """Boundary of a 3-simplex: a triangulated 2-sphere."""
     faces = list(combinations(range(4), 3))
-    return SimplicialComplex.from_maximal(4, faces)
+    return from_maximal(4, faces)
 
 
 # ---------------------------------------------------------------------------
@@ -120,12 +151,13 @@ def full_check_simpliciality(system: InverseSystem) -> Report:
     bond's source, in the order and with the witness of the library's
     check."""
     bad = None
-    for lam, mu in system.comparable_pairs():
-        bond = bonding_map(system, lam, mu)
-        lo, hi = system.levels[lam], system.levels[mu]
+    for i, j in ((i, j) for i, up in enumerate(system.above) for j in up):
+        bond = system.bond(i, j)
+        lo, hi = system.levels[i], system.levels[j]
         for kind, source, target in (("F", hi.flag, lo.flag), ("N", hi.nerve, lo.nerve)):
             if not full_bond_check(SimplicialMap(source, target, bond.vertex_map)):
-                bad = {"lambda": list(lam.cover_ids), "mu": list(mu.cover_ids), "complex": kind}
+                names = {"lambda": list(lo.lam.cover_ids), "mu": list(hi.lam.cover_ids)}
+                bad = {**names, "complex": kind}
                 break
         if bad:
             break
@@ -199,10 +231,33 @@ def sympy_betti(cx: SimplicialComplex) -> tuple[int, ...]:
 # per-point and per-net queries: the scans before point fibers and memos
 
 
-def scan_canonical_map(system: InverseSystem, lam: LambdaIndex, x: PointId) -> BarycentricPoint:
-    """The canonical map by product weights over every vertex of the level,
-    computed afresh on each call."""
-    level = system.levels[lam]
+def product_weights(
+    family: CoverFamily,
+    vertices: Sequence[Vertex],
+    x: PointId,
+    tables: Mapping[CoverId, WeightTable] | None = None,
+) -> dict[Vertex, Fraction]:
+    """Per-vertex products of the covers' weights at x; sums to 1 exactly."""
+    if not vertices:
+        raise ValueError("level has no vertices")
+    lam = vertices[0].lam
+    if tables is None:
+        tables = partition_tables(family)
+    out: dict[Vertex, Fraction] = {}
+    for v in vertices:
+        w = Fraction(1)
+        for cover_id, eid in zip(lam.cover_ids, v.elements):
+            w *= tables[cover_id].weight(eid, x)
+            if w == 0:
+                break
+        out[v] = w
+    return out
+
+
+def scan_canonical_map(system: InverseSystem, i: int, x: PointId) -> BarycentricPoint:
+    """The canonical map by product weights over every vertex of the level
+    at position i, computed afresh on each call."""
+    level = system.levels[i]
     weights = product_weights(system.family, level.vertices, x, system.tables)
     coords = {level.index_of[v.elements]: w for v, w in weights.items() if w > 0}
     return BarycentricPoint.from_dict(level.flag, coords)
@@ -212,7 +267,7 @@ def pairwise_is_cauchy(system: InverseSystem, y: tuple[int, ...]) -> bool:
     """Projections of any two levels above a base are adjacent there, by
     testing every pair of levels."""
     for i, up in enumerate(system.above):
-        adj = system.levels[system.lambdas[i]].adjacency
+        adj = system.levels[i].adjacency
         for j, k in combinations(up, 2):
             a = system.bond(i, j).vertex_map[y[j]]
             b = system.bond(i, k).vertex_map[y[k]]
@@ -225,7 +280,7 @@ def scan_converge(system: InverseSystem, y: tuple[int, ...]) -> tuple[bool, tupl
     """Convergence by trying every top vertex's thread in ascending order."""
     if not pairwise_is_cauchy(system, y):
         raise ValueError("convergence is only defined for Cauchy nets")
-    adjs = [system.levels[lam].adjacency for lam in system.lambdas]
+    adjs = [level.adjacency for level in system.levels]
     for v in range(len(system.levels[system.top].vertices)):
         z = vertex_thread(system, v)
         if all(a == b or adj[a] >> b & 1 for adj, a, b in zip(adjs, z, y)):
@@ -238,7 +293,7 @@ def sweep_every_net(system: InverseSystem, count: int, seed: int) -> Report:
     every kept net searched, with the library's draws and report."""
     rng = random.Random(seed)
     threads = vertex_threads(system)
-    sizes = [len(system.levels[lam].vertices) for lam in system.lambdas]
+    sizes = [len(level.vertices) for level in system.levels]
     nets = []
     attempts = 0
     while len(nets) < count and attempts < 50 * count:

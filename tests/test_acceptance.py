@@ -22,7 +22,6 @@ from nervelim.complexes import LambdaIndex, flag_completion
 from nervelim.homology import betti, betti_stabilization
 from nervelim.presets import PRESETS
 from nervelim.systems import (
-    bonding_map,
     check_functoriality,
     check_homotopy,
     check_section_identity,
@@ -55,12 +54,11 @@ def test_criterion_1_flag_reconstruction(preset_systems):
         for name in PRESET_NAMES:
             t0 = time.perf_counter()
             _, _, system = preset_systems[name]
-            for lam in system.lambdas:
-                level = system.levels[lam]
+            for level in system.levels:
                 rebuilt = flag_completion(level.flag.adjacency(), system.max_dim)
                 assert rebuilt.simplices == level.flag.simplices
                 assert level.nerve.simplices <= level.flag.simplices
-                assert level.nerve.skeleton(1).simplices == level.flag.skeleton(1).simplices
+                assert level.nerve.adjacency() == level.flag.adjacency()
             assert time.perf_counter() - t0 < 5.0, name
 
     _criterion(1, "flag reconstruction and skeleton equality on every level", 20.0, body)
@@ -92,25 +90,24 @@ def test_criterion_4_fiber_formula(preset_systems):
     def body():
         for name in PRESET_NAMES:
             _, _, system = preset_systems[name]
-            top = system.top
-            t = system.position[top]
+            t = system.top
             threads = vertex_threads(system)
             images = [thread_image(system, z).points for z in threads]
             for x in system.family.ground.points:
-                fibers = {lam: fiber(system, x, lam) for lam in system.lambdas}
+                fibers = [fiber(system, x, i) for i in range(len(system.levels))]
                 # the spanned set is a nerve simplex at every level
-                for lam, fb in fibers.items():
-                    assert fb.simplex in system.levels[lam].nerve.simplices
+                for level, fb in zip(system.levels, fibers):
+                    assert fb in level.nerve.simplices
                 # projections carry fiber vertices into fiber vertices
-                for lam, mu in system.comparable_pairs():
-                    bond = bonding_map(system, lam, mu)
-                    image = {bond.apply(v) for v in fibers[mu].carrier_vertices}
-                    assert image <= set(fibers[lam].carrier_vertices)
+                for i, up in enumerate(system.above):
+                    for j in up:
+                        image = {system.bond(i, j).apply(v) for v in fibers[j]}
+                        assert image <= set(fibers[i])
                 # the top fiber is realized by exactly the threads through x
                 through = {
                     threads[i][t] for i in range(len(threads)) if x in images[i]
                 }
-                assert through == set(fibers[top].carrier_vertices)
+                assert through == set(fibers[t])
 
     _criterion(4, "fibers span nerve simplices and project into each other", 5.0, body)
 
@@ -128,10 +125,12 @@ def test_criterion_5_homotopy_contract(preset_systems):
 def test_criterion_6_nerve_absorption(preset_systems):
     def body():
         _, _, circle = preset_systems["circle-a3612"]
-        found, mu = find_nerve_absorbing_level(circle, LambdaIndex.of([0]))
-        assert found and mu is not None and LambdaIndex.of([0]) < mu
+        i = circle.position[LambdaIndex.of([0])]
+        found, j = find_nerve_absorbing_level(circle, i)
+        assert found and j is not None and j in circle.above[i] and j != i
         truncated = preset_systems["circle-a3"][2]
-        assert find_nerve_absorbing_level(truncated, LambdaIndex.of([0])) == (False, None)
+        i = truncated.position[LambdaIndex.of([0])]
+        assert find_nerve_absorbing_level(truncated, i) == (False, None)
 
     _criterion(6, "flag-into-nerve witness found on circle, none when truncated", 5.0, body)
 
@@ -147,7 +146,7 @@ def test_criterion_7_homology_stabilization(preset_systems):
         for name, (expected, oracle_complex) in expectations.items():
             preset = PRESETS[name]
             _, _, system = preset_systems[name]
-            chain = [LambdaIndex.of(ids) for ids in preset.chain]
+            chain = [system.position[LambdaIndex.of(ids)] for ids in preset.chain]
             table = betti_stabilization(system, chain)
             nerve_rows = [r for r in table.rows if r.complex_kind == "N"]
             final = nerve_rows[-1].bettis.padded(3)
@@ -157,7 +156,8 @@ def test_criterion_7_homology_stabilization(preset_systems):
                 assert table.nerve_stabilized, name
         # the coarse circle flag complex is the filled triangle
         circle = preset_systems["circle-a3612"][2]
-        assert betti(circle.levels[LambdaIndex.of([0])].flag).padded(3) == (1, 0, 0)
+        coarse = circle.levels[circle.position[LambdaIndex.of([0])]]
+        assert betti(coarse.flag).padded(3) == (1, 0, 0)
 
     _criterion(7, "Betti values match the explicit triangulation oracles", 10.0, body)
 

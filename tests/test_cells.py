@@ -24,7 +24,7 @@ from nervelim.ground import (
     GroundSpace,
     cover_from_pointsets,
 )
-from nervelim.systems import bonding_map, build_system, vertex_threads
+from nervelim.systems import build_system, vertex_threads
 
 F = Fraction
 
@@ -58,8 +58,8 @@ def _edges(adj):
 def test_cell_graph_reflexive_and_symmetric(preset_systems):
     # loops are implicit: no vertex is its own neighbour
     for name, (_, _, system) in preset_systems.items():
-        for lam in system.lambdas:
-            adj = system.levels[lam].adjacency
+        for level in system.levels:
+            adj = level.adjacency
             for a, mask in enumerate(adj):
                 assert not mask >> a & 1, name
                 assert all(adj[b] >> a & 1 for b in range(len(adj)) if mask >> b & 1), name
@@ -67,9 +67,8 @@ def test_cell_graph_reflexive_and_symmetric(preset_systems):
 
 def test_graph_of_level_matches_skeleton(cantor_system, circle_system):
     for system in (cantor_system, circle_system):
-        for lam in system.lambdas:
-            flag = system.levels[lam].flag
-            assert _edges(system.levels[lam].adjacency) == set(flag.k_simplices(1))
+        for level in system.levels:
+            assert _edges(level.adjacency) == set(level.flag.k_simplices(1))
 
 
 def test_graph_of_level_discrete(cantor_system):
@@ -77,16 +76,17 @@ def test_graph_of_level_discrete(cantor_system):
 
 
 def test_graph_of_level_triangle(circle_system):
-    assert len(_edges(circle_system.levels[_lam(0)].adjacency)) == 3
+    assert len(_edges(circle_system.levels[circle_system.position[_lam(0)]].adjacency)) == 3
 
 
 def test_bonds_are_graph_homomorphisms(preset_systems):
     for name, (_, _, system) in preset_systems.items():
-        for lam, mu in system.comparable_pairs():
-            vm = bonding_map(system, lam, mu).vertex_map
-            target = system.levels[lam].adjacency
-            for a, b in _edges(system.levels[mu].adjacency):
-                assert vm[a] == vm[b] or target[vm[a]] >> vm[b] & 1, name
+        for i, up in enumerate(system.above):
+            for j in up:
+                vm = system.bond(i, j).vertex_map
+                target = system.levels[i].adjacency
+                for a, b in _edges(system.levels[j].adjacency):
+                    assert vm[a] == vm[b] or target[vm[a]] >> vm[b] & 1, name
 
 
 # ---------------------------------------------------------------------------
@@ -102,14 +102,14 @@ def test_star_contraction_cantor_all_threads(cantor_system):
 def test_star_contraction_fails_on_path():
     system = _path_system()
     z = vertex_threads(system)[0]  # an end of the path
-    found, mu = check_star_contraction(system, z, _lam(0))
-    assert not found and mu is None
+    found, j = check_star_contraction(system, z, 0)
+    assert not found and j is None
 
 
 def test_star_contraction_trivial_on_one_point():
     system = _one_point_system()
     z = vertex_threads(system)[0]
-    assert check_star_contraction(system, z, _lam(0)) == (True, _lam(0))
+    assert check_star_contraction(system, z, 0) == (True, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,19 @@ def test_check_needs_supporting_levels(tmp_path):
     assert entry["details"]["skipped"] == "betti chain level L(0) is not among the built levels"
 
 
+def test_guard_hit_in_a_check_skips_only_that_check(tmp_path, monkeypatch):
+    from nervelim import ground
+
+    monkeypatch.setattr(ground, "SELECTION_GUARD", 1)
+    out = tmp_path / "out"
+    args = ("--space", "cantor-d3", "--out", out)
+    assert run("check", *args, "--checks", "selection_completeness,functoriality") == 1
+    selection, functoriality = json.loads((out / "report.json").read_text())["checks"]
+    assert selection["pass"] is False
+    assert selection["details"] == {"skipped": "selection space 64 exceeds exhaustive guard 1"}
+    assert functoriality["pass"] is True
+
+
 def test_skipped_check_shows_as_skip(tmp_path, capsys):
     out = tmp_path / "out"
     args = ("--space", "cantor-d3", "--out", out, "--lambdas", "0;1")
@@ -309,8 +322,14 @@ def test_bad_lambda_selection_exits_2(tmp_path, capsys, spec):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--nets", 0), ("--homotopy-samples", 0), ("--mode", "sampled:-3")],
-    ids=["--nets", "--homotopy-samples", "--mode"],
+    [
+        ("--nets", 0),
+        ("--homotopy-samples", 0),
+        ("--mode", "sampled:-3"),
+        ("--max-dim", -1),
+        ("--max-dim", -5),
+    ],
+    ids=["--nets", "--homotopy-samples", "--mode", "--max-dim=-1", "--max-dim=-5"],
 )
 def test_zero_sample_count_exits_2(tmp_path, capsys, flag, value):
     code = run("check", "--space", "wedge2", "--out", tmp_path / "o", flag, value)

@@ -6,12 +6,20 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import brute_flag_simplices, brute_nerve_simplices, brute_vertices
+from conftest import build_level
+from oracles import (
+    brute_flag_simplices,
+    brute_nerve_simplices,
+    brute_vertices,
+    from_maximal,
+    product_weights,
+    vertex_point,
+)
 from nervelim.complexes import (
     BarycentricPoint,
     LambdaIndex,
-    SimplicialComplex,
     SimplicialMap,
+    _all_cliques,
     build_flag,
     build_nerve,
     build_vertices,
@@ -20,11 +28,9 @@ from nervelim.complexes import (
     complex_to_json,
     convex_combination,
     flag_completion,
-    flag_map,
-    identified_nerve,
-    product_weights,
+    point_fibers,
     skeleton_dot,
-    vertex_point,
+    wedge_adjacency,
 )
 from nervelim.errors import GuardExceeded
 from nervelim.ground import (
@@ -71,12 +77,14 @@ def test_lambda_index_normalization():
         LambdaIndex((1, 0))
 
 
-def test_lambda_index_subset_order():
+def test_lambda_index_subset_order(cantor_system):
     a, b, c = LambdaIndex.of([0]), LambdaIndex.of([0, 1]), LambdaIndex.of([1])
-    assert a <= b and not b <= a
-    assert not (a <= c or c <= a)
-    assert a < b and not a < a
     assert sorted([b, a, c], key=lambda l: l.sort_key) == [a, c, b]
+    # the order by inclusion is held by the system, over level positions
+    i, j, k = (cantor_system.position[lam] for lam in (a, b, c))
+    assert j in cantor_system.above[i] and i not in cantor_system.above[j]
+    assert k not in cantor_system.above[i] and i not in cantor_system.above[k]
+    assert i in cantor_system.above[i]
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +138,7 @@ def test_duplicate_wedges_stay_distinct():
 def test_flag_disjoint_wedges_zero_dimensional():
     space = GroundSpace(4)
     family = _family(space, [[{0, 1}, {2, 3}]])
-    cx = build_flag(family, LambdaIndex.of([0]))
+    cx = build_level(family, LambdaIndex.of([0])).flag
     assert cx.dim == 0 and cx.is_flag_complex
 
 
@@ -139,18 +147,16 @@ def test_flag_pairwise_beats_triplewise():
     # span a filled triangle in the flag complex
     space = GroundSpace(3)
     family = _family(space, [[{0, 1}, {1, 2}, {0, 2}]])
-    lam = LambdaIndex.of([0])
-    flag = build_flag(family, lam)
-    nerve = build_nerve(family, lam)
+    level = build_level(family, LambdaIndex.of([0]))
+    flag, nerve = level.flag, level.nerve
     assert (0, 1, 2) in flag.simplices
     assert (0, 1, 2) not in nerve.simplices
-    assert nerve.skeleton(1).simplices == flag.skeleton(1).simplices
+    assert nerve.adjacency() == flag.adjacency()
 
 
 def test_arcs3_filled_vs_hollow_triangle(arcs3_family):
-    lam = LambdaIndex.of([0])
-    flag = build_flag(arcs3_family, lam)
-    nerve = build_nerve(arcs3_family, lam)
+    level = build_level(arcs3_family, LambdaIndex.of([0]))
+    flag, nerve = level.flag, level.nerve
     assert sorted(flag.simplices, key=len)[-1] == (0, 1, 2)
     assert nerve.dim == 1 and len(nerve.edges()) == 3
     assert nerve.is_subcomplex_of(flag)
@@ -159,27 +165,40 @@ def test_arcs3_filled_vs_hollow_triangle(arcs3_family):
 def test_nerve_common_point_full_simplex():
     space = GroundSpace(4)
     family = _family(space, [[{0, 1}, {0, 2}, {0, 3}, {0}]])
-    nerve = build_nerve(family, LambdaIndex.of([0]))
+    nerve = build_level(family, LambdaIndex.of([0])).nerve
     assert (0, 1, 2, 3) in nerve.simplices
 
 
 def test_flag_guard_exceeded():
     space = GroundSpace(1)
     family = _family(space, [[{0}] * 6])
+    lam = LambdaIndex.of([0])
+    verts = build_vertices(family, lam)
+    fibers = point_fibers(verts, 1)
     # the message names the level and the size of the offending clique or fiber
     with pytest.raises(GuardExceeded, match=r"^level \{0\}: a clique of 6 vertices"):
-        build_flag(family, LambdaIndex.of([0]), max_dim=3)
+        build_flag(lam, verts, wedge_adjacency(fibers, len(verts)), 3)
     with pytest.raises(GuardExceeded, match=r"^level \{0\}: point 0 lies in a fiber of 6 wedges"):
-        build_nerve(family, LambdaIndex.of([0]), max_dim=3)
+        build_nerve(lam, verts, fibers, 3)
+
+
+@pytest.mark.parametrize("max_dim", [-2, -5])
+def test_clique_guard_below_dimension_0(max_dim):
+    # every clique has at least one vertex, so none fits; K6 has 63 cliques
+    complete = [0b111111 & ~(1 << v) for v in range(6)]
+    with pytest.raises(GuardExceeded, match=rf"\(max_dim {max_dim} allows {max_dim + 1}\)"):
+        _all_cliques(6, complete, max_dim)
 
 
 def test_downward_closure_validation():
-    with pytest.raises(ValueError):
-        SimplicialComplex(3, frozenset({(0,), (1,), (2,), (0, 1, 2)}))
-    with pytest.raises(ValueError):
-        SimplicialComplex(2, frozenset({(0,)}))  # vertex 1 missing
-    with pytest.raises(ValueError):
-        SimplicialComplex(2, frozenset({(0,), (1,), (1, 0)}))  # unsorted
+    # complexes from outside the program are checked when they are read
+    for simplices in (
+        [[0], [1], [2], [0, 1, 2]],  # faces missing
+        [[0], [0, 1]],  # vertex 1 missing
+        [[0], [1], [1, 0]],  # unsorted
+    ):
+        with pytest.raises(ValueError):
+            complex_from_json({"lambda": None, "vertices": None, "simplices": simplices})
 
 
 # ---------------------------------------------------------------------------
@@ -213,19 +232,9 @@ def test_flag_completion_reconstructs_generated_levels(arcs3_family):
     )
     for family in (arcs3_family, cylinders):
         for k in range(1, len(family.covers) + 1):
-            lam = LambdaIndex.of(range(k))
-            flag = build_flag(family, lam)
+            flag = build_level(family, LambdaIndex.of(range(k))).flag
             graph = _graph(flag.n_vertices, flag.k_simplices(1))
             assert flag_completion(graph).simplices == flag.simplices
-
-
-def test_flag_map_square_to_path():
-    square = flag_completion(_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
-    path = flag_completion(_graph(3, [(0, 1), (1, 2)]))
-    m = flag_map([0, 1, 2, 1], square, path)
-    assert m.image_simplex((0, 3)) == (0, 1)
-    with pytest.raises(AssertionError):
-        flag_map([0, 1, 0, 2], square, path)  # the 3-0 edge needs 2-0
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +242,7 @@ def test_flag_map_square_to_path():
 
 
 def test_carrier_wedge_cases(arcs3_family):
-    lam = LambdaIndex.of([0])
-    flag = build_flag(arcs3_family, lam)
+    flag = build_level(arcs3_family, LambdaIndex.of([0])).flag
     at_vertex = vertex_point(flag, 0)
     assert carrier_wedge(at_vertex) == flag.vertices[0].wedge
     inside = BarycentricPoint.from_dict(
@@ -249,9 +257,8 @@ def test_carrier_wedge_cases(arcs3_family):
 def test_carrier_wedge_empty_exactly_off_nerve(arcs3_family):
     # barycenters of flag simplices have a nonempty carrier wedge exactly
     # when the simplex belongs to the nerve
-    lam = LambdaIndex.of([0])
-    flag = build_flag(arcs3_family, lam)
-    nerve = build_nerve(arcs3_family, lam)
+    level = build_level(arcs3_family, LambdaIndex.of([0]))
+    flag, nerve = level.flag, level.nerve
     for s in flag.simplices:
         share = F(1, len(s))
         point = BarycentricPoint.from_dict(flag, {v: share for v in s})
@@ -259,25 +266,25 @@ def test_carrier_wedge_empty_exactly_off_nerve(arcs3_family):
 
 
 def test_barycentric_validation(arcs3_family):
-    flag = build_flag(arcs3_family, LambdaIndex.of([0]))
+    flag = build_level(arcs3_family, LambdaIndex.of([0])).flag
     with pytest.raises(ValueError):
         BarycentricPoint.from_dict(flag, {0: F(1, 2), 1: F(1, 4)})  # sum != 1
     with pytest.raises(ValueError):
         BarycentricPoint.from_dict(flag, {0: F(3, 2), 1: F(-1, 2)})  # negative
     p = BarycentricPoint.from_dict(flag, {0: F(1, 2), 2: F(1, 2)})
     assert p.carrier == (0, 2)
-    assert p.coord(1) == 0
+    assert p.coords == ((0, F(1, 2)), (2, F(1, 2)))
 
 
 def test_convex_combination_endpoints(arcs3_family):
-    flag = build_flag(arcs3_family, LambdaIndex.of([0]))
+    flag = build_level(arcs3_family, LambdaIndex.of([0])).flag
     a = vertex_point(flag, 0)
     b = BarycentricPoint.from_dict(flag, {1: F(1, 2), 2: F(1, 2)})
     assert convex_combination(F(0), a, b) == b
     assert convex_combination(F(1), a, b) == a
     mid = convex_combination(F(1, 2), a, b)
     assert mid.carrier == (0, 1, 2)
-    assert mid.coord(0) == F(1, 2) and mid.coord(1) == F(1, 4)
+    assert dict(mid.coords)[0] == F(1, 2) and dict(mid.coords)[1] == F(1, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +292,7 @@ def test_convex_combination_endpoints(arcs3_family):
 
 
 def test_simplicial_map_push_and_compose(arcs3_family):
-    flag = build_flag(arcs3_family, LambdaIndex.of([0]))
+    flag = build_level(arcs3_family, LambdaIndex.of([0])).flag
     to_point = SimplicialMap(flag, flag, (0, 0, 0))
     merged = to_point.push_point(
         BarycentricPoint.from_dict(flag, {0: F(1, 3), 1: F(2, 3)})
@@ -296,44 +303,7 @@ def test_simplicial_map_push_and_compose(arcs3_family):
 
 
 # ---------------------------------------------------------------------------
-# the identified nerve
-
-
-def test_identified_nerve_identity_when_wedges_distinct():
-    space = generate_space(CantorDepth(), 2)
-    family = CoverFamily((generate_cover(space, Cylinders(1), cover_id=0),), space)
-    lam = LambdaIndex.of([0])
-    quotient, qmap, preimage_ok = identified_nerve(family, lam)
-    assert preimage_ok
-    assert qmap.vertex_map == (0, 1)
-    assert quotient.simplices == build_nerve(family, lam).simplices
-
-
-def test_identified_nerve_merges_duplicates():
-    space = GroundSpace(3)
-    # the same subset appears in both covers, producing duplicate wedges
-    family = _family(space, [[{0, 1}, {2}], [{0, 1}, {0, 1, 2}]])
-    lam = LambdaIndex.of([0, 1])
-    nerve = build_nerve(family, lam)
-    wedges = [v.wedge for v in nerve.vertices]
-    assert len(wedges) != len(set(wedges))
-    quotient, qmap, preimage_ok = identified_nerve(family, lam, nerve)
-    assert preimage_ok
-    assert quotient.n_vertices == len(set(wedges))
-    assert len(set(qmap.vertex_map)) == quotient.n_vertices
-
-
-def test_identified_nerve_betti_agreement(arcs3_family):
-    from nervelim.homology import betti
-
-    lam = LambdaIndex.of([0])
-    nerve = build_nerve(arcs3_family, lam)
-    quotient, _, _ = identified_nerve(arcs3_family, lam, nerve)
-    assert betti(nerve).numbers == betti(quotient).numbers
-
-
-# ---------------------------------------------------------------------------
-# product weights
+# product weights (the oracle of the canonical map)
 
 
 def test_product_weights_single_cover_verbatim():
@@ -418,23 +388,25 @@ def test_complexes_match_brute_force(data):
     assert [(v.elements, v.wedge) for v in verts] == expected_vertices
 
     wedges = [w for _, w in expected_vertices]
-    nerve = build_nerve(family, lam, max_dim=30, vertices=verts)
-    flag = build_flag(family, lam, max_dim=30, vertices=verts)
+    level = build_level(family, lam, max_dim=30)
+    nerve, flag = level.nerve, level.flag
     assert nerve.simplices == frozenset(brute_nerve_simplices(wedges, len(wedges)))
     assert flag.simplices == frozenset(brute_flag_simplices(wedges, len(wedges)))
     assert nerve.is_subcomplex_of(flag)
-    assert nerve.skeleton(1).simplices == flag.skeleton(1).simplices
+    assert nerve.adjacency() == flag.adjacency() == level.adjacency
 
 
 @given(family_and_lambda())
 def test_downward_closure_and_flag_tag(data):
     family, lists = data
-    lam = LambdaIndex.of(range(len(lists)))
-    flag = build_flag(family, lam, max_dim=30)
-    for s in flag.simplices:
-        for k in range(1, len(s)):
-            for face in combinations(s, k):
-                assert face in flag.simplices
+    level = build_level(family, LambdaIndex.of(range(len(lists))), max_dim=30)
+    flag = level.flag
+    for cx in (flag, level.nerve):
+        assert all((v,) in cx.simplices for v in range(cx.n_vertices))
+        for s in cx.simplices:
+            for k in range(1, len(s)):
+                for face in combinations(s, k):
+                    assert face in cx.simplices
     # every clique of the 1-skeleton is a simplex
     adj = flag.adjacency()
     for s in flag.simplices:
@@ -447,7 +419,7 @@ def test_downward_closure_and_flag_tag(data):
 
 def test_complex_json_round_trip(arcs3_family):
     lam = LambdaIndex.of([0])
-    flag = build_flag(arcs3_family, lam)
+    flag = build_level(arcs3_family, lam).flag
     data = complex_to_json(flag, lam)
     again = complex_from_json(data)
     assert again.simplices == flag.simplices
@@ -456,7 +428,7 @@ def test_complex_json_round_trip(arcs3_family):
 
 
 def test_complex_json_without_vertices():
-    cx = SimplicialComplex.from_maximal(3, [(0, 1), (1, 2)])
+    cx = from_maximal(3, [(0, 1), (1, 2)])
     data = complex_to_json(cx)
     assert data["vertices"] is None and data["lambda"] is None
     again = complex_from_json(data)
@@ -464,7 +436,7 @@ def test_complex_json_without_vertices():
 
 
 def test_skeleton_dot(arcs3_family):
-    flag = build_flag(arcs3_family, LambdaIndex.of([0]))
+    flag = build_level(arcs3_family, LambdaIndex.of([0])).flag
     dot = skeleton_dot(flag, "L0")
     assert dot.startswith("graph L0 {")
     assert "0 -- 1;" in dot

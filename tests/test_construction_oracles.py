@@ -22,12 +22,7 @@ from nervelim.ground import (
     generate_cover,
     generate_space,
 )
-from nervelim.systems import (
-    all_lambdas,
-    bonding_map,
-    build_system,
-    check_simpliciality,
-)
+from nervelim.systems import all_lambdas, build_system, check_simpliciality
 
 
 @st.composite
@@ -76,12 +71,12 @@ def other_map(draw, bond):
 def test_edge_and_fiber_checks_match_full_check(family, data):
     system = _system(family)
     # any two levels: the checks need only a flag or nerve target
-    lo, hi = (system.levels[data.draw(st.sampled_from(system.lambdas))] for _ in range(2))
+    lo, hi = (data.draw(st.sampled_from(system.levels)) for _ in range(2))
     size, n = len(hi.vertices), len(lo.vertices)
     vm = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size)))
 
-    flag_map = SimplicialMap(hi.flag, lo.flag, vm)
-    assert (flag_map.unmapped(hi.flag.edges()) is None) == full_bond_check(flag_map)
+    flag_bond = SimplicialMap(hi.flag, lo.flag, vm)
+    assert (flag_bond.unmapped(hi.flag.edges()) is None) == full_bond_check(flag_bond)
     nerve_map = SimplicialMap(hi.nerve, lo.nerve, vm)
     fibers = point_fibers(hi.vertices, family.ground.n_points)
     assert (nerve_map.unmapped(fibers) is None) == full_bond_check(nerve_map)
@@ -92,9 +87,8 @@ def test_simpliciality_report_matches_full_check(family, data):
     system = _system(family)
     assert check_simpliciality(system) == full_check_simpliciality(system)
     # replace one bond by another vertex map, often not simplicial
-    lam, mu = data.draw(st.sampled_from(system.comparable_pairs()))
-    bond = bonding_map(system, lam, mu)
-    pair = (system.position[lam], system.position[mu])
+    pair = data.draw(st.sampled_from(sorted(system._bonds)))
+    bond = system.bond(*pair)
     system._bonds[pair] = SimplicialMap(bond.source, bond.target, data.draw(other_map(bond)))
     assert check_simpliciality(system) == full_check_simpliciality(system)
 
@@ -110,15 +104,13 @@ def test_simpliciality_catches_a_bond_simplicial_only_on_flags():
         GroundSpace(3),
     )
     system = build_system(family)
-    lam, mu = LambdaIndex.of([0]), LambdaIndex.of([0, 1])
-    bond = bonding_map(system, lam, mu)
+    i, j = system.position[LambdaIndex.of([0])], system.position[LambdaIndex.of([0, 1])]
+    bond = system.bond(i, j)
     vm = list(bond.vertex_map)
     # three vertices over point 0 onto the three vertices of the hollow triangle
     for elements, target in (((0, 0), 0), ((0, 1), 1), ((0, 2), 2)):
-        vm[system.levels[mu].index_of[elements]] = target
-    system._bonds[(system.position[lam], system.position[mu])] = SimplicialMap(
-        bond.source, bond.target, tuple(vm)
-    )
+        vm[system.levels[j].index_of[elements]] = target
+    system._bonds[(i, j)] = SimplicialMap(bond.source, bond.target, tuple(vm))
     report = check_simpliciality(system)
     assert report.counterexample == {"lambda": [0], "mu": [0, 1], "complex": "N"}
     assert report == full_check_simpliciality(system)

@@ -384,8 +384,9 @@ def test_partition_rows_sum_to_one_exactly(family):
     for cover in family.covers:
         table = partition_of_unity(cover, family.ground)
         for x in family.ground.points:
-            assert sum(table.column(x).values()) == 1
-            for eid, w in table.column(x).items():
+            column = {e: w for (e, p), w in table.values if p == x}
+            assert sum(column.values()) == 1
+            for eid, w in column.items():
                 if w > 0:
                     assert x in cover.elements[eid].pointset
 

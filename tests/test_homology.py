@@ -6,17 +6,19 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import build_level
 from oracles import (
     basis_gf2_rank,
     boundary_composition_is_zero,
     cycle_complex,
     discrete_complex,
+    from_maximal,
     path_complex,
     sphere_boundary_complex,
     sympy_betti,
     wedge_graph_complex,
 )
-from nervelim.complexes import LambdaIndex, SimplicialComplex, build_nerve, identified_nerve
+from nervelim.complexes import LambdaIndex, SimplicialComplex
 from nervelim.ground import Arcs, CircleGrid, CoverFamily, generate_cover, generate_space
 from nervelim.homology import (
     betti,
@@ -30,7 +32,7 @@ F = Fraction
 
 
 def test_single_simplex_is_acyclic():
-    cx = SimplicialComplex.from_maximal(4, [(0, 1, 2, 3)])
+    cx = from_maximal(4, [(0, 1, 2, 3)])
     assert betti(cx).numbers == (1, 0, 0, 0)
 
 
@@ -44,7 +46,7 @@ def test_sphere_boundary():
 
 def test_components_counted_by_b0():
     assert betti(discrete_complex(5)).numbers == (5,)
-    two = SimplicialComplex.from_maximal(4, [(0, 1), (2, 3)])
+    two = from_maximal(4, [(0, 1), (2, 3)])
     assert betti(two).numbers == (2, 0)
 
 
@@ -60,7 +62,7 @@ def test_path_oracle():
 def test_fine_arc_nerve_matches_cycle_oracle():
     space = generate_space(CircleGrid(), 24)
     family = CoverFamily((generate_cover(space, Arcs(24, F(1, 4)), cover_id=0),), space)
-    nerve = build_nerve(family, LambdaIndex.of([0]))
+    nerve = build_level(family, LambdaIndex.of([0])).nerve
     assert betti(nerve).numbers == betti(cycle_complex(24)).numbers == (1, 1)
 
 
@@ -73,10 +75,10 @@ def test_boundary_matrix_shape():
 
 def test_boundary_squared_is_zero_on_presets(preset_systems):
     for name, (_, _, system) in preset_systems.items():
-        for lam in system.lambdas:
-            for cx in (system.levels[lam].nerve, system.levels[lam].flag):
+        for level in system.levels:
+            for cx in (level.nerve, level.flag):
                 for k in range(1, cx.dim + 1):
-                    assert boundary_composition_is_zero(cx, k), (name, lam, k)
+                    assert boundary_composition_is_zero(cx, k), (name, level.lam, k)
 
 
 def test_boundary_squared_is_zero_explicit():
@@ -87,16 +89,16 @@ def test_boundary_squared_is_zero_explicit():
 
 def test_rank_matches_sympy_oracle(preset_systems):
     _, _, system = preset_systems["circle-a3612"]
-    for lam in system.lambdas:
-        for cx in (system.levels[lam].nerve, system.levels[lam].flag):
-            assert betti(cx).numbers == sympy_betti(cx), lam
+    for level in system.levels:
+        for cx in (level.nerve, level.flag):
+            assert betti(cx).numbers == sympy_betti(cx), level.lam
 
 
 @st.composite
 def random_complexes(draw):
     n = draw(st.integers(1, 9))
     facet = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
-    return SimplicialComplex.from_maximal(n, draw(st.lists(facet, min_size=1, max_size=6)))
+    return from_maximal(n, draw(st.lists(facet, min_size=1, max_size=6)))
 
 
 @settings(deadline=None)
@@ -104,7 +106,7 @@ def random_complexes(draw):
     st.one_of(
         random_complexes(),
         st.sampled_from(
-            [sphere_boundary_complex(), SimplicialComplex.from_maximal(5, combinations(range(5), 4))]
+            [sphere_boundary_complex(), from_maximal(5, combinations(range(5), 4))]
         ),
     )
 )
@@ -148,30 +150,20 @@ def test_betti_invariant_under_relabeling(rng):
     assert betti(relabeled).numbers == betti(cx).numbers
 
 
-def test_identified_nerve_betti_agreement_on_presets(preset_systems):
-    for name, (_, family, system) in preset_systems.items():
-        for lam in system.lambdas:
-            nerve = system.levels[lam].nerve
-            quotient, _, ok = identified_nerve(family, lam, nerve)
-            assert ok, (name, lam)
-            a, b = betti(quotient), betti(nerve)
-            width = max(len(a.numbers), len(b.numbers))
-            assert a.padded(width) == b.padded(width), (name, lam)
-
-
 # ---------------------------------------------------------------------------
 # stabilization tables
 
 
-def _chain(preset):
-    return [LambdaIndex.of(ids) for ids in preset.chain]
+def _chain(system, preset):
+    """The positions of the preset's chain levels in the system."""
+    return [system.position[LambdaIndex.of(ids)] for ids in preset.chain]
 
 
 def test_interval_chain_stabilizes_contractible(preset_systems):
     from nervelim.presets import PRESETS
 
     _, _, system = preset_systems["interval-g8"]
-    table = betti_stabilization(system, _chain(PRESETS["interval-g8"]))
+    table = betti_stabilization(system, _chain(system, PRESETS["interval-g8"]))
     assert table.nerve_stabilized
     nerve_rows = [r for r in table.rows if r.complex_kind == "N"]
     assert nerve_rows[-1].bettis.padded(3) == (1, 0, 0)
@@ -182,7 +174,7 @@ def test_circle_chain_nerve_vs_flag(preset_systems):
     from nervelim.presets import PRESETS
 
     _, _, system = preset_systems["circle-a3612"]
-    table = betti_stabilization(system, _chain(PRESETS["circle-a3612"]))
+    table = betti_stabilization(system, _chain(system, PRESETS["circle-a3612"]))
     nerve_rows = [r for r in table.rows if r.complex_kind == "N"]
     flag_rows = [r for r in table.rows if r.complex_kind == "F"]
     assert [r.bettis.padded(2) for r in nerve_rows] == [(1, 1)] * 3
@@ -197,7 +189,7 @@ def test_wedge_chain(preset_systems):
     from nervelim.presets import PRESETS
 
     _, _, system = preset_systems["wedge2"]
-    table = betti_stabilization(system, _chain(PRESETS["wedge2"]))
+    table = betti_stabilization(system, _chain(system, PRESETS["wedge2"]))
     nerve_rows = [r for r in table.rows if r.complex_kind == "N"]
     assert nerve_rows[-1].bettis.padded(3) == (1, 2, 0)
     assert table.nerve_stabilized
@@ -208,7 +200,7 @@ def test_cantor_deepest_component_count(preset_systems):
     from nervelim.presets import PRESETS
 
     _, _, system = preset_systems["cantor-d3"]
-    table = betti_stabilization(system, _chain(PRESETS["cantor-d3"]))
+    table = betti_stabilization(system, _chain(system, PRESETS["cantor-d3"]))
     nerve_rows = [r for r in table.rows if r.complex_kind == "N"]
     assert [r.bettis.numbers[0] for r in nerve_rows] == [2, 4, 8]
     assert not table.nerve_stabilized
@@ -217,15 +209,16 @@ def test_cantor_deepest_component_count(preset_systems):
 
 def test_stabilization_requires_increasing_chain(preset_systems):
     _, _, system = preset_systems["cantor-d3"]
+    chain = [system.position[LambdaIndex.of(ids)] for ids in ([0, 1], [2])]
     with pytest.raises(ValueError):
-        betti_stabilization(system, [LambdaIndex.of([0, 1]), LambdaIndex.of([2])])
+        betti_stabilization(system, chain)
 
 
 def test_stabilization_csv(preset_systems):
     from nervelim.presets import PRESETS
 
     _, _, system = preset_systems["interval-g8"]
-    table = betti_stabilization(system, _chain(PRESETS["interval-g8"]))
+    table = betti_stabilization(system, _chain(system, PRESETS["interval-g8"]))
     lines = table.csv().strip().splitlines()
     assert lines[0] == "level,complex,b0,b1,b2"
     assert lines[1] == "0,N,1,0,0"
@@ -242,7 +235,7 @@ def test_circle_24_3812_chain_table():
         space,
     )
     chain = [LambdaIndex.of(range(i + 1)) for i in range(3)]
-    table = betti_stabilization(build_system(family, chain, max_dim=16), chain)
+    table = betti_stabilization(build_system(family, chain, max_dim=16), [0, 1, 2])
     assert [r.bettis.numbers for r in table.rows] == [
         (1, 0, 0),
         (1, 0, 0),

@@ -1,0 +1,83 @@
+"""Every definition in the package is used by the package.
+
+A top-level function or class, or a method, that no module of
+``src/nervelim`` refers to outside its own body is code that only tests
+reach; it is deleted, or moved into ``tests/oracles.py`` when a test still
+needs it.  ``__init__.py`` only re-exports, so its references do not count.
+The scan is by name: a method counts as used when any module reads an
+attribute of that name.  Dunder methods are called by the language and are
+not scanned.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "nervelim"
+
+# definitions the package does not call itself, by "module.name", with the reason
+ALLOWED = {
+    "cli.main": "the console entry point",
+    "complexes.complex_from_json": "reads level files back; tests check artifacts with it",
+}
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+
+
+def _definitions(modules: dict[str, ast.Module]) -> list[tuple[str, str, ast.AST]]:
+    """(module, qualified name, node) of every top-level function and class
+    and every method."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    out = []
+    for mod, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, kinds):
+                continue
+            out.append((mod, node.name, node))
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, kinds) and not item.name.startswith("__"):
+                        out.append((mod, f"{node.name}.{item.name}", item))
+    return out
+
+
+def _references(modules: dict[str, ast.Module]) -> dict[str, list[tuple[str, int]]]:
+    """Each name read as a variable or an attribute, with (module, line)."""
+    refs: dict[str, list[tuple[str, int]]] = {}
+    for mod, tree in modules.items():
+        if mod == "__init__":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            refs.setdefault(name, []).append((mod, node.lineno))
+    return refs
+
+
+def _unreferenced() -> list[str]:
+    modules = _modules()
+    refs = _references(modules)
+    out = []
+    for mod, qualname, node in _definitions(modules):
+        own = range(node.lineno, node.end_lineno + 1)
+        name = qualname.rsplit(".", 1)[-1]
+        if not any(m != mod or line not in own for m, line in refs.get(name, ())):
+            out.append(f"{mod}.{qualname}")
+    return out
+
+
+def test_every_definition_is_referenced_by_the_package():
+    unused = [name for name in _unreferenced() if name not in ALLOWED]
+    assert unused == [], "referenced only by tests, or by nothing: " + ", ".join(unused)
+
+
+def test_allowlist_names_live_definitions():
+    defined = {f"{mod}.{qualname}" for mod, qualname, _ in _definitions(_modules())}
+    assert set(ALLOWED) <= defined

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from nervelim.complexes import BarycentricPoint, LambdaIndex, vertex_point
+from oracles import is_compatible, vertex_point
+from nervelim.complexes import BarycentricPoint, LambdaIndex
 from nervelim.ground import (
     Arcs,
     CircleGrid,
@@ -18,7 +19,6 @@ from nervelim.ground import (
     generate_space,
 )
 from nervelim.systems import (
-    bonding_map,
     build_system,
     canonical_map,
     canonical_thread,
@@ -33,7 +33,6 @@ from nervelim.systems import (
     fiber,
     fiber_homotopy,
     find_nerve_absorbing_level,
-    is_compatible,
     point_thread,
     thread_image,
     vertex_thread,
@@ -45,6 +44,11 @@ F = Fraction
 
 def _lam(*ids):
     return LambdaIndex.of(ids)
+
+
+def _at(system, *ids):
+    """The position of the level named by the cover ids."""
+    return system.position[LambdaIndex.of(ids)]
 
 
 @pytest.fixture(scope="module")
@@ -65,21 +69,25 @@ def dyadic_pair_system():
 
 
 def test_bond_identity(cantor_system):
-    bond = bonding_map(cantor_system, _lam(0, 1), _lam(0, 1))
-    assert bond.vertex_map == tuple(range(len(cantor_system.levels[_lam(0, 1)].vertices)))
+    i = _at(cantor_system, 0, 1)
+    bond = cantor_system.bond(i, i)
+    assert bond.vertex_map == tuple(range(len(cantor_system.levels[i].vertices)))
 
 
 def test_bond_drops_coordinates(cantor_system):
-    top, lam = _lam(0, 1, 2), _lam(0, 1)
-    bond = bonding_map(cantor_system, lam, top)
-    for i, v in enumerate(cantor_system.levels[top].vertices):
-        image = cantor_system.levels[lam].vertices[bond.apply(i)]
+    top, i = _at(cantor_system, 0, 1, 2), _at(cantor_system, 0, 1)
+    assert top == cantor_system.top
+    bond = cantor_system.bond(i, top)
+    for v_id, v in enumerate(cantor_system.levels[top].vertices):
+        image = cantor_system.levels[i].vertices[bond.apply(v_id)]
         assert image.elements == v.elements[:2]
 
 
 def test_bond_requires_comparable(cantor_system):
-    with pytest.raises(ValueError):
-        bonding_map(cantor_system, _lam(0, 1), _lam(1, 2))
+    i, j = _at(cantor_system, 0, 1), _at(cantor_system, 1, 2)
+    assert j not in cantor_system.above[i]
+    with pytest.raises(KeyError):
+        cantor_system.bond(i, j)
 
 
 def test_duplicate_level_rejected(cantor_system):
@@ -114,20 +122,23 @@ def test_canonical_map_single_wedge(cantor_system):
 
 
 def test_canonical_map_support_contains_point(interval_system):
-    for lam in interval_system.lambdas:
+    for i, level in enumerate(interval_system.levels):
         for x in interval_system.family.ground.points:
-            p = canonical_map(interval_system, lam, x)
+            p = canonical_map(interval_system, i, x)
             for vid in p.carrier:
-                assert x in interval_system.levels[lam].vertices[vid].wedge
+                assert x in level.vertices[vid].wedge
+
+
+def _canonical_maps_commute_with_bonds(system):
+    for x in system.family.ground.points:
+        for i, up in enumerate(system.above):
+            for j in up:
+                pushed = system.bond(i, j).push_point(canonical_map(system, j, x))
+                assert pushed == canonical_map(system, i, x)
 
 
 def test_canonical_maps_commute_with_bonds(cantor_system):
-    for x in cantor_system.family.ground.points:
-        for lam, mu in cantor_system.comparable_pairs():
-            bond = bonding_map(cantor_system, lam, mu)
-            assert bond.push_point(canonical_map(cantor_system, mu, x)) == canonical_map(
-                cantor_system, lam, x
-            )
+    _canonical_maps_commute_with_bonds(cantor_system)
 
 
 def test_canonical_thread_is_compatible(interval_system):
@@ -148,10 +159,9 @@ def test_thread_image_cantor_resolved(cantor_system):
 
 def test_thread_image_off_nerve(circle_system):
     # the filled coarse triangle: its interior lies off the nerve
-    lam = _lam(0)
-    flag = circle_system.levels[lam].flag
+    system_one = build_system(circle_system.family, [_lam(0)])
+    flag = system_one.levels[0].flag
     interior = BarycentricPoint.from_dict(flag, {0: F(1, 3), 1: F(1, 3), 2: F(1, 3)})
-    system_one = build_system(circle_system.family, [lam])
     z = point_thread(system_one, interior)
     res = thread_image(system_one, z)
     assert res.points == frozenset()
@@ -176,7 +186,7 @@ def test_incompatible_thread_detected(cantor_system):
 
 def test_vertex_threads_determined_by_top(cantor_system):
     threads = vertex_threads(cantor_system)
-    t = cantor_system.position[cantor_system.top]
+    t = cantor_system.top
     for z in threads:
         assert is_compatible(cantor_system, z)
         assert vertex_thread(cantor_system, z[t]) == z
@@ -207,13 +217,13 @@ def test_section_identity_reports_unresolved():
 
 def test_fiber_midpoint_is_an_edge(dyadic_pair_system):
     sub = build_system(dyadic_pair_system.family, [_lam(0)])
-    c, k = fiber(sub, 5, _lam(0))
-    assert c == (0, 1) and k == (0, 1)
-    assert k in sub.levels[_lam(0)].nerve.simplices
+    c = fiber(sub, 5, 0)
+    assert c == (0, 1)
+    assert c in sub.levels[0].nerve.simplices
 
 
 def test_fiber_singleton(cantor_system):
-    c, k = fiber(cantor_system, 3, cantor_system.top)
+    c = fiber(cantor_system, 3, cantor_system.top)
     assert len(c) == 1
 
 
@@ -270,15 +280,15 @@ def test_homotopy_check_seeded(cantor_system):
 
 
 def test_nerve_absorption_witness_on_circle(circle_system):
-    found, mu = find_nerve_absorbing_level(circle_system, _lam(0))
-    assert found and mu == _lam(0, 1)
+    found, j = find_nerve_absorbing_level(circle_system, _at(circle_system, 0))
+    assert found and circle_system.lambdas[j] == _lam(0, 1)
 
 
 def test_nerve_absorption_top_level(circle_system):
     top = circle_system.top
-    found, mu = find_nerve_absorbing_level(circle_system, top)
+    found, j = find_nerve_absorbing_level(circle_system, top)
     # at the top the only candidate is the top itself, and there F = N
-    assert found and mu == top
+    assert found and j == top
     assert circle_system.levels[top].flag.simplices == circle_system.levels[top].nerve.simplices
 
 
@@ -286,8 +296,8 @@ def test_nerve_absorption_not_found_when_truncated():
     space = generate_space(CircleGrid(), 12)
     family = CoverFamily((generate_cover(space, Arcs(3, F(1, 4)), cover_id=0),), space)
     system = build_system(family)
-    found, mu = find_nerve_absorbing_level(system, _lam(0))
-    assert not found and mu is None
+    found, j = find_nerve_absorbing_level(system, _at(system, 0))
+    assert not found and j is None
     assert not check_nerve_absorption(system).passed
 
 
@@ -302,10 +312,9 @@ def test_fiber_adjacency_disjoint_cylinders(cantor_system):
     za, zb = threads[0], threads[7]
     ia, ib = thread_image(cantor_system, za), thread_image(cantor_system, zb)
     assert ia.points != ib.points
-    top = cantor_system.top
-    t = cantor_system.position[top]
-    va = cantor_system.levels[top].vertices[za[t]]
-    vb = cantor_system.levels[top].vertices[zb[t]]
+    t = cantor_system.top
+    va = cantor_system.levels[t].vertices[za[t]]
+    vb = cantor_system.levels[t].vertices[zb[t]]
     assert not va.wedge & vb.wedge
 
 
@@ -350,12 +359,7 @@ def test_random_system_structural_invariants(system):
 
 @given(random_systems())
 def test_random_system_canonical_compatibility(system):
-    for x in system.family.ground.points:
-        for lam, mu in system.comparable_pairs():
-            bond = bonding_map(system, lam, mu)
-            assert bond.push_point(canonical_map(system, mu, x)) == canonical_map(
-                system, lam, x
-            )
+    _canonical_maps_commute_with_bonds(system)
 
 
 @given(random_systems())
@@ -370,8 +374,8 @@ def test_random_system_section_contains_point(system):
 @given(random_systems())
 def test_random_system_fiber_projections(system):
     for x in system.family.ground.points:
-        fibers = {lam: fiber(system, x, lam) for lam in system.lambdas}
-        for lam, mu in system.comparable_pairs():
-            bond = bonding_map(system, lam, mu)
-            image = {bond.apply(v) for v in fibers[mu].carrier_vertices}
-            assert image <= set(fibers[lam].carrier_vertices)
+        fibers = [fiber(system, x, i) for i in range(len(system.levels))]
+        for i, up in enumerate(system.above):
+            for j in up:
+                image = {system.bond(i, j).apply(v) for v in fibers[j]}
+                assert image <= set(fibers[i])
