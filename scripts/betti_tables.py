@@ -6,14 +6,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from nervelim.complexes import LambdaIndex
+from nervelim.complexes import DEFAULT_MAX_DIM, LambdaIndex
 from nervelim.homology import betti_stabilization
 from nervelim.presets import PRESETS
 from nervelim.systems import build_system
 
 for name, preset in PRESETS.items():
     _, family = preset.factory()
-    system = build_system(family, max_dim=preset.max_dim)
+    system = build_system(family, max_dim=DEFAULT_MAX_DIM)
     chain = [system.position[LambdaIndex.of(ids)] for ids in preset.chain]
     table = betti_stabilization(system, chain)
     print(f"\n{name}  (nerve stabilized: {table.nerve_stabilized})")

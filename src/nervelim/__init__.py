@@ -5,7 +5,6 @@ from .complexes import (
     BarycentricPoint,
     LambdaIndex,
     SimplicialComplex,
-    SimplicialMap,
     Vertex,
     build_flag,
     build_nerve,

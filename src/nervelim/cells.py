@@ -67,7 +67,7 @@ def check_star_contraction(
         double = 0
         for v in _members(_star(adj, z[j])):
             double |= _star(adj, v)
-        vm = system.bond(i, j).vertex_map
+        vm = system.bond(i, j)
         image = 0
         for v in _members(double):
             image |= 1 << vm[v]
@@ -278,7 +278,7 @@ def is_cauchy(system: InverseSystem, y: tuple[int, ...]) -> bool:
     for i, (level, up) in enumerate(zip(system.levels, system.above)):
         projected = 0
         for j in up:
-            projected |= 1 << bond(i, j).vertex_map[y[j]]
+            projected |= 1 << bond(i, j)[y[j]]
         if projected & (projected - 1):  # more than one vertex
             adj = level.adjacency
             for a in _members(projected):
@@ -298,7 +298,7 @@ def converge(system: InverseSystem, y: tuple[int, ...]) -> tuple[bool, tuple[int
         raise ValueError("convergence is only defined for Cauchy nets")
     t = _top(system)
     adjs = [level.adjacency for level in system.levels]
-    down = [system.bond(i, t).vertex_map for i in range(len(system.levels))]
+    down = [system.bond(i, t) for i in range(len(system.levels))]
     for v in _members(_star(adjs[t], y[t])):
         if all(_adjacent(adj, vm[v], b) for adj, vm, b in zip(adjs, down, y)):
             return True, vertex_thread(system, v)

@@ -24,6 +24,18 @@ if TYPE_CHECKING:
     from .cli import RunConfig
     from .presets import Preset
 
+# sample sizes when the command line gives none
+DEFAULT_NETS = 10000
+DEFAULT_HOMOTOPY_SAMPLES = 50
+
+
+def betti_chain(preset: Preset | None, n_covers: int) -> list[LambdaIndex]:
+    """The preset's Betti chain, or else the levels {0}, {0,1}, ... up to
+    all covers."""
+    if preset is not None:
+        return [LambdaIndex.of(ids) for ids in preset.chain]
+    return [LambdaIndex.of(range(i + 1)) for i in range(n_covers)]
+
 
 @dataclass
 class RunContext:
@@ -37,13 +49,6 @@ class RunContext:
     def equivalence(self) -> cells.EquivalenceResult:
         """The thread quotient, shared by the checks that read it."""
         return cells.equivalence_classes(self.system)
-
-    @property
-    def chain(self) -> list[LambdaIndex]:
-        if self.preset is not None:
-            return [LambdaIndex.of(ids) for ids in self.preset.chain]
-        k = len(self.family.covers)
-        return [LambdaIndex.of(range(i + 1)) for i in range(k)]
 
     def neighborhoods(self):
         if self.preset is not None:
@@ -64,14 +69,14 @@ def _selection_completeness(ctx: RunContext) -> tuple[Report, dict]:
 def _fiber_homotopy(ctx: RunContext) -> tuple[Report, dict]:
     count = ctx.config.homotopy_count
     if count is None:
-        count = ctx.preset.homotopy_count if ctx.preset else 50
+        count = DEFAULT_HOMOTOPY_SAMPLES
     return systems.check_homotopy(ctx.system, count, ctx.config.seed), {}
 
 
 def _cauchy_sweep(ctx: RunContext) -> tuple[Report, dict]:
     count = ctx.config.nets
     if count is None:
-        count = ctx.preset.cauchy_nets if ctx.preset else 10000
+        count = DEFAULT_NETS
     return cells.cauchy_sweep(ctx.system, count, ctx.config.seed), {}
 
 
@@ -103,12 +108,13 @@ def _bijection_rows(
 
 def _betti_stabilization(ctx: RunContext) -> tuple[Report, dict]:
     position = ctx.system.position
-    missing = [lam for lam in ctx.chain if lam not in position]
+    chain = betti_chain(ctx.preset, len(ctx.family.covers))
+    missing = [lam for lam in chain if lam not in position]
     if missing:
         raise PreconditionUnmet(
             f"betti chain level {missing[0]} is not among the built levels"
         )
-    table = homology.betti_stabilization(ctx.system, [position[lam] for lam in ctx.chain])
+    table = homology.betti_stabilization(ctx.system, [position[lam] for lam in chain])
     passed = table.nerve_stabilized
     expected = None
     if ctx.preset is not None:

@@ -15,12 +15,12 @@ from pathlib import Path
 from typing import Sequence
 
 from . import systems
-from .checks import ALL_CHECKS, CHECKS, RunContext
-from .complexes import LambdaIndex, complex_to_json, skeleton_dot
+from .checks import ALL_CHECKS, CHECKS, RunContext, betti_chain
+from .complexes import DEFAULT_MAX_DIM, LambdaIndex, complex_to_json, skeleton_dot
 from .errors import GuardExceeded, InputError, PreconditionUnmet
 from .ground import family_to_json, load_family, load_space, space_to_json
 from .presets import PRESETS, Preset
-from .report import FORMAT_VERSION, Report, dump_json
+from .report import FORMAT_VERSION, Report, dump_json, read_json
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -60,9 +60,7 @@ def _parse_lambdas(spec: str, n_covers: int, preset: Preset | None) -> list[Lamb
     if spec == "all":
         return None  # build_system default: all nonempty subsets
     if spec == "chain":
-        if preset is not None:
-            return [LambdaIndex.of(ids) for ids in preset.chain]
-        return [LambdaIndex.of(range(i + 1)) for i in range(n_covers)]
+        return betti_chain(preset, n_covers)
     out = []
     for part in spec.split(";"):
         items = part.split(",")
@@ -152,7 +150,7 @@ def cmd_build(config: RunConfig) -> int:
         {
             "source": list(lams[j].cover_ids),
             "target": list(lams[i].cover_ids),
-            "vertex_map": list(system.bond(i, j).vertex_map),
+            "vertex_map": list(system.bond(i, j)),
         }
         for i, up in enumerate(system.above)
         for j in up
@@ -199,27 +197,48 @@ def cmd_check(config: RunConfig) -> int:
     return EXIT_OK if payload["all_pass"] else EXIT_CHECK_FAILED
 
 
-def cmd_report(config: RunConfig) -> int:
-    out = config.out
+def _is_check_entry(chk: object) -> bool:
+    """Whether a ``report.json`` entry has the fields ``report`` reads."""
+    return (
+        isinstance(chk, dict)
+        and isinstance(chk.get("check"), str)
+        and isinstance(chk.get("details"), dict)
+        and "pass" in chk
+    )
+
+
+def cmd_report(out: Path) -> int:
     report_path = out / "report.json"
     if not report_path.exists():
         print(f"no report.json under {out}; run the check command first", file=sys.stderr)
         return EXIT_MISSING_ARTIFACTS
-    data = json.loads(report_path.read_text())
+    data = read_json(report_path, "check report")
+    checks = data.get("checks") if isinstance(data, dict) else None
+    if not isinstance(checks, list) or not all(map(_is_check_entry, checks)):
+        raise InputError(f"malformed check report {report_path}")
     lines = ["check results", "-------------"]
     rows = [["check", "pass", "witness"]]
-    for chk in data["checks"]:
+    for chk in checks:
         status = "SKIP" if chk["details"].get("skipped") else "pass" if chk["pass"] else "FAIL"
         lines.append(f"{chk['check']:<24} {status}")
         rows.append([chk["check"], status, json.dumps(chk.get("witness"))])
     betti_path = out / "betti.csv"
     if betti_path.exists():
-        lines += ["", "betti table", "-----------", betti_path.read_text().rstrip()]
+        try:
+            betti_table = betti_path.read_text().rstrip()
+        except (OSError, ValueError) as exc:
+            raise InputError(f"cannot read Betti table {betti_path}: {exc}") from exc
+        lines += ["", "betti table", "-----------", betti_table]
     quotient_path = out / "quotient.json"
     if quotient_path.exists():
-        q = json.loads(quotient_path.read_text())
+        q = read_json(quotient_path, "quotient file")
+        bijection = q.get("bijection", []) if isinstance(q, dict) else None
+        if not isinstance(bijection, list) or not all(
+            isinstance(row, list) and len(row) == 2 and type(row[0]) is int for row in bijection
+        ):
+            raise InputError(f"malformed quotient file {quotient_path}")
         lines += ["", "class/point bijection", "---------------------"]
-        for point, cls in q.get("bijection", []):
+        for point, cls in bijection:
             lines.append(f"point {point:>3}  ->  class {cls}")
     text = "\n".join(lines) + "\n"
     print(text, end="")
@@ -242,7 +261,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--out", type=Path, required=True, help="output directory")
     p.add_argument("--seed", type=int, default=0, help="seed for sampled modes")
-    p.add_argument("--max-dim", type=int, default=8, help="simplex dimension guard")
+    p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM, help="simplex dimension guard")
     p.add_argument(
         "--mode",
         default="exhaustive",
@@ -279,8 +298,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "report":
-            config = RunConfig("", None, "all", None, args.out, 0, 8, "exhaustive")
-            return cmd_report(config)
+            return cmd_report(args.out)
         for flag, value in (
             ("--nets", getattr(args, "nets", None)),
             ("--homotopy-samples", getattr(args, "homotopy_samples", None)),
@@ -309,6 +327,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return cmd_check(config)
     except FileNotFoundError as exc:
         print(f"input file not found: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except OSError as exc:
+        # every read of an input file turns its errors into InputError, so
+        # this is a failed write under --out
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (InputError, GuardExceeded) as exc:
         print(str(exc), file=sys.stderr)

@@ -5,6 +5,9 @@ the tuples of cover elements (one per cover) with nonempty intersection;
 the intersection is the vertex's wedge.  The flag complex fills in every
 clique of pairwise-intersecting wedges, the nerve only the vertex sets with
 a common point.  Complexes store the full downward-closed simplex set.
+
+A map between levels is its vertex map, a tuple whose entry v is the image
+of vertex v; it acts on flag complexes and nerves alike and holds neither.
 """
 
 from __future__ import annotations
@@ -163,61 +166,37 @@ def convex_combination(
     return BarycentricPoint.from_dict(target.complex, coords)
 
 
-@dataclass(frozen=True)
-class SimplicialMap:
-    """A vertex map that must carry simplices to simplices."""
+# ---------------------------------------------------------------------------
+# vertex maps
 
-    source: SimplicialComplex = field(compare=False, repr=False)
-    target: SimplicialComplex = field(compare=False, repr=False)
-    vertex_map: tuple[int, ...] = ()
 
-    def __post_init__(self) -> None:
-        if len(self.vertex_map) != self.source.n_vertices:
-            raise ValueError("vertex map must cover every source vertex")
-        for img in self.vertex_map:
-            if not 0 <= img < self.target.n_vertices:
-                raise ValueError("vertex map image out of range")
+def unmapped(
+    vertex_map: Sequence[int], simplices: Iterable[Simplex], target: SimplicialComplex
+) -> Simplex | None:
+    """The first of ``simplices`` whose image is not a simplex of
+    ``target``, or None.
 
-    def apply(self, v: int) -> int:
-        return self.vertex_map[v]
+    A subset of the source decides simpliciality when every source simplex
+    is a face of one of its members, or, for a flag target, when it holds
+    every source edge (see ``systems.build_system``).
+    """
+    target_simplices = target.simplices
+    for s in simplices:
+        if tuple(sorted({vertex_map[v] for v in s})) not in target_simplices:
+            return s
+    return None
 
-    def image_simplex(self, s: Sequence[int]) -> Simplex:
-        return tuple(sorted({self.vertex_map[v] for v in s}))
 
-    def unmapped(self, simplices: Iterable[Simplex]) -> Simplex | None:
-        """The first of ``simplices`` whose image is not a target simplex,
-        or None.
-
-        A subset of the source decides simpliciality when every source
-        simplex is a face of one of its members, or, for a flag target, when
-        it holds every source edge (see ``systems.build_system``).
-        """
-        target = self.target.simplices
-        for s in simplices:
-            if self.image_simplex(s) not in target:
-                return s
-        return None
-
-    def verify(self, simplices: Iterable[Simplex]) -> None:
-        """Raise unless ``unmapped(simplices)`` is None."""
-        s = self.unmapped(simplices)
-        if s is not None:
-            raise AssertionError(f"image of {s} is not a simplex of the target")
-
-    def push_point(self, point: BarycentricPoint) -> BarycentricPoint:
-        """Push a barycentric point forward, summing merged coordinates."""
-        coords: dict[int, Fraction] = {}
-        for v, w in point.coords:
-            img = self.vertex_map[v]
-            coords[img] = coords.get(img, Fraction(0)) + w
-        return BarycentricPoint.from_dict(self.target, coords)
-
-    def compose(self, inner: "SimplicialMap") -> "SimplicialMap":
-        """self after inner."""
-        if inner.target is not self.source:
-            raise ValueError("maps do not compose")
-        vm = tuple(self.vertex_map[inner.vertex_map[v]] for v in range(inner.source.n_vertices))
-        return SimplicialMap(inner.source, self.target, vm)
+def push_point(
+    vertex_map: Sequence[int], point: BarycentricPoint, target: SimplicialComplex
+) -> BarycentricPoint:
+    """Push a barycentric point forward into ``target``, summing merged
+    coordinates."""
+    coords: dict[int, Fraction] = {}
+    for v, w in point.coords:
+        img = vertex_map[v]
+        coords[img] = coords.get(img, Fraction(0)) + w
+    return BarycentricPoint.from_dict(target, coords)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import GuardExceeded, InputError
-from .report import FORMAT_VERSION, Report, frac_to_str, str_to_frac
+from .report import FORMAT_VERSION, Report, frac_to_str, read_json, str_to_frac
 
 PointId = int
 ElementId = int
@@ -640,7 +640,7 @@ def space_from_json(data: dict) -> GroundSpace:
         )
         labels = data["labels"]
         return GroundSpace(
-            int(data["points"]),
+            _json_int(data["points"], "the point count"),
             parsed,
             Metric(data["metric"]),
             None if labels is None else tuple(labels),
@@ -649,14 +649,16 @@ def space_from_json(data: dict) -> GroundSpace:
         raise InputError(f"malformed space file: {exc}") from exc
 
 
+def _json_int(value: object, what: str) -> int:
+    """``value`` when it is a JSON integer; a bool or a float is refused,
+    not rounded."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def load_space(path: Path) -> GroundSpace:
-    try:
-        data = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read space file {path}: {exc}") from exc
-    return space_from_json(data)
+    return space_from_json(read_json(path, "space file"))
 
 
 def cover_to_json(cover: Cover) -> dict:
@@ -668,11 +670,12 @@ def cover_to_json(cover: Cover) -> dict:
     }
 
 
-def cover_from_json(data: dict, cover_id: CoverId | None = None) -> Cover:
+def cover_from_json(data: dict, cover_id: CoverId) -> Cover:
+    """Cover ``cover_id`` from its JSON object; the object's ``cover_id`` is not read."""
     try:
-        cid = int(data["cover_id"]) if cover_id is None else cover_id
         return cover_from_pointsets(
-            cid, [set(map(int, e["points"])) for e in data["elements"]]
+            cover_id,
+            [{_json_int(x, "a point id") for x in e["points"]} for e in data["elements"]],
         )
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise InputError(f"malformed cover object: {exc}") from exc
@@ -706,10 +709,4 @@ def family_from_json(data: dict, space: GroundSpace) -> CoverFamily:
 
 
 def load_family(path: Path, space: GroundSpace) -> CoverFamily:
-    try:
-        data = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read covers file {path}: {exc}") from exc
-    return family_from_json(data, space)
+    return family_from_json(read_json(path, "covers file"), space)

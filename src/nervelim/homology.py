@@ -88,9 +88,6 @@ class BettiVector:
         width = max(len(self.numbers), len(other))
         return self.padded(width) == BettiVector(other).padded(width)
 
-    def to_json(self) -> list[int]:
-        return list(self.numbers)
-
 
 def betti(cx: SimplicialComplex, max_dim: int | None = None) -> BettiVector:
     """GF(2) Betti numbers b_0..b_top via rank-nullity on bitset matrices."""

@@ -54,9 +54,6 @@ class Preset:
     checks: tuple[str, ...]
     expected_betti: tuple[int, int, int] | None = None
     expect_stabilized: bool = True
-    max_dim: int = 8
-    cauchy_nets: int = 10000
-    homotopy_count: int = 50
 
 
 def _cantor() -> tuple[GroundSpace, CoverFamily]:

@@ -5,7 +5,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 from typing import Any
+
+from .errors import InputError
 
 FORMAT_VERSION = 1
 
@@ -47,7 +50,8 @@ def str_to_frac(s: str) -> Fraction:
 
 
 def jsonable(obj: Any) -> Any:
-    """Recursively convert to plain JSON types; rationals become "p/q"."""
+    """Recursively convert to plain JSON types; rationals become "p/q".
+    Dictionary keys must be strings."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, Fraction):
@@ -55,24 +59,24 @@ def jsonable(obj: Any) -> Any:
     if isinstance(obj, float):
         raise TypeError("floats are not serialized; use Fraction")
     if isinstance(obj, dict):
-        return {_key(k): jsonable(v) for k, v in sorted(obj.items(), key=lambda kv: _key(kv[0]))}
+        if not all(isinstance(k, str) for k in obj):
+            raise TypeError("dictionary keys must be strings")
+        return {k: jsonable(v) for k, v in sorted(obj.items())}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    if isinstance(obj, (set, frozenset)):
-        return sorted(jsonable(v) for v in obj)
-    if hasattr(obj, "to_json"):
-        return obj.to_json()
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _key(k: Any) -> str:
-    if isinstance(k, str):
-        return k
-    if isinstance(k, (int, Fraction)):
-        return str(k)
-    if hasattr(k, "json_key"):
-        return k.json_key()
-    return str(k)
+def read_json(path: Path, what: str) -> Any:
+    """The JSON value in the file ``what`` at ``path``.  A file that cannot
+    be read or parsed is an input error; a missing one raises
+    ``FileNotFoundError``."""
+    try:
+        return json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise
+    except (OSError, ValueError, RecursionError) as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def dump_json(obj: Any) -> str:

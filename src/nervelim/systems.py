@@ -17,10 +17,10 @@ from itertools import combinations
 from typing import Sequence
 
 from .complexes import (
+    DEFAULT_MAX_DIM,
     BarycentricPoint,
     LambdaIndex,
     SimplicialComplex,
-    SimplicialMap,
     Vertex,
     build_flag,
     build_nerve,
@@ -29,6 +29,8 @@ from .complexes import (
     convex_combination,
     flag_completion,
     point_fibers,
+    push_point,
+    unmapped,
     wedge_adjacency,
 )
 from .errors import PreconditionUnmet
@@ -58,7 +60,8 @@ class InverseSystem:
     aligned with it; ``lambdas[i]`` is the level's name for output.
     ``position`` turns a name a user gives into a position.  ``above[i]``
     lists, ascending, the positions of the levels at or above position i,
-    and ``bond(i, j)`` is the bond down from position j to i.
+    and ``bond(i, j)`` is the bond down from position j to i: its vertex
+    map, entry v the image of vertex v of level j.
     ``_canonical`` holds each canonical map once computed, by (level
     position, point).
     """
@@ -68,7 +71,7 @@ class InverseSystem:
     levels: list[Level]
     max_dim: int
     tables: dict[int, WeightTable]
-    _bonds: dict[tuple[int, int], SimplicialMap] = field(default_factory=dict)
+    _bonds: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
     _canonical: dict[tuple[int, PointId], BarycentricPoint] = field(default_factory=dict)
     position: dict[LambdaIndex, int] = field(init=False)
     above: list[tuple[int, ...]] = field(init=False)
@@ -85,7 +88,7 @@ class InverseSystem:
         has_top = self.lambdas and all(up[-1] == last for up in self.above)
         self.top = last if has_top else None
 
-    def bond(self, i: int, j: int) -> SimplicialMap:
+    def bond(self, i: int, j: int) -> tuple[int, ...]:
         """The bond from the level at position j down to position i."""
         return self._bonds[(i, j)]
 
@@ -100,7 +103,7 @@ def all_lambdas(n_covers: int) -> list[LambdaIndex]:
 def build_system(
     family: CoverFamily,
     lambdas: Sequence[LambdaIndex] | None = None,
-    max_dim: int = 8,
+    max_dim: int = DEFAULT_MAX_DIM,
 ) -> InverseSystem:
     """Construct all selected levels and every bond, and verify that each
     bond is simplicial.
@@ -130,15 +133,16 @@ def build_system(
     for i, up in enumerate(system.above):
         for j in up:
             bond = _projection(levels[i], levels[j])
-            bond.verify(edges[j])
+            s = unmapped(bond, edges[j], levels[i].flag)
+            if s is not None:
+                raise AssertionError(f"image of {s} is not a simplex of the target")
             system._bonds[(i, j)] = bond
     return system
 
 
-def _projection(dst: Level, src: Level) -> SimplicialMap:
+def _projection(dst: Level, src: Level) -> tuple[int, ...]:
     positions = [src.lam.cover_ids.index(i) for i in dst.lam.cover_ids]
-    vm = tuple(dst.index_of[tuple(v.elements[p] for p in positions)] for v in src.vertices)
-    return SimplicialMap(src.flag, dst.flag, vm)
+    return tuple(dst.index_of[tuple(v.elements[p] for p in positions)] for v in src.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +158,7 @@ def _top(system: InverseSystem) -> int:
 def vertex_thread(system: InverseSystem, top_vid: int) -> tuple[int, ...]:
     """The vertex thread through vertex ``top_vid`` of the top level."""
     t = _top(system)
-    return tuple(system.bond(i, t).apply(top_vid) for i in range(len(system.levels)))
+    return tuple(system.bond(i, t)[top_vid] for i in range(len(system.levels)))
 
 
 def point_thread(
@@ -162,7 +166,10 @@ def point_thread(
 ) -> tuple[BarycentricPoint, ...]:
     """The point thread through a barycentric point of the top level."""
     t = _top(system)
-    return tuple(system.bond(i, t).push_point(top_point) for i in range(len(system.levels)))
+    return tuple(
+        push_point(system.bond(i, t), top_point, level.flag)
+        for i, level in enumerate(system.levels)
+    )
 
 
 def vertex_threads(system: InverseSystem) -> list[tuple[int, ...]]:
@@ -217,13 +224,6 @@ class PiResult:
     points: frozenset[PointId]
     resolved: bool
     off_nerve: bool = False
-
-    def to_json(self) -> dict:
-        return {
-            "points": sorted(self.points),
-            "resolved": self.resolved,
-            "off_nerve": self.off_nerve,
-        }
 
 
 def thread_image(system: InverseSystem, z: tuple) -> PiResult:
@@ -284,7 +284,7 @@ def check_fibers(system: InverseSystem) -> Report:
     for x in system.family.ground.points:
         fibers = [fiber(system, x, i) for i in range(len(system.levels))]
         for i, j in pairs:
-            vm = system.bond(i, j).vertex_map
+            vm = system.bond(i, j)
             if not {vm[v] for v in fibers[j]} <= set(fibers[i]):
                 lam, mu = system.lambdas[i], system.lambdas[j]
                 bad = {"point": x, "lam": list(lam.cover_ids), "mu": list(mu.cover_ids)}
@@ -325,9 +325,7 @@ def fiber_homotopy(
     return tuple(entries)
 
 
-def check_homotopy(
-    system: InverseSystem, count: int = 50, seed: int = 0
-) -> Report:
+def check_homotopy(system: InverseSystem, count: int, seed: int) -> Report:
     """Seeded sample of resolved point threads: endpoints and image
     preservation of the homotopy, with exact equality."""
     rng = random.Random(seed)
@@ -388,11 +386,7 @@ def find_nerve_absorbing_level(system: InverseSystem, i: int) -> tuple[bool, int
     flag complex projects into the nerve of level i."""
     nerve = system.levels[i].nerve
     for j in system.above[i]:
-        bond = system.bond(i, j)
-        if all(
-            bond.image_simplex(s) in nerve.simplices
-            for s in system.levels[j].flag.simplices
-        ):
+        if unmapped(system.bond(i, j), system.levels[j].flag.simplices, nerve) is None:
             return True, j
     return False, None
 
@@ -430,9 +424,8 @@ def check_functoriality(system: InverseSystem) -> Report:
     count = 0
     for i, j, k in chains:
         count += 1
-        direct = system.bond(i, k)
-        through = system.bond(i, j).compose(system.bond(j, k))
-        if direct.vertex_map != through.vertex_map:
+        outer = system.bond(i, j)
+        if system.bond(i, k) != tuple(outer[v] for v in system.bond(j, k)):
             lam, mu, nu = (system.lambdas[p] for p in (i, j, k))
             bad = {
                 "lambda": list(lam.cover_ids),
@@ -456,10 +449,9 @@ def check_simpliciality(system: InverseSystem) -> Report:
     bad = None
     for i, j in ((i, j) for i, up in enumerate(system.above) for j in up):
         bond = system.bond(i, j)
-        nerve_bond = SimplicialMap(levels[j].nerve, levels[i].nerve, bond.vertex_map)
-        if bond.unmapped(edges[j]) is not None:
+        if unmapped(bond, edges[j], levels[i].flag) is not None:
             kind = "F"
-        elif nerve_bond.unmapped(levels[j].fibers) is not None:
+        elif unmapped(bond, levels[j].fibers, levels[i].nerve) is not None:
             kind = "N"
         else:
             continue

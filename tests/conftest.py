@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, settings
 sys.path.insert(0, str(Path(__file__).parent))
 
 from nervelim import build_system
+from nervelim.complexes import DEFAULT_MAX_DIM
 from nervelim.presets import PRESETS
 
 settings.register_profile(
@@ -21,7 +22,7 @@ settings.register_profile(
 settings.load_profile("ci")
 
 
-def build_level(family, lam, max_dim=8):
+def build_level(family, lam, max_dim=DEFAULT_MAX_DIM):
     """The level ``lam`` of ``family``, built as ``build_system`` builds it."""
     return build_system(family, [lam], max_dim).levels[0]
 
@@ -32,7 +33,7 @@ def preset_systems():
     out = {}
     for name, preset in PRESETS.items():
         space, family = preset.factory()
-        out[name] = (space, family, build_system(family, max_dim=preset.max_dim))
+        out[name] = (space, family, build_system(family, max_dim=DEFAULT_MAX_DIM))
     return out
 
 

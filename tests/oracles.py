@@ -17,8 +17,8 @@ from nervelim.complexes import (
     BarycentricPoint,
     LambdaIndex,
     SimplicialComplex,
-    SimplicialMap,
     Vertex,
+    push_point,
 )
 from nervelim.ground import CoverFamily, CoverId, PointId, WeightTable, partition_tables
 from nervelim.homology import boundary_matrix
@@ -48,9 +48,9 @@ def is_compatible(system: InverseSystem, z: tuple) -> bool:
         for j in up:
             bond, value = system.bond(i, j), z[j]
             if isinstance(value, BarycentricPoint):
-                image = bond.push_point(value)
+                image = push_point(bond, value, system.levels[i].flag)
             else:
-                image = bond.apply(value)
+                image = bond[value]
             if image != z[i]:
                 return False
     return True
@@ -138,12 +138,11 @@ def product_scan_vertices(family: CoverFamily, lam: LambdaIndex) -> list[Vertex]
     return out
 
 
-def full_bond_check(m: SimplicialMap) -> bool:
+def full_bond_check(
+    vm: Sequence[int], source: SimplicialComplex, target: SimplicialComplex
+) -> bool:
     """Simpliciality by pushing every simplex of the source forward."""
-    return all(
-        tuple(sorted({m.vertex_map[v] for v in s})) in m.target.simplices
-        for s in m.source.simplices
-    )
+    return all(tuple(sorted({vm[v] for v in s})) in target.simplices for s in source.simplices)
 
 
 def full_check_simpliciality(system: InverseSystem) -> Report:
@@ -155,7 +154,7 @@ def full_check_simpliciality(system: InverseSystem) -> Report:
         bond = system.bond(i, j)
         lo, hi = system.levels[i], system.levels[j]
         for kind, source, target in (("F", hi.flag, lo.flag), ("N", hi.nerve, lo.nerve)):
-            if not full_bond_check(SimplicialMap(source, target, bond.vertex_map)):
+            if not full_bond_check(bond, source, target):
                 names = {"lambda": list(lo.lam.cover_ids), "mu": list(hi.lam.cover_ids)}
                 bad = {**names, "complex": kind}
                 break
@@ -269,8 +268,8 @@ def pairwise_is_cauchy(system: InverseSystem, y: tuple[int, ...]) -> bool:
     for i, up in enumerate(system.above):
         adj = system.levels[i].adjacency
         for j, k in combinations(up, 2):
-            a = system.bond(i, j).vertex_map[y[j]]
-            b = system.bond(i, k).vertex_map[y[k]]
+            a = system.bond(i, j)[y[j]]
+            b = system.bond(i, k)[y[k]]
             if a != b and not adj[a] >> b & 1:
                 return False
     return True

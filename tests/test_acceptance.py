@@ -101,7 +101,7 @@ def test_criterion_4_fiber_formula(preset_systems):
                 # projections carry fiber vertices into fiber vertices
                 for i, up in enumerate(system.above):
                     for j in up:
-                        image = {system.bond(i, j).apply(v) for v in fibers[j]}
+                        image = {system.bond(i, j)[v] for v in fibers[j]}
                         assert image <= set(fibers[i])
                 # the top fiber is realized by exactly the threads through x
                 through = {

@@ -83,7 +83,7 @@ def test_bonds_are_graph_homomorphisms(preset_systems):
     for name, (_, _, system) in preset_systems.items():
         for i, up in enumerate(system.above):
             for j in up:
-                vm = system.bond(i, j).vertex_map
+                vm = system.bond(i, j)
                 target = system.levels[i].adjacency
                 for a, b in _edges(system.levels[j].adjacency):
                     assert vm[a] == vm[b] or target[vm[a]] >> vm[b] & 1, name

@@ -60,8 +60,9 @@ def test_build_circle_complex_contents(tmp_path):
 def test_build_malformed_space_exits_2(tmp_path, capsys):
     bad = tmp_path / "space.json"
     zero_denominator = {"points": 1, "coords": [["1/0"]], "metric": "euclidean", "labels": None}
-    for text in ("{this is not json", json.dumps(zero_denominator)):
-        bad.write_text(text)
+    deep = b"[" * 5000 + b"]" * 5000
+    for data in (b"{this is not json", json.dumps(zero_denominator).encode(), b"\xff", deep):
+        bad.write_bytes(data)
         code = run("build", "--space", bad, "--covers", bad, "--out", tmp_path / "o")
         assert code == 2
         err = capsys.readouterr().err
@@ -98,8 +99,21 @@ def test_build_from_files(tmp_path):
         ([[[0, 1, 2], [2, 3]]], "cover 0 does not cover the space"),
         ([[[0, 1, 2], [3, 4, 7]]], "cover 0 names point 7"),
         ([], "a family needs at least one cover"),
+        # ids that are not JSON integers are refused, not truncated
+        ([[[0, 1.7, 2, 3, 4]]], "a point id must be an integer, got 1.7"),
+        ([[[0, True, 2, 3, 4]]], "a point id must be an integer, got true"),
+        ([[[0, 1, 2, 3, 4.0]]], "a point id must be an integer, got 4.0"),
+        ([[[0, "1", 2, 3, 4]]], 'a point id must be an integer, got "1"'),
     ],
-    ids=["misses-a-point", "names-point-7", "no-covers"],
+    ids=[
+        "misses-a-point",
+        "names-point-7",
+        "no-covers",
+        "fractional-point",
+        "boolean-point",
+        "float-point",
+        "string-point",
+    ],
 )
 def test_bad_covers_file_exits_2(tmp_path, capsys, covers, message):
     from nervelim.ground import GroundSpace, space_to_json
@@ -115,6 +129,46 @@ def test_bad_covers_file_exits_2(tmp_path, capsys, covers, message):
     assert code == 2
     err = capsys.readouterr().err
     assert message in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "points, covered",
+    [(2.9, [0, 1]), (True, [0]), (2.0, [0, 1]), ("2", [0, 1])],
+    ids=["fractional", "boolean", "float", "string"],
+)
+def test_non_integer_point_count_exits_2(tmp_path, capsys, points, covered):
+    # each count, read as an integer, would fit the covers file
+    space = {**space_to_json(GroundSpace(1)), "points": points}
+    (tmp_path / "space.json").write_text(json.dumps(space))
+    covers = {"covers": [{"elements": [{"points": covered}]}]}
+    (tmp_path / "covers.json").write_text(json.dumps(covers))
+    code = run(
+        "build", "--space", tmp_path / "space.json", "--covers", tmp_path / "covers.json",
+        "--out", tmp_path / "o",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"the point count must be an integer, got {json.dumps(points)}" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "command, blocked",
+    [("build", ""), ("check", ""), ("build", "space.json"), ("check", "report.json")],
+    ids=["build-out-a-file", "check-out-a-file", "build-space-a-dir", "check-report-a-dir"],
+)
+def test_unwritable_output_exits_2(tmp_path, capsys, command, blocked):
+    # --out is a file, or a file the command writes is a directory
+    out = tmp_path / "out"
+    if blocked:
+        (out / blocked).mkdir(parents=True)
+    else:
+        out.write_text("")
+    checks = ["--checks", ""] if command == "check" else []
+    assert run(command, "--space", "circle-a3", "--out", out, *checks) == 2
+    err = capsys.readouterr().err
+    assert "cannot write output: " in err and str(out / blocked) in err
+    assert len(err.splitlines()) == 1
 
 
 def test_space_file_without_covers_exits_2(tmp_path):
@@ -379,6 +433,41 @@ def test_report_without_run_exits_3(tmp_path, capsys):
     assert "report.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("report.json", "{this is not json"),
+        ("report.json", '{"checks": [{"check": "fibers", "pass": true}]}'),
+        ("report.json", '{"checks": [{"check": null, "pass": true, "details": {}}]}'),
+        ("report.json", '{"checks": 3}'),
+        ("report.json", "[]"),
+        ("report.json", "\udcff"),
+        ("report.json", "[" * 5000 + "]" * 5000),
+        ("quotient.json", '{"bijection": [[0]]}'),
+        ("betti.csv", "\udcff"),
+    ],
+    ids=[
+        "bad-json",
+        "no-details",
+        "null-name",
+        "checks-a-number",
+        "a-list",
+        "not-utf8",
+        "deep-nesting",
+        "short-row",
+        "betti-not-utf8",
+    ],
+)
+def test_malformed_check_run_exits_2(tmp_path, capsys, name, text):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "report.json").write_text('{"checks": []}')
+    _write(out / name, text)
+    assert run("report", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert str(out / name) in err and len(err.splitlines()) == 1
+
+
 def test_report_renders_tables(tmp_path, capsys):
     out = tmp_path / "out"
     run("check", "--space", "cantor-d3", "--out", out, "--nets", 100)
@@ -481,6 +570,10 @@ SPACE_FILES = {
     ),
     "truncated": '{"points": 4',
     "a-list": "[]",
+    "fractional-count": json.dumps({**space_to_json(GroundSpace(4)), "points": 4.5}),
+    "boolean-count": json.dumps({**space_to_json(GroundSpace(1)), "points": True}),
+    "not-utf8": "\udcff",  # written as the byte 0xff
+    "deep-nesting": "[" * 5000 + "]" * 5000,
 }
 COVERS_FILES = {
     "two-covers": json.dumps(
@@ -491,9 +584,35 @@ COVERS_FILES = {
     "infinite-point": '{"covers": [{"elements": [{"points": [0, 1, 2, 3, 1e400]}]}]}',
     "a-list": "[1, 2]",
     "truncated": '{"covers": [',
+    "fractional-point": '{"covers": [{"elements": [{"points": [0, 1.7, 2, 3]}]}]}',
+    "boolean-point": '{"covers": [{"elements": [{"points": [0, true, 2, 3]}]}]}',
+    "not-utf8": "\udcff",
+}
+# report.json of a check run, for the report command; "missing" writes none
+REPORT_FILES = {
+    "valid": dump_json(
+        {"checks": [{"check": "fibers", "pass": True, "witness": None, "details": {}}]}
+    ),
+    "missing": None,
+    "truncated": '{"checks": [',
+    "not-utf8": "\udcff",
+    "deep-nesting": "[" * 5000 + "]" * 5000,
+    "a-list": "[]",
+    "checks-a-number": '{"checks": 3}',
+    "entry-a-string": '{"checks": ["fibers"]}',
+    "no-details": '{"checks": [{"check": "fibers", "pass": true}]}',
+    "details-a-list": '{"checks": [{"check": "fibers", "pass": true, "details": []}]}',
+    "null-name": '{"checks": [{"check": null, "pass": true, "details": {}}]}',
 }
 # a valid command line around each crashing file of the explicit examples
-FUZZ_DEFAULTS = dict(lambdas="all", checks=None, mode="exhaustive", nets=1, samples=1)
+FUZZ_DEFAULTS = dict(
+    lambdas="all", checks=None, mode="exhaustive", nets=1, samples=1, report="valid"
+)
+
+
+def _write(path, text):
+    """Write ``text`` as UTF-8, with each lone surrogate as the byte it escapes."""
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
 
 
 def _mostly(valid, junk):
@@ -501,12 +620,16 @@ def _mostly(valid, junk):
     return st.one_of(valid, valid, junk)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @example(command="check", space="four-points", covers="no-covers", **FUZZ_DEFAULTS)
 @example(command="build", space="four-points", covers="no-covers", **FUZZ_DEFAULTS)
 @example(command="check", space="zero-denominator", covers="two-covers", **FUZZ_DEFAULTS)
+@example(command="build", space="four-points", covers="fractional-point", **FUZZ_DEFAULTS)
+@example(
+    command="report", space="cantor-d3", covers="two-covers", **{**FUZZ_DEFAULTS, "report": "no-details"}
+)
 @given(
-    command=st.sampled_from(["build", "check"]),
+    command=st.sampled_from(["build", "check", "report"]),
     space=_mostly(st.sampled_from(["cantor-d3", "four-points"]), st.sampled_from(list(SPACE_FILES))),
     covers=_mostly(st.just("two-covers"), st.sampled_from(list(COVERS_FILES))),
     lambdas=_mostly(
@@ -521,18 +644,28 @@ def _mostly(valid, junk):
     ),
     nets=_mostly(st.integers(1, 3), st.integers(-1, 3)),
     samples=_mostly(st.integers(1, 3), st.integers(-1, 3)),
+    report=st.sampled_from(list(REPORT_FILES)),
 )
-def test_fuzzed_command_lines_exit_cleanly(command, space, covers, lambdas, checks, mode, nets, samples):
+def test_fuzzed_command_lines_exit_cleanly(
+    command, space, covers, lambdas, checks, mode, nets, samples, report
+):
     # every run ends in an exit code, and an input error in one stderr line
     with TemporaryDirectory() as tmp:
         root = Path(tmp)
-        argv = [command, f"--out={root / 'out'}", f"--lambdas={lambdas}", f"--mode={mode}"]
-        if space in SPACE_FILES:
-            (root / "space.json").write_text(SPACE_FILES[space])
-            (root / "covers.json").write_text(COVERS_FILES[covers])
-            argv += [f"--space={root / 'space.json'}", f"--covers={root / 'covers.json'}"]
+        argv = [command, f"--out={root / 'out'}"]
+        if command == "report":
+            text = REPORT_FILES[report]
+            if text is not None:
+                (root / "out").mkdir()
+                _write(root / "out" / "report.json", text)
         else:
-            argv.append(f"--space={space}")
+            argv += [f"--lambdas={lambdas}", f"--mode={mode}"]
+            if space in SPACE_FILES:
+                _write(root / "space.json", SPACE_FILES[space])
+                _write(root / "covers.json", COVERS_FILES[covers])
+                argv += [f"--space={root / 'space.json'}", f"--covers={root / 'covers.json'}"]
+            else:
+                argv.append(f"--space={space}")
         if command == "check":
             argv += [f"--nets={nets}", f"--homotopy-samples={samples}"]
             if checks is not None:

@@ -18,7 +18,6 @@ from oracles import (
 from nervelim.complexes import (
     BarycentricPoint,
     LambdaIndex,
-    SimplicialMap,
     _all_cliques,
     build_flag,
     build_nerve,
@@ -29,6 +28,7 @@ from nervelim.complexes import (
     convex_combination,
     flag_completion,
     point_fibers,
+    push_point,
     skeleton_dot,
     wedge_adjacency,
 )
@@ -288,18 +288,19 @@ def test_convex_combination_endpoints(arcs3_family):
 
 
 # ---------------------------------------------------------------------------
-# simplicial maps
+# vertex maps
 
 
 def test_simplicial_map_push_and_compose(arcs3_family):
     flag = build_level(arcs3_family, LambdaIndex.of([0])).flag
-    to_point = SimplicialMap(flag, flag, (0, 0, 0))
-    merged = to_point.push_point(
-        BarycentricPoint.from_dict(flag, {0: F(1, 3), 1: F(2, 3)})
-    )
-    assert merged == vertex_point(flag, 0)
-    ident = SimplicialMap(flag, flag, (0, 1, 2))
-    assert to_point.compose(ident).vertex_map == (0, 0, 0)
+    point = BarycentricPoint.from_dict(flag, {0: F(1, 3), 1: F(2, 3)})
+    to_point, swap = (0, 0, 0), (1, 0, 2)
+    assert push_point(to_point, point, flag) == vertex_point(flag, 0)
+    swapped = push_point(swap, point, flag)
+    assert swapped == BarycentricPoint.from_dict(flag, {0: F(2, 3), 1: F(1, 3)})
+    # pushing along a composite is pushing along each map in turn
+    composite = tuple(to_point[v] for v in swap)
+    assert push_point(composite, point, flag) == push_point(to_point, swapped, flag)
 
 
 # ---------------------------------------------------------------------------

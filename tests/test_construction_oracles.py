@@ -11,7 +11,7 @@ from __future__ import annotations
 from hypothesis import assume, given, strategies as st
 
 from oracles import full_bond_check, full_check_simpliciality, product_scan_vertices
-from nervelim.complexes import LambdaIndex, SimplicialMap, build_vertices, point_fibers
+from nervelim.complexes import LambdaIndex, build_vertices, point_fibers, unmapped
 from nervelim.errors import GuardExceeded
 from nervelim.ground import (
     CantorDepth,
@@ -56,10 +56,10 @@ def test_vertices_match_product_scan(family):
 
 
 @st.composite
-def other_map(draw, bond):
-    """The bond with one vertex moved, or any map between its levels."""
-    n = bond.target.n_vertices
-    vm = list(bond.vertex_map)
+def other_map(draw, bond, n):
+    """The bond with one vertex moved, or any map between its levels; ``n``
+    is the vertex count of its target level."""
+    vm = list(bond)
     if draw(st.booleans()):
         vm[draw(st.integers(0, len(vm) - 1))] = draw(st.integers(0, n - 1))
     else:
@@ -75,11 +75,11 @@ def test_edge_and_fiber_checks_match_full_check(family, data):
     size, n = len(hi.vertices), len(lo.vertices)
     vm = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size)))
 
-    flag_bond = SimplicialMap(hi.flag, lo.flag, vm)
-    assert (flag_bond.unmapped(hi.flag.edges()) is None) == full_bond_check(flag_bond)
-    nerve_map = SimplicialMap(hi.nerve, lo.nerve, vm)
+    flag_ok = unmapped(vm, hi.flag.edges(), lo.flag) is None
+    assert flag_ok == full_bond_check(vm, hi.flag, lo.flag)
     fibers = point_fibers(hi.vertices, family.ground.n_points)
-    assert (nerve_map.unmapped(fibers) is None) == full_bond_check(nerve_map)
+    nerve_ok = unmapped(vm, fibers, lo.nerve) is None
+    assert nerve_ok == full_bond_check(vm, hi.nerve, lo.nerve)
 
 
 @given(overlapping_family(), st.data())
@@ -88,8 +88,8 @@ def test_simpliciality_report_matches_full_check(family, data):
     assert check_simpliciality(system) == full_check_simpliciality(system)
     # replace one bond by another vertex map, often not simplicial
     pair = data.draw(st.sampled_from(sorted(system._bonds)))
-    bond = system.bond(*pair)
-    system._bonds[pair] = SimplicialMap(bond.source, bond.target, data.draw(other_map(bond)))
+    n = len(system.levels[pair[0]].vertices)
+    system._bonds[pair] = data.draw(other_map(system.bond(*pair), n))
     assert check_simpliciality(system) == full_check_simpliciality(system)
 
 
@@ -105,12 +105,11 @@ def test_simpliciality_catches_a_bond_simplicial_only_on_flags():
     )
     system = build_system(family)
     i, j = system.position[LambdaIndex.of([0])], system.position[LambdaIndex.of([0, 1])]
-    bond = system.bond(i, j)
-    vm = list(bond.vertex_map)
+    vm = list(system.bond(i, j))
     # three vertices over point 0 onto the three vertices of the hollow triangle
     for elements, target in (((0, 0), 0), ((0, 1), 1), ((0, 2), 2)):
         vm[system.levels[j].index_of[elements]] = target
-    system._bonds[(i, j)] = SimplicialMap(bond.source, bond.target, tuple(vm))
+    system._bonds[(i, j)] = tuple(vm)
     report = check_simpliciality(system)
     assert report.counterexample == {"lambda": [0], "mu": [0, 1], "complex": "N"}
     assert report == full_check_simpliciality(system)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import is_compatible, vertex_point
-from nervelim.complexes import BarycentricPoint, LambdaIndex
+from nervelim.complexes import BarycentricPoint, LambdaIndex, push_point
 from nervelim.ground import (
     Arcs,
     CircleGrid,
@@ -71,7 +71,7 @@ def dyadic_pair_system():
 def test_bond_identity(cantor_system):
     i = _at(cantor_system, 0, 1)
     bond = cantor_system.bond(i, i)
-    assert bond.vertex_map == tuple(range(len(cantor_system.levels[i].vertices)))
+    assert bond == tuple(range(len(cantor_system.levels[i].vertices)))
 
 
 def test_bond_drops_coordinates(cantor_system):
@@ -79,7 +79,7 @@ def test_bond_drops_coordinates(cantor_system):
     assert top == cantor_system.top
     bond = cantor_system.bond(i, top)
     for v_id, v in enumerate(cantor_system.levels[top].vertices):
-        image = cantor_system.levels[i].vertices[bond.apply(v_id)]
+        image = cantor_system.levels[i].vertices[bond[v_id]]
         assert image.elements == v.elements[:2]
 
 
@@ -101,6 +101,21 @@ def test_functoriality_all_chains(cantor_system):
     assert report.passed
     # 7 levels: every comparable pair extends to chains
     assert report.details["chains"] >= 7
+
+
+def test_functoriality_names_a_non_composite_bond(cantor_system):
+    # a system of its own, so the injected bond stays out of the fixture
+    system = build_system(cantor_system.family, [_lam(0), _lam(0, 1), _lam(0, 1, 2)])
+    assert check_functoriality(system).passed
+    bond = list(system.bond(0, 2))
+    bond[0] = 1 - bond[0]  # level {0} has two vertices
+    system._bonds[(0, 2)] = tuple(bond)
+    report = check_functoriality(system)
+    assert not report.passed
+    # chains through an identity bond compose to the injected bond itself,
+    # so the first chain that differs is the one through {0,1}
+    assert report.counterexample == {"lambda": [0], "mu": [0, 1], "nu": [0, 1, 2]}
+    assert report.details == {"chains": 5}
 
 
 def test_bonds_simplicial(cantor_system, circle_system):
@@ -133,7 +148,8 @@ def _canonical_maps_commute_with_bonds(system):
     for x in system.family.ground.points:
         for i, up in enumerate(system.above):
             for j in up:
-                pushed = system.bond(i, j).push_point(canonical_map(system, j, x))
+                flag = system.levels[i].flag
+                pushed = push_point(system.bond(i, j), canonical_map(system, j, x), flag)
                 assert pushed == canonical_map(system, i, x)
 
 
@@ -377,5 +393,5 @@ def test_random_system_fiber_projections(system):
         fibers = [fiber(system, x, i) for i in range(len(system.levels))]
         for i, up in enumerate(system.above):
             for j in up:
-                image = {system.bond(i, j).apply(v) for v in fibers[j]}
+                image = {system.bond(i, j)[v] for v in fibers[j]}
                 assert image <= set(fibers[i])
