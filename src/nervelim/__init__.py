@@ -18,12 +18,10 @@ from .ground import (
     CoverFamily,
     GroundSpace,
     Metric,
-    WeightTable,
     check_local_refinement,
     check_selection_completeness,
     generate_cover,
     generate_space,
-    partition_of_unity,
 )
 from .homology import BettiVector, betti, betti_stabilization
 from .systems import (
@@ -31,7 +29,6 @@ from .systems import (
     build_system,
     canonical_map,
     canonical_thread,
-    fiber,
     fiber_homotopy,
     point_thread,
     thread_image,

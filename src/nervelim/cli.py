@@ -8,6 +8,7 @@ identical output files.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from dataclasses import dataclass, field
@@ -198,10 +199,12 @@ def cmd_check(config: RunConfig) -> int:
 
 
 def _is_check_entry(chk: object) -> bool:
-    """Whether a ``report.json`` entry has the fields ``report`` reads."""
+    """Whether a ``report.json`` entry names a known check and has the
+    fields ``report`` reads."""
     return (
         isinstance(chk, dict)
         and isinstance(chk.get("check"), str)
+        and chk["check"] in CHECKS
         and isinstance(chk.get("details"), dict)
         and "pass" in chk
     )
@@ -243,7 +246,8 @@ def cmd_report(out: Path) -> int:
     text = "\n".join(lines) + "\n"
     print(text, end="")
     (out / "report.txt").write_text(text)
-    (out / "checks.csv").write_text("\n".join(",".join(r) for r in rows) + "\n")
+    with (out / "checks.csv").open("w", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows(rows)
     return EXIT_OK
 
 

@@ -1,9 +1,11 @@
-"""Finite ground models of spaces, cover families, and partitions of unity.
+"""Finite ground models of spaces, cover families, and the conditions on
+a family.
 
 A ground model is a finite point set with an optional exact-rational metric.
 Covers are families of point subsets; every subset of a finite model counts
-as closed.  Partitions of unity are tables of nonnegative rationals whose
-per-point sums equal 1 exactly.
+as closed.  The canonical maps need no weight table: each cover's even
+split among the elements containing a point makes them fiber barycentres
+(see ``systems.canonical_map``).
 """
 
 from __future__ import annotations
@@ -202,30 +204,9 @@ class CoverElement:
 
 
 @dataclass(frozen=True)
-class Indicator:
-    """Weights split evenly among the elements containing each point."""
-
-
-@dataclass(frozen=True)
-class LinearBump:
-    """Tent weights max(0, radius - d(x, center)), clamped to the element.
-
-    ``bumps`` lists one (element id, center point, radius) triple per
-    element.  Points where every bump vanishes fall back to indicator
-    weights so rows always sum to 1.
-    """
-
-    bumps: tuple[tuple[ElementId, PointId, Fraction], ...]
-
-
-WeightSpec = Indicator | LinearBump
-
-
-@dataclass(frozen=True)
 class Cover:
     id: CoverId
     elements: tuple[CoverElement, ...]
-    weight_spec: WeightSpec = Indicator()
 
     def __post_init__(self) -> None:
         ids = [e.id for e in self.elements]
@@ -245,15 +226,11 @@ class Cover:
         return [e for e in self.elements if x in e.pointset]
 
 
-def cover_from_pointsets(
-    cover_id: CoverId,
-    pointsets: Sequence[Iterable[PointId]],
-    weight_spec: WeightSpec = Indicator(),
-) -> Cover:
+def cover_from_pointsets(cover_id: CoverId, pointsets: Sequence[Iterable[PointId]]) -> Cover:
     elements = tuple(
         CoverElement(i, cover_id, frozenset(ps)) for i, ps in enumerate(pointsets)
     )
-    return Cover(cover_id, elements, weight_spec)
+    return Cover(cover_id, elements)
 
 
 @dataclass(frozen=True)
@@ -531,87 +508,6 @@ def _small_subfamilies_intersect(sets: Sequence[frozenset[PointId]]) -> bool:
         if not a & b & c:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# partitions of unity
-
-
-@dataclass(frozen=True)
-class WeightTable:
-    """Per-point weights of a cover's elements; every column sums to 1."""
-
-    cover: CoverId
-    values: tuple[tuple[tuple[ElementId, PointId], Fraction], ...]
-
-    def weight(self, element: ElementId, point: PointId) -> Fraction:
-        return self._index().get((element, point), Fraction(0))
-
-    def _index(self) -> dict[tuple[ElementId, PointId], Fraction]:
-        if not hasattr(self, "_cache"):
-            object.__setattr__(self, "_cache", dict(self.values))
-        return self._cache  # type: ignore[attr-defined]
-
-
-def partition_of_unity(cover: Cover, space: GroundSpace | None = None) -> WeightTable:
-    """Exact partition of unity subordinated to the cover.
-
-    Indicator spec splits weight evenly among the elements containing a
-    point.  LinearBump needs the space's metric and clamps each bump to its
-    element so positive weight implies membership.
-    """
-    points = sorted(cover.union())
-    values: list[tuple[tuple[ElementId, PointId], Fraction]] = []
-    spec = cover.weight_spec
-    if isinstance(spec, LinearBump):
-        if space is None or space.metric is Metric.NONE:
-            raise ValueError("linear bump weights need a metric")
-        bump_of = {eid: (center, Fraction(radius)) for eid, center, radius in spec.bumps}
-        for x in points:
-            raw: dict[ElementId, Fraction] = {}
-            for e in cover.elements:
-                if x not in e.pointset or e.id not in bump_of:
-                    continue
-                center, radius = bump_of[e.id]
-                h = radius - space.distance(x, center)
-                if h > 0:
-                    raw[e.id] = h
-            if raw:
-                total = sum(raw.values())
-                for eid in sorted(raw):
-                    values.append(((eid, x), raw[eid] / total))
-            else:
-                values.extend(_indicator_column(cover, x))
-    else:
-        for x in points:
-            values.extend(_indicator_column(cover, x))
-    table = WeightTable(cover.id, tuple(values))
-    _check_partition(table, cover, points)
-    return table
-
-
-def _indicator_column(cover: Cover, x: PointId) -> list[tuple[tuple[ElementId, PointId], Fraction]]:
-    carriers = [e.id for e in cover.elements if x in e.pointset]
-    share = Fraction(1, len(carriers))
-    return [((eid, x), share) for eid in carriers]
-
-
-def _check_partition(table: WeightTable, cover: Cover, points: Sequence[PointId]) -> None:
-    by_point: dict[PointId, Fraction] = {x: Fraction(0) for x in points}
-    membership = {e.id: e.pointset for e in cover.elements}
-    for (eid, x), w in table.values:
-        if w < 0:
-            raise AssertionError("negative weight")
-        if w > 0 and x not in membership[eid]:
-            raise AssertionError("positive weight outside the element")
-        by_point[x] += w
-    for x, s in by_point.items():
-        if s != 1:
-            raise AssertionError(f"weights at point {x} sum to {s}, not 1")
-
-
-def partition_tables(family: CoverFamily) -> dict[CoverId, WeightTable]:
-    return {c.id: partition_of_unity(c, family.ground) for c in family.covers}
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ class BoundaryMatrix:
     each column is stored as an integer bitmask over the rows.
     """
 
-    dimension: int
     rows: tuple[tuple[int, ...], ...]
     cols: tuple[tuple[int, ...], ...]
     column_bits: tuple[int, ...]
@@ -40,7 +39,7 @@ def boundary_matrix(cx: SimplicialComplex, k: int) -> BoundaryMatrix:
             face = s[:drop] + s[drop + 1 :]
             mask |= 1 << row_index[face]
         bits.append(mask)
-    return BoundaryMatrix(k, tuple(rows), tuple(cols), tuple(bits))
+    return BoundaryMatrix(tuple(rows), tuple(cols), tuple(bits))
 
 
 def gf2_rank(vectors: list[int]) -> int:
@@ -89,9 +88,9 @@ class BettiVector:
         return self.padded(width) == BettiVector(other).padded(width)
 
 
-def betti(cx: SimplicialComplex, max_dim: int | None = None) -> BettiVector:
+def betti(cx: SimplicialComplex) -> BettiVector:
     """GF(2) Betti numbers b_0..b_top via rank-nullity on bitset matrices."""
-    top = cx.dim if max_dim is None else min(max_dim, cx.dim)
+    top = cx.dim
     counts = [len(cx.k_simplices(k)) for k in range(top + 2)]
     ranks = [0]  # rank of d_0 is 0
     for k in range(1, top + 2):

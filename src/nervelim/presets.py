@@ -47,7 +47,6 @@ STRUCTURAL_CHECKS = tuple(
 @dataclass(frozen=True)
 class Preset:
     name: str
-    description: str
     factory: Callable[[], tuple[GroundSpace, CoverFamily]]
     chain: tuple[tuple[int, ...], ...]
     neighborhoods: Callable[[GroundSpace], list[tuple[PointId, frozenset[PointId]]]]
@@ -117,9 +116,9 @@ def _wedge() -> tuple[GroundSpace, CoverFamily]:
 
 
 PRESETS: dict[str, Preset] = {
+    # depth-3 Cantor model with the cylinder covers of depths 1..3
     "cantor-d3": Preset(
         name="cantor-d3",
-        description="depth-3 Cantor model with the cylinder covers of depths 1..3",
         factory=_cantor,
         chain=((0,), (0, 1), (0, 1, 2)),
         neighborhoods=singleton_neighborhoods,
@@ -127,27 +126,27 @@ PRESETS: dict[str, Preset] = {
         expected_betti=(8, 0, 0),
         expect_stabilized=False,  # component count doubles with each depth
     ),
+    # interval grid of 9 points, dyadic covers plus a singleton cover
     "interval-g8": Preset(
         name="interval-g8",
-        description="interval grid of 9 points, dyadic covers plus a singleton cover",
         factory=_interval,
         chain=((0,), (0, 1), (0, 1, 2)),
         neighborhoods=singleton_neighborhoods,
         checks=ALL_CHECKS,
         expected_betti=(1, 0, 0),
     ),
+    # 12-point circle with arc covers of 3, 6 and 12 arcs
     "circle-a3612": Preset(
         name="circle-a3612",
-        description="12-point circle with arc covers of 3, 6 and 12 arcs",
         factory=_circle,
         chain=((0,), (0, 1), (0, 1, 2)),
         neighborhoods=lambda s: ball_neighborhoods(s, [Fraction(1, 4), Fraction(1, 8)]),
         checks=STRUCTURAL_CHECKS,
         expected_betti=(1, 1, 0),
     ),
+    # circle with the 3-arc cover only; flag never absorbs into the nerve
     "circle-a3": Preset(
         name="circle-a3",
-        description="circle with the 3-arc cover only; flag never absorbs into the nerve",
         factory=_circle_truncated,
         chain=((0,),),
         neighborhoods=lambda s: ball_neighborhoods(s, [Fraction(1, 2)]),
@@ -162,9 +161,9 @@ PRESETS: dict[str, Preset] = {
         expected_betti=None,
         expect_stabilized=False,
     ),
+    # wedge of two 12-point circles with hand-built cross/arc covers
     "wedge2": Preset(
         name="wedge2",
-        description="wedge of two 12-point circles with hand-built cross/arc covers",
         factory=_wedge,
         chain=((0,), (0, 1)),
         neighborhoods=lambda s: ball_neighborhoods(s, [Fraction(1, 2), Fraction(1, 3)]),

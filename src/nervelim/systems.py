@@ -34,7 +34,7 @@ from .complexes import (
     wedge_adjacency,
 )
 from .errors import PreconditionUnmet
-from .ground import CoverFamily, PointId, WeightTable, partition_tables
+from .ground import CoverFamily, PointId
 from .report import Report
 
 
@@ -70,7 +70,6 @@ class InverseSystem:
     lambdas: list[LambdaIndex]
     levels: list[Level]
     max_dim: int
-    tables: dict[int, WeightTable]
     _bonds: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
     _canonical: dict[tuple[int, PointId], BarycentricPoint] = field(default_factory=dict)
     position: dict[LambdaIndex, int] = field(init=False)
@@ -128,7 +127,7 @@ def build_system(
         nerve = build_nerve(lam, verts, fibers, max_dim)
         index_of = {v.elements: i for i, v in enumerate(verts)}
         levels.append(Level(lam, tuple(verts), flag, nerve, index_of, adjacency, fibers))
-    system = InverseSystem(family, lams, levels, max_dim, partition_tables(family))
+    system = InverseSystem(family, lams, levels, max_dim)
     edges = [level.flag.edges() for level in levels]
     for i, up in enumerate(system.above):
         for j in up:
@@ -182,28 +181,21 @@ def vertex_threads(system: InverseSystem) -> list[tuple[int, ...]]:
 
 
 def canonical_map(system: InverseSystem, i: int, x: PointId) -> BarycentricPoint:
-    """Barycentric point of the level at position i whose coordinates are
-    the product weights of x; its support always spans a nerve simplex.
+    """The barycentre of x's point fiber in the level at position i.
 
-    A cover's weight is positive only on elements that contain x (the
-    partition tables are checked for this), so every vertex outside x's
-    point fiber has weight 0 and the product runs over the fiber alone.
-    Each map is computed once per system and then shared.
+    These are the product weights of the partitions of unity that split
+    each cover evenly among the elements containing x.  The fiber is every
+    tuple of such elements, one per cover, so each of its vertices weighs
+    1/|fiber|, and every other vertex has a factor 0.  Each map is
+    computed once per system and then shared.
     """
     point = system._canonical.get((i, x))
     if point is not None:
         return point
     level = system.levels[i]
-    coords = {}
-    for vid in level.fibers[x]:
-        w = Fraction(1)
-        for cover_id, eid in zip(level.lam.cover_ids, level.vertices[vid].elements):
-            w *= system.tables[cover_id].weight(eid, x)
-            if w == 0:
-                break
-        if w > 0:
-            coords[vid] = w
-    point = BarycentricPoint.from_dict(level.flag, coords)
+    fiber = level.fibers[x]
+    share = Fraction(1, len(fiber))
+    point = BarycentricPoint(level.flag, fiber, tuple((v, share) for v in fiber))
     if point.carrier not in level.nerve.simplices:
         raise AssertionError("canonical image does not span a nerve simplex")
     for vid in point.carrier:
@@ -223,28 +215,24 @@ class PiResult:
 
     points: frozenset[PointId]
     resolved: bool
-    off_nerve: bool = False
 
 
 def thread_image(system: InverseSystem, z: tuple) -> PiResult:
     """Intersect the carrier wedges of all levels of the thread.
 
     A point thread with a carrier that only spans a flag simplex (not a
-    nerve one) is flagged off_nerve and yields the empty set.  A carrier
-    spans a nerve simplex exactly when its wedges share a point.
+    nerve one) yields the empty set: a carrier spans a nerve simplex
+    exactly when its wedges share a point.
     """
     common: frozenset[PointId] | None = None
-    off_nerve = False
     for level, entry in zip(system.levels, z):
         if isinstance(entry, BarycentricPoint):
             wedge = carrier_wedge(entry)
-            if not wedge:
-                off_nerve = True
         else:
             wedge = level.vertices[entry].wedge
         common = wedge if common is None else common & wedge
     assert common is not None
-    return PiResult(frozenset(common), len(common) == 1, off_nerve)
+    return PiResult(frozenset(common), len(common) == 1)
 
 
 def check_section_identity(system: InverseSystem) -> Report:
@@ -267,12 +255,6 @@ def check_section_identity(system: InverseSystem) -> Report:
 # fibers
 
 
-def fiber(system: InverseSystem, x: PointId, i: int) -> tuple[int, ...]:
-    """The vertices of the level at position i whose wedge contains x; the
-    nerve holds every such fiber as a simplex."""
-    return system.levels[i].fibers[x]
-
-
 def check_fibers(system: InverseSystem) -> Report:
     """Fiber sets project into each other along every bond, and the top
     fiber is realized by exactly the vertex threads through x."""
@@ -282,7 +264,7 @@ def check_fibers(system: InverseSystem) -> Report:
     images = [thread_image(system, z).points for z in threads]
     pairs = [(i, j) for i, up in enumerate(system.above) for j in up]
     for x in system.family.ground.points:
-        fibers = [fiber(system, x, i) for i in range(len(system.levels))]
+        fibers = [level.fibers[x] for level in system.levels]
         for i, j in pairs:
             vm = system.bond(i, j)
             if not {vm[v] for v in fibers[j]} <= set(fibers[i]):

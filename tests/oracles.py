@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from nervelim import cells
 from nervelim.complexes import (
@@ -20,7 +20,7 @@ from nervelim.complexes import (
     Vertex,
     push_point,
 )
-from nervelim.ground import CoverFamily, CoverId, PointId, WeightTable, partition_tables
+from nervelim.ground import CoverFamily, PointId
 from nervelim.homology import boundary_matrix
 from nervelim.report import Report
 from nervelim.systems import InverseSystem, vertex_thread, vertex_threads
@@ -231,24 +231,26 @@ def sympy_betti(cx: SimplicialComplex) -> tuple[int, ...]:
 
 
 def product_weights(
-    family: CoverFamily,
-    vertices: Sequence[Vertex],
-    x: PointId,
-    tables: Mapping[CoverId, WeightTable] | None = None,
+    family: CoverFamily, vertices: Sequence[Vertex], x: PointId
 ) -> dict[Vertex, Fraction]:
-    """Per-vertex products of the covers' weights at x; sums to 1 exactly."""
+    """Per-vertex products of the covers' even splits at x.
+
+    A cover's split gives 1/(number of its elements containing x) to each
+    element that contains x and 0 to every other, read from cover
+    membership alone; the products sum to 1 exactly.
+    """
     if not vertices:
         raise ValueError("level has no vertices")
     lam = vertices[0].lam
-    if tables is None:
-        tables = partition_tables(family)
     out: dict[Vertex, Fraction] = {}
     for v in vertices:
         w = Fraction(1)
         for cover_id, eid in zip(lam.cover_ids, v.elements):
-            w *= tables[cover_id].weight(eid, x)
-            if w == 0:
+            elements = family.covers[cover_id].elements
+            if x not in elements[eid].pointset:
+                w = Fraction(0)
                 break
+            w /= sum(x in e.pointset for e in elements)
         out[v] = w
     return out
 
@@ -257,7 +259,7 @@ def scan_canonical_map(system: InverseSystem, i: int, x: PointId) -> Barycentric
     """The canonical map by product weights over every vertex of the level
     at position i, computed afresh on each call."""
     level = system.levels[i]
-    weights = product_weights(system.family, level.vertices, x, system.tables)
+    weights = product_weights(system.family, level.vertices, x)
     coords = {level.index_of[v.elements]: w for v, w in weights.items() if w > 0}
     return BarycentricPoint.from_dict(level.flag, coords)
 

@@ -26,7 +26,6 @@ from nervelim.systems import (
     check_homotopy,
     check_section_identity,
     check_simpliciality,
-    fiber,
     find_nerve_absorbing_level,
     thread_image,
     vertex_threads,
@@ -94,7 +93,7 @@ def test_criterion_4_fiber_formula(preset_systems):
             threads = vertex_threads(system)
             images = [thread_image(system, z).points for z in threads]
             for x in system.family.ground.points:
-                fibers = [fiber(system, x, i) for i in range(len(system.levels))]
+                fibers = [level.fibers[x] for level in system.levels]
                 # the spanned set is a nerve simplex at every level
                 for level, fb in zip(system.levels, fibers):
                     assert fb in level.nerve.simplices

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import hashlib
 import inspect
 import io
@@ -440,6 +441,7 @@ def test_report_without_run_exits_3(tmp_path, capsys):
         ("report.json", '{"checks": [{"check": "fibers", "pass": true}]}'),
         ("report.json", '{"checks": [{"check": null, "pass": true, "details": {}}]}'),
         ("report.json", '{"checks": 3}'),
+        ("report.json", '{"checks": [{"check": "a,b\\nc", "pass": true, "details": {}}]}'),
         ("report.json", "[]"),
         ("report.json", "\udcff"),
         ("report.json", "[" * 5000 + "]" * 5000),
@@ -451,6 +453,7 @@ def test_report_without_run_exits_3(tmp_path, capsys):
         "no-details",
         "null-name",
         "checks-a-number",
+        "unknown-name",
         "a-list",
         "not-utf8",
         "deep-nesting",
@@ -466,6 +469,17 @@ def test_malformed_check_run_exits_2(tmp_path, capsys, name, text):
     assert run("report", "--out", out) == 2
     err = capsys.readouterr().err
     assert str(out / name) in err and len(err.splitlines()) == 1
+
+
+def test_checks_csv_quotes_a_witness_with_commas(tmp_path):
+    out = tmp_path / "out"
+    assert run("check", "--space", "circle-a3612", "--out", out, "--checks", "local_refinement") == 0
+    assert run("report", "--out", out) == 0
+    with (out / "checks.csv").open(newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["check", "pass", "witness"]
+    assert all(len(row) == 3 for row in rows)
+    assert [(row[0], json.loads(row[2])) for row in rows[1:]] == [("local_refinement", [0, 1, 2])]
 
 
 def test_report_renders_tables(tmp_path, capsys):

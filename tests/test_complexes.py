@@ -342,17 +342,17 @@ def test_product_weights_multiply_and_sum_to_one():
         ),
         space,
     )
-    from nervelim.ground import partition_tables
-
-    tables = partition_tables(family)
     verts = build_vertices(family, LambdaIndex.of([0, 1]))
+    fibers = point_fibers(verts, space.n_points)
     for x in space.points:
-        w = product_weights(family, verts, x, tables)
+        w = product_weights(family, verts, x)
         assert sum(w.values()) == 1
-        for v, weight in w.items():
-            expected = tables[0].weight(v.elements[0], x) * tables[1].weight(v.elements[1], x)
-            assert weight == expected
-            if weight > 0:
+        # x's fiber is every pair of elements holding x, one per cover
+        holding = [len(c.elements_containing(x)) for c in family.covers]
+        assert len(fibers[x]) == holding[0] * holding[1]
+        for vid, v in enumerate(verts):
+            assert w[v] == (F(1, len(fibers[x])) if vid in fibers[x] else 0)
+            if w[v] > 0:
                 assert x in v.wedge
 
 

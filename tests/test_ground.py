@@ -3,7 +3,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
 from nervelim.errors import GuardExceeded, InputError
 from nervelim.ground import (
@@ -11,13 +10,11 @@ from nervelim.ground import (
     Balls,
     CantorDepth,
     CircleGrid,
-    Cover,
     CoverFamily,
     Cylinders,
     DyadicIntervals,
     GroundSpace,
     IntervalGrid,
-    LinearBump,
     Metric,
     WedgeOfCircles,
     ball_neighborhoods,
@@ -27,7 +24,6 @@ from nervelim.ground import (
     generate_cover,
     generate_space,
     load_space,
-    partition_of_unity,
     singleton_neighborhoods,
     space_from_json,
     space_to_json,
@@ -288,107 +284,6 @@ def test_selection_completeness_guard():
     family = CoverFamily(big, space)
     with pytest.raises(GuardExceeded):
         check_selection_completeness(family)
-
-
-# ---------------------------------------------------------------------------
-# partitions of unity
-
-
-def test_partition_single_support():
-    cover = cover_from_pointsets(0, [{0}, {1, 2}])
-    table = partition_of_unity(cover)
-    assert table.weight(0, 0) == 1
-    assert table.weight(1, 1) == 1
-
-
-def test_partition_two_way_split():
-    cover = cover_from_pointsets(0, [{0, 1}, {1, 2}])
-    table = partition_of_unity(cover)
-    assert table.weight(0, 1) == F(1, 2)
-    assert table.weight(1, 1) == F(1, 2)
-
-
-def test_partition_dyadic_midpoint():
-    space = generate_space(IntervalGrid(), 10)
-    cover = generate_cover(space, DyadicIntervals(1, F(1, 10)))
-    table = partition_of_unity(cover, space)
-    # 0.5 is point 5, inside both stretched halves
-    assert table.weight(0, 5) == F(1, 2)
-    assert table.weight(1, 5) == F(1, 2)
-    assert table.weight(0, 0) == 1
-
-
-def test_linear_bump_weights():
-    space = generate_space(IntervalGrid(), 4)
-    spec = LinearBump(((0, 0, F(3, 4)), (1, 4, F(3, 4))))
-    cover = Cover(
-        0,
-        cover_from_pointsets(0, [{0, 1, 2}, {2, 3, 4}]).elements,
-        spec,
-    )
-    table = partition_of_unity(cover, space)
-    # point 2 sits at distance 1/2 from both centers: equal bumps
-    assert table.weight(0, 2) == F(1, 2)
-    # point 1 only belongs to element 0 even though the bump of element 1
-    # would reach it: membership clamps the weight
-    assert table.weight(1, 1) == 0
-    assert table.weight(0, 1) == 1
-
-
-def test_linear_bump_fallback_to_indicator():
-    space = generate_space(IntervalGrid(), 2)
-    spec = LinearBump(((0, 0, F(1, 100)), (1, 2, F(1, 100))))
-    cover = Cover(0, cover_from_pointsets(0, [{0, 1}, {1, 2}]).elements, spec)
-    table = partition_of_unity(cover, space)
-    # all bumps vanish at point 1: indicator split
-    assert table.weight(0, 1) == F(1, 2)
-
-
-def test_linear_bump_needs_metric():
-    space = GroundSpace(2)
-    cover = Cover(
-        0,
-        cover_from_pointsets(0, [{0}, {1}]).elements,
-        LinearBump(((0, 0, F(1)), (1, 1, F(1)))),
-    )
-    with pytest.raises(ValueError):
-        partition_of_unity(cover, space)
-
-
-# ---------------------------------------------------------------------------
-# property tests
-
-
-@st.composite
-def small_families(draw):
-    n = draw(st.integers(min_value=1, max_value=6))
-    n_covers = draw(st.integers(min_value=1, max_value=3))
-    covers = []
-    for cid in range(n_covers):
-        n_elements = draw(st.integers(min_value=1, max_value=4))
-        sets = []
-        for _ in range(n_elements):
-            s = draw(st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1))
-            sets.append(set(s))
-        missing = set(range(n)) - set().union(*sets)
-        sets[-1] |= missing
-        covers.append(sets)
-    space = GroundSpace(n)
-    return CoverFamily(
-        tuple(cover_from_pointsets(cid, sets) for cid, sets in enumerate(covers)), space
-    )
-
-
-@given(small_families())
-def test_partition_rows_sum_to_one_exactly(family):
-    for cover in family.covers:
-        table = partition_of_unity(cover, family.ground)
-        for x in family.ground.points:
-            column = {e: w for (e, p), w in table.values if p == x}
-            assert sum(column.values()) == 1
-            for eid, w in column.items():
-                if w > 0:
-                    assert x in cover.elements[eid].pointset
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 Canonical maps come from point fibers and are memoized on the system, the
 Cauchy sampler and sweep test each distinct net once, and ``converge``
 searches only the closed star of the net's top vertex.  ``oracles`` keeps
-the old scans, and these tests require the same results on generated
-families, with indicator and with tent weights, and the same reports on
-every preset.
+the old scans (the canonical map as product weights over every vertex of
+the level), and these tests require the same results on generated
+families and the same reports on every preset.
 """
 
 from __future__ import annotations
@@ -24,9 +24,7 @@ from nervelim.ground import (
     CantorDepth,
     CircleGrid,
     CoverFamily,
-    Indicator,
     IntervalGrid,
-    LinearBump,
     WedgeOfCircles,
     ball_neighborhoods,
     cover_from_pointsets,
@@ -39,8 +37,7 @@ from nervelim.systems import build_system, canonical_map, check_homotopy, vertex
 @st.composite
 def weighted_systems(draw):
     """1-3 covers of an interval grid of 2-7 points by random, often
-    overlapping, elements, weighted by indicators or by tents that vanish
-    on some members, so a fiber vertex can have weight 0."""
+    overlapping, elements."""
     space = generate_space(IntervalGrid(), draw(st.integers(min_value=1, max_value=6)))
     n = space.n_points
     covers = []
@@ -51,16 +48,7 @@ def weighted_systems(draw):
         ]
         for p in set(range(n)) - set().union(*sets):
             sets[draw(st.integers(0, len(sets) - 1))].add(p)
-        spec = Indicator()
-        if draw(st.booleans()):
-            radii = st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(1)])
-            spec = LinearBump(
-                tuple(
-                    (eid, draw(st.sampled_from(sorted(s))), draw(radii))
-                    for eid, s in enumerate(sets)
-                )
-            )
-        covers.append(cover_from_pointsets(cover_id, sets, spec))
+        covers.append(cover_from_pointsets(cover_id, sets))
     try:
         return build_system(CoverFamily(tuple(covers), space), max_dim=7)
     except GuardExceeded:

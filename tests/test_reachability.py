@@ -1,12 +1,14 @@
 """Every definition in the package is used by the package.
 
-A top-level function or class, or a method, that no module of
-``src/nervelim`` refers to outside its own body is code that only tests
-reach; it is deleted, or moved into ``tests/oracles.py`` when a test still
-needs it.  ``__init__.py`` only re-exports, so its references do not count.
-The scan is by name: a method counts as used when any module reads an
-attribute of that name.  Dunder methods are called by the language and are
-not scanned.
+A top-level function or class, a method, or an annotated class field
+(a dataclass field) that no module of ``src/nervelim`` refers to outside
+its own body is code that only tests reach; it is deleted, or moved into
+``tests/oracles.py`` when a test still needs it.  ``__init__.py`` only
+re-exports, so its references do not count.  The scan is by name: a method
+or a field counts as used when any module reads an attribute or a variable
+of that name, so a field that shares its name with a local variable is not
+flagged.  Passing a field to a constructor is not a read.  Dunder names are
+used by the language and are not scanned.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ def _modules() -> dict[str, ast.Module]:
 
 def _definitions(modules: dict[str, ast.Module]) -> list[tuple[str, str, ast.AST]]:
     """(module, qualified name, node) of every top-level function and class
-    and every method."""
+    and every method and annotated field."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     out = []
     for mod, tree in modules.items():
@@ -39,8 +41,14 @@ def _definitions(modules: dict[str, ast.Module]) -> list[tuple[str, str, ast.AST
             out.append((mod, node.name, node))
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
-                    if isinstance(item, kinds) and not item.name.startswith("__"):
-                        out.append((mod, f"{node.name}.{item.name}", item))
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        name = item.target.id
+                    elif isinstance(item, kinds):
+                        name = item.name
+                    else:
+                        continue
+                    if not name.startswith("__"):
+                        out.append((mod, f"{node.name}.{name}", item))
     return out
 
 

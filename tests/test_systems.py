@@ -30,7 +30,6 @@ from nervelim.systems import (
     check_section_identity,
     check_simpliciality,
     check_skeleton_equality,
-    fiber,
     fiber_homotopy,
     find_nerve_absorbing_level,
     point_thread,
@@ -170,7 +169,6 @@ def test_thread_image_cantor_resolved(cantor_system):
     z = vertex_thread(cantor_system, 0)
     res = thread_image(cantor_system, z)
     assert res.resolved and res.points == {0}
-    assert not res.off_nerve
 
 
 def test_thread_image_off_nerve(circle_system):
@@ -180,8 +178,7 @@ def test_thread_image_off_nerve(circle_system):
     interior = BarycentricPoint.from_dict(flag, {0: F(1, 3), 1: F(1, 3), 2: F(1, 3)})
     z = point_thread(system_one, interior)
     res = thread_image(system_one, z)
-    assert res.points == frozenset()
-    assert res.off_nerve and not res.resolved
+    assert res.points == frozenset() and not res.resolved
 
 
 def test_thread_image_unresolved_overlap():
@@ -233,13 +230,13 @@ def test_section_identity_reports_unresolved():
 
 def test_fiber_midpoint_is_an_edge(dyadic_pair_system):
     sub = build_system(dyadic_pair_system.family, [_lam(0)])
-    c = fiber(sub, 5, 0)
+    c = sub.levels[0].fibers[5]
     assert c == (0, 1)
     assert c in sub.levels[0].nerve.simplices
 
 
 def test_fiber_singleton(cantor_system):
-    c = fiber(cantor_system, 3, cantor_system.top)
+    c = cantor_system.levels[cantor_system.top].fibers[3]
     assert len(c) == 1
 
 
@@ -390,7 +387,7 @@ def test_random_system_section_contains_point(system):
 @given(random_systems())
 def test_random_system_fiber_projections(system):
     for x in system.family.ground.points:
-        fibers = [fiber(system, x, i) for i in range(len(system.levels))]
+        fibers = [level.fibers[x] for level in system.levels]
         for i, up in enumerate(system.above):
             for j in up:
                 image = {system.bond(i, j)[v] for v in fibers[j]}
