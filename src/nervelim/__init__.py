@@ -10,7 +10,6 @@ from .complexes import (
     build_nerve,
     build_vertices,
     carrier_wedge,
-    flag_completion,
 )
 from .ground import (
     Cover,

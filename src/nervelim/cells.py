@@ -5,7 +5,7 @@ as ``Level.adjacency``.  Bonds are graph homomorphisms: ``build_system``
 verifies that every bond sends each source edge to an edge or to one
 vertex.  Threads are identified up to levelwise adjacency, and the
 quotient is compared against the ground space point for point.  Threads
-and nets are tuples of vertex ids aligned with ``system.lambdas``.
+and nets are tuples of vertex ids aligned with ``system.levels``.
 
 On a finite index set with a maximum level the eventual ("there exists a
 level such that ...") quantifier of the Cauchy and convergence definitions
@@ -56,11 +56,9 @@ def _members(mask: int) -> list[int]:
 # the star conditions
 
 
-def check_star_contraction(
-    system: InverseSystem, z: tuple[int, ...], i: int
-) -> tuple[bool, int | None]:
-    """Find the position of a level above position i whose double star of
-    the thread projects into the single star at i."""
+def check_star_contraction(system: InverseSystem, z: tuple[int, ...], i: int) -> int | None:
+    """The position of a level above position i whose double star of the
+    thread projects into the single star at i, or None."""
     target = _star(system.levels[i].adjacency, z[i])
     for j in system.above[i]:
         adj = system.levels[j].adjacency
@@ -72,8 +70,8 @@ def check_star_contraction(
         for v in _members(double):
             image |= 1 << vm[v]
         if not image & ~target:
-            return True, j
-    return False, None
+            return j
+    return None
 
 
 def check_star_conditions(system: InverseSystem) -> Report:
@@ -83,8 +81,7 @@ def check_star_conditions(system: InverseSystem) -> Report:
     max_star = 0
     for z in threads:
         for i, level in enumerate(system.levels):
-            found, _ = check_star_contraction(system, z, i)
-            if not found:
+            if check_star_contraction(system, z, i) is None:
                 bad = {"thread_top": z[t], "lambda": list(level.lam.cover_ids)}
                 break
             max_star = max(max_star, _star(level.adjacency, z[i]).bit_count())
@@ -124,7 +121,9 @@ class QuotientSpace:
 
 @dataclass
 class EquivalenceResult:
-    transitive: bool
+    """The quotient when the thread relation is transitive, and otherwise
+    a triple of threads that breaks transitivity."""
+
     witness: tuple[int, int, int] | None
     quotient: QuotientSpace | None
 
@@ -146,7 +145,7 @@ def equivalence_classes(system: InverseSystem) -> EquivalenceResult:
     for i, j, k in combinations(range(n), 3):
         for a, b, c in ((i, j, k), (j, i, k), (i, k, j)):
             if rel[a][b] and rel[b][c] and not rel[a][c]:
-                return EquivalenceResult(False, (a, b, c), None)
+                return EquivalenceResult((a, b, c), None)
 
     class_of = [-1] * n
     classes: list[tuple[int, ...]] = []
@@ -159,7 +158,7 @@ def equivalence_classes(system: InverseSystem) -> EquivalenceResult:
         for j in members:
             class_of[j] = idx
     adjacency = {}
-    for p, lam in enumerate(system.lambdas):
+    for p, level in enumerate(system.levels):
         pairs = set()
         adj = adjs[p]
         for ci, cj in combinations(range(len(classes)), 2):
@@ -171,21 +170,20 @@ def equivalence_classes(system: InverseSystem) -> EquivalenceResult:
                 pairs.add((ci, cj))
         for ci in range(len(classes)):
             pairs.add((ci, ci))
-        adjacency[lam] = frozenset(pairs)
-    return EquivalenceResult(
-        True, None, QuotientSpace(tuple(classes), tuple(class_of), adjacency)
-    )
+        adjacency[level.lam] = frozenset(pairs)
+    return EquivalenceResult(None, QuotientSpace(tuple(classes), tuple(class_of), adjacency))
 
 
 def check_equivalence(result: EquivalenceResult) -> Report:
-    return Report(
-        "equivalence_classes",
-        result.transitive,
-        counterexample=None if result.transitive else {"witness_triple": list(result.witness)},
-        details={
-            "classes": None if result.quotient is None else len(result.quotient.classes)
-        },
-    )
+    quotient = result.quotient
+    if quotient is None:
+        return Report(
+            "equivalence_classes",
+            False,
+            counterexample={"witness_triple": list(result.witness)},
+            details={"classes": None},
+        )
+    return Report("equivalence_classes", True, details={"classes": len(quotient.classes)})
 
 
 def compare_quotient_to_ground(system: InverseSystem, result: EquivalenceResult) -> Report:
@@ -198,14 +196,13 @@ def compare_quotient_to_ground(system: InverseSystem, result: EquivalenceResult)
     points share a level element exactly when their classes share a vertex
     there.
     """
-    if not result.transitive:
+    quotient = result.quotient
+    if quotient is None:
         return Report(
             "quotient_comparison",
             False,
             details={"skipped": "thread relation is not transitive"},
         )
-    quotient = result.quotient
-    assert quotient is not None
     t = system.top
     assert t is not None
     points = list(system.family.ground.points)
@@ -226,14 +223,14 @@ def compare_quotient_to_ground(system: InverseSystem, result: EquivalenceResult)
 
     threads = vertex_threads(system)
     for i, z in enumerate(threads):
-        res = thread_image(system, z)
-        if not res.resolved:
+        image = thread_image(system, z)
+        if len(image) != 1:
             return Report(
                 "quotient_comparison",
                 False,
                 details={"skipped": "a vertex thread has a non-singleton image"},
             )
-        (x,) = res.points
+        (x,) = image
         if h[x] != quotient.class_of[z[t]]:
             return Report(
                 "quotient_comparison",
@@ -245,7 +242,7 @@ def compare_quotient_to_ground(system: InverseSystem, result: EquivalenceResult)
     # Shared-element consistency: x and y lie in a common wedge of the level
     # exactly when their classes share a vertex there.
     class_vertices = [
-        [{threads[i][p] for i in members} for p in range(len(system.lambdas))]
+        [{threads[i][p] for i in members} for p in range(len(system.levels))]
         for members in quotient.classes
     ]
     for p, level in enumerate(system.levels):
@@ -287,9 +284,9 @@ def is_cauchy(system: InverseSystem, y: tuple[int, ...]) -> bool:
     return True
 
 
-def converge(system: InverseSystem, y: tuple[int, ...]) -> tuple[bool, tuple[int, ...] | None]:
+def converge(system: InverseSystem, y: tuple[int, ...]) -> tuple[int, ...] | None:
     """Search the vertex threads, by ascending top vertex, for one levelwise
-    adjacent to the net.
+    adjacent to the net; None when there is none.
 
     Such a thread's top vertex is adjacent to the net's, so only the closed
     star of ``y[top]`` is searched.
@@ -301,8 +298,8 @@ def converge(system: InverseSystem, y: tuple[int, ...]) -> tuple[bool, tuple[int
     down = [system.bond(i, t) for i in range(len(system.levels))]
     for v in _members(_star(adjs[t], y[t])):
         if all(_adjacent(adj, vm[v], b) for adj, vm, b in zip(adjs, down, y)):
-            return True, vertex_thread(system, v)
-    return False, None
+            return vertex_thread(system, v)
+    return None
 
 
 def _non_max(system: InverseSystem) -> list[int]:
@@ -311,16 +308,11 @@ def _non_max(system: InverseSystem) -> list[int]:
 
 
 def perturbed_thread_net(
-    system: InverseSystem,
-    z: tuple[int, ...],
-    rng: random.Random,
-    non_max: list[int] | None = None,
+    system: InverseSystem, z: tuple[int, ...], rng: random.Random, non_max: list[int]
 ) -> tuple[int, ...]:
     """Move one non-maximal level of a thread to an adjacent vertex; with
-    no level below the top, the thread itself.  ``non_max``, when given,
-    must be ``_non_max(system)``."""
-    if non_max is None:
-        non_max = _non_max(system)
+    no level below the top, the thread itself.  ``non_max`` must be
+    ``_non_max(system)``."""
     if not non_max:
         return z
     i = non_max[rng.randrange(len(non_max))]
@@ -368,7 +360,7 @@ def cauchy_sweep(system: InverseSystem, count: int, seed: int) -> Report:
     for i, y in enumerate(nets):
         ok = converges.get(y)
         if ok is None:
-            ok = converges[y] = converge(system, y)[0]
+            ok = converges[y] = converge(system, y) is not None
         if not ok:
             bad = {"net": i}
             break

@@ -67,17 +67,11 @@ def _selection_completeness(ctx: RunContext) -> tuple[Report, dict]:
 
 
 def _fiber_homotopy(ctx: RunContext) -> tuple[Report, dict]:
-    count = ctx.config.homotopy_count
-    if count is None:
-        count = DEFAULT_HOMOTOPY_SAMPLES
-    return systems.check_homotopy(ctx.system, count, ctx.config.seed), {}
+    return systems.check_homotopy(ctx.system, ctx.config.homotopy_count, ctx.config.seed), {}
 
 
 def _cauchy_sweep(ctx: RunContext) -> tuple[Report, dict]:
-    count = ctx.config.nets
-    if count is None:
-        count = DEFAULT_NETS
-    return cells.cauchy_sweep(ctx.system, count, ctx.config.seed), {}
+    return cells.cauchy_sweep(ctx.system, ctx.config.nets, ctx.config.seed), {}
 
 
 def _with_quotient(ctx: RunContext, report: Report, bijection: bool) -> tuple[Report, dict]:

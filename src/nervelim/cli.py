@@ -16,7 +16,14 @@ from pathlib import Path
 from typing import Sequence
 
 from . import systems
-from .checks import ALL_CHECKS, CHECKS, RunContext, betti_chain
+from .checks import (
+    ALL_CHECKS,
+    CHECKS,
+    DEFAULT_HOMOTOPY_SAMPLES,
+    DEFAULT_NETS,
+    RunContext,
+    betti_chain,
+)
 from .complexes import DEFAULT_MAX_DIM, LambdaIndex, complex_to_json, skeleton_dot
 from .errors import GuardExceeded, InputError, PreconditionUnmet
 from .ground import family_to_json, load_family, load_space, space_to_json
@@ -39,8 +46,8 @@ class RunConfig:
     seed: int
     max_dim: int
     mode: str
-    nets: int | None = None
-    homotopy_count: int | None = None
+    nets: int = DEFAULT_NETS
+    homotopy_count: int = DEFAULT_HOMOTOPY_SAMPLES
     selection: tuple[str, int] = field(init=False)  # the parsed mode
 
     def __post_init__(self) -> None:
@@ -136,21 +143,22 @@ def cmd_build(config: RunConfig) -> int:
     (out / "space.json").write_text(dump_json(space_to_json(ctx.space)))
     (out / "covers.json").write_text(dump_json(family_to_json(ctx.family)))
     system = ctx.system
-    for lam, level in zip(system.lambdas, system.levels):
+    levels = system.levels
+    for level in levels:
+        lam = level.lam
         tag = "-".join(str(i) for i in lam.cover_ids)
         payload = {
             "format_version": FORMAT_VERSION,
             "lambda": list(lam.cover_ids),
-            "flag_complex": complex_to_json(level.flag, lam),
-            "nerve_complex": complex_to_json(level.nerve, lam),
+            "flag_complex": complex_to_json(lam, level.vertices, level.flag, True),
+            "nerve_complex": complex_to_json(lam, level.vertices, level.nerve, False),
         }
         (out / f"level_{tag}.json").write_text(dump_json(payload))
         (out / f"skeleton_{tag}.dot").write_text(skeleton_dot(level.flag, f"L{tag.replace('-', '_')}"))
-    lams = system.lambdas
     bonds = [
         {
-            "source": list(lams[j].cover_ids),
-            "target": list(lams[i].cover_ids),
+            "source": list(levels[j].lam.cover_ids),
+            "target": list(levels[i].lam.cover_ids),
             "vertex_map": list(system.bond(i, j)),
         }
         for i, up in enumerate(system.above)
@@ -160,7 +168,7 @@ def cmd_build(config: RunConfig) -> int:
     (out / "bonds.json").write_text(
         dump_json({"format_version": FORMAT_VERSION, "bonds": bonds})
     )
-    print(f"wrote {len(system.lambdas)} level files to {out}")
+    print(f"wrote {len(levels)} level files to {out}")
     return EXIT_OK
 
 
@@ -206,7 +214,7 @@ def _is_check_entry(chk: object) -> bool:
         and isinstance(chk.get("check"), str)
         and chk["check"] in CHECKS
         and isinstance(chk.get("details"), dict)
-        and "pass" in chk
+        and type(chk.get("pass")) is bool
     )
 
 
@@ -237,7 +245,8 @@ def cmd_report(out: Path) -> int:
         q = read_json(quotient_path, "quotient file")
         bijection = q.get("bijection", []) if isinstance(q, dict) else None
         if not isinstance(bijection, list) or not all(
-            isinstance(row, list) and len(row) == 2 and type(row[0]) is int for row in bijection
+            isinstance(row, list) and len(row) == 2 and all(type(v) is int for v in row)
+            for row in bijection
         ):
             raise InputError(f"malformed quotient file {quotient_path}")
         lines += ["", "class/point bijection", "---------------------"]
@@ -291,9 +300,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         default=None,
         help="comma separated check names (default: the preset's list)",
     )
-    p_check.add_argument("--nets", type=int, default=None, help="Cauchy sweep size")
+    p_check.add_argument("--nets", type=int, default=DEFAULT_NETS, help="Cauchy sweep size")
     p_check.add_argument(
-        "--homotopy-samples", type=int, default=None, help="sampled homotopy threads"
+        "--homotopy-samples",
+        type=int,
+        default=DEFAULT_HOMOTOPY_SAMPLES,
+        help="sampled homotopy threads",
     )
 
     p_report = sub.add_parser("report", help="render tables from a prior check run")
@@ -303,11 +315,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.command == "report":
             return cmd_report(args.out)
-        for flag, value in (
-            ("--nets", getattr(args, "nets", None)),
-            ("--homotopy-samples", getattr(args, "homotopy_samples", None)),
-        ):
-            if value is not None and value < 1:
+        nets = getattr(args, "nets", DEFAULT_NETS)
+        homotopy_count = getattr(args, "homotopy_samples", DEFAULT_HOMOTOPY_SAMPLES)
+        for flag, value in (("--nets", nets), ("--homotopy-samples", homotopy_count)):
+            if value < 1:
                 raise InputError(f"{flag} must be at least 1, got {value}")
         if args.max_dim < 0:
             raise InputError(f"--max-dim must be at least 0, got {args.max_dim}")
@@ -323,8 +334,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             seed=args.seed,
             max_dim=args.max_dim,
             mode=args.mode,
-            nets=getattr(args, "nets", None),
-            homotopy_count=getattr(args, "homotopy_samples", None),
+            nets=nets,
+            homotopy_count=homotopy_count,
         )
         if args.command == "build":
             return cmd_build(config)

@@ -12,7 +12,7 @@ of vertex v; it acts on flag complexes and nerves alike and holds neither.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
@@ -57,19 +57,17 @@ class LambdaIndex:
 
 @dataclass(frozen=True)
 class Vertex:
-    """One element choice per cover of the level, with the cached wedge.
+    """One element choice per cover of the level, in cover id order, with
+    the cached wedge.
 
     Identity is the tuple of element ids; distinct vertices may share a
     wedge and stay distinct.
     """
 
-    lam: LambdaIndex
     elements: tuple[ElementId, ...]
     wedge: frozenset[PointId]
 
     def __post_init__(self) -> None:
-        if len(self.elements) != len(self.lam.cover_ids):
-            raise ValueError("one element per cover id required")
         if not self.wedge:
             raise ValueError("vertex wedge must be nonempty")
 
@@ -80,12 +78,11 @@ class SimplicialComplex:
 
     ``build_flag`` and ``build_nerve`` make their complexes closed; a
     complex from outside the program is checked by ``complex_from_json``.
+    The vertices and the name belong to the level that holds the complex.
     """
 
     n_vertices: int
     simplices: frozenset[Simplex]
-    vertices: tuple[Vertex, ...] | None = field(default=None, compare=False)
-    is_flag_complex: bool = False
 
     @cached_property
     def _by_size(self) -> dict[int, list[Simplex]]:
@@ -106,9 +103,6 @@ class SimplicialComplex:
         """The k-simplices in sorted order, as a new list."""
         return list(self._by_size.get(k + 1, ()))
 
-    def edges(self) -> list[Simplex]:
-        return self.k_simplices(1)
-
     def adjacency(self) -> list[int]:
         """The 1-skeleton as per-vertex neighbour bitmasks: bit b of entry a
         is set when (a, b) is an edge.  Loops are left implicit."""
@@ -118,24 +112,20 @@ class SimplicialComplex:
             adj[b] |= 1 << a
         return adj
 
-    def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:
-        return self.n_vertices == other.n_vertices and self.simplices <= other.simplices
-
 
 @dataclass(frozen=True)
 class BarycentricPoint:
-    """A point of a complex: its carrier simplex plus positive coordinates."""
+    """A point of a level complex: its carrier simplex plus positive
+    coordinates.  Whoever makes a point knows its carrier is a simplex of
+    the complex it is meant for (see ``systems.canonical_map``)."""
 
-    complex: SimplicialComplex = field(compare=False, repr=False)
-    carrier: Simplex = ()
-    coords: tuple[tuple[int, Fraction], ...] = ()
+    carrier: Simplex
+    coords: tuple[tuple[int, Fraction], ...]
 
     def __post_init__(self) -> None:
         ids = tuple(v for v, _ in self.coords)
         if ids != self.carrier or list(ids) != sorted(set(ids)):
             raise ValueError("coordinates must be keyed by the carrier, sorted")
-        if not self.carrier or self.carrier not in self.complex.simplices:
-            raise ValueError("carrier is not a simplex of the complex")
         total = Fraction(0)
         for _, w in self.coords:
             if w <= 0:
@@ -145,17 +135,15 @@ class BarycentricPoint:
             raise ValueError(f"coordinates sum to {total}, not 1")
 
     @classmethod
-    def from_dict(cls, cx: SimplicialComplex, coords: Mapping[int, Fraction]) -> "BarycentricPoint":
+    def from_dict(cls, coords: Mapping[int, Fraction]) -> "BarycentricPoint":
         items = tuple(sorted((v, w) for v, w in coords.items() if w != 0))
-        return cls(cx, tuple(v for v, _ in items), items)
+        return cls(tuple(v for v, _ in items), items)
 
 
 def convex_combination(
     t: Fraction, target: BarycentricPoint, source: BarycentricPoint
 ) -> BarycentricPoint:
-    """t * target + (1 - t) * source inside their common complex."""
-    if target.complex is not source.complex:
-        raise ValueError("points live in different complexes")
+    """t * target + (1 - t) * source, for two points of one complex."""
     t = Fraction(t)
     if not 0 <= t <= 1:
         raise ValueError("parameter must lie in [0, 1]")
@@ -163,7 +151,7 @@ def convex_combination(
     rest = 1 - t
     for v, w in source.coords:
         coords[v] = coords[v] + rest * w if v in coords else rest * w
-    return BarycentricPoint.from_dict(target.complex, coords)
+    return BarycentricPoint.from_dict(coords)
 
 
 # ---------------------------------------------------------------------------
@@ -187,16 +175,14 @@ def unmapped(
     return None
 
 
-def push_point(
-    vertex_map: Sequence[int], point: BarycentricPoint, target: SimplicialComplex
-) -> BarycentricPoint:
-    """Push a barycentric point forward into ``target``, summing merged
+def push_point(vertex_map: Sequence[int], point: BarycentricPoint) -> BarycentricPoint:
+    """Push a barycentric point forward along a vertex map, summing merged
     coordinates."""
     coords: dict[int, Fraction] = {}
     for v, w in point.coords:
         img = vertex_map[v]
         coords[img] = coords.get(img, Fraction(0)) + w
-    return BarycentricPoint.from_dict(target, coords)
+    return BarycentricPoint.from_dict(coords)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +204,7 @@ def build_vertices(family: CoverFamily, lam: LambdaIndex) -> list[Vertex]:
         rows = [[e.id for e in c.elements_containing(x)] for c in covers]
         for choice in product(*rows):
             wedges.setdefault(choice, []).append(x)
-    return [Vertex(lam, choice, frozenset(wedges[choice])) for choice in sorted(wedges)]
+    return [Vertex(choice, frozenset(wedges[choice])) for choice in sorted(wedges)]
 
 
 def point_fibers(vertices: Sequence[Vertex], n_points: int) -> list[tuple[int, ...]]:
@@ -248,14 +234,13 @@ def wedge_adjacency(fibers: Sequence[tuple[int, ...]], n_vertices: int) -> list[
     return adj
 
 
-def build_flag(
-    lam: LambdaIndex, vertices: Sequence[Vertex], adjacency: Sequence[int], max_dim: int
-) -> SimplicialComplex:
-    """Flag complex: edges where wedges meet, simplices on every clique.
-    ``adjacency`` must be ``wedge_adjacency`` of the vertices' fibers."""
-    n = len(vertices)
+def build_flag(lam: LambdaIndex, adjacency: Sequence[int], max_dim: int) -> SimplicialComplex:
+    """Clique complex of a graph given as per-vertex neighbour bitmasks, the
+    form of ``SimplicialComplex.adjacency``.  A level's flag complex is the
+    clique complex of ``wedge_adjacency``: edges where wedges meet."""
+    n = len(adjacency)
     simplices = _all_cliques(n, adjacency, max_dim, _level_name(lam) + ": ")
-    return SimplicialComplex(n, frozenset(simplices), tuple(vertices), is_flag_complex=True)
+    return SimplicialComplex(n, frozenset(simplices))
 
 
 def _all_cliques(n: int, adj: Sequence[int], max_dim: int, where: str = "") -> set[Simplex]:
@@ -290,12 +275,11 @@ def _all_cliques(n: int, adj: Sequence[int], max_dim: int, where: str = "") -> s
 
 
 def build_nerve(
-    lam: LambdaIndex, vertices: Sequence[Vertex], fibers: Sequence[tuple[int, ...]], max_dim: int
+    lam: LambdaIndex, n: int, fibers: Sequence[tuple[int, ...]], max_dim: int
 ) -> SimplicialComplex:
-    """Nerve: a vertex set spans a simplex iff the wedges share a point,
-    that is, iff it lies in one point fiber.  ``fibers`` must be
-    ``point_fibers`` of the vertices."""
-    n = len(vertices)
+    """Nerve on n vertices: a vertex set spans a simplex iff the wedges
+    share a point, that is, iff it lies in one point fiber.  ``fibers`` must
+    be ``point_fibers`` of the vertices."""
     simplices: set[Simplex] = {(v,) for v in range(n)}
     for x, carrier in enumerate(fibers):
         if len(carrier) > max_dim + 1:
@@ -305,48 +289,32 @@ def build_nerve(
             )
         for k in range(2, len(carrier) + 1):
             simplices.update(combinations(carrier, k))
-    return SimplicialComplex(n, frozenset(simplices), tuple(vertices), is_flag_complex=False)
+    return SimplicialComplex(n, frozenset(simplices))
 
 
-def carrier_wedge(point: BarycentricPoint) -> frozenset[PointId]:
+def carrier_wedge(vertices: Sequence[Vertex], carrier: Simplex) -> frozenset[PointId]:
     """Intersection of the carrier vertices' wedges; empty off the nerve."""
-    verts = point.complex.vertices
-    if verts is None:
-        raise ValueError("complex has no cover vertices attached")
-    out = verts[point.carrier[0]].wedge
-    for v in point.carrier[1:]:
-        out = out & verts[v].wedge
+    out = vertices[carrier[0]].wedge
+    for v in carrier[1:]:
+        out = out & vertices[v].wedge
     return frozenset(out)
-
-
-# ---------------------------------------------------------------------------
-# flag completion of graphs
-
-
-def flag_completion(adjacency: Sequence[int], max_dim: int = DEFAULT_MAX_DIM) -> SimplicialComplex:
-    """Clique complex of a graph given as per-vertex neighbour bitmasks, the
-    form of ``SimplicialComplex.adjacency``."""
-    n = len(adjacency)
-    simplices = _all_cliques(n, adjacency, max_dim)
-    return SimplicialComplex(n, frozenset(simplices), None, is_flag_complex=True)
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
 
-def complex_to_json(cx: SimplicialComplex, lam: LambdaIndex | None = None) -> dict:
-    data: dict = {
-        "lambda": list(lam.cover_ids) if lam is not None else None,
-        "vertices": None
-        if cx.vertices is None
-        else [
-            {"tuple": list(v.elements), "wedge": sorted(v.wedge)} for v in cx.vertices
-        ],
+def complex_to_json(
+    lam: LambdaIndex, vertices: Sequence[Vertex], cx: SimplicialComplex, flag: bool
+) -> dict:
+    """A complex of level ``lam`` on its vertices, as a level file holds it;
+    ``flag`` tells the flag complex from the nerve."""
+    return {
+        "lambda": list(lam.cover_ids),
+        "vertices": [{"tuple": list(v.elements), "wedge": sorted(v.wedge)} for v in vertices],
         "simplices": sorted(list(s) for s in cx.simplices),
-        "flag": cx.is_flag_complex,
+        "flag": flag,
     }
-    return data
 
 
 def complex_from_json(data: dict) -> SimplicialComplex:
@@ -355,6 +323,8 @@ def complex_from_json(data: dict) -> SimplicialComplex:
     The program builds its own complexes closed, so a complex from outside
     it is checked here, and only here: sorted simplices on vertex ids
     0..n-1, every vertex a simplex, and every face of a simplex a simplex.
+    A vertex list given with its level must hold one vertex per id, each
+    with one element per cover of the level and a nonempty wedge.
     """
     simplices = frozenset(tuple(s) for s in data["simplices"])
     for s in simplices:
@@ -371,16 +341,15 @@ def complex_from_json(data: dict) -> SimplicialComplex:
             for f in combinations(s, len(s) - 1):
                 if f not in simplices:
                     raise ValueError(f"face {f} of {s} is missing")
-    vertices = None
     if data.get("vertices") and data.get("lambda"):
-        lam = LambdaIndex.of(data["lambda"])
-        vertices = tuple(
-            Vertex(lam, tuple(v["tuple"]), frozenset(v["wedge"]))
-            for v in data["vertices"]
-        )
-        if len(vertices) != n:
+        width = len(LambdaIndex.of(data["lambda"]).cover_ids)
+        for v in data["vertices"]:
+            if len(v["tuple"]) != width:
+                raise ValueError("one element per cover id required")
+            Vertex(tuple(v["tuple"]), frozenset(v["wedge"]))  # checks the wedge
+        if len(data["vertices"]) != n:
             raise ValueError("vertex list length mismatch")
-    return SimplicialComplex(n, simplices, vertices, bool(data.get("flag", False)))
+    return SimplicialComplex(n, simplices)
 
 
 def skeleton_dot(cx: SimplicialComplex, name: str) -> str:

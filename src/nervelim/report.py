@@ -19,7 +19,7 @@ class Report:
 
     ``witness`` carries the object that made the check pass (a cover id, a
     level index), ``counterexample`` the first object that made it fail.
-    Both must be JSON-encodable after ``jsonable``.
+    Both must be encodable by ``dump_json``.
     """
 
     check: str
@@ -32,9 +32,9 @@ class Report:
         return {
             "check": self.check,
             "pass": self.passed,
-            "witness": jsonable(self.witness),
-            "counterexample": jsonable(self.counterexample),
-            "details": jsonable(self.details),
+            "witness": self.witness,
+            "counterexample": self.counterexample,
+            "details": self.details,
         }
 
 
@@ -49,24 +49,6 @@ def str_to_frac(s: str) -> Fraction:
     return Fraction(int(s))
 
 
-def jsonable(obj: Any) -> Any:
-    """Recursively convert to plain JSON types; rationals become "p/q".
-    Dictionary keys must be strings."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, Fraction):
-        return frac_to_str(obj)
-    if isinstance(obj, float):
-        raise TypeError("floats are not serialized; use Fraction")
-    if isinstance(obj, dict):
-        if not all(isinstance(k, str) for k in obj):
-            raise TypeError("dictionary keys must be strings")
-        return {k: jsonable(v) for k, v in sorted(obj.items())}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def read_json(path: Path, what: str) -> Any:
     """The JSON value in the file ``what`` at ``path``.  A file that cannot
     be read or parsed is an input error; a missing one raises
@@ -79,6 +61,13 @@ def read_json(path: Path, what: str) -> Any:
         raise InputError(f"cannot read {what} {path}: {exc}") from exc
 
 
+def _fraction(obj: Any) -> str:
+    if isinstance(obj, Fraction):
+        return frac_to_str(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
 def dump_json(obj: Any) -> str:
-    """Byte-stable JSON: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(jsonable(obj), sort_keys=True, indent=2) + "\n"
+    """Byte-stable JSON: sorted keys, fixed separators, trailing newline;
+    rationals become "p/q"."""
+    return json.dumps(obj, sort_keys=True, indent=2, default=_fraction) + "\n"

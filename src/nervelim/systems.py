@@ -3,7 +3,7 @@
 With finitely many covers the index set has a maximum level, so limit
 objects are computed at the top and consistency with lower levels is
 verified rather than assumed.  A thread is a tuple aligned with
-``system.lambdas``: a vertex id per level (a vertex thread) or a
+``system.levels``: a vertex id per level (a vertex thread) or a
 barycentric point per level (a point thread), bond-compatible when built
 from the top.
 """
@@ -27,7 +27,6 @@ from .complexes import (
     build_vertices,
     carrier_wedge,
     convex_combination,
-    flag_completion,
     point_fibers,
     push_point,
     unmapped,
@@ -40,11 +39,12 @@ from .report import Report
 
 @dataclass
 class Level:
+    """One level: its name, its vertices, and the two complexes on them."""
+
     lam: LambdaIndex
     vertices: tuple[Vertex, ...]
     flag: SimplicialComplex
     nerve: SimplicialComplex
-    index_of: dict[tuple[int, ...], int]
     # the flag 1-skeleton, as ``complexes.wedge_adjacency`` gives it
     adjacency: list[int]
     # per ground point, the vertices whose wedge contains it, as
@@ -54,20 +54,19 @@ class Level:
 
 @dataclass
 class InverseSystem:
-    """Levels in ``lambdas`` order, by size and then by cover ids.
+    """Levels ordered by size and then by cover ids.
 
-    A level is named by its position in ``lambdas``, and ``levels`` is
-    aligned with it; ``lambdas[i]`` is the level's name for output.
-    ``position`` turns a name a user gives into a position.  ``above[i]``
-    lists, ascending, the positions of the levels at or above position i,
-    and ``bond(i, j)`` is the bond down from position j to i: its vertex
-    map, entry v the image of vertex v of level j.
+    A level is named by its position in ``levels``; ``levels[i].lam`` is
+    its name for output, and ``position`` turns a name a user gives into a
+    position.  ``above[i]`` lists, ascending, the positions of the levels
+    at or above position i, and ``bond(i, j)`` is the bond down from
+    position j to i: its vertex map, entry v the image of vertex v of level
+    j.  ``position``, ``above`` and ``top`` are computed from ``levels``.
     ``_canonical`` holds each canonical map once computed, by (level
     position, point).
     """
 
     family: CoverFamily
-    lambdas: list[LambdaIndex]
     levels: list[Level]
     max_dim: int
     _bonds: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
@@ -77,14 +76,14 @@ class InverseSystem:
     top: int | None = field(init=False)  # the position of the maximum level, when one exists
 
     def __post_init__(self) -> None:
-        position = {lam: i for i, lam in enumerate(self.lambdas)}
-        if len(position) != len(self.lambdas):
+        position = {level.lam: i for i, level in enumerate(self.levels)}
+        if len(position) != len(self.levels):
             raise ValueError("a level is listed twice")
         self.position = position
-        ids = [frozenset(lam.cover_ids) for lam in self.lambdas]
+        ids = [frozenset(level.lam.cover_ids) for level in self.levels]
         self.above = [tuple(j for j, b in enumerate(ids) if a <= b) for a in ids]
-        last = len(self.lambdas) - 1
-        has_top = self.lambdas and all(up[-1] == last for up in self.above)
+        last = len(self.levels) - 1
+        has_top = self.levels and all(up[-1] == last for up in self.above)
         self.top = last if has_top else None
 
     def bond(self, i: int, j: int) -> tuple[int, ...]:
@@ -123,15 +122,15 @@ def build_system(
         verts = build_vertices(family, lam)
         fibers = point_fibers(verts, family.ground.n_points)
         adjacency = wedge_adjacency(fibers, len(verts))
-        flag = build_flag(lam, verts, adjacency, max_dim)
-        nerve = build_nerve(lam, verts, fibers, max_dim)
-        index_of = {v.elements: i for i, v in enumerate(verts)}
-        levels.append(Level(lam, tuple(verts), flag, nerve, index_of, adjacency, fibers))
-    system = InverseSystem(family, lams, levels, max_dim)
-    edges = [level.flag.edges() for level in levels]
+        flag = build_flag(lam, adjacency, max_dim)
+        nerve = build_nerve(lam, len(verts), fibers, max_dim)
+        levels.append(Level(lam, tuple(verts), flag, nerve, adjacency, fibers))
+    system = InverseSystem(family, levels, max_dim)
+    edges = [level.flag.k_simplices(1) for level in levels]
+    index_of = [{v.elements: k for k, v in enumerate(level.vertices)} for level in levels]
     for i, up in enumerate(system.above):
         for j in up:
-            bond = _projection(levels[i], levels[j])
+            bond = _projection(levels[i], levels[j], index_of[i])
             s = unmapped(bond, edges[j], levels[i].flag)
             if s is not None:
                 raise AssertionError(f"image of {s} is not a simplex of the target")
@@ -139,9 +138,11 @@ def build_system(
     return system
 
 
-def _projection(dst: Level, src: Level) -> tuple[int, ...]:
+def _projection(dst: Level, src: Level, index_of: dict[tuple[int, ...], int]) -> tuple[int, ...]:
+    """The vertex map forgetting the covers of ``src`` that ``dst`` lacks;
+    ``index_of`` gives each vertex id of ``dst`` by its elements."""
     positions = [src.lam.cover_ids.index(i) for i in dst.lam.cover_ids]
-    return tuple(dst.index_of[tuple(v.elements[p] for p in positions)] for v in src.vertices)
+    return tuple(index_of[tuple(v.elements[p] for p in positions)] for v in src.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +166,7 @@ def point_thread(
 ) -> tuple[BarycentricPoint, ...]:
     """The point thread through a barycentric point of the top level."""
     t = _top(system)
-    return tuple(
-        push_point(system.bond(i, t), top_point, level.flag)
-        for i, level in enumerate(system.levels)
-    )
+    return tuple(push_point(system.bond(i, t), top_point) for i in range(len(system.levels)))
 
 
 def vertex_threads(system: InverseSystem) -> list[tuple[int, ...]]:
@@ -195,7 +193,7 @@ def canonical_map(system: InverseSystem, i: int, x: PointId) -> BarycentricPoint
     level = system.levels[i]
     fiber = level.fibers[x]
     share = Fraction(1, len(fiber))
-    point = BarycentricPoint(level.flag, fiber, tuple((v, share) for v in fiber))
+    point = BarycentricPoint(fiber, tuple((v, share) for v in fiber))
     if point.carrier not in level.nerve.simplices:
         raise AssertionError("canonical image does not span a nerve simplex")
     for vid in point.carrier:
@@ -209,16 +207,9 @@ def canonical_thread(system: InverseSystem, x: PointId) -> tuple[BarycentricPoin
     return tuple(canonical_map(system, i, x) for i in range(len(system.levels)))
 
 
-@dataclass(frozen=True)
-class PiResult:
-    """Finite-level image of a thread: the intersection of carrier wedges."""
-
-    points: frozenset[PointId]
-    resolved: bool
-
-
-def thread_image(system: InverseSystem, z: tuple) -> PiResult:
-    """Intersect the carrier wedges of all levels of the thread.
+def thread_image(system: InverseSystem, z: tuple) -> frozenset[PointId]:
+    """Intersect the carrier wedges of all levels of the thread: its
+    finite-level image.  The thread is resolved when that is one point.
 
     A point thread with a carrier that only spans a flag simplex (not a
     nerve one) yields the empty set: a carrier spans a nerve simplex
@@ -227,12 +218,12 @@ def thread_image(system: InverseSystem, z: tuple) -> PiResult:
     common: frozenset[PointId] | None = None
     for level, entry in zip(system.levels, z):
         if isinstance(entry, BarycentricPoint):
-            wedge = carrier_wedge(entry)
+            wedge = carrier_wedge(level.vertices, entry.carrier)
         else:
             wedge = level.vertices[entry].wedge
         common = wedge if common is None else common & wedge
     assert common is not None
-    return PiResult(frozenset(common), len(common) == 1)
+    return frozenset(common)
 
 
 def check_section_identity(system: InverseSystem) -> Report:
@@ -240,9 +231,9 @@ def check_section_identity(system: InverseSystem) -> Report:
     canonical thread."""
     unresolved = []
     for x in system.family.ground.points:
-        res = thread_image(system, canonical_thread(system, x))
-        if not (res.resolved and res.points == {x}):
-            unresolved.append({"point": x, "image": sorted(res.points)})
+        image = thread_image(system, canonical_thread(system, x))
+        if image != {x}:
+            unresolved.append({"point": x, "image": sorted(image)})
     return Report(
         "section_identity",
         not unresolved,
@@ -261,14 +252,14 @@ def check_fibers(system: InverseSystem) -> Report:
     bad = None
     t = system.top
     threads = vertex_threads(system) if t is not None else []
-    images = [thread_image(system, z).points for z in threads]
+    images = [thread_image(system, z) for z in threads]
     pairs = [(i, j) for i, up in enumerate(system.above) for j in up]
     for x in system.family.ground.points:
         fibers = [level.fibers[x] for level in system.levels]
         for i, j in pairs:
             vm = system.bond(i, j)
             if not {vm[v] for v in fibers[j]} <= set(fibers[i]):
-                lam, mu = system.lambdas[i], system.lambdas[j]
+                lam, mu = system.levels[i].lam, system.levels[j].lam
                 bad = {"point": x, "lam": list(lam.cover_ids), "mu": list(mu.cover_ids)}
                 break
         if bad:
@@ -292,10 +283,10 @@ def fiber_homotopy(
 ) -> tuple[BarycentricPoint, ...]:
     """Levelwise convex combination pulling a thread onto its canonical
     image without moving its ground point."""
-    res = thread_image(system, z)
-    if not res.resolved:
+    image = thread_image(system, z)
+    if len(image) != 1:
         raise ValueError("thread image is not a single ground point")
-    (x,) = res.points
+    (x,) = image
     entries = []
     for i, (level, point) in enumerate(zip(system.levels, z)):
         target = canonical_map(system, i, x)
@@ -320,12 +311,10 @@ def check_homotopy(system: InverseSystem, count: int, seed: int) -> Report:
         s = candidates[rng.randrange(len(candidates))]
         weights = [Fraction(rng.randint(1, 9)) for _ in s]
         total = sum(weights)
-        point = BarycentricPoint.from_dict(
-            level.flag, {v: w / total for v, w in zip(s, weights)}
-        )
+        point = BarycentricPoint.from_dict({v: w / total for v, w in zip(s, weights)})
         z = point_thread(system, point)
         image = thread_image(system, z)
-        if image.resolved:
+        if len(image) == 1:
             threads.append((z, image))
     if len(threads) < count:
         return Report(
@@ -336,7 +325,7 @@ def check_homotopy(system: InverseSystem, count: int, seed: int) -> Report:
     stages = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
     bad = None
     for i, (z, image) in enumerate(threads):
-        (x,) = image.points
+        (x,) = image
         # Whether a stage raises does not depend on t, so computing every
         # stage up front raises exactly where the t=0 endpoint test would.
         moved = [fiber_homotopy(system, z, t) for t in stages]
@@ -346,7 +335,7 @@ def check_homotopy(system: InverseSystem, count: int, seed: int) -> Report:
             bad = {"thread": i, "reason": "t=1 missed the canonical thread"}
         else:
             for t, w in zip(stages, moved):
-                if thread_image(system, w).points != image.points:
+                if thread_image(system, w) != image:
                     bad = {"thread": i, "t": t, "reason": "image moved"}
                     break
         if bad:
@@ -363,30 +352,28 @@ def check_homotopy(system: InverseSystem, count: int, seed: int) -> Report:
 # eventual absorption of the flag complex into the nerve
 
 
-def find_nerve_absorbing_level(system: InverseSystem, i: int) -> tuple[bool, int | None]:
+def find_nerve_absorbing_level(system: InverseSystem, i: int) -> int | None:
     """Position of the smallest built level above position i whose whole
-    flag complex projects into the nerve of level i."""
+    flag complex projects into the nerve of level i, or None."""
     nerve = system.levels[i].nerve
     for j in system.above[i]:
         if unmapped(system.bond(i, j), system.levels[j].flag.simplices, nerve) is None:
-            return True, j
-    return False, None
+            return j
+    return None
 
 
 def check_nerve_absorption(system: InverseSystem) -> Report:
     rows = []
-    passed = True
-    for i, lam in enumerate(system.lambdas):
-        found, j = find_nerve_absorbing_level(system, i)
+    for i, level in enumerate(system.levels):
+        j = find_nerve_absorbing_level(system, i)
         rows.append(
             {
-                "lambda": list(lam.cover_ids),
-                "found": found,
-                "mu": None if j is None else list(system.lambdas[j].cover_ids),
+                "lambda": list(level.lam.cover_ids),
+                "found": j is not None,
+                "mu": None if j is None else list(system.levels[j].lam.cover_ids),
             }
         )
-        passed = passed and found
-    return Report("nerve_absorption", passed, details={"levels": rows})
+    return Report("nerve_absorption", all(r["found"] for r in rows), details={"levels": rows})
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +395,7 @@ def check_functoriality(system: InverseSystem) -> Report:
         count += 1
         outer = system.bond(i, j)
         if system.bond(i, k) != tuple(outer[v] for v in system.bond(j, k)):
-            lam, mu, nu = (system.lambdas[p] for p in (i, j, k))
+            lam, mu, nu = (system.levels[p].lam for p in (i, j, k))
             bad = {
                 "lambda": list(lam.cover_ids),
                 "mu": list(mu.cover_ids),
@@ -427,7 +414,7 @@ def check_simpliciality(system: InverseSystem) -> Report:
     nerve is downward closed.
     """
     levels = system.levels
-    edges = [level.flag.edges() for level in levels]
+    edges = [level.flag.k_simplices(1) for level in levels]
     bad = None
     for i, j in ((i, j) for i, up in enumerate(system.above) for j in up):
         bond = system.bond(i, j)
@@ -448,11 +435,11 @@ def check_flag_reconstruction(system: InverseSystem) -> Report:
     and the nerve must sit inside it with the same 1-skeleton."""
     bad = None
     for level in system.levels:
-        rebuilt = flag_completion(level.flag.adjacency(), system.max_dim)
+        rebuilt = build_flag(level.lam, level.flag.adjacency(), system.max_dim)
         if rebuilt.simplices != level.flag.simplices:
             bad = {"lambda": list(level.lam.cover_ids), "reason": "flag reconstruction"}
             break
-        if not level.nerve.is_subcomplex_of(level.flag):
+        if not level.nerve.simplices <= level.flag.simplices:
             bad = {"lambda": list(level.lam.cover_ids), "reason": "nerve not a subcomplex"}
             break
     return Report("flag_reconstruction", bad is None, counterexample=bad)

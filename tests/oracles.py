@@ -36,9 +36,9 @@ def from_maximal(n_vertices: int, maximal: Iterable[Sequence[int]]) -> Simplicia
     return SimplicialComplex(n_vertices, frozenset(closed))
 
 
-def vertex_point(cx: SimplicialComplex, v: int) -> BarycentricPoint:
-    """The point of the complex at vertex v."""
-    return BarycentricPoint(cx, (v,), ((v, Fraction(1)),))
+def vertex_point(v: int) -> BarycentricPoint:
+    """The point at vertex v."""
+    return BarycentricPoint((v,), ((v, Fraction(1)),))
 
 
 def is_compatible(system: InverseSystem, z: tuple) -> bool:
@@ -48,7 +48,7 @@ def is_compatible(system: InverseSystem, z: tuple) -> bool:
         for j in up:
             bond, value = system.bond(i, j), z[j]
             if isinstance(value, BarycentricPoint):
-                image = push_point(bond, value, system.levels[i].flag)
+                image = push_point(bond, value)
             else:
                 image = bond[value]
             if image != z[i]:
@@ -134,7 +134,7 @@ def product_scan_vertices(family: CoverFamily, lam: LambdaIndex) -> list[Vertex]
     for choice in product(*(c.elements for c in covers)):
         wedge = frozenset.intersection(*(e.pointset for e in choice))
         if wedge:
-            out.append(Vertex(lam, tuple(e.id for e in choice), wedge))
+            out.append(Vertex(tuple(e.id for e in choice), wedge))
     return out
 
 
@@ -231,9 +231,10 @@ def sympy_betti(cx: SimplicialComplex) -> tuple[int, ...]:
 
 
 def product_weights(
-    family: CoverFamily, vertices: Sequence[Vertex], x: PointId
+    family: CoverFamily, lam: LambdaIndex, vertices: Sequence[Vertex], x: PointId
 ) -> dict[Vertex, Fraction]:
-    """Per-vertex products of the covers' even splits at x.
+    """Per-vertex products of the covers' even splits at x, over the
+    vertices of level ``lam``.
 
     A cover's split gives 1/(number of its elements containing x) to each
     element that contains x and 0 to every other, read from cover
@@ -241,7 +242,6 @@ def product_weights(
     """
     if not vertices:
         raise ValueError("level has no vertices")
-    lam = vertices[0].lam
     out: dict[Vertex, Fraction] = {}
     for v in vertices:
         w = Fraction(1)
@@ -259,9 +259,10 @@ def scan_canonical_map(system: InverseSystem, i: int, x: PointId) -> Barycentric
     """The canonical map by product weights over every vertex of the level
     at position i, computed afresh on each call."""
     level = system.levels[i]
-    weights = product_weights(system.family, level.vertices, x)
-    coords = {level.index_of[v.elements]: w for v, w in weights.items() if w > 0}
-    return BarycentricPoint.from_dict(level.flag, coords)
+    weights = product_weights(system.family, level.lam, level.vertices, x)
+    return BarycentricPoint.from_dict(
+        {k: weights[v] for k, v in enumerate(level.vertices) if weights[v] > 0}
+    )
 
 
 def pairwise_is_cauchy(system: InverseSystem, y: tuple[int, ...]) -> bool:
@@ -277,16 +278,17 @@ def pairwise_is_cauchy(system: InverseSystem, y: tuple[int, ...]) -> bool:
     return True
 
 
-def scan_converge(system: InverseSystem, y: tuple[int, ...]) -> tuple[bool, tuple[int, ...] | None]:
-    """Convergence by trying every top vertex's thread in ascending order."""
+def scan_converge(system: InverseSystem, y: tuple[int, ...]) -> tuple[int, ...] | None:
+    """Convergence by trying every top vertex's thread in ascending order:
+    the first thread levelwise adjacent to the net, or None."""
     if not pairwise_is_cauchy(system, y):
         raise ValueError("convergence is only defined for Cauchy nets")
     adjs = [level.adjacency for level in system.levels]
     for v in range(len(system.levels[system.top].vertices)):
         z = vertex_thread(system, v)
         if all(a == b or adj[a] >> b & 1 for adj, a, b in zip(adjs, z, y)):
-            return True, z
-    return False, None
+            return z
+    return None
 
 
 def sweep_every_net(system: InverseSystem, count: int, seed: int) -> Report:
@@ -295,13 +297,14 @@ def sweep_every_net(system: InverseSystem, count: int, seed: int) -> Report:
     rng = random.Random(seed)
     threads = vertex_threads(system)
     sizes = [len(level.vertices) for level in system.levels]
+    non_max = [i for i in range(len(system.levels)) if i != system.top]
     nets = []
     attempts = 0
     while len(nets) < count and attempts < 50 * count:
         attempts += 1
         if rng.random() < 0.5:
             z = threads[rng.randrange(len(threads))]
-            candidate = cells.perturbed_thread_net(system, z, rng)
+            candidate = cells.perturbed_thread_net(system, z, rng, non_max)
         else:
             candidate = tuple(rng.randrange(n) for n in sizes)
         if pairwise_is_cauchy(system, candidate):
@@ -309,7 +312,7 @@ def sweep_every_net(system: InverseSystem, count: int, seed: int) -> Report:
     if len(nets) < count:
         details = {"reason": "not enough Cauchy nets", "found": len(nets)}
         return Report("cauchy_sweep", False, details=details)
-    bad = next(({"net": i} for i, y in enumerate(nets) if not scan_converge(system, y)[0]), None)
+    bad = next(({"net": i} for i, y in enumerate(nets) if scan_converge(system, y) is None), None)
     return Report(
         "cauchy_sweep", bad is None, counterexample=bad, details={"nets": count, "seed": seed}
     )

@@ -102,14 +102,13 @@ def test_star_contraction_cantor_all_threads(cantor_system):
 def test_star_contraction_fails_on_path():
     system = _path_system()
     z = vertex_threads(system)[0]  # an end of the path
-    found, j = check_star_contraction(system, z, 0)
-    assert not found and j is None
+    assert check_star_contraction(system, z, 0) is None
 
 
 def test_star_contraction_trivial_on_one_point():
     system = _one_point_system()
     z = vertex_threads(system)[0]
-    assert check_star_contraction(system, z, 0) == (True, 0)
+    assert check_star_contraction(system, z, 0) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -118,20 +117,19 @@ def test_star_contraction_trivial_on_one_point():
 
 def test_equivalence_cantor_singletons(cantor_system):
     result = equivalence_classes(cantor_system)
-    assert result.transitive
+    assert result.quotient is not None and result.witness is None
     assert all(len(c) == 1 for c in result.quotient.classes)
     assert len(result.quotient.classes) == 8
 
 
 def test_equivalence_interval_classes(interval_system):
     result = equivalence_classes(interval_system)
-    assert result.transitive
+    assert result.quotient is not None and result.witness is None
     assert len(result.quotient.classes) == 9
 
 
 def test_equivalence_reports_transitivity_failure(circle_system):
     result = equivalence_classes(circle_system)
-    assert not result.transitive
     a, b, c = result.witness
     assert result.quotient is None
     assert not check_equivalence(result).passed
@@ -182,7 +180,8 @@ def _alternating_net(system):
     threads = vertex_threads(system)
     u, v = threads[0], threads[7]
     return tuple(
-        (u if len(lam.cover_ids) % 2 == 0 else v)[i] for i, lam in enumerate(system.lambdas)
+        (u if len(level.lam.cover_ids) % 2 == 0 else v)[i]
+        for i, level in enumerate(system.levels)
     )
 
 
@@ -192,24 +191,25 @@ def test_alternating_net_not_cauchy(cantor_system):
 
 def test_perturbed_thread_is_cauchy(cantor_system):
     rng = random.Random(5)
+    non_max = cells._non_max(cantor_system)
     for _ in range(100):
         z = vertex_threads(cantor_system)[rng.randrange(8)]
-        net = perturbed_thread_net(cantor_system, z, rng)
+        net = perturbed_thread_net(cantor_system, z, rng, non_max)
         assert is_cauchy(cantor_system, net)
 
 
 def test_thread_converges_to_itself(cantor_system):
     z = vertex_threads(cantor_system)[3]
-    ok, witness = converge(cantor_system, z)
-    assert ok and witness == z
+    assert converge(cantor_system, z) == z
 
 
 def test_perturbed_threads_converge(cantor_system):
     rng = random.Random(11)
+    non_max = cells._non_max(cantor_system)
     for _ in range(100):
         z = vertex_threads(cantor_system)[rng.randrange(8)]
-        ok, witness = converge(cantor_system, perturbed_thread_net(cantor_system, z, rng))
-        assert ok and witness is not None
+        net = perturbed_thread_net(cantor_system, z, rng, non_max)
+        assert converge(cantor_system, net) is not None
 
 
 def test_converge_rejects_non_cauchy(cantor_system):

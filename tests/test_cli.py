@@ -442,10 +442,12 @@ def test_report_without_run_exits_3(tmp_path, capsys):
         ("report.json", '{"checks": [{"check": null, "pass": true, "details": {}}]}'),
         ("report.json", '{"checks": 3}'),
         ("report.json", '{"checks": [{"check": "a,b\\nc", "pass": true, "details": {}}]}'),
+        ("report.json", '{"checks": [{"check": "fibers", "pass": "no", "details": {}}]}'),
         ("report.json", "[]"),
         ("report.json", "\udcff"),
         ("report.json", "[" * 5000 + "]" * 5000),
         ("quotient.json", '{"bijection": [[0]]}'),
+        ("quotient.json", '{"bijection": [[1, "x"]]}'),
         ("betti.csv", "\udcff"),
     ],
     ids=[
@@ -454,10 +456,12 @@ def test_report_without_run_exits_3(tmp_path, capsys):
         "null-name",
         "checks-a-number",
         "unknown-name",
+        "pass-not-bool",
         "a-list",
         "not-utf8",
         "deep-nesting",
         "short-row",
+        "class-not-int",
         "betti-not-utf8",
     ],
 )
@@ -524,6 +528,22 @@ PINNED_ARTIFACTS = {
         "report.json": "b5596805992eb82b3d5c141ff57a54aa25e70917c352a19d9e93869b82dd5517",
     },
 }
+
+
+def _no_floats(text):
+    raise ValueError(f"float {text} in a written file")
+
+
+@pytest.mark.parametrize("preset", list(PINNED_ARTIFACTS))
+def test_written_json_holds_no_floats(tmp_path, preset):
+    # rationals are written as "p/q" strings; dump_json would write a float
+    samples = ("--nets", 150, "--homotopy-samples", 5)
+    assert run("check", "--space", preset, "--out", tmp_path, *samples) in (0, 1)
+    assert run("build", "--space", preset, "--out", tmp_path) == 0
+    files = sorted(tmp_path.glob("*.json"))
+    assert {"report.json", "space.json", "covers.json", "bonds.json"} <= {f.name for f in files}
+    for f in files:
+        json.loads(f.read_text(), parse_float=_no_floats, parse_constant=_no_floats)
 
 
 @pytest.mark.parametrize("preset", list(PINNED_ARTIFACTS))

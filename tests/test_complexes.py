@@ -16,6 +16,7 @@ from oracles import (
     vertex_point,
 )
 from nervelim.complexes import (
+    DEFAULT_MAX_DIM,
     BarycentricPoint,
     LambdaIndex,
     _all_cliques,
@@ -26,7 +27,6 @@ from nervelim.complexes import (
     complex_from_json,
     complex_to_json,
     convex_combination,
-    flag_completion,
     point_fibers,
     push_point,
     skeleton_dot,
@@ -139,7 +139,7 @@ def test_flag_disjoint_wedges_zero_dimensional():
     space = GroundSpace(4)
     family = _family(space, [[{0, 1}, {2, 3}]])
     cx = build_level(family, LambdaIndex.of([0])).flag
-    assert cx.dim == 0 and cx.is_flag_complex
+    assert cx.dim == 0
 
 
 def test_flag_pairwise_beats_triplewise():
@@ -158,8 +158,8 @@ def test_arcs3_filled_vs_hollow_triangle(arcs3_family):
     level = build_level(arcs3_family, LambdaIndex.of([0]))
     flag, nerve = level.flag, level.nerve
     assert sorted(flag.simplices, key=len)[-1] == (0, 1, 2)
-    assert nerve.dim == 1 and len(nerve.edges()) == 3
-    assert nerve.is_subcomplex_of(flag)
+    assert nerve.dim == 1 and len(nerve.k_simplices(1)) == 3
+    assert nerve.n_vertices == flag.n_vertices and nerve.simplices <= flag.simplices
 
 
 def test_nerve_common_point_full_simplex():
@@ -177,9 +177,9 @@ def test_flag_guard_exceeded():
     fibers = point_fibers(verts, 1)
     # the message names the level and the size of the offending clique or fiber
     with pytest.raises(GuardExceeded, match=r"^level \{0\}: a clique of 6 vertices"):
-        build_flag(lam, verts, wedge_adjacency(fibers, len(verts)), 3)
+        build_flag(lam, wedge_adjacency(fibers, len(verts)), 3)
     with pytest.raises(GuardExceeded, match=r"^level \{0\}: point 0 lies in a fiber of 6 wedges"):
-        build_nerve(lam, verts, fibers, 3)
+        build_nerve(lam, len(verts), fibers, 3)
 
 
 @pytest.mark.parametrize("max_dim", [-2, -5])
@@ -199,6 +199,15 @@ def test_downward_closure_validation():
     ):
         with pytest.raises(ValueError):
             complex_from_json({"lambda": None, "vertices": None, "simplices": simplices})
+    # so is a vertex list given with its level
+    for vertices in (
+        [{"tuple": [0, 1], "wedge": [0]}, {"tuple": [1], "wedge": [1]}],  # two elements
+        [{"tuple": [0], "wedge": []}, {"tuple": [1], "wedge": [1]}],  # empty wedge
+        [{"tuple": [0], "wedge": [0]}],  # one vertex for two ids
+    ):
+        data = {"lambda": [0], "vertices": vertices, "simplices": [[0], [1]]}
+        with pytest.raises(ValueError):
+            complex_from_json(data)
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +223,18 @@ def _graph(n, edges):
     return adj
 
 
+def _clique_complex(adjacency):
+    return build_flag(LambdaIndex.of([0]), adjacency, DEFAULT_MAX_DIM)
+
+
 def test_flag_completion_triangle():
-    cx = flag_completion(_graph(3, [(0, 1), (1, 2), (0, 2)]))
+    cx = _clique_complex(_graph(3, [(0, 1), (1, 2), (0, 2)]))
     assert (0, 1, 2) in cx.simplices
 
 
 def test_flag_completion_square():
-    cx = flag_completion(_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
-    assert cx.dim == 1 and len(cx.edges()) == 4
+    cx = _clique_complex(_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
+    assert cx.dim == 1 and len(cx.k_simplices(1)) == 4
 
 
 def test_flag_completion_reconstructs_generated_levels(arcs3_family):
@@ -234,7 +247,7 @@ def test_flag_completion_reconstructs_generated_levels(arcs3_family):
         for k in range(1, len(family.covers) + 1):
             flag = build_level(family, LambdaIndex.of(range(k))).flag
             graph = _graph(flag.n_vertices, flag.k_simplices(1))
-            assert flag_completion(graph).simplices == flag.simplices
+            assert _clique_complex(graph).simplices == flag.simplices
 
 
 # ---------------------------------------------------------------------------
@@ -242,16 +255,13 @@ def test_flag_completion_reconstructs_generated_levels(arcs3_family):
 
 
 def test_carrier_wedge_cases(arcs3_family):
-    flag = build_level(arcs3_family, LambdaIndex.of([0])).flag
-    at_vertex = vertex_point(flag, 0)
-    assert carrier_wedge(at_vertex) == flag.vertices[0].wedge
-    inside = BarycentricPoint.from_dict(
-        flag, {0: F(1, 3), 1: F(1, 3), 2: F(1, 3)}
-    )
-    assert carrier_wedge(inside) == frozenset()
-    on_edge = BarycentricPoint.from_dict(flag, {0: F(1, 2), 1: F(1, 2)})
-    assert carrier_wedge(on_edge) == flag.vertices[0].wedge & flag.vertices[1].wedge
-    assert len(carrier_wedge(on_edge)) == 3
+    verts = build_level(arcs3_family, LambdaIndex.of([0])).vertices
+    assert carrier_wedge(verts, vertex_point(0).carrier) == verts[0].wedge
+    inside = BarycentricPoint.from_dict({0: F(1, 3), 1: F(1, 3), 2: F(1, 3)})
+    assert carrier_wedge(verts, inside.carrier) == frozenset()
+    on_edge = BarycentricPoint.from_dict({0: F(1, 2), 1: F(1, 2)})
+    assert carrier_wedge(verts, on_edge.carrier) == verts[0].wedge & verts[1].wedge
+    assert len(carrier_wedge(verts, on_edge.carrier)) == 3
 
 
 def test_carrier_wedge_empty_exactly_off_nerve(arcs3_family):
@@ -261,25 +271,28 @@ def test_carrier_wedge_empty_exactly_off_nerve(arcs3_family):
     flag, nerve = level.flag, level.nerve
     for s in flag.simplices:
         share = F(1, len(s))
-        point = BarycentricPoint.from_dict(flag, {v: share for v in s})
-        assert (carrier_wedge(point) != frozenset()) == (s in nerve.simplices)
+        point = BarycentricPoint.from_dict({v: share for v in s})
+        wedge = carrier_wedge(level.vertices, point.carrier)
+        assert (wedge != frozenset()) == (s in nerve.simplices)
 
 
-def test_barycentric_validation(arcs3_family):
-    flag = build_level(arcs3_family, LambdaIndex.of([0])).flag
+def test_barycentric_validation():
     with pytest.raises(ValueError):
-        BarycentricPoint.from_dict(flag, {0: F(1, 2), 1: F(1, 4)})  # sum != 1
+        BarycentricPoint.from_dict({0: F(1, 2), 1: F(1, 4)})  # sum != 1
     with pytest.raises(ValueError):
-        BarycentricPoint.from_dict(flag, {0: F(3, 2), 1: F(-1, 2)})  # negative
-    p = BarycentricPoint.from_dict(flag, {0: F(1, 2), 2: F(1, 2)})
+        BarycentricPoint.from_dict({0: F(3, 2), 1: F(-1, 2)})  # negative
+    with pytest.raises(ValueError):
+        BarycentricPoint.from_dict({})  # no carrier
+    with pytest.raises(ValueError):
+        BarycentricPoint((1, 0), ((1, F(1, 2)), (0, F(1, 2))))  # unsorted
+    p = BarycentricPoint.from_dict({0: F(1, 2), 2: F(1, 2)})
     assert p.carrier == (0, 2)
     assert p.coords == ((0, F(1, 2)), (2, F(1, 2)))
 
 
-def test_convex_combination_endpoints(arcs3_family):
-    flag = build_level(arcs3_family, LambdaIndex.of([0])).flag
-    a = vertex_point(flag, 0)
-    b = BarycentricPoint.from_dict(flag, {1: F(1, 2), 2: F(1, 2)})
+def test_convex_combination_endpoints():
+    a = vertex_point(0)
+    b = BarycentricPoint.from_dict({1: F(1, 2), 2: F(1, 2)})
     assert convex_combination(F(0), a, b) == b
     assert convex_combination(F(1), a, b) == a
     mid = convex_combination(F(1, 2), a, b)
@@ -291,16 +304,15 @@ def test_convex_combination_endpoints(arcs3_family):
 # vertex maps
 
 
-def test_simplicial_map_push_and_compose(arcs3_family):
-    flag = build_level(arcs3_family, LambdaIndex.of([0])).flag
-    point = BarycentricPoint.from_dict(flag, {0: F(1, 3), 1: F(2, 3)})
+def test_simplicial_map_push_and_compose():
+    point = BarycentricPoint.from_dict({0: F(1, 3), 1: F(2, 3)})
     to_point, swap = (0, 0, 0), (1, 0, 2)
-    assert push_point(to_point, point, flag) == vertex_point(flag, 0)
-    swapped = push_point(swap, point, flag)
-    assert swapped == BarycentricPoint.from_dict(flag, {0: F(2, 3), 1: F(1, 3)})
+    assert push_point(to_point, point) == vertex_point(0)
+    swapped = push_point(swap, point)
+    assert swapped == BarycentricPoint.from_dict({0: F(2, 3), 1: F(1, 3)})
     # pushing along a composite is pushing along each map in turn
     composite = tuple(to_point[v] for v in swap)
-    assert push_point(composite, point, flag) == push_point(to_point, swapped, flag)
+    assert push_point(composite, point) == push_point(to_point, swapped)
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +324,11 @@ def test_product_weights_single_cover_verbatim():
     family = CoverFamily(
         (generate_cover(space, DyadicIntervals(1, F(1, 10)), cover_id=0),), space
     )
-    verts = build_vertices(family, LambdaIndex.of([0]))
-    w = product_weights(family, verts, 5)
+    lam = LambdaIndex.of([0])
+    verts = build_vertices(family, lam)
+    w = product_weights(family, lam, verts, 5)
     assert w[verts[0]] == F(1, 2) and w[verts[1]] == F(1, 2)
-    w0 = product_weights(family, verts, 0)
+    w0 = product_weights(family, lam, verts, 0)
     assert w0[verts[0]] == 1 and w0[verts[1]] == 0
 
 
@@ -328,8 +341,9 @@ def test_product_weights_unique_vertex():
         ),
         space,
     )
-    verts = build_vertices(family, LambdaIndex.of([0, 1]))
-    w = product_weights(family, verts, 0)
+    lam = LambdaIndex.of([0, 1])
+    verts = build_vertices(family, lam)
+    w = product_weights(family, lam, verts, 0)
     assert sorted(w.values(), reverse=True) == [1, 0, 0, 0]
 
 
@@ -342,10 +356,11 @@ def test_product_weights_multiply_and_sum_to_one():
         ),
         space,
     )
-    verts = build_vertices(family, LambdaIndex.of([0, 1]))
+    lam = LambdaIndex.of([0, 1])
+    verts = build_vertices(family, lam)
     fibers = point_fibers(verts, space.n_points)
     for x in space.points:
-        w = product_weights(family, verts, x)
+        w = product_weights(family, lam, verts, x)
         assert sum(w.values()) == 1
         # x's fiber is every pair of elements holding x, one per cover
         holding = [len(c.elements_containing(x)) for c in family.covers]
@@ -393,7 +408,7 @@ def test_complexes_match_brute_force(data):
     nerve, flag = level.nerve, level.flag
     assert nerve.simplices == frozenset(brute_nerve_simplices(wedges, len(wedges)))
     assert flag.simplices == frozenset(brute_flag_simplices(wedges, len(wedges)))
-    assert nerve.is_subcomplex_of(flag)
+    assert nerve.n_vertices == flag.n_vertices and nerve.simplices <= flag.simplices
     assert nerve.adjacency() == flag.adjacency() == level.adjacency
 
 
@@ -420,20 +435,19 @@ def test_downward_closure_and_flag_tag(data):
 
 def test_complex_json_round_trip(arcs3_family):
     lam = LambdaIndex.of([0])
-    flag = build_level(arcs3_family, lam).flag
-    data = complex_to_json(flag, lam)
+    level = build_level(arcs3_family, lam)
+    data = complex_to_json(lam, level.vertices, level.flag, True)
     again = complex_from_json(data)
-    assert again.simplices == flag.simplices
-    assert again.is_flag_complex
-    assert [v.elements for v in again.vertices] == [v.elements for v in flag.vertices]
+    assert again == level.flag
+    assert data["flag"] is True and data["lambda"] == [0]
+    assert [tuple(v["tuple"]) for v in data["vertices"]] == [v.elements for v in level.vertices]
+    assert [frozenset(v["wedge"]) for v in data["vertices"]] == [v.wedge for v in level.vertices]
 
 
 def test_complex_json_without_vertices():
     cx = from_maximal(3, [(0, 1), (1, 2)])
-    data = complex_to_json(cx)
-    assert data["vertices"] is None and data["lambda"] is None
-    again = complex_from_json(data)
-    assert again.simplices == cx.simplices and again.vertices is None
+    data = {"lambda": None, "vertices": None, "simplices": [[0], [0, 1], [1], [1, 2], [2]]}
+    assert complex_from_json(data) == cx
 
 
 def test_skeleton_dot(arcs3_family):

@@ -75,7 +75,7 @@ def test_edge_and_fiber_checks_match_full_check(family, data):
     size, n = len(hi.vertices), len(lo.vertices)
     vm = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size)))
 
-    flag_ok = unmapped(vm, hi.flag.edges(), lo.flag) is None
+    flag_ok = unmapped(vm, hi.flag.k_simplices(1), lo.flag) is None
     assert flag_ok == full_bond_check(vm, hi.flag, lo.flag)
     fibers = point_fibers(hi.vertices, family.ground.n_points)
     nerve_ok = unmapped(vm, fibers, lo.nerve) is None
@@ -106,9 +106,10 @@ def test_simpliciality_catches_a_bond_simplicial_only_on_flags():
     system = build_system(family)
     i, j = system.position[LambdaIndex.of([0])], system.position[LambdaIndex.of([0, 1])]
     vm = list(system.bond(i, j))
+    index_of = {v.elements: k for k, v in enumerate(system.levels[j].vertices)}
     # three vertices over point 0 onto the three vertices of the hollow triangle
     for elements, target in (((0, 0), 0), ((0, 1), 1), ((0, 2), 2)):
-        vm[system.levels[j].index_of[elements]] = target
+        vm[index_of[elements]] = target
     system._bonds[(i, j)] = tuple(vm)
     report = check_simpliciality(system)
     assert report.counterexample == {"lambda": [0], "mu": [0, 1], "complex": "N"}

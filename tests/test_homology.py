@@ -130,12 +130,12 @@ def test_pivot_rank_on_bitmasks_with_zeros_and_repeats(vectors):
 def test_k_simplices_hands_out_copies():
     cx = sphere_boundary_complex()
     cx.k_simplices(1).clear()
-    cx.edges().append((0, 9))
+    cx.k_simplices(1).append((0, 9))
     assert cx.k_simplices(1) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     assert betti(cx).numbers == (1, 0, 1)
     assert cx.k_simplices(cx.dim + 1) == [] and cx.k_simplices(-2) == []
     empty = SimplicialComplex(0, frozenset())
-    assert empty.k_simplices(0) == [] and empty.edges() == []
+    assert empty.k_simplices(0) == [] and empty.k_simplices(1) == []
 
 
 @given(st.randoms(use_true_random=False))

@@ -19,7 +19,7 @@ from hypothesis import assume, given, strategies as st
 from oracles import pairwise_is_cauchy, scan_canonical_map, scan_converge, sweep_every_net
 from nervelim import systems
 from nervelim.errors import GuardExceeded
-from nervelim.cells import cauchy_sweep, converge, is_cauchy, perturbed_thread_net
+from nervelim.cells import _non_max, cauchy_sweep, converge, is_cauchy, perturbed_thread_net
 from nervelim.ground import (
     CantorDepth,
     CircleGrid,
@@ -78,9 +78,10 @@ def test_cauchy_and_converge_match_scans(system, seed):
     rng = random.Random(seed)
     sizes = [len(level.vertices) for level in system.levels]
     threads = vertex_threads(system)
+    non_max = _non_max(system)
     for _ in range(20):
         if rng.random() < 0.5:
-            y = perturbed_thread_net(system, threads[rng.randrange(len(threads))], rng)
+            y = perturbed_thread_net(system, threads[rng.randrange(len(threads))], rng, non_max)
         else:
             y = tuple(rng.randrange(n) for n in sizes)
         cauchy = is_cauchy(system, y)
@@ -93,8 +94,9 @@ def test_preset_nets_converge_as_scanned(preset_systems):
     for name, (_, _, system) in preset_systems.items():
         rng = random.Random(3)
         threads = vertex_threads(system)
+        non_max = _non_max(system)
         for _ in range(200):
-            y = perturbed_thread_net(system, threads[rng.randrange(len(threads))], rng)
+            y = perturbed_thread_net(system, threads[rng.randrange(len(threads))], rng, non_max)
             assert converge(system, y) == scan_converge(system, y), name
 
 

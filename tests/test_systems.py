@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import is_compatible, vertex_point
+from nervelim import systems
 from nervelim.complexes import BarycentricPoint, LambdaIndex, push_point
 from nervelim.ground import (
     Arcs,
@@ -147,8 +148,7 @@ def _canonical_maps_commute_with_bonds(system):
     for x in system.family.ground.points:
         for i, up in enumerate(system.above):
             for j in up:
-                flag = system.levels[i].flag
-                pushed = push_point(system.bond(i, j), canonical_map(system, j, x), flag)
+                pushed = push_point(system.bond(i, j), canonical_map(system, j, x))
                 assert pushed == canonical_map(system, i, x)
 
 
@@ -167,18 +167,16 @@ def test_canonical_thread_is_compatible(interval_system):
 
 def test_thread_image_cantor_resolved(cantor_system):
     z = vertex_thread(cantor_system, 0)
-    res = thread_image(cantor_system, z)
-    assert res.resolved and res.points == {0}
+    assert thread_image(cantor_system, z) == {0}
 
 
 def test_thread_image_off_nerve(circle_system):
     # the filled coarse triangle: its interior lies off the nerve
     system_one = build_system(circle_system.family, [_lam(0)])
-    flag = system_one.levels[0].flag
-    interior = BarycentricPoint.from_dict(flag, {0: F(1, 3), 1: F(1, 3), 2: F(1, 3)})
+    interior = BarycentricPoint.from_dict({0: F(1, 3), 1: F(1, 3), 2: F(1, 3)})
+    assert interior.carrier in system_one.levels[0].flag.simplices
     z = point_thread(system_one, interior)
-    res = thread_image(system_one, z)
-    assert res.points == frozenset() and not res.resolved
+    assert thread_image(system_one, z) == frozenset()
 
 
 def test_thread_image_unresolved_overlap():
@@ -186,8 +184,7 @@ def test_thread_image_unresolved_overlap():
     family = CoverFamily((cover_from_pointsets(0, [{0, 1, 2}, {1, 2}]),), space)
     system = build_system(family)
     z = vertex_thread(system, 1)
-    res = thread_image(system, z)
-    assert res.points == {1, 2} and not res.resolved
+    assert thread_image(system, z) == {1, 2}
 
 
 def test_incompatible_thread_detected(cantor_system):
@@ -250,26 +247,23 @@ def test_fiber_projection_inclusion(preset_systems):
 
 
 def test_homotopy_endpoints(cantor_system):
-    z = point_thread(
-        cantor_system, vertex_point(cantor_system.levels[cantor_system.top].flag, 2)
-    )
+    z = point_thread(cantor_system, vertex_point(2))
     assert fiber_homotopy(cantor_system, z, F(0)) == z
-    (x,) = thread_image(cantor_system, z).points
+    (x,) = thread_image(cantor_system, z)
     assert fiber_homotopy(cantor_system, z, F(1)) == canonical_thread(cantor_system, x)
 
 
 def test_homotopy_preserves_image(interval_system):
     top = interval_system.top
-    flag = interval_system.levels[top].flag
     # an edge of the top nerve: two vertices over the same grid point
     edge = interval_system.levels[top].nerve.k_simplices(1)[0]
-    point = BarycentricPoint.from_dict(flag, {edge[0]: F(1, 3), edge[1]: F(2, 3)})
+    point = BarycentricPoint.from_dict({edge[0]: F(1, 3), edge[1]: F(2, 3)})
     z = point_thread(interval_system, point)
     base = thread_image(interval_system, z)
-    assert base.resolved
+    assert len(base) == 1
     for t in (F(0), F(1, 4), F(1, 2), F(3, 4), F(1)):
         moved = fiber_homotopy(interval_system, z, t)
-        assert thread_image(interval_system, moved).points == base.points
+        assert thread_image(interval_system, moved) == base
         assert is_compatible(interval_system, moved)
 
 
@@ -277,9 +271,38 @@ def test_homotopy_needs_resolved_thread():
     space = GroundSpace(2)
     family = CoverFamily((cover_from_pointsets(0, [{0, 1}]),), space)
     system = build_system(family)
-    z = point_thread(system, vertex_point(system.levels[system.top].flag, 0))
+    z = point_thread(system, vertex_point(0))
     with pytest.raises(ValueError):
         fiber_homotopy(system, z, F(1, 2))
+
+
+def test_preset_point_carriers_are_level_simplices(preset_systems, monkeypatch):
+    # a point holds no complex, so this stands in for a constructor check:
+    # the point threads check_homotopy samples and the homotopy stages lie
+    # in the flag complexes, and canonical maps lie in the nerves
+    drawn, moved = [], []
+
+    def recording(fn, into):
+        def wrapper(*args):
+            into.append(fn(*args))
+            return into[-1]
+
+        return wrapper
+
+    monkeypatch.setattr(systems, "point_thread", recording(point_thread, drawn))
+    monkeypatch.setattr(systems, "fiber_homotopy", recording(fiber_homotopy, moved))
+    for name, (_, _, system) in preset_systems.items():
+        drawn.clear()
+        moved.clear()
+        check_homotopy(system, count=10, seed=7)
+        # circle-a3 resolves no thread, so nothing there is moved
+        assert drawn and (moved or name == "circle-a3"), name
+        for z in drawn + moved:
+            for level, point in zip(system.levels, z):
+                assert point.carrier in level.flag.simplices, name
+        for i, level in enumerate(system.levels):
+            for x in system.family.ground.points:
+                assert canonical_map(system, i, x).carrier in level.nerve.simplices, name
 
 
 def test_homotopy_check_seeded(cantor_system):
@@ -293,15 +316,14 @@ def test_homotopy_check_seeded(cantor_system):
 
 
 def test_nerve_absorption_witness_on_circle(circle_system):
-    found, j = find_nerve_absorbing_level(circle_system, _at(circle_system, 0))
-    assert found and circle_system.lambdas[j] == _lam(0, 1)
+    j = find_nerve_absorbing_level(circle_system, _at(circle_system, 0))
+    assert j is not None and circle_system.levels[j].lam == _lam(0, 1)
 
 
 def test_nerve_absorption_top_level(circle_system):
     top = circle_system.top
-    found, j = find_nerve_absorbing_level(circle_system, top)
     # at the top the only candidate is the top itself, and there F = N
-    assert found and j == top
+    assert find_nerve_absorbing_level(circle_system, top) == top
     assert circle_system.levels[top].flag.simplices == circle_system.levels[top].nerve.simplices
 
 
@@ -309,8 +331,7 @@ def test_nerve_absorption_not_found_when_truncated():
     space = generate_space(CircleGrid(), 12)
     family = CoverFamily((generate_cover(space, Arcs(3, F(1, 4)), cover_id=0),), space)
     system = build_system(family)
-    found, j = find_nerve_absorbing_level(system, _at(system, 0))
-    assert not found and j is None
+    assert find_nerve_absorbing_level(system, _at(system, 0)) is None
     assert not check_nerve_absorption(system).passed
 
 
@@ -324,7 +345,7 @@ def test_fiber_adjacency_disjoint_cylinders(cantor_system):
     threads = vertex_threads(cantor_system)
     za, zb = threads[0], threads[7]
     ia, ib = thread_image(cantor_system, za), thread_image(cantor_system, zb)
-    assert ia.points != ib.points
+    assert ia != ib
     t = cantor_system.top
     va = cantor_system.levels[t].vertices[za[t]]
     vb = cantor_system.levels[t].vertices[zb[t]]
@@ -380,8 +401,7 @@ def test_random_system_section_contains_point(system):
     # the image of the canonical thread always contains its point, even
     # when the family does not resolve it to a singleton
     for x in system.family.ground.points:
-        res = thread_image(system, canonical_thread(system, x))
-        assert x in res.points
+        assert x in thread_image(system, canonical_thread(system, x))
 
 
 @given(random_systems())
