@@ -1,11 +1,12 @@
 """Cell structures: level graphs, thread equivalence, Cauchy nets.
 
-Each level's graph is the 1-skeleton of its flag complex with loops, held
-as ``Level.adjacency``.  Bonds are graph homomorphisms: ``build_system``
-verifies that every bond sends each source edge to an edge or to one
-vertex.  Threads are identified up to levelwise adjacency, and the
-quotient is compared against the ground space point for point.  Threads
-and nets are tuples of vertex ids aligned with ``system.levels``.
+Each level's graph, the 1-skeleton of its flag complex and of its nerve,
+is held as ``Level.adjacency`` and read with loops.  Bonds are graph
+homomorphisms: ``build_system`` verifies that every bond sends each
+source edge to an edge or to one vertex.  Threads are identified up to
+levelwise adjacency, and the quotient is compared against the ground
+space point for point.  Threads and nets are tuples of vertex ids aligned
+with ``system.levels``.
 
 On a finite index set with a maximum level the eventual ("there exists a
 level such that ...") quantifier of the Cauchy and convergence definitions
@@ -20,8 +21,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import LambdaIndex
-from .ground import PointId
+from .complexes import LambdaIndex, members
 from .report import Report
 from .systems import (
     InverseSystem,
@@ -42,16 +42,6 @@ def _star(adj: list[int], v: int) -> int:
     return adj[v] | 1 << v
 
 
-def _members(mask: int) -> list[int]:
-    """The vertices of a bitmask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the star conditions
 
@@ -63,11 +53,11 @@ def check_star_contraction(system: InverseSystem, z: tuple[int, ...], i: int) ->
     for j in system.above[i]:
         adj = system.levels[j].adjacency
         double = 0
-        for v in _members(_star(adj, z[j])):
+        for v in members(_star(adj, z[j])):
             double |= _star(adj, v)
         vm = system.bond(i, j)
         image = 0
-        for v in _members(double):
+        for v in members(double):
             image |= 1 << vm[v]
         if not image & ~target:
             return j
@@ -152,25 +142,29 @@ def equivalence_classes(system: InverseSystem) -> EquivalenceResult:
     for i in range(n):
         if class_of[i] >= 0:
             continue
-        members = tuple(j for j in range(n) if rel[i][j])
+        cls = tuple(j for j in range(n) if rel[i][j])
         idx = len(classes)
-        classes.append(members)
-        for j in members:
+        classes.append(cls)
+        for j in cls:
             class_of[j] = idx
+    # classes ci <= cj are adjacent at a level when the closed stars of
+    # ci's vertices there meet cj's vertices; each class meets its own
     adjacency = {}
-    for p, level in enumerate(system.levels):
-        pairs = set()
-        adj = adjs[p]
-        for ci, cj in combinations(range(len(classes)), 2):
-            if any(
-                _adjacent(adj, threads[i][p], threads[j][p])
-                for i in classes[ci]
-                for j in classes[cj]
-            ):
-                pairs.add((ci, cj))
-        for ci in range(len(classes)):
-            pairs.add((ci, ci))
-        adjacency[level.lam] = frozenset(pairs)
+    for p, (level, adj) in enumerate(zip(system.levels, adjs)):
+        stars, masks = [], []
+        for cls in classes:
+            star = mask = 0
+            for i in cls:
+                star |= _star(adj, threads[i][p])
+                mask |= 1 << threads[i][p]
+            stars.append(star)
+            masks.append(mask)
+        adjacency[level.lam] = frozenset(
+            (ci, cj)
+            for ci, star in enumerate(stars)
+            for cj in range(ci, len(classes))
+            if star & masks[cj]
+        )
     return EquivalenceResult(None, QuotientSpace(tuple(classes), tuple(class_of), adjacency))
 
 
@@ -184,6 +178,16 @@ def check_equivalence(result: EquivalenceResult) -> Report:
             details={"classes": None},
         )
     return Report("equivalence_classes", True, details={"classes": len(quotient.classes)})
+
+
+def point_classes(system: InverseSystem, quotient: QuotientSpace) -> list[int]:
+    """Per ground point, the class of the vertex thread through the first
+    carrier vertex of its canonical image at the top level."""
+    t = _top(system)
+    return [
+        quotient.class_of[canonical_map(system, t, x).carrier[0]]
+        for x in system.family.ground.points
+    ]
 
 
 def compare_quotient_to_ground(system: InverseSystem, result: EquivalenceResult) -> Report:
@@ -203,16 +207,11 @@ def compare_quotient_to_ground(system: InverseSystem, result: EquivalenceResult)
             False,
             details={"skipped": "thread relation is not transitive"},
         )
-    t = system.top
-    assert t is not None
+    t = _top(system)
     points = list(system.family.ground.points)
+    h = point_classes(system, quotient)
 
-    h: dict[PointId, int] = {}
-    for x in points:
-        support = canonical_map(system, t, x).carrier
-        h[x] = quotient.class_of[support[0]]
-
-    bijection = len(set(h.values())) == len(points) == len(quotient.classes)
+    bijection = len(set(h)) == len(points) == len(quotient.classes)
     if not bijection:
         return Report(
             "quotient_comparison",
@@ -242,8 +241,8 @@ def compare_quotient_to_ground(system: InverseSystem, result: EquivalenceResult)
     # Shared-element consistency: x and y lie in a common wedge of the level
     # exactly when their classes share a vertex there.
     class_vertices = [
-        [{threads[i][p] for i in members} for p in range(len(system.levels))]
-        for members in quotient.classes
+        [{threads[i][p] for i in cls} for p in range(len(system.levels))]
+        for cls in quotient.classes
     ]
     for p, level in enumerate(system.levels):
         fibers = level.fibers
@@ -278,7 +277,7 @@ def is_cauchy(system: InverseSystem, y: tuple[int, ...]) -> bool:
             projected |= 1 << bond(i, j)[y[j]]
         if projected & (projected - 1):  # more than one vertex
             adj = level.adjacency
-            for a in _members(projected):
+            for a in members(projected):
                 if projected & ~_star(adj, a):
                     return False
     return True
@@ -296,7 +295,7 @@ def converge(system: InverseSystem, y: tuple[int, ...]) -> tuple[int, ...] | Non
     t = _top(system)
     adjs = [level.adjacency for level in system.levels]
     down = [system.bond(i, t) for i in range(len(system.levels))]
-    for v in _members(_star(adjs[t], y[t])):
+    for v in members(_star(adjs[t], y[t])):
         if all(_adjacent(adj, vm[v], b) for adj, vm, b in zip(adjs, down, y)):
             return vertex_thread(system, v)
     return None
@@ -316,7 +315,7 @@ def perturbed_thread_net(
     if not non_max:
         return z
     i = non_max[rng.randrange(len(non_max))]
-    star = _members(_star(system.levels[i].adjacency, z[i]))
+    star = members(_star(system.levels[i].adjacency, z[i]))
     return z[:i] + (star[rng.randrange(len(star))],) + z[i + 1 :]
 
 

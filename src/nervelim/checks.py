@@ -80,24 +80,15 @@ def _with_quotient(ctx: RunContext, report: Report, bijection: bool) -> tuple[Re
     quotient = ctx.equivalence.quotient
     if quotient is None:
         return report, {}
+    rows = enumerate(cells.point_classes(ctx.system, quotient)) if bijection else ()
     return report, {
         "quotient.json": {
             "format_version": FORMAT_VERSION,
             **quotient.to_json(),
-            "bijection": _bijection_rows(ctx.system, quotient) if bijection else [],
+            "bijection": [list(row) for row in rows],
             "checks": {report.check: report.passed},
         }
     }
-
-
-def _bijection_rows(
-    system: systems.InverseSystem, quotient: cells.QuotientSpace
-) -> list[list[int]]:
-    rows = []
-    for x in system.family.ground.points:
-        support = systems.canonical_map(system, system.top, x).carrier
-        rows.append([x, quotient.class_of[support[0]]])
-    return rows
 
 
 def _betti_stabilization(ctx: RunContext) -> tuple[Report, dict]:

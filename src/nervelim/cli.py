@@ -154,7 +154,7 @@ def cmd_build(config: RunConfig) -> int:
             "nerve_complex": complex_to_json(lam, level.vertices, level.nerve, False),
         }
         (out / f"level_{tag}.json").write_text(dump_json(payload))
-        (out / f"skeleton_{tag}.dot").write_text(skeleton_dot(level.flag, f"L{tag.replace('-', '_')}"))
+        (out / f"skeleton_{tag}.dot").write_text(skeleton_dot(level.adjacency, f"L{tag.replace('-', '_')}"))
     bonds = [
         {
             "source": list(levels[j].lam.cover_ids),

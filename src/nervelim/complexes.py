@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import GuardExceeded
 from .ground import CoverFamily, CoverId, ElementId, PointId
@@ -76,9 +76,9 @@ class Vertex:
 class SimplicialComplex:
     """Abstract complex on vertex ids 0..n-1, stored downward closed.
 
-    ``build_flag`` and ``build_nerve`` make their complexes closed; a
-    complex from outside the program is checked by ``complex_from_json``.
-    The vertices and the name belong to the level that holds the complex.
+    ``build_flag`` and ``build_nerve`` make their complexes closed.  The
+    vertices, the name and the 1-skeleton belong to the level that holds
+    the complex.
     """
 
     n_vertices: int
@@ -102,15 +102,6 @@ class SimplicialComplex:
     def k_simplices(self, k: int) -> list[Simplex]:
         """The k-simplices in sorted order, as a new list."""
         return list(self._by_size.get(k + 1, ()))
-
-    def adjacency(self) -> list[int]:
-        """The 1-skeleton as per-vertex neighbour bitmasks: bit b of entry a
-        is set when (a, b) is an edge.  Loops are left implicit."""
-        adj = [0] * self.n_vertices
-        for a, b in self._by_size.get(2, ()):
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-        return adj
 
 
 @dataclass(frozen=True)
@@ -155,18 +146,55 @@ def convex_combination(
 
 
 # ---------------------------------------------------------------------------
-# vertex maps
+# graphs and vertex maps
+#
+# A graph on vertex ids 0..n-1 is held as per-vertex neighbour bitmasks:
+# bit b of entry a is set when (a, b) is an edge.  Loops are left implicit.
+
+
+def members(mask: int) -> list[int]:
+    """The vertices of a bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def graph_edges(adjacency: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """The edges (a, b) with a < b, by ascending a and then b."""
+    for a, nbrs in enumerate(adjacency):
+        for b in members(nbrs >> (a + 1)):
+            yield a, a + 1 + b
+
+
+def unmapped_edge(
+    vertex_map: Sequence[int], source: Sequence[int], target: Sequence[int]
+) -> tuple[int, int] | None:
+    """The first edge of the graph ``source``, in ``graph_edges`` order,
+    whose image is neither one vertex nor an edge of ``target``, or None.
+
+    On level graphs this decides whether the map is simplicial on the flag
+    complexes: the target flag complex holds every clique of its graph up
+    to the guard (``build_flag`` raises rather than leave one out), and
+    every source simplex is a clique of source edges.
+    """
+    for a, b in graph_edges(source):
+        fa, fb = vertex_map[a], vertex_map[b]
+        if fa != fb and not target[fa] >> fb & 1:
+            return a, b
+    return None
 
 
 def unmapped(
     vertex_map: Sequence[int], simplices: Iterable[Simplex], target: SimplicialComplex
 ) -> Simplex | None:
-    """The first of ``simplices`` whose image is not a simplex of
-    ``target``, or None.
+    """The first of ``simplices`` whose image is not a simplex of the
+    nerve ``target``, or None.
 
     A subset of the source decides simpliciality when every source simplex
-    is a face of one of its members, or, for a flag target, when it holds
-    every source edge (see ``systems.build_system``).
+    is a face of one of its members, such as the source's point fibers.
     """
     target_simplices = target.simplices
     for s in simplices:
@@ -221,9 +249,8 @@ def _level_name(lam: LambdaIndex) -> str:
 
 
 def wedge_adjacency(fibers: Sequence[tuple[int, ...]], n_vertices: int) -> list[int]:
-    """Per-vertex neighbour bitmasks, as ``SimplicialComplex.adjacency``
-    gives them, of the graph in which two vertices are adjacent when their
-    wedges meet, that is, when both lie in one point fiber."""
+    """The graph in which two vertices are adjacent when their wedges
+    meet, that is, when both lie in one point fiber."""
     adj = [0] * n_vertices
     for fib in fibers:
         mask = 0
@@ -235,9 +262,9 @@ def wedge_adjacency(fibers: Sequence[tuple[int, ...]], n_vertices: int) -> list[
 
 
 def build_flag(lam: LambdaIndex, adjacency: Sequence[int], max_dim: int) -> SimplicialComplex:
-    """Clique complex of a graph given as per-vertex neighbour bitmasks, the
-    form of ``SimplicialComplex.adjacency``.  A level's flag complex is the
-    clique complex of ``wedge_adjacency``: edges where wedges meet."""
+    """Clique complex of a graph given as neighbour bitmasks.  A level's
+    flag complex is the clique complex of ``wedge_adjacency``: edges where
+    wedges meet."""
     n = len(adjacency)
     simplices = _all_cliques(n, adjacency, max_dim, _level_name(lam) + ": ")
     return SimplicialComplex(n, frozenset(simplices))
@@ -317,47 +344,10 @@ def complex_to_json(
     }
 
 
-def complex_from_json(data: dict) -> SimplicialComplex:
-    """Read back a complex written by ``complex_to_json``.
-
-    The program builds its own complexes closed, so a complex from outside
-    it is checked here, and only here: sorted simplices on vertex ids
-    0..n-1, every vertex a simplex, and every face of a simplex a simplex.
-    A vertex list given with its level must hold one vertex per id, each
-    with one element per cover of the level and a nonempty wedge.
-    """
-    simplices = frozenset(tuple(s) for s in data["simplices"])
-    for s in simplices:
-        if list(s) != sorted(set(s)):
-            raise ValueError(f"simplex {s} is not a sorted id tuple")
-        if s and s[0] < 0:
-            raise ValueError(f"simplex {s} has out-of-range vertices")
-    n = max((s[-1] for s in simplices if s), default=-1) + 1
-    for v in range(n):
-        if (v,) not in simplices:
-            raise ValueError(f"vertex {v} is missing as a singleton simplex")
-    for s in simplices:
-        if len(s) > 1:
-            for f in combinations(s, len(s) - 1):
-                if f not in simplices:
-                    raise ValueError(f"face {f} of {s} is missing")
-    if data.get("vertices") and data.get("lambda"):
-        width = len(LambdaIndex.of(data["lambda"]).cover_ids)
-        for v in data["vertices"]:
-            if len(v["tuple"]) != width:
-                raise ValueError("one element per cover id required")
-            Vertex(tuple(v["tuple"]), frozenset(v["wedge"]))  # checks the wedge
-        if len(data["vertices"]) != n:
-            raise ValueError("vertex list length mismatch")
-    return SimplicialComplex(n, simplices)
-
-
-def skeleton_dot(cx: SimplicialComplex, name: str) -> str:
-    """The 1-skeleton as a Graphviz graph."""
+def skeleton_dot(adjacency: Sequence[int], name: str) -> str:
+    """A graph held as neighbour bitmasks, as a Graphviz graph."""
     lines = [f"graph {name} {{"]
-    for v in range(cx.n_vertices):
-        lines.append(f"  {v};")
-    for a, b in cx.k_simplices(1):
-        lines.append(f"  {a} -- {b};")
+    lines.extend(f"  {v};" for v in range(len(adjacency)))
+    lines.extend(f"  {a} -- {b};" for a, b in graph_edges(adjacency))
     lines.append("}")
     return "\n".join(lines) + "\n"

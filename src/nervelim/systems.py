@@ -27,9 +27,11 @@ from .complexes import (
     build_vertices,
     carrier_wedge,
     convex_combination,
+    graph_edges,
     point_fibers,
     push_point,
     unmapped,
+    unmapped_edge,
     wedge_adjacency,
 )
 from .errors import PreconditionUnmet
@@ -45,7 +47,8 @@ class Level:
     vertices: tuple[Vertex, ...]
     flag: SimplicialComplex
     nerve: SimplicialComplex
-    # the flag 1-skeleton, as ``complexes.wedge_adjacency`` gives it
+    # the level graph, shared by the flag 1-skeleton and the nerve's, as
+    # ``complexes.wedge_adjacency`` gives it
     adjacency: list[int]
     # per ground point, the vertices whose wedge contains it, as
     # ``complexes.point_fibers`` gives them
@@ -106,12 +109,9 @@ def build_system(
     """Construct all selected levels and every bond, and verify that each
     bond is simplicial.
 
-    Each bond is checked on the edges of its source.  The target is a flag
-    complex from ``build_flag``, which holds every clique of its 1-skeleton
-    up to the guard (it raises rather than leave one out), and every source
-    simplex is a clique of source edges.  So the image of each simplex is a
-    target simplex once the image of each edge is an edge or one vertex;
-    the bond is then also a homomorphism of the reflexive level graphs.
+    Each bond is checked on the level graphs by ``unmapped_edge``: it is
+    simplicial on the flag complexes exactly when it is a homomorphism of
+    the reflexive level graphs.
     """
     lams = sorted(
         all_lambdas(len(family.covers)) if lambdas is None else lambdas,
@@ -126,12 +126,11 @@ def build_system(
         nerve = build_nerve(lam, len(verts), fibers, max_dim)
         levels.append(Level(lam, tuple(verts), flag, nerve, adjacency, fibers))
     system = InverseSystem(family, levels, max_dim)
-    edges = [level.flag.k_simplices(1) for level in levels]
     index_of = [{v.elements: k for k, v in enumerate(level.vertices)} for level in levels]
     for i, up in enumerate(system.above):
         for j in up:
             bond = _projection(levels[i], levels[j], index_of[i])
-            s = unmapped(bond, edges[j], levels[i].flag)
+            s = unmapped_edge(bond, levels[j].adjacency, levels[i].adjacency)
             if s is not None:
                 raise AssertionError(f"image of {s} is not a simplex of the target")
             system._bonds[(i, j)] = bond
@@ -194,11 +193,8 @@ def canonical_map(system: InverseSystem, i: int, x: PointId) -> BarycentricPoint
     fiber = level.fibers[x]
     share = Fraction(1, len(fiber))
     point = BarycentricPoint(fiber, tuple((v, share) for v in fiber))
-    if point.carrier not in level.nerve.simplices:
-        raise AssertionError("canonical image does not span a nerve simplex")
-    for vid in point.carrier:
-        if x not in level.vertices[vid].wedge:
-            raise AssertionError("canonical support must contain the point")
+    if x not in carrier_wedge(level.vertices, fiber):
+        raise AssertionError("canonical support must span a nerve simplex at the point")
     system._canonical[(i, x)] = point
     return point
 
@@ -292,7 +288,7 @@ def fiber_homotopy(
         target = canonical_map(system, i, x)
         moved = convex_combination(Fraction(t), target, point)
         ambient = tuple(sorted(set(point.carrier) | set(target.carrier)))
-        if ambient not in level.nerve.simplices:
+        if not carrier_wedge(level.vertices, ambient):
             raise AssertionError("homotopy leaves the nerve")
         entries.append(moved)
     return tuple(entries)
@@ -408,17 +404,16 @@ def check_functoriality(system: InverseSystem) -> Report:
 def check_simpliciality(system: InverseSystem) -> Report:
     """Every bond is simplicial on the flag complexes and on the nerves.
 
-    The flag half is decided on edges, as in ``build_system``.  The nerve
-    half is decided on point fibers: the nerve is the downward closure of
-    its fibers, the image of a face is a face of the image, and the target
-    nerve is downward closed.
+    The flag half is decided on the level graphs, as in ``build_system``.
+    The nerve half is decided on point fibers: the nerve is the downward
+    closure of its fibers, the image of a face is a face of the image, and
+    the target nerve is downward closed.
     """
     levels = system.levels
-    edges = [level.flag.k_simplices(1) for level in levels]
     bad = None
     for i, j in ((i, j) for i, up in enumerate(system.above) for j in up):
         bond = system.bond(i, j)
-        if unmapped(bond, edges[j], levels[i].flag) is not None:
+        if unmapped_edge(bond, levels[j].adjacency, levels[i].adjacency) is not None:
             kind = "F"
         elif unmapped(bond, levels[j].fibers, levels[i].nerve) is not None:
             kind = "N"
@@ -430,12 +425,24 @@ def check_simpliciality(system: InverseSystem) -> Report:
     return Report("simpliciality", bad is None, counterexample=bad)
 
 
+def wedge_graph(vertices: Sequence[Vertex]) -> list[int]:
+    """The level graph read pair by pair from the wedges, as neighbour
+    bitmasks: two vertices are adjacent when their wedges meet.  It does
+    not go through the point fibers the complexes are built from."""
+    adj = [0] * len(vertices)
+    for (a, v), (b, w) in combinations(enumerate(vertices), 2):
+        if not v.wedge.isdisjoint(w.wedge):
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+    return adj
+
+
 def check_flag_reconstruction(system: InverseSystem) -> Report:
-    """The flag complex must equal the clique complex of its own 1-skeleton,
-    and the nerve must sit inside it with the same 1-skeleton."""
+    """The flag complex must equal the clique complex of the wedge graph,
+    and the nerve must sit inside it."""
     bad = None
     for level in system.levels:
-        rebuilt = build_flag(level.lam, level.flag.adjacency(), system.max_dim)
+        rebuilt = build_flag(level.lam, wedge_graph(level.vertices), system.max_dim)
         if rebuilt.simplices != level.flag.simplices:
             bad = {"lambda": list(level.lam.cover_ids), "reason": "flag reconstruction"}
             break
@@ -446,10 +453,15 @@ def check_flag_reconstruction(system: InverseSystem) -> Report:
 
 
 def check_skeleton_equality(system: InverseSystem) -> Report:
-    """The nerve and the flag complex of each level have the same edges."""
+    """The edges of the nerve, of the flag complex and of the level graph
+    are those of the wedge graph."""
     bad = None
     for level in system.levels:
-        if level.nerve.adjacency() != level.flag.adjacency():
+        graph = wedge_graph(level.vertices)
+        edges = set(graph_edges(graph))
+        if level.adjacency != graph or any(
+            {s for s in cx.simplices if len(s) == 2} != edges for cx in (level.flag, level.nerve)
+        ):
             bad = {"lambda": list(level.lam.cover_ids)}
             break
     return Report("skeleton_equality", bad is None, counterexample=bad)

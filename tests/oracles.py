@@ -36,6 +36,51 @@ def from_maximal(n_vertices: int, maximal: Iterable[Sequence[int]]) -> Simplicia
     return SimplicialComplex(n_vertices, frozenset(closed))
 
 
+def skeleton_adjacency(cx: SimplicialComplex) -> list[int]:
+    """The 1-skeleton of a complex as per-vertex neighbour bitmasks, read
+    from its edge simplices."""
+    adj = [0] * cx.n_vertices
+    for a, b in cx.k_simplices(1):
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return adj
+
+
+def complex_from_json(data: dict) -> SimplicialComplex:
+    """Read back a complex written by ``complexes.complex_to_json``.
+
+    The program builds its complexes closed, so a complex read from a file
+    is checked here: sorted simplices on vertex ids 0..n-1, every vertex a
+    simplex, and every face of a simplex a simplex.  A vertex list given
+    with its level must hold one vertex per id, each with one element per
+    cover of the level and a nonempty wedge.
+    """
+    simplices = frozenset(tuple(s) for s in data["simplices"])
+    for s in simplices:
+        if list(s) != sorted(set(s)):
+            raise ValueError(f"simplex {s} is not a sorted id tuple")
+        if s and s[0] < 0:
+            raise ValueError(f"simplex {s} has out-of-range vertices")
+    n = max((s[-1] for s in simplices if s), default=-1) + 1
+    for v in range(n):
+        if (v,) not in simplices:
+            raise ValueError(f"vertex {v} is missing as a singleton simplex")
+    for s in simplices:
+        if len(s) > 1:
+            for f in combinations(s, len(s) - 1):
+                if f not in simplices:
+                    raise ValueError(f"face {f} of {s} is missing")
+    if data.get("vertices") and data.get("lambda"):
+        width = len(LambdaIndex.of(data["lambda"]).cover_ids)
+        for v in data["vertices"]:
+            if len(v["tuple"]) != width:
+                raise ValueError("one element per cover id required")
+            Vertex(tuple(v["tuple"]), frozenset(v["wedge"]))  # checks the wedge
+        if len(data["vertices"]) != n:
+            raise ValueError("vertex list length mismatch")
+    return SimplicialComplex(n, simplices)
+
+
 def vertex_point(v: int) -> BarycentricPoint:
     """The point at vertex v."""
     return BarycentricPoint((v,), ((v, Fraction(1)),))
@@ -289,6 +334,27 @@ def scan_converge(system: InverseSystem, y: tuple[int, ...]) -> tuple[int, ...] 
         if all(a == b or adj[a] >> b & 1 for adj, a, b in zip(adjs, z, y)):
             return z
     return None
+
+
+def pairwise_class_adjacency(
+    system: InverseSystem, classes: Sequence[tuple[int, ...]]
+) -> dict[LambdaIndex, frozenset[tuple[int, int]]]:
+    """Per level, the pairs ci <= cj of thread classes with some member
+    threads equal or adjacent there, by testing every pair of members."""
+    threads = vertex_threads(system)
+    out = {}
+    for p, level in enumerate(system.levels):
+        adj = level.adjacency
+        pairs = {(ci, ci) for ci in range(len(classes))}
+        for ci, cj in combinations(range(len(classes)), 2):
+            if any(
+                a == b or adj[a] >> b & 1
+                for a in (threads[i][p] for i in classes[ci])
+                for b in (threads[j][p] for j in classes[cj])
+            ):
+                pairs.add((ci, cj))
+        out[level.lam] = frozenset(pairs)
+    return out
 
 
 def sweep_every_net(system: InverseSystem, count: int, seed: int) -> Report:

@@ -10,7 +10,13 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 
-from oracles import cycle_complex, discrete_complex, path_complex, wedge_graph_complex
+from oracles import (
+    cycle_complex,
+    discrete_complex,
+    path_complex,
+    skeleton_adjacency,
+    wedge_graph_complex,
+)
 from nervelim.cells import (
     cauchy_sweep,
     check_star_conditions,
@@ -54,10 +60,11 @@ def test_criterion_1_flag_reconstruction(preset_systems):
             t0 = time.perf_counter()
             _, _, system = preset_systems[name]
             for level in system.levels:
-                rebuilt = build_flag(level.lam, level.flag.adjacency(), system.max_dim)
+                skeleton = skeleton_adjacency(level.flag)
+                rebuilt = build_flag(level.lam, skeleton, system.max_dim)
                 assert rebuilt.simplices == level.flag.simplices
                 assert level.nerve.simplices <= level.flag.simplices
-                assert level.nerve.adjacency() == level.flag.adjacency()
+                assert skeleton_adjacency(level.nerve) == skeleton
             assert time.perf_counter() - t0 < 5.0, name
 
     _criterion(1, "flag reconstruction and skeleton equality on every level", 20.0, body)

@@ -15,9 +15,9 @@ from tempfile import TemporaryDirectory
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
+from oracles import complex_from_json
 from nervelim.checks import ALL_CHECKS
 from nervelim.cli import main
-from nervelim.complexes import complex_from_json
 from nervelim.ground import GroundSpace, space_to_json
 from nervelim.homology import betti
 from nervelim.report import dump_json
@@ -554,6 +554,110 @@ def test_repeat_runs_are_byte_identical(tmp_path, preset):
         assert code in (0, 1)
         written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
         assert written == PINNED_ARTIFACTS[preset]
+
+
+# sha256 of every file a build writes at the default --max-dim, recorded
+# from an earlier version of the code like PINNED_ARTIFACTS.
+PINNED_BUILDS = {
+    "cantor-d3": {
+        "bonds.json": "aa3727680439ef0cb17b0970b852a83531b7c6754a3f8da0dcc1fb36245a3271",
+        "covers.json": "c5fbd3aba1b114aabe66fc7fc810c99e37d770ff52db854835ee625ad6bd9115",
+        "level_0-1-2.json": "e8af2de58df1bb80ad6da0a809f5c40261202fbd883275592d0731d668ce0778",
+        "level_0-1.json": "6fea370c985e62d3291d131528b38c07943c3a6fd911cea8190211893caa2e0b",
+        "level_0-2.json": "099348281704b4d501769bd714acc7fc0a384a05e9afd0cd81ceac7c070c4da6",
+        "level_0.json": "925c88e73a82605da8b6b2bbe2ade6d5650d6a2bf91a2bcbf7bc862057b6c796",
+        "level_1-2.json": "089c173e424ce8561a880a91b328482c7449e1e6a3c407d2f332ebbbc6a10c1d",
+        "level_1.json": "09e15bcc53fe9f64b575f127e81fa7377323633d5d9950d8d8c00d0f41201e24",
+        "level_2.json": "ed51fa107ad7031be8995245dd1e4f21f9d806bba996d9e063e935d8e42d7c2d",
+        "skeleton_0-1-2.dot": "de0fa1f3b54edcf30a0a4beb9da7a3efb26b2c6b550c63b2fc70ee7cefd9d2c6",
+        "skeleton_0-1.dot": "84e357f9cb1aef08ca7ff2ea3b06719838450874c518a205520366924397dcfd",
+        "skeleton_0-2.dot": "9a94dd56e3d49cdc6e688ae79b2cb29b3750875a4dcc5995493f0f84ded963b5",
+        "skeleton_0.dot": "2c0c3d3022a46a475672c3a4dfe39741492a3829e7ccccb14fbf08938564b458",
+        "skeleton_1-2.dot": "485ee7604c391f5c67b7460240b06bac29c7cc7c72f923bc8808a6cd25c372d8",
+        "skeleton_1.dot": "4b6c076a29884ca481b44ab2df3053aee3db7f778a6c1ac9400b39b59e975a89",
+        "skeleton_2.dot": "e642ab09a3e381914e98a6b4f285b9c58e0e9e3403140afde3aba0216b6f5e25",
+        "space.json": "45fa98186c07da5051b20983d7094f2ac10ba85213e03f6cad0c715a1cba99c4",
+    },
+    "interval-g8": {
+        "bonds.json": "8e90255d413fe6138a482426135dd28c65552aca4d2e7cb148b8385976356762",
+        "covers.json": "ad3176bce201a10c4dae95674a5739c118b887675805b1a1214f74bff23c6cb5",
+        "level_0-1-2-3.json": "90b725cf1776ef3380e49f88213564217f16788f895233ade9a5668361c48321",
+        "level_0-1-2.json": "a2f919fe128accaa4ee7eb62802b359d21c9c7f9e8a47c59e381925d24bbbea7",
+        "level_0-1-3.json": "d429f6695aa99432e6e901cb2bb176c038c8b04950295fdbc7382ad36436e18c",
+        "level_0-1.json": "7ee0e5ce4b261d76b84a4cc7af2e0e9c17fc7612f36f14136ee4a26fabde2692",
+        "level_0-2-3.json": "74ac6abd05635b4307b43ed04dc9e6408b0f16b2c2539503461892a34e0dad12",
+        "level_0-2.json": "1c10ccc2690100ace2b399504fa08a758e63255f660a13a1cccc293f78764013",
+        "level_0-3.json": "a5000db39e64a47af4edbc6678f6ac4a57b833e7c9c137d7faaa301e880ab1d2",
+        "level_0.json": "e028a3a3fa86291e64ce63e341126a86d4f2fe38fffe8d3bc94c400e6467772f",
+        "level_1-2-3.json": "08b0e82254da0f68f06eb08920ef3b036910c50fe02e81a27c796b03c0b0d115",
+        "level_1-2.json": "c72167bd27cbd669fb73ff65a421f94314ce068626b685c7eb4d09df5a6f6d8a",
+        "level_1-3.json": "149dcdaafb3ee5dbc17b39e285db1af59ac1411a66be089ad29b0899cfa9561d",
+        "level_1.json": "6db78218328dbfadc36b67a33664af9104a6ec21f7f18aa26b38e3539e9b5639",
+        "level_2-3.json": "ac3785410f264fc291454be9866644c32ad981cf9e001bf6d197e8b837b2f06f",
+        "level_2.json": "56a8682745fe45329e1bdec47b5028d45f29549ee0a186733d0868ecb30e6fae",
+        "level_3.json": "a19b11ff6262d815a6ab3c2253d92c90f9d63be54c4bead581934a8c1831577f",
+        "skeleton_0-1-2-3.dot": "b16bca9d1a17158bb316a4a860f80fb1fcfddfd58c50f8d3a79625c866634053",
+        "skeleton_0-1-2.dot": "f16ec207390c48a9fc526397cba22b407a2f1df069f484de596d9596f910b56e",
+        "skeleton_0-1-3.dot": "87441f01543bffdcef54870b52d5ec81e6191dd461b9dd444a81c2ed612d9f9d",
+        "skeleton_0-1.dot": "e8080efb0009d98dfa970a482b03c364b084180febadbf1b8d37d292603fb53c",
+        "skeleton_0-2-3.dot": "67591afaff985bc983fdb49e9d15e202d0e01d624f06b5f94211acfebb42f0a1",
+        "skeleton_0-2.dot": "b2737b8657d43487e33a7b66000b97775b477fe7b117f78f51ca2f96ea698dee",
+        "skeleton_0-3.dot": "48b4875870d536d757e01e749f1010a1bdd0580cf24b067e8479236900a84c2f",
+        "skeleton_0.dot": "85078b959242d61bbde605b9effe2e690d27dc932cee73906a779a1061831f1c",
+        "skeleton_1-2-3.dot": "d3fe92fd622d977eb1020d43ab22356361b9a4463586658bc2d2eb6e84eb8197",
+        "skeleton_1-2.dot": "7f7cba5bb8a9a949ee30e12487973e75ec4b7f611b9842c7b52ed5f15ff48f6b",
+        "skeleton_1-3.dot": "76d40918a35cbaa5389c588e9558fa55a71d6fa3cab151c4f6273a25a1b21751",
+        "skeleton_1.dot": "bd280ee27019b93c637e42a7ea85a6893c2f04f116cf889ffccfd603b2742757",
+        "skeleton_2-3.dot": "ff26b9a852eda2ff894ba5c854cba92100c5c9ccd02981596f425caa2a83ddf8",
+        "skeleton_2.dot": "4cc290f4e7ef298acdaa9bdbc59d1b0ee090113beb738cdf66dea8fa37f33f2c",
+        "skeleton_3.dot": "ef14d51c6af3aeadef2e248ab91b1ecae53a0fa9b77ef8bf755a3be4c99658a3",
+        "space.json": "71f6419ff520f96d1628a53eb7caec4c281f1c507062b7feba9a513d2de96293",
+    },
+    "circle-a3612": {
+        "bonds.json": "192fa3f3f686a5757345147eb2c2d66f15e7957fb12e9b49c37be5f607d11ac2",
+        "covers.json": "cc86744bb121e33c3f461264157accc28d615e7d0c12bc1d1cd51d17e21c6a8a",
+        "level_0-1-2.json": "67feec06c5d33af928f43510da3401777461214bfe8eec2035b56da3609d8142",
+        "level_0-1.json": "c5c3894014844427aaffa13f9752918c7e7fd8dd1fdc92f215d93e31200c65e6",
+        "level_0-2.json": "5d072414eee6254a45bdac7e9f10569719a495effe3b48200bbea3a7ab3508e4",
+        "level_0.json": "7a2148881d411a46c89930a4b8c57cfef0dd7dce069205d30713f4b32e82c14d",
+        "level_1-2.json": "52a3ba5c456267379b8df8235a1b2916e38611152dd8cfd5552b6bcac304a529",
+        "level_1.json": "cf29a612dddfc800d7b0804cd95d020ee051752af4758edeb1994820a4b40dcd",
+        "level_2.json": "cea913e86bfe95e52c46344babeb543835074e01323c30024a4adcca79499cbd",
+        "skeleton_0-1-2.dot": "2b22babc422d4fcda9db7cc3001d3097ed4ea49323334ed43a87cbd149d017b1",
+        "skeleton_0-1.dot": "9d1ef6a77ee7ecdbfbb0e5d4e943bdb4e2aa68cfff92d4373e6430ab8c473be0",
+        "skeleton_0-2.dot": "a3de5f06cc192dfb98913c090a3bcc018531d5b0de676e90fcc87f53ed33440a",
+        "skeleton_0.dot": "5f42c636fea6c79091e9a0368006947bc7a9fcf2216ff50acfa52011ed0f4123",
+        "skeleton_1-2.dot": "740ddbf1ac6b07f2f15d3d599ff4a78a450852c4ad71691daf004358117d7fa9",
+        "skeleton_1.dot": "ac15697b79b26091bee59b7fec7659382ad0f91e97b067ee0e946e4271ddf7a5",
+        "skeleton_2.dot": "074e5d371e49d32521ca8f9319d62abd00d0e5f86ba6de595177b82faeb2d8b7",
+        "space.json": "288713e7e3bdb8cbb0b4f605b6d181943e9b770cf826c31fb48afda72df1d7db",
+    },
+    "circle-a3": {
+        "bonds.json": "6ff31f8039ae448582485a0f779b480bb3e79d8588eadac7f850ee577e714b18",
+        "covers.json": "c5c76f67e4db5bc8bbc482879eecaabb9d632869465c327af5e579bf9c594415",
+        "level_0.json": "7a2148881d411a46c89930a4b8c57cfef0dd7dce069205d30713f4b32e82c14d",
+        "skeleton_0.dot": "5f42c636fea6c79091e9a0368006947bc7a9fcf2216ff50acfa52011ed0f4123",
+        "space.json": "288713e7e3bdb8cbb0b4f605b6d181943e9b770cf826c31fb48afda72df1d7db",
+    },
+    "wedge2": {
+        "bonds.json": "6a81ad03d3770f25994d3dde6f2aa7f2378061fba6bebd36f9fdae9a392e017a",
+        "covers.json": "98eae59b12008493923e132735a3bca173bf13e306872116c3c77c09f458b6bb",
+        "level_0-1.json": "8b46efb7ab1a651c5d85995e2f0d83ca76e42ba451afb3020498862e1cf01ab3",
+        "level_0.json": "b5b949e3b9ea4589823d876a59802a0ef88af9aa8e12f744f37db42c8808c023",
+        "level_1.json": "e334689f861cee731e2e1cd81e1cf0844071dcdf562cffcbf9a930d6ba6fb29e",
+        "skeleton_0-1.dot": "c6f8b7b6132ef3485fb5c0985a8a753a5fd18bc6a5492d5b9fffc00f52be88a6",
+        "skeleton_0.dot": "6930a2c288c97aa4873eed6ea00f62681f49a4f27b21a81eb4864b983d8595d6",
+        "skeleton_1.dot": "1a9f6917f11998044bba3fa18b7417f0b931168512f345ec8877db2a2763ca26",
+        "space.json": "f19046b82a5a80a7fae3bfef65a1fadcc12e3dc78f9423e89926109e3fb84ab7",
+    },
+}
+
+
+@pytest.mark.parametrize("preset", list(PINNED_BUILDS))
+def test_build_artifacts_are_pinned(tmp_path, preset):
+    assert run("build", "--space", preset, "--out", tmp_path) == 0
+    written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
+    assert written == PINNED_BUILDS[preset]
 
 
 # ---------------------------------------------------------------------------

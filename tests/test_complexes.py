@@ -11,8 +11,10 @@ from oracles import (
     brute_flag_simplices,
     brute_nerve_simplices,
     brute_vertices,
+    complex_from_json,
     from_maximal,
     product_weights,
+    skeleton_adjacency,
     vertex_point,
 )
 from nervelim.complexes import (
@@ -24,7 +26,6 @@ from nervelim.complexes import (
     build_nerve,
     build_vertices,
     carrier_wedge,
-    complex_from_json,
     complex_to_json,
     convex_combination,
     point_fibers,
@@ -151,7 +152,7 @@ def test_flag_pairwise_beats_triplewise():
     flag, nerve = level.flag, level.nerve
     assert (0, 1, 2) in flag.simplices
     assert (0, 1, 2) not in nerve.simplices
-    assert nerve.adjacency() == flag.adjacency()
+    assert skeleton_adjacency(nerve) == skeleton_adjacency(flag) == level.adjacency
 
 
 def test_arcs3_filled_vs_hollow_triangle(arcs3_family):
@@ -409,7 +410,7 @@ def test_complexes_match_brute_force(data):
     assert nerve.simplices == frozenset(brute_nerve_simplices(wedges, len(wedges)))
     assert flag.simplices == frozenset(brute_flag_simplices(wedges, len(wedges)))
     assert nerve.n_vertices == flag.n_vertices and nerve.simplices <= flag.simplices
-    assert nerve.adjacency() == flag.adjacency() == level.adjacency
+    assert skeleton_adjacency(nerve) == skeleton_adjacency(flag) == level.adjacency
 
 
 @given(family_and_lambda())
@@ -424,7 +425,7 @@ def test_downward_closure_and_flag_tag(data):
                 for face in combinations(s, k):
                     assert face in cx.simplices
     # every clique of the 1-skeleton is a simplex
-    adj = flag.adjacency()
+    adj = skeleton_adjacency(flag)
     for s in flag.simplices:
         assert all(adj[a] >> b & 1 for a, b in combinations(s, 2))
 
@@ -451,7 +452,10 @@ def test_complex_json_without_vertices():
 
 
 def test_skeleton_dot(arcs3_family):
-    flag = build_level(arcs3_family, LambdaIndex.of([0])).flag
-    dot = skeleton_dot(flag, "L0")
+    level = build_level(arcs3_family, LambdaIndex.of([0]))
+    dot = skeleton_dot(level.adjacency, "L0")
     assert dot.startswith("graph L0 {")
-    assert "0 -- 1;" in dot
+    edges = [
+        tuple(map(int, line.strip(" ;").split(" -- "))) for line in dot.splitlines() if "--" in line
+    ]
+    assert edges == level.flag.k_simplices(1) == [(0, 1), (0, 2), (1, 2)]

@@ -1,9 +1,11 @@
 """Level construction against the constructions it replaced.
 
 Vertices come from point fibers instead of a scan of every element tuple,
-and bonds are checked on edges and fibers instead of on every simplex;
-``oracles`` keeps the old constructions, and these tests require the same
-results on random families with overlapping elements.
+bonds are checked on level graphs and fibers instead of on every simplex,
+and the level graph comes from point fibers instead of from every pair of
+wedges; ``oracles`` and the structural checks keep the old constructions,
+and these tests require the same results on random families with
+overlapping elements.
 """
 
 from __future__ import annotations
@@ -11,7 +13,14 @@ from __future__ import annotations
 from hypothesis import assume, given, strategies as st
 
 from oracles import full_bond_check, full_check_simpliciality, product_scan_vertices
-from nervelim.complexes import LambdaIndex, build_vertices, point_fibers, unmapped
+from nervelim.complexes import (
+    LambdaIndex,
+    build_vertices,
+    point_fibers,
+    unmapped,
+    unmapped_edge,
+    wedge_adjacency,
+)
 from nervelim.errors import GuardExceeded
 from nervelim.ground import (
     CantorDepth,
@@ -22,7 +31,7 @@ from nervelim.ground import (
     generate_cover,
     generate_space,
 )
-from nervelim.systems import all_lambdas, build_system, check_simpliciality
+from nervelim.systems import all_lambdas, build_system, check_simpliciality, wedge_graph
 
 
 @st.composite
@@ -55,6 +64,14 @@ def test_vertices_match_product_scan(family):
         assert build_vertices(family, lam) == product_scan_vertices(family, lam)
 
 
+@given(overlapping_family())
+def test_wedge_graph_matches_fiber_graph(family):
+    for lam in all_lambdas(len(family.covers)):
+        verts = build_vertices(family, lam)
+        fibers = point_fibers(verts, family.ground.n_points)
+        assert wedge_graph(verts) == wedge_adjacency(fibers, len(verts))
+
+
 @st.composite
 def other_map(draw, bond, n):
     """The bond with one vertex moved, or any map between its levels; ``n``
@@ -75,7 +92,7 @@ def test_edge_and_fiber_checks_match_full_check(family, data):
     size, n = len(hi.vertices), len(lo.vertices)
     vm = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size)))
 
-    flag_ok = unmapped(vm, hi.flag.k_simplices(1), lo.flag) is None
+    flag_ok = unmapped_edge(vm, hi.adjacency, lo.adjacency) is None
     assert flag_ok == full_bond_check(vm, hi.flag, lo.flag)
     fibers = point_fibers(hi.vertices, family.ground.n_points)
     nerve_ok = unmapped(vm, fibers, lo.nerve) is None

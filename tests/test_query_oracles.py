@@ -1,11 +1,13 @@
 """Per-point and per-net queries against the scans they replaced.
 
 Canonical maps come from point fibers and are memoized on the system, the
-Cauchy sampler and sweep test each distinct net once, and ``converge``
-searches only the closed star of the net's top vertex.  ``oracles`` keeps
-the old scans (the canonical map as product weights over every vertex of
-the level), and these tests require the same results on generated
-families and the same reports on every preset.
+Cauchy sampler and sweep test each distinct net once, ``converge``
+searches only the closed star of the net's top vertex, and the class
+adjacency of the thread quotient comes from star bitmasks.  ``oracles``
+keeps the old scans (the canonical map as product weights over every
+vertex of the level, the class adjacency by every pair of member
+threads), and these tests require the same results on generated families
+and the same reports on every preset.
 """
 
 from __future__ import annotations
@@ -16,10 +18,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from oracles import pairwise_is_cauchy, scan_canonical_map, scan_converge, sweep_every_net
+from oracles import (
+    pairwise_class_adjacency,
+    pairwise_is_cauchy,
+    scan_canonical_map,
+    scan_converge,
+    sweep_every_net,
+)
 from nervelim import systems
 from nervelim.errors import GuardExceeded
-from nervelim.cells import _non_max, cauchy_sweep, converge, is_cauchy, perturbed_thread_net
+from nervelim.cells import (
+    _non_max,
+    cauchy_sweep,
+    converge,
+    equivalence_classes,
+    is_cauchy,
+    perturbed_thread_net,
+)
 from nervelim.ground import (
     CantorDepth,
     CircleGrid,
@@ -98,6 +113,27 @@ def test_preset_nets_converge_as_scanned(preset_systems):
         for _ in range(200):
             y = perturbed_thread_net(system, threads[rng.randrange(len(threads))], rng, non_max)
             assert converge(system, y) == scan_converge(system, y), name
+
+
+def _class_adjacency_matches_pairs(system):
+    quotient = equivalence_classes(system).quotient
+    if quotient is not None:
+        expected = pairwise_class_adjacency(system, quotient.classes)
+        assert quotient.adjacency == expected
+    return quotient is not None
+
+
+@given(weighted_systems())
+def test_class_adjacency_matches_member_pairs(system):
+    _class_adjacency_matches_pairs(system)
+
+
+def test_preset_class_adjacency_matches_member_pairs(preset_systems):
+    quotients = {
+        name: _class_adjacency_matches_pairs(system)
+        for name, (_, _, system) in preset_systems.items()
+    }
+    assert quotients["cantor-d3"] and quotients["interval-g8"]
 
 
 @pytest.mark.parametrize("seed", [0, 7])

@@ -21,7 +21,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "nervelim"
 # definitions the package does not call itself, by "module.name", with the reason
 ALLOWED = {
     "cli.main": "the console entry point",
-    "complexes.complex_from_json": "reads level files back; tests check artifacts with it",
 }
 
 

@@ -362,6 +362,61 @@ def test_flag_reconstruction_and_skeletons(preset_systems):
         assert check_skeleton_equality(system).passed, name
 
 
+def _top_only(preset_systems, name):
+    """The preset's family and the name of its top level, built alone so
+    that the only bond is the identity and a corrupted graph still builds."""
+    _, family, system = preset_systems[name]
+    return family, system.levels[system.top].lam
+
+
+def _bit_pair(adj):
+    """The first edge (a, b) of a graph given as neighbour bitmasks."""
+    a = next(v for v, nbrs in enumerate(adj) if nbrs)
+    return a, (adj[a] & -adj[a]).bit_length() - 1
+
+
+@pytest.mark.parametrize("change", ["drop", "add"])
+def test_flag_reconstruction_catches_a_wrong_wedge_graph(preset_systems, monkeypatch, change):
+    family, lam = _top_only(preset_systems, "circle-a3612")
+    wedge_adjacency = systems.wedge_adjacency
+
+    def corrupted(fibers, n):
+        adj = wedge_adjacency(fibers, n)
+        if change == "drop":
+            a, b = _bit_pair(adj)
+        else:  # join two vertices whose wedges are disjoint
+            a, b = _bit_pair([~m & ~(1 << v) & ((1 << n) - 1) for v, m in enumerate(adj)])
+        adj[a] ^= 1 << b
+        adj[b] ^= 1 << a
+        return adj
+
+    monkeypatch.setattr(systems, "wedge_adjacency", corrupted)
+    report = check_flag_reconstruction(build_system(family, [lam]))
+    assert report.counterexample == {"lambda": list(lam.cover_ids), "reason": "flag reconstruction"}
+
+
+def test_skeleton_equality_catches_a_missing_fiber_vertex(preset_systems, monkeypatch):
+    family, lam = _top_only(preset_systems, "circle-a3612")
+    (level,) = build_system(family, [lam]).levels
+    # a point x that is the only common point of the wedges of v and w
+    x, v = next(
+        (x, v)
+        for x, fib in enumerate(level.fibers)
+        for v, w in ((v, w) for v in fib for w in fib if v != w)
+        if level.vertices[v].wedge & level.vertices[w].wedge == {x}
+    )
+    point_fibers = systems.point_fibers
+
+    def corrupted(vertices, n_points):
+        fibers = point_fibers(vertices, n_points)
+        fibers[x] = tuple(u for u in fibers[x] if u != v)
+        return fibers
+
+    monkeypatch.setattr(systems, "point_fibers", corrupted)
+    report = check_skeleton_equality(build_system(family, [lam]))
+    assert report.counterexample == {"lambda": list(lam.cover_ids)}
+
+
 # ---------------------------------------------------------------------------
 # property tests over random families
 
