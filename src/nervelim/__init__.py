@@ -3,8 +3,8 @@ inverse systems with coordinate-projection bonds, and cell-structure checks."""
 
 from .complexes import (
     BarycentricPoint,
+    Complex,
     LambdaIndex,
-    SimplicialComplex,
     Vertex,
     build_flag,
     build_nerve,

@@ -29,19 +29,15 @@ DEFAULT_NETS = 10000
 DEFAULT_HOMOTOPY_SAMPLES = 50
 
 
-def betti_chain(preset: Preset | None, n_covers: int) -> list[LambdaIndex]:
-    """The preset's Betti chain, or else the levels {0}, {0,1}, ... up to
-    all covers."""
-    if preset is not None:
-        return [LambdaIndex.of(ids) for ids in preset.chain]
-    return [LambdaIndex.of(range(i + 1)) for i in range(n_covers)]
+def betti_chain(preset: Preset) -> list[LambdaIndex]:
+    """The preset's Betti chain, as level names."""
+    return [LambdaIndex.of(ids) for ids in preset.chain]
 
 
 @dataclass
 class RunContext:
     config: RunConfig
-    preset: Preset | None
-    space: ground.GroundSpace
+    preset: Preset
     family: ground.CoverFamily
     system: systems.InverseSystem
 
@@ -51,9 +47,7 @@ class RunContext:
         return cells.equivalence_classes(self.system)
 
     def neighborhoods(self):
-        if self.preset is not None:
-            return self.preset.neighborhoods(self.space)
-        return ground.singleton_neighborhoods(self.space)
+        return self.preset.neighborhoods(self.family.ground)
 
 
 Runner = Callable[[RunContext], tuple[Report, dict]]
@@ -93,21 +87,18 @@ def _with_quotient(ctx: RunContext, report: Report, bijection: bool) -> tuple[Re
 
 def _betti_stabilization(ctx: RunContext) -> tuple[Report, dict]:
     position = ctx.system.position
-    chain = betti_chain(ctx.preset, len(ctx.family.covers))
+    chain = betti_chain(ctx.preset)
     missing = [lam for lam in chain if lam not in position]
     if missing:
         raise PreconditionUnmet(
             f"betti chain level {missing[0]} is not among the built levels"
         )
     table = homology.betti_stabilization(ctx.system, [position[lam] for lam in chain])
-    passed = table.nerve_stabilized
-    expected = None
-    if ctx.preset is not None:
-        last = [r for r in table.rows if r.complex_kind == "N"][-1].bettis
-        expected = ctx.preset.expected_betti
-        passed = (expected is None or last.agrees_with(expected)) and (
-            table.nerve_stabilized or not ctx.preset.expect_stabilized
-        )
+    last = [r for r in table.rows if r.complex_kind == "N"][-1].bettis
+    expected = ctx.preset.expected_betti
+    passed = (expected is None or last.agrees_with(expected)) and (
+        table.nerve_stabilized or not ctx.preset.expect_stabilized
+    )
     report = Report(
         "betti_stabilization",
         passed,

@@ -17,7 +17,6 @@ from typing import Sequence
 
 from . import systems
 from .checks import (
-    ALL_CHECKS,
     CHECKS,
     DEFAULT_HOMOTOPY_SAMPLES,
     DEFAULT_NETS,
@@ -27,7 +26,7 @@ from .checks import (
 from .complexes import DEFAULT_MAX_DIM, LambdaIndex, complex_to_json, skeleton_dot
 from .errors import GuardExceeded, InputError, PreconditionUnmet
 from .ground import family_to_json, load_family, load_space, space_to_json
-from .presets import PRESETS, Preset
+from .presets import PRESETS, Preset, file_preset
 from .report import FORMAT_VERSION, Report, dump_json, read_json
 
 EXIT_OK = 0
@@ -64,11 +63,11 @@ class RunConfig:
         }
 
 
-def _parse_lambdas(spec: str, n_covers: int, preset: Preset | None) -> list[LambdaIndex] | None:
+def _parse_lambdas(spec: str, n_covers: int, preset: Preset) -> list[LambdaIndex] | None:
     if spec == "all":
         return None  # build_system default: all nonempty subsets
     if spec == "chain":
-        return betti_chain(preset, n_covers)
+        return betti_chain(preset)
     out = []
     for part in spec.split(";"):
         items = part.split(",")
@@ -92,17 +91,17 @@ def _parse_lambdas(spec: str, n_covers: int, preset: Preset | None) -> list[Lamb
 
 
 def _load_context(config: RunConfig) -> RunContext:
-    preset = PRESETS.get(config.space)
-    if preset is not None:
-        space, family = preset.factory()
+    if config.space in PRESETS:
+        preset = PRESETS[config.space]
     else:
         space = load_space(Path(config.space))
         if config.covers is None:
             raise InputError("a space file needs a covers file")
-        family = load_family(Path(config.covers), space)
+        preset = file_preset(load_family(Path(config.covers), space))
+    _, family = preset.factory()
     lambdas = _parse_lambdas(config.lambdas, len(family.covers), preset)
     system = systems.build_system(family, lambdas, config.max_dim)
-    return RunContext(config, preset, space, family, system)
+    return RunContext(config, preset, family, system)
 
 
 def _parse_mode(mode: str) -> tuple[str, int]:
@@ -129,6 +128,8 @@ def _parse_checks(spec: str) -> list[str]:
         if name in names:
             raise InputError(f"check list {spec!r} names {name!r} twice")
         names.append(name)
+    if not names:
+        raise InputError(f"check list {spec!r} names no check")
     return names
 
 
@@ -140,7 +141,7 @@ def cmd_build(config: RunConfig) -> int:
     ctx = _load_context(config)
     out = config.out
     out.mkdir(parents=True, exist_ok=True)
-    (out / "space.json").write_text(dump_json(space_to_json(ctx.space)))
+    (out / "space.json").write_text(dump_json(space_to_json(ctx.family.ground)))
     (out / "covers.json").write_text(dump_json(family_to_json(ctx.family)))
     system = ctx.system
     levels = system.levels
@@ -174,9 +175,7 @@ def cmd_build(config: RunConfig) -> int:
 
 def cmd_check(config: RunConfig) -> int:
     ctx = _load_context(config)
-    names = config.checks
-    if names is None:
-        names = list(ctx.preset.checks) if ctx.preset else list(ALL_CHECKS)
+    names = ctx.preset.checks if config.checks is None else config.checks
     out = config.out
     out.mkdir(parents=True, exist_ok=True)
     reports = []

@@ -4,7 +4,7 @@ Levels are indexed by nonempty sets of cover ids.  A level's vertices are
 the tuples of cover elements (one per cover) with nonempty intersection;
 the intersection is the vertex's wedge.  The flag complex fills in every
 clique of pairwise-intersecting wedges, the nerve only the vertex sets with
-a common point.  Complexes store the full downward-closed simplex set.
+a common point.  A complex is its full downward-closed simplex set.
 
 A map between levels is its vertex map, a tuple whose entry v is the image
 of vertex v; it acts on flag complexes and nerves alike and holds neither.
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -24,6 +23,9 @@ from .ground import CoverFamily, CoverId, ElementId, PointId
 DEFAULT_MAX_DIM = 8
 
 Simplex = tuple[int, ...]
+# an abstract complex on vertex ids 0..n-1: its simplices, downward closed;
+# the vertices, the name and the 1-skeleton belong to the level that holds it
+Complex = frozenset[Simplex]
 
 
 @dataclass(frozen=True)
@@ -70,38 +72,6 @@ class Vertex:
     def __post_init__(self) -> None:
         if not self.wedge:
             raise ValueError("vertex wedge must be nonempty")
-
-
-@dataclass(frozen=True)
-class SimplicialComplex:
-    """Abstract complex on vertex ids 0..n-1, stored downward closed.
-
-    ``build_flag`` and ``build_nerve`` make their complexes closed.  The
-    vertices, the name and the 1-skeleton belong to the level that holds
-    the complex.
-    """
-
-    n_vertices: int
-    simplices: frozenset[Simplex]
-
-    @cached_property
-    def _by_size(self) -> dict[int, list[Simplex]]:
-        """The simplices grouped by vertex count in one pass, each group
-        sorted once; never handed out, so it cannot change."""
-        groups: dict[int, list[Simplex]] = {}
-        for s in self.simplices:
-            groups.setdefault(len(s), []).append(s)
-        for group in groups.values():
-            group.sort()
-        return groups
-
-    @property
-    def dim(self) -> int:
-        return max(self._by_size) - 1
-
-    def k_simplices(self, k: int) -> list[Simplex]:
-        """The k-simplices in sorted order, as a new list."""
-        return list(self._by_size.get(k + 1, ()))
 
 
 @dataclass(frozen=True)
@@ -188,7 +158,7 @@ def unmapped_edge(
 
 
 def unmapped(
-    vertex_map: Sequence[int], simplices: Iterable[Simplex], target: SimplicialComplex
+    vertex_map: Sequence[int], simplices: Iterable[Simplex], target: Complex
 ) -> Simplex | None:
     """The first of ``simplices`` whose image is not a simplex of the
     nerve ``target``, or None.
@@ -196,9 +166,8 @@ def unmapped(
     A subset of the source decides simpliciality when every source simplex
     is a face of one of its members, such as the source's point fibers.
     """
-    target_simplices = target.simplices
     for s in simplices:
-        if tuple(sorted({vertex_map[v] for v in s})) not in target_simplices:
+        if tuple(sorted({vertex_map[v] for v in s})) not in target:
             return s
     return None
 
@@ -248,10 +217,10 @@ def _level_name(lam: LambdaIndex) -> str:
     return "level {" + lam.json_key() + "}"
 
 
-def wedge_adjacency(fibers: Sequence[tuple[int, ...]], n_vertices: int) -> list[int]:
-    """The graph in which two vertices are adjacent when their wedges
-    meet, that is, when both lie in one point fiber."""
-    adj = [0] * n_vertices
+def wedge_adjacency(fibers: Sequence[tuple[int, ...]], n: int) -> list[int]:
+    """The graph on n vertices in which two vertices are adjacent when
+    their wedges meet, that is, when both lie in one point fiber."""
+    adj = [0] * n
     for fib in fibers:
         mask = 0
         for i in fib:
@@ -261,13 +230,11 @@ def wedge_adjacency(fibers: Sequence[tuple[int, ...]], n_vertices: int) -> list[
     return adj
 
 
-def build_flag(lam: LambdaIndex, adjacency: Sequence[int], max_dim: int) -> SimplicialComplex:
+def build_flag(lam: LambdaIndex, adjacency: Sequence[int], max_dim: int) -> Complex:
     """Clique complex of a graph given as neighbour bitmasks.  A level's
     flag complex is the clique complex of ``wedge_adjacency``: edges where
     wedges meet."""
-    n = len(adjacency)
-    simplices = _all_cliques(n, adjacency, max_dim, _level_name(lam) + ": ")
-    return SimplicialComplex(n, frozenset(simplices))
+    return frozenset(_all_cliques(len(adjacency), adjacency, max_dim, _level_name(lam) + ": "))
 
 
 def _all_cliques(n: int, adj: Sequence[int], max_dim: int, where: str = "") -> set[Simplex]:
@@ -301,22 +268,21 @@ def _all_cliques(n: int, adj: Sequence[int], max_dim: int, where: str = "") -> s
     return out
 
 
-def build_nerve(
-    lam: LambdaIndex, n: int, fibers: Sequence[tuple[int, ...]], max_dim: int
-) -> SimplicialComplex:
-    """Nerve on n vertices: a vertex set spans a simplex iff the wedges
-    share a point, that is, iff it lies in one point fiber.  ``fibers`` must
-    be ``point_fibers`` of the vertices."""
-    simplices: set[Simplex] = {(v,) for v in range(n)}
+def build_nerve(lam: LambdaIndex, fibers: Sequence[tuple[int, ...]], max_dim: int) -> Complex:
+    """Nerve of a level: a vertex set spans a simplex iff the wedges share a
+    point, that is, iff it lies in one point fiber.  ``fibers`` must be
+    ``point_fibers`` of the vertices; every wedge is nonempty, so every
+    vertex lies in some fiber."""
+    simplices: set[Simplex] = set()
     for x, carrier in enumerate(fibers):
         if len(carrier) > max_dim + 1:
             raise GuardExceeded(
                 f"{_level_name(lam)}: point {x} lies in a fiber of {len(carrier)} wedges,"
                 f" past the dimension guard (max_dim {max_dim} allows {max_dim + 1})"
             )
-        for k in range(2, len(carrier) + 1):
+        for k in range(1, len(carrier) + 1):
             simplices.update(combinations(carrier, k))
-    return SimplicialComplex(n, frozenset(simplices))
+    return frozenset(simplices)
 
 
 def carrier_wedge(vertices: Sequence[Vertex], carrier: Simplex) -> frozenset[PointId]:
@@ -331,15 +297,13 @@ def carrier_wedge(vertices: Sequence[Vertex], carrier: Simplex) -> frozenset[Poi
 # serialization
 
 
-def complex_to_json(
-    lam: LambdaIndex, vertices: Sequence[Vertex], cx: SimplicialComplex, flag: bool
-) -> dict:
+def complex_to_json(lam: LambdaIndex, vertices: Sequence[Vertex], cx: Complex, flag: bool) -> dict:
     """A complex of level ``lam`` on its vertices, as a level file holds it;
     ``flag`` tells the flag complex from the nerve."""
     return {
         "lambda": list(lam.cover_ids),
         "vertices": [{"tuple": list(v.elements), "wedge": sorted(v.wedge)} for v in vertices],
-        "simplices": sorted(list(s) for s in cx.simplices),
+        "simplices": sorted(list(s) for s in cx),
         "flag": flag,
     }
 

@@ -195,7 +195,6 @@ def generate_space(kind: SpaceKind, resolution: int) -> GroundSpace:
 @dataclass(frozen=True)
 class CoverElement:
     id: ElementId
-    member_of: CoverId
     pointset: frozenset[PointId]
 
     def __post_init__(self) -> None:
@@ -212,9 +211,6 @@ class Cover:
         ids = [e.id for e in self.elements]
         if ids != list(range(len(ids))):
             raise ValueError("element ids must be 0..k-1 in list order")
-        for e in self.elements:
-            if e.member_of != self.id:
-                raise ValueError("element labelled with the wrong cover id")
 
     def union(self) -> frozenset[PointId]:
         out: set[PointId] = set()
@@ -228,7 +224,7 @@ class Cover:
 
 def cover_from_pointsets(cover_id: CoverId, pointsets: Sequence[Iterable[PointId]]) -> Cover:
     elements = tuple(
-        CoverElement(i, cover_id, frozenset(ps)) for i, ps in enumerate(pointsets)
+        CoverElement(i, frozenset(ps)) for i, ps in enumerate(pointsets)
     )
     return Cover(cover_id, elements)
 
@@ -488,7 +484,8 @@ def check_selection_completeness(
             if not full:
                 break
         if not full:
-            counterexample = [[e.member_of, e.id] for e in sel]
+            # a selection holds one element per cover, in cover id order
+            counterexample = [[c, e.id] for c, e in enumerate(sel)]
             break
     details["checked"] = checked
     details["with_intersection_property"] = fip_selections
@@ -535,6 +532,10 @@ def space_from_json(data: dict) -> GroundSpace:
             else tuple(tuple(str_to_frac(x) for x in vec) for vec in coords)
         )
         labels = data["labels"]
+        if labels is not None and not (
+            isinstance(labels, list) and all(isinstance(lb, str) for lb in labels)
+        ):
+            raise ValueError("labels must be null or a list of strings")
         return GroundSpace(
             _json_int(data["points"], "the point count"),
             parsed,

@@ -8,8 +8,9 @@ examples here are torsion free, so GF(2) ranks determine the answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .complexes import LambdaIndex, SimplicialComplex
+from .complexes import Complex, LambdaIndex, Simplex
 from .systems import InverseSystem
 
 
@@ -17,20 +18,17 @@ from .systems import InverseSystem
 class BoundaryMatrix:
     """Boundary map from k-simplices to (k-1)-simplices over GF(2).
 
-    Columns are k-simplices, rows (k-1)-simplices, both in sorted order;
-    each column is stored as an integer bitmask over the rows.
+    Columns are the k-simplices in the order given; each column is stored
+    as an integer bitmask over the (k-1)-simplices it was built against.
     """
 
-    rows: tuple[tuple[int, ...], ...]
-    cols: tuple[tuple[int, ...], ...]
+    cols: tuple[Simplex, ...]
     column_bits: tuple[int, ...]
 
 
-def boundary_matrix(cx: SimplicialComplex, k: int) -> BoundaryMatrix:
-    if k < 1:
-        raise ValueError("boundary matrices start at dimension 1")
-    rows = cx.k_simplices(k - 1)
-    cols = cx.k_simplices(k)
+def boundary_matrix(rows: Sequence[Simplex], cols: Sequence[Simplex]) -> BoundaryMatrix:
+    """The boundary of each simplex of ``cols`` over ``rows``, which must
+    hold every one of their facets; row i is bit i."""
     row_index = {s: i for i, s in enumerate(rows)}
     bits = []
     for s in cols:
@@ -39,7 +37,7 @@ def boundary_matrix(cx: SimplicialComplex, k: int) -> BoundaryMatrix:
             face = s[:drop] + s[drop + 1 :]
             mask |= 1 << row_index[face]
         bits.append(mask)
-    return BoundaryMatrix(tuple(rows), tuple(cols), tuple(bits))
+    return BoundaryMatrix(tuple(cols), tuple(bits))
 
 
 def gf2_rank(vectors: list[int]) -> int:
@@ -88,18 +86,24 @@ class BettiVector:
         return self.padded(width) == BettiVector(other).padded(width)
 
 
-def betti(cx: SimplicialComplex) -> BettiVector:
-    """GF(2) Betti numbers b_0..b_top via rank-nullity on bitset matrices."""
-    top = cx.dim
-    counts = [len(cx.k_simplices(k)) for k in range(top + 2)]
-    ranks = [0]  # rank of d_0 is 0
-    for k in range(1, top + 2):
-        if counts[k] == 0:
-            ranks.append(0)
-        else:
-            ranks.append(gf2_rank(list(boundary_matrix(cx, k).column_bits)))
-    numbers = tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(top + 1))
-    return BettiVector(numbers)
+def betti(cx: Complex) -> BettiVector:
+    """GF(2) Betti numbers b_0..b_top via rank-nullity on bitset matrices.
+
+    The simplices are grouped by dimension in one pass and each group is
+    sorted once; ``groups[k]`` holds the k-simplices.  A downward-closed
+    complex has k-simplices in every dimension up to its top.
+    """
+    groups: list[list[Simplex]] = [[] for _ in range(max(map(len, cx)))]
+    for s in cx:
+        groups[len(s) - 1].append(s)
+    for group in groups:
+        group.sort()
+    # ranks[k] is the rank of d_k; d_0 and d_{top+1} are zero
+    ranks = [0]
+    for k in range(1, len(groups)):
+        ranks.append(gf2_rank(list(boundary_matrix(groups[k - 1], groups[k]).column_bits)))
+    ranks.append(0)
+    return BettiVector(tuple(len(g) - ranks[k] - ranks[k + 1] for k, g in enumerate(groups)))
 
 
 @dataclass

@@ -46,7 +46,6 @@ STRUCTURAL_CHECKS = tuple(
 
 @dataclass(frozen=True)
 class Preset:
-    name: str
     factory: Callable[[], tuple[GroundSpace, CoverFamily]]
     chain: tuple[tuple[int, ...], ...]
     neighborhoods: Callable[[GroundSpace], list[tuple[PointId, frozenset[PointId]]]]
@@ -115,10 +114,22 @@ def _wedge() -> tuple[GroundSpace, CoverFamily]:
     return space, CoverFamily(covers, space)
 
 
+def file_preset(family: CoverFamily) -> Preset:
+    """The profile of a run on a space file: the chain {0}, {0,1}, ... up to
+    all covers, singleton neighborhoods, every check, no expected Betti
+    vector, and stabilization expected."""
+    return Preset(
+        factory=lambda: (family.ground, family),
+        chain=tuple(tuple(range(i + 1)) for i in range(len(family.covers))),
+        neighborhoods=singleton_neighborhoods,
+        checks=ALL_CHECKS,
+    )
+
+
+# presets by the name given to --space
 PRESETS: dict[str, Preset] = {
     # depth-3 Cantor model with the cylinder covers of depths 1..3
     "cantor-d3": Preset(
-        name="cantor-d3",
         factory=_cantor,
         chain=((0,), (0, 1), (0, 1, 2)),
         neighborhoods=singleton_neighborhoods,
@@ -128,7 +139,6 @@ PRESETS: dict[str, Preset] = {
     ),
     # interval grid of 9 points, dyadic covers plus a singleton cover
     "interval-g8": Preset(
-        name="interval-g8",
         factory=_interval,
         chain=((0,), (0, 1), (0, 1, 2)),
         neighborhoods=singleton_neighborhoods,
@@ -137,7 +147,6 @@ PRESETS: dict[str, Preset] = {
     ),
     # 12-point circle with arc covers of 3, 6 and 12 arcs
     "circle-a3612": Preset(
-        name="circle-a3612",
         factory=_circle,
         chain=((0,), (0, 1), (0, 1, 2)),
         neighborhoods=lambda s: ball_neighborhoods(s, [Fraction(1, 4), Fraction(1, 8)]),
@@ -146,7 +155,6 @@ PRESETS: dict[str, Preset] = {
     ),
     # circle with the 3-arc cover only; flag never absorbs into the nerve
     "circle-a3": Preset(
-        name="circle-a3",
         factory=_circle_truncated,
         chain=((0,),),
         neighborhoods=lambda s: ball_neighborhoods(s, [Fraction(1, 2)]),
@@ -163,7 +171,6 @@ PRESETS: dict[str, Preset] = {
     ),
     # wedge of two 12-point circles with hand-built cross/arc covers
     "wedge2": Preset(
-        name="wedge2",
         factory=_wedge,
         chain=((0,), (0, 1)),
         neighborhoods=lambda s: ball_neighborhoods(s, [Fraction(1, 2), Fraction(1, 3)]),

@@ -19,8 +19,8 @@ from typing import Sequence
 from .complexes import (
     DEFAULT_MAX_DIM,
     BarycentricPoint,
+    Complex,
     LambdaIndex,
-    SimplicialComplex,
     Vertex,
     build_flag,
     build_nerve,
@@ -45,8 +45,8 @@ class Level:
 
     lam: LambdaIndex
     vertices: tuple[Vertex, ...]
-    flag: SimplicialComplex
-    nerve: SimplicialComplex
+    flag: Complex
+    nerve: Complex
     # the level graph, shared by the flag 1-skeleton and the nerve's, as
     # ``complexes.wedge_adjacency`` gives it
     adjacency: list[int]
@@ -123,7 +123,7 @@ def build_system(
         fibers = point_fibers(verts, family.ground.n_points)
         adjacency = wedge_adjacency(fibers, len(verts))
         flag = build_flag(lam, adjacency, max_dim)
-        nerve = build_nerve(lam, len(verts), fibers, max_dim)
+        nerve = build_nerve(lam, fibers, max_dim)
         levels.append(Level(lam, tuple(verts), flag, nerve, adjacency, fibers))
     system = InverseSystem(family, levels, max_dim)
     index_of = [{v.elements: k for k, v in enumerate(level.vertices)} for level in levels]
@@ -299,7 +299,7 @@ def check_homotopy(system: InverseSystem, count: int, seed: int) -> Report:
     preservation of the homotopy, with exact equality."""
     rng = random.Random(seed)
     level = system.levels[_top(system)]
-    candidates = sorted(level.nerve.simplices)
+    candidates = sorted(level.nerve)
     threads = []  # (thread, its image)
     attempts = 0
     while len(threads) < count and attempts < 50 * count:
@@ -353,7 +353,7 @@ def find_nerve_absorbing_level(system: InverseSystem, i: int) -> int | None:
     flag complex projects into the nerve of level i, or None."""
     nerve = system.levels[i].nerve
     for j in system.above[i]:
-        if unmapped(system.bond(i, j), system.levels[j].flag.simplices, nerve) is None:
+        if unmapped(system.bond(i, j), system.levels[j].flag, nerve) is None:
             return j
     return None
 
@@ -437,17 +437,26 @@ def wedge_graph(vertices: Sequence[Vertex]) -> list[int]:
     return adj
 
 
+def wedge_fibers(vertices: Sequence[Vertex], n_points: int) -> list[tuple[int, ...]]:
+    """Per ground point, the ids of the vertices whose wedge contains it,
+    read point by point from the wedges rather than by ``point_fibers``."""
+    return [tuple(i for i, v in enumerate(vertices) if x in v.wedge) for x in range(n_points)]
+
+
 def check_flag_reconstruction(system: InverseSystem) -> Report:
     """The flag complex must equal the clique complex of the wedge graph,
-    and the nerve must sit inside it."""
+    and the nerve the nerve of the wedge fibers.  The nerve then sits
+    inside the flag complex: wedges that share a point meet pairwise."""
     bad = None
+    n_points = system.family.ground.n_points
     for level in system.levels:
-        rebuilt = build_flag(level.lam, wedge_graph(level.vertices), system.max_dim)
-        if rebuilt.simplices != level.flag.simplices:
-            bad = {"lambda": list(level.lam.cover_ids), "reason": "flag reconstruction"}
+        lam = level.lam
+        if build_flag(lam, wedge_graph(level.vertices), system.max_dim) != level.flag:
+            bad = {"lambda": list(lam.cover_ids), "reason": "flag reconstruction"}
             break
-        if not level.nerve.simplices <= level.flag.simplices:
-            bad = {"lambda": list(level.lam.cover_ids), "reason": "nerve not a subcomplex"}
+        fibers = wedge_fibers(level.vertices, n_points)
+        if build_nerve(lam, fibers, system.max_dim) != level.nerve:
+            bad = {"lambda": list(lam.cover_ids), "reason": "nerve reconstruction"}
             break
     return Report("flag_reconstruction", bad is None, counterexample=bad)
 
@@ -460,7 +469,7 @@ def check_skeleton_equality(system: InverseSystem) -> Report:
         graph = wedge_graph(level.vertices)
         edges = set(graph_edges(graph))
         if level.adjacency != graph or any(
-            {s for s in cx.simplices if len(s) == 2} != edges for cx in (level.flag, level.nerve)
+            {s for s in cx if len(s) == 2} != edges for cx in (level.flag, level.nerve)
         ):
             bad = {"lambda": list(level.lam.cover_ids)}
             break

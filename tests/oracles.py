@@ -15,8 +15,9 @@ from typing import Iterable, Sequence
 from nervelim import cells
 from nervelim.complexes import (
     BarycentricPoint,
+    Complex,
     LambdaIndex,
-    SimplicialComplex,
+    Simplex,
     Vertex,
     push_point,
 )
@@ -26,27 +27,37 @@ from nervelim.report import Report
 from nervelim.systems import InverseSystem, vertex_thread, vertex_threads
 
 
-def from_maximal(n_vertices: int, maximal: Iterable[Sequence[int]]) -> SimplicialComplex:
+def from_maximal(n_vertices: int, maximal: Iterable[Sequence[int]]) -> Complex:
     """The downward closure of the given simplices, with every vertex."""
     closed: set[tuple[int, ...]] = {(v,) for v in range(n_vertices)}
     for m in maximal:
         m = tuple(sorted(set(m)))
         for k in range(1, len(m) + 1):
             closed.update(combinations(m, k))
-    return SimplicialComplex(n_vertices, frozenset(closed))
+    return frozenset(closed)
 
 
-def skeleton_adjacency(cx: SimplicialComplex) -> list[int]:
+def k_simplices(cx: Complex, k: int) -> list[Simplex]:
+    """The k-simplices of a complex, sorted."""
+    return sorted(s for s in cx if len(s) == k + 1)
+
+
+def top_dim(cx: Complex) -> int:
+    """The dimension of a nonempty complex."""
+    return max(map(len, cx)) - 1
+
+
+def skeleton_adjacency(cx: Complex) -> list[int]:
     """The 1-skeleton of a complex as per-vertex neighbour bitmasks, read
     from its edge simplices."""
-    adj = [0] * cx.n_vertices
-    for a, b in cx.k_simplices(1):
+    adj = [0] * len(k_simplices(cx, 0))
+    for a, b in k_simplices(cx, 1):
         adj[a] |= 1 << b
         adj[b] |= 1 << a
     return adj
 
 
-def complex_from_json(data: dict) -> SimplicialComplex:
+def complex_from_json(data: dict) -> Complex:
     """Read back a complex written by ``complexes.complex_to_json``.
 
     The program builds its complexes closed, so a complex read from a file
@@ -78,7 +89,7 @@ def complex_from_json(data: dict) -> SimplicialComplex:
             Vertex(tuple(v["tuple"]), frozenset(v["wedge"]))  # checks the wedge
         if len(data["vertices"]) != n:
             raise ValueError("vertex list length mismatch")
-    return SimplicialComplex(n, simplices)
+    return simplices
 
 
 def vertex_point(v: int) -> BarycentricPoint:
@@ -101,19 +112,19 @@ def is_compatible(system: InverseSystem, z: tuple) -> bool:
     return True
 
 
-def path_complex(n_vertices: int) -> SimplicialComplex:
+def path_complex(n_vertices: int) -> Complex:
     """A path: the standard triangulation of an interval."""
     edges = [(i, i + 1) for i in range(n_vertices - 1)]
     return from_maximal(n_vertices, edges)
 
 
-def cycle_complex(n_vertices: int) -> SimplicialComplex:
+def cycle_complex(n_vertices: int) -> Complex:
     """An n-gon: the standard triangulation of a circle."""
     edges = [(i, (i + 1) % n_vertices) for i in range(n_vertices)]
     return from_maximal(n_vertices, edges)
 
 
-def wedge_graph_complex(arms: int, n_per_circle: int) -> SimplicialComplex:
+def wedge_graph_complex(arms: int, n_per_circle: int) -> Complex:
     """Cycles of equal length glued at vertex 0."""
     edges = []
     next_id = 1
@@ -125,11 +136,11 @@ def wedge_graph_complex(arms: int, n_per_circle: int) -> SimplicialComplex:
     return from_maximal(n, edges)
 
 
-def discrete_complex(n_vertices: int) -> SimplicialComplex:
+def discrete_complex(n_vertices: int) -> Complex:
     return from_maximal(n_vertices, [])
 
 
-def sphere_boundary_complex() -> SimplicialComplex:
+def sphere_boundary_complex() -> Complex:
     """Boundary of a 3-simplex: a triangulated 2-sphere."""
     faces = list(combinations(range(4), 3))
     return from_maximal(4, faces)
@@ -183,11 +194,9 @@ def product_scan_vertices(family: CoverFamily, lam: LambdaIndex) -> list[Vertex]
     return out
 
 
-def full_bond_check(
-    vm: Sequence[int], source: SimplicialComplex, target: SimplicialComplex
-) -> bool:
+def full_bond_check(vm: Sequence[int], source: Complex, target: Complex) -> bool:
     """Simpliciality by pushing every simplex of the source forward."""
-    return all(tuple(sorted({vm[v] for v in s})) in target.simplices for s in source.simplices)
+    return all(tuple(sorted({vm[v] for v in s})) in target for s in source)
 
 
 def full_check_simpliciality(system: InverseSystem) -> Report:
@@ -227,10 +236,11 @@ def basis_gf2_rank(vectors: list[int]) -> int:
     return rank
 
 
-def boundary_composition_is_zero(cx: SimplicialComplex, k: int) -> bool:
+def boundary_composition_is_zero(cx: Complex, k: int) -> bool:
     """d_k . d_{k+1} = 0, checked column by column."""
-    outer = boundary_matrix(cx, k)
-    inner = boundary_matrix(cx, k + 1)
+    middle = k_simplices(cx, k)
+    outer = boundary_matrix(k_simplices(cx, k - 1), middle)
+    inner = boundary_matrix(middle, k_simplices(cx, k + 1))
     outer_index = {s: outer.column_bits[i] for i, s in enumerate(outer.cols)}
     for s, mask in zip(inner.cols, inner.column_bits):
         acc = 0
@@ -238,7 +248,7 @@ def boundary_composition_is_zero(cx: SimplicialComplex, k: int) -> bool:
         m = mask
         while m:
             if m & 1:
-                acc ^= outer_index[inner.rows[i]]
+                acc ^= outer_index[middle[i]]
             m >>= 1
             i += 1
         if acc:
@@ -246,12 +256,12 @@ def boundary_composition_is_zero(cx: SimplicialComplex, k: int) -> bool:
     return True
 
 
-def sympy_gf2_rank(cx: SimplicialComplex, k: int) -> int:
+def sympy_gf2_rank(cx: Complex, k: int) -> int:
     from sympy import GF, Matrix
     from sympy.polys.matrices import DomainMatrix
 
-    rows = cx.k_simplices(k - 1)
-    cols = cx.k_simplices(k)
+    rows = k_simplices(cx, k - 1)
+    cols = k_simplices(cx, k)
     if not rows or not cols:
         return 0
     row_index = {s: i for i, s in enumerate(rows)}
@@ -264,9 +274,9 @@ def sympy_gf2_rank(cx: SimplicialComplex, k: int) -> int:
     return dm.rank()
 
 
-def sympy_betti(cx: SimplicialComplex) -> tuple[int, ...]:
-    top = cx.dim
-    counts = [len(cx.k_simplices(k)) for k in range(top + 2)]
+def sympy_betti(cx: Complex) -> tuple[int, ...]:
+    top = top_dim(cx)
+    counts = [len(k_simplices(cx, k)) for k in range(top + 2)]
     ranks = [0] + [sympy_gf2_rank(cx, k) for k in range(1, top + 2)]
     return tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(top + 1))
 

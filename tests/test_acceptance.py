@@ -62,8 +62,8 @@ def test_criterion_1_flag_reconstruction(preset_systems):
             for level in system.levels:
                 skeleton = skeleton_adjacency(level.flag)
                 rebuilt = build_flag(level.lam, skeleton, system.max_dim)
-                assert rebuilt.simplices == level.flag.simplices
-                assert level.nerve.simplices <= level.flag.simplices
+                assert rebuilt == level.flag
+                assert level.nerve <= level.flag
                 assert skeleton_adjacency(level.nerve) == skeleton
             assert time.perf_counter() - t0 < 5.0, name
 
@@ -103,7 +103,7 @@ def test_criterion_4_fiber_formula(preset_systems):
                 fibers = [level.fibers[x] for level in system.levels]
                 # the spanned set is a nerve simplex at every level
                 for level, fb in zip(system.levels, fibers):
-                    assert fb in level.nerve.simplices
+                    assert fb in level.nerve
                 # projections carry fiber vertices into fiber vertices
                 for i, up in enumerate(system.above):
                     for j in up:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import k_simplices
 from nervelim import cells
 from nervelim.cells import (
     cauchy_sweep,
@@ -68,7 +69,7 @@ def test_cell_graph_reflexive_and_symmetric(preset_systems):
 def test_graph_of_level_matches_skeleton(cantor_system, circle_system):
     for system in (cantor_system, circle_system):
         for level in system.levels:
-            assert _edges(level.adjacency) == set(level.flag.k_simplices(1))
+            assert _edges(level.adjacency) == set(k_simplices(level.flag, 1))
 
 
 def test_graph_of_level_discrete(cantor_system):

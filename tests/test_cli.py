@@ -60,11 +60,23 @@ def test_build_circle_complex_contents(tmp_path):
 
 def test_build_malformed_space_exits_2(tmp_path, capsys):
     bad = tmp_path / "space.json"
+    covers = tmp_path / "covers.json"
+    covers.write_text(json.dumps({"covers": [{"elements": [{"points": [0, 1, 2]}]}]}))
     zero_denominator = {"points": 1, "coords": [["1/0"]], "metric": "euclidean", "labels": None}
     deep = b"[" * 5000 + b"]" * 5000
-    for data in (b"{this is not json", json.dumps(zero_denominator).encode(), b"\xff", deep):
+    # labels are null or a list of strings: not one string, not numbers
+    labels = [
+        {"points": 3, "coords": None, "metric": "none", "labels": lb} for lb in ("abc", [0, 1, 2])
+    ]
+    for data in (
+        b"{this is not json",
+        json.dumps(zero_denominator).encode(),
+        b"\xff",
+        deep,
+        *(json.dumps(d).encode() for d in labels),
+    ):
         bad.write_bytes(data)
-        code = run("build", "--space", bad, "--covers", bad, "--out", tmp_path / "o")
+        code = run("build", "--space", bad, "--covers", covers, "--out", tmp_path / "o")
         assert code == 2
         err = capsys.readouterr().err
         assert "space" in err and len(err.splitlines()) == 1
@@ -165,7 +177,7 @@ def test_unwritable_output_exits_2(tmp_path, capsys, command, blocked):
         (out / blocked).mkdir(parents=True)
     else:
         out.write_text("")
-    checks = ["--checks", ""] if command == "check" else []
+    checks = ["--checks", "functoriality"] if command == "check" else []
     assert run(command, "--space", "circle-a3", "--out", out, *checks) == 2
     err = capsys.readouterr().err
     assert "cannot write output: " in err and str(out / blocked) in err
@@ -211,11 +223,13 @@ def test_check_truncated_circle_fails_absorption(tmp_path):
     assert not report["all_pass"]
 
 
-def test_check_empty_list(tmp_path):
-    out = tmp_path / "out"
-    assert run("check", "--space", "cantor-d3", "--out", out, "--checks", "") == 0
-    report = json.loads((out / "report.json").read_text())
-    assert report["checks"] == [] and report["all_pass"] is True
+def test_check_empty_list(tmp_path, capsys):
+    # a list naming no check is an input error, not a vacuous pass
+    for spec in ("", " , "):
+        out = tmp_path / "out"
+        assert run("check", "--space", "cantor-d3", "--out", out, "--checks", spec) == 2
+        assert capsys.readouterr().err == f"check list {spec!r} names no check\n"
+        assert not out.exists()
 
 
 def test_check_unknown_name_exits_2(tmp_path, capsys):

@@ -13,8 +13,10 @@ from oracles import (
     brute_vertices,
     complex_from_json,
     from_maximal,
+    k_simplices,
     product_weights,
     skeleton_adjacency,
+    top_dim,
     vertex_point,
 )
 from nervelim.complexes import (
@@ -140,7 +142,7 @@ def test_flag_disjoint_wedges_zero_dimensional():
     space = GroundSpace(4)
     family = _family(space, [[{0, 1}, {2, 3}]])
     cx = build_level(family, LambdaIndex.of([0])).flag
-    assert cx.dim == 0
+    assert top_dim(cx) == 0
 
 
 def test_flag_pairwise_beats_triplewise():
@@ -150,24 +152,24 @@ def test_flag_pairwise_beats_triplewise():
     family = _family(space, [[{0, 1}, {1, 2}, {0, 2}]])
     level = build_level(family, LambdaIndex.of([0]))
     flag, nerve = level.flag, level.nerve
-    assert (0, 1, 2) in flag.simplices
-    assert (0, 1, 2) not in nerve.simplices
+    assert (0, 1, 2) in flag
+    assert (0, 1, 2) not in nerve
     assert skeleton_adjacency(nerve) == skeleton_adjacency(flag) == level.adjacency
 
 
 def test_arcs3_filled_vs_hollow_triangle(arcs3_family):
     level = build_level(arcs3_family, LambdaIndex.of([0]))
     flag, nerve = level.flag, level.nerve
-    assert sorted(flag.simplices, key=len)[-1] == (0, 1, 2)
-    assert nerve.dim == 1 and len(nerve.k_simplices(1)) == 3
-    assert nerve.n_vertices == flag.n_vertices and nerve.simplices <= flag.simplices
+    assert sorted(flag, key=len)[-1] == (0, 1, 2)
+    assert top_dim(nerve) == 1 and len(k_simplices(nerve, 1)) == 3
+    assert k_simplices(nerve, 0) == k_simplices(flag, 0) and nerve <= flag
 
 
 def test_nerve_common_point_full_simplex():
     space = GroundSpace(4)
     family = _family(space, [[{0, 1}, {0, 2}, {0, 3}, {0}]])
     nerve = build_level(family, LambdaIndex.of([0])).nerve
-    assert (0, 1, 2, 3) in nerve.simplices
+    assert (0, 1, 2, 3) in nerve
 
 
 def test_flag_guard_exceeded():
@@ -180,7 +182,7 @@ def test_flag_guard_exceeded():
     with pytest.raises(GuardExceeded, match=r"^level \{0\}: a clique of 6 vertices"):
         build_flag(lam, wedge_adjacency(fibers, len(verts)), 3)
     with pytest.raises(GuardExceeded, match=r"^level \{0\}: point 0 lies in a fiber of 6 wedges"):
-        build_nerve(lam, len(verts), fibers, 3)
+        build_nerve(lam, fibers, 3)
 
 
 @pytest.mark.parametrize("max_dim", [-2, -5])
@@ -230,12 +232,12 @@ def _clique_complex(adjacency):
 
 def test_flag_completion_triangle():
     cx = _clique_complex(_graph(3, [(0, 1), (1, 2), (0, 2)]))
-    assert (0, 1, 2) in cx.simplices
+    assert (0, 1, 2) in cx
 
 
 def test_flag_completion_square():
     cx = _clique_complex(_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
-    assert cx.dim == 1 and len(cx.k_simplices(1)) == 4
+    assert top_dim(cx) == 1 and len(k_simplices(cx, 1)) == 4
 
 
 def test_flag_completion_reconstructs_generated_levels(arcs3_family):
@@ -247,8 +249,8 @@ def test_flag_completion_reconstructs_generated_levels(arcs3_family):
     for family in (arcs3_family, cylinders):
         for k in range(1, len(family.covers) + 1):
             flag = build_level(family, LambdaIndex.of(range(k))).flag
-            graph = _graph(flag.n_vertices, flag.k_simplices(1))
-            assert _clique_complex(graph).simplices == flag.simplices
+            graph = _graph(len(k_simplices(flag, 0)), k_simplices(flag, 1))
+            assert _clique_complex(graph) == flag
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +272,11 @@ def test_carrier_wedge_empty_exactly_off_nerve(arcs3_family):
     # when the simplex belongs to the nerve
     level = build_level(arcs3_family, LambdaIndex.of([0]))
     flag, nerve = level.flag, level.nerve
-    for s in flag.simplices:
+    for s in flag:
         share = F(1, len(s))
         point = BarycentricPoint.from_dict({v: share for v in s})
         wedge = carrier_wedge(level.vertices, point.carrier)
-        assert (wedge != frozenset()) == (s in nerve.simplices)
+        assert (wedge != frozenset()) == (s in nerve)
 
 
 def test_barycentric_validation():
@@ -407,9 +409,9 @@ def test_complexes_match_brute_force(data):
     wedges = [w for _, w in expected_vertices]
     level = build_level(family, lam, max_dim=30)
     nerve, flag = level.nerve, level.flag
-    assert nerve.simplices == frozenset(brute_nerve_simplices(wedges, len(wedges)))
-    assert flag.simplices == frozenset(brute_flag_simplices(wedges, len(wedges)))
-    assert nerve.n_vertices == flag.n_vertices and nerve.simplices <= flag.simplices
+    assert nerve == frozenset(brute_nerve_simplices(wedges, len(wedges)))
+    assert flag == frozenset(brute_flag_simplices(wedges, len(wedges)))
+    assert nerve <= flag
     assert skeleton_adjacency(nerve) == skeleton_adjacency(flag) == level.adjacency
 
 
@@ -419,14 +421,14 @@ def test_downward_closure_and_flag_tag(data):
     level = build_level(family, LambdaIndex.of(range(len(lists))), max_dim=30)
     flag = level.flag
     for cx in (flag, level.nerve):
-        assert all((v,) in cx.simplices for v in range(cx.n_vertices))
-        for s in cx.simplices:
+        assert all((v,) in cx for v in range(len(level.vertices)))
+        for s in cx:
             for k in range(1, len(s)):
                 for face in combinations(s, k):
-                    assert face in cx.simplices
+                    assert face in cx
     # every clique of the 1-skeleton is a simplex
     adj = skeleton_adjacency(flag)
-    for s in flag.simplices:
+    for s in flag:
         assert all(adj[a] >> b & 1 for a, b in combinations(s, 2))
 
 
@@ -458,4 +460,4 @@ def test_skeleton_dot(arcs3_family):
     edges = [
         tuple(map(int, line.strip(" ;").split(" -- "))) for line in dot.splitlines() if "--" in line
     ]
-    assert edges == level.flag.k_simplices(1) == [(0, 1), (0, 2), (1, 2)]
+    assert edges == k_simplices(level.flag, 1) == [(0, 1), (0, 2), (1, 2)]

@@ -4,11 +4,12 @@ A top-level function or class, a method, or an annotated class field
 (a dataclass field) that no module of ``src/nervelim`` refers to outside
 its own body is code that only tests reach; it is deleted, or moved into
 ``tests/oracles.py`` when a test still needs it.  ``__init__.py`` only
-re-exports, so its references do not count.  The scan is by name: a method
-or a field counts as used when any module reads an attribute or a variable
-of that name, so a field that shares its name with a local variable is not
-flagged.  Passing a field to a constructor is not a read.  Dunder names are
-used by the language and are not scanned.
+re-exports, so its references do not count.  The scan is by name: a
+function, a class or a method counts as used when any module reads an
+attribute or a variable of that name, and a field only when some module
+reads an attribute of that name, so a local variable that shares a field's
+name does not hide it.  Passing a field to a constructor is not a read.
+Dunder names are used by the language and are not scanned.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "nervelim"
 # definitions the package does not call itself, by "module.name", with the reason
 ALLOWED = {
     "cli.main": "the console entry point",
+    "homology.BoundaryMatrix.cols": "perfbench's boundary_columns count reads it",
 }
 
 
@@ -51,20 +53,21 @@ def _definitions(modules: dict[str, ast.Module]) -> list[tuple[str, str, ast.AST
     return out
 
 
-def _references(modules: dict[str, ast.Module]) -> dict[str, list[tuple[str, int]]]:
-    """Each name read as a variable or an attribute, with (module, line)."""
-    refs: dict[str, list[tuple[str, int]]] = {}
+def _references(modules: dict[str, ast.Module]) -> dict[str, list[tuple[str, int, bool]]]:
+    """Each name read as a variable or an attribute, with (module, line,
+    whether it is read as an attribute)."""
+    refs: dict[str, list[tuple[str, int, bool]]] = {}
     for mod, tree in modules.items():
         if mod == "__init__":
             continue
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                name = node.id
+                name, attr = node.id, False
             elif isinstance(node, ast.Attribute):
-                name = node.attr
+                name, attr = node.attr, True
             else:
                 continue
-            refs.setdefault(name, []).append((mod, node.lineno))
+            refs.setdefault(name, []).append((mod, node.lineno, attr))
     return refs
 
 
@@ -75,7 +78,11 @@ def _unreferenced() -> list[str]:
     for mod, qualname, node in _definitions(modules):
         own = range(node.lineno, node.end_lineno + 1)
         name = qualname.rsplit(".", 1)[-1]
-        if not any(m != mod or line not in own for m, line in refs.get(name, ())):
+        field = isinstance(node, ast.AnnAssign)
+        if not any(
+            (m != mod or line not in own) and (attr or not field)
+            for m, line, attr in refs.get(name, ())
+        ):
             out.append(f"{mod}.{qualname}")
     return out
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import is_compatible, vertex_point
+from oracles import is_compatible, k_simplices, vertex_point
 from nervelim import systems
 from nervelim.complexes import BarycentricPoint, LambdaIndex, push_point
 from nervelim.ground import (
@@ -174,7 +174,7 @@ def test_thread_image_off_nerve(circle_system):
     # the filled coarse triangle: its interior lies off the nerve
     system_one = build_system(circle_system.family, [_lam(0)])
     interior = BarycentricPoint.from_dict({0: F(1, 3), 1: F(1, 3), 2: F(1, 3)})
-    assert interior.carrier in system_one.levels[0].flag.simplices
+    assert interior.carrier in system_one.levels[0].flag
     z = point_thread(system_one, interior)
     assert thread_image(system_one, z) == frozenset()
 
@@ -229,7 +229,7 @@ def test_fiber_midpoint_is_an_edge(dyadic_pair_system):
     sub = build_system(dyadic_pair_system.family, [_lam(0)])
     c = sub.levels[0].fibers[5]
     assert c == (0, 1)
-    assert c in sub.levels[0].nerve.simplices
+    assert c in sub.levels[0].nerve
 
 
 def test_fiber_singleton(cantor_system):
@@ -256,7 +256,7 @@ def test_homotopy_endpoints(cantor_system):
 def test_homotopy_preserves_image(interval_system):
     top = interval_system.top
     # an edge of the top nerve: two vertices over the same grid point
-    edge = interval_system.levels[top].nerve.k_simplices(1)[0]
+    edge = k_simplices(interval_system.levels[top].nerve, 1)[0]
     point = BarycentricPoint.from_dict({edge[0]: F(1, 3), edge[1]: F(2, 3)})
     z = point_thread(interval_system, point)
     base = thread_image(interval_system, z)
@@ -299,10 +299,10 @@ def test_preset_point_carriers_are_level_simplices(preset_systems, monkeypatch):
         assert drawn and (moved or name == "circle-a3"), name
         for z in drawn + moved:
             for level, point in zip(system.levels, z):
-                assert point.carrier in level.flag.simplices, name
+                assert point.carrier in level.flag, name
         for i, level in enumerate(system.levels):
             for x in system.family.ground.points:
-                assert canonical_map(system, i, x).carrier in level.nerve.simplices, name
+                assert canonical_map(system, i, x).carrier in level.nerve, name
 
 
 def test_homotopy_check_seeded(cantor_system):
@@ -324,7 +324,7 @@ def test_nerve_absorption_top_level(circle_system):
     top = circle_system.top
     # at the top the only candidate is the top itself, and there F = N
     assert find_nerve_absorbing_level(circle_system, top) == top
-    assert circle_system.levels[top].flag.simplices == circle_system.levels[top].nerve.simplices
+    assert circle_system.levels[top].flag == circle_system.levels[top].nerve
 
 
 def test_nerve_absorption_not_found_when_truncated():
@@ -415,6 +415,25 @@ def test_skeleton_equality_catches_a_missing_fiber_vertex(preset_systems, monkey
     monkeypatch.setattr(systems, "point_fibers", corrupted)
     report = check_skeleton_equality(build_system(family, [lam]))
     assert report.counterexample == {"lambda": list(lam.cover_ids)}
+
+
+def test_flag_reconstruction_catches_a_nerve_simplex_off_the_wedges(preset_systems, monkeypatch):
+    # all three arcs of circle-a3 in point 0's fiber: their wedges share no
+    # point, but the nerve gains the triangle; the graph, and so the flag
+    # complex, stay as they are
+    family, lam = _top_only(preset_systems, "circle-a3")
+    point_fibers = systems.point_fibers
+
+    def corrupted(vertices, n_points):
+        fibers = point_fibers(vertices, n_points)
+        fibers[0] = tuple(range(len(vertices)))
+        return fibers
+
+    monkeypatch.setattr(systems, "point_fibers", corrupted)
+    system = build_system(family, [lam])
+    assert (0, 1, 2) in system.levels[0].nerve
+    report = check_flag_reconstruction(system)
+    assert report.counterexample == {"lambda": list(lam.cover_ids), "reason": "nerve reconstruction"}
 
 
 # ---------------------------------------------------------------------------
