@@ -303,7 +303,7 @@ def complex_to_json(lam: LambdaIndex, vertices: Sequence[Vertex], cx: Complex, f
     return {
         "lambda": list(lam.cover_ids),
         "vertices": [{"tuple": list(v.elements), "wedge": sorted(v.wedge)} for v in vertices],
-        "simplices": sorted(list(s) for s in cx),
+        "simplices": sorted(cx),
         "flag": flag,
     }
 

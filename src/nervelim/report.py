@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Any
 
@@ -67,7 +69,70 @@ def _fraction(obj: Any) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+_int = int.__repr__
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+_INFINITIES = {float("inf"): "Infinity", float("-inf"): "-Infinity"}
+_INTS = {int}
+_ROWS = {list, tuple}
+
+
+def _scalar(o: Any) -> str:
+    """The JSON text of None, a bool, an int or a float.  Anything else
+    reaches here only as a dict key, which must be one of these or a str."""
+    if o is None or isinstance(o, bool):
+        return _CONSTANTS[o]
+    if isinstance(o, int):
+        return _int(o)
+    if isinstance(o, float):
+        return "NaN" if o != o else _INFINITIES.get(o) or float.__repr__(o)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(o).__name__}")
+
+
+def _emit(o: Any, nl: str, out: list[str]) -> None:
+    """Append the pieces of ``o`` to ``out``; ``nl`` is a newline and the
+    indent of the line ``o`` starts on."""
+    if isinstance(o, str):
+        out.append(_quote(o))
+    elif o is None or isinstance(o, (int, float)):
+        out.append(_scalar(o))
+    elif not isinstance(o, (list, tuple, dict)):
+        _emit(_fraction(o), nl, out)
+    elif not o:
+        out.append("{}" if isinstance(o, dict) else "[]")
+    elif isinstance(o, dict):
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in sorted(o.items()):
+            out.append(sep + _quote(k if isinstance(k, str) else _scalar(k)) + ": ")
+            _emit(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        inner = nl + "  "
+        types = set(map(type, o))
+        if types == _INTS:
+            # one join for a list of plain ints (a bool is not one)
+            out.append("[" + inner + ("," + inner).join(map(_int, o)) + nl + "]")
+        elif types <= _ROWS and set(map(type, chain.from_iterable(o))) <= _INTS:
+            # ... and for a list of such lists: simplices, vertex maps
+            cell = inner + "  "
+            sep = "," + cell
+            rows = ("[" + cell + sep.join(map(_int, r)) + inner + "]" if r else "[]" for r in o)
+            out.append("[" + inner + ("," + inner).join(rows) + nl + "]")
+        else:
+            sep = "[" + inner
+            for v in o:
+                out.append(sep)
+                _emit(v, inner, out)
+                sep = "," + inner
+            out.append(nl + "]")
+
+
 def dump_json(obj: Any) -> str:
-    """Byte-stable JSON: sorted keys, fixed separators, trailing newline;
-    rationals become "p/q"."""
-    return json.dumps(obj, sort_keys=True, indent=2, default=_fraction) + "\n"
+    """Byte-stable JSON: sorted keys, two-space indent, trailing newline;
+    rationals become "p/q".  The bytes are those of ``json.dumps(obj,
+    sort_keys=True, indent=2)``, written without its pure-Python encoder."""
+    out: list[str] = []
+    _emit(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)

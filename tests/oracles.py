@@ -7,6 +7,7 @@ frozen into the tests do not depend on the code paths they check.
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -23,7 +24,7 @@ from nervelim.complexes import (
 )
 from nervelim.ground import CoverFamily, PointId
 from nervelim.homology import boundary_matrix
-from nervelim.report import Report
+from nervelim.report import Report, _fraction
 from nervelim.systems import InverseSystem, vertex_thread, vertex_threads
 
 
@@ -392,3 +393,9 @@ def sweep_every_net(system: InverseSystem, count: int, seed: int) -> Report:
     return Report(
         "cauchy_sweep", bad is None, counterexample=bad, details={"nets": count, "seed": seed}
     )
+
+
+def dump_json_oracle(obj) -> str:
+    """``report.dump_json`` as the standard library writes it: the
+    pure-Python ``json`` encoder that ``indent`` selects."""
+    return json.dumps(obj, sort_keys=True, indent=2, default=_fraction) + "\n"

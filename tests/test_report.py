@@ -1,0 +1,86 @@
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, strategies as st
+
+from oracles import dump_json_oracle
+from nervelim.complexes import complex_to_json
+from nervelim.ground import Arcs, CircleGrid, CoverFamily, generate_cover, generate_space
+from nervelim.report import FORMAT_VERSION, dump_json
+from nervelim.systems import build_system
+
+FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf])
+SCALARS = st.none() | st.booleans() | st.integers() | FLOATS | st.text() | st.fractions()
+# each dict draws its keys from one family that sorts: mixing str and int
+# keys is a TypeError in the sort, as in json.dumps
+KEYS = (st.text(), st.integers() | st.booleans() | FLOATS, st.none())
+
+
+def _containers(children):
+    values = st.lists(children, max_size=4)
+    return (
+        values
+        | values.map(tuple)
+        # rows of plain ints, with a bool now and then, as the fast paths take them
+        | st.lists(st.lists(st.integers() | st.booleans(), max_size=3) | st.tuples(st.integers()))
+        | st.one_of(*(st.dictionaries(k, children, max_size=4) for k in KEYS))
+    )
+
+
+JSON_VALUES = st.recursive(SCALARS, _containers, max_leaves=24)
+
+
+@given(JSON_VALUES)
+def test_dump_json_matches_json_dumps(obj):
+    assert dump_json(obj) == dump_json_oracle(obj)
+
+
+@pytest.mark.parametrize(
+    "obj, text",
+    [
+        ({10: 0, 9: 0}, '{\n  "9": 0,\n  "10": 0\n}\n'),
+        ([True, 1], "[\n  true,\n  1\n]\n"),
+        ([[True, 1]], "[\n  [\n    true,\n    1\n  ]\n]\n"),
+        ({"x": (Fraction(1, 3), [], {})}, '{\n  "x": [\n    "1/3",\n    [],\n    {}\n  ]\n}\n'),
+        ("é\n", '"\\u00e9\\n"\n'),
+    ],
+)
+def test_dump_json_edge_cases(obj, text):
+    assert dump_json(obj) == text == dump_json_oracle(obj)
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({1, 2}, "cannot serialize set"),
+        ([[0], {1}], "cannot serialize set"),
+        ({Fraction(1): 0}, "keys must be str, int, float, bool or None, not Fraction"),
+    ],
+)
+def test_dump_json_rejects_what_json_dumps_rejects(obj, message):
+    for write in (dump_json, dump_json_oracle):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            write(obj)
+
+
+def test_level_files_match_json_dumps_at_scale():
+    # the circle-24-thick family: its top level has 24,864 simplices per complex
+    space = generate_space(CircleGrid(), 24)
+    arcs = ((3, Fraction(1)), (6, Fraction(1, 4)), (12, Fraction(1, 4)))
+    family = CoverFamily(
+        tuple(generate_cover(space, Arcs(n, o), cover_id=i) for i, (n, o) in enumerate(arcs)),
+        space,
+    )
+    system = build_system(family, None, 16)
+    assert max(len(level.nerve) for level in system.levels) >= 5000
+    for level in system.levels:
+        payload = {
+            "format_version": FORMAT_VERSION,
+            "lambda": list(level.lam.cover_ids),
+            "flag_complex": complex_to_json(level.lam, level.vertices, level.flag, True),
+            "nerve_complex": complex_to_json(level.lam, level.vertices, level.nerve, False),
+        }
+        assert dump_json(payload) == dump_json_oracle(payload)
