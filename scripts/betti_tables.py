@@ -12,8 +12,7 @@ from nervelim.presets import PRESETS
 from nervelim.systems import build_system
 
 for name, preset in PRESETS.items():
-    _, family = preset.factory()
-    system = build_system(family, max_dim=DEFAULT_MAX_DIM)
+    system = build_system(preset.factory(), max_dim=DEFAULT_MAX_DIM)
     chain = [system.position[LambdaIndex.of(ids)] for ids in preset.chain]
     table = betti_stabilization(system, chain)
     print(f"\n{name}  (nerve stabilized: {table.nerve_stabilized})")

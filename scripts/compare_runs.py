@@ -1,0 +1,132 @@
+#!/usr/bin/env python3
+"""Run one fixed list of nervelim commands in two checkouts and compare.
+
+    python3 scripts/compare_runs.py --parent DIR --change DIR [--work DIR]
+
+Each checkout runs, from its own directory under the work directory:
+
+- for each preset, ``check --seed 7 --nets 1000 --homotopy-samples 5``,
+  then ``report`` and ``build``;
+- ``perfbench/inputs.py --seed 7`` for the benchmark families, then the
+  benchmark's operations on them: ``build`` of cantor-d6 (chain) and
+  circle-24-thick (all levels), and the homology-chain ``check`` of
+  circle-24-3812.
+
+Output paths are relative, so stdout names the same paths on both sides.
+The script prints each command whose exit code, stdout or stderr differs,
+each file that differs by sha256 or exists on one side only, and for a
+differing JSON file the key paths whose values differ.  It exits 1 on any
+difference and 0 when the two runs agree.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+PRESETS = ("cantor-d3", "interval-g8", "circle-a3612", "circle-a3", "wedge2")
+SAMPLES = ("--seed", "7", "--nets", "1000", "--homotopy-samples", "5")
+
+
+def _family(name: str) -> tuple[str, ...]:
+    return ("--space", f"inputs/{name}.space.json", "--covers", f"inputs/{name}.covers.json")
+
+
+def commands() -> list[tuple[str, ...]]:
+    """The argument lists, in run order; ``nervelim`` commands start with
+    the command name, a script with its path in the checkout."""
+    out: list[tuple[str, ...]] = []
+    for name in PRESETS:
+        out += [
+            ("check", "--space", name, "--out", f"{name}-check", *SAMPLES),
+            ("report", "--out", f"{name}-check"),
+            ("build", "--space", name, "--out", f"{name}-build"),
+        ]
+    families = "cantor-d6,circle-24-thick,circle-24-3812"
+    out += [
+        ("perfbench/inputs.py", "--families", families, "--seed", "7", "--out", "inputs"),
+        ("build", *_family("cantor-d6"), "--lambdas", "chain", "--max-dim", "16",
+         "--out", "cantor-d6-build"),
+        ("build", *_family("circle-24-thick"), "--lambdas", "all", "--max-dim", "16",
+         "--out", "circle-24-thick-build"),
+        ("check", *_family("circle-24-3812"), "--checks", "betti_stabilization",
+         "--max-dim", "16", "--seed", "7", "--out", "circle-24-3812-check"),
+    ]
+    return out
+
+
+def run_all(checkout: Path, cwd: Path) -> list[tuple[int, str, str]]:
+    """Exit code, stdout and stderr of every command, run in ``cwd``."""
+    cwd.mkdir(parents=True)
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    results = []
+    for args in commands():
+        if args[0].endswith(".py"):
+            argv = [sys.executable, str(checkout / args[0]), *args[1:]]
+        else:
+            argv = [sys.executable, "-m", "nervelim.cli", *args]
+        p = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True)
+        results.append((p.returncode, p.stdout, p.stderr))
+    return results
+
+
+def digests(root: Path) -> dict[str, str]:
+    return {
+        str(f.relative_to(root)): hashlib.sha256(f.read_bytes()).hexdigest()
+        for f in sorted(root.rglob("*"))
+        if f.is_file()
+    }
+
+
+def json_diff(a: object, b: object, path: str = "") -> list[str]:
+    """The key paths at which two JSON values differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [p for k in sorted(a.keys() | b.keys(), key=str)
+                for p in json_diff(a.get(k, "<absent>"), b.get(k, "<absent>"), f"{path}.{k}")]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [p for i, (x, y) in enumerate(zip(a, b)) for p in json_diff(x, y, f"{path}[{i}]")]
+    return [] if a == b else [path or "."]
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True, help="checkout to compare against")
+    parser.add_argument("--change", type=Path, required=True, help="checkout under test")
+    parser.add_argument("--work", type=Path, default=None, help="empty work directory (default: a temporary one)")
+    args = parser.parse_args()
+    work = args.work or Path(tempfile.mkdtemp(prefix="compare_runs-"))
+    sides = {side: (getattr(args, side).resolve(), work / side) for side in ("parent", "change")}
+    results = {side: run_all(checkout, cwd) for side, (checkout, cwd) in sides.items()}
+    differences = 0
+    for cmd, old, new in zip(commands(), results["parent"], results["change"]):
+        for what, x, y in zip(("exit code", "stdout", "stderr"), old, new):
+            if x != y:
+                differences += 1
+                print(f"{what} differs: {' '.join(cmd)}\n  parent: {x!r}\n  change: {y!r}")
+    files = {side: digests(cwd) for side, (_, cwd) in sides.items()}
+    for name in sorted(files["parent"].keys() | files["change"].keys()):
+        old, new = files["parent"].get(name), files["change"].get(name)
+        if old == new:
+            continue
+        differences += 1
+        if old is None or new is None:
+            print(f"file on one side only: {name} ({'change' if old is None else 'parent'})")
+            continue
+        print(f"file differs: {name}")
+        if name.endswith(".json"):
+            a, b = (json.loads((cwd / name).read_text()) for _, cwd in sides.values())
+            for path in json_diff(a, b):
+                print(f"  at {path}")
+    n_files = len(files["parent"].keys() | files["change"].keys())
+    print(f"{len(commands())} commands, {n_files} files, {differences} differences (work: {work})")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

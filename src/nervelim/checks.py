@@ -38,7 +38,6 @@ def betti_chain(preset: Preset) -> list[LambdaIndex]:
 class RunContext:
     config: RunConfig
     preset: Preset
-    family: ground.CoverFamily
     system: systems.InverseSystem
 
     @cached_property
@@ -47,17 +46,10 @@ class RunContext:
         return cells.equivalence_classes(self.system)
 
     def neighborhoods(self):
-        return self.preset.neighborhoods(self.family.ground)
+        return self.preset.neighborhoods(self.system.family.ground)
 
 
 Runner = Callable[[RunContext], tuple[Report, dict]]
-
-
-def _selection_completeness(ctx: RunContext) -> tuple[Report, dict]:
-    mode, n = ctx.config.selection
-    return ground.check_selection_completeness(
-        ctx.family, mode, sample_count=n, seed=ctx.config.seed
-    ), {}
 
 
 def _fiber_homotopy(ctx: RunContext) -> tuple[Report, dict]:
@@ -109,9 +101,11 @@ def _betti_stabilization(ctx: RunContext) -> tuple[Report, dict]:
 
 CHECKS: dict[str, Runner] = {
     "local_refinement": lambda ctx: (
-        ground.check_local_refinement(ctx.family, ctx.neighborhoods()), {}
+        ground.check_local_refinement(ctx.system.family, ctx.neighborhoods()), {}
     ),
-    "selection_completeness": _selection_completeness,
+    "selection_completeness": lambda ctx: (
+        ground.check_selection_completeness(ctx.system.family), {}
+    ),
     "flag_reconstruction": lambda ctx: (systems.check_flag_reconstruction(ctx.system), {}),
     "skeleton_equality": lambda ctx: (systems.check_skeleton_equality(ctx.system), {}),
     "functoriality": lambda ctx: (systems.check_functoriality(ctx.system), {}),

@@ -11,7 +11,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -44,13 +44,8 @@ class RunConfig:
     out: Path
     seed: int
     max_dim: int
-    mode: str
     nets: int = DEFAULT_NETS
     homotopy_count: int = DEFAULT_HOMOTOPY_SAMPLES
-    selection: tuple[str, int] = field(init=False)  # the parsed mode
-
-    def __post_init__(self) -> None:
-        self.selection = _parse_mode(self.mode)
 
     def echo(self) -> dict:
         return {
@@ -59,7 +54,6 @@ class RunConfig:
             "lambdas": self.lambdas,
             "seed": self.seed,
             "max_dim": self.max_dim,
-            "mode": self.mode,
         }
 
 
@@ -98,24 +92,10 @@ def _load_context(config: RunConfig) -> RunContext:
         if config.covers is None:
             raise InputError("a space file needs a covers file")
         preset = file_preset(load_family(Path(config.covers), space))
-    _, family = preset.factory()
+    family = preset.factory()
     lambdas = _parse_lambdas(config.lambdas, len(family.covers), preset)
     system = systems.build_system(family, lambdas, config.max_dim)
-    return RunContext(config, preset, family, system)
-
-
-def _parse_mode(mode: str) -> tuple[str, int]:
-    if mode == "exhaustive":
-        return "exhaustive", 0
-    if mode.startswith("sampled:"):
-        try:
-            n = int(mode.split(":", 1)[1])
-        except ValueError as exc:
-            raise InputError(f"cannot parse mode {mode!r}") from exc
-        if n < 1:
-            raise InputError(f"--mode sampled:<n> needs n at least 1, got {n}")
-        return "sampled", n
-    raise InputError(f"unknown mode {mode!r}")
+    return RunContext(config, preset, system)
 
 
 def _parse_checks(spec: str) -> list[str]:
@@ -141,9 +121,9 @@ def cmd_build(config: RunConfig) -> int:
     ctx = _load_context(config)
     out = config.out
     out.mkdir(parents=True, exist_ok=True)
-    (out / "space.json").write_text(dump_json(space_to_json(ctx.family.ground)))
-    (out / "covers.json").write_text(dump_json(family_to_json(ctx.family)))
     system = ctx.system
+    (out / "space.json").write_text(dump_json(space_to_json(system.family.ground)))
+    (out / "covers.json").write_text(dump_json(family_to_json(system.family)))
     levels = system.levels
     for level in levels:
         lam = level.lam
@@ -272,13 +252,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         help="level selection: all | chain | '0;0,1;0,1,2'",
     )
     p.add_argument("--out", type=Path, required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0, help="seed for sampled modes")
+    p.add_argument("--seed", type=int, default=0, help="seed of the Cauchy and homotopy samples")
     p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM, help="simplex dimension guard")
-    p.add_argument(
-        "--mode",
-        default="exhaustive",
-        help="selection check mode: exhaustive | sampled:<n>",
-    )
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -332,7 +307,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             out=args.out,
             seed=args.seed,
             max_dim=args.max_dim,
-            mode=args.mode,
             nets=nets,
             homotopy_count=homotopy_count,
         )

@@ -1,5 +1,6 @@
 class GuardExceeded(RuntimeError):
-    """An enumeration guard (simplex dimension, selection count) was exceeded."""
+    """An enumeration guard (simplex dimension, partial selections visited
+    by the selection search) was exceeded."""
 
 
 class InputError(ValueError):

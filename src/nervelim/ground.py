@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, product
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -430,81 +429,62 @@ def ball_neighborhoods(
 SELECTION_GUARD = 10**6
 
 
-def check_selection_completeness(
-    family: CoverFamily,
-    mode: str = "exhaustive",
-    sample_count: int = 1000,
-    seed: int = 0,
-) -> Report:
+def check_selection_completeness(family: CoverFamily) -> Report:
     """One element per cover: small-subfamily intersection must force a
     common point.
 
     A selection has the finite-intersection surrogate when all its pairs
     and triples intersect; such selections must have nonempty total
-    intersection.  Exhaustive mode enumerates every selection (guarded);
-    sampled mode only falsifies and says so in the report.
+    intersection.  A depth-first search picks one element per cover, in
+    cover id order, and drops a partial selection as soon as two or three
+    of its elements are disjoint.  So it reaches exactly the selections
+    with the surrogate, in lexicographic order; ``SELECTION_GUARD`` bounds
+    the partial selections it visits.
     """
-    sizes = [len(c.elements) for c in family.covers]
-    total = math.prod(sizes)
-    details: dict = {"mode": mode, "selection_space": total}
     pools = [c.elements for c in family.covers]
-
-    if mode == "exhaustive":
-        if total > SELECTION_GUARD:
-            raise GuardExceeded(
-                f"selection space {total} exceeds exhaustive guard {SELECTION_GUARD}"
-            )
-        selections: Iterable[tuple[CoverElement, ...]] = product(*pools)
-        checked = total
-    elif mode == "sampled":
-        import random
-
-        rng = random.Random(seed)
-        selections = (
-            tuple(pool[rng.randrange(len(pool))] for pool in pools)
-            for _ in range(sample_count)
-        )
-        checked = sample_count
-        details["note"] = "sampled, not a proof"
-        details["samples"] = sample_count
-        details["seed"] = seed
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
+    visited = fip_selections = 0
     counterexample = None
-    fip_selections = 0
-    for sel in selections:
-        sets = [e.pointset for e in sel]
-        if not _small_subfamilies_intersect(sets):
-            continue
-        fip_selections += 1
-        full = sets[0]
-        for s in sets[1:]:
-            full = full & s
-            if not full:
+    # one frame per cover entered: the elements left to try there, and the
+    # prefix before it (element ids, pointsets, pairwise meets and total
+    # intersection); entering a frame counts its elements as visited
+    frames: list = []
+
+    def enter(ids, sets, meets, total):
+        nonlocal visited
+        visited += len(pools[len(ids)])
+        if visited > SELECTION_GUARD:
+            raise GuardExceeded(
+                f"selection search exceeds its guard of {SELECTION_GUARD} partial selections"
+            )
+        frames.append((iter(pools[len(ids)]), ids, sets, meets, total))
+
+    enter((), (), (), frozenset(family.ground.points))
+    while frames and counterexample is None:
+        todo, ids, sets, meets, total = frames[-1]
+        last = len(ids) + 1 == len(pools)
+        for e in todo:
+            s = e.pointset
+            if any(map(s.isdisjoint, sets)) or any(map(s.isdisjoint, meets)):
+                continue
+            if not last:
+                enter((*ids, e.id), (*sets, s), meets + tuple(map(s.__and__, sets)), total & s)
                 break
-        if not full:
-            # a selection holds one element per cover, in cover id order
-            counterexample = [[c, e.id] for c, e in enumerate(sel)]
-            break
-    details["checked"] = checked
-    details["with_intersection_property"] = fip_selections
+            fip_selections += 1
+            if total.isdisjoint(s):
+                # a selection holds one element per cover, in cover id order
+                counterexample = [list(pair) for pair in enumerate((*ids, e.id))]
+                break
+        else:
+            frames.pop()
     return Report(
         "selection_completeness",
         counterexample is None,
         counterexample=counterexample,
-        details=details,
+        details={
+            "selection_space": math.prod(len(pool) for pool in pools),
+            "with_intersection_property": fip_selections,
+        },
     )
-
-
-def _small_subfamilies_intersect(sets: Sequence[frozenset[PointId]]) -> bool:
-    for a, b in combinations(sets, 2):
-        if not a & b:
-            return False
-    for a, b, c in combinations(sets, 3):
-        if not a & b & c:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ STRUCTURAL_CHECKS = tuple(
 
 @dataclass(frozen=True)
 class Preset:
-    factory: Callable[[], tuple[GroundSpace, CoverFamily]]
+    factory: Callable[[], CoverFamily]
     chain: tuple[tuple[int, ...], ...]
     neighborhoods: Callable[[GroundSpace], list[tuple[PointId, frozenset[PointId]]]]
     checks: tuple[str, ...]
@@ -54,15 +54,15 @@ class Preset:
     expect_stabilized: bool = True
 
 
-def _cantor() -> tuple[GroundSpace, CoverFamily]:
+def _cantor() -> CoverFamily:
     space = generate_space(CantorDepth(), 3)
     covers = tuple(
         generate_cover(space, Cylinders(k), cover_id=k - 1) for k in (1, 2, 3)
     )
-    return space, CoverFamily(covers, space)
+    return CoverFamily(covers, space)
 
 
-def _interval() -> tuple[GroundSpace, CoverFamily]:
+def _interval() -> CoverFamily:
     space = generate_space(IntervalGrid(), 8)
     o = Fraction(1, 10)
     schemes = [
@@ -72,25 +72,25 @@ def _interval() -> tuple[GroundSpace, CoverFamily]:
         Balls(Fraction(0), 1),  # singletons: the resolving deepest cover
     ]
     covers = tuple(generate_cover(space, s, cover_id=i) for i, s in enumerate(schemes))
-    return space, CoverFamily(covers, space)
+    return CoverFamily(covers, space)
 
 
-def _circle() -> tuple[GroundSpace, CoverFamily]:
+def _circle() -> CoverFamily:
     space = generate_space(CircleGrid(), 12)
     o = Fraction(1, 4)
     covers = tuple(
         generate_cover(space, Arcs(n, o), cover_id=i) for i, n in enumerate((3, 6, 12))
     )
-    return space, CoverFamily(covers, space)
+    return CoverFamily(covers, space)
 
 
-def _circle_truncated() -> tuple[GroundSpace, CoverFamily]:
+def _circle_truncated() -> CoverFamily:
     space = generate_space(CircleGrid(), 12)
     cover = generate_cover(space, Arcs(3, Fraction(1, 4)), cover_id=0)
-    return space, CoverFamily((cover,), space)
+    return CoverFamily((cover,), space)
 
 
-def _wedge() -> tuple[GroundSpace, CoverFamily]:
+def _wedge() -> CoverFamily:
     # Two circles of 12 points glued at point 0; circle arms are ids 1..11
     # and 12..22.  Hand-built covers keep the glue point in one coarse and
     # two fine elements, so its fiber stays small while the two fine cross
@@ -111,7 +111,7 @@ def _wedge() -> tuple[GroundSpace, CoverFamily]:
         cover_from_pointsets(0, [frozenset(s) for s in coarse]),
         cover_from_pointsets(1, [frozenset(s) for s in fine]),
     )
-    return space, CoverFamily(covers, space)
+    return CoverFamily(covers, space)
 
 
 def file_preset(family: CoverFamily) -> Preset:
@@ -119,7 +119,7 @@ def file_preset(family: CoverFamily) -> Preset:
     all covers, singleton neighborhoods, every check, no expected Betti
     vector, and stabilization expected."""
     return Preset(
-        factory=lambda: (family.ground, family),
+        factory=lambda: family,
         chain=tuple(tuple(range(i + 1)) for i in range(len(family.covers))),
         neighborhoods=singleton_neighborhoods,
         checks=ALL_CHECKS,

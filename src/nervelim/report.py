@@ -71,21 +71,8 @@ def _fraction(obj: Any) -> str:
 
 _int = int.__repr__
 _CONSTANTS = {None: "null", True: "true", False: "false"}
-_INFINITIES = {float("inf"): "Infinity", float("-inf"): "-Infinity"}
 _INTS = {int}
 _ROWS = {list, tuple}
-
-
-def _scalar(o: Any) -> str:
-    """The JSON text of None, a bool, an int or a float.  Anything else
-    reaches here only as a dict key, which must be one of these or a str."""
-    if o is None or isinstance(o, bool):
-        return _CONSTANTS[o]
-    if isinstance(o, int):
-        return _int(o)
-    if isinstance(o, float):
-        return "NaN" if o != o else _INFINITIES.get(o) or float.__repr__(o)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(o).__name__}")
 
 
 def _emit(o: Any, nl: str, out: list[str]) -> None:
@@ -93,17 +80,19 @@ def _emit(o: Any, nl: str, out: list[str]) -> None:
     indent of the line ``o`` starts on."""
     if isinstance(o, str):
         out.append(_quote(o))
-    elif o is None or isinstance(o, (int, float)):
-        out.append(_scalar(o))
+    elif o is None or isinstance(o, bool):
+        out.append(_CONSTANTS[o])
+    elif isinstance(o, int):
+        out.append(_int(o))
     elif not isinstance(o, (list, tuple, dict)):
-        _emit(_fraction(o), nl, out)
+        out.append(_quote(_fraction(o)))
     elif not o:
         out.append("{}" if isinstance(o, dict) else "[]")
     elif isinstance(o, dict):
         inner = nl + "  "
         sep = "{" + inner
         for k, v in sorted(o.items()):
-            out.append(sep + _quote(k if isinstance(k, str) else _scalar(k)) + ": ")
+            out.append(sep + _quote(k) + ": ")
             _emit(v, inner, out)
             sep = "," + inner
         out.append(nl + "}")
@@ -131,7 +120,9 @@ def _emit(o: Any, nl: str, out: list[str]) -> None:
 def dump_json(obj: Any) -> str:
     """Byte-stable JSON: sorted keys, two-space indent, trailing newline;
     rationals become "p/q".  The bytes are those of ``json.dumps(obj,
-    sort_keys=True, indent=2)``, written without its pure-Python encoder."""
+    sort_keys=True, indent=2)``, written without its pure-Python encoder.
+    Leaves are None, bools, ints, strs and rationals, and keys are strs: a
+    float or another key is a ``TypeError``."""
     out: list[str] = []
     _emit(obj, "\n", out)
     out.append("\n")

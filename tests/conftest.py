@@ -32,8 +32,8 @@ def preset_systems():
     """Each preset's family and fully built inverse system, built once."""
     out = {}
     for name, preset in PRESETS.items():
-        space, family = preset.factory()
-        out[name] = (space, family, build_system(family, max_dim=DEFAULT_MAX_DIM))
+        family = preset.factory()
+        out[name] = (family.ground, family, build_system(family, max_dim=DEFAULT_MAX_DIM))
     return out
 
 

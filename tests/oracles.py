@@ -8,6 +8,7 @@ frozen into the tests do not depend on the code paths they check.
 from __future__ import annotations
 
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -193,6 +194,34 @@ def product_scan_vertices(family: CoverFamily, lam: LambdaIndex) -> list[Vertex]
         if wedge:
             out.append(Vertex(tuple(e.id for e in choice), wedge))
     return out
+
+
+def product_scan_selection(family: CoverFamily) -> Report:
+    """Selection completeness by scanning the full element product, one
+    element per cover, in lexicographic order: the check before the pruned
+    search, linear in the product of the cover sizes."""
+    pools = [c.elements for c in family.covers]
+    counterexample = None
+    fip_selections = 0
+    for sel in product(*pools):
+        sets = [e.pointset for e in sel]
+        if not all(a & b for a, b in combinations(sets, 2)):
+            continue
+        if not all(a & b & c for a, b, c in combinations(sets, 3)):
+            continue
+        fip_selections += 1
+        if not frozenset.intersection(*sets):
+            counterexample = [[c, e.id] for c, e in enumerate(sel)]
+            break
+    return Report(
+        "selection_completeness",
+        counterexample is None,
+        counterexample=counterexample,
+        details={
+            "selection_space": math.prod(len(pool) for pool in pools),
+            "with_intersection_property": fip_selections,
+        },
+    )
 
 
 def full_bond_check(vm: Sequence[int], source: Complex, target: Complex) -> bool:

@@ -6,7 +6,6 @@ import inspect
 import io
 import json
 import re
-import string
 import traceback
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -87,8 +86,8 @@ def test_build_from_files(tmp_path):
     from nervelim.presets import PRESETS
     from nervelim.report import dump_json
 
-    space, family = PRESETS["cantor-d3"].factory()
-    (tmp_path / "space.json").write_text(dump_json(space_to_json(space)))
+    family = PRESETS["cantor-d3"].factory()
+    (tmp_path / "space.json").write_text(dump_json(space_to_json(family.ground)))
     (tmp_path / "covers.json").write_text(dump_json(family_to_json(family)))
     out = tmp_path / "out"
     assert (
@@ -189,9 +188,8 @@ def test_space_file_without_covers_exits_2(tmp_path):
     from nervelim.presets import PRESETS
     from nervelim.report import dump_json
 
-    space, _ = PRESETS["cantor-d3"].factory()
     f = tmp_path / "space.json"
-    f.write_text(dump_json(space_to_json(space)))
+    f.write_text(dump_json(space_to_json(PRESETS["cantor-d3"].factory().ground)))
     assert run("build", "--space", f, "--out", tmp_path / "o") == 2
 
 
@@ -274,25 +272,6 @@ def test_cauchy_sweep_on_one_level_system(tmp_path, capsys):
     assert "PASS  cauchy_sweep" in capsys.readouterr().out
 
 
-def test_check_sampled_mode_marks_report(tmp_path):
-    out = tmp_path / "out"
-    code = run(
-        "check",
-        "--space",
-        "cantor-d3",
-        "--out",
-        out,
-        "--checks",
-        "selection_completeness",
-        "--mode",
-        "sampled:40",
-    )
-    assert code == 0
-    report = json.loads((out / "report.json").read_text())
-    details = report["checks"][0]["details"]
-    assert details["note"] == "sampled, not a proof" and details["samples"] == 40
-
-
 def test_check_needs_supporting_levels(tmp_path):
     # an antichain of levels has no maximum, so thread checks cannot run
     code = run(
@@ -323,7 +302,9 @@ def test_guard_hit_in_a_check_skips_only_that_check(tmp_path, monkeypatch):
     assert run("check", *args, "--checks", "selection_completeness,functoriality") == 1
     selection, functoriality = json.loads((out / "report.json").read_text())["checks"]
     assert selection["pass"] is False
-    assert selection["details"] == {"skipped": "selection space 64 exceeds exhaustive guard 1"}
+    assert selection["details"] == {
+        "skipped": "selection search exceeds its guard of 1 partial selections"
+    }
     assert functoriality["pass"] is True
 
 
@@ -394,11 +375,10 @@ def test_bad_lambda_selection_exits_2(tmp_path, capsys, spec):
     [
         ("--nets", 0),
         ("--homotopy-samples", 0),
-        ("--mode", "sampled:-3"),
         ("--max-dim", -1),
         ("--max-dim", -5),
     ],
-    ids=["--nets", "--homotopy-samples", "--mode", "--max-dim=-1", "--max-dim=-5"],
+    ids=["--nets", "--homotopy-samples", "--max-dim=-1", "--max-dim=-5"],
 )
 def test_zero_sample_count_exits_2(tmp_path, capsys, flag, value):
     code = run("check", "--space", "wedge2", "--out", tmp_path / "o", flag, value)
@@ -410,10 +390,9 @@ def test_zero_sample_count_exits_2(tmp_path, capsys, flag, value):
 @pytest.mark.parametrize(
     "args, message",
     [
-        (["--mode", "bogus", "--checks", "flag_reconstruction"], "unknown mode 'bogus'"),
         (["--checks", "local_refinement,local_refinement"], "names 'local_refinement' twice"),
     ],
-    ids=["mode-unused-by-checks", "check-twice"],
+    ids=["check-twice"],
 )
 def test_bad_run_flags_exit_2(tmp_path, capsys, args, message):
     # flags are validated when they are read, whatever checks run
@@ -523,23 +502,23 @@ PINNED_ARTIFACTS = {
     "cantor-d3": {
         "betti.csv": "551e9835c72ad7ee43a80a444a6174cca1b4d49e2c0aed6461fd21610995aa40",
         "quotient.json": "4ca45a426a0e4968cdef46a0d2454997634e0bb82ed75c2c9f7b7dc76c05cc94",
-        "report.json": "3505f59cd82354531e5603a0773fd9859a7249a1f5c28daf736c14caf8602e50",
+        "report.json": "a4c7d35a0dc82b3662d8942c10507c5b570ee8d02959ade4a28000fec5857c9a",
     },
     "interval-g8": {
         "betti.csv": "48c5917b6a9a6b58df8b682e53fd418d4913379a969560855d67dca2d421b820",
         "quotient.json": "cfb498a329f9e920e047e8ab90411d076117dc2242818d25da201c9d8a2101e2",
-        "report.json": "2a5bedf1155332e13edff99cd77e21e5bd8a4c84dc148566c6cdeee525f2b582",
+        "report.json": "6db63bd087df932f754b753bd80a7fcfed9a14f0f8c831f2d51061e052400c5e",
     },
     "circle-a3612": {
         "betti.csv": "89e015260a25b286ed0f7a7e9e70607fc6915c67e39cdc5554fad624131aa63c",
-        "report.json": "f510e4d9d52a543b476554612b6f6e91baab4ef5251d34fc225669067807a730",
+        "report.json": "2e68ad7ab1a78d06a9bb4f39abf511ab91865867648ba703570288d32cf7520c",
     },
     "circle-a3": {
-        "report.json": "1debb960bbc4110656269a389268352384d8d71a4358ee6840c5c06caa2f8c07",
+        "report.json": "607d5914df1b7366505aa7307ccf975753f0cad5519139fcb4dcba633ad48121",
     },
     "wedge2": {
         "betti.csv": "3fbc10e665d2c69426846e37b2b37044bfa789b581f332f02d2c8d7ab0b286bc",
-        "report.json": "b5596805992eb82b3d5c141ff57a54aa25e70917c352a19d9e93869b82dd5517",
+        "report.json": "9cf12b0afd706093cf4fc15005fbf8da24e7b5ae8cdbbe90256bbf7343a8e381",
     },
 }
 
@@ -758,7 +737,7 @@ REPORT_FILES = {
 }
 # a valid command line around each crashing file of the explicit examples
 FUZZ_DEFAULTS = dict(
-    lambdas="all", checks=None, mode="exhaustive", nets=1, samples=1, report="valid"
+    lambdas="all", checks=None, nets=1, samples=1, report="valid"
 )
 
 
@@ -790,16 +769,12 @@ def _mostly(valid, junk):
     ),
     checks=st.none()
     | st.lists(st.sampled_from([*ALL_CHECKS, "nope", " fibers ", ""]), max_size=4).map(",".join),
-    mode=_mostly(
-        st.sampled_from(["exhaustive", "sampled:2"]),
-        st.sampled_from(["sampled:0", "sampled:x", "bogus"]) | st.text(string.printable, max_size=10),
-    ),
     nets=_mostly(st.integers(1, 3), st.integers(-1, 3)),
     samples=_mostly(st.integers(1, 3), st.integers(-1, 3)),
     report=st.sampled_from(list(REPORT_FILES)),
 )
 def test_fuzzed_command_lines_exit_cleanly(
-    command, space, covers, lambdas, checks, mode, nets, samples, report
+    command, space, covers, lambdas, checks, nets, samples, report
 ):
     # every run ends in an exit code, and an input error in one stderr line
     with TemporaryDirectory() as tmp:
@@ -811,7 +786,7 @@ def test_fuzzed_command_lines_exit_cleanly(
                 (root / "out").mkdir()
                 _write(root / "out" / "report.json", text)
         else:
-            argv += [f"--lambdas={lambdas}", f"--mode={mode}"]
+            argv.append(f"--lambdas={lambdas}")
             if space in SPACE_FILES:
                 _write(root / "space.json", SPACE_FILES[space])
                 _write(root / "covers.json", COVERS_FILES[covers])

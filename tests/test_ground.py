@@ -3,7 +3,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, strategies as st
 
+from oracles import product_scan_selection
 from nervelim.errors import GuardExceeded, InputError
 from nervelim.ground import (
     Arcs,
@@ -29,6 +31,7 @@ from nervelim.ground import (
     space_to_json,
     star_union,
 )
+from nervelim.presets import PRESETS
 
 F = Fraction
 
@@ -240,7 +243,7 @@ def test_selection_completeness_cantor():
     _, family = _cylinder_family([1, 2, 3])
     report = check_selection_completeness(family)
     assert report.passed
-    assert report.details["checked"] == 2 * 4 * 8
+    assert report.details == {"selection_space": 2 * 4 * 8, "with_intersection_property": 8}
 
 
 def test_selection_completeness_dyadic_grid8():
@@ -268,12 +271,14 @@ def test_selection_completeness_failure_detected():
     assert report.counterexample == [[0, 0], [1, 0], [2, 0], [3, 0]]
 
 
-def test_selection_completeness_sampled_mode():
-    _, family = _cylinder_family([1, 2, 3])
-    report = check_selection_completeness(family, mode="sampled", sample_count=50, seed=3)
+def test_selection_completeness_cantor_d6():
+    # 2^21 selections: past the guard for a product scan, 2,730 visits for the search
+    space = generate_space(CantorDepth(), 6)
+    covers = tuple(generate_cover(space, Cylinders(k), cover_id=k - 1) for k in range(1, 7))
+    family = CoverFamily(covers, space)
+    report = check_selection_completeness(family)
     assert report.passed
-    assert report.details["note"] == "sampled, not a proof"
-    assert report.details["samples"] == 50
+    assert report.details == {"selection_space": 2**21, "with_intersection_property": 64}
 
 
 def test_selection_completeness_guard():
@@ -284,6 +289,53 @@ def test_selection_completeness_guard():
     family = CoverFamily(big, space)
     with pytest.raises(GuardExceeded):
         check_selection_completeness(family)
+
+
+# the selection search against the product scan
+
+
+@st.composite
+def selection_families(draw):
+    """1-5 covers of 4 or 5 points.  An element is all points but one two
+    times in three, else a random subset; four covers of the former hold
+    selections whose pairs and triples meet but which share no point."""
+    n = draw(st.integers(min_value=4, max_value=5))
+    subsets = st.frozensets(st.integers(0, n - 1), min_size=1)
+    co_points = st.integers(0, n - 1).map(lambda p: frozenset(range(n)) - {p})
+    covers = []
+    for cover_id in range(draw(st.integers(min_value=1, max_value=5))):
+        sets = draw(st.lists(st.one_of(co_points, co_points, subsets), min_size=1, max_size=4))
+        sets.append(frozenset(range(n)) - frozenset().union(*sets) or sets[0])
+        covers.append(cover_from_pointsets(cover_id, sets))
+    return CoverFamily(tuple(covers), GroundSpace(n))
+
+
+@given(selection_families())
+def test_selection_search_matches_product_scan(family):
+    report = check_selection_completeness(family)
+    assert report.to_json() == product_scan_selection(family).to_json()
+    event("counterexample" if report.counterexample else "pass")
+
+
+def _circle_family(arcs):
+    space = generate_space(CircleGrid(), 24)
+    covers = tuple(generate_cover(space, Arcs(n, o), cover_id=i) for i, (n, o) in enumerate(arcs))
+    return CoverFamily(covers, space)
+
+
+# the presets and two of the benchmark's circle families
+NAMED_FAMILIES = {
+    **{name: preset.factory for name, preset in PRESETS.items()},
+    "circle-24-thick": lambda: _circle_family(((3, F(1)), (6, F(1, 4)), (12, F(1, 4)))),
+    "circle-24-3812": lambda: _circle_family(((3, F(1, 2)), (8, F(1, 4)), (12, F(1, 4)))),
+}
+
+
+@pytest.mark.parametrize("name", list(NAMED_FAMILIES))
+def test_selection_search_matches_product_scan_on_named_families(name):
+    family = NAMED_FAMILIES[name]()
+    report = check_selection_completeness(family)
+    assert report.to_json() == product_scan_selection(family).to_json()
 
 
 # ---------------------------------------------------------------------------

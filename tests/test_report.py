@@ -12,11 +12,8 @@ from nervelim.ground import Arcs, CircleGrid, CoverFamily, generate_cover, gener
 from nervelim.report import FORMAT_VERSION, dump_json
 from nervelim.systems import build_system
 
-FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf])
-SCALARS = st.none() | st.booleans() | st.integers() | FLOATS | st.text() | st.fractions()
-# each dict draws its keys from one family that sorts: mixing str and int
-# keys is a TypeError in the sort, as in json.dumps
-KEYS = (st.text(), st.integers() | st.booleans() | FLOATS, st.none())
+# what nervelim writes: None, bools, ints, strs and rationals under str keys
+SCALARS = st.none() | st.booleans() | st.integers() | st.text() | st.fractions()
 
 
 def _containers(children):
@@ -26,7 +23,7 @@ def _containers(children):
         | values.map(tuple)
         # rows of plain ints, with a bool now and then, as the fast paths take them
         | st.lists(st.lists(st.integers() | st.booleans(), max_size=3) | st.tuples(st.integers()))
-        | st.one_of(*(st.dictionaries(k, children, max_size=4) for k in KEYS))
+        | st.dictionaries(st.text(), children, max_size=4)
     )
 
 
@@ -41,7 +38,7 @@ def test_dump_json_matches_json_dumps(obj):
 @pytest.mark.parametrize(
     "obj, text",
     [
-        ({10: 0, 9: 0}, '{\n  "9": 0,\n  "10": 0\n}\n'),
+        ({"10": 0, "9": 0}, '{\n  "10": 0,\n  "9": 0\n}\n'),
         ([True, 1], "[\n  true,\n  1\n]\n"),
         ([[True, 1]], "[\n  [\n    true,\n    1\n  ]\n]\n"),
         ({"x": (Fraction(1, 3), [], {})}, '{\n  "x": [\n    "1/3",\n    [],\n    {}\n  ]\n}\n'),
@@ -57,13 +54,30 @@ def test_dump_json_edge_cases(obj, text):
     [
         ({1, 2}, "cannot serialize set"),
         ([[0], {1}], "cannot serialize set"),
-        ({Fraction(1): 0}, "keys must be str, int, float, bool or None, not Fraction"),
     ],
 )
 def test_dump_json_rejects_what_json_dumps_rejects(obj, message):
     for write in (dump_json, dump_json_oracle):
         with pytest.raises(TypeError, match=f"^{message}$"):
             write(obj)
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        (1.5, "cannot serialize float"),
+        ([0, math.inf], "cannot serialize float"),
+        ({"x": [[0], math.nan]}, "cannot serialize float"),
+        ({10: 0, 9: 0}, "must be a string, not int"),
+        ({None: 0}, "must be a string, not NoneType"),
+        ({Fraction(1): 0}, "must be a string, not Fraction"),
+    ],
+    ids=["float", "inf-in-list", "nan-in-dict", "int-keys", "none-key", "fraction-key"],
+)
+def test_dump_json_refuses_floats_and_non_str_keys(obj, message):
+    # nervelim writes neither; a float would be a rational that lost its exactness
+    with pytest.raises(TypeError, match=message):
+        dump_json(obj)
 
 
 def test_level_files_match_json_dumps_at_scale():
