@@ -10,7 +10,10 @@ Each checkout runs, from its own directory under the work directory:
 - ``perfbench/inputs.py --seed 7`` for the benchmark families, then the
   benchmark's operations on them: ``build`` of cantor-d6 (chain) and
   circle-24-thick (all levels), and the homology-chain ``check`` of
-  circle-24-3812.
+  circle-24-3812;
+- ``build`` and ``check`` of circle-24-thick at ``--max-dim 3``, which
+  both stop at the clique guard of level {0,1} and exit 2, so a change to
+  the clique search is compared on its failure bytes as well.
 
 Output paths are relative, so stdout names the same paths on both sides.
 The script prints each command whose exit code, stdout or stderr differs,
@@ -57,6 +60,8 @@ def commands() -> list[tuple[str, ...]]:
          "--out", "circle-24-thick-build"),
         ("check", *_family("circle-24-3812"), "--checks", "betti_stabilization",
          "--max-dim", "16", "--seed", "7", "--out", "circle-24-3812-check"),
+        ("build", *_family("circle-24-thick"), "--max-dim", "3", "--out", "guard-build"),
+        ("check", *_family("circle-24-thick"), "--max-dim", "3", "--out", "guard-check"),
     ]
     return out
 

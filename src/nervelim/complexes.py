@@ -3,8 +3,9 @@
 Levels are indexed by nonempty sets of cover ids.  A level's vertices are
 the tuples of cover elements (one per cover) with nonempty intersection;
 the intersection is the vertex's wedge.  The flag complex fills in every
-clique of pairwise-intersecting wedges, the nerve only the vertex sets with
-a common point.  A complex is its full downward-closed simplex set.
+clique of pairwise-intersecting wedges, the nerve only the cliques whose
+wedges share a point; one clique search enumerates both.  A complex is its
+full downward-closed simplex set, as a tuple in lexicographic order.
 
 A map between levels is its vertex map, a tuple whose entry v is the image
 of vertex v; it acts on flag complexes and nerves alike and holds neither.
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import GuardExceeded
@@ -23,9 +24,9 @@ from .ground import CoverFamily, CoverId, ElementId, PointId
 DEFAULT_MAX_DIM = 8
 
 Simplex = tuple[int, ...]
-# an abstract complex on vertex ids 0..n-1: its simplices, downward closed;
-# the vertices, the name and the 1-skeleton belong to the level that holds it
-Complex = frozenset[Simplex]
+# an abstract complex on vertex ids 0..n-1: its simplices, downward closed and
+# in lexicographic order; its vertices, name and 1-skeleton belong to its level
+Complex = tuple[Simplex, ...]
 
 
 @dataclass(frozen=True)
@@ -158,16 +159,16 @@ def unmapped_edge(
 
 
 def unmapped(
-    vertex_map: Sequence[int], simplices: Iterable[Simplex], target: Complex
+    vertex_map: Sequence[int], simplices: Iterable[Simplex], target: Sequence[Vertex]
 ) -> Simplex | None:
-    """The first of ``simplices`` whose image is not a simplex of the
-    nerve ``target``, or None.
+    """The first of ``simplices`` whose image's wedges, on the vertices
+    ``target``, share no point (it is off their nerve), or None.
 
     A subset of the source decides simpliciality when every source simplex
     is a face of one of its members, such as the source's point fibers.
     """
     for s in simplices:
-        if tuple(sorted({vertex_map[v] for v in s})) not in target:
+        if not carrier_wedge(target, [vertex_map[v] for v in s]):
             return s
     return None
 
@@ -234,18 +235,20 @@ def build_flag(lam: LambdaIndex, adjacency: Sequence[int], max_dim: int) -> Comp
     """Clique complex of a graph given as neighbour bitmasks.  A level's
     flag complex is the clique complex of ``wedge_adjacency``: edges where
     wedges meet."""
-    return frozenset(_all_cliques(len(adjacency), adjacency, max_dim, _level_name(lam) + ": "))
+    return _all_cliques(adjacency, [-1] * len(adjacency), max_dim, _level_name(lam) + ": ")
 
 
-def _all_cliques(n: int, adj: Sequence[int], max_dim: int, where: str = "") -> set[Simplex]:
-    """Every clique up to max_dim+1 vertices; raises past the guard.
+def _all_cliques(adj: Sequence[int], points: Sequence[int], max_dim: int, where: str) -> Complex:
+    """Every clique up to max_dim+1 vertices whose ``points`` bitmasks share
+    a bit, in lexicographic order: a depth-first search adding larger
+    neighbours in ascending order.  Raises past the guard.
 
     The message starts with ``where`` and gives the size of a maximal
     clique grown greedily from the first clique past the guard.
     """
-    out: set[Simplex] = set()
+    out: list[Simplex] = []
 
-    def extend(clique: tuple[int, ...], candidates: int) -> None:
+    def extend(clique: tuple[int, ...], candidates: int, shared: int) -> None:
         if len(clique) > max_dim + 1:
             size = len(clique)
             while candidates:
@@ -256,36 +259,39 @@ def _all_cliques(n: int, adj: Sequence[int], max_dim: int, where: str = "") -> s
                 f"{where}a clique of {size} vertices exceeds the dimension guard"
                 f" (max_dim {max_dim} allows {max_dim + 1})"
             )
-        out.add(clique)
+        out.append(clique)
         c = candidates
         while c:
             v = (c & -c).bit_length() - 1
             c &= c - 1
-            extend(clique + (v,), candidates & adj[v] & ~((1 << (v + 1)) - 1))
+            common = shared & points[v]
+            if common:
+                extend(clique + (v,), candidates & adj[v] & ~((1 << (v + 1)) - 1), common)
 
-    for v in range(n):
-        extend((v,), adj[v] & ~((1 << (v + 1)) - 1))
-    return out
+    for v in range(len(adj)):
+        extend((v,), adj[v] & ~((1 << (v + 1)) - 1), points[v])
+    return tuple(out)
 
 
-def build_nerve(lam: LambdaIndex, fibers: Sequence[tuple[int, ...]], max_dim: int) -> Complex:
-    """Nerve of a level: a vertex set spans a simplex iff the wedges share a
-    point, that is, iff it lies in one point fiber.  ``fibers`` must be
-    ``point_fibers`` of the vertices; every wedge is nonempty, so every
-    vertex lies in some fiber."""
-    simplices: set[Simplex] = set()
+def build_nerve(
+    lam: LambdaIndex, adjacency: Sequence[int], fibers: Sequence[tuple[int, ...]], max_dim: int
+) -> Complex:
+    """Nerve of a level: the cliques of ``adjacency`` whose wedges, read as
+    point bitmasks from ``fibers`` (``point_fibers`` of the vertices), share
+    a point.  A nerve simplex lies in a fiber, so the fiber guard bounds it."""
+    wedges = [0] * len(adjacency)
     for x, carrier in enumerate(fibers):
         if len(carrier) > max_dim + 1:
             raise GuardExceeded(
                 f"{_level_name(lam)}: point {x} lies in a fiber of {len(carrier)} wedges,"
                 f" past the dimension guard (max_dim {max_dim} allows {max_dim + 1})"
             )
-        for k in range(1, len(carrier) + 1):
-            simplices.update(combinations(carrier, k))
-    return frozenset(simplices)
+        for v in carrier:
+            wedges[v] |= 1 << x
+    return _all_cliques(adjacency, wedges, max_dim, "")
 
 
-def carrier_wedge(vertices: Sequence[Vertex], carrier: Simplex) -> frozenset[PointId]:
+def carrier_wedge(vertices: Sequence[Vertex], carrier: Sequence[int]) -> frozenset[PointId]:
     """Intersection of the carrier vertices' wedges; empty off the nerve."""
     out = vertices[carrier[0]].wedge
     for v in carrier[1:]:
@@ -303,7 +309,7 @@ def complex_to_json(lam: LambdaIndex, vertices: Sequence[Vertex], cx: Complex, f
     return {
         "lambda": list(lam.cover_ids),
         "vertices": [{"tuple": list(v.elements), "wedge": sorted(v.wedge)} for v in vertices],
-        "simplices": sorted(cx),
+        "simplices": cx,
         "flag": flag,
     }
 

@@ -358,11 +358,7 @@ def _ball_pointsets(space: GroundSpace, radius: Fraction, stride: int) -> list[f
 
 def star_union(cover: Cover, x: PointId) -> frozenset[PointId]:
     """Union of the cover elements containing x."""
-    out: set[PointId] = set()
-    for e in cover.elements:
-        if x in e.pointset:
-            out |= e.pointset
-    return frozenset(out)
+    return frozenset().union(*(e.pointset for e in cover.elements_containing(x)))
 
 
 def check_local_refinement(

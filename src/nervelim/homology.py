@@ -89,15 +89,14 @@ class BettiVector:
 def betti(cx: Complex) -> BettiVector:
     """GF(2) Betti numbers b_0..b_top via rank-nullity on bitset matrices.
 
-    The simplices are grouped by dimension in one pass and each group is
-    sorted once; ``groups[k]`` holds the k-simplices.  A downward-closed
-    complex has k-simplices in every dimension up to its top.
+    The simplices are grouped by dimension in one pass; ``groups[k]`` holds
+    the k-simplices.  Ranks do not depend on order, so a set of simplices
+    does as well as a level's tuple.  A downward-closed complex has
+    k-simplices in every dimension up to its top.
     """
     groups: list[list[Simplex]] = [[] for _ in range(max(map(len, cx)))]
     for s in cx:
         groups[len(s) - 1].append(s)
-    for group in groups:
-        group.sort()
     # ranks[k] is the rank of d_k; d_0 and d_{top+1} are zero
     ranks = [0]
     for k in range(1, len(groups)):

@@ -95,10 +95,9 @@ class InverseSystem:
 
 
 def all_lambdas(n_covers: int) -> list[LambdaIndex]:
-    out = []
-    for k in range(1, n_covers + 1):
-        out.extend(LambdaIndex.of(ids) for ids in combinations(range(n_covers), k))
-    return sorted(out, key=lambda l: l.sort_key)
+    """Every level index, by size and then by cover ids, as combinations come."""
+    ks = range(1, n_covers + 1)
+    return [LambdaIndex(ids) for k in ks for ids in combinations(range(n_covers), k)]
 
 
 def build_system(
@@ -123,7 +122,7 @@ def build_system(
         fibers = point_fibers(verts, family.ground.n_points)
         adjacency = wedge_adjacency(fibers, len(verts))
         flag = build_flag(lam, adjacency, max_dim)
-        nerve = build_nerve(lam, fibers, max_dim)
+        nerve = build_nerve(lam, adjacency, fibers, max_dim)
         levels.append(Level(lam, tuple(verts), flag, nerve, adjacency, fibers))
     system = InverseSystem(family, levels, max_dim)
     index_of = [{v.elements: k for k, v in enumerate(level.vertices)} for level in levels]
@@ -287,8 +286,7 @@ def fiber_homotopy(
     for i, (level, point) in enumerate(zip(system.levels, z)):
         target = canonical_map(system, i, x)
         moved = convex_combination(Fraction(t), target, point)
-        ambient = tuple(sorted(set(point.carrier) | set(target.carrier)))
-        if not carrier_wedge(level.vertices, ambient):
+        if not carrier_wedge(level.vertices, point.carrier + target.carrier):
             raise AssertionError("homotopy leaves the nerve")
         entries.append(moved)
     return tuple(entries)
@@ -299,7 +297,7 @@ def check_homotopy(system: InverseSystem, count: int, seed: int) -> Report:
     preservation of the homotopy, with exact equality."""
     rng = random.Random(seed)
     level = system.levels[_top(system)]
-    candidates = sorted(level.nerve)
+    candidates = level.nerve
     threads = []  # (thread, its image)
     attempts = 0
     while len(threads) < count and attempts < 50 * count:
@@ -351,9 +349,9 @@ def check_homotopy(system: InverseSystem, count: int, seed: int) -> Report:
 def find_nerve_absorbing_level(system: InverseSystem, i: int) -> int | None:
     """Position of the smallest built level above position i whose whole
     flag complex projects into the nerve of level i, or None."""
-    nerve = system.levels[i].nerve
+    target = system.levels[i].vertices
     for j in system.above[i]:
-        if unmapped(system.bond(i, j), system.levels[j].flag, nerve) is None:
+        if unmapped(system.bond(i, j), system.levels[j].flag, target) is None:
             return j
     return None
 
@@ -415,7 +413,7 @@ def check_simpliciality(system: InverseSystem) -> Report:
         bond = system.bond(i, j)
         if unmapped_edge(bond, levels[j].adjacency, levels[i].adjacency) is not None:
             kind = "F"
-        elif unmapped(bond, levels[j].fibers, levels[i].nerve) is not None:
+        elif unmapped(bond, levels[j].fibers, levels[i].vertices) is not None:
             kind = "N"
         else:
             continue
@@ -450,12 +448,12 @@ def check_flag_reconstruction(system: InverseSystem) -> Report:
     bad = None
     n_points = system.family.ground.n_points
     for level in system.levels:
-        lam = level.lam
-        if build_flag(lam, wedge_graph(level.vertices), system.max_dim) != level.flag:
+        lam, graph = level.lam, wedge_graph(level.vertices)
+        if build_flag(lam, graph, system.max_dim) != level.flag:
             bad = {"lambda": list(lam.cover_ids), "reason": "flag reconstruction"}
             break
         fibers = wedge_fibers(level.vertices, n_points)
-        if build_nerve(lam, fibers, system.max_dim) != level.nerve:
+        if build_nerve(lam, graph, fibers, system.max_dim) != level.nerve:
             bad = {"lambda": list(lam.cover_ids), "reason": "nerve reconstruction"}
             break
     return Report("flag_reconstruction", bad is None, counterexample=bad)

@@ -23,6 +23,7 @@ from nervelim.complexes import (
     Vertex,
     push_point,
 )
+from nervelim.errors import GuardExceeded
 from nervelim.ground import CoverFamily, PointId
 from nervelim.homology import boundary_matrix
 from nervelim.report import Report, _fraction
@@ -30,13 +31,14 @@ from nervelim.systems import InverseSystem, vertex_thread, vertex_threads
 
 
 def from_maximal(n_vertices: int, maximal: Iterable[Sequence[int]]) -> Complex:
-    """The downward closure of the given simplices, with every vertex."""
+    """The downward closure of the given simplices, with every vertex, in
+    lexicographic order."""
     closed: set[tuple[int, ...]] = {(v,) for v in range(n_vertices)}
     for m in maximal:
         m = tuple(sorted(set(m)))
         for k in range(1, len(m) + 1):
             closed.update(combinations(m, k))
-    return frozenset(closed)
+    return tuple(sorted(closed))
 
 
 def k_simplices(cx: Complex, k: int) -> list[Simplex]:
@@ -63,17 +65,22 @@ def complex_from_json(data: dict) -> Complex:
     """Read back a complex written by ``complexes.complex_to_json``.
 
     The program builds its complexes closed, so a complex read from a file
-    is checked here: sorted simplices on vertex ids 0..n-1, every vertex a
-    simplex, and every face of a simplex a simplex.  A vertex list given
-    with its level must hold one vertex per id, each with one element per
-    cover of the level and a nonempty wedge.
+    is checked here: sorted simplices on vertex ids 0..n-1, listed once
+    each in lexicographic order, every vertex a simplex, and every face of
+    a simplex a simplex.  A vertex list given with its level must hold one
+    vertex per id, each with one element per cover of the level and a
+    nonempty wedge.
     """
-    simplices = frozenset(tuple(s) for s in data["simplices"])
-    for s in simplices:
+    listed = tuple(tuple(s) for s in data["simplices"])
+    for s in listed:
         if list(s) != sorted(set(s)):
             raise ValueError(f"simplex {s} is not a sorted id tuple")
         if s and s[0] < 0:
             raise ValueError(f"simplex {s} has out-of-range vertices")
+    for a, b in zip(listed, listed[1:]):
+        if not a < b:
+            raise ValueError(f"simplex {b} is repeated or out of lexicographic order")
+    simplices = frozenset(listed)
     n = max((s[-1] for s in simplices if s), default=-1) + 1
     for v in range(n):
         if (v,) not in simplices:
@@ -91,7 +98,7 @@ def complex_from_json(data: dict) -> Complex:
             Vertex(tuple(v["tuple"]), frozenset(v["wedge"]))  # checks the wedge
         if len(data["vertices"]) != n:
             raise ValueError("vertex list length mismatch")
-    return simplices
+    return listed
 
 
 def vertex_point(v: int) -> BarycentricPoint:
@@ -183,6 +190,55 @@ def brute_flag_simplices(wedges: list[frozenset[int]], max_size: int) -> set[tup
     return out
 
 
+def set_clique_flag(
+    adjacency: Sequence[int], max_dim: int, where: str = ""
+) -> frozenset[Simplex]:
+    """The clique complex as ``complexes.build_flag`` built it before the
+    search kept its order: every clique up to max_dim+1 vertices, gathered
+    in a set, with the same guard and a message that starts with ``where``."""
+    out: set[Simplex] = set()
+
+    def extend(clique: tuple[int, ...], candidates: int) -> None:
+        if len(clique) > max_dim + 1:
+            size = len(clique)
+            while candidates:
+                v = (candidates & -candidates).bit_length() - 1
+                candidates &= adjacency[v]
+                size += 1
+            raise GuardExceeded(
+                f"{where}a clique of {size} vertices exceeds the dimension guard"
+                f" (max_dim {max_dim} allows {max_dim + 1})"
+            )
+        out.add(clique)
+        c = candidates
+        while c:
+            v = (c & -c).bit_length() - 1
+            c &= c - 1
+            extend(clique + (v,), candidates & adjacency[v] & ~((1 << (v + 1)) - 1))
+
+    for v in range(len(adjacency)):
+        extend((v,), adjacency[v] & ~((1 << (v + 1)) - 1))
+    return frozenset(out)
+
+
+def fiber_subset_nerve(
+    fibers: Sequence[tuple[int, ...]], max_dim: int, where: str = ""
+) -> frozenset[Simplex]:
+    """The nerve as ``complexes.build_nerve`` built it before the clique
+    search: every nonempty subset of every point fiber, deduplicated in a
+    set, with the same guard and a message that starts with ``where``."""
+    simplices: set[Simplex] = set()
+    for x, carrier in enumerate(fibers):
+        if len(carrier) > max_dim + 1:
+            raise GuardExceeded(
+                f"{where}point {x} lies in a fiber of {len(carrier)} wedges,"
+                f" past the dimension guard (max_dim {max_dim} allows {max_dim + 1})"
+            )
+        for k in range(1, len(carrier) + 1):
+            simplices.update(combinations(carrier, k))
+    return frozenset(simplices)
+
+
 def product_scan_vertices(family: CoverFamily, lam: LambdaIndex) -> list[Vertex]:
     """Level vertices by scanning the full product of element choices, one
     per cover, in lexicographic order: the construction before point
@@ -226,6 +282,7 @@ def product_scan_selection(family: CoverFamily) -> Report:
 
 def full_bond_check(vm: Sequence[int], source: Complex, target: Complex) -> bool:
     """Simpliciality by pushing every simplex of the source forward."""
+    target = set(target)
     return all(tuple(sorted({vm[v] for v in s})) in target for s in source)
 
 

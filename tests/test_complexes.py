@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import build_level
 from oracles import (
@@ -12,9 +13,11 @@ from oracles import (
     brute_nerve_simplices,
     brute_vertices,
     complex_from_json,
+    fiber_subset_nerve,
     from_maximal,
     k_simplices,
     product_weights,
+    set_clique_flag,
     skeleton_adjacency,
     top_dim,
     vertex_point,
@@ -24,6 +27,7 @@ from nervelim.complexes import (
     BarycentricPoint,
     LambdaIndex,
     _all_cliques,
+    _level_name,
     build_flag,
     build_nerve,
     build_vertices,
@@ -162,7 +166,7 @@ def test_arcs3_filled_vs_hollow_triangle(arcs3_family):
     flag, nerve = level.flag, level.nerve
     assert sorted(flag, key=len)[-1] == (0, 1, 2)
     assert top_dim(nerve) == 1 and len(k_simplices(nerve, 1)) == 3
-    assert k_simplices(nerve, 0) == k_simplices(flag, 0) and nerve <= flag
+    assert k_simplices(nerve, 0) == k_simplices(flag, 0) and set(nerve) <= set(flag)
 
 
 def test_nerve_common_point_full_simplex():
@@ -178,11 +182,12 @@ def test_flag_guard_exceeded():
     lam = LambdaIndex.of([0])
     verts = build_vertices(family, lam)
     fibers = point_fibers(verts, 1)
+    adjacency = wedge_adjacency(fibers, len(verts))
     # the message names the level and the size of the offending clique or fiber
     with pytest.raises(GuardExceeded, match=r"^level \{0\}: a clique of 6 vertices"):
-        build_flag(lam, wedge_adjacency(fibers, len(verts)), 3)
+        build_flag(lam, adjacency, 3)
     with pytest.raises(GuardExceeded, match=r"^level \{0\}: point 0 lies in a fiber of 6 wedges"):
-        build_nerve(lam, fibers, 3)
+        build_nerve(lam, adjacency, fibers, 3)
 
 
 @pytest.mark.parametrize("max_dim", [-2, -5])
@@ -190,7 +195,7 @@ def test_clique_guard_below_dimension_0(max_dim):
     # every clique has at least one vertex, so none fits; K6 has 63 cliques
     complete = [0b111111 & ~(1 << v) for v in range(6)]
     with pytest.raises(GuardExceeded, match=rf"\(max_dim {max_dim} allows {max_dim + 1}\)"):
-        _all_cliques(6, complete, max_dim)
+        _all_cliques(complete, [-1] * 6, max_dim, "")
 
 
 def test_downward_closure_validation():
@@ -199,6 +204,8 @@ def test_downward_closure_validation():
         [[0], [1], [2], [0, 1, 2]],  # faces missing
         [[0], [0, 1]],  # vertex 1 missing
         [[0], [1], [1, 0]],  # unsorted
+        [[0], [0], [0, 1], [1]],  # a simplex repeated
+        [[0], [1], [0, 1]],  # out of lexicographic order
     ):
         with pytest.raises(ValueError):
             complex_from_json({"lambda": None, "vertices": None, "simplices": simplices})
@@ -409,10 +416,49 @@ def test_complexes_match_brute_force(data):
     wedges = [w for _, w in expected_vertices]
     level = build_level(family, lam, max_dim=30)
     nerve, flag = level.nerve, level.flag
-    assert nerve == frozenset(brute_nerve_simplices(wedges, len(wedges)))
-    assert flag == frozenset(brute_flag_simplices(wedges, len(wedges)))
-    assert nerve <= flag
+    assert set(nerve) == brute_nerve_simplices(wedges, len(wedges))
+    assert set(flag) == brute_flag_simplices(wedges, len(wedges))
+    assert set(nerve) <= set(flag)
     assert skeleton_adjacency(nerve) == skeleton_adjacency(flag) == level.adjacency
+
+
+_TRIANGLE = [[{0, 1}, {1, 2}, {0, 2}]]  # wedges meet pairwise, not all three
+
+
+@given(family_and_lambda(), st.sampled_from([0, 1, 30]))
+@example((_family(GroundSpace(3), _TRIANGLE), _TRIANGLE), 30)
+@example((_family(GroundSpace(3), _TRIANGLE), _TRIANGLE), 1)
+def test_clique_search_matches_set_builders(data, max_dim):
+    # one search builds both complexes, in lexicographic order; the set
+    # builders it replaced are the oracle, guard messages included
+    family, lists = data
+    lam = LambdaIndex.of(range(len(lists)))
+    verts = build_vertices(family, lam)
+    fibers = point_fibers(verts, family.ground.n_points)
+    adjacency = wedge_adjacency(fibers, len(verts))
+    where = _level_name(lam) + ": "
+    cases = [
+        (lambda: build_flag(lam, adjacency, max_dim), set_clique_flag, adjacency),
+        (lambda: build_nerve(lam, adjacency, fibers, max_dim), fiber_subset_nerve, fibers),
+    ]
+    for build, oracle, arg in cases:
+        try:
+            expected = tuple(sorted(oracle(arg, max_dim, where)))
+        except GuardExceeded as e:
+            with pytest.raises(GuardExceeded, match=f"^{re.escape(str(e))}$"):
+                build()
+            continue
+        cx = build()
+        assert isinstance(cx, tuple) and all(a < b for a, b in zip(cx, cx[1:]))
+        assert cx == expected
+
+
+def test_clique_search_matches_set_builders_on_presets(preset_systems):
+    for _, family, system in preset_systems.values():
+        for level in system.levels:
+            flag = set_clique_flag(level.adjacency, system.max_dim)
+            nerve = fiber_subset_nerve(level.fibers, system.max_dim)
+            assert (level.flag, level.nerve) == (tuple(sorted(flag)), tuple(sorted(nerve)))
 
 
 @given(family_and_lambda())

@@ -95,7 +95,7 @@ def test_edge_and_fiber_checks_match_full_check(family, data):
     flag_ok = unmapped_edge(vm, hi.adjacency, lo.adjacency) is None
     assert flag_ok == full_bond_check(vm, hi.flag, lo.flag)
     fibers = point_fibers(hi.vertices, family.ground.n_points)
-    nerve_ok = unmapped(vm, fibers, lo.nerve) is None
+    nerve_ok = unmapped(vm, fibers, lo.vertices) is None
     assert nerve_ok == full_bond_check(vm, hi.nerve, lo.nerve)
 
 
