@@ -6,7 +6,10 @@
 Each checkout runs, from its own directory under the work directory:
 
 - for each preset, ``check --seed 7 --nets 1000 --homotopy-samples 5``,
-  then ``report`` and ``build``;
+  then ``report`` and ``build``; the sample options stay because both
+  sides must accept them;
+- circle-a3's ``check --checks fiber_homotopy,cauchy_sweep``, the two
+  thread checks on a family with no resolved point;
 - ``perfbench/inputs.py --seed 7`` for the benchmark families, then the
   benchmark's operations on them: ``build`` of cantor-d6 (chain) and
   circle-24-thick (all levels), and the homology-chain ``check`` of
@@ -51,6 +54,8 @@ def commands() -> list[tuple[str, ...]]:
             ("report", "--out", f"{name}-check"),
             ("build", "--space", name, "--out", f"{name}-build"),
         ]
+    out.append(("check", "--space", "circle-a3", "--checks", "fiber_homotopy,cauchy_sweep",
+                "--out", "circle-a3-threads", *SAMPLES))
     families = "cantor-d6,circle-24-thick,circle-24-3812"
     out += [
         ("perfbench/inputs.py", "--families", families, "--seed", "7", "--out", "inputs"),

@@ -15,15 +15,12 @@ from nervelim.cli import main as cli_main
 from nervelim.presets import PRESETS
 
 
-def run(out_root: Path, seed: int, nets: int | None) -> int:
+def run(out_root: Path) -> int:
     worst = 0
     rows = []
     for name in PRESETS:
         out = out_root / name
-        args = ["check", "--space", name, "--out", str(out), "--seed", str(seed)]
-        if nets is not None:
-            args += ["--nets", str(nets)]
-        code = cli_main(args)
+        code = cli_main(["check", "--space", name, "--out", str(out)])
         worst = max(worst, code)
         report = json.loads((out / "report.json").read_text())
         skipped = [c["check"] for c in report["checks"] if c["details"].get("skipped")]
@@ -43,7 +40,5 @@ def run(out_root: Path, seed: int, nets: int | None) -> int:
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", type=Path, default=Path("runs"))
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--nets", type=int, default=None, help="override Cauchy sweep size")
     ns = ap.parse_args()
-    raise SystemExit(run(ns.out, ns.seed, ns.nets))
+    raise SystemExit(run(ns.out))

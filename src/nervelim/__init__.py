@@ -2,7 +2,6 @@
 inverse systems with coordinate-projection bonds, and cell-structure checks."""
 
 from .complexes import (
-    BarycentricPoint,
     Complex,
     LambdaIndex,
     Vertex,
@@ -28,8 +27,6 @@ from .systems import (
     build_system,
     canonical_map,
     canonical_thread,
-    fiber_homotopy,
-    point_thread,
     thread_image,
     vertex_thread,
     vertex_threads,

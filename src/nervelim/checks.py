@@ -21,12 +21,7 @@ from .errors import PreconditionUnmet
 from .report import FORMAT_VERSION, Report
 
 if TYPE_CHECKING:
-    from .cli import RunConfig
     from .presets import Preset
-
-# sample sizes when the command line gives none
-DEFAULT_NETS = 10000
-DEFAULT_HOMOTOPY_SAMPLES = 50
 
 
 def betti_chain(preset: Preset) -> list[LambdaIndex]:
@@ -36,7 +31,6 @@ def betti_chain(preset: Preset) -> list[LambdaIndex]:
 
 @dataclass
 class RunContext:
-    config: RunConfig
     preset: Preset
     system: systems.InverseSystem
 
@@ -50,14 +44,6 @@ class RunContext:
 
 
 Runner = Callable[[RunContext], tuple[Report, dict]]
-
-
-def _fiber_homotopy(ctx: RunContext) -> tuple[Report, dict]:
-    return systems.check_homotopy(ctx.system, ctx.config.homotopy_count, ctx.config.seed), {}
-
-
-def _cauchy_sweep(ctx: RunContext) -> tuple[Report, dict]:
-    return cells.cauchy_sweep(ctx.system, ctx.config.nets, ctx.config.seed), {}
 
 
 def _with_quotient(ctx: RunContext, report: Report, bijection: bool) -> tuple[Report, dict]:
@@ -112,7 +98,7 @@ CHECKS: dict[str, Runner] = {
     "simpliciality": lambda ctx: (systems.check_simpliciality(ctx.system), {}),
     "section_identity": lambda ctx: (systems.check_section_identity(ctx.system), {}),
     "fibers": lambda ctx: (systems.check_fibers(ctx.system), {}),
-    "fiber_homotopy": _fiber_homotopy,
+    "fiber_homotopy": lambda ctx: (systems.check_homotopy(ctx.system), {}),
     "nerve_absorption": lambda ctx: (systems.check_nerve_absorption(ctx.system), {}),
     "star_conditions": lambda ctx: (cells.check_star_conditions(ctx.system), {}),
     "equivalence_classes": lambda ctx: _with_quotient(
@@ -121,7 +107,7 @@ CHECKS: dict[str, Runner] = {
     "quotient_comparison": lambda ctx: _with_quotient(
         ctx, cells.compare_quotient_to_ground(ctx.system, ctx.equivalence), bijection=True
     ),
-    "cauchy_sweep": _cauchy_sweep,
+    "cauchy_sweep": lambda ctx: (cells.cauchy_sweep(ctx.system), {}),
     "betti_stabilization": _betti_stabilization,
 }
 

@@ -1,8 +1,8 @@
 """Command line surface: build level complexes, run checks, render reports.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 input error, 3 missing
-artifacts.  Runs with the same configuration and seed produce byte
-identical output files.
+artifacts.  Runs with the same configuration produce byte identical
+output files.
 """
 
 from __future__ import annotations
@@ -16,13 +16,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import systems
-from .checks import (
-    CHECKS,
-    DEFAULT_HOMOTOPY_SAMPLES,
-    DEFAULT_NETS,
-    RunContext,
-    betti_chain,
-)
+from .checks import CHECKS, RunContext, betti_chain
 from .complexes import DEFAULT_MAX_DIM, LambdaIndex, complex_to_json, skeleton_dot
 from .errors import GuardExceeded, InputError, PreconditionUnmet
 from .ground import family_to_json, load_family, load_space, space_to_json
@@ -44,8 +38,6 @@ class RunConfig:
     out: Path
     seed: int
     max_dim: int
-    nets: int = DEFAULT_NETS
-    homotopy_count: int = DEFAULT_HOMOTOPY_SAMPLES
 
     def echo(self) -> dict:
         return {
@@ -95,7 +87,7 @@ def _load_context(config: RunConfig) -> RunContext:
     family = preset.factory()
     lambdas = _parse_lambdas(config.lambdas, len(family.covers), preset)
     system = systems.build_system(family, lambdas, config.max_dim)
-    return RunContext(config, preset, system)
+    return RunContext(preset, system)
 
 
 def _parse_checks(spec: str) -> list[str]:
@@ -252,7 +244,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         help="level selection: all | chain | '0;0,1;0,1,2'",
     )
     p.add_argument("--out", type=Path, required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0, help="seed of the Cauchy and homotopy samples")
+    p.add_argument("--seed", type=int, default=0, help="no effect; check echoes it in report.json")
     p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM, help="simplex dimension guard")
 
 
@@ -274,13 +266,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         default=None,
         help="comma separated check names (default: the preset's list)",
     )
-    p_check.add_argument("--nets", type=int, default=DEFAULT_NETS, help="Cauchy sweep size")
-    p_check.add_argument(
-        "--homotopy-samples",
-        type=int,
-        default=DEFAULT_HOMOTOPY_SAMPLES,
-        help="sampled homotopy threads",
-    )
+    # read by nothing; accepted and validated as before because the
+    # benchmark's command lines still pass them
+    p_check.add_argument("--nets", type=int, default=1, help="no effect (at least 1)")
+    p_check.add_argument("--homotopy-samples", type=int, default=1, help="no effect (at least 1)")
 
     p_report = sub.add_parser("report", help="render tables from a prior check run")
     p_report.add_argument("--out", type=Path, required=True, help="directory of the check run")
@@ -289,9 +278,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.command == "report":
             return cmd_report(args.out)
-        nets = getattr(args, "nets", DEFAULT_NETS)
-        homotopy_count = getattr(args, "homotopy_samples", DEFAULT_HOMOTOPY_SAMPLES)
-        for flag, value in (("--nets", nets), ("--homotopy-samples", homotopy_count)):
+        for flag, value in (
+            ("--nets", getattr(args, "nets", 1)),
+            ("--homotopy-samples", getattr(args, "homotopy_samples", 1)),
+        ):
             if value < 1:
                 raise InputError(f"{flag} must be at least 1, got {value}")
         if args.max_dim < 0:
@@ -307,8 +297,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             out=args.out,
             seed=args.seed,
             max_dim=args.max_dim,
-            nets=nets,
-            homotopy_count=homotopy_count,
         )
         if args.command == "build":
             return cmd_build(config)

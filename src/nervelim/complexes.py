@@ -14,9 +14,8 @@ of vertex v; it acts on flag complexes and nerves alike and holds neither.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import GuardExceeded
 from .ground import CoverFamily, CoverId, ElementId, PointId
@@ -75,47 +74,6 @@ class Vertex:
             raise ValueError("vertex wedge must be nonempty")
 
 
-@dataclass(frozen=True)
-class BarycentricPoint:
-    """A point of a level complex: its carrier simplex plus positive
-    coordinates.  Whoever makes a point knows its carrier is a simplex of
-    the complex it is meant for (see ``systems.canonical_map``)."""
-
-    carrier: Simplex
-    coords: tuple[tuple[int, Fraction], ...]
-
-    def __post_init__(self) -> None:
-        ids = tuple(v for v, _ in self.coords)
-        if ids != self.carrier or list(ids) != sorted(set(ids)):
-            raise ValueError("coordinates must be keyed by the carrier, sorted")
-        total = Fraction(0)
-        for _, w in self.coords:
-            if w <= 0:
-                raise ValueError("barycentric coordinates must be positive")
-            total += w
-        if total != 1:
-            raise ValueError(f"coordinates sum to {total}, not 1")
-
-    @classmethod
-    def from_dict(cls, coords: Mapping[int, Fraction]) -> "BarycentricPoint":
-        items = tuple(sorted((v, w) for v, w in coords.items() if w != 0))
-        return cls(tuple(v for v, _ in items), items)
-
-
-def convex_combination(
-    t: Fraction, target: BarycentricPoint, source: BarycentricPoint
-) -> BarycentricPoint:
-    """t * target + (1 - t) * source, for two points of one complex."""
-    t = Fraction(t)
-    if not 0 <= t <= 1:
-        raise ValueError("parameter must lie in [0, 1]")
-    coords = {v: t * w for v, w in target.coords}
-    rest = 1 - t
-    for v, w in source.coords:
-        coords[v] = coords[v] + rest * w if v in coords else rest * w
-    return BarycentricPoint.from_dict(coords)
-
-
 # ---------------------------------------------------------------------------
 # graphs and vertex maps
 #
@@ -171,16 +129,6 @@ def unmapped(
         if not carrier_wedge(target, [vertex_map[v] for v in s]):
             return s
     return None
-
-
-def push_point(vertex_map: Sequence[int], point: BarycentricPoint) -> BarycentricPoint:
-    """Push a barycentric point forward along a vertex map, summing merged
-    coordinates."""
-    coords: dict[int, Fraction] = {}
-    for v, w in point.coords:
-        img = vertex_map[v]
-        coords[img] = coords.get(img, Fraction(0)) + w
-    return BarycentricPoint.from_dict(coords)
 
 
 # ---------------------------------------------------------------------------

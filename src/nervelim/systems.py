@@ -3,22 +3,19 @@
 With finitely many covers the index set has a maximum level, so limit
 objects are computed at the top and consistency with lower levels is
 verified rather than assumed.  A thread is a tuple aligned with
-``system.levels``: a vertex id per level (a vertex thread) or a
-barycentric point per level (a point thread), bond-compatible when built
-from the top.
+``system.levels``: a vertex id per level (a vertex thread) or a carrier
+simplex per level (the canonical thread of a point), bond-compatible when
+built from the top.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
 from .complexes import (
     DEFAULT_MAX_DIM,
-    BarycentricPoint,
     Complex,
     LambdaIndex,
     Vertex,
@@ -26,10 +23,8 @@ from .complexes import (
     build_nerve,
     build_vertices,
     carrier_wedge,
-    convex_combination,
     graph_edges,
     point_fibers,
-    push_point,
     unmapped,
     unmapped_edge,
     wedge_adjacency,
@@ -65,15 +60,12 @@ class InverseSystem:
     at or above position i, and ``bond(i, j)`` is the bond down from
     position j to i: its vertex map, entry v the image of vertex v of level
     j.  ``position``, ``above`` and ``top`` are computed from ``levels``.
-    ``_canonical`` holds each canonical map once computed, by (level
-    position, point).
     """
 
     family: CoverFamily
     levels: list[Level]
     max_dim: int
     _bonds: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
-    _canonical: dict[tuple[int, PointId], BarycentricPoint] = field(default_factory=dict)
     position: dict[LambdaIndex, int] = field(init=False)
     above: list[tuple[int, ...]] = field(init=False)
     top: int | None = field(init=False)  # the position of the maximum level, when one exists
@@ -159,14 +151,6 @@ def vertex_thread(system: InverseSystem, top_vid: int) -> tuple[int, ...]:
     return tuple(system.bond(i, t)[top_vid] for i in range(len(system.levels)))
 
 
-def point_thread(
-    system: InverseSystem, top_point: BarycentricPoint
-) -> tuple[BarycentricPoint, ...]:
-    """The point thread through a barycentric point of the top level."""
-    t = _top(system)
-    return tuple(push_point(system.bond(i, t), top_point) for i in range(len(system.levels)))
-
-
 def vertex_threads(system: InverseSystem) -> list[tuple[int, ...]]:
     t = _top(system)
     return [vertex_thread(system, v) for v in range(len(system.levels[t].vertices))]
@@ -176,29 +160,25 @@ def vertex_threads(system: InverseSystem) -> list[tuple[int, ...]]:
 # the maps between system and space
 
 
-def canonical_map(system: InverseSystem, i: int, x: PointId) -> BarycentricPoint:
-    """The barycentre of x's point fiber in the level at position i.
+def canonical_map(system: InverseSystem, i: int, x: PointId) -> tuple[int, ...]:
+    """x's canonical point in the level at position i, as its carrier:
+    x's point fiber.
 
-    These are the product weights of the partitions of unity that split
-    each cover evenly among the elements containing x.  The fiber is every
-    tuple of such elements, one per cover, so each of its vertices weighs
-    1/|fiber|, and every other vertex has a factor 0.  Each map is
-    computed once per system and then shared.
+    The point takes the product weights of the partitions of unity that
+    split each cover evenly among the elements containing x.  The fiber
+    is every tuple of such elements, one per cover, so each of its
+    vertices weighs 1/|fiber| and every other vertex has a factor 0: the
+    point is the barycentre of its carrier, and no caller needs the
+    weights.
     """
-    point = system._canonical.get((i, x))
-    if point is not None:
-        return point
     level = system.levels[i]
     fiber = level.fibers[x]
-    share = Fraction(1, len(fiber))
-    point = BarycentricPoint(fiber, tuple((v, share) for v in fiber))
     if x not in carrier_wedge(level.vertices, fiber):
         raise AssertionError("canonical support must span a nerve simplex at the point")
-    system._canonical[(i, x)] = point
-    return point
+    return fiber
 
 
-def canonical_thread(system: InverseSystem, x: PointId) -> tuple[BarycentricPoint, ...]:
+def canonical_thread(system: InverseSystem, x: PointId) -> tuple[tuple[int, ...], ...]:
     return tuple(canonical_map(system, i, x) for i in range(len(system.levels)))
 
 
@@ -206,14 +186,14 @@ def thread_image(system: InverseSystem, z: tuple) -> frozenset[PointId]:
     """Intersect the carrier wedges of all levels of the thread: its
     finite-level image.  The thread is resolved when that is one point.
 
-    A point thread with a carrier that only spans a flag simplex (not a
-    nerve one) yields the empty set: a carrier spans a nerve simplex
-    exactly when its wedges share a point.
+    An entry is a vertex id or a carrier tuple.  A carrier that only spans
+    a flag simplex (not a nerve one) yields the empty set: a carrier spans
+    a nerve simplex exactly when its wedges share a point.
     """
     common: frozenset[PointId] | None = None
     for level, entry in zip(system.levels, z):
-        if isinstance(entry, BarycentricPoint):
-            wedge = carrier_wedge(level.vertices, entry.carrier)
+        if isinstance(entry, tuple):
+            wedge = carrier_wedge(level.vertices, entry)
         else:
             wedge = level.vertices[entry].wedge
         common = wedge if common is None else common & wedge
@@ -241,6 +221,18 @@ def check_section_identity(system: InverseSystem) -> Report:
 # fibers
 
 
+def fiber_escape(
+    system: InverseSystem, x: PointId, pairs: Sequence[tuple[int, int]]
+) -> tuple[int, int] | None:
+    """The first pair (i, j) of ``pairs`` whose bond from position j down
+    to i maps a vertex of x's fiber at j outside x's fiber at i, or None."""
+    for i, j in pairs:
+        vm, fiber = system.bond(i, j), system.levels[i].fibers[x]
+        if any(vm[v] not in fiber for v in system.levels[j].fibers[x]):
+            return i, j
+    return None
+
+
 def check_fibers(system: InverseSystem) -> Report:
     """Fiber sets project into each other along every bond, and the top
     fiber is realized by exactly the vertex threads through x."""
@@ -250,20 +242,16 @@ def check_fibers(system: InverseSystem) -> Report:
     images = [thread_image(system, z) for z in threads]
     pairs = [(i, j) for i, up in enumerate(system.above) for j in up]
     for x in system.family.ground.points:
-        fibers = [level.fibers[x] for level in system.levels]
-        for i, j in pairs:
-            vm = system.bond(i, j)
-            if not {vm[v] for v in fibers[j]} <= set(fibers[i]):
-                lam, mu = system.levels[i].lam, system.levels[j].lam
-                bad = {"point": x, "lam": list(lam.cover_ids), "mu": list(mu.cover_ids)}
-                break
-        if bad:
+        escape = fiber_escape(system, x, pairs)
+        if escape is not None:
+            lam, mu = (system.levels[p].lam for p in escape)
+            bad = {"point": x, "lam": list(lam.cover_ids), "mu": list(mu.cover_ids)}
             break
         if t is not None:
             through_x = {
                 z[t] for z, pts in zip(threads, images) if x in pts
             }
-            if through_x != set(fibers[t]):
+            if through_x != set(system.levels[t].fibers[x]):
                 bad = {"point": x, "reason": "top fiber not realized by threads"}
                 break
     return Report("fibers", bad is None, counterexample=bad)
@@ -273,72 +261,38 @@ def check_fibers(system: InverseSystem) -> Report:
 # the fiberwise homotopy
 
 
-def fiber_homotopy(
-    system: InverseSystem, z: tuple[BarycentricPoint, ...], t: Fraction
-) -> tuple[BarycentricPoint, ...]:
-    """Levelwise convex combination pulling a thread onto its canonical
-    image without moving its ground point."""
-    image = thread_image(system, z)
-    if len(image) != 1:
-        raise ValueError("thread image is not a single ground point")
-    (x,) = image
-    entries = []
-    for i, (level, point) in enumerate(zip(system.levels, z)):
-        target = canonical_map(system, i, x)
-        moved = convex_combination(Fraction(t), target, point)
-        if not carrier_wedge(level.vertices, point.carrier + target.carrier):
-            raise AssertionError("homotopy leaves the nerve")
-        entries.append(moved)
-    return tuple(entries)
+def check_homotopy(system: InverseSystem) -> Report:
+    """The fiberwise homotopy, decided on carriers for every resolved point.
 
-
-def check_homotopy(system: InverseSystem, count: int, seed: int) -> Report:
-    """Seeded sample of resolved point threads: endpoints and image
-    preservation of the homotopy, with exact equality."""
-    rng = random.Random(seed)
-    level = system.levels[_top(system)]
-    candidates = level.nerve
-    threads = []  # (thread, its image)
-    attempts = 0
-    while len(threads) < count and attempts < 50 * count:
-        attempts += 1
-        s = candidates[rng.randrange(len(candidates))]
-        weights = [Fraction(rng.randint(1, 9)) for _ in s]
-        total = sum(weights)
-        point = BarycentricPoint.from_dict({v: w / total for v, w in zip(s, weights)})
-        z = point_thread(system, point)
-        image = thread_image(system, z)
-        if len(image) == 1:
-            threads.append((z, image))
-    if len(threads) < count:
-        return Report(
-            "fiber_homotopy",
-            False,
-            details={"reason": "not enough resolved threads", "found": len(threads)},
+    A point thread through a top point with carrier s has the image
+    ``carrier_wedge(s)``, since a bond only forgets covers and so widens
+    wedges.  It is resolved to x when that wedge is {x}.  Then s lies in
+    x's top fiber F_x, and the wedges of F_x share x alone: x is a
+    resolved point.
+    At each level i the homotopy moves the thread's point along
+    t*c + (1-t)*z, with c the canonical point of x, so it starts at the
+    thread (t=0) and ends at the canonical thread (t=1).  When
+    ``bond(i, top)`` maps F_x into x's fiber at i, every stage's carrier
+    lies in that fiber: it stays in the nerve and keeps the image {x}.
+    """
+    t = _top(system)
+    top = system.levels[t]
+    resolved = [
+        x for x in system.family.ground.points if carrier_wedge(top.vertices, top.fibers[x]) == {x}
+    ]
+    if not resolved:
+        raise PreconditionUnmet(
+            "no point is resolved: no top fiber's wedges share one point alone"
         )
-    stages = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
+    down = [(i, t) for i in range(len(system.levels))]
     bad = None
-    for i, (z, image) in enumerate(threads):
-        (x,) = image
-        # Whether a stage raises does not depend on t, so computing every
-        # stage up front raises exactly where the t=0 endpoint test would.
-        moved = [fiber_homotopy(system, z, t) for t in stages]
-        if moved[0] != z:
-            bad = {"thread": i, "reason": "t=0 moved the thread"}
-        elif moved[-1] != canonical_thread(system, x):
-            bad = {"thread": i, "reason": "t=1 missed the canonical thread"}
-        else:
-            for t, w in zip(stages, moved):
-                if thread_image(system, w) != image:
-                    bad = {"thread": i, "t": t, "reason": "image moved"}
-                    break
-        if bad:
+    for x in resolved:
+        escape = fiber_escape(system, x, down)
+        if escape is not None:
+            bad = {"point": x, "lambda": list(system.levels[escape[0]].lam.cover_ids)}
             break
     return Report(
-        "fiber_homotopy",
-        bad is None,
-        counterexample=bad,
-        details={"threads": len(threads), "stages": stages, "seed": seed},
+        "fiber_homotopy", bad is None, counterexample=bad, details={"resolved": resolved}
     )
 
 

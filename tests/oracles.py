@@ -2,7 +2,9 @@
 
 Everything here is built directly from first principles (explicit
 triangulations, raw subset enumeration, sympy GF(2) ranks) so the values
-frozen into the tests do not depend on the code paths they check.
+frozen into the tests do not depend on the code paths they check.  The
+seeded samplers that the thread checks used before they were decided
+exactly are kept here too, with the barycentric points they move.
 """
 
 from __future__ import annotations
@@ -10,24 +12,24 @@ from __future__ import annotations
 import json
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from nervelim import cells
-from nervelim.complexes import (
-    BarycentricPoint,
-    Complex,
-    LambdaIndex,
-    Simplex,
-    Vertex,
-    push_point,
-)
+from nervelim.complexes import Complex, LambdaIndex, Simplex, Vertex, carrier_wedge, members
 from nervelim.errors import GuardExceeded
 from nervelim.ground import CoverFamily, PointId
 from nervelim.homology import boundary_matrix
 from nervelim.report import Report, _fraction
-from nervelim.systems import InverseSystem, vertex_thread, vertex_threads
+from nervelim.systems import (
+    InverseSystem,
+    _top,
+    canonical_map,
+    thread_image,
+    vertex_thread,
+    vertex_threads,
+)
 
 
 def from_maximal(n_vertices: int, maximal: Iterable[Sequence[int]]) -> Complex:
@@ -99,6 +101,61 @@ def complex_from_json(data: dict) -> Complex:
         if len(data["vertices"]) != n:
             raise ValueError("vertex list length mismatch")
     return listed
+
+
+# ---------------------------------------------------------------------------
+# barycentric points
+
+
+@dataclass(frozen=True)
+class BarycentricPoint:
+    """A point of a level complex: its carrier simplex plus positive
+    coordinates.  Whoever makes a point knows its carrier is a simplex of
+    the complex it is meant for."""
+
+    carrier: Simplex
+    coords: tuple[tuple[int, Fraction], ...]
+
+    def __post_init__(self) -> None:
+        ids = tuple(v for v, _ in self.coords)
+        if ids != self.carrier or list(ids) != sorted(set(ids)):
+            raise ValueError("coordinates must be keyed by the carrier, sorted")
+        total = Fraction(0)
+        for _, w in self.coords:
+            if w <= 0:
+                raise ValueError("barycentric coordinates must be positive")
+            total += w
+        if total != 1:
+            raise ValueError(f"coordinates sum to {total}, not 1")
+
+    @classmethod
+    def from_dict(cls, coords: Mapping[int, Fraction]) -> "BarycentricPoint":
+        items = tuple(sorted((v, w) for v, w in coords.items() if w != 0))
+        return cls(tuple(v for v, _ in items), items)
+
+
+def convex_combination(
+    t: Fraction, target: BarycentricPoint, source: BarycentricPoint
+) -> BarycentricPoint:
+    """t * target + (1 - t) * source, for two points of one complex."""
+    t = Fraction(t)
+    if not 0 <= t <= 1:
+        raise ValueError("parameter must lie in [0, 1]")
+    coords = {v: t * w for v, w in target.coords}
+    rest = 1 - t
+    for v, w in source.coords:
+        coords[v] = coords[v] + rest * w if v in coords else rest * w
+    return BarycentricPoint.from_dict(coords)
+
+
+def push_point(vertex_map: Sequence[int], point: BarycentricPoint) -> BarycentricPoint:
+    """Push a barycentric point forward along a vertex map, summing merged
+    coordinates."""
+    coords: dict[int, Fraction] = {}
+    for v, w in point.coords:
+        img = vertex_map[v]
+        coords[img] = coords.get(img, Fraction(0)) + w
+    return BarycentricPoint.from_dict(coords)
 
 
 def vertex_point(v: int) -> BarycentricPoint:
@@ -460,14 +517,14 @@ def sweep_every_net(system: InverseSystem, count: int, seed: int) -> Report:
     rng = random.Random(seed)
     threads = vertex_threads(system)
     sizes = [len(level.vertices) for level in system.levels]
-    non_max = [i for i in range(len(system.levels)) if i != system.top]
+    non_max = non_max_levels(system)
     nets = []
     attempts = 0
     while len(nets) < count and attempts < 50 * count:
         attempts += 1
         if rng.random() < 0.5:
             z = threads[rng.randrange(len(threads))]
-            candidate = cells.perturbed_thread_net(system, z, rng, non_max)
+            candidate = perturbed_thread_net(system, z, rng, non_max)
         else:
             candidate = tuple(rng.randrange(n) for n in sizes)
         if pairwise_is_cauchy(system, candidate):
@@ -478,6 +535,213 @@ def sweep_every_net(system: InverseSystem, count: int, seed: int) -> Report:
     bad = next(({"net": i} for i, y in enumerate(nets) if scan_converge(system, y) is None), None)
     return Report(
         "cauchy_sweep", bad is None, counterexample=bad, details={"nets": count, "seed": seed}
+    )
+
+
+# ---------------------------------------------------------------------------
+# the sampled thread checks: the homotopy on seeded point threads and the
+# sweep over seeded Cauchy nets, as the library ran them before it decided
+# both checks exactly
+
+
+def canonical_point(system: InverseSystem, i: int, x: PointId) -> BarycentricPoint:
+    """x's canonical point at position i: the barycentre of its carrier."""
+    carrier = canonical_map(system, i, x)
+    share = Fraction(1, len(carrier))
+    return BarycentricPoint(carrier, tuple((v, share) for v in carrier))
+
+
+def canonical_points(system: InverseSystem, x: PointId) -> tuple[BarycentricPoint, ...]:
+    """x's canonical thread as barycentric points."""
+    return tuple(canonical_point(system, i, x) for i in range(len(system.levels)))
+
+
+def point_thread(
+    system: InverseSystem, top_point: BarycentricPoint
+) -> tuple[BarycentricPoint, ...]:
+    """The point thread through a barycentric point of the top level."""
+    t = _top(system)
+    return tuple(push_point(system.bond(i, t), top_point) for i in range(len(system.levels)))
+
+
+def point_image(system: InverseSystem, z: tuple[BarycentricPoint, ...]) -> frozenset[PointId]:
+    """The image of a point thread, read from its carriers."""
+    return thread_image(system, tuple(point.carrier for point in z))
+
+
+def fiber_homotopy(
+    system: InverseSystem, z: tuple[BarycentricPoint, ...], t: Fraction
+) -> tuple[BarycentricPoint, ...]:
+    """Levelwise convex combination pulling a thread onto its canonical
+    image without moving its ground point."""
+    image = point_image(system, z)
+    if len(image) != 1:
+        raise ValueError("thread image is not a single ground point")
+    (x,) = image
+    entries = []
+    for i, (level, point) in enumerate(zip(system.levels, z)):
+        target = canonical_point(system, i, x)
+        moved = convex_combination(Fraction(t), target, point)
+        if not carrier_wedge(level.vertices, point.carrier + target.carrier):
+            raise AssertionError("homotopy leaves the nerve")
+        entries.append(moved)
+    return tuple(entries)
+
+
+def sampled_check_homotopy(system: InverseSystem, count: int, seed: int) -> Report:
+    """Seeded sample of resolved point threads: endpoints and image
+    preservation of the homotopy, with exact equality."""
+    rng = random.Random(seed)
+    level = system.levels[_top(system)]
+    candidates = level.nerve
+    threads = []  # (thread, its image)
+    attempts = 0
+    while len(threads) < count and attempts < 50 * count:
+        attempts += 1
+        s = candidates[rng.randrange(len(candidates))]
+        weights = [Fraction(rng.randint(1, 9)) for _ in s]
+        total = sum(weights)
+        point = BarycentricPoint.from_dict({v: w / total for v, w in zip(s, weights)})
+        z = point_thread(system, point)
+        image = point_image(system, z)
+        if len(image) == 1:
+            threads.append((z, image))
+    if len(threads) < count:
+        return Report(
+            "fiber_homotopy",
+            False,
+            details={"reason": "not enough resolved threads", "found": len(threads)},
+        )
+    stages = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
+    bad = None
+    for i, (z, image) in enumerate(threads):
+        (x,) = image
+        # Whether a stage raises does not depend on t, so computing every
+        # stage up front raises exactly where the t=0 endpoint test would.
+        moved = [fiber_homotopy(system, z, t) for t in stages]
+        if moved[0] != z:
+            bad = {"thread": i, "reason": "t=0 moved the thread"}
+        elif moved[-1] != canonical_points(system, x):
+            bad = {"thread": i, "reason": "t=1 missed the canonical thread"}
+        else:
+            for t, w in zip(stages, moved):
+                if point_image(system, w) != image:
+                    bad = {"thread": i, "t": t, "reason": "image moved"}
+                    break
+        if bad:
+            break
+    return Report(
+        "fiber_homotopy",
+        bad is None,
+        counterexample=bad,
+        details={"threads": len(threads), "stages": stages, "seed": seed},
+    )
+
+
+def _star(adj: Sequence[int], v: int) -> int:
+    return adj[v] | 1 << v
+
+
+def is_cauchy(system: InverseSystem, y: tuple[int, ...]) -> bool:
+    """Projections of any two levels above a base must be adjacent there."""
+    bond = system.bond
+    for i, (level, up) in enumerate(zip(system.levels, system.above)):
+        projected = 0
+        for j in up:
+            projected |= 1 << bond(i, j)[y[j]]
+        if projected & (projected - 1):  # more than one vertex
+            adj = level.adjacency
+            for a in members(projected):
+                if projected & ~_star(adj, a):
+                    return False
+    return True
+
+
+def converge(system: InverseSystem, y: tuple[int, ...]) -> tuple[int, ...] | None:
+    """Search the vertex threads, by ascending top vertex, for one levelwise
+    adjacent to the net; None when there is none.
+
+    Such a thread's top vertex is adjacent to the net's, so only the closed
+    star of ``y[top]`` is searched.
+    """
+    if not is_cauchy(system, y):
+        raise ValueError("convergence is only defined for Cauchy nets")
+    t = _top(system)
+    adjs = [level.adjacency for level in system.levels]
+    down = [system.bond(i, t) for i in range(len(system.levels))]
+    for v in members(_star(adjs[t], y[t])):
+        if all(a == b or adj[a] >> b & 1 for adj, a, b in zip(adjs, (vm[v] for vm in down), y)):
+            return vertex_thread(system, v)
+    return None
+
+
+def non_max_levels(system: InverseSystem) -> list[int]:
+    """The positions of the levels other than the top one."""
+    return [i for i in range(len(system.levels)) if i != system.top]
+
+
+def perturbed_thread_net(
+    system: InverseSystem, z: tuple[int, ...], rng: random.Random, non_max: list[int]
+) -> tuple[int, ...]:
+    """Move one non-maximal level of a thread to an adjacent vertex; with
+    no level below the top, the thread itself.  ``non_max`` must be
+    ``non_max_levels(system)``."""
+    if not non_max:
+        return z
+    i = non_max[rng.randrange(len(non_max))]
+    star = members(_star(system.levels[i].adjacency, z[i]))
+    return z[:i] + (star[rng.randrange(len(star))],) + z[i + 1 :]
+
+
+def sample_cauchy_nets(system: InverseSystem, count: int, seed: int) -> list[tuple[int, ...]]:
+    """Seeded mix of perturbed threads and random nets kept when Cauchy,
+    from at most 50 * count candidates."""
+    rng = random.Random(seed)
+    threads = vertex_threads(system)
+    sizes = [len(level.vertices) for level in system.levels]
+    non_max = non_max_levels(system)
+    verdicts: dict[tuple[int, ...], bool] = {}  # is_cauchy, by distinct candidate
+    nets: list[tuple[int, ...]] = []
+    attempts = 0
+    while len(nets) < count and attempts < 50 * count:
+        attempts += 1
+        if rng.random() < 0.5:
+            z = threads[rng.randrange(len(threads))]
+            candidate = perturbed_thread_net(system, z, rng, non_max)
+        else:
+            candidate = tuple(rng.randrange(n) for n in sizes)
+        ok = verdicts.get(candidate)
+        if ok is None:
+            ok = verdicts[candidate] = is_cauchy(system, candidate)
+        if ok:
+            nets.append(candidate)
+    return nets
+
+
+def sampled_cauchy_sweep(system: InverseSystem, count: int, seed: int) -> Report:
+    """Every sampled Cauchy net converges; each distinct net is searched
+    once, and a failure names its first index in the sample."""
+    nets = sample_cauchy_nets(system, count, seed)
+    if len(nets) < count:
+        return Report(
+            "cauchy_sweep",
+            False,
+            details={"reason": "not enough Cauchy nets", "found": len(nets)},
+        )
+    converges: dict[tuple[int, ...], bool] = {}
+    bad = None
+    for i, y in enumerate(nets):
+        ok = converges.get(y)
+        if ok is None:
+            ok = converges[y] = converge(system, y) is not None
+        if not ok:
+            bad = {"net": i}
+            break
+    return Report(
+        "cauchy_sweep",
+        bad is None,
+        counterexample=bad,
+        details={"nets": count, "seed": seed},
     )
 
 

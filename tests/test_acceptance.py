@@ -14,6 +14,8 @@ from oracles import (
     cycle_complex,
     discrete_complex,
     path_complex,
+    sampled_cauchy_sweep,
+    sampled_check_homotopy,
     skeleton_adjacency,
     wedge_graph_complex,
 )
@@ -120,10 +122,13 @@ def test_criterion_4_fiber_formula(preset_systems):
 
 def test_criterion_5_homotopy_contract(preset_systems):
     def body():
-        report = check_homotopy(preset_systems["cantor-d3"][2], count=50, seed=0)
+        system = preset_systems["cantor-d3"][2]
+        # the sampled homotopy is the oracle of the exact decision
+        report = sampled_check_homotopy(system, count=50, seed=0)
         assert report.passed
         assert report.details["threads"] == 50
         assert report.details["stages"] == [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)]
+        assert check_homotopy(system).passed
 
     _criterion(5, "homotopy endpoints and image preservation on 50 threads", 10.0, body)
 
@@ -177,9 +182,11 @@ def test_criterion_8_cell_structure_suite(preset_systems):
         comparison = compare_quotient_to_ground(system, result)
         assert comparison.passed
         assert comparison.details == {"classes": 8, "points": 8}
-        sweep = cauchy_sweep(system, count=10_000, seed=2026)
+        # the sampled sweep is the oracle of the exact decision
+        sweep = sampled_cauchy_sweep(system, count=10_000, seed=2026)
         assert sweep.passed
         assert sweep.details["nets"] == 10_000
+        assert cauchy_sweep(system).passed
 
     _criterion(8, "star conditions, quotient bijection, 10k Cauchy nets converge", 60.0, body)
 

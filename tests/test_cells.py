@@ -5,21 +5,26 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import k_simplices
-from nervelim import cells
+import oracles
+from oracles import (
+    converge,
+    is_cauchy,
+    k_simplices,
+    non_max_levels,
+    perturbed_thread_net,
+    sample_cauchy_nets,
+    sampled_cauchy_sweep,
+)
 from nervelim.cells import (
     cauchy_sweep,
     check_equivalence,
     check_star_conditions,
     check_star_contraction,
     compare_quotient_to_ground,
-    converge,
     equivalence_classes,
-    is_cauchy,
-    perturbed_thread_net,
-    sample_cauchy_nets,
 )
 from nervelim.complexes import LambdaIndex
+from nervelim.errors import PreconditionUnmet
 from nervelim.ground import (
     CoverFamily,
     GroundSpace,
@@ -192,7 +197,7 @@ def test_alternating_net_not_cauchy(cantor_system):
 
 def test_perturbed_thread_is_cauchy(cantor_system):
     rng = random.Random(5)
-    non_max = cells._non_max(cantor_system)
+    non_max = non_max_levels(cantor_system)
     for _ in range(100):
         z = vertex_threads(cantor_system)[rng.randrange(8)]
         net = perturbed_thread_net(cantor_system, z, rng, non_max)
@@ -206,7 +211,7 @@ def test_thread_converges_to_itself(cantor_system):
 
 def test_perturbed_threads_converge(cantor_system):
     rng = random.Random(11)
-    non_max = cells._non_max(cantor_system)
+    non_max = non_max_levels(cantor_system)
     for _ in range(100):
         z = vertex_threads(cantor_system)[rng.randrange(8)]
         net = perturbed_thread_net(cantor_system, z, rng, non_max)
@@ -219,8 +224,9 @@ def test_converge_rejects_non_cauchy(cantor_system):
 
 
 def test_sampled_sweep_converges(cantor_system):
-    report = cauchy_sweep(cantor_system, 500, seed=9)
+    report = sampled_cauchy_sweep(cantor_system, 500, seed=9)
     assert report.passed
+    assert cauchy_sweep(cantor_system).passed
     nets = sample_cauchy_nets(cantor_system, 50, seed=9)
     assert len(nets) == 50
     assert all(is_cauchy(cantor_system, y) for y in nets)
@@ -233,8 +239,33 @@ def test_sweep_deterministic(cantor_system):
 
 
 def test_sweep_fails_when_nets_are_rare(cantor_system, monkeypatch):
-    monkeypatch.setattr(cells, "is_cauchy", lambda system, y: False)
+    monkeypatch.setattr(oracles, "is_cauchy", lambda system, y: False)
     assert sample_cauchy_nets(cantor_system, 10, seed=0) == []
-    report = cauchy_sweep(cantor_system, 10, seed=0)
+    report = sampled_cauchy_sweep(cantor_system, 10, seed=0)
     assert not report.passed
     assert report.details == {"reason": "not enough Cauchy nets", "found": 0}
+
+
+def test_sweep_states_its_witness_rule(preset_systems):
+    for name, (_, _, system) in preset_systems.items():
+        report = cauchy_sweep(system)
+        assert report.passed, name
+        assert report.details == {
+            "witness": "each Cauchy net converges to the vertex thread through its top vertex"
+        }
+    with pytest.raises(PreconditionUnmet):
+        cauchy_sweep(build_system(preset_systems["cantor-d3"][1], [_lam(0), _lam(1)]))
+
+
+def test_sweep_catches_a_bond_to_itself_that_is_not_the_identity(cantor_system):
+    # a system of its own, so the corrupted bond stays out of the fixture
+    system = build_system(cantor_system.family)
+    i = system.position[_lam(0, 1)]
+    # level {0,1} has four vertices; swap two of them
+    system._bonds[(i, i)] = (1, 0, 2, 3)
+    report = cauchy_sweep(system)
+    assert not report.passed
+    assert report.counterexample == {
+        "lambda": [0, 1],
+        "reason": "bond to itself is not the identity",
+    }

@@ -9,14 +9,17 @@ from hypothesis import example, given, strategies as st
 
 from conftest import build_level
 from oracles import (
+    BarycentricPoint,
     brute_flag_simplices,
     brute_nerve_simplices,
     brute_vertices,
     complex_from_json,
+    convex_combination,
     fiber_subset_nerve,
     from_maximal,
     k_simplices,
     product_weights,
+    push_point,
     set_clique_flag,
     skeleton_adjacency,
     top_dim,
@@ -24,7 +27,6 @@ from oracles import (
 )
 from nervelim.complexes import (
     DEFAULT_MAX_DIM,
-    BarycentricPoint,
     LambdaIndex,
     _all_cliques,
     _level_name,
@@ -33,9 +35,7 @@ from nervelim.complexes import (
     build_vertices,
     carrier_wedge,
     complex_to_json,
-    convex_combination,
     point_fibers,
-    push_point,
     skeleton_dot,
     wedge_adjacency,
 )
@@ -404,6 +404,24 @@ def family_and_lambda(draw):
     return _family(space, lists), lists
 
 
+@st.composite
+def planted_triangles(draw):
+    """A family in the shape ``family_and_lambda`` draws, with three
+    elements of cover 0 that meet pairwise and share no point, planted
+    among random ones.  A second cover, when drawn, holds the whole space,
+    so the three wedges survive at the level of both covers."""
+    n = draw(st.integers(min_value=3, max_value=5))
+    a, b, c = draw(st.permutations(range(n)))[:3]
+    lists = [[{a, b}, {b, c}, {a, c}]]
+    if draw(st.booleans()):
+        lists.append([set(range(n))])
+    for sets in lists:
+        for _ in range(draw(st.integers(min_value=0, max_value=1))):
+            sets.append(set(draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    lists[0][-1] |= set(range(n)) - set().union(*lists[0])
+    return _family(GroundSpace(n), lists), lists
+
+
 @given(family_and_lambda())
 def test_complexes_match_brute_force(data):
     family, lists = data
@@ -425,7 +443,7 @@ def test_complexes_match_brute_force(data):
 _TRIANGLE = [[{0, 1}, {1, 2}, {0, 2}]]  # wedges meet pairwise, not all three
 
 
-@given(family_and_lambda(), st.sampled_from([0, 1, 30]))
+@given(family_and_lambda() | planted_triangles(), st.sampled_from([0, 1, 30]))
 @example((_family(GroundSpace(3), _TRIANGLE), _TRIANGLE), 30)
 @example((_family(GroundSpace(3), _TRIANGLE), _TRIANGLE), 1)
 def test_clique_search_matches_set_builders(data, max_dim):

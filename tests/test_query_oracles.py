@@ -1,40 +1,51 @@
 """Per-point and per-net queries against the scans they replaced.
 
-Canonical maps come from point fibers and are memoized on the system, the
-Cauchy sampler and sweep test each distinct net once, ``converge``
-searches only the closed star of the net's top vertex, and the class
-adjacency of the thread quotient comes from star bitmasks.  ``oracles``
-keeps the old scans (the canonical map as product weights over every
-vertex of the level, the class adjacency by every pair of member
-threads), and these tests require the same results on generated families
-and the same reports on every preset.
+Canonical maps come from point fibers, and the class adjacency of the
+thread quotient comes from star bitmasks.  ``oracles`` keeps the old
+scans (the canonical map as product weights over every vertex of the
+level, the class adjacency by every pair of member threads), and these
+tests require the same results on generated families and the same
+reports on every preset.
+
+``fiber_homotopy`` and ``cauchy_sweep`` are decided exactly.  ``oracles``
+keeps the seeded samplers they replaced (whose Cauchy sampler and sweep
+test each distinct net once, and whose ``converge`` searches only the
+closed star of the net's top vertex, against the scans before them), and
+these tests require the sampled verdicts to equal the exact ones.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import oracles
 from oracles import (
+    BarycentricPoint,
+    canonical_point,
+    converge,
+    is_cauchy,
+    non_max_levels,
     pairwise_class_adjacency,
     pairwise_is_cauchy,
+    perturbed_thread_net,
+    point_image,
+    point_thread,
+    sample_cauchy_nets,
+    sampled_cauchy_sweep,
+    sampled_check_homotopy,
     scan_canonical_map,
     scan_converge,
     sweep_every_net,
 )
-from nervelim import systems
-from nervelim.errors import GuardExceeded
-from nervelim.cells import (
-    _non_max,
-    cauchy_sweep,
-    converge,
-    equivalence_classes,
-    is_cauchy,
-    perturbed_thread_net,
-)
+from nervelim.errors import GuardExceeded, PreconditionUnmet
+from nervelim.cells import cauchy_sweep, equivalence_classes
+from nervelim.complexes import LambdaIndex, carrier_wedge
 from nervelim.ground import (
     CantorDepth,
     CircleGrid,
@@ -46,7 +57,13 @@ from nervelim.ground import (
     generate_space,
 )
 from nervelim.presets import PRESETS
-from nervelim.systems import build_system, canonical_map, check_homotopy, vertex_threads
+from nervelim.systems import (
+    build_system,
+    canonical_map,
+    check_homotopy,
+    vertex_thread,
+    vertex_threads,
+)
 
 
 @st.composite
@@ -72,20 +89,20 @@ def weighted_systems(draw):
 
 @given(weighted_systems())
 def test_canonical_map_matches_scan(system):
+    # the carrier is the scan's, and the scan's weights are its barycentre
     for i in range(len(system.levels)):
         for x in system.family.ground.points:
-            point = canonical_map(system, i, x)
+            point = canonical_point(system, i, x)
             expected = scan_canonical_map(system, i, x)
+            assert canonical_map(system, i, x) == expected.carrier
             assert (point.carrier, point.coords) == (expected.carrier, expected.coords)
-            # memoized: the second call hands back the same point
-            assert canonical_map(system, i, x) is point
 
 
 def test_canonical_maps_of_presets_match_scan(preset_systems):
     for name, (_, _, system) in preset_systems.items():
         for i in range(len(system.levels)):
             for x in system.family.ground.points:
-                assert canonical_map(system, i, x) == scan_canonical_map(system, i, x), name
+                assert canonical_point(system, i, x) == scan_canonical_map(system, i, x), name
 
 
 @given(weighted_systems(), st.integers(0, 2**16))
@@ -93,7 +110,7 @@ def test_cauchy_and_converge_match_scans(system, seed):
     rng = random.Random(seed)
     sizes = [len(level.vertices) for level in system.levels]
     threads = vertex_threads(system)
-    non_max = _non_max(system)
+    non_max = non_max_levels(system)
     for _ in range(20):
         if rng.random() < 0.5:
             y = perturbed_thread_net(system, threads[rng.randrange(len(threads))], rng, non_max)
@@ -109,7 +126,7 @@ def test_preset_nets_converge_as_scanned(preset_systems):
     for name, (_, _, system) in preset_systems.items():
         rng = random.Random(3)
         threads = vertex_threads(system)
-        non_max = _non_max(system)
+        non_max = non_max_levels(system)
         for _ in range(200):
             y = perturbed_thread_net(system, threads[rng.randrange(len(threads))], rng, non_max)
             assert converge(system, y) == scan_converge(system, y), name
@@ -136,15 +153,109 @@ def test_preset_class_adjacency_matches_member_pairs(preset_systems):
     assert quotients["cantor-d3"] and quotients["interval-g8"]
 
 
+def _assert_sampled_verdicts_are_exact(system, nets, threads, seed):
+    """The sampled sweep and homotopy pass exactly when the exact checks
+    do, and the sampler finds no resolved thread exactly when the exact
+    check finds no resolved point; returns the two sampled reports."""
+    sweep = sampled_cauchy_sweep(system, nets, seed)
+    assert sweep.passed == cauchy_sweep(system).passed
+    homotopy = sampled_check_homotopy(system, threads, seed)
+    try:
+        assert homotopy.passed == check_homotopy(system).passed
+    except PreconditionUnmet:
+        assert homotopy.details == {"reason": "not enough resolved threads", "found": 0}
+    return sweep, homotopy
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("name", list(PRESETS))
 def test_reports_match_oracle_path(preset_systems, monkeypatch, name, seed):
     system = preset_systems[name][2]
-    assert cauchy_sweep(system, 1000, seed).to_json() == sweep_every_net(system, 1000, seed).to_json()
-    homotopy = check_homotopy(system, 10, seed).to_json()
-    # the homotopy and its endpoint tests, with canonical maps scanned afresh
-    monkeypatch.setattr(systems, "canonical_map", scan_canonical_map)
-    assert homotopy == check_homotopy(system, 10, seed).to_json()
+    sweep, homotopy = _assert_sampled_verdicts_are_exact(system, 1000, 10, seed)
+    assert sweep.to_json() == sweep_every_net(system, 1000, seed).to_json()
+    # the homotopy and its endpoint tests, with canonical points scanned afresh
+    monkeypatch.setattr(oracles, "canonical_point", scan_canonical_map)
+    assert homotopy.to_json() == sampled_check_homotopy(system, 10, seed).to_json()
+
+
+def _benchmark_families():
+    """The benchmark's scale families, as ``perfbench/inputs.py`` builds
+    them before it permutes their labels."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("benchmark_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.FAMILIES
+
+
+# the levels each family is built with: cantor-d6 as the benchmark builds
+# it, the circles at all seven levels; and the number of resolved points
+BENCHMARK_SYSTEMS = {
+    "cantor-d6": ("chain", 64),
+    "circle-24-thick": ("all", 12),
+    "circle-24-3812": ("all", 16),
+}
+
+
+@pytest.fixture(scope="module")
+def benchmark_systems():
+    out = {}
+    for name, make in _benchmark_families().items():
+        family = make()
+        lambdas = None
+        if BENCHMARK_SYSTEMS[name][0] == "chain":
+            lambdas = [LambdaIndex.of(range(k)) for k in range(1, len(family.covers) + 1)]
+        out[name] = build_system(family, lambdas, max_dim=16)
+    return out
+
+
+@pytest.mark.parametrize("name", list(BENCHMARK_SYSTEMS))
+def test_sampled_verdicts_are_exact_on_benchmark_families(benchmark_systems, name):
+    system = benchmark_systems[name]
+    _assert_sampled_verdicts_are_exact(system, 200, 10, seed=7)
+    assert len(check_homotopy(system).details["resolved"]) == BENCHMARK_SYSTEMS[name][1]
+
+
+def test_resolved_points_of_presets(preset_systems):
+    counts = {"cantor-d3": 8, "interval-g8": 9, "circle-a3612": 12, "wedge2": 23}
+    for name, n in counts.items():
+        assert len(check_homotopy(preset_systems[name][2]).details["resolved"]) == n, name
+    with pytest.raises(PreconditionUnmet):
+        check_homotopy(preset_systems["circle-a3"][2])
+
+
+@given(weighted_systems(), st.integers(0, 2**16))
+def test_sampled_verdicts_are_exact_on_generated_families(system, seed):
+    _assert_sampled_verdicts_are_exact(system, 20, 3, seed)
+
+
+@given(weighted_systems(), st.integers(0, 2**16))
+def test_samples_follow_the_exact_rules(system, seed):
+    # each sampled net converges to the vertex thread through its top
+    # vertex; a sampled point thread's image is the wedge of its top
+    # carrier, and a thread resolved to x has its carrier in the top fiber
+    # of x, a resolved point (a face of such a fiber need not resolve: its
+    # wedges may share more than x)
+    t = system.top
+    adjs = [level.adjacency for level in system.levels]
+    for y in sample_cauchy_nets(system, 20, seed):
+        z = vertex_thread(system, y[t])
+        assert all(a == b or adj[a] >> b & 1 for adj, a, b in zip(adjs, z, y))
+    try:
+        resolved = check_homotopy(system).details["resolved"]
+    except PreconditionUnmet:
+        resolved = []
+    top = system.levels[t]
+    rng = random.Random(seed)
+    for _ in range(20):
+        s = top.nerve[rng.randrange(len(top.nerve))]
+        weights = [Fraction(rng.randint(1, 9)) for _ in s]
+        point = BarycentricPoint.from_dict({v: w / sum(weights) for v, w in zip(s, weights)})
+        image = point_image(system, point_thread(system, point))
+        assert image == carrier_wedge(top.vertices, s)
+        if len(image) == 1:
+            (x,) = image
+            assert x in resolved and set(s) <= set(top.fibers[x])
 
 
 @pytest.mark.parametrize(

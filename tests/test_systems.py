@@ -5,9 +5,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import is_compatible, k_simplices, vertex_point
+import oracles
+from oracles import (
+    BarycentricPoint,
+    canonical_point,
+    canonical_points,
+    fiber_homotopy,
+    is_compatible,
+    k_simplices,
+    point_image,
+    point_thread,
+    push_point,
+    sampled_check_homotopy,
+    vertex_point,
+)
 from nervelim import systems
-from nervelim.complexes import BarycentricPoint, LambdaIndex, push_point
+from nervelim.complexes import LambdaIndex
+from nervelim.errors import PreconditionUnmet
 from nervelim.ground import (
     Arcs,
     CircleGrid,
@@ -31,9 +45,7 @@ from nervelim.systems import (
     check_section_identity,
     check_simpliciality,
     check_skeleton_equality,
-    fiber_homotopy,
     find_nerve_absorbing_level,
-    point_thread,
     thread_image,
     vertex_thread,
     vertex_threads,
@@ -131,16 +143,13 @@ def test_canonical_map_single_wedge(cantor_system):
     # every cantor point lies in exactly one element per cover
     top = cantor_system.top
     for x in cantor_system.family.ground.points:
-        p = canonical_map(cantor_system, top, x)
-        assert len(p.carrier) == 1
-        assert p.coords[0][1] == 1
+        assert len(canonical_map(cantor_system, top, x)) == 1
 
 
 def test_canonical_map_support_contains_point(interval_system):
     for i, level in enumerate(interval_system.levels):
         for x in interval_system.family.ground.points:
-            p = canonical_map(interval_system, i, x)
-            for vid in p.carrier:
+            for vid in canonical_map(interval_system, i, x):
                 assert x in level.vertices[vid].wedge
 
 
@@ -148,8 +157,8 @@ def _canonical_maps_commute_with_bonds(system):
     for x in system.family.ground.points:
         for i, up in enumerate(system.above):
             for j in up:
-                pushed = push_point(system.bond(i, j), canonical_map(system, j, x))
-                assert pushed == canonical_map(system, i, x)
+                pushed = push_point(system.bond(i, j), canonical_point(system, j, x))
+                assert pushed == canonical_point(system, i, x)
 
 
 def test_canonical_maps_commute_with_bonds(cantor_system):
@@ -158,7 +167,7 @@ def test_canonical_maps_commute_with_bonds(cantor_system):
 
 def test_canonical_thread_is_compatible(interval_system):
     for x in (0, 4, 8):
-        assert is_compatible(interval_system, canonical_thread(interval_system, x))
+        assert is_compatible(interval_system, canonical_points(interval_system, x))
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +185,8 @@ def test_thread_image_off_nerve(circle_system):
     interior = BarycentricPoint.from_dict({0: F(1, 3), 1: F(1, 3), 2: F(1, 3)})
     assert interior.carrier in system_one.levels[0].flag
     z = point_thread(system_one, interior)
-    assert thread_image(system_one, z) == frozenset()
+    assert point_image(system_one, z) == frozenset()
+    assert thread_image(system_one, (interior.carrier,)) == frozenset()
 
 
 def test_thread_image_unresolved_overlap():
@@ -249,8 +259,8 @@ def test_fiber_projection_inclusion(preset_systems):
 def test_homotopy_endpoints(cantor_system):
     z = point_thread(cantor_system, vertex_point(2))
     assert fiber_homotopy(cantor_system, z, F(0)) == z
-    (x,) = thread_image(cantor_system, z)
-    assert fiber_homotopy(cantor_system, z, F(1)) == canonical_thread(cantor_system, x)
+    (x,) = point_image(cantor_system, z)
+    assert fiber_homotopy(cantor_system, z, F(1)) == canonical_points(cantor_system, x)
 
 
 def test_homotopy_preserves_image(interval_system):
@@ -259,11 +269,11 @@ def test_homotopy_preserves_image(interval_system):
     edge = k_simplices(interval_system.levels[top].nerve, 1)[0]
     point = BarycentricPoint.from_dict({edge[0]: F(1, 3), edge[1]: F(2, 3)})
     z = point_thread(interval_system, point)
-    base = thread_image(interval_system, z)
+    base = point_image(interval_system, z)
     assert len(base) == 1
     for t in (F(0), F(1, 4), F(1, 2), F(3, 4), F(1)):
         moved = fiber_homotopy(interval_system, z, t)
-        assert thread_image(interval_system, moved) == base
+        assert point_image(interval_system, moved) == base
         assert is_compatible(interval_system, moved)
 
 
@@ -278,8 +288,8 @@ def test_homotopy_needs_resolved_thread():
 
 def test_preset_point_carriers_are_level_simplices(preset_systems, monkeypatch):
     # a point holds no complex, so this stands in for a constructor check:
-    # the point threads check_homotopy samples and the homotopy stages lie
-    # in the flag complexes, and canonical maps lie in the nerves
+    # the point threads the sampled homotopy draws and its stages lie in
+    # the flag complexes, and canonical maps lie in the nerves
     drawn, moved = [], []
 
     def recording(fn, into):
@@ -289,12 +299,12 @@ def test_preset_point_carriers_are_level_simplices(preset_systems, monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(systems, "point_thread", recording(point_thread, drawn))
-    monkeypatch.setattr(systems, "fiber_homotopy", recording(fiber_homotopy, moved))
+    monkeypatch.setattr(oracles, "point_thread", recording(point_thread, drawn))
+    monkeypatch.setattr(oracles, "fiber_homotopy", recording(fiber_homotopy, moved))
     for name, (_, _, system) in preset_systems.items():
         drawn.clear()
         moved.clear()
-        check_homotopy(system, count=10, seed=7)
+        sampled_check_homotopy(system, count=10, seed=7)
         # circle-a3 resolves no thread, so nothing there is moved
         assert drawn and (moved or name == "circle-a3"), name
         for z in drawn + moved:
@@ -302,13 +312,46 @@ def test_preset_point_carriers_are_level_simplices(preset_systems, monkeypatch):
                 assert point.carrier in level.flag, name
         for i, level in enumerate(system.levels):
             for x in system.family.ground.points:
-                assert canonical_map(system, i, x).carrier in level.nerve, name
+                assert canonical_map(system, i, x) in level.nerve, name
 
 
 def test_homotopy_check_seeded(cantor_system):
-    report = check_homotopy(cantor_system, count=50, seed=0)
+    report = sampled_check_homotopy(cantor_system, count=50, seed=0)
     assert report.passed
     assert report.details["threads"] == 50
+    exact = check_homotopy(cantor_system)
+    assert exact.passed and exact.details == {"resolved": list(range(8))}
+
+
+def test_homotopy_catches_a_fiber_the_bond_misses(cantor_system):
+    # a system of its own, so the corrupted bond stays out of the fixture
+    system = build_system(cantor_system.family)
+    t, i = system.top, _at(system, 0)
+    # send the top vertex over point 0 to the other vertex of level {0}
+    (v,) = system.levels[t].fibers[0]
+    bond = list(system.bond(i, t))
+    bond[v] = 1 - bond[v]
+    system._bonds[(i, t)] = tuple(bond)
+    report = check_homotopy(system)
+    assert not report.passed
+    assert report.counterexample == {"point": 0, "lambda": [0]}
+    assert not check_fibers(system).passed
+
+
+def test_homotopy_skips_without_a_resolved_point(preset_systems):
+    # circle-a3's wedges are arcs of 7 points; no top fiber's wedges share
+    # one point alone
+    with pytest.raises(PreconditionUnmet, match="no point is resolved"):
+        check_homotopy(preset_systems["circle-a3"][2])
+
+
+def test_homotopy_resolves_only_a_lone_common_point():
+    # the wedges of the fiber over 0 share 0 alone; those over 2 share
+    # {2, 3}, and the one over 1 is the whole space
+    space = GroundSpace(4)
+    family = CoverFamily((cover_from_pointsets(0, [{0, 1, 2, 3}, {2, 3}, {0}]),), space)
+    report = check_homotopy(build_system(family))
+    assert report.passed and report.details == {"resolved": [0]}
 
 
 # ---------------------------------------------------------------------------
