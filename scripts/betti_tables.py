@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print the nerve/flag Betti tables along each preset's level chain."""
+"""Print the nerve/flag Betti tables along each preset's level chain, and
+the ranks each bond of the chain induces on the nerves' homology."""
 
 import sys
 from pathlib import Path
@@ -17,3 +18,6 @@ for name, preset in PRESETS.items():
     table = betti_stabilization(system, chain)
     print(f"\n{name}  (nerve stabilized: {table.nerve_stabilized})")
     print(table.csv(), end="")
+    for bond in table.bonds:
+        ranks = ",".join(map(str, bond.ranks))
+        print(f"bond {{{bond.source.json_key()}}} -> {{{bond.target.json_key()}}}: ranks {ranks}")

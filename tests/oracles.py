@@ -4,7 +4,9 @@ Everything here is built directly from first principles (explicit
 triangulations, raw subset enumeration, sympy GF(2) ranks) so the values
 frozen into the tests do not depend on the code paths they check.  The
 seeded samplers that the thread checks used before they were decided
-exactly are kept here too, with the barycentric points they move.
+exactly are kept here too, with the barycentric points they move, and so
+is Betti stabilization on the full complexes, from before it was computed
+on their cores.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 from nervelim.complexes import Complex, LambdaIndex, Simplex, Vertex, carrier_wedge, members
 from nervelim.errors import GuardExceeded
 from nervelim.ground import CoverFamily, PointId
-from nervelim.homology import boundary_matrix
+from nervelim.homology import betti, boundary_matrix, gf2_rank, gf2_reduce
 from nervelim.report import Report, _fraction
 from nervelim.systems import (
     InverseSystem,
@@ -423,6 +425,73 @@ def sympy_betti(cx: Complex) -> tuple[int, ...]:
     counts = [len(k_simplices(cx, k)) for k in range(top + 2)]
     ranks = [0] + [sympy_gf2_rank(cx, k) for k in range(1, top + 2)]
     return tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(top + 1))
+
+
+# ---------------------------------------------------------------------------
+# Betti stabilization on the full complexes
+
+
+def full_induced_ranks(
+    source: Complex, target: Complex, vertex_map: Sequence[int], width: int
+) -> list[int]:
+    """For k below ``width``, the rank of the map from H_k(source) to
+    H_k(target) that a simplicial vertex map induces, read on the two
+    complexes themselves: the rank its images of the source's k-cycles add
+    to the target's k-boundaries."""
+    out = []
+    for k in range(width):
+        if k > min(top_dim(source), top_dim(target)):
+            out.append(0)
+            continue
+        faces = k_simplices(source, k)
+        if k == 0:
+            cycles = [1 << p for p in range(len(faces))]
+        else:
+            _, cycles = gf2_reduce(
+                list(boundary_matrix(k_simplices(source, k - 1), faces).column_bits)
+            )
+        rows = k_simplices(target, k)
+        position = {s: p for p, s in enumerate(rows)}
+        bounds = list(boundary_matrix(rows, k_simplices(target, k + 1)).column_bits)
+        images = []
+        for z in cycles:
+            image = 0
+            for p in members(z):
+                s = tuple(sorted({vertex_map[v] for v in faces[p]}))
+                if len(s) == k + 1:
+                    image ^= 1 << position[s]
+            images.append(image)
+        out.append(gf2_rank(bounds + images) - gf2_rank(bounds))
+    return out
+
+
+def full_betti_stabilization(system: InverseSystem, chain: list[int]) -> dict:
+    """The JSON of ``betti_stabilization``'s table, with every Betti row
+    read off the level's full complex and every bond's ranks off the full
+    nerves, through the bond itself; stabilized when the last bond's ranks
+    equal both of its nerves' Betti numbers."""
+    levels = [system.levels[i] for i in chain]
+    rows, nerves = [], []
+    for level in levels:
+        ids = list(level.lam.cover_ids)
+        nerves.append(list(betti(level.nerve).numbers))
+        rows.append({"level": ids, "complex": "N", "betti": nerves[-1]})
+        rows.append({"level": ids, "complex": "F", "betti": list(betti(level.flag).numbers)})
+    bonds = []
+    for k in range(1, len(chain)):
+        target, source = levels[k - 1], levels[k]
+        bond = system.bond(chain[k - 1], chain[k])
+        bonds.append({
+            "source": list(source.lam.cover_ids),
+            "target": list(target.lam.cover_ids),
+            "ranks": full_induced_ranks(source.nerve, target.nerve, bond, len(nerves[k])),
+        })
+    stabilized = False
+    if bonds:
+        width = max(map(len, nerves[-2:]))
+        last = [bonds[-1]["ranks"]] + nerves[-2:]
+        stabilized = len({tuple(r + [0] * (width - len(r))) for r in last}) == 1
+    return {"rows": rows, "bonds": bonds, "nerve_stabilized": stabilized}
 
 
 # ---------------------------------------------------------------------------

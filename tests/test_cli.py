@@ -384,16 +384,18 @@ def test_betti_above_dimension_2(tmp_path):
     )
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="betti_stabilization compares Betti numbers, not the bond's map on homology "
-    "(ROADMAP item 2 decides it by the bonds' ranks, which flips this test)",
-)
-def test_betti_stabilization_fails_on_a_double_wrap(tmp_path):
-    # the 12-point circle; cover 1 is six closed arcs A_0..A_5 and cover 0
-    # the antipodal unions E_i = A_i | A_{i+3}.  Both nerves have Betti
-    # numbers (1, 1), but the bond N_{0,1} -> N_{0} wraps the circle twice,
-    # so it induces 0 on H_1 over GF(2) and the chain has not stabilized.
+def _write_family(tmp_path, family):
+    """Write ``family`` as space and cover files; the flags that read them."""
+    from nervelim.ground import family_to_json
+
+    (tmp_path / "space.json").write_text(dump_json(space_to_json(family.ground)))
+    (tmp_path / "covers.json").write_text(dump_json(family_to_json(family)))
+    return ("--space", tmp_path / "space.json", "--covers", tmp_path / "covers.json")
+
+
+def _double_wrap(m):
+    """The circle of 4m points; cover 1 is 2m closed arcs A_0..A_{2m-1}
+    and cover 0 the antipodal unions E_i = A_i | A_{i+m}."""
     from fractions import Fraction
 
     from nervelim.ground import (
@@ -401,21 +403,68 @@ def test_betti_stabilization_fails_on_a_double_wrap(tmp_path):
         CircleGrid,
         CoverFamily,
         cover_from_pointsets,
-        family_to_json,
         generate_cover,
         generate_space,
     )
 
-    space = generate_space(CircleGrid(), 12)
-    arcs = generate_cover(space, Arcs(6, Fraction(0)), cover_id=1)
-    pairs = [arcs.elements[i].pointset | arcs.elements[i + 3].pointset for i in range(3)]
-    family = CoverFamily((cover_from_pointsets(0, pairs), arcs), space)
-    (tmp_path / "space.json").write_text(dump_json(space_to_json(space)))
-    (tmp_path / "covers.json").write_text(dump_json(family_to_json(family)))
-    files = ("--space", tmp_path / "space.json", "--covers", tmp_path / "covers.json")
+    space = generate_space(CircleGrid(), 4 * m)
+    arcs = generate_cover(space, Arcs(2 * m, Fraction(0)), cover_id=1)
+    pairs = [arcs.elements[i].pointset | arcs.elements[i + m].pointset for i in range(m)]
+    return CoverFamily((cover_from_pointsets(0, pairs), arcs), space)
+
+
+def test_betti_stabilization_fails_on_a_double_wrap(tmp_path):
+    # the 12-point circle with six arcs and their three antipodal unions.
+    # Both nerves have Betti numbers (1, 1), but the bond N_{0,1} -> N_{0}
+    # wraps the circle twice, so it induces 0 on H_1 over GF(2) and the
+    # chain has not stabilized.
+    files = _write_family(tmp_path, _double_wrap(3))
     out = tmp_path / "out"
     args = ("--lambdas", "chain", "--checks", "betti_stabilization", "--out", out)
     assert run("check", *files, *args) == 1
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_double_wraps_do_not_stabilize(tmp_path, m):
+    # the bond {0,1} -> {0} of the 2m arcs and their m antipodal unions
+    # is onto on H_0 and zero on H_1; the Betti rows are those of the full
+    # complexes
+    from oracles import full_betti_stabilization
+
+    from nervelim.complexes import LambdaIndex
+    from nervelim.systems import build_system
+
+    family = _double_wrap(m)
+    out = tmp_path / "out"
+    args = ("--lambdas", "chain", "--checks", "betti_stabilization", "--out", out)
+    assert run("check", *_write_family(tmp_path, family), *args) == 1
+    (report,) = json.loads((out / "report.json").read_text())["checks"]
+    table = report["details"]["table"]
+    system = build_system(family, [LambdaIndex.of([0]), LambdaIndex.of([0, 1])])
+    assert table == full_betti_stabilization(system, [0, 1])
+    assert [r["betti"][:2] for r in table["rows"] if r["complex"] == "N"] == [[1, 1], [1, 1]]
+    (bond,) = table["bonds"]
+    assert (bond["source"], bond["target"], bond["ranks"][:2]) == ([0, 1], [0], [1, 0])
+    assert not report["pass"] and not table["nerve_stabilized"]
+
+
+def test_one_level_betti_chain_is_skipped(tmp_path, capsys):
+    # a space file with one cover gives the chain {0} alone: no bond can
+    # show it stabilized, so the check is skipped with that reason; the
+    # level's Betti rows are still written
+    from fractions import Fraction
+
+    from nervelim.ground import Arcs, CircleGrid, CoverFamily, generate_cover, generate_space
+
+    space = generate_space(CircleGrid(), 12)
+    family = CoverFamily((generate_cover(space, Arcs(6, Fraction(0)), cover_id=0),), space)
+    out = tmp_path / "out"
+    files = _write_family(tmp_path, family)
+    run("check", *files, "--checks", "betti_stabilization", "--out", out)
+    assert capsys.readouterr().out == "SKIP  betti_stabilization\n"
+    (report,) = json.loads((out / "report.json").read_text())["checks"]
+    assert "one level" in report["details"]["skipped"] and not report["pass"]
+    assert (out / "betti.csv").read_text() == "level,complex,b0,b1,b2\n0,N,1,1,0\n0,F,1,1,0\n"
 
 
 @pytest.mark.parametrize("spec", ["0;5", "-1", "0;;1", "0,;1", "", "0;0", "0,1;1,0"])
@@ -559,23 +608,23 @@ PINNED_ARTIFACTS = {
     "cantor-d3": {
         "betti.csv": "551e9835c72ad7ee43a80a444a6174cca1b4d49e2c0aed6461fd21610995aa40",
         "quotient.json": "4ca45a426a0e4968cdef46a0d2454997634e0bb82ed75c2c9f7b7dc76c05cc94",
-        "report.json": "5eabed9448d8410908546168234bbcefbe7416dfbd93dbb530e2c5923caa90a4",
+        "report.json": "2039083a9b471633d26ca6c734b67d26bbcd963e6bd5c5369df0920e29d84c59",
     },
     "interval-g8": {
         "betti.csv": "48c5917b6a9a6b58df8b682e53fd418d4913379a969560855d67dca2d421b820",
         "quotient.json": "cfb498a329f9e920e047e8ab90411d076117dc2242818d25da201c9d8a2101e2",
-        "report.json": "635a7025965c00e375a128c1fbab39d37f046774572270cc91763f78c0fdb03d",
+        "report.json": "299cf42cc5ccfabb87bb4d78f3c2213037bcde9ea889132ba78482c054be8e16",
     },
     "circle-a3612": {
         "betti.csv": "89e015260a25b286ed0f7a7e9e70607fc6915c67e39cdc5554fad624131aa63c",
-        "report.json": "69094f77902c25b0d27f156e4e60f907cdd3f83a9e737f9adf7dc6e111ce3245",
+        "report.json": "59f4cb36896fd7c1bb34bf90d7426877c2a3aad49c7d5daa255c13586fd08fb0",
     },
     "circle-a3": {
         "report.json": "607d5914df1b7366505aa7307ccf975753f0cad5519139fcb4dcba633ad48121",
     },
     "wedge2": {
         "betti.csv": "3fbc10e665d2c69426846e37b2b37044bfa789b581f332f02d2c8d7ab0b286bc",
-        "report.json": "32ba28e3aa498a7f66d8fcb3288d8faba4cbb896cd79fabc595a9592e7e00daf",
+        "report.json": "2ea0d2d48e0c26f7cb9c185fb74c9a29b3af7ba5f1b5e256752b251ae17761de",
     },
 }
 

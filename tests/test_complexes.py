@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import build_level
+from conftest import build_level, family_and_lambda, planted_triangles, pointset_family
 from oracles import (
     BarycentricPoint,
     brute_flag_simplices,
@@ -57,13 +57,6 @@ from nervelim.ground import (
 F = Fraction
 
 
-def _family(space, pointset_lists):
-    covers = tuple(
-        cover_from_pointsets(i, sets) for i, sets in enumerate(pointset_lists)
-    )
-    return CoverFamily(covers, space)
-
-
 @pytest.fixture(scope="module")
 def arcs3_family():
     space = generate_space(CircleGrid(), 12)
@@ -100,7 +93,7 @@ def test_lambda_index_subset_order(cantor_system):
 
 def test_vertices_single_cover():
     space = GroundSpace(3)
-    family = _family(space, [[{0, 1}, {2}]])
+    family = pointset_family(space, [[{0, 1}, {2}]])
     verts = build_vertices(family, LambdaIndex.of([0]))
     assert [v.elements for v in verts] == [(0,), (1,)]
     assert verts[0].wedge == frozenset({0, 1})
@@ -132,7 +125,7 @@ def test_vertices_cantor_nested():
 
 def test_duplicate_wedges_stay_distinct():
     space = GroundSpace(2)
-    family = _family(space, [[{0, 1}], [{0, 1}, {1}]])
+    family = pointset_family(space, [[{0, 1}], [{0, 1}, {1}]])
     verts = build_vertices(family, LambdaIndex.of([0, 1]))
     assert len(verts) == 2
     assert verts[0].wedge == frozenset({0, 1})
@@ -144,7 +137,7 @@ def test_duplicate_wedges_stay_distinct():
 
 def test_flag_disjoint_wedges_zero_dimensional():
     space = GroundSpace(4)
-    family = _family(space, [[{0, 1}, {2, 3}]])
+    family = pointset_family(space, [[{0, 1}, {2, 3}]])
     cx = build_level(family, LambdaIndex.of([0])).flag
     assert top_dim(cx) == 0
 
@@ -153,7 +146,7 @@ def test_flag_pairwise_beats_triplewise():
     # three elements meeting pairwise with empty triple intersection still
     # span a filled triangle in the flag complex
     space = GroundSpace(3)
-    family = _family(space, [[{0, 1}, {1, 2}, {0, 2}]])
+    family = pointset_family(space, [[{0, 1}, {1, 2}, {0, 2}]])
     level = build_level(family, LambdaIndex.of([0]))
     flag, nerve = level.flag, level.nerve
     assert (0, 1, 2) in flag
@@ -171,14 +164,14 @@ def test_arcs3_filled_vs_hollow_triangle(arcs3_family):
 
 def test_nerve_common_point_full_simplex():
     space = GroundSpace(4)
-    family = _family(space, [[{0, 1}, {0, 2}, {0, 3}, {0}]])
+    family = pointset_family(space, [[{0, 1}, {0, 2}, {0, 3}, {0}]])
     nerve = build_level(family, LambdaIndex.of([0])).nerve
     assert (0, 1, 2, 3) in nerve
 
 
 def test_flag_guard_exceeded():
     space = GroundSpace(1)
-    family = _family(space, [[{0}] * 6])
+    family = pointset_family(space, [[{0}] * 6])
     lam = LambdaIndex.of([0])
     verts = build_vertices(family, lam)
     fibers = point_fibers(verts, 1)
@@ -385,43 +378,6 @@ def test_product_weights_multiply_and_sum_to_one():
 # brute-force cross-checks
 
 
-@st.composite
-def family_and_lambda(draw):
-    # at most 2 covers x 3 elements = 9 vertices, so raw subset
-    # enumeration in the oracle stays cheap
-    n = draw(st.integers(min_value=1, max_value=5))
-    n_covers = draw(st.integers(min_value=1, max_value=2))
-    lists = []
-    for _ in range(n_covers):
-        n_elements = draw(st.integers(min_value=1, max_value=3))
-        sets = [
-            set(draw(st.sets(st.integers(0, n - 1), min_size=1)))
-            for _ in range(n_elements)
-        ]
-        sets[-1] |= set(range(n)) - set().union(*sets)
-        lists.append(sets)
-    space = GroundSpace(n)
-    return _family(space, lists), lists
-
-
-@st.composite
-def planted_triangles(draw):
-    """A family in the shape ``family_and_lambda`` draws, with three
-    elements of cover 0 that meet pairwise and share no point, planted
-    among random ones.  A second cover, when drawn, holds the whole space,
-    so the three wedges survive at the level of both covers."""
-    n = draw(st.integers(min_value=3, max_value=5))
-    a, b, c = draw(st.permutations(range(n)))[:3]
-    lists = [[{a, b}, {b, c}, {a, c}]]
-    if draw(st.booleans()):
-        lists.append([set(range(n))])
-    for sets in lists:
-        for _ in range(draw(st.integers(min_value=0, max_value=1))):
-            sets.append(set(draw(st.sets(st.integers(0, n - 1), min_size=1))))
-    lists[0][-1] |= set(range(n)) - set().union(*lists[0])
-    return _family(GroundSpace(n), lists), lists
-
-
 @given(family_and_lambda())
 def test_complexes_match_brute_force(data):
     family, lists = data
@@ -444,8 +400,8 @@ _TRIANGLE = [[{0, 1}, {1, 2}, {0, 2}]]  # wedges meet pairwise, not all three
 
 
 @given(family_and_lambda() | planted_triangles(), st.sampled_from([0, 1, 30]))
-@example((_family(GroundSpace(3), _TRIANGLE), _TRIANGLE), 30)
-@example((_family(GroundSpace(3), _TRIANGLE), _TRIANGLE), 1)
+@example((pointset_family(GroundSpace(3), _TRIANGLE), _TRIANGLE), 30)
+@example((pointset_family(GroundSpace(3), _TRIANGLE), _TRIANGLE), 1)
 def test_clique_search_matches_set_builders(data, max_dim):
     # one search builds both complexes, in lexicographic order; the set
     # builders it replaced are the oracle, guard messages included

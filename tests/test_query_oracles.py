@@ -11,7 +11,9 @@ reports on every preset.
 keeps the seeded samplers they replaced (whose Cauchy sampler and sweep
 test each distinct net once, and whose ``converge`` searches only the
 closed star of the net's top vertex, against the scans before them), and
-these tests require the sampled verdicts to equal the exact ones.
+these tests require the sampled verdicts to equal the exact ones.  The
+benchmark families built here also check Betti stabilization on the cores
+against the full complexes.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from oracles import (
     BarycentricPoint,
     canonical_point,
     converge,
+    full_betti_stabilization,
     is_cauchy,
     non_max_levels,
     pairwise_class_adjacency,
@@ -56,6 +59,7 @@ from nervelim.ground import (
     cover_from_pointsets,
     generate_space,
 )
+from nervelim.homology import betti_stabilization
 from nervelim.presets import PRESETS
 from nervelim.systems import (
     build_system,
@@ -214,6 +218,16 @@ def test_sampled_verdicts_are_exact_on_benchmark_families(benchmark_systems, nam
     system = benchmark_systems[name]
     _assert_sampled_verdicts_are_exact(system, 200, 10, seed=7)
     assert len(check_homotopy(system).details["resolved"]) == BENCHMARK_SYSTEMS[name][1]
+
+
+@pytest.mark.parametrize("name", list(BENCHMARK_SYSTEMS))
+def test_cores_match_full_complexes_on_benchmark_families(benchmark_systems, name):
+    # the chain {0}, {0,1}, ... up to all covers
+    system = benchmark_systems[name]
+    n = len(system.family.covers)
+    chain = [system.position[LambdaIndex.of(range(k))] for k in range(1, n + 1)]
+    table = betti_stabilization(system, chain)
+    assert table.to_json() == full_betti_stabilization(system, chain)
 
 
 def test_resolved_points_of_presets(preset_systems):
