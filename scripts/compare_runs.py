@@ -14,9 +14,12 @@ Each checkout runs, from its own directory under the work directory:
   benchmark's operations on them: ``build`` of cantor-d6 (chain) and
   circle-24-thick (all levels), and the homology-chain ``check`` of
   circle-24-3812;
-- ``build`` and ``check`` of circle-24-thick at ``--max-dim 3``, which
-  both stop at the clique guard of level {0,1} and exit 2, so a change to
-  the clique search is compared on its failure bytes as well.
+- ``build`` and ``check`` of circle-24-thick at ``--max-dim 3``.  ``build``
+  stops at the clique guard of level {0,1} and exits 2, so a change to the
+  clique search is compared on its failure bytes as well; ``check`` runs
+  every check, reports the two that enumerate a complex
+  (``nerve_absorption``, ``betti_stabilization``) as skipped with that
+  guard's message, and exits 1.
 
 Output paths are relative, so stdout names the same paths on both sides.
 The script prints each command whose exit code, stdout or stderr differs,

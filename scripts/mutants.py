@@ -1,0 +1,152 @@
+#!/usr/bin/env python3
+"""Run tier-1 against a fixed list of one-line mutants of ``src/``.
+
+    python3 scripts/mutants.py [--list]
+
+Each mutant names a file under ``src/nervelim``, one line of it (compared
+without its indentation) and the line that replaces it (indented as the
+original).  Before anything runs, every line must be found exactly once.
+Each mutant is then applied in a fresh temporary copy of the repository,
+where tier-1 runs with ``-x -p no:cacheprovider``.  A failing run kills the
+mutant; a passing one lets it survive.  The script prints ``killed`` (with
+the first failing test) or ``survived`` for each mutant, and exits 1 if any
+survived or a run ended other than by passing or failing tests.
+``--list`` prints the mutants and checks their lines without running.
+
+A surviving mutant is answered by a new test, never by leaving it out.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-x", "-p", "no:cacheprovider")
+
+# (file under src/nervelim, line, replacement)
+MUTANTS: list[tuple[str, str, str]] = [
+    # the nerve's point-mask test: every clique kept, so the nerve is the flag complex
+    ("complexes.py", "if common:", "if True:"),
+    # the selection search without its triple test
+    ("ground.py",
+     "if any(map(s.isdisjoint, sets)) or any(map(s.isdisjoint, meets)):",
+     "if any(map(s.isdisjoint, sets)):"),
+    # a bool let into the emitter's fast path for int lists
+    ("report.py", "_INTS = {int}", "_INTS = {int, bool}"),
+    # dict keys sorted after their conversion to JSON strings
+    ("report.py",
+     "for k, v in sorted(o.items()):",
+     "for k, v in sorted(o.items(), key=lambda kv: _quote(kv[0])):"),
+    # a fiber resolves a point when the point is merely among its common points
+    ("systems.py",
+     "x for x in system.family.ground.points if carrier_wedge(top.vertices, top.fibers[x]) == {x}",
+     "x for x in system.family.ground.points if x in carrier_wedge(top.vertices, top.fibers[x])"),
+    # no bond ever maps a fiber outside a fiber
+    ("systems.py", "if any(vm[v] not in fiber for v in system.levels[j].fibers[x]):", "if False:"),
+    # the Cauchy sweep's identity test always holding
+    ("cells.py", "if system.bond(i, i) != tuple(range(len(level.vertices))):", "if False:"),
+    # domination made strict: of two equal rows, neither is dropped
+    ("homology.py", "if w < v or rows[w] != mask:", "if rows[w] != mask:"),
+    # an induced rank that counts the target's boundaries as well
+    ("homology.py",
+     "out.append(gf2_rank(target.boundaries[k] + images) - target.ranks[k])",
+     "out.append(gf2_rank(target.boundaries[k] + images))"),
+    # a chain bond read on the cores without the target's retraction
+    ("homology.py",
+     "vertex_map = [core_i.retraction[bond[v]] for v in core_j.vertices]",
+     "vertex_map = [bond[v] for v in core_j.vertices]"),
+    # open instead of closed neighbourhoods in the flag collapse
+    ("homology.py",
+     "closed = [a | 1 << v for v, a in enumerate(level.adjacency)]",
+     "closed = list(level.adjacency)"),
+    # flag_reconstruction without its graph comparison
+    ("systems.py", "if level.adjacency != wedge_graph(level.vertices):", "if False:"),
+    # flag_reconstruction comparing the fibers' count, not the fibers
+    ("systems.py",
+     "if level.fibers != wedge_fibers(level.vertices, n_points):",
+     "if len(level.fibers) != len(wedge_fibers(level.vertices, n_points)):"),
+    # skeleton_equality without the level graph
+    ("systems.py",
+     "if level.adjacency != graph or wedge_adjacency(level.fibers, len(graph)) != graph:",
+     "if wedge_adjacency(level.fibers, len(graph)) != graph:"),
+    # skeleton_equality without the nerve's edges
+    ("systems.py",
+     "if level.adjacency != graph or wedge_adjacency(level.fibers, len(graph)) != graph:",
+     "if level.adjacency != graph:"),
+    # nerve_absorption taking the first level that does not absorb
+    ("systems.py",
+     "if unmapped(system.bond(i, j), flags[j], target) is None:",
+     "if unmapped(system.bond(i, j), flags[j], target) is not None:"),
+    # the --max-dim bound off by one, and gone
+    ("cli.py", "if args.max_dim > MAX_DIM_LIMIT:", "if args.max_dim >= MAX_DIM_LIMIT:"),
+    ("cli.py", "if args.max_dim > MAX_DIM_LIMIT:", "if False:"),
+]
+
+
+def locate(root: Path, name: str, line: str) -> tuple[Path, list[str], int]:
+    """The file, its lines and the index of the one line equal to ``line``
+    once indentation is stripped; exits if there is not exactly one."""
+    path = root / "src" / "nervelim" / name
+    lines = path.read_text().splitlines(keepends=True)
+    found = [k for k, text in enumerate(lines) if text.strip() == line]
+    if len(found) != 1:
+        raise SystemExit(f"{name}: {line!r} found {len(found)} times, not once")
+    return path, lines, found[0]
+
+
+def apply(root: Path, name: str, line: str, replacement: str) -> int:
+    """Replace the line in the copy at ``root``; its 1-based number."""
+    path, lines, k = locate(root, name, line)
+    text = lines[k]
+    indent = text[: len(text) - len(text.lstrip())]
+    lines[k] = indent + replacement + "\n"
+    path.write_text("".join(lines))
+    return k + 1
+
+
+def run_mutant(name: str, line: str, replacement: str) -> tuple[str, int, str]:
+    """Apply one mutant in a temporary copy and run tier-1 there: the
+    verdict, the line number and the first failing test, if any."""
+    ignore = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache")
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=ignore)
+        lineno = apply(copy, name, line, replacement)
+        env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        p = subprocess.run([sys.executable, *TIER1], cwd=copy, env=env,
+                           capture_output=True, text=True)
+    failed = next((s for s in p.stdout.splitlines() if s.startswith(("FAILED", "ERROR"))), "")
+    verdict = {0: "survived", 1: "killed"}.get(p.returncode, f"error (pytest exit {p.returncode})")
+    return verdict, lineno, failed
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--list", action="store_true", help="check and print the mutants only")
+    args = parser.parse_args()
+    for name, line, _ in MUTANTS:
+        locate(ROOT, name, line)
+    if args.list:
+        for name, line, replacement in MUTANTS:
+            print(f"{name}: {line}\n  -> {replacement}")
+        return 0
+    bad = 0
+    for name, line, replacement in MUTANTS:
+        verdict, lineno, failed = run_mutant(name, line, replacement)
+        bad += verdict != "killed"
+        print(f"{verdict:<9} {name}:{lineno}  {replacement}", flush=True)
+        if failed:
+            print(f"          {failed}", flush=True)
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

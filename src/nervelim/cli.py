@@ -17,7 +17,8 @@ from typing import Sequence
 
 from . import systems
 from .checks import CHECKS, RunContext, betti_chain
-from .complexes import DEFAULT_MAX_DIM, LambdaIndex, complex_to_json, skeleton_dot
+from .complexes import (DEFAULT_MAX_DIM, MAX_DIM_LIMIT, LambdaIndex, build_flag, build_nerve,
+                        complex_to_json, skeleton_dot)
 from .errors import GuardExceeded, InputError, PreconditionUnmet
 from .ground import family_to_json, load_family, load_space, space_to_json
 from .presets import PRESETS, Preset, file_preset
@@ -110,21 +111,26 @@ def _parse_checks(spec: str) -> list[str]:
 
 
 def cmd_build(config: RunConfig) -> int:
-    ctx = _load_context(config)
+    system = _load_context(config).system
+    levels = system.levels
+    # every complex is built before any file is written: a guard hit writes nothing
+    complexes = [
+        (build_flag(level.lam, level.adjacency, system.max_dim),
+         build_nerve(level.lam, level.adjacency, level.fibers, system.max_dim))
+        for level in levels
+    ]
     out = config.out
     out.mkdir(parents=True, exist_ok=True)
-    system = ctx.system
     (out / "space.json").write_text(dump_json(space_to_json(system.family.ground)))
     (out / "covers.json").write_text(dump_json(family_to_json(system.family)))
-    levels = system.levels
-    for level in levels:
+    for level, (flag, nerve) in zip(levels, complexes):
         lam = level.lam
         tag = "-".join(str(i) for i in lam.cover_ids)
         payload = {
             "format_version": FORMAT_VERSION,
             "lambda": list(lam.cover_ids),
-            "flag_complex": complex_to_json(lam, level.vertices, level.flag, True),
-            "nerve_complex": complex_to_json(lam, level.vertices, level.nerve, False),
+            "flag_complex": complex_to_json(lam, level.vertices, flag, True),
+            "nerve_complex": complex_to_json(lam, level.vertices, nerve, False),
         }
         (out / f"level_{tag}.json").write_text(dump_json(payload))
         (out / f"skeleton_{tag}.dot").write_text(skeleton_dot(level.adjacency, f"L{tag.replace('-', '_')}"))
@@ -286,6 +292,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise InputError(f"{flag} must be at least 1, got {value}")
         if args.max_dim < 0:
             raise InputError(f"--max-dim must be at least 0, got {args.max_dim}")
+        if args.max_dim > MAX_DIM_LIMIT:
+            raise InputError(f"--max-dim must be at most {MAX_DIM_LIMIT}, got {args.max_dim}")
         checks = None
         if args.command == "check" and args.checks is not None:
             checks = _parse_checks(args.checks)

@@ -14,13 +14,16 @@ of vertex v; it acts on flag complexes and nerves alike and holds neither.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
+from operator import and_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GuardExceeded
 from .ground import CoverFamily, CoverId, ElementId, PointId
 
 DEFAULT_MAX_DIM = 8
+MAX_DIM_LIMIT = 256  # the CLI's largest guard; the clique search recurses once per vertex
 
 Simplex = tuple[int, ...]
 # an abstract complex on vertex ids 0..n-1: its simplices, downward closed and
@@ -125,8 +128,10 @@ def unmapped(
     A subset of the source decides simpliciality when every source simplex
     is a face of one of its members, such as the source's point fibers.
     """
+    wedges = [sum(1 << x for x in v.wedge) for v in target]
+    image = [wedges[w] for w in vertex_map]  # each source vertex's image wedge, as a point bitmask
     for s in simplices:
-        if not carrier_wedge(target, [vertex_map[v] for v in s]):
+        if not reduce(and_, map(image.__getitem__, s)):
             return s
     return None
 

@@ -368,7 +368,8 @@ def betti_stabilization(system: InverseSystem, chain: list[int]) -> Stabilizatio
 
     Each row is padded to the length of its full complex's Betti vector:
     the largest point fiber for a nerve, whose every simplex lies in a
-    fiber, and the longest simplex for a flag complex.
+    fiber, and the longest simplex for a flag complex, which is built for
+    that alone and raises ``GuardExceeded`` past the guard.
     """
     for i, j in zip(chain, chain[1:]):
         if j not in system.above[i]:
@@ -379,7 +380,8 @@ def betti_stabilization(system: InverseSystem, chain: list[int]) -> Stabilizatio
         core = nerve_core(level, system.max_dim)
         chains = chain_complex(core.cx)
         bn = BettiVector(chains.betti().padded(max(map(len, level.fibers))))
-        bf = BettiVector(betti(flag_core(level, system.max_dim)).padded(max(map(len, level.flag))))
+        flag = build_flag(level.lam, level.adjacency, system.max_dim)
+        bf = BettiVector(betti(flag_core(level, system.max_dim)).padded(max(map(len, flag))))
         rows.append(StabilizationRow(level.lam, "N", bn))
         rows.append(StabilizationRow(level.lam, "F", bf))
         cores.append((core, chains))

@@ -20,10 +20,8 @@ from .complexes import (
     LambdaIndex,
     Vertex,
     build_flag,
-    build_nerve,
     build_vertices,
     carrier_wedge,
-    graph_edges,
     point_fibers,
     unmapped,
     unmapped_edge,
@@ -36,12 +34,11 @@ from .report import Report
 
 @dataclass
 class Level:
-    """One level: its name, its vertices, and the two complexes on them."""
+    """One level: its name, its vertices, and their wedge relation, from
+    which a reader builds a complex (``build_flag``, ``build_nerve``)."""
 
     lam: LambdaIndex
     vertices: tuple[Vertex, ...]
-    flag: Complex
-    nerve: Complex
     # the level graph, shared by the flag 1-skeleton and the nerve's, as
     # ``complexes.wedge_adjacency`` gives it
     adjacency: list[int]
@@ -98,7 +95,8 @@ def build_system(
     max_dim: int = DEFAULT_MAX_DIM,
 ) -> InverseSystem:
     """Construct all selected levels and every bond, and verify that each
-    bond is simplicial.
+    bond is simplicial.  No complex is enumerated, so the ``max_dim`` guard
+    is applied by whatever builds one.
 
     Each bond is checked on the level graphs by ``unmapped_edge``: it is
     simplicial on the flag complexes exactly when it is a homomorphism of
@@ -112,10 +110,7 @@ def build_system(
     for lam in lams:
         verts = build_vertices(family, lam)
         fibers = point_fibers(verts, family.ground.n_points)
-        adjacency = wedge_adjacency(fibers, len(verts))
-        flag = build_flag(lam, adjacency, max_dim)
-        nerve = build_nerve(lam, adjacency, fibers, max_dim)
-        levels.append(Level(lam, tuple(verts), flag, nerve, adjacency, fibers))
+        levels.append(Level(lam, tuple(verts), wedge_adjacency(fibers, len(verts)), fibers))
     system = InverseSystem(family, levels, max_dim)
     index_of = [{v.elements: k for k, v in enumerate(level.vertices)} for level in levels]
     for i, up in enumerate(system.above):
@@ -300,20 +295,23 @@ def check_homotopy(system: InverseSystem) -> Report:
 # eventual absorption of the flag complex into the nerve
 
 
-def find_nerve_absorbing_level(system: InverseSystem, i: int) -> int | None:
+def find_nerve_absorbing_level(
+    system: InverseSystem, i: int, flags: Sequence[Complex]
+) -> int | None:
     """Position of the smallest built level above position i whose whole
-    flag complex projects into the nerve of level i, or None."""
+    flag complex, ``flags[j]``, projects into the nerve of level i, or None."""
     target = system.levels[i].vertices
     for j in system.above[i]:
-        if unmapped(system.bond(i, j), system.levels[j].flag, target) is None:
+        if unmapped(system.bond(i, j), flags[j], target) is None:
             return j
     return None
 
 
 def check_nerve_absorption(system: InverseSystem) -> Report:
+    flags = [build_flag(level.lam, level.adjacency, system.max_dim) for level in system.levels]
     rows = []
     for i, level in enumerate(system.levels):
-        j = find_nerve_absorbing_level(system, i)
+        j = find_nerve_absorbing_level(system, i, flags)
         rows.append(
             {
                 "lambda": list(level.lam.cover_ids),
@@ -396,33 +394,30 @@ def wedge_fibers(vertices: Sequence[Vertex], n_points: int) -> list[tuple[int, .
 
 
 def check_flag_reconstruction(system: InverseSystem) -> Report:
-    """The flag complex must equal the clique complex of the wedge graph,
-    and the nerve the nerve of the wedge fibers.  The nerve then sits
-    inside the flag complex: wedges that share a point meet pairwise."""
+    """Each level's graph must be the wedge graph, and its point fibers the
+    wedge fibers.  The builders read these alone, so the flag complex is
+    then the clique complex of the wedge graph and the nerve the nerve of
+    the wedge fibers, inside it: wedges that share a point meet pairwise."""
     bad = None
     n_points = system.family.ground.n_points
     for level in system.levels:
-        lam, graph = level.lam, wedge_graph(level.vertices)
-        if build_flag(lam, graph, system.max_dim) != level.flag:
-            bad = {"lambda": list(lam.cover_ids), "reason": "flag reconstruction"}
+        if level.adjacency != wedge_graph(level.vertices):
+            bad = {"lambda": list(level.lam.cover_ids), "reason": "flag reconstruction"}
             break
-        fibers = wedge_fibers(level.vertices, n_points)
-        if build_nerve(lam, graph, fibers, system.max_dim) != level.nerve:
-            bad = {"lambda": list(lam.cover_ids), "reason": "nerve reconstruction"}
+        if level.fibers != wedge_fibers(level.vertices, n_points):
+            bad = {"lambda": list(level.lam.cover_ids), "reason": "nerve reconstruction"}
             break
     return Report("flag_reconstruction", bad is None, counterexample=bad)
 
 
 def check_skeleton_equality(system: InverseSystem) -> Report:
-    """The edges of the nerve, of the flag complex and of the level graph
-    are those of the wedge graph."""
+    """The edges of the flag complex (the level graph) and of the nerve
+    (the pairs of vertices sharing a point fiber) are those of the wedge
+    graph."""
     bad = None
     for level in system.levels:
         graph = wedge_graph(level.vertices)
-        edges = set(graph_edges(graph))
-        if level.adjacency != graph or any(
-            {s for s in cx if len(s) == 2} != edges for cx in (level.flag, level.nerve)
-        ):
+        if level.adjacency != graph or wedge_adjacency(level.fibers, len(graph)) != graph:
             bad = {"lambda": list(level.lam.cover_ids)}
             break
     return Report("skeleton_equality", bad is None, counterexample=bad)

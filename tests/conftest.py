@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, settings, strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 
 from nervelim import build_system
-from nervelim.complexes import DEFAULT_MAX_DIM
+from nervelim.complexes import DEFAULT_MAX_DIM, Complex, build_flag, build_nerve
 from nervelim.ground import CoverFamily, GroundSpace, cover_from_pointsets
 from nervelim.presets import PRESETS
 
@@ -26,6 +26,23 @@ settings.load_profile("ci")
 def build_level(family, lam, max_dim=DEFAULT_MAX_DIM):
     """The level ``lam`` of ``family``, built as ``build_system`` builds it."""
     return build_system(family, [lam], max_dim).levels[0]
+
+
+def level_flag(level, max_dim: int) -> Complex:
+    """The flag complex of ``level``, built as the program's readers build
+    it, under the ``max_dim`` of the system the level belongs to."""
+    return build_flag(level.lam, level.adjacency, max_dim)
+
+
+def level_nerve(level, max_dim: int) -> Complex:
+    """The nerve of ``level``, as ``level_flag`` builds the flag complex."""
+    return build_nerve(level.lam, level.adjacency, level.fibers, max_dim)
+
+
+def level_flags(system) -> list[Complex]:
+    """Every level's flag complex, in level order, as
+    ``check_nerve_absorption`` builds them."""
+    return [level_flag(level, system.max_dim) for level in system.levels]
 
 
 def pointset_family(space, pointset_lists):

@@ -6,7 +6,10 @@ frozen into the tests do not depend on the code paths they check.  The
 seeded samplers that the thread checks used before they were decided
 exactly are kept here too, with the barycentric points they move, and so
 is Betti stabilization on the full complexes, from before it was computed
-on their cores.
+on their cores.  So are the flag reconstruction and skeleton checks that
+rebuilt and compared every complex, from before they compared the
+builders' inputs; a level's own complexes come from ``conftest``'s
+``level_flag`` and ``level_nerve``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,18 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Mapping, Sequence
 
-from nervelim.complexes import Complex, LambdaIndex, Simplex, Vertex, carrier_wedge, members
+from conftest import level_flag, level_nerve
+from nervelim.complexes import (
+    Complex,
+    LambdaIndex,
+    Simplex,
+    Vertex,
+    build_flag,
+    build_nerve,
+    carrier_wedge,
+    graph_edges,
+    members,
+)
 from nervelim.errors import GuardExceeded
 from nervelim.ground import CoverFamily, PointId
 from nervelim.homology import betti, boundary_matrix, gf2_rank, gf2_reduce
@@ -31,6 +45,8 @@ from nervelim.systems import (
     thread_image,
     vertex_thread,
     vertex_threads,
+    wedge_fibers,
+    wedge_graph,
 )
 
 
@@ -353,7 +369,8 @@ def full_check_simpliciality(system: InverseSystem) -> Report:
     for i, j in ((i, j) for i, up in enumerate(system.above) for j in up):
         bond = system.bond(i, j)
         lo, hi = system.levels[i], system.levels[j]
-        for kind, source, target in (("F", hi.flag, lo.flag), ("N", hi.nerve, lo.nerve)):
+        for kind, build in (("F", level_flag), ("N", level_nerve)):
+            source, target = build(hi, system.max_dim), build(lo, system.max_dim)
             if not full_bond_check(bond, source, target):
                 names = {"lambda": list(lo.lam.cover_ids), "mu": list(hi.lam.cover_ids)}
                 bad = {**names, "complex": kind}
@@ -361,6 +378,42 @@ def full_check_simpliciality(system: InverseSystem) -> Report:
         if bad:
             break
     return Report("simpliciality", bad is None, counterexample=bad)
+
+
+def full_check_flag_reconstruction(system: InverseSystem) -> Report:
+    """The flag reconstruction check as it was before it compared the
+    builders' inputs: each level's flag complex rebuilt from the wedge
+    graph, and its nerve from that graph and the wedge fibers, against the
+    complexes built from the level's own graph and fibers."""
+    bad = None
+    n_points = system.family.ground.n_points
+    for level in system.levels:
+        lam, graph = level.lam, wedge_graph(level.vertices)
+        if build_flag(lam, graph, system.max_dim) != level_flag(level, system.max_dim):
+            bad = {"lambda": list(lam.cover_ids), "reason": "flag reconstruction"}
+            break
+        fibers = wedge_fibers(level.vertices, n_points)
+        if build_nerve(lam, graph, fibers, system.max_dim) != level_nerve(level, system.max_dim):
+            bad = {"lambda": list(lam.cover_ids), "reason": "nerve reconstruction"}
+            break
+    return Report("flag_reconstruction", bad is None, counterexample=bad)
+
+
+def full_check_skeleton_equality(system: InverseSystem) -> Report:
+    """The skeleton equality check as it was before it compared graphs:
+    the edge simplices of each level's flag complex and nerve, and the
+    level graph, against the wedge graph."""
+    bad = None
+    for level in system.levels:
+        graph = wedge_graph(level.vertices)
+        edges = set(graph_edges(graph))
+        complexes = (level_flag(level, system.max_dim), level_nerve(level, system.max_dim))
+        if level.adjacency != graph or any(
+            {s for s in cx if len(s) == 2} != edges for cx in complexes
+        ):
+            bad = {"lambda": list(level.lam.cover_ids)}
+            break
+    return Report("skeleton_equality", bad is None, counterexample=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -472,11 +525,13 @@ def full_betti_stabilization(system: InverseSystem, chain: list[int]) -> dict:
     equal both of its nerves' Betti numbers."""
     levels = [system.levels[i] for i in chain]
     rows, nerves = [], []
-    for level in levels:
+    full_nerves = [level_nerve(level, system.max_dim) for level in levels]
+    for level, nerve in zip(levels, full_nerves):
         ids = list(level.lam.cover_ids)
-        nerves.append(list(betti(level.nerve).numbers))
+        nerves.append(list(betti(nerve).numbers))
         rows.append({"level": ids, "complex": "N", "betti": nerves[-1]})
-        rows.append({"level": ids, "complex": "F", "betti": list(betti(level.flag).numbers)})
+        flag = level_flag(level, system.max_dim)
+        rows.append({"level": ids, "complex": "F", "betti": list(betti(flag).numbers)})
     bonds = []
     for k in range(1, len(chain)):
         target, source = levels[k - 1], levels[k]
@@ -484,7 +539,7 @@ def full_betti_stabilization(system: InverseSystem, chain: list[int]) -> dict:
         bonds.append({
             "source": list(source.lam.cover_ids),
             "target": list(target.lam.cover_ids),
-            "ranks": full_induced_ranks(source.nerve, target.nerve, bond, len(nerves[k])),
+            "ranks": full_induced_ranks(full_nerves[k], full_nerves[k - 1], bond, len(nerves[k])),
         })
     stabilized = False
     if bonds:
@@ -662,7 +717,7 @@ def sampled_check_homotopy(system: InverseSystem, count: int, seed: int) -> Repo
     preservation of the homotopy, with exact equality."""
     rng = random.Random(seed)
     level = system.levels[_top(system)]
-    candidates = level.nerve
+    candidates = level_nerve(level, system.max_dim)
     threads = []  # (thread, its image)
     attempts = 0
     while len(threads) < count and attempts < 50 * count:

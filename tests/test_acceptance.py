@@ -10,6 +10,7 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 
+from conftest import level_flag, level_flags, level_nerve
 from oracles import (
     cycle_complex,
     discrete_complex,
@@ -62,11 +63,12 @@ def test_criterion_1_flag_reconstruction(preset_systems):
             t0 = time.perf_counter()
             _, _, system = preset_systems[name]
             for level in system.levels:
-                skeleton = skeleton_adjacency(level.flag)
+                flag, nerve = level_flag(level, system.max_dim), level_nerve(level, system.max_dim)
+                skeleton = skeleton_adjacency(flag)
                 rebuilt = build_flag(level.lam, skeleton, system.max_dim)
-                assert rebuilt == level.flag
-                assert set(level.nerve) <= set(level.flag)
-                assert skeleton_adjacency(level.nerve) == skeleton
+                assert rebuilt == flag
+                assert set(nerve) <= set(flag)
+                assert skeleton_adjacency(nerve) == skeleton
             assert time.perf_counter() - t0 < 5.0, name
 
     _criterion(1, "flag reconstruction and skeleton equality on every level", 20.0, body)
@@ -101,11 +103,12 @@ def test_criterion_4_fiber_formula(preset_systems):
             t = system.top
             threads = vertex_threads(system)
             images = [thread_image(system, z) for z in threads]
+            nerves = [set(level_nerve(level, system.max_dim)) for level in system.levels]
             for x in system.family.ground.points:
                 fibers = [level.fibers[x] for level in system.levels]
                 # the spanned set is a nerve simplex at every level
-                for level, fb in zip(system.levels, fibers):
-                    assert fb in level.nerve
+                for nerve, fb in zip(nerves, fibers):
+                    assert fb in nerve
                 # projections carry fiber vertices into fiber vertices
                 for i, up in enumerate(system.above):
                     for j in up:
@@ -137,11 +140,11 @@ def test_criterion_6_nerve_absorption(preset_systems):
     def body():
         _, _, circle = preset_systems["circle-a3612"]
         i = circle.position[LambdaIndex.of([0])]
-        j = find_nerve_absorbing_level(circle, i)
+        j = find_nerve_absorbing_level(circle, i, level_flags(circle))
         assert j is not None and j in circle.above[i] and j != i
         truncated = preset_systems["circle-a3"][2]
         i = truncated.position[LambdaIndex.of([0])]
-        assert find_nerve_absorbing_level(truncated, i) is None
+        assert find_nerve_absorbing_level(truncated, i, level_flags(truncated)) is None
 
     _criterion(6, "flag-into-nerve witness found on circle, none when truncated", 5.0, body)
 
@@ -168,7 +171,7 @@ def test_criterion_7_homology_stabilization(preset_systems):
         # the coarse circle flag complex is the filled triangle
         circle = preset_systems["circle-a3612"][2]
         coarse = circle.levels[circle.position[LambdaIndex.of([0])]]
-        assert betti(coarse.flag).padded(3) == (1, 0, 0)
+        assert betti(level_flag(coarse, circle.max_dim)).padded(3) == (1, 0, 0)
 
     _criterion(7, "Betti values match the explicit triangulation oracles", 10.0, body)
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from conftest import level_flag
 from oracles import (
     converge,
     is_cauchy,
@@ -74,7 +75,8 @@ def test_cell_graph_reflexive_and_symmetric(preset_systems):
 def test_graph_of_level_matches_skeleton(cantor_system, circle_system):
     for system in (cantor_system, circle_system):
         for level in system.levels:
-            assert _edges(level.adjacency) == set(k_simplices(level.flag, 1))
+            flag = level_flag(level, system.max_dim)
+            assert _edges(level.adjacency) == set(k_simplices(flag, 1))
 
 
 def test_graph_of_level_discrete(cantor_system):

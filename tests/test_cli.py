@@ -483,14 +483,75 @@ def test_bad_lambda_selection_exits_2(tmp_path, capsys, spec):
         ("--homotopy-samples", 0),
         ("--max-dim", -1),
         ("--max-dim", -5),
+        ("--max-dim", 5000),
     ],
-    ids=["--nets", "--homotopy-samples", "--max-dim=-1", "--max-dim=-5"],
+    ids=["--nets", "--homotopy-samples", "--max-dim=-1", "--max-dim=-5", "--max-dim=5000"],
 )
 def test_zero_sample_count_exits_2(tmp_path, capsys, flag, value):
     code = run("check", "--space", "wedge2", "--out", tmp_path / "o", flag, value)
     assert code == 2
     err = capsys.readouterr().err
     assert flag in err and len(err.splitlines()) == 1
+
+
+def _star(n):
+    """n points and one cover of the elements {0, i}: every wedge holds
+    point 0, so level {0} is a clique of n - 1 vertices."""
+    from nervelim.ground import CoverFamily, cover_from_pointsets
+
+    return CoverFamily((cover_from_pointsets(0, [{0, i} for i in range(1, n)]),), GroundSpace(n))
+
+
+def test_max_dim_bound_stops_at_the_guard_without_a_traceback(tmp_path, capsys):
+    # at the largest accepted --max-dim the clique search still raises its
+    # guard rather than run out of stack
+    from nervelim.complexes import MAX_DIM_LIMIT
+
+    files = _write_family(tmp_path, _star(1100))
+    guard = (
+        f"level {{0}}: a clique of 1099 vertices exceeds the dimension guard"
+        f" (max_dim {MAX_DIM_LIMIT} allows {MAX_DIM_LIMIT + 1})"
+    )
+    assert run("build", *files, "--max-dim", MAX_DIM_LIMIT, "--out", tmp_path / "b") == 2
+    assert capsys.readouterr().err == guard + "\n"
+    assert not (tmp_path / "b").exists()
+    checks = "nerve_absorption,betti_stabilization"
+    out = tmp_path / "c"
+    code = run("check", *files, "--max-dim", MAX_DIM_LIMIT, "--checks", checks, "--out", out)
+    assert code == 1
+    assert capsys.readouterr() == ("SKIP  nerve_absorption\nSKIP  betti_stabilization\n", "")
+    entries = json.loads((out / "report.json").read_text())["checks"]
+    assert [e["details"] for e in entries] == [{"skipped": guard}] * 2
+
+
+def test_check_runs_past_the_clique_guard(tmp_path, capsys):
+    # circle-24-thick at --max-dim 3: level {0,1} has a clique of 6
+    # vertices.  build stops there and writes nothing; check runs every
+    # check and skips the two that enumerate a complex
+    from fractions import Fraction
+
+    from nervelim.ground import Arcs, CircleGrid, CoverFamily, generate_cover, generate_space
+
+    space = generate_space(CircleGrid(), 24)
+    arcs = ((3, Fraction(1)), (6, Fraction(1, 4)), (12, Fraction(1, 4)))
+    family = CoverFamily(
+        tuple(generate_cover(space, Arcs(n, o), cover_id=i) for i, (n, o) in enumerate(arcs)),
+        space,
+    )
+    files = _write_family(tmp_path, family)
+    guard = "level {0,1}: a clique of 6 vertices exceeds the dimension guard (max_dim 3 allows 4)"
+    assert run("build", *files, "--max-dim", 3, "--out", tmp_path / "b") == 2
+    assert capsys.readouterr().err == guard + "\n"
+    assert not (tmp_path / "b").exists()
+    assert run("check", *files, "--max-dim", 3, "--out", tmp_path / "c") == 1
+    assert capsys.readouterr().err == ""
+    checks = json.loads((tmp_path / "c" / "report.json").read_text())["checks"]
+    entries = {e["check"]: e for e in checks}
+    assert list(entries) == list(ALL_CHECKS)
+    for name in ("nerve_absorption", "betti_stabilization"):
+        assert entries[name]["details"] == {"skipped": guard} and not entries[name]["pass"]
+    for name in ("flag_reconstruction", "skeleton_equality"):
+        assert entries[name]["pass"]
 
 
 @pytest.mark.parametrize(

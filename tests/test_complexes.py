@@ -7,7 +7,14 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import build_level, family_and_lambda, planted_triangles, pointset_family
+from conftest import (
+    build_level,
+    family_and_lambda,
+    level_flag,
+    level_nerve,
+    planted_triangles,
+    pointset_family,
+)
 from oracles import (
     BarycentricPoint,
     brute_flag_simplices,
@@ -138,7 +145,7 @@ def test_duplicate_wedges_stay_distinct():
 def test_flag_disjoint_wedges_zero_dimensional():
     space = GroundSpace(4)
     family = pointset_family(space, [[{0, 1}, {2, 3}]])
-    cx = build_level(family, LambdaIndex.of([0])).flag
+    cx = level_flag(build_level(family, LambdaIndex.of([0])), DEFAULT_MAX_DIM)
     assert top_dim(cx) == 0
 
 
@@ -148,7 +155,7 @@ def test_flag_pairwise_beats_triplewise():
     space = GroundSpace(3)
     family = pointset_family(space, [[{0, 1}, {1, 2}, {0, 2}]])
     level = build_level(family, LambdaIndex.of([0]))
-    flag, nerve = level.flag, level.nerve
+    flag, nerve = level_flag(level, DEFAULT_MAX_DIM), level_nerve(level, DEFAULT_MAX_DIM)
     assert (0, 1, 2) in flag
     assert (0, 1, 2) not in nerve
     assert skeleton_adjacency(nerve) == skeleton_adjacency(flag) == level.adjacency
@@ -156,7 +163,7 @@ def test_flag_pairwise_beats_triplewise():
 
 def test_arcs3_filled_vs_hollow_triangle(arcs3_family):
     level = build_level(arcs3_family, LambdaIndex.of([0]))
-    flag, nerve = level.flag, level.nerve
+    flag, nerve = level_flag(level, DEFAULT_MAX_DIM), level_nerve(level, DEFAULT_MAX_DIM)
     assert sorted(flag, key=len)[-1] == (0, 1, 2)
     assert top_dim(nerve) == 1 and len(k_simplices(nerve, 1)) == 3
     assert k_simplices(nerve, 0) == k_simplices(flag, 0) and set(nerve) <= set(flag)
@@ -165,7 +172,7 @@ def test_arcs3_filled_vs_hollow_triangle(arcs3_family):
 def test_nerve_common_point_full_simplex():
     space = GroundSpace(4)
     family = pointset_family(space, [[{0, 1}, {0, 2}, {0, 3}, {0}]])
-    nerve = build_level(family, LambdaIndex.of([0])).nerve
+    nerve = level_nerve(build_level(family, LambdaIndex.of([0])), DEFAULT_MAX_DIM)
     assert (0, 1, 2, 3) in nerve
 
 
@@ -248,7 +255,7 @@ def test_flag_completion_reconstructs_generated_levels(arcs3_family):
     )
     for family in (arcs3_family, cylinders):
         for k in range(1, len(family.covers) + 1):
-            flag = build_level(family, LambdaIndex.of(range(k))).flag
+            flag = level_flag(build_level(family, LambdaIndex.of(range(k))), DEFAULT_MAX_DIM)
             graph = _graph(len(k_simplices(flag, 0)), k_simplices(flag, 1))
             assert _clique_complex(graph) == flag
 
@@ -271,7 +278,7 @@ def test_carrier_wedge_empty_exactly_off_nerve(arcs3_family):
     # barycenters of flag simplices have a nonempty carrier wedge exactly
     # when the simplex belongs to the nerve
     level = build_level(arcs3_family, LambdaIndex.of([0]))
-    flag, nerve = level.flag, level.nerve
+    flag, nerve = level_flag(level, DEFAULT_MAX_DIM), level_nerve(level, DEFAULT_MAX_DIM)
     for s in flag:
         share = F(1, len(s))
         point = BarycentricPoint.from_dict({v: share for v in s})
@@ -389,7 +396,7 @@ def test_complexes_match_brute_force(data):
 
     wedges = [w for _, w in expected_vertices]
     level = build_level(family, lam, max_dim=30)
-    nerve, flag = level.nerve, level.flag
+    nerve, flag = level_nerve(level, 30), level_flag(level, 30)
     assert set(nerve) == brute_nerve_simplices(wedges, len(wedges))
     assert set(flag) == brute_flag_simplices(wedges, len(wedges))
     assert set(nerve) <= set(flag)
@@ -432,15 +439,16 @@ def test_clique_search_matches_set_builders_on_presets(preset_systems):
         for level in system.levels:
             flag = set_clique_flag(level.adjacency, system.max_dim)
             nerve = fiber_subset_nerve(level.fibers, system.max_dim)
-            assert (level.flag, level.nerve) == (tuple(sorted(flag)), tuple(sorted(nerve)))
+            built = (level_flag(level, system.max_dim), level_nerve(level, system.max_dim))
+            assert built == (tuple(sorted(flag)), tuple(sorted(nerve)))
 
 
 @given(family_and_lambda())
 def test_downward_closure_and_flag_tag(data):
     family, lists = data
     level = build_level(family, LambdaIndex.of(range(len(lists))), max_dim=30)
-    flag = level.flag
-    for cx in (flag, level.nerve):
+    flag = level_flag(level, 30)
+    for cx in (flag, level_nerve(level, 30)):
         assert all((v,) in cx for v in range(len(level.vertices)))
         for s in cx:
             for k in range(1, len(s)):
@@ -459,9 +467,10 @@ def test_downward_closure_and_flag_tag(data):
 def test_complex_json_round_trip(arcs3_family):
     lam = LambdaIndex.of([0])
     level = build_level(arcs3_family, lam)
-    data = complex_to_json(lam, level.vertices, level.flag, True)
+    flag = level_flag(level, DEFAULT_MAX_DIM)
+    data = complex_to_json(lam, level.vertices, flag, True)
     again = complex_from_json(data)
-    assert again == level.flag
+    assert again == flag
     assert data["flag"] is True and data["lambda"] == [0]
     assert [tuple(v["tuple"]) for v in data["vertices"]] == [v.elements for v in level.vertices]
     assert [frozenset(v["wedge"]) for v in data["vertices"]] == [v.wedge for v in level.vertices]
@@ -480,4 +489,4 @@ def test_skeleton_dot(arcs3_family):
     edges = [
         tuple(map(int, line.strip(" ;").split(" -- "))) for line in dot.splitlines() if "--" in line
     ]
-    assert edges == k_simplices(level.flag, 1) == [(0, 1), (0, 2), (1, 2)]
+    assert edges == k_simplices(level_flag(level, DEFAULT_MAX_DIM), 1) == [(0, 1), (0, 2), (1, 2)]

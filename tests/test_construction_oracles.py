@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from hypothesis import assume, given, strategies as st
 
+from conftest import level_flag, level_nerve
 from oracles import full_bond_check, full_check_simpliciality, product_scan_vertices
 from nervelim.complexes import (
     LambdaIndex,
@@ -52,10 +53,15 @@ def overlapping_family(draw):
 
 
 def _system(family):
+    # a family is discarded when any complex of any level passes the guard
     try:
-        return build_system(family, max_dim=7)
+        system = build_system(family, max_dim=7)
+        for level in system.levels:
+            level_flag(level, 7)
+            level_nerve(level, 7)
     except GuardExceeded:
         assume(False)
+    return system
 
 
 @given(overlapping_family())
@@ -93,10 +99,10 @@ def test_edge_and_fiber_checks_match_full_check(family, data):
     vm = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size)))
 
     flag_ok = unmapped_edge(vm, hi.adjacency, lo.adjacency) is None
-    assert flag_ok == full_bond_check(vm, hi.flag, lo.flag)
+    assert flag_ok == full_bond_check(vm, level_flag(hi, 7), level_flag(lo, 7))
     fibers = point_fibers(hi.vertices, family.ground.n_points)
     nerve_ok = unmapped(vm, fibers, lo.vertices) is None
-    assert nerve_ok == full_bond_check(vm, hi.nerve, lo.nerve)
+    assert nerve_ok == full_bond_check(vm, level_nerve(hi, 7), level_nerve(lo, 7))
 
 
 @given(overlapping_family(), st.data())

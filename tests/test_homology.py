@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import build_level, family_and_lambda, planted_triangles
+from conftest import build_level, family_and_lambda, level_flag, level_nerve, planted_triangles
 from oracles import (
     basis_gf2_rank,
     boundary_composition_is_zero,
@@ -21,7 +21,7 @@ from oracles import (
     top_dim,
     wedge_graph_complex,
 )
-from nervelim.complexes import LambdaIndex
+from nervelim.complexes import DEFAULT_MAX_DIM, LambdaIndex
 from nervelim.ground import (
     Arcs,
     CircleGrid,
@@ -77,7 +77,7 @@ def test_path_oracle():
 def test_fine_arc_nerve_matches_cycle_oracle():
     space = generate_space(CircleGrid(), 24)
     family = CoverFamily((generate_cover(space, Arcs(24, F(1, 4)), cover_id=0),), space)
-    nerve = build_level(family, LambdaIndex.of([0])).nerve
+    nerve = level_nerve(build_level(family, LambdaIndex.of([0])), DEFAULT_MAX_DIM)
     assert betti(nerve).numbers == betti(cycle_complex(24)).numbers == (1, 1)
 
 
@@ -91,7 +91,7 @@ def test_boundary_matrix_shape():
 def test_boundary_squared_is_zero_on_presets(preset_systems):
     for name, (_, _, system) in preset_systems.items():
         for level in system.levels:
-            for cx in (level.nerve, level.flag):
+            for cx in (level_nerve(level, system.max_dim), level_flag(level, system.max_dim)):
                 for k in range(1, top_dim(cx) + 1):
                     assert boundary_composition_is_zero(cx, k), (name, level.lam, k)
 
@@ -105,7 +105,7 @@ def test_boundary_squared_is_zero_explicit():
 def test_rank_matches_sympy_oracle(preset_systems):
     _, _, system = preset_systems["circle-a3612"]
     for level in system.levels:
-        for cx in (level.nerve, level.flag):
+        for cx in (level_nerve(level, system.max_dim), level_flag(level, system.max_dim)):
             assert betti(cx).numbers == sympy_betti(cx), level.lam
 
 
@@ -338,20 +338,20 @@ def test_cores_are_subcomplexes_retracted_onto(preset_systems):
     for _, (_, _, system) in preset_systems.items():
         for level in system.levels:
             core = nerve_core(level, system.max_dim)
-            nerve, cx = set(level.nerve), set(core.cx)
+            nerve, cx = set(level_nerve(level, system.max_dim)), set(core.cx)
             assert {tuple(core.vertices[c] for c in s) for s in cx} <= nerve
             assert [core.retraction[v] for v in core.vertices] == list(range(len(core.vertices)))
             for fiber in level.fibers:
                 assert tuple(sorted({core.retraction[v] for v in fiber})) in cx
-            assert len(flag_core(level, system.max_dim)) <= len(level.flag)
+            assert len(flag_core(level, system.max_dim)) <= len(level_flag(level, system.max_dim))
 
 
 def test_core_ranks_match_sympy_oracle(preset_systems):
     _, _, system = preset_systems["circle-a3612"]
     for level in system.levels:
         for core, full in (
-            (nerve_core(level, system.max_dim).cx, level.nerve),
-            (flag_core(level, system.max_dim), level.flag),
+            (nerve_core(level, system.max_dim).cx, level_nerve(level, system.max_dim)),
+            (flag_core(level, system.max_dim), level_flag(level, system.max_dim)),
         ):
             assert betti(core).numbers == sympy_betti(core), level.lam
             assert betti(core).agrees_with(betti(full).numbers), level.lam

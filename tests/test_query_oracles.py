@@ -13,7 +13,8 @@ test each distinct net once, and whose ``converge`` searches only the
 closed star of the net's top vertex, against the scans before them), and
 these tests require the sampled verdicts to equal the exact ones.  The
 benchmark families built here also check Betti stabilization on the cores
-against the full complexes.
+against the full complexes, and the flag reconstruction and skeleton
+checks against rebuilding and comparing every complex.
 """
 
 from __future__ import annotations
@@ -27,11 +28,14 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import oracles
+from conftest import level_flag, level_nerve
 from oracles import (
     BarycentricPoint,
     canonical_point,
     converge,
     full_betti_stabilization,
+    full_check_flag_reconstruction,
+    full_check_skeleton_equality,
     is_cauchy,
     non_max_levels,
     pairwise_class_adjacency,
@@ -64,7 +68,9 @@ from nervelim.presets import PRESETS
 from nervelim.systems import (
     build_system,
     canonical_map,
+    check_flag_reconstruction,
     check_homotopy,
+    check_skeleton_equality,
     vertex_thread,
     vertex_threads,
 )
@@ -85,10 +91,15 @@ def weighted_systems(draw):
         for p in set(range(n)) - set().union(*sets):
             sets[draw(st.integers(0, len(sets) - 1))].add(p)
         covers.append(cover_from_pointsets(cover_id, sets))
+    # a family is discarded when any complex of any level passes the guard
     try:
-        return build_system(CoverFamily(tuple(covers), space), max_dim=7)
+        system = build_system(CoverFamily(tuple(covers), space), max_dim=7)
+        for level in system.levels:
+            level_flag(level, 7)
+            level_nerve(level, 7)
     except GuardExceeded:
         assume(False)
+    return system
 
 
 @given(weighted_systems())
@@ -221,6 +232,17 @@ def test_sampled_verdicts_are_exact_on_benchmark_families(benchmark_systems, nam
 
 
 @pytest.mark.parametrize("name", list(BENCHMARK_SYSTEMS))
+def test_structural_checks_match_rebuilds_on_benchmark_families(benchmark_systems, name):
+    system = benchmark_systems[name]
+    for check, rebuilt in (
+        (check_flag_reconstruction, full_check_flag_reconstruction),
+        (check_skeleton_equality, full_check_skeleton_equality),
+    ):
+        report = check(system)
+        assert report.passed and report == rebuilt(system)
+
+
+@pytest.mark.parametrize("name", list(BENCHMARK_SYSTEMS))
 def test_cores_match_full_complexes_on_benchmark_families(benchmark_systems, name):
     # the chain {0}, {0,1}, ... up to all covers
     system = benchmark_systems[name]
@@ -260,9 +282,10 @@ def test_samples_follow_the_exact_rules(system, seed):
     except PreconditionUnmet:
         resolved = []
     top = system.levels[t]
+    nerve = level_nerve(top, system.max_dim)
     rng = random.Random(seed)
     for _ in range(20):
-        s = top.nerve[rng.randrange(len(top.nerve))]
+        s = nerve[rng.randrange(len(nerve))]
         weights = [Fraction(rng.randint(1, 9)) for _ in s]
         point = BarycentricPoint.from_dict({v: w / sum(weights) for v, w in zip(s, weights)})
         image = point_image(system, point_thread(system, point))

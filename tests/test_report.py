@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import level_flag, level_nerve
 from oracles import dump_json_oracle
 from nervelim.complexes import complex_to_json
 from nervelim.ground import Arcs, CircleGrid, CoverFamily, generate_cover, generate_space
@@ -89,12 +90,14 @@ def test_level_files_match_json_dumps_at_scale():
         space,
     )
     system = build_system(family, None, 16)
-    assert max(len(level.nerve) for level in system.levels) >= 5000
-    for level in system.levels:
+    nerves = [level_nerve(level, system.max_dim) for level in system.levels]
+    assert max(map(len, nerves)) >= 5000
+    for level, nerve in zip(system.levels, nerves):
+        flag = level_flag(level, system.max_dim)
         payload = {
             "format_version": FORMAT_VERSION,
             "lambda": list(level.lam.cover_ids),
-            "flag_complex": complex_to_json(level.lam, level.vertices, level.flag, True),
-            "nerve_complex": complex_to_json(level.lam, level.vertices, level.nerve, False),
+            "flag_complex": complex_to_json(level.lam, level.vertices, flag, True),
+            "nerve_complex": complex_to_json(level.lam, level.vertices, nerve, False),
         }
         assert dump_json(payload) == dump_json_oracle(payload)

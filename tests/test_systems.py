@@ -1,16 +1,20 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from conftest import family_and_lambda, level_flag, level_flags, level_nerve, planted_triangles
 from oracles import (
     BarycentricPoint,
     canonical_point,
     canonical_points,
     fiber_homotopy,
+    full_check_flag_reconstruction,
+    full_check_skeleton_equality,
     is_compatible,
     k_simplices,
     point_image,
@@ -183,7 +187,7 @@ def test_thread_image_off_nerve(circle_system):
     # the filled coarse triangle: its interior lies off the nerve
     system_one = build_system(circle_system.family, [_lam(0)])
     interior = BarycentricPoint.from_dict({0: F(1, 3), 1: F(1, 3), 2: F(1, 3)})
-    assert interior.carrier in system_one.levels[0].flag
+    assert interior.carrier in level_flag(system_one.levels[0], system_one.max_dim)
     z = point_thread(system_one, interior)
     assert point_image(system_one, z) == frozenset()
     assert thread_image(system_one, (interior.carrier,)) == frozenset()
@@ -239,7 +243,7 @@ def test_fiber_midpoint_is_an_edge(dyadic_pair_system):
     sub = build_system(dyadic_pair_system.family, [_lam(0)])
     c = sub.levels[0].fibers[5]
     assert c == (0, 1)
-    assert c in sub.levels[0].nerve
+    assert c in level_nerve(sub.levels[0], sub.max_dim)
 
 
 def test_fiber_singleton(cantor_system):
@@ -266,7 +270,7 @@ def test_homotopy_endpoints(cantor_system):
 def test_homotopy_preserves_image(interval_system):
     top = interval_system.top
     # an edge of the top nerve: two vertices over the same grid point
-    edge = k_simplices(interval_system.levels[top].nerve, 1)[0]
+    edge = k_simplices(level_nerve(interval_system.levels[top], interval_system.max_dim), 1)[0]
     point = BarycentricPoint.from_dict({edge[0]: F(1, 3), edge[1]: F(2, 3)})
     z = point_thread(interval_system, point)
     base = point_image(interval_system, z)
@@ -307,12 +311,14 @@ def test_preset_point_carriers_are_level_simplices(preset_systems, monkeypatch):
         sampled_check_homotopy(system, count=10, seed=7)
         # circle-a3 resolves no thread, so nothing there is moved
         assert drawn and (moved or name == "circle-a3"), name
+        flags = [set(flag) for flag in level_flags(system)]
         for z in drawn + moved:
-            for level, point in zip(system.levels, z):
-                assert point.carrier in level.flag, name
+            for flag, point in zip(flags, z):
+                assert point.carrier in flag, name
         for i, level in enumerate(system.levels):
+            nerve = set(level_nerve(level, system.max_dim))
             for x in system.family.ground.points:
-                assert canonical_map(system, i, x) in level.nerve, name
+                assert canonical_map(system, i, x) in nerve, name
 
 
 def test_homotopy_check_seeded(cantor_system):
@@ -359,22 +365,23 @@ def test_homotopy_resolves_only_a_lone_common_point():
 
 
 def test_nerve_absorption_witness_on_circle(circle_system):
-    j = find_nerve_absorbing_level(circle_system, _at(circle_system, 0))
+    j = find_nerve_absorbing_level(circle_system, _at(circle_system, 0), level_flags(circle_system))
     assert j is not None and circle_system.levels[j].lam == _lam(0, 1)
 
 
 def test_nerve_absorption_top_level(circle_system):
     top = circle_system.top
     # at the top the only candidate is the top itself, and there F = N
-    assert find_nerve_absorbing_level(circle_system, top) == top
-    assert circle_system.levels[top].flag == circle_system.levels[top].nerve
+    flags = level_flags(circle_system)
+    assert find_nerve_absorbing_level(circle_system, top, flags) == top
+    assert flags[top] == level_nerve(circle_system.levels[top], circle_system.max_dim)
 
 
 def test_nerve_absorption_not_found_when_truncated():
     space = generate_space(CircleGrid(), 12)
     family = CoverFamily((generate_cover(space, Arcs(3, F(1, 4)), cover_id=0),), space)
     system = build_system(family)
-    assert find_nerve_absorbing_level(system, _at(system, 0)) is None
+    assert find_nerve_absorbing_level(system, _at(system, 0), level_flags(system)) is None
     assert not check_nerve_absorption(system).passed
 
 
@@ -399,10 +406,24 @@ def test_fiber_adjacency_disjoint_cylinders(cantor_system):
 # structural reports
 
 
+def _assert_structural_checks_match_rebuilds(system):
+    """The two checks that compare a level's graph and fibers with the
+    wedges report what rebuilding and comparing its complexes reports."""
+    assert check_flag_reconstruction(system) == full_check_flag_reconstruction(system)
+    assert check_skeleton_equality(system) == full_check_skeleton_equality(system)
+
+
 def test_flag_reconstruction_and_skeletons(preset_systems):
     for name, (_, _, system) in preset_systems.items():
         assert check_flag_reconstruction(system).passed, name
         assert check_skeleton_equality(system).passed, name
+        _assert_structural_checks_match_rebuilds(system)
+
+
+@given(family_and_lambda() | planted_triangles())
+def test_structural_checks_match_rebuilds_on_generated_families(data):
+    family, _ = data
+    _assert_structural_checks_match_rebuilds(build_system(family, max_dim=30))
 
 
 def _top_only(preset_systems, name):
@@ -434,8 +455,13 @@ def test_flag_reconstruction_catches_a_wrong_wedge_graph(preset_systems, monkeyp
         return adj
 
     monkeypatch.setattr(systems, "wedge_adjacency", corrupted)
-    report = check_flag_reconstruction(build_system(family, [lam]))
+    system = build_system(family, [lam])
+    # skeleton_equality reads the nerve's edges through wedge_adjacency, so
+    # the checks run with the genuine one
+    monkeypatch.undo()
+    report = check_flag_reconstruction(system)
     assert report.counterexample == {"lambda": list(lam.cover_ids), "reason": "flag reconstruction"}
+    _assert_structural_checks_match_rebuilds(system)
 
 
 def test_skeleton_equality_catches_a_missing_fiber_vertex(preset_systems, monkeypatch):
@@ -456,8 +482,33 @@ def test_skeleton_equality_catches_a_missing_fiber_vertex(preset_systems, monkey
         return fibers
 
     monkeypatch.setattr(systems, "point_fibers", corrupted)
-    report = check_skeleton_equality(build_system(family, [lam]))
+    system = build_system(family, [lam])
+    report = check_skeleton_equality(system)
     assert report.counterexample == {"lambda": list(lam.cover_ids)}
+    _assert_structural_checks_match_rebuilds(system)
+
+
+def test_skeleton_equality_catches_a_nerve_edge_missing_from_the_fibers(preset_systems):
+    # drop v from the fiber of the only point x that v and w share: the
+    # graph stays right, but the nerve loses the edge v-w
+    family, lam = _top_only(preset_systems, "circle-a3612")
+    system = build_system(family, [lam])
+    (level,) = system.levels
+    x, v, w = next(
+        (x, v, w)
+        for x, fib in enumerate(level.fibers)
+        for v, w in ((v, w) for v in fib for w in fib if v < w)
+        if level.vertices[v].wedge & level.vertices[w].wedge == {x}
+    )
+    fibers = list(level.fibers)
+    fibers[x] = tuple(u for u in fibers[x] if u != v)
+    system.levels[0] = replace(level, fibers=fibers)
+    assert (v, w) in level_flag(system.levels[0], system.max_dim)
+    assert (v, w) not in level_nerve(system.levels[0], system.max_dim)
+    assert check_skeleton_equality(system).counterexample == {"lambda": list(lam.cover_ids)}
+    report = check_flag_reconstruction(system)
+    assert report.counterexample == {"lambda": list(lam.cover_ids), "reason": "nerve reconstruction"}
+    _assert_structural_checks_match_rebuilds(system)
 
 
 def test_flag_reconstruction_catches_a_nerve_simplex_off_the_wedges(preset_systems, monkeypatch):
@@ -474,9 +525,10 @@ def test_flag_reconstruction_catches_a_nerve_simplex_off_the_wedges(preset_syste
 
     monkeypatch.setattr(systems, "point_fibers", corrupted)
     system = build_system(family, [lam])
-    assert (0, 1, 2) in system.levels[0].nerve
+    assert (0, 1, 2) in level_nerve(system.levels[0], system.max_dim)
     report = check_flag_reconstruction(system)
     assert report.counterexample == {"lambda": list(lam.cover_ids), "reason": "nerve reconstruction"}
+    _assert_structural_checks_match_rebuilds(system)
 
 
 # ---------------------------------------------------------------------------
