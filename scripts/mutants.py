@@ -87,6 +87,63 @@ MUTANTS: list[tuple[str, str, str]] = [
     # the --max-dim bound off by one, and gone
     ("cli.py", "if args.max_dim > MAX_DIM_LIMIT:", "if args.max_dim >= MAX_DIM_LIMIT:"),
     ("cli.py", "if args.max_dim > MAX_DIM_LIMIT:", "if False:"),
+    # local_refinement asking for a star strictly inside the neighbourhood
+    ("ground.py", "if star_union(cover, x) <= u:", "if star_union(cover, x) < u:"),
+    # functoriality without its composite test
+    ("systems.py",
+     "if system.bond(i, k) != tuple(outer[v] for v in system.bond(j, k)):",
+     "if False:"),
+    # simpliciality without its flag half, and without its nerve half
+    ("systems.py",
+     "if unmapped_edge(bond, levels[j].adjacency, levels[i].adjacency) is not None:",
+     "if False:"),
+    ("systems.py",
+     "elif unmapped(bond, levels[j].fibers, levels[i].vertices) is not None:",
+     "elif False:"),
+    # section_identity taking an image that holds the point for its singleton
+    ("systems.py", "if image != {x}:", "if x not in image:"),
+    # star_conditions finding a contracting level at once
+    ("cells.py", "if not image & ~target:", "if True:"),
+    # equivalence_classes without its transitivity test, blind to a broken
+    # triple whose i and j are unrelated, and naming a broken triple in
+    # the wrong order, twice
+    ("cells.py", "if breaking:", "if False:"),
+    ("cells.py",
+     "breaking = (row ^ rows[j] if linked else row & rows[j]) >> (j + 1)",
+     "breaking = (row ^ rows[j] if linked else 0) >> (j + 1)"),
+    ("cells.py", "elif rows[j] >> k & 1:", "elif True:"),
+    ("cells.py", "witness = (i, k, j)", "witness = (i, j, k)"),
+    # clique_number not stopping at its cap
+    ("complexes.py", "while stack and best < cap:", "while stack:"),
+    # quotient_comparison without its bijection test
+    ("cells.py",
+     "bijection = len(set(h)) == len(points) == len(quotient.classes)",
+     "bijection = True"),
+    # each validation of a record, gone or weakened
+    ("ground.py", "if n_points < 1:", "if n_points < 0:"),
+    ("ground.py", "if coords is not None and len(coords) != n_points:", "if False:"),
+    ("ground.py", "if labels is not None and len(labels) != n_points:", "if False:"),
+    ("ground.py", "if not pointset:", "if False:"),
+    ("ground.py", "if ids != list(range(len(ids))):", "if False:"),
+    ("ground.py", "if not covers:", "if False:"),
+    ("ground.py", "if [c.id for c in covers] != list(range(len(covers))):", "if False:"),
+    ("ground.py", "if c.union() != all_points:", "if False:"),
+    ("complexes.py", "if not cover_ids:", "if False:"),
+    ("complexes.py",
+     "if list(cover_ids) != sorted(set(cover_ids)):",
+     "if list(cover_ids) != sorted(cover_ids):"),
+    ("complexes.py", "if not wedge:", "if False:"),
+    ("homology.py", "if any(b < 0 for b in numbers):", "if False:"),
+    # record equality across classes, equality ignoring the fields, and a
+    # hash that is not the field tuple's
+    ("records.py", "if type(other) is not type(self):", "if not isinstance(other, Record):"),
+    ("records.py", "return self._values() == other._values()", "return True"),
+    ("records.py", "return hash(self._values())", "return hash(type(self))"),
+    # a record built from too few values, and a field assignment let through
+    ("records.py", "if len(values) != len(self.__slots__):", "if False:"),
+    ("records.py",
+     'raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")',
+     "object.__setattr__(self, name, value)"),
 ]
 
 

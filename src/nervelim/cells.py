@@ -21,8 +21,8 @@ nervelim does not build.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .complexes import LambdaIndex, members
 from .report import Report
@@ -95,8 +95,7 @@ def check_star_conditions(system: InverseSystem) -> Report:
 # thread equivalence and the quotient
 
 
-@dataclass(frozen=True)
-class QuotientSpace:
+class QuotientSpace(NamedTuple):
     classes: tuple[tuple[int, ...], ...]  # thread ids, here top vertex ids
     class_of: tuple[int, ...]
     adjacency: dict[LambdaIndex, frozenset[tuple[int, int]]]
@@ -111,8 +110,7 @@ class QuotientSpace:
         }
 
 
-@dataclass
-class EquivalenceResult:
+class EquivalenceResult(NamedTuple):
     """The quotient when the thread relation is transitive, and otherwise
     a triple of threads that breaks transitivity."""
 
@@ -122,7 +120,17 @@ class EquivalenceResult:
 
 def equivalence_classes(system: InverseSystem) -> EquivalenceResult:
     """Relate threads adjacent at every level; verify the relation is an
-    equivalence before quotienting.  Failures are reported, not repaired."""
+    equivalence before quotienting.  Failures are reported, not repaired.
+
+    Thread i's row is the bitmask of the threads related to it.  A triple
+    i < j < k breaks transitivity exactly when two of its three pairs are
+    related.  So for each pair i < j in order, the first such k is the
+    lowest bit above j of ``rows[i] ^ rows[j]`` when i ~ j, and of
+    ``rows[i] & rows[j]`` when not.  The witness is the first breaking
+    triple in ``combinations`` order, in the first of the orders
+    (i, j, k), (j, i, k), (i, k, j) that is a chain a ~ b ~ c with a and c
+    unrelated.  When no triple breaks, each row is its thread's class.
+    """
     threads = vertex_threads(system)
     adjs = [level.adjacency for level in system.levels]
     n = len(threads)
@@ -130,23 +138,26 @@ def equivalence_classes(system: InverseSystem) -> EquivalenceResult:
     def related(i: int, j: int) -> bool:
         return all(map(_adjacent, adjs, threads[i], threads[j]))
 
-    rel = [[related(i, j) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        if not rel[i][i]:
-            raise AssertionError("reflexivity cannot fail on a reflexive graph")
-    for i, j, k in combinations(range(n), 3):
-        for a, b, c in ((i, j, k), (j, i, k), (i, k, j)):
-            if rel[a][b] and rel[b][c] and not rel[a][c]:
-                return EquivalenceResult((a, b, c), None)
+    rows = [sum(1 << j for j in range(n) if related(i, j)) for i in range(n)]
+    if any(not row >> i & 1 for i, row in enumerate(rows)):
+        raise AssertionError("reflexivity cannot fail on a reflexive graph")
+    for i, row in enumerate(rows):
+        for j in range(i + 1, n):
+            linked = row >> j & 1
+            breaking = (row ^ rows[j] if linked else row & rows[j]) >> (j + 1)
+            if breaking:
+                k = j + (breaking & -breaking).bit_length()
+                if not linked:
+                    witness = (i, k, j)
+                elif rows[j] >> k & 1:
+                    witness = (i, j, k)
+                else:
+                    witness = (j, i, k)
+                return EquivalenceResult(witness, None)
 
-    class_of = [-1] * n
-    classes: list[tuple[int, ...]] = []
-    for i in range(n):
-        if class_of[i] >= 0:
-            continue
-        cls = tuple(j for j in range(n) if rel[i][j])
-        idx = len(classes)
-        classes.append(cls)
+    classes = [tuple(members(row)) for row in dict.fromkeys(rows)]
+    class_of = [0] * n
+    for idx, cls in enumerate(classes):
         for j in cls:
             class_of[j] = idx
     # classes ci <= cj are adjacent at a level when the closed stars of

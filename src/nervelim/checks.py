@@ -13,7 +13,6 @@ itself, so that the level's Betti rows are still written.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
@@ -31,10 +30,15 @@ def betti_chain(preset: Preset) -> list[LambdaIndex]:
     return [LambdaIndex.of(ids) for ids in preset.chain]
 
 
-@dataclass
 class RunContext:
+    """A check run's preset and inverse system, and what its checks share."""
+
     preset: Preset
     system: systems.InverseSystem
+
+    def __init__(self, preset: Preset, system: systems.InverseSystem) -> None:
+        self.preset = preset
+        self.system = system
 
     @cached_property
     def equivalence(self) -> cells.EquivalenceResult:

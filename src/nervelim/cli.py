@@ -11,9 +11,8 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import systems
 from .checks import CHECKS, RunContext, betti_chain
@@ -30,8 +29,7 @@ EXIT_INPUT_ERROR = 2
 EXIT_MISSING_ARTIFACTS = 3
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     space: str
     covers: str | None
     lambdas: str

@@ -13,7 +13,6 @@ of vertex v; it acts on flag complexes and nerves alike and holds neither.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 from operator import and_
@@ -21,6 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import GuardExceeded
 from .ground import CoverFamily, CoverId, ElementId, PointId
+from .records import Record
 
 DEFAULT_MAX_DIM = 8
 MAX_DIM_LIMIT = 256  # the CLI's largest guard; the clique search recurses once per vertex
@@ -31,19 +31,18 @@ Simplex = tuple[int, ...]
 Complex = tuple[Simplex, ...]
 
 
-@dataclass(frozen=True)
-class LambdaIndex:
+class LambdaIndex(Record):
     """A nonempty sorted set of cover ids: the name of a level.  The order
     by inclusion is held by ``InverseSystem.above``, over level positions."""
 
-    cover_ids: tuple[CoverId, ...]
+    __slots__ = ("cover_ids",)
 
-    def __post_init__(self) -> None:
-        ids = self.cover_ids
-        if not ids:
+    def __init__(self, cover_ids: tuple[CoverId, ...]) -> None:
+        if not cover_ids:
             raise ValueError("level index must be nonempty")
-        if list(ids) != sorted(set(ids)):
+        if list(cover_ids) != sorted(set(cover_ids)):
             raise ValueError("cover ids must be sorted and deduplicated")
+        Record.__init__(self, cover_ids)
 
     @classmethod
     def of(cls, ids: Iterable[CoverId]) -> "LambdaIndex":
@@ -60,8 +59,7 @@ class LambdaIndex:
         return "L(" + ",".join(str(i) for i in self.cover_ids) + ")"
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(Record):
     """One element choice per cover of the level, in cover id order, with
     the cached wedge.
 
@@ -69,12 +67,12 @@ class Vertex:
     wedge and stay distinct.
     """
 
-    elements: tuple[ElementId, ...]
-    wedge: frozenset[PointId]
+    __slots__ = ("elements", "wedge")
 
-    def __post_init__(self) -> None:
-        if not self.wedge:
+    def __init__(self, elements: tuple[ElementId, ...], wedge: frozenset[PointId]) -> None:
+        if not wedge:
             raise ValueError("vertex wedge must be nonempty")
+        Record.__init__(self, elements, wedge)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +222,35 @@ def _all_cliques(adj: Sequence[int], points: Sequence[int], max_dim: int, where:
     for v in range(len(adj)):
         extend((v,), adj[v] & ~((1 << (v + 1)) - 1), points[v])
     return tuple(out)
+
+
+def clique_number(adjacency: Sequence[int], cap: int) -> int:
+    """The number of vertices of a largest clique of a graph given as
+    neighbour bitmasks, or ``cap`` when that is smaller, without
+    enumerating the cliques: the search stops at the first clique of
+    ``cap`` vertices, as a caller asking whether a guard is passed needs
+    no more.
+
+    A branch-and-bound search over the lexicographic clique tree of
+    ``_all_cliques``: a node is a clique and the larger vertices adjacent
+    to all of it that are not yet branched on.  A node is dropped when its
+    clique and all those vertices together would not beat the largest
+    clique found (the bound of Carraghan and Pardalos, "An exact algorithm
+    for the maximum clique problem", Oper. Res. Lett. 1990).  The search is
+    exponential in the worst case.
+    """
+    best = 0
+    stack = [(0, (1 << len(adjacency)) - 1)]
+    while stack and best < cap:
+        size, candidates = stack.pop()
+        best = max(best, size)
+        if size + candidates.bit_count() <= best:
+            continue
+        v = (candidates & -candidates).bit_length() - 1
+        rest = candidates & (candidates - 1)
+        stack.append((size, rest))
+        stack.append((size + 1, rest & adjacency[v]))
+    return best
 
 
 def build_nerve(

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import GuardExceeded, InputError
+from .records import Record
 from .report import FORMAT_VERSION, Report, frac_to_str, read_json, str_to_frac
 
 PointId = int
@@ -37,8 +37,7 @@ class Metric(Enum):
 # spaces
 
 
-@dataclass(frozen=True)
-class GroundSpace:
+class GroundSpace(Record):
     """A finite point set standing in for a space.
 
     Points are the dense integers ``0..n_points-1``.  Coordinates, when
@@ -48,18 +47,22 @@ class GroundSpace:
     a wedge are path lengths through the glue point.
     """
 
-    n_points: int
-    coords: tuple[tuple[Fraction, ...], ...] | None = None
-    metric: Metric = Metric.NONE
-    labels: tuple[str, ...] | None = None
+    __slots__ = ("n_points", "coords", "metric", "labels")
 
-    def __post_init__(self) -> None:
-        if self.n_points < 1:
+    def __init__(
+        self,
+        n_points: int,
+        coords: tuple[tuple[Fraction, ...], ...] | None = None,
+        metric: Metric = Metric.NONE,
+        labels: tuple[str, ...] | None = None,
+    ) -> None:
+        if n_points < 1:
             raise ValueError("a ground space needs at least one point")
-        if self.coords is not None and len(self.coords) != self.n_points:
+        if coords is not None and len(coords) != n_points:
             raise ValueError("one coordinate vector per point required")
-        if self.labels is not None and len(self.labels) != self.n_points:
+        if labels is not None and len(labels) != n_points:
             raise ValueError("one label per point required")
+        Record.__init__(self, n_points, coords, metric, labels)
 
     @property
     def points(self) -> range:
@@ -128,28 +131,26 @@ def _euclidean_distance(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> Fra
 # --- generators ------------------------------------------------------------
 
 
-class SpaceKind:
+class SpaceKind(Record):
     """Marker base for space generator kinds."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class IntervalGrid(SpaceKind):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class CircleGrid(SpaceKind):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class CantorDepth(SpaceKind):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class WedgeOfCircles(SpaceKind):
-    count: int
+    __slots__ = ("count",)
 
 
 def generate_space(kind: SpaceKind, resolution: int) -> GroundSpace:
@@ -191,25 +192,23 @@ def generate_space(kind: SpaceKind, resolution: int) -> GroundSpace:
 # covers
 
 
-@dataclass(frozen=True)
-class CoverElement:
-    id: ElementId
-    pointset: frozenset[PointId]
+class CoverElement(Record):
+    __slots__ = ("id", "pointset")
 
-    def __post_init__(self) -> None:
-        if not self.pointset:
+    def __init__(self, id: ElementId, pointset: frozenset[PointId]) -> None:
+        if not pointset:
             raise ValueError("cover elements must be nonempty")
+        Record.__init__(self, id, pointset)
 
 
-@dataclass(frozen=True)
-class Cover:
-    id: CoverId
-    elements: tuple[CoverElement, ...]
+class Cover(Record):
+    __slots__ = ("id", "elements")
 
-    def __post_init__(self) -> None:
-        ids = [e.id for e in self.elements]
+    def __init__(self, id: CoverId, elements: tuple[CoverElement, ...]) -> None:
+        ids = [e.id for e in elements]
         if ids != list(range(len(ids))):
             raise ValueError("element ids must be 0..k-1 in list order")
+        Record.__init__(self, id, elements)
 
     def union(self) -> frozenset[PointId]:
         out: set[PointId] = set()
@@ -228,50 +227,46 @@ def cover_from_pointsets(cover_id: CoverId, pointsets: Sequence[Iterable[PointId
     return Cover(cover_id, elements)
 
 
-@dataclass(frozen=True)
-class CoverFamily:
-    covers: tuple[Cover, ...]
-    ground: GroundSpace
+class CoverFamily(Record):
+    __slots__ = ("covers", "ground")
 
-    def __post_init__(self) -> None:
-        if not self.covers:
+    def __init__(self, covers: tuple[Cover, ...], ground: GroundSpace) -> None:
+        if not covers:
             raise ValueError("a family needs at least one cover")
-        if [c.id for c in self.covers] != list(range(len(self.covers))):
+        if [c.id for c in covers] != list(range(len(covers))):
             raise ValueError("cover ids must be 0..k-1 in list order")
-        all_points = frozenset(self.ground.points)
-        for c in self.covers:
+        all_points = frozenset(ground.points)
+        for c in covers:
             if c.union() != all_points:
                 raise ValueError(f"cover {c.id} does not cover the space")
+        Record.__init__(self, covers, ground)
 
 
 # --- cover schemes ----------------------------------------------------------
 
 
-class CoverScheme:
+class CoverScheme(Record):
     """Marker base for cover generator schemes."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class DyadicIntervals(CoverScheme):
-    depth: int
-    overlap: Fraction  # absolute stretch added on each side
+    # overlap: the absolute stretch added on each side
+    __slots__ = ("depth", "overlap")
 
 
-@dataclass(frozen=True)
 class Arcs(CoverScheme):
-    count: int
-    overlap: Fraction  # fraction of one arc length added on each side
+    # overlap: the fraction of one arc length added on each side
+    __slots__ = ("count", "overlap")
 
 
-@dataclass(frozen=True)
 class Cylinders(CoverScheme):
-    prefix_len: int
+    __slots__ = ("prefix_len",)
 
 
-@dataclass(frozen=True)
 class Balls(CoverScheme):
-    radius: Fraction
-    stride: int
+    __slots__ = ("radius", "stride")
 
 
 def generate_cover(space: GroundSpace, scheme: CoverScheme, cover_id: CoverId = 0) -> Cover:

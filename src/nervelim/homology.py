@@ -20,8 +20,7 @@ persistent homology of asymmetric networks", J. Appl. Comput. Topology
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .complexes import (
     Complex,
@@ -29,14 +28,15 @@ from .complexes import (
     Simplex,
     build_flag,
     build_nerve,
+    clique_number,
     members,
     wedge_adjacency,
 )
+from .records import Record
 from .systems import InverseSystem, Level
 
 
-@dataclass(frozen=True)
-class BoundaryMatrix:
+class BoundaryMatrix(NamedTuple):
     """Boundary map from k-simplices to (k-1)-simplices over GF(2).
 
     Columns are the k-simplices in the order given; each column is stored
@@ -99,13 +99,13 @@ def gf2_rank(vectors: Sequence[int]) -> int:
     return gf2_reduce(vectors)[0]
 
 
-@dataclass(frozen=True)
-class BettiVector:
-    numbers: tuple[int, ...]
+class BettiVector(Record):
+    __slots__ = ("numbers",)
 
-    def __post_init__(self) -> None:
-        if any(b < 0 for b in self.numbers):
+    def __init__(self, numbers: tuple[int, ...]) -> None:
+        if any(b < 0 for b in numbers):
             raise ValueError("negative Betti number")
+        Record.__init__(self, numbers)
 
     def padded(self, length: int) -> tuple[int, ...]:
         """Exactly ``length`` entries; refuses to drop a nonzero one."""
@@ -124,8 +124,7 @@ class BettiVector:
         return self.padded(width) == BettiVector(other).padded(width)
 
 
-@dataclass(frozen=True)
-class ChainComplex:
+class ChainComplex(NamedTuple):
     """The GF(2) chains of a complex, by dimension k: ``simplices[k]``
     lists its k-simplices, and chains in dimension k are bitmasks over
     that list.  ``boundaries[k]`` holds the boundary of each
@@ -236,8 +235,7 @@ def _relabel(kept: int) -> dict[int, int]:
     return {v: c for c, v in enumerate(members(kept))}
 
 
-@dataclass(frozen=True)
-class NerveCore:
+class NerveCore(NamedTuple):
     """The core of a level's nerve, a complex on its own vertex ids:
     ``vertices`` lists the level vertices it keeps (core vertex c is
     ``vertices[c]``), and ``retraction`` sends each level vertex onto the
@@ -303,15 +301,13 @@ def flag_core(level: Level, max_dim: int) -> Complex:
 # stabilization tables
 
 
-@dataclass
-class StabilizationRow:
+class StabilizationRow(NamedTuple):
     lam: LambdaIndex
     complex_kind: str  # "N" or "F"
     bettis: BettiVector
 
 
-@dataclass
-class BondRanks:
+class BondRanks(NamedTuple):
     """The ranks the bond from ``source`` down to ``target`` induces on
     the nerves' homology, one per entry of the source's Betti row."""
 
@@ -320,8 +316,7 @@ class BondRanks:
     ranks: tuple[int, ...]
 
 
-@dataclass
-class StabilizationTable:
+class StabilizationTable(NamedTuple):
     rows: list[StabilizationRow]
     bonds: list[BondRanks]
     nerve_stabilized: bool
@@ -368,8 +363,9 @@ def betti_stabilization(system: InverseSystem, chain: list[int]) -> Stabilizatio
 
     Each row is padded to the length of its full complex's Betti vector:
     the largest point fiber for a nerve, whose every simplex lies in a
-    fiber, and the longest simplex for a flag complex, which is built for
-    that alone and raises ``GuardExceeded`` past the guard.
+    fiber, and the clique number of the level graph for a flag complex.
+    Past the guard, the flag complex is built so that it raises
+    ``GuardExceeded`` as the full build does.
     """
     for i, j in zip(chain, chain[1:]):
         if j not in system.above[i]:
@@ -380,8 +376,10 @@ def betti_stabilization(system: InverseSystem, chain: list[int]) -> Stabilizatio
         core = nerve_core(level, system.max_dim)
         chains = chain_complex(core.cx)
         bn = BettiVector(chains.betti().padded(max(map(len, level.fibers))))
-        flag = build_flag(level.lam, level.adjacency, system.max_dim)
-        bf = BettiVector(betti(flag_core(level, system.max_dim)).padded(max(map(len, flag))))
+        width = clique_number(level.adjacency, system.max_dim + 2)
+        if width > system.max_dim + 1:
+            build_flag(level.lam, level.adjacency, system.max_dim)  # raises the guard
+        bf = BettiVector(betti(flag_core(level, system.max_dim)).padded(width))
         rows.append(StabilizationRow(level.lam, "N", bn))
         rows.append(StabilizationRow(level.lam, "F", bf))
         cores.append((core, chains))

@@ -10,9 +10,8 @@ defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .checks import ALL_CHECKS
 from .ground import (
@@ -44,8 +43,7 @@ STRUCTURAL_CHECKS = tuple(
 )
 
 
-@dataclass(frozen=True)
-class Preset:
+class Preset(NamedTuple):
     factory: Callable[[], CoverFamily]
     chain: tuple[tuple[int, ...], ...]
     neighborhoods: Callable[[GroundSpace], list[tuple[PointId, frozenset[PointId]]]]

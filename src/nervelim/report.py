@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
@@ -11,24 +10,33 @@ from pathlib import Path
 from typing import Any
 
 from .errors import InputError
+from .records import Record
 
 FORMAT_VERSION = 1
 
 
-@dataclass
-class Report:
+class Report(Record):
     """Outcome of a single check.
 
     ``witness`` carries the object that made the check pass (a cover id, a
     level index), ``counterexample`` the first object that made it fail.
-    Both must be encodable by ``dump_json``.
+    Both must be encodable by ``dump_json``.  ``details`` defaults to a new
+    dict for each report.
     """
 
-    check: str
-    passed: bool
-    witness: Any = None
-    counterexample: Any = None
-    details: dict = field(default_factory=dict)
+    __slots__ = ("check", "passed", "witness", "counterexample", "details")
+
+    def __init__(
+        self,
+        check: str,
+        passed: bool,
+        witness: Any = None,
+        counterexample: Any = None,
+        details: dict | None = None,
+    ) -> None:
+        if details is None:
+            details = {}
+        Record.__init__(self, check, passed, witness, counterexample, details)
 
     def to_json(self) -> dict:
         return {
@@ -73,6 +81,9 @@ _int = int.__repr__
 _CONSTANTS = {None: "null", True: "true", False: "false"}
 _INTS = {int}
 _ROWS = {list, tuple}
+# containers are these types exactly: a NamedTuple record is refused, not
+# written as a list
+_CONTAINERS = {list, tuple, dict}
 
 
 def _emit(o: Any, nl: str, out: list[str]) -> None:
@@ -84,7 +95,7 @@ def _emit(o: Any, nl: str, out: list[str]) -> None:
         out.append(_CONSTANTS[o])
     elif isinstance(o, int):
         out.append(_int(o))
-    elif not isinstance(o, (list, tuple, dict)):
+    elif type(o) not in _CONTAINERS:
         out.append(_quote(_fraction(o)))
     elif not o:
         out.append("{}" if isinstance(o, dict) else "[]")
@@ -121,8 +132,9 @@ def dump_json(obj: Any) -> str:
     """Byte-stable JSON: sorted keys, two-space indent, trailing newline;
     rationals become "p/q".  The bytes are those of ``json.dumps(obj,
     sort_keys=True, indent=2)``, written without its pure-Python encoder.
-    Leaves are None, bools, ints, strs and rationals, and keys are strs: a
-    float or another key is a ``TypeError``."""
+    Leaves are None, bools, ints, strs and rationals, containers are lists,
+    tuples and dicts but no subclass of them, and keys are strs: a float, a
+    subclass or another key is a ``TypeError``."""
     out: list[str] = []
     _emit(obj, "\n", out)
     out.append("\n")

@@ -10,9 +10,8 @@ built from the top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .complexes import (
     DEFAULT_MAX_DIM,
@@ -32,8 +31,7 @@ from .ground import CoverFamily, PointId
 from .report import Report
 
 
-@dataclass
-class Level:
+class Level(NamedTuple):
     """One level: its name, its vertices, and their wedge relation, from
     which a reader builds a complex (``build_flag``, ``build_nerve``)."""
 
@@ -47,7 +45,6 @@ class Level:
     fibers: list[tuple[int, ...]]
 
 
-@dataclass
 class InverseSystem:
     """Levels ordered by size and then by cover ids.
 
@@ -56,26 +53,26 @@ class InverseSystem:
     position.  ``above[i]`` lists, ascending, the positions of the levels
     at or above position i, and ``bond(i, j)`` is the bond down from
     position j to i: its vertex map, entry v the image of vertex v of level
-    j.  ``position``, ``above`` and ``top`` are computed from ``levels``.
+    j.  ``position``, ``above`` and ``top`` (the position of the maximum
+    level, when one exists) are computed from ``levels``; ``build_system``
+    fills in the bonds.
     """
 
-    family: CoverFamily
-    levels: list[Level]
-    max_dim: int
-    _bonds: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
-    position: dict[LambdaIndex, int] = field(init=False)
-    above: list[tuple[int, ...]] = field(init=False)
-    top: int | None = field(init=False)  # the position of the maximum level, when one exists
+    __slots__ = ("family", "levels", "max_dim", "_bonds", "position", "above", "top")
 
-    def __post_init__(self) -> None:
-        position = {level.lam: i for i, level in enumerate(self.levels)}
-        if len(position) != len(self.levels):
+    def __init__(self, family: CoverFamily, levels: list[Level], max_dim: int) -> None:
+        position = {level.lam: i for i, level in enumerate(levels)}
+        if len(position) != len(levels):
             raise ValueError("a level is listed twice")
+        self.family = family
+        self.levels = levels
+        self.max_dim = max_dim
+        self._bonds: dict[tuple[int, int], tuple[int, ...]] = {}
         self.position = position
-        ids = [frozenset(level.lam.cover_ids) for level in self.levels]
+        ids = [frozenset(level.lam.cover_ids) for level in levels]
         self.above = [tuple(j for j, b in enumerate(ids) if a <= b) for a in ids]
-        last = len(self.levels) - 1
-        has_top = self.levels and all(up[-1] == last for up in self.above)
+        last = len(levels) - 1
+        has_top = levels and all(up[-1] == last for up in self.above)
         self.top = last if has_top else None
 
     def bond(self, i: int, j: int) -> tuple[int, ...]:

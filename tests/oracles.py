@@ -34,6 +34,7 @@ from nervelim.complexes import (
     graph_edges,
     members,
 )
+from nervelim.cells import EquivalenceResult, QuotientSpace
 from nervelim.errors import GuardExceeded
 from nervelim.ground import CoverFamily, PointId
 from nervelim.homology import betti, boundary_matrix, gf2_rank, gf2_reduce
@@ -612,6 +613,36 @@ def scan_converge(system: InverseSystem, y: tuple[int, ...]) -> tuple[int, ...] 
         if all(a == b or adj[a] >> b & 1 for adj, a, b in zip(adjs, z, y)):
             return z
     return None
+
+
+def triple_scan_equivalence_classes(system: InverseSystem) -> EquivalenceResult:
+    """``cells.equivalence_classes`` as it was before its pairwise search: the
+    relation as a table of bools, transitivity by scanning every triple,
+    and each class read off the row of its first thread; the class
+    adjacency is ``pairwise_class_adjacency``."""
+    threads = vertex_threads(system)
+    adjs = [level.adjacency for level in system.levels]
+    n = len(threads)
+
+    def related(i: int, j: int) -> bool:
+        return all(a == b or bool(adj[a] >> b & 1) for adj, a, b in zip(adjs, threads[i], threads[j]))
+
+    rel = [[related(i, j) for j in range(n)] for i in range(n)]
+    for i, j, k in combinations(range(n), 3):
+        for a, b, c in ((i, j, k), (j, i, k), (i, k, j)):
+            if rel[a][b] and rel[b][c] and not rel[a][c]:
+                return EquivalenceResult((a, b, c), None)
+    class_of = [-1] * n
+    classes: list[tuple[int, ...]] = []
+    for i in range(n):
+        if class_of[i] >= 0:
+            continue
+        cls = tuple(j for j in range(n) if rel[i][j])
+        for j in cls:
+            class_of[j] = len(classes)
+        classes.append(cls)
+    adjacency = pairwise_class_adjacency(system, classes)
+    return EquivalenceResult(None, QuotientSpace(tuple(classes), tuple(class_of), adjacency))
 
 
 def pairwise_class_adjacency(

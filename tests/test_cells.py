@@ -15,8 +15,10 @@ from oracles import (
     perturbed_thread_net,
     sample_cauchy_nets,
     sampled_cauchy_sweep,
+    triple_scan_equivalence_classes,
 )
 from nervelim.cells import (
+    EquivalenceResult,
     cauchy_sweep,
     check_equivalence,
     check_star_conditions,
@@ -136,6 +138,22 @@ def test_equivalence_interval_classes(interval_system):
     assert len(result.quotient.classes) == 9
 
 
+@pytest.mark.parametrize(
+    "pointsets, witness",
+    [
+        # three paths on four points; element e is thread e at the one level
+        ([{0, 1}, {1, 2}, {2, 3}], (0, 1, 2)),  # 0 ~ 1 ~ 2, not 0 ~ 2
+        ([{1, 2}, {0, 1}, {2, 3}], (1, 0, 2)),  # 1 ~ 0 ~ 2, not 1 ~ 2
+        ([{0, 1}, {2, 3}, {1, 2}], (0, 2, 1)),  # 0 ~ 2 ~ 1, not 0 ~ 1
+    ],
+)
+def test_equivalence_names_the_first_breaking_triple_in_scan_order(pointsets, witness):
+    family = CoverFamily((cover_from_pointsets(0, pointsets),), GroundSpace(4))
+    system = build_system(family)
+    assert equivalence_classes(system) == EquivalenceResult(witness, None)
+    assert triple_scan_equivalence_classes(system).witness == witness
+
+
 def test_equivalence_reports_transitivity_failure(circle_system):
     result = equivalence_classes(circle_system)
     a, b, c = result.witness
@@ -160,6 +178,15 @@ def test_quotient_comparison_one_point():
     report = compare_quotient_to_ground(system, equivalence_classes(system))
     assert report.passed
     assert report.details == {"classes": 1, "points": 1}
+
+
+def test_quotient_comparison_needs_a_class_per_point():
+    # one element over two points: one thread, so one class for two points
+    family = CoverFamily((cover_from_pointsets(0, [{0, 1}]),), GroundSpace(2))
+    system = build_system(family)
+    report = compare_quotient_to_ground(system, equivalence_classes(system))
+    assert report.counterexample == {"reason": "no bijection"}
+    assert report.details == {"classes": 1, "points": 2}
 
 
 def test_quotient_comparison_skipped_without_transitivity(circle_system):

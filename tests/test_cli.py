@@ -860,6 +860,13 @@ def test_readme_lists_every_check_in_order():
     assert listed == list(ALL_CHECKS)
 
 
+def test_readme_library_sketch_runs(capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    start = readme.index("```python\n", readme.index("## Library sketch")) + len("```python\n")
+    exec(compile(readme[start : readme.index("```", start)], "README.md", "exec"), {})
+    assert capsys.readouterr().out == "(1, 1)\n"
+
+
 TWO_COVERS = [[[0, 1], [1, 2, 3]], [[0], [1, 2], [2, 3]]]
 SPACE_FILES = {
     "four-points": dump_json(space_to_json(GroundSpace(4))),

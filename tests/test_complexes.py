@@ -41,6 +41,7 @@ from nervelim.complexes import (
     build_nerve,
     build_vertices,
     carrier_wedge,
+    clique_number,
     complex_to_json,
     point_fibers,
     skeleton_dot,
@@ -432,6 +433,19 @@ def test_clique_search_matches_set_builders(data, max_dim):
         cx = build()
         assert isinstance(cx, tuple) and all(a < b for a, b in zip(cx, cx[1:]))
         assert cx == expected
+
+
+@given(family_and_lambda() | planted_triangles())
+@example((pointset_family(GroundSpace(3), _TRIANGLE), _TRIANGLE))
+def test_clique_number_is_the_longest_flag_simplex(data):
+    family, lists = data
+    lam = LambdaIndex.of(range(len(lists)))
+    verts = build_vertices(family, lam)
+    adjacency = wedge_adjacency(point_fibers(verts, family.ground.n_points), len(verts))
+    width = max(map(len, build_flag(lam, adjacency, 30)))
+    # the search stops at the first clique of cap vertices
+    for cap in range(1, width + 2):
+        assert clique_number(adjacency, cap) == min(width, cap)
 
 
 def test_clique_search_matches_set_builders_on_presets(preset_systems):

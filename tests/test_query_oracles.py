@@ -49,10 +49,11 @@ from oracles import (
     scan_canonical_map,
     scan_converge,
     sweep_every_net,
+    triple_scan_equivalence_classes,
 )
 from nervelim.errors import GuardExceeded, PreconditionUnmet
 from nervelim.cells import cauchy_sweep, equivalence_classes
-from nervelim.complexes import LambdaIndex, carrier_wedge
+from nervelim.complexes import LambdaIndex, carrier_wedge, clique_number
 from nervelim.ground import (
     CantorDepth,
     CircleGrid,
@@ -148,7 +149,10 @@ def test_preset_nets_converge_as_scanned(preset_systems):
 
 
 def _class_adjacency_matches_pairs(system):
-    quotient = equivalence_classes(system).quotient
+    result = equivalence_classes(system)
+    # the pairwise search and the triple scan agree, down to the breaking triple
+    assert result == triple_scan_equivalence_classes(system)
+    quotient = result.quotient
     if quotient is not None:
         expected = pairwise_class_adjacency(system, quotient.classes)
         assert quotient.adjacency == expected
@@ -240,6 +244,17 @@ def test_structural_checks_match_rebuilds_on_benchmark_families(benchmark_system
     ):
         report = check(system)
         assert report.passed and report == rebuilt(system)
+
+
+@pytest.mark.parametrize("name", list(BENCHMARK_SYSTEMS))
+def test_clique_numbers_and_thread_classes_on_benchmark_families(benchmark_systems, name):
+    system = benchmark_systems[name]
+    for level in system.levels:
+        flag = level_flag(level, system.max_dim)
+        # no clique has more vertices than the graph, so the cap never binds
+        width = clique_number(level.adjacency, len(level.adjacency))
+        assert width == max(map(len, flag)), level.lam
+    assert equivalence_classes(system) == triple_scan_equivalence_classes(system)
 
 
 @pytest.mark.parametrize("name", list(BENCHMARK_SYSTEMS))

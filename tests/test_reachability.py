@@ -1,14 +1,16 @@
 """Every definition in the package is used by the package.
 
-A top-level function or class, a method, or an annotated class field
-(a dataclass field) that no module of ``src/nervelim`` refers to outside
+A top-level function or class, a method, or a field (annotated in the
+class body, or named in its ``__slots__``) that no module of
+``src/nervelim`` refers to outside
 its own body is code that only tests reach; it is deleted, or moved into
 ``tests/oracles.py`` when a test still needs it.  ``__init__.py`` only
 re-exports, so its references do not count.  The scan is by name: a
 function, a class or a method counts as used when any module reads an
 attribute or a variable of that name, and a field only when some module
 reads an attribute of that name, so a local variable that shares a field's
-name does not hide it.  Passing a field to a constructor is not a read.
+name does not hide it.  Passing a field to a constructor is not a read,
+and neither is assigning to a name or an attribute (``self.x = x``).
 Dunder names are used by the language and are not scanned.
 """
 
@@ -32,7 +34,8 @@ def _modules() -> dict[str, ast.Module]:
 
 def _definitions(modules: dict[str, ast.Module]) -> list[tuple[str, str, ast.AST]]:
     """(module, qualified name, node) of every top-level function and class
-    and every method and annotated field."""
+    and every method and field; a field named in ``__slots__`` has the
+    ``__slots__`` assignment as its node."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     out = []
     for mod, tree in modules.items():
@@ -43,14 +46,27 @@ def _definitions(modules: dict[str, ast.Module]) -> list[tuple[str, str, ast.AST
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                        name = item.target.id
+                        names = [item.target.id]
                     elif isinstance(item, kinds):
-                        name = item.name
+                        names = [item.name]
+                    elif _is_slots(item):
+                        names = [elt.value for elt in item.value.elts]
                     else:
                         continue
-                    if not name.startswith("__"):
-                        out.append((mod, f"{node.name}.{name}", item))
+                    out += [
+                        (mod, f"{node.name}.{name}", item)
+                        for name in names
+                        if not name.startswith("__")
+                    ]
     return out
+
+
+def _is_slots(item: ast.AST) -> bool:
+    return (
+        isinstance(item, ast.Assign)
+        and [getattr(t, "id", None) for t in item.targets] == ["__slots__"]
+        and isinstance(item.value, ast.Tuple)
+    )
 
 
 def _references(modules: dict[str, ast.Module]) -> dict[str, list[tuple[str, int, bool]]]:
@@ -61,6 +77,8 @@ def _references(modules: dict[str, ast.Module]) -> dict[str, list[tuple[str, int
         if mod == "__init__":
             continue
         for node in ast.walk(tree):
+            if isinstance(getattr(node, "ctx", None), ast.Store):
+                continue
             if isinstance(node, ast.Name):
                 name, attr = node.id, False
             elif isinstance(node, ast.Attribute):
@@ -78,7 +96,7 @@ def _unreferenced() -> list[str]:
     for mod, qualname, node in _definitions(modules):
         own = range(node.lineno, node.end_lineno + 1)
         name = qualname.rsplit(".", 1)[-1]
-        field = isinstance(node, ast.AnnAssign)
+        field = isinstance(node, (ast.AnnAssign, ast.Assign))
         if not any(
             (m != mod or line not in own) and (attr or not field)
             for m, line, attr in refs.get(name, ())

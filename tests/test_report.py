@@ -8,8 +8,9 @@ from hypothesis import given, strategies as st
 
 from conftest import level_flag, level_nerve
 from oracles import dump_json_oracle
-from nervelim.complexes import complex_to_json
+from nervelim.complexes import LambdaIndex, complex_to_json
 from nervelim.ground import Arcs, CircleGrid, CoverFamily, generate_cover, generate_space
+from nervelim.homology import BondRanks
 from nervelim.report import FORMAT_VERSION, dump_json
 from nervelim.systems import build_system
 
@@ -72,11 +73,13 @@ def test_dump_json_rejects_what_json_dumps_rejects(obj, message):
         ({10: 0, 9: 0}, "must be a string, not int"),
         ({None: 0}, "must be a string, not NoneType"),
         ({Fraction(1): 0}, "must be a string, not Fraction"),
+        ([BondRanks(LambdaIndex((0,)), LambdaIndex((0,)), (1,))], "cannot serialize BondRanks"),
     ],
-    ids=["float", "inf-in-list", "nan-in-dict", "int-keys", "none-key", "fraction-key"],
+    ids=["float", "inf-in-list", "nan-in-dict", "int-keys", "none-key", "fraction-key", "record"],
 )
 def test_dump_json_refuses_floats_and_non_str_keys(obj, message):
-    # nervelim writes neither; a float would be a rational that lost its exactness
+    # nervelim writes neither; a float would be a rational that lost its
+    # exactness, and a record (a NamedTuple) is not a list
     with pytest.raises(TypeError, match=message):
         dump_json(obj)
 

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -502,7 +501,7 @@ def test_skeleton_equality_catches_a_nerve_edge_missing_from_the_fibers(preset_s
     )
     fibers = list(level.fibers)
     fibers[x] = tuple(u for u in fibers[x] if u != v)
-    system.levels[0] = replace(level, fibers=fibers)
+    system.levels[0] = level._replace(fibers=fibers)
     assert (v, w) in level_flag(system.levels[0], system.max_dim)
     assert (v, w) not in level_nerve(system.levels[0], system.max_dim)
     assert check_skeleton_equality(system).counterexample == {"lambda": list(lam.cover_ids)}
