@@ -14,6 +14,10 @@ Each checkout runs, from its own directory under the work directory:
   benchmark's operations on them: ``build`` of cantor-d6 (chain) and
   circle-24-thick (all levels), and the homology-chain ``check`` of
   circle-24-3812;
+- ``build`` of circle-48 (arcs 3/6/12/24, overlap 0) at all 15 levels and
+  ``--max-dim 16``, its input written by the checkout's own library: the
+  largest family whose nerves are their flag complexes at every level but
+  the base one;
 - ``build`` and ``check`` of circle-24-thick at ``--max-dim 3``.  ``build``
   stops at the clique guard of level {0,1} and exits 2, so a change to the
   clique search is compared on its failure bytes as well; ``check`` runs
@@ -21,8 +25,9 @@ Each checkout runs, from its own directory under the work directory:
   (``nerve_absorption``, ``betti_stabilization``) as skipped with that
   guard's message, and exits 1.
 
-Output paths are relative, so stdout names the same paths on both sides.
-The script prints each command whose exit code, stdout or stderr differs,
+A command that starts with ``-c`` is Python source, run with its
+arguments by the interpreter.  Output paths are relative, so stdout names
+the same paths on both sides.  The script prints each command whose exit code, stdout or stderr differs,
 each file that differs by sha256 or exists on one side only, and for a
 differing JSON file the key paths whose values differ.  It exits 1 on any
 difference and 0 when the two runs agree.
@@ -42,6 +47,22 @@ from pathlib import Path
 PRESETS = ("cantor-d3", "interval-g8", "circle-a3612", "circle-a3", "wedge2")
 SAMPLES = ("--seed", "7", "--nets", "1000", "--homotopy-samples", "5")
 
+# writes circle-48's space and covers files into the directory argv[1]
+CIRCLE_48 = """
+import sys
+from fractions import Fraction
+from pathlib import Path
+from nervelim.ground import (Arcs, CircleGrid, CoverFamily, family_to_json, generate_cover,
+                             generate_space, space_to_json)
+from nervelim.report import dump_json
+space = generate_space(CircleGrid(), 48)
+arcs = tuple(generate_cover(space, Arcs(n, Fraction(0)), cover_id=i)
+             for i, n in enumerate((3, 6, 12, 24)))
+out = Path(sys.argv[1])
+(out / "circle-48.space.json").write_text(dump_json(space_to_json(space)))
+(out / "circle-48.covers.json").write_text(dump_json(family_to_json(CoverFamily(arcs, space))))
+"""
+
 
 def _family(name: str) -> tuple[str, ...]:
     return ("--space", f"inputs/{name}.space.json", "--covers", f"inputs/{name}.covers.json")
@@ -49,7 +70,8 @@ def _family(name: str) -> tuple[str, ...]:
 
 def commands() -> list[tuple[str, ...]]:
     """The argument lists, in run order; ``nervelim`` commands start with
-    the command name, a script with its path in the checkout."""
+    the command name, a script with its path in the checkout and Python
+    source with ``-c``."""
     out: list[tuple[str, ...]] = []
     for name in PRESETS:
         out += [
@@ -68,6 +90,9 @@ def commands() -> list[tuple[str, ...]]:
          "--out", "circle-24-thick-build"),
         ("check", *_family("circle-24-3812"), "--checks", "betti_stabilization",
          "--max-dim", "16", "--seed", "7", "--out", "circle-24-3812-check"),
+        ("-c", CIRCLE_48, "inputs"),
+        ("build", *_family("circle-48"), "--lambdas", "all", "--max-dim", "16",
+         "--out", "circle-48-build"),
         ("build", *_family("circle-24-thick"), "--max-dim", "3", "--out", "guard-build"),
         ("check", *_family("circle-24-thick"), "--max-dim", "3", "--out", "guard-check"),
     ]
@@ -80,7 +105,9 @@ def run_all(checkout: Path, cwd: Path) -> list[tuple[int, str, str]]:
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     results = []
     for args in commands():
-        if args[0].endswith(".py"):
+        if args[0] == "-c":
+            argv = [sys.executable, *args]
+        elif args[0].endswith(".py"):
             argv = [sys.executable, str(checkout / args[0]), *args[1:]]
         else:
             argv = [sys.executable, "-m", "nervelim.cli", *args]

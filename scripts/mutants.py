@@ -32,8 +32,19 @@ TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-x", "-p", "n
 
 # (file under src/nervelim, line, replacement)
 MUTANTS: list[tuple[str, str, str]] = [
-    # the nerve's point-mask test: every clique kept, so the nerve is the flag complex
-    ("complexes.py", "if common:", "if True:"),
+    # the nerve's append test: every clique kept, so the nerve is the flag complex
+    ("complexes.py", "if shared:", "if True:"),
+    # the nerve always, and never, the flag complex's own tuple
+    ("complexes.py",
+     "return flag, flag if len(sub) == len(out) else tuple(sub)",
+     "return flag, flag"),
+    ("complexes.py",
+     "return flag, flag if len(sub) == len(out) else tuple(sub)",
+     "return flag, tuple(sub)"),
+    # build_nerve searching the whole flag complex, and meeting its guard
+    ("complexes.py", "if common or not prune:", "if True:"),
+    # the emitter's memo of row lists keyed without the indent
+    ("report.py", "key = id(o), nl", "key = id(o)"),
     # the selection search without its triple test
     ("ground.py",
      "if any(map(s.isdisjoint, sets)) or any(map(s.isdisjoint, meets)):",

@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 from . import systems
 from .checks import CHECKS, RunContext, betti_chain
-from .complexes import (DEFAULT_MAX_DIM, MAX_DIM_LIMIT, LambdaIndex, build_flag, build_nerve,
+from .complexes import (DEFAULT_MAX_DIM, MAX_DIM_LIMIT, LambdaIndex, build_complexes,
                         complex_to_json, skeleton_dot)
 from .errors import GuardExceeded, InputError, PreconditionUnmet
 from .ground import family_to_json, load_family, load_space, space_to_json
@@ -113,9 +113,7 @@ def cmd_build(config: RunConfig) -> int:
     levels = system.levels
     # every complex is built before any file is written: a guard hit writes nothing
     complexes = [
-        (build_flag(level.lam, level.adjacency, system.max_dim),
-         build_nerve(level.lam, level.adjacency, level.fibers, system.max_dim))
-        for level in levels
+        build_complexes(level.lam, level.adjacency, level.fibers, system.max_dim) for level in levels
     ]
     out = config.out
     out.mkdir(parents=True, exist_ok=True)

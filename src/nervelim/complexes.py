@@ -186,18 +186,21 @@ def build_flag(lam: LambdaIndex, adjacency: Sequence[int], max_dim: int) -> Comp
     """Clique complex of a graph given as neighbour bitmasks.  A level's
     flag complex is the clique complex of ``wedge_adjacency``: edges where
     wedges meet."""
-    return _all_cliques(adjacency, [-1] * len(adjacency), max_dim, _level_name(lam) + ": ")
+    return _all_cliques(adjacency, [-1] * len(adjacency), max_dim, _level_name(lam) + ": ")[0]
 
 
-def _all_cliques(adj: Sequence[int], points: Sequence[int], max_dim: int, where: str) -> Complex:
-    """Every clique up to max_dim+1 vertices whose ``points`` bitmasks share
-    a bit, in lexicographic order: a depth-first search adding larger
-    neighbours in ascending order.  Raises past the guard.
-
-    The message starts with ``where`` and gives the size of a maximal
-    clique grown greedily from the first clique past the guard.
+def _all_cliques(
+    adj: Sequence[int], points: Sequence[int], max_dim: int, where: str, prune: bool = True
+) -> tuple[Complex, Complex]:
+    """Every clique up to max_dim+1 vertices and, as the first's tuple when
+    equal, those whose ``points`` bitmasks share a bit, in lexicographic
+    order: a depth-first search adding larger neighbours in ascending
+    order, which with ``prune`` enters only the second kind.  Raises past
+    the guard; the message starts with ``where`` and gives the size of a
+    maximal clique grown greedily from the first clique past the guard.
     """
     out: list[Simplex] = []
+    sub: list[Simplex] = []
 
     def extend(clique: tuple[int, ...], candidates: int, shared: int) -> None:
         if len(clique) > max_dim + 1:
@@ -211,17 +214,20 @@ def _all_cliques(adj: Sequence[int], points: Sequence[int], max_dim: int, where:
                 f" (max_dim {max_dim} allows {max_dim + 1})"
             )
         out.append(clique)
+        if shared:
+            sub.append(clique)
         c = candidates
         while c:
             v = (c & -c).bit_length() - 1
             c &= c - 1
             common = shared & points[v]
-            if common:
+            if common or not prune:
                 extend(clique + (v,), candidates & adj[v] & ~((1 << (v + 1)) - 1), common)
 
     for v in range(len(adj)):
         extend((v,), adj[v] & ~((1 << (v + 1)) - 1), points[v])
-    return tuple(out)
+    flag = tuple(out)
+    return flag, flag if len(sub) == len(out) else tuple(sub)
 
 
 def clique_number(adjacency: Sequence[int], cap: int) -> int:
@@ -258,17 +264,30 @@ def build_nerve(
 ) -> Complex:
     """Nerve of a level: the cliques of ``adjacency`` whose wedges, read as
     point bitmasks from ``fibers`` (``point_fibers`` of the vertices), share
-    a point.  A nerve simplex lies in a fiber, so the fiber guard bounds it."""
+    a point.  A nerve simplex lies in a fiber, so the fiber guard bounds it
+    and the search enters no other clique."""
+    return build_complexes(lam, adjacency, fibers, max_dim, prune=True)[1]
+
+
+def build_complexes(
+    lam: LambdaIndex, adjacency: Sequence[int], fibers: Sequence[tuple[int, ...]], max_dim: int,
+    prune: bool = False,
+) -> tuple[Complex, Complex]:
+    """A level's flag complex and nerve from one search, which guards the
+    flag complex only (a fiber past the guard is a clique past it).  A
+    nerve is downward closed, so it is the part of the flag complex's
+    lexicographic order whose wedges share a point (Zomorodian, "Fast
+    construction of the Vietoris-Rips complex", 2010)."""
     wedges = [0] * len(adjacency)
     for x, carrier in enumerate(fibers):
-        if len(carrier) > max_dim + 1:
+        if prune and len(carrier) > max_dim + 1:
             raise GuardExceeded(
                 f"{_level_name(lam)}: point {x} lies in a fiber of {len(carrier)} wedges,"
                 f" past the dimension guard (max_dim {max_dim} allows {max_dim + 1})"
             )
         for v in carrier:
             wedges[v] |= 1 << x
-    return _all_cliques(adjacency, wedges, max_dim, "")
+    return _all_cliques(adjacency, wedges, max_dim, _level_name(lam) + ": ", prune)
 
 
 def carrier_wedge(vertices: Sequence[Vertex], carrier: Sequence[int]) -> frozenset[PointId]:

@@ -86,9 +86,10 @@ _ROWS = {list, tuple}
 _CONTAINERS = {list, tuple, dict}
 
 
-def _emit(o: Any, nl: str, out: list[str]) -> None:
+def _emit(o: Any, nl: str, out: list[str], memo: dict[tuple[int, str], str]) -> None:
     """Append the pieces of ``o`` to ``out``; ``nl`` is a newline and the
-    indent of the line ``o`` starts on."""
+    indent of the line ``o`` starts on.  ``memo`` holds the text of each
+    list of int rows written so far, by its id and indent."""
     if isinstance(o, str):
         out.append(_quote(o))
     elif o is None or isinstance(o, bool):
@@ -104,26 +105,31 @@ def _emit(o: Any, nl: str, out: list[str]) -> None:
         sep = "{" + inner
         for k, v in sorted(o.items()):
             out.append(sep + _quote(k) + ": ")
-            _emit(v, inner, out)
+            _emit(v, inner, out, memo)
             sep = "," + inner
         out.append(nl + "}")
     else:
         inner = nl + "  "
         types = set(map(type, o))
+        key = id(o), nl
         if types == _INTS:
             # one join for a list of plain ints (a bool is not one)
             out.append("[" + inner + ("," + inner).join(map(_int, o)) + nl + "]")
+        elif key in memo:
+            # a row list written before at this indent: a nerve that is its flag complex
+            out.append(memo[key])
         elif types <= _ROWS and set(map(type, chain.from_iterable(o))) <= _INTS:
             # ... and for a list of such lists: simplices, vertex maps
             cell = inner + "  "
             sep = "," + cell
             rows = ("[" + cell + sep.join(map(_int, r)) + inner + "]" if r else "[]" for r in o)
-            out.append("[" + inner + ("," + inner).join(rows) + nl + "]")
+            memo[key] = text = "[" + inner + ("," + inner).join(rows) + nl + "]"
+            out.append(text)
         else:
             sep = "[" + inner
             for v in o:
                 out.append(sep)
-                _emit(v, inner, out)
+                _emit(v, inner, out, memo)
                 sep = "," + inner
             out.append(nl + "]")
 
@@ -134,8 +140,9 @@ def dump_json(obj: Any) -> str:
     sort_keys=True, indent=2)``, written without its pure-Python encoder.
     Leaves are None, bools, ints, strs and rationals, containers are lists,
     tuples and dicts but no subclass of them, and keys are strs: a float, a
-    subclass or another key is a ``TypeError``."""
+    subclass or another key is a ``TypeError``.  A list of int rows met
+    again at the same indent reuses its first text."""
     out: list[str] = []
-    _emit(obj, "\n", out)
+    _emit(obj, "\n", out, {})
     out.append("\n")
     return "".join(out)

@@ -6,9 +6,10 @@ frozen into the tests do not depend on the code paths they check.  The
 seeded samplers that the thread checks used before they were decided
 exactly are kept here too, with the barycentric points they move, and so
 is Betti stabilization on the full complexes, from before it was computed
-on their cores.  So are the flag reconstruction and skeleton checks that
-rebuilt and compared every complex, from before they compared the
-builders' inputs; a level's own complexes come from ``conftest``'s
+on their cores, and the two clique searches that built a level's flag
+complex and nerve one after the other.  So are the flag reconstruction
+and skeleton checks that rebuilt and compared every complex, from before
+they compared the builders' inputs; a level's own complexes come from ``conftest``'s
 ``level_flag`` and ``level_nerve``.
 """
 
@@ -313,6 +314,15 @@ def fiber_subset_nerve(
         for k in range(1, len(carrier) + 1):
             simplices.update(combinations(carrier, k))
     return frozenset(simplices)
+
+
+def two_search_build(
+    lam: LambdaIndex, adjacency: Sequence[int], fibers: Sequence[tuple[int, ...]], max_dim: int
+) -> tuple[Complex, Complex]:
+    """A level's flag complex and nerve as ``build`` made them before one
+    clique search served both: ``build_flag`` and then ``build_nerve``,
+    each walking the clique tree on its own."""
+    return build_flag(lam, adjacency, max_dim), build_nerve(lam, adjacency, fibers, max_dim)
 
 
 def product_scan_vertices(family: CoverFamily, lam: LambdaIndex) -> list[Vertex]:

@@ -30,6 +30,7 @@ from oracles import (
     set_clique_flag,
     skeleton_adjacency,
     top_dim,
+    two_search_build,
     vertex_point,
 )
 from nervelim.complexes import (
@@ -37,6 +38,7 @@ from nervelim.complexes import (
     LambdaIndex,
     _all_cliques,
     _level_name,
+    build_complexes,
     build_flag,
     build_nerve,
     build_vertices,
@@ -61,6 +63,7 @@ from nervelim.ground import (
     generate_cover,
     generate_space,
 )
+from nervelim.systems import build_system
 
 F = Fraction
 
@@ -433,6 +436,85 @@ def test_clique_search_matches_set_builders(data, max_dim):
         cx = build()
         assert isinstance(cx, tuple) and all(a < b for a, b in zip(cx, cx[1:]))
         assert cx == expected
+
+
+def assert_one_search_matches_two(lam, adjacency, fibers, max_dim):
+    """``build_complexes`` against the two-search oracle: the same pair,
+    the nerve the flag complex's own tuple exactly when the two are equal,
+    and the same guard message where the oracle raises.  Whether the nerve
+    is the flag complex's tuple, or None past the guard."""
+    try:
+        expected = two_search_build(lam, adjacency, fibers, max_dim)
+    except GuardExceeded as e:
+        with pytest.raises(GuardExceeded, match=f"^{re.escape(str(e))}$"):
+            build_complexes(lam, adjacency, fibers, max_dim)
+        return None
+    flag, nerve = build_complexes(lam, adjacency, fibers, max_dim)
+    assert (flag, nerve) == expected
+    assert (nerve is flag) == (nerve == flag)
+    return nerve is flag
+
+
+@given(family_and_lambda() | planted_triangles(), st.sampled_from([0, 1, 30]))
+@example((pointset_family(GroundSpace(3), _TRIANGLE), _TRIANGLE), 30)
+@example((pointset_family(GroundSpace(3), _TRIANGLE), _TRIANGLE), 1)
+@example((pointset_family(GroundSpace(2), [[{0, 1}, {0}]]), [[{0, 1}, {0}]]), 30)
+def test_one_search_matches_two_searches(data, max_dim):
+    # the triangle's nerve is not its flag complex; two wedges that share
+    # a point give a nerve that is
+    family, lists = data
+    lam = LambdaIndex.of(range(len(lists)))
+    verts = build_vertices(family, lam)
+    fibers = point_fibers(verts, family.ground.n_points)
+    assert_one_search_matches_two(lam, wedge_adjacency(fibers, len(verts)), fibers, max_dim)
+
+
+def test_one_search_matches_two_searches_on_presets(preset_systems):
+    shared = [
+        assert_one_search_matches_two(level.lam, level.adjacency, level.fibers, system.max_dim)
+        for _, _, system in preset_systems.values()
+        for level in system.levels
+    ]
+    # both cases occur: nerves that are their flag complexes and nerves that are not
+    assert True in shared and False in shared
+
+
+def test_nerve_alone_never_meets_the_flag_guard():
+    # three wedges meeting pairwise with no common point: the flag complex
+    # has a triangle past max_dim 1, the nerve only edges
+    lam = LambdaIndex.of([0])
+    verts = build_vertices(pointset_family(GroundSpace(3), _TRIANGLE), lam)
+    fibers = point_fibers(verts, 3)
+    adjacency = wedge_adjacency(fibers, len(verts))
+    message = "level {0}: a clique of 3 vertices exceeds the dimension guard (max_dim 1 allows 2)"
+    for build in (lambda: build_flag(lam, adjacency, 1),
+                  lambda: build_complexes(lam, adjacency, fibers, 1)):
+        with pytest.raises(GuardExceeded, match=f"^{re.escape(message)}$"):
+            build()
+    assert build_nerve(lam, adjacency, fibers, 1) == ((0,), (0, 1), (0, 2), (1,), (1, 2), (2,))
+
+
+@pytest.mark.parametrize("max_dim", [1, 2, 3])
+def test_one_search_guard_matches_two_searches_on_circle_24_thick(max_dim):
+    # every level of the benchmark's circle-24-thick family, in build's
+    # order: the first guard message is the flag complex's, as before
+    space = generate_space(CircleGrid(), 24)
+    arcs = ((3, F(1)), (6, F(1, 4)), (12, F(1, 4)))
+    family = CoverFamily(
+        tuple(generate_cover(space, Arcs(n, o), cover_id=i) for i, (n, o) in enumerate(arcs)),
+        space,
+    )
+    levels = build_system(family, None, max_dim).levels
+    raised = []
+    for build in (two_search_build, build_complexes):
+        with pytest.raises(GuardExceeded) as e:
+            for level in levels:
+                build(level.lam, level.adjacency, level.fibers, max_dim)
+        raised.append(str(e.value))
+    assert raised[0] == raised[1]
+    assert raised[0].endswith(f"exceeds the dimension guard (max_dim {max_dim} allows {max_dim + 1})")
+    for level in levels:
+        assert_one_search_matches_two(level.lam, level.adjacency, level.fibers, max_dim)
 
 
 @given(family_and_lambda() | planted_triangles())

@@ -50,10 +50,11 @@ from oracles import (
     scan_converge,
     sweep_every_net,
     triple_scan_equivalence_classes,
+    two_search_build,
 )
 from nervelim.errors import GuardExceeded, PreconditionUnmet
 from nervelim.cells import cauchy_sweep, equivalence_classes
-from nervelim.complexes import LambdaIndex, carrier_wedge, clique_number
+from nervelim.complexes import LambdaIndex, build_complexes, carrier_wedge, clique_number
 from nervelim.ground import (
     CantorDepth,
     CircleGrid,
@@ -255,6 +256,16 @@ def test_clique_numbers_and_thread_classes_on_benchmark_families(benchmark_syste
         width = clique_number(level.adjacency, len(level.adjacency))
         assert width == max(map(len, flag)), level.lam
     assert equivalence_classes(system) == triple_scan_equivalence_classes(system)
+
+
+@pytest.mark.parametrize("name", list(BENCHMARK_SYSTEMS))
+def test_one_search_build_matches_two_searches_on_benchmark_families(benchmark_systems, name):
+    system = benchmark_systems[name]
+    for level in system.levels:
+        args = (level.lam, level.adjacency, level.fibers, system.max_dim)
+        flag, nerve = build_complexes(*args)
+        assert (flag, nerve) == two_search_build(*args), level.lam
+        assert (nerve is flag) == (nerve == flag), level.lam
 
 
 @pytest.mark.parametrize("name", list(BENCHMARK_SYSTEMS))

@@ -6,9 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import level_flag, level_nerve
 from oracles import dump_json_oracle
-from nervelim.complexes import LambdaIndex, complex_to_json
+from nervelim.complexes import LambdaIndex, build_complexes, complex_to_json
 from nervelim.ground import Arcs, CircleGrid, CoverFamily, generate_cover, generate_space
 from nervelim.homology import BondRanks
 from nervelim.report import FORMAT_VERSION, dump_json
@@ -93,10 +92,11 @@ def test_level_files_match_json_dumps_at_scale():
         space,
     )
     system = build_system(family, None, 16)
-    nerves = [level_nerve(level, system.max_dim) for level in system.levels]
-    assert max(map(len, nerves)) >= 5000
-    for level, nerve in zip(system.levels, nerves):
-        flag = level_flag(level, system.max_dim)
+    built = [build_complexes(lv.lam, lv.adjacency, lv.fibers, system.max_dim) for lv in system.levels]
+    assert max(len(nerve) for _, nerve in built) >= 5000
+    # as build writes them: each nerve is its flag complex's own tuple here
+    assert all(nerve is flag for flag, nerve in built)
+    for level, (flag, nerve) in zip(system.levels, built):
         payload = {
             "format_version": FORMAT_VERSION,
             "lambda": list(level.lam.cover_ids),
@@ -104,3 +104,31 @@ def test_level_files_match_json_dumps_at_scale():
             "nerve_complex": complex_to_json(level.lam, level.vertices, nerve, False),
         }
         assert dump_json(payload) == dump_json_oracle(payload)
+
+
+ROWS = st.lists(st.lists(st.integers(), max_size=3) | st.tuples(st.integers()), min_size=1)
+# one row list placed twice at one indent, at two indents, and nested in
+# dicts and lists
+PLACEMENTS = [
+    lambda r: {"flag": r, "nerve": r},
+    lambda r: {"a": r, "b": {"c": r}},
+    lambda r: [r, {"x": [r, {"y": r}]}, [[r]], r],
+]
+
+
+@given(ROWS, st.sampled_from(PLACEMENTS))
+def test_dump_json_writes_a_repeated_row_list_as_json_dumps(rows, place):
+    # the memo of row lists: the same object again, or an equal but
+    # distinct one, gives the bytes json.dumps gives
+    for obj in (place(rows), place([list(r) for r in rows])):
+        assert dump_json(obj) == dump_json_oracle(obj)
+    distinct = {"a": rows, "b": [list(r) for r in rows], "c": {"d": rows}}
+    assert dump_json(distinct) == dump_json_oracle(distinct)
+
+
+def test_dump_json_memo_lives_for_one_call():
+    rows = [[0, 1], [1]]
+    payload = {"flag": rows, "nerve": rows}
+    first = dump_json(payload)
+    rows.append([2])
+    assert dump_json(payload) == dump_json_oracle(payload) != first
