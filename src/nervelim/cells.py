@@ -236,13 +236,13 @@ def compare_quotient_to_ground(system: InverseSystem, result: EquivalenceResult)
     threads = vertex_threads(system)
     for i, z in enumerate(threads):
         image = thread_image(system, z)
-        if len(image) != 1:
+        if image.bit_count() != 1:
             return Report(
                 "quotient_comparison",
                 False,
                 details={"skipped": "a vertex thread has a non-singleton image"},
             )
-        (x,) = image
+        x = image.bit_length() - 1
         if h[x] != quotient.class_of[z[t]]:
             return Report(
                 "quotient_comparison",

@@ -113,7 +113,8 @@ def cmd_build(config: RunConfig) -> int:
     levels = system.levels
     # every complex is built before any file is written: a guard hit writes nothing
     complexes = [
-        build_complexes(level.lam, level.adjacency, level.fibers, system.max_dim) for level in levels
+        build_complexes(lv.lam, lv.adjacency, [v.wedge for v in lv.vertices], system.max_dim)
+        for lv in levels
     ]
     out = config.out
     out.mkdir(parents=True, exist_ok=True)

@@ -2,9 +2,10 @@
 
 Levels are indexed by nonempty sets of cover ids.  A level's vertices are
 the tuples of cover elements (one per cover) with nonempty intersection;
-the intersection is the vertex's wedge.  The flag complex fills in every
-clique of pairwise-intersecting wedges, the nerve only the cliques whose
-wedges share a point; one clique search enumerates both.  A complex is its
+the intersection is the vertex's wedge, held as a point bitmask.  The flag
+complex fills in every clique of pairwise-intersecting wedges, the nerve
+only the cliques whose wedges share a point; one clique search enumerates
+both.  A complex is its
 full downward-closed simplex set, as a tuple in lexicographic order.
 
 A map between levels is its vertex map, a tuple whose entry v is the image
@@ -19,7 +20,7 @@ from operator import and_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GuardExceeded
-from .ground import CoverFamily, CoverId, ElementId, PointId
+from .ground import CoverFamily, CoverId, ElementId
 from .records import Record
 
 DEFAULT_MAX_DIM = 8
@@ -61,7 +62,7 @@ class LambdaIndex(Record):
 
 class Vertex(Record):
     """One element choice per cover of the level, in cover id order, with
-    the cached wedge.
+    the cached wedge as a point bitmask: bit x is set when x lies in it.
 
     Identity is the tuple of element ids; distinct vertices may share a
     wedge and stay distinct.
@@ -69,7 +70,7 @@ class Vertex(Record):
 
     __slots__ = ("elements", "wedge")
 
-    def __init__(self, elements: tuple[ElementId, ...], wedge: frozenset[PointId]) -> None:
+    def __init__(self, elements: tuple[ElementId, ...], wedge: int) -> None:
         if not wedge:
             raise ValueError("vertex wedge must be nonempty")
         Record.__init__(self, elements, wedge)
@@ -126,8 +127,7 @@ def unmapped(
     A subset of the source decides simpliciality when every source simplex
     is a face of one of its members, such as the source's point fibers.
     """
-    wedges = [sum(1 << x for x in v.wedge) for v in target]
-    image = [wedges[w] for w in vertex_map]  # each source vertex's image wedge, as a point bitmask
+    image = [target[w].wedge for w in vertex_map]  # each source vertex's image wedge
     for s in simplices:
         if not reduce(and_, map(image.__getitem__, s)):
             return s
@@ -148,19 +148,20 @@ def build_vertices(family: CoverFamily, lam: LambdaIndex) -> list[Vertex]:
     cover sizes.
     """
     covers = [family.covers[i] for i in lam.cover_ids]
-    wedges: dict[tuple[ElementId, ...], list[PointId]] = {}
+    wedges: dict[tuple[ElementId, ...], int] = {}
     for x in family.ground.points:
+        bit = 1 << x
         rows = [[e.id for e in c.elements_containing(x)] for c in covers]
         for choice in product(*rows):
-            wedges.setdefault(choice, []).append(x)
-    return [Vertex(choice, frozenset(wedges[choice])) for choice in sorted(wedges)]
+            wedges[choice] = wedges.get(choice, 0) | bit
+    return [Vertex(choice, wedges[choice]) for choice in sorted(wedges)]
 
 
 def point_fibers(vertices: Sequence[Vertex], n_points: int) -> list[tuple[int, ...]]:
     """Per point x, the ids of the vertices whose wedge contains x, ascending."""
     fibers: list[list[int]] = [[] for _ in range(n_points)]
     for i, v in enumerate(vertices):
-        for x in v.wedge:
+        for x in members(v.wedge):
             fibers[x].append(i)
     return [tuple(f) for f in fibers]
 
@@ -262,40 +263,36 @@ def clique_number(adjacency: Sequence[int], cap: int) -> int:
 def build_nerve(
     lam: LambdaIndex, adjacency: Sequence[int], fibers: Sequence[tuple[int, ...]], max_dim: int
 ) -> Complex:
-    """Nerve of a level: the cliques of ``adjacency`` whose wedges, read as
-    point bitmasks from ``fibers`` (``point_fibers`` of the vertices), share
-    a point.  A nerve simplex lies in a fiber, so the fiber guard bounds it
-    and the search enters no other clique."""
-    return build_complexes(lam, adjacency, fibers, max_dim, prune=True)[1]
-
-
-def build_complexes(
-    lam: LambdaIndex, adjacency: Sequence[int], fibers: Sequence[tuple[int, ...]], max_dim: int,
-    prune: bool = False,
-) -> tuple[Complex, Complex]:
-    """A level's flag complex and nerve from one search, which guards the
-    flag complex only (a fiber past the guard is a clique past it).  A
-    nerve is downward closed, so it is the part of the flag complex's
-    lexicographic order whose wedges share a point (Zomorodian, "Fast
-    construction of the Vietoris-Rips complex", 2010)."""
-    wedges = [0] * len(adjacency)
+    """Nerve of a level, or of a core on its own vertex ids: the cliques of
+    ``adjacency`` that lie in one of the point fibers ``fibers``.  A nerve
+    simplex lies in a fiber, so the fiber guard bounds it and the search
+    enters no other clique."""
+    wedges = [0] * len(adjacency)  # per vertex, the points whose fibers hold it
     for x, carrier in enumerate(fibers):
-        if prune and len(carrier) > max_dim + 1:
+        if len(carrier) > max_dim + 1:
             raise GuardExceeded(
                 f"{_level_name(lam)}: point {x} lies in a fiber of {len(carrier)} wedges,"
                 f" past the dimension guard (max_dim {max_dim} allows {max_dim + 1})"
             )
         for v in carrier:
             wedges[v] |= 1 << x
-    return _all_cliques(adjacency, wedges, max_dim, _level_name(lam) + ": ", prune)
+    return _all_cliques(adjacency, wedges, max_dim, _level_name(lam) + ": ")[1]
 
 
-def carrier_wedge(vertices: Sequence[Vertex], carrier: Sequence[int]) -> frozenset[PointId]:
-    """Intersection of the carrier vertices' wedges; empty off the nerve."""
-    out = vertices[carrier[0]].wedge
-    for v in carrier[1:]:
-        out = out & vertices[v].wedge
-    return frozenset(out)
+def build_complexes(
+    lam: LambdaIndex, adjacency: Sequence[int], wedges: Sequence[int], max_dim: int
+) -> tuple[Complex, Complex]:
+    """A level's flag complex and nerve, given its vertices' wedges, from
+    one search, which guards the flag complex only (a fiber past the guard
+    is a clique past it).  A nerve is downward closed, so it is the part of
+    the flag complex's lexicographic order whose wedges share a point
+    (Zomorodian, "Fast construction of the Vietoris-Rips complex", 2010)."""
+    return _all_cliques(adjacency, wedges, max_dim, _level_name(lam) + ": ", False)
+
+
+def carrier_wedge(vertices: Sequence[Vertex], carrier: Sequence[int]) -> int:
+    """Intersection of the carrier vertices' wedges; 0 off the nerve."""
+    return reduce(and_, [vertices[v].wedge for v in carrier])
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +304,7 @@ def complex_to_json(lam: LambdaIndex, vertices: Sequence[Vertex], cx: Complex, f
     ``flag`` tells the flag complex from the nerve."""
     return {
         "lambda": list(lam.cover_ids),
-        "vertices": [{"tuple": list(v.elements), "wedge": sorted(v.wedge)} for v in vertices],
+        "vertices": [{"tuple": list(v.elements), "wedge": members(v.wedge)} for v in vertices],
         "simplices": cx,
         "flag": flag,
     }

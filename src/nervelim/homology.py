@@ -253,11 +253,10 @@ def nerve_core(level: Level, max_dim: int) -> NerveCore:
     Dropping such a point leaves the nerve as it is, and dropping such a
     vertex is a strong collapse.  The core is the nerve of what is left: a
     subcomplex of the level nerve with its homotopy type."""
-    wedges = [0] * len(level.vertices)
+    wedges = [v.wedge for v in level.vertices]
     carriers = [0] * len(level.fibers)
     for x, fiber in enumerate(level.fibers):
         for v in fiber:
-            wedges[v] |= 1 << x
             carriers[x] |= 1 << v
     kept, points = (1 << len(wedges)) - 1, (1 << len(carriers)) - 1
     dominator: dict[int, int] = {}

@@ -10,7 +10,9 @@ built from the top.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
+from operator import and_
 from typing import NamedTuple, Sequence
 
 from .complexes import (
@@ -21,6 +23,7 @@ from .complexes import (
     build_flag,
     build_vertices,
     carrier_wedge,
+    members,
     point_fibers,
     unmapped,
     unmapped_edge,
@@ -165,7 +168,7 @@ def canonical_map(system: InverseSystem, i: int, x: PointId) -> tuple[int, ...]:
     """
     level = system.levels[i]
     fiber = level.fibers[x]
-    if x not in carrier_wedge(level.vertices, fiber):
+    if not carrier_wedge(level.vertices, fiber) >> x & 1:
         raise AssertionError("canonical support must span a nerve simplex at the point")
     return fiber
 
@@ -174,23 +177,20 @@ def canonical_thread(system: InverseSystem, x: PointId) -> tuple[tuple[int, ...]
     return tuple(canonical_map(system, i, x) for i in range(len(system.levels)))
 
 
-def thread_image(system: InverseSystem, z: tuple) -> frozenset[PointId]:
+def thread_image(system: InverseSystem, z: tuple) -> int:
     """Intersect the carrier wedges of all levels of the thread: its
-    finite-level image.  The thread is resolved when that is one point.
+    finite-level image, as a point bitmask.  The thread is resolved when
+    that is one point.
 
     An entry is a vertex id or a carrier tuple.  A carrier that only spans
-    a flag simplex (not a nerve one) yields the empty set: a carrier spans
-    a nerve simplex exactly when its wedges share a point.
+    a flag simplex (not a nerve one) yields 0: a carrier spans a nerve
+    simplex exactly when its wedges share a point.
     """
-    common: frozenset[PointId] | None = None
-    for level, entry in zip(system.levels, z):
-        if isinstance(entry, tuple):
-            wedge = carrier_wedge(level.vertices, entry)
-        else:
-            wedge = level.vertices[entry].wedge
-        common = wedge if common is None else common & wedge
-    assert common is not None
-    return frozenset(common)
+    return reduce(and_, [
+        carrier_wedge(level.vertices, entry) if isinstance(entry, tuple)
+        else level.vertices[entry].wedge
+        for level, entry in zip(system.levels, z)
+    ])
 
 
 def check_section_identity(system: InverseSystem) -> Report:
@@ -199,8 +199,8 @@ def check_section_identity(system: InverseSystem) -> Report:
     unresolved = []
     for x in system.family.ground.points:
         image = thread_image(system, canonical_thread(system, x))
-        if image != {x}:
-            unresolved.append({"point": x, "image": sorted(image)})
+        if image != 1 << x:
+            unresolved.append({"point": x, "image": members(image)})
     return Report(
         "section_identity",
         not unresolved,
@@ -240,9 +240,7 @@ def check_fibers(system: InverseSystem) -> Report:
             bad = {"point": x, "lam": list(lam.cover_ids), "mu": list(mu.cover_ids)}
             break
         if t is not None:
-            through_x = {
-                z[t] for z, pts in zip(threads, images) if x in pts
-            }
+            through_x = {z[t] for z, pts in zip(threads, images) if pts >> x & 1}
             if through_x != set(system.levels[t].fibers[x]):
                 bad = {"point": x, "reason": "top fiber not realized by threads"}
                 break
@@ -270,7 +268,8 @@ def check_homotopy(system: InverseSystem) -> Report:
     t = _top(system)
     top = system.levels[t]
     resolved = [
-        x for x in system.family.ground.points if carrier_wedge(top.vertices, top.fibers[x]) == {x}
+        x for x in system.family.ground.points
+        if carrier_wedge(top.vertices, top.fibers[x]) == 1 << x
     ]
     if not resolved:
         raise PreconditionUnmet(
@@ -378,7 +377,7 @@ def wedge_graph(vertices: Sequence[Vertex]) -> list[int]:
     not go through the point fibers the complexes are built from."""
     adj = [0] * len(vertices)
     for (a, v), (b, w) in combinations(enumerate(vertices), 2):
-        if not v.wedge.isdisjoint(w.wedge):
+        if v.wedge & w.wedge:
             adj[a] |= 1 << b
             adj[b] |= 1 << a
     return adj
@@ -387,7 +386,7 @@ def wedge_graph(vertices: Sequence[Vertex]) -> list[int]:
 def wedge_fibers(vertices: Sequence[Vertex], n_points: int) -> list[tuple[int, ...]]:
     """Per ground point, the ids of the vertices whose wedge contains it,
     read point by point from the wedges rather than by ``point_fibers``."""
-    return [tuple(i for i, v in enumerate(vertices) if x in v.wedge) for x in range(n_points)]
+    return [tuple(i for i, v in enumerate(vertices) if v.wedge >> x & 1) for x in range(n_points)]
 
 
 def check_flag_reconstruction(system: InverseSystem) -> Report:

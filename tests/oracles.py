@@ -10,7 +10,8 @@ on their cores, and the two clique searches that built a level's flag
 complex and nerve one after the other.  So are the flag reconstruction
 and skeleton checks that rebuilt and compared every complex, from before
 they compared the builders' inputs; a level's own complexes come from ``conftest``'s
-``level_flag`` and ``level_nerve``.
+``level_flag`` and ``level_nerve``.  Each vertex's wedge is read here as a
+point set too, as vertices held it before it was a point bitmask.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ def complex_from_json(data: dict) -> Complex:
         for v in data["vertices"]:
             if len(v["tuple"]) != width:
                 raise ValueError("one element per cover id required")
-            Vertex(tuple(v["tuple"]), frozenset(v["wedge"]))  # checks the wedge
+            Vertex(tuple(v["tuple"]), point_mask(v["wedge"]))  # checks the wedge
         if len(data["vertices"]) != n:
             raise ValueError("vertex list length mismatch")
     return listed
@@ -236,6 +237,25 @@ def sphere_boundary_complex() -> Complex:
 # brute-force complex construction from covers
 
 
+def point_mask(points: Iterable[PointId]) -> int:
+    """A set of points as a point bitmask: bit x is set when x is in it."""
+    return sum(1 << x for x in set(points))
+
+
+def element_wedges(
+    family: CoverFamily, lam: LambdaIndex, vertices: Sequence[Vertex]
+) -> list[frozenset[PointId]]:
+    """Each vertex's wedge as a point set: the intersection of the point
+    sets of its chosen elements, one per cover of the level.  This is the
+    wedge as vertices held it before it was a point bitmask, read from the
+    covers and not from ``build_vertices``."""
+    covers = [family.covers[i] for i in lam.cover_ids]
+    return [
+        frozenset.intersection(*(c.elements[e].pointset for c, e in zip(covers, v.elements)))
+        for v in vertices
+    ]
+
+
 def brute_vertices(pointsets_per_cover: list[list[frozenset[int]]]) -> list[tuple[tuple[int, ...], frozenset[int]]]:
     """All element-index tuples with nonempty intersection, lex order."""
     out = []
@@ -334,7 +354,7 @@ def product_scan_vertices(family: CoverFamily, lam: LambdaIndex) -> list[Vertex]
     for choice in product(*(c.elements for c in covers)):
         wedge = frozenset.intersection(*(e.pointset for e in choice))
         if wedge:
-            out.append(Vertex(tuple(e.id for e in choice), wedge))
+            out.append(Vertex(tuple(e.id for e in choice), point_mask(wedge)))
     return out
 
 
@@ -729,8 +749,8 @@ def point_thread(
     return tuple(push_point(system.bond(i, t), top_point) for i in range(len(system.levels)))
 
 
-def point_image(system: InverseSystem, z: tuple[BarycentricPoint, ...]) -> frozenset[PointId]:
-    """The image of a point thread, read from its carriers."""
+def point_image(system: InverseSystem, z: tuple[BarycentricPoint, ...]) -> int:
+    """The image of a point thread, read from its carriers, as a point bitmask."""
     return thread_image(system, tuple(point.carrier for point in z))
 
 
@@ -740,9 +760,9 @@ def fiber_homotopy(
     """Levelwise convex combination pulling a thread onto its canonical
     image without moving its ground point."""
     image = point_image(system, z)
-    if len(image) != 1:
+    if image.bit_count() != 1:
         raise ValueError("thread image is not a single ground point")
-    (x,) = image
+    x = image.bit_length() - 1
     entries = []
     for i, (level, point) in enumerate(zip(system.levels, z)):
         target = canonical_point(system, i, x)
@@ -769,7 +789,7 @@ def sampled_check_homotopy(system: InverseSystem, count: int, seed: int) -> Repo
         point = BarycentricPoint.from_dict({v: w / total for v, w in zip(s, weights)})
         z = point_thread(system, point)
         image = point_image(system, z)
-        if len(image) == 1:
+        if image.bit_count() == 1:
             threads.append((z, image))
     if len(threads) < count:
         return Report(
@@ -780,7 +800,7 @@ def sampled_check_homotopy(system: InverseSystem, count: int, seed: int) -> Repo
     stages = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
     bad = None
     for i, (z, image) in enumerate(threads):
-        (x,) = image
+        x = image.bit_length() - 1
         # Whether a stage raises does not depend on t, so computing every
         # stage up front raises exactly where the t=0 endpoint test would.
         moved = [fiber_homotopy(system, z, t) for t in stages]

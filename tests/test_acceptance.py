@@ -116,7 +116,7 @@ def test_criterion_4_fiber_formula(preset_systems):
                         assert image <= set(fibers[i])
                 # the top fiber is realized by exactly the threads through x
                 through = {
-                    threads[i][t] for i in range(len(threads)) if x in images[i]
+                    threads[i][t] for i in range(len(threads)) if images[i] >> x & 1
                 }
                 assert through == set(fibers[t])
 

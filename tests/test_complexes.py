@@ -25,6 +25,7 @@ from oracles import (
     fiber_subset_nerve,
     from_maximal,
     k_simplices,
+    point_mask,
     product_weights,
     push_point,
     set_clique_flag,
@@ -107,7 +108,7 @@ def test_vertices_single_cover():
     family = pointset_family(space, [[{0, 1}, {2}]])
     verts = build_vertices(family, LambdaIndex.of([0]))
     assert [v.elements for v in verts] == [(0,), (1,)]
-    assert verts[0].wedge == frozenset({0, 1})
+    assert verts[0].wedge == point_mask({0, 1})
 
 
 def test_vertices_grid10_mixed_covers():
@@ -139,7 +140,7 @@ def test_duplicate_wedges_stay_distinct():
     family = pointset_family(space, [[{0, 1}], [{0, 1}, {1}]])
     verts = build_vertices(family, LambdaIndex.of([0, 1]))
     assert len(verts) == 2
-    assert verts[0].wedge == frozenset({0, 1})
+    assert verts[0].wedge == point_mask({0, 1})
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +273,10 @@ def test_carrier_wedge_cases(arcs3_family):
     verts = build_level(arcs3_family, LambdaIndex.of([0])).vertices
     assert carrier_wedge(verts, vertex_point(0).carrier) == verts[0].wedge
     inside = BarycentricPoint.from_dict({0: F(1, 3), 1: F(1, 3), 2: F(1, 3)})
-    assert carrier_wedge(verts, inside.carrier) == frozenset()
+    assert carrier_wedge(verts, inside.carrier) == 0
     on_edge = BarycentricPoint.from_dict({0: F(1, 2), 1: F(1, 2)})
     assert carrier_wedge(verts, on_edge.carrier) == verts[0].wedge & verts[1].wedge
-    assert len(carrier_wedge(verts, on_edge.carrier)) == 3
+    assert carrier_wedge(verts, on_edge.carrier).bit_count() == 3
 
 
 def test_carrier_wedge_empty_exactly_off_nerve(arcs3_family):
@@ -287,7 +288,7 @@ def test_carrier_wedge_empty_exactly_off_nerve(arcs3_family):
         share = F(1, len(s))
         point = BarycentricPoint.from_dict({v: share for v in s})
         wedge = carrier_wedge(level.vertices, point.carrier)
-        assert (wedge != frozenset()) == (s in nerve)
+        assert (wedge != 0) == (s in nerve)
 
 
 def test_barycentric_validation():
@@ -382,7 +383,7 @@ def test_product_weights_multiply_and_sum_to_one():
         for vid, v in enumerate(verts):
             assert w[v] == (F(1, len(fibers[x])) if vid in fibers[x] else 0)
             if w[v] > 0:
-                assert x in v.wedge
+                assert v.wedge >> x & 1
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +397,8 @@ def test_complexes_match_brute_force(data):
     pointsets = [[frozenset(s) for s in sets] for sets in lists]
     expected_vertices = brute_vertices(pointsets)
     verts = build_vertices(family, lam)
-    assert [(v.elements, v.wedge) for v in verts] == expected_vertices
+    masks = [(c, point_mask(w)) for c, w in expected_vertices]
+    assert [(v.elements, v.wedge) for v in verts] == masks
 
     wedges = [w for _, w in expected_vertices]
     level = build_level(family, lam, max_dim=30)
@@ -438,18 +440,20 @@ def test_clique_search_matches_set_builders(data, max_dim):
         assert cx == expected
 
 
-def assert_one_search_matches_two(lam, adjacency, fibers, max_dim):
-    """``build_complexes`` against the two-search oracle: the same pair,
-    the nerve the flag complex's own tuple exactly when the two are equal,
-    and the same guard message where the oracle raises.  Whether the nerve
-    is the flag complex's tuple, or None past the guard."""
+def assert_one_search_matches_two(lam, adjacency, vertices, fibers, max_dim):
+    """``build_complexes`` on the vertices' wedges against the two-search
+    oracle on their point fibers: the same pair, the nerve the flag
+    complex's own tuple exactly when the two are equal, and the same guard
+    message where the oracle raises.  Whether the nerve is the flag
+    complex's tuple, or None past the guard."""
+    wedges = [v.wedge for v in vertices]
     try:
         expected = two_search_build(lam, adjacency, fibers, max_dim)
     except GuardExceeded as e:
         with pytest.raises(GuardExceeded, match=f"^{re.escape(str(e))}$"):
-            build_complexes(lam, adjacency, fibers, max_dim)
+            build_complexes(lam, adjacency, wedges, max_dim)
         return None
-    flag, nerve = build_complexes(lam, adjacency, fibers, max_dim)
+    flag, nerve = build_complexes(lam, adjacency, wedges, max_dim)
     assert (flag, nerve) == expected
     assert (nerve is flag) == (nerve == flag)
     return nerve is flag
@@ -466,12 +470,14 @@ def test_one_search_matches_two_searches(data, max_dim):
     lam = LambdaIndex.of(range(len(lists)))
     verts = build_vertices(family, lam)
     fibers = point_fibers(verts, family.ground.n_points)
-    assert_one_search_matches_two(lam, wedge_adjacency(fibers, len(verts)), fibers, max_dim)
+    assert_one_search_matches_two(lam, wedge_adjacency(fibers, len(verts)), verts, fibers, max_dim)
 
 
 def test_one_search_matches_two_searches_on_presets(preset_systems):
     shared = [
-        assert_one_search_matches_two(level.lam, level.adjacency, level.fibers, system.max_dim)
+        assert_one_search_matches_two(
+            level.lam, level.adjacency, level.vertices, level.fibers, system.max_dim
+        )
         for _, _, system in preset_systems.values()
         for level in system.levels
     ]
@@ -488,7 +494,7 @@ def test_nerve_alone_never_meets_the_flag_guard():
     adjacency = wedge_adjacency(fibers, len(verts))
     message = "level {0}: a clique of 3 vertices exceeds the dimension guard (max_dim 1 allows 2)"
     for build in (lambda: build_flag(lam, adjacency, 1),
-                  lambda: build_complexes(lam, adjacency, fibers, 1)):
+                  lambda: build_complexes(lam, adjacency, [v.wedge for v in verts], 1)):
         with pytest.raises(GuardExceeded, match=f"^{re.escape(message)}$"):
             build()
     assert build_nerve(lam, adjacency, fibers, 1) == ((0,), (0, 1), (0, 2), (1,), (1, 2), (2,))
@@ -506,15 +512,20 @@ def test_one_search_guard_matches_two_searches_on_circle_24_thick(max_dim):
     )
     levels = build_system(family, None, max_dim).levels
     raised = []
-    for build in (two_search_build, build_complexes):
+    for build in (
+        lambda lv: two_search_build(lv.lam, lv.adjacency, lv.fibers, max_dim),
+        lambda lv: build_complexes(lv.lam, lv.adjacency, [v.wedge for v in lv.vertices], max_dim),
+    ):
         with pytest.raises(GuardExceeded) as e:
             for level in levels:
-                build(level.lam, level.adjacency, level.fibers, max_dim)
+                build(level)
         raised.append(str(e.value))
     assert raised[0] == raised[1]
     assert raised[0].endswith(f"exceeds the dimension guard (max_dim {max_dim} allows {max_dim + 1})")
     for level in levels:
-        assert_one_search_matches_two(level.lam, level.adjacency, level.fibers, max_dim)
+        assert_one_search_matches_two(
+            level.lam, level.adjacency, level.vertices, level.fibers, max_dim
+        )
 
 
 @given(family_and_lambda() | planted_triangles())
@@ -569,7 +580,7 @@ def test_complex_json_round_trip(arcs3_family):
     assert again == flag
     assert data["flag"] is True and data["lambda"] == [0]
     assert [tuple(v["tuple"]) for v in data["vertices"]] == [v.elements for v in level.vertices]
-    assert [frozenset(v["wedge"]) for v in data["vertices"]] == [v.wedge for v in level.vertices]
+    assert [point_mask(v["wedge"]) for v in data["vertices"]] == [v.wedge for v in level.vertices]
 
 
 def test_complex_json_without_vertices():

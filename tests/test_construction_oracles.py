@@ -17,6 +17,7 @@ from oracles import full_bond_check, full_check_simpliciality, product_scan_vert
 from nervelim.complexes import (
     LambdaIndex,
     build_vertices,
+    members,
     point_fibers,
     unmapped,
     unmapped_edge,
@@ -149,5 +150,5 @@ def test_cantor_d6_top_level_has_64_vertices():
     verts = build_vertices(family, LambdaIndex.of(range(6)))
     assert len(verts) == 64
     # each point is the whole wedge of exactly one vertex
-    assert sorted(p for v in verts for p in v.wedge) == list(space.points)
+    assert sorted(p for v in verts for p in members(v.wedge)) == list(space.points)
 

@@ -15,6 +15,11 @@ these tests require the sampled verdicts to equal the exact ones.  The
 benchmark families built here also check Betti stabilization on the cores
 against the full complexes, and the flag reconstruction and skeleton
 checks against rebuilding and comparing every complex.
+
+Each vertex's wedge is a point bitmask.  ``oracles.element_wedges`` reads
+it as a point set, the intersection of the chosen elements' point sets,
+and these tests require every reader of the masks (the vertices,
+``carrier_wedge`` and ``thread_image``) to agree with it.
 """
 
 from __future__ import annotations
@@ -28,11 +33,12 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import oracles
-from conftest import level_flag, level_nerve
+from conftest import family_and_lambda, level_flag, level_nerve, planted_triangles
 from oracles import (
     BarycentricPoint,
     canonical_point,
     converge,
+    element_wedges,
     full_betti_stabilization,
     full_check_flag_reconstruction,
     full_check_skeleton_equality,
@@ -54,7 +60,13 @@ from oracles import (
 )
 from nervelim.errors import GuardExceeded, PreconditionUnmet
 from nervelim.cells import cauchy_sweep, equivalence_classes
-from nervelim.complexes import LambdaIndex, build_complexes, carrier_wedge, clique_number
+from nervelim.complexes import (
+    LambdaIndex,
+    build_complexes,
+    carrier_wedge,
+    clique_number,
+    members,
+)
 from nervelim.ground import (
     CantorDepth,
     CircleGrid,
@@ -70,9 +82,11 @@ from nervelim.presets import PRESETS
 from nervelim.systems import (
     build_system,
     canonical_map,
+    canonical_thread,
     check_flag_reconstruction,
     check_homotopy,
     check_skeleton_equality,
+    thread_image,
     vertex_thread,
     vertex_threads,
 )
@@ -262,9 +276,10 @@ def test_clique_numbers_and_thread_classes_on_benchmark_families(benchmark_syste
 def test_one_search_build_matches_two_searches_on_benchmark_families(benchmark_systems, name):
     system = benchmark_systems[name]
     for level in system.levels:
-        args = (level.lam, level.adjacency, level.fibers, system.max_dim)
-        flag, nerve = build_complexes(*args)
-        assert (flag, nerve) == two_search_build(*args), level.lam
+        wedges = [v.wedge for v in level.vertices]
+        flag, nerve = build_complexes(level.lam, level.adjacency, wedges, system.max_dim)
+        expected = two_search_build(level.lam, level.adjacency, level.fibers, system.max_dim)
+        assert (flag, nerve) == expected, level.lam
         assert (nerve is flag) == (nerve == flag), level.lam
 
 
@@ -276,6 +291,41 @@ def test_cores_match_full_complexes_on_benchmark_families(benchmark_systems, nam
     chain = [system.position[LambdaIndex.of(range(k))] for k in range(1, n + 1)]
     table = betti_stabilization(system, chain)
     assert table.to_json() == full_betti_stabilization(system, chain)
+
+
+def _assert_wedge_masks_match_element_sets(system):
+    """Each vertex's wedge, ``carrier_wedge`` on every point fiber and flag
+    simplex, and ``thread_image`` on every canonical and vertex thread,
+    against the wedges read as point sets from the covers."""
+    sets = [element_wedges(system.family, lv.lam, lv.vertices) for lv in system.levels]
+    for level, wedges in zip(system.levels, sets):
+        assert [members(v.wedge) for v in level.vertices] == [sorted(w) for w in wedges]
+        for s in [*level.fibers, *level_flag(level, system.max_dim)]:
+            expected = frozenset.intersection(*(wedges[v] for v in s))
+            assert members(carrier_wedge(level.vertices, s)) == sorted(expected), s
+    threads = [canonical_thread(system, x) for x in system.family.ground.points]
+    threads += vertex_threads(system)
+    for z in threads:
+        carriers = (entry if isinstance(entry, tuple) else (entry,) for entry in z)
+        expected = frozenset.intersection(
+            *(wedges[v] for wedges, s in zip(sets, carriers) for v in s)
+        )
+        assert members(thread_image(system, z)) == sorted(expected), z
+
+
+@given(family_and_lambda() | planted_triangles())
+def test_wedge_masks_match_element_sets_on_generated_families(data):
+    _assert_wedge_masks_match_element_sets(build_system(data[0], max_dim=30))
+
+
+def test_wedge_masks_match_element_sets_on_presets(preset_systems):
+    for _, _, system in preset_systems.values():
+        _assert_wedge_masks_match_element_sets(system)
+
+
+@pytest.mark.parametrize("name", list(BENCHMARK_SYSTEMS))
+def test_wedge_masks_match_element_sets_on_benchmark_families(benchmark_systems, name):
+    _assert_wedge_masks_match_element_sets(benchmark_systems[name])
 
 
 def test_resolved_points_of_presets(preset_systems):
@@ -316,8 +366,8 @@ def test_samples_follow_the_exact_rules(system, seed):
         point = BarycentricPoint.from_dict({v: w / sum(weights) for v, w in zip(s, weights)})
         image = point_image(system, point_thread(system, point))
         assert image == carrier_wedge(top.vertices, s)
-        if len(image) == 1:
-            (x,) = image
+        if image.bit_count() == 1:
+            x = image.bit_length() - 1
             assert x in resolved and set(s) <= set(top.fibers[x])
 
 

@@ -140,7 +140,7 @@ def test_parameter_reprs_name_their_fields():
         (lambda: LambdaIndex(()), "level index must be nonempty"),
         (lambda: LambdaIndex((1, 0)), "sorted and deduplicated"),
         (lambda: LambdaIndex((0, 0)), "sorted and deduplicated"),
-        (lambda: Vertex((0,), frozenset()), "vertex wedge must be nonempty"),
+        (lambda: Vertex((0,), 0), "vertex wedge must be nonempty"),
         (lambda: CoverElement(0, frozenset()), "cover elements must be nonempty"),
         (lambda: Cover(0, (_element(1, {0}),)), "element ids must be 0..k-1"),
         (lambda: GroundSpace(0), "at least one point"),

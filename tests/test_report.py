@@ -92,7 +92,10 @@ def test_level_files_match_json_dumps_at_scale():
         space,
     )
     system = build_system(family, None, 16)
-    built = [build_complexes(lv.lam, lv.adjacency, lv.fibers, system.max_dim) for lv in system.levels]
+    built = [
+        build_complexes(lv.lam, lv.adjacency, [v.wedge for v in lv.vertices], system.max_dim)
+        for lv in system.levels
+    ]
     assert max(len(nerve) for _, nerve in built) >= 5000
     # as build writes them: each nerve is its flag complex's own tuple here
     assert all(nerve is flag for flag, nerve in built)

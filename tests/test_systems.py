@@ -17,13 +17,14 @@ from oracles import (
     is_compatible,
     k_simplices,
     point_image,
+    point_mask,
     point_thread,
     push_point,
     sampled_check_homotopy,
     vertex_point,
 )
 from nervelim import systems
-from nervelim.complexes import LambdaIndex
+from nervelim.complexes import LambdaIndex, members
 from nervelim.errors import PreconditionUnmet
 from nervelim.ground import (
     Arcs,
@@ -153,7 +154,7 @@ def test_canonical_map_support_contains_point(interval_system):
     for i, level in enumerate(interval_system.levels):
         for x in interval_system.family.ground.points:
             for vid in canonical_map(interval_system, i, x):
-                assert x in level.vertices[vid].wedge
+                assert level.vertices[vid].wedge >> x & 1
 
 
 def _canonical_maps_commute_with_bonds(system):
@@ -179,7 +180,7 @@ def test_canonical_thread_is_compatible(interval_system):
 
 def test_thread_image_cantor_resolved(cantor_system):
     z = vertex_thread(cantor_system, 0)
-    assert thread_image(cantor_system, z) == {0}
+    assert thread_image(cantor_system, z) == point_mask({0})
 
 
 def test_thread_image_off_nerve(circle_system):
@@ -188,8 +189,8 @@ def test_thread_image_off_nerve(circle_system):
     interior = BarycentricPoint.from_dict({0: F(1, 3), 1: F(1, 3), 2: F(1, 3)})
     assert interior.carrier in level_flag(system_one.levels[0], system_one.max_dim)
     z = point_thread(system_one, interior)
-    assert point_image(system_one, z) == frozenset()
-    assert thread_image(system_one, (interior.carrier,)) == frozenset()
+    assert point_image(system_one, z) == 0
+    assert thread_image(system_one, (interior.carrier,)) == 0
 
 
 def test_thread_image_unresolved_overlap():
@@ -197,7 +198,7 @@ def test_thread_image_unresolved_overlap():
     family = CoverFamily((cover_from_pointsets(0, [{0, 1, 2}, {1, 2}]),), space)
     system = build_system(family)
     z = vertex_thread(system, 1)
-    assert thread_image(system, z) == {1, 2}
+    assert thread_image(system, z) == point_mask({1, 2})
 
 
 def test_incompatible_thread_detected(cantor_system):
@@ -262,7 +263,7 @@ def test_fiber_projection_inclusion(preset_systems):
 def test_homotopy_endpoints(cantor_system):
     z = point_thread(cantor_system, vertex_point(2))
     assert fiber_homotopy(cantor_system, z, F(0)) == z
-    (x,) = point_image(cantor_system, z)
+    (x,) = members(point_image(cantor_system, z))
     assert fiber_homotopy(cantor_system, z, F(1)) == canonical_points(cantor_system, x)
 
 
@@ -273,7 +274,7 @@ def test_homotopy_preserves_image(interval_system):
     point = BarycentricPoint.from_dict({edge[0]: F(1, 3), edge[1]: F(2, 3)})
     z = point_thread(interval_system, point)
     base = point_image(interval_system, z)
-    assert len(base) == 1
+    assert base.bit_count() == 1
     for t in (F(0), F(1, 4), F(1, 2), F(3, 4), F(1)):
         moved = fiber_homotopy(interval_system, z, t)
         assert point_image(interval_system, moved) == base
@@ -471,7 +472,7 @@ def test_skeleton_equality_catches_a_missing_fiber_vertex(preset_systems, monkey
         (x, v)
         for x, fib in enumerate(level.fibers)
         for v, w in ((v, w) for v in fib for w in fib if v != w)
-        if level.vertices[v].wedge & level.vertices[w].wedge == {x}
+        if level.vertices[v].wedge & level.vertices[w].wedge == 1 << x
     )
     point_fibers = systems.point_fibers
 
@@ -497,7 +498,7 @@ def test_skeleton_equality_catches_a_nerve_edge_missing_from_the_fibers(preset_s
         (x, v, w)
         for x, fib in enumerate(level.fibers)
         for v, w in ((v, w) for v in fib for w in fib if v < w)
-        if level.vertices[v].wedge & level.vertices[w].wedge == {x}
+        if level.vertices[v].wedge & level.vertices[w].wedge == 1 << x
     )
     fibers = list(level.fibers)
     fibers[x] = tuple(u for u in fibers[x] if u != v)
@@ -569,7 +570,7 @@ def test_random_system_section_contains_point(system):
     # the image of the canonical thread always contains its point, even
     # when the family does not resolve it to a singleton
     for x in system.family.ground.points:
-        assert x in thread_image(system, canonical_thread(system, x))
+        assert thread_image(system, canonical_thread(system, x)) >> x & 1
 
 
 @given(random_systems())
