@@ -18,6 +18,10 @@ Each checkout runs, from its own directory under the work directory:
   ``--max-dim 16``, its input written by the checkout's own library: the
   largest family whose nerves are their flag complexes at every level but
   the base one;
+- ``check --checks equivalence_classes,quotient_comparison`` of one-class,
+  three points under one cover of one element, its input written with
+  circle-48's: one thread class for three points, so the comparison fails
+  with "no bijection";
 - ``build`` and ``check`` of circle-24-thick at ``--max-dim 3``.  ``build``
   stops at the clique guard of level {0,1} and exits 2, so a change to the
   clique search is compared on its failure bytes as well; ``check`` runs
@@ -47,20 +51,25 @@ from pathlib import Path
 PRESETS = ("cantor-d3", "interval-g8", "circle-a3612", "circle-a3", "wedge2")
 SAMPLES = ("--seed", "7", "--nets", "1000", "--homotopy-samples", "5")
 
-# writes circle-48's space and covers files into the directory argv[1]
-CIRCLE_48 = """
+# writes the space and covers files of circle-48 and of one-class (3 points
+# under one element) into the directory argv[1]
+WRITE_INPUTS = """
 import sys
 from fractions import Fraction
 from pathlib import Path
-from nervelim.ground import (Arcs, CircleGrid, CoverFamily, family_to_json, generate_cover,
-                             generate_space, space_to_json)
+from nervelim.ground import (Arcs, CircleGrid, CoverFamily, GroundSpace, cover_from_pointsets,
+                             family_to_json, generate_cover, generate_space, space_to_json)
 from nervelim.report import dump_json
+out = Path(sys.argv[1])
 space = generate_space(CircleGrid(), 48)
 arcs = tuple(generate_cover(space, Arcs(n, Fraction(0)), cover_id=i)
              for i, n in enumerate((3, 6, 12, 24)))
-out = Path(sys.argv[1])
 (out / "circle-48.space.json").write_text(dump_json(space_to_json(space)))
 (out / "circle-48.covers.json").write_text(dump_json(family_to_json(CoverFamily(arcs, space))))
+space = GroundSpace(3)
+one = CoverFamily((cover_from_pointsets(0, [{0, 1, 2}]),), space)
+(out / "one-class.space.json").write_text(dump_json(space_to_json(space)))
+(out / "one-class.covers.json").write_text(dump_json(family_to_json(one)))
 """
 
 
@@ -90,9 +99,11 @@ def commands() -> list[tuple[str, ...]]:
          "--out", "circle-24-thick-build"),
         ("check", *_family("circle-24-3812"), "--checks", "betti_stabilization",
          "--max-dim", "16", "--seed", "7", "--out", "circle-24-3812-check"),
-        ("-c", CIRCLE_48, "inputs"),
+        ("-c", WRITE_INPUTS, "inputs"),
         ("build", *_family("circle-48"), "--lambdas", "all", "--max-dim", "16",
          "--out", "circle-48-build"),
+        ("check", *_family("one-class"), "--checks", "equivalence_classes,quotient_comparison",
+         "--out", "one-class-check"),
         ("build", *_family("circle-24-thick"), "--max-dim", "3", "--out", "guard-build"),
         ("check", *_family("circle-24-thick"), "--max-dim", "3", "--out", "guard-check"),
     ]

@@ -11,7 +11,9 @@ complex and nerve one after the other.  So are the flag reconstruction
 and skeleton checks that rebuilt and compared every complex, from before
 they compared the builders' inputs; a level's own complexes come from ``conftest``'s
 ``level_flag`` and ``level_nerve``.  Each vertex's wedge is read here as a
-point set too, as vertices held it before it was a point bitmask.
+point set too, as vertices held it before it was a point bitmask.  The
+quotient comparison keeps here the tests it made after its bijection
+test, which the bijection decides on every system ``build_system`` makes.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from nervelim.complexes import (
     graph_edges,
     members,
 )
-from nervelim.cells import EquivalenceResult, QuotientSpace
+from nervelim.cells import EquivalenceResult, QuotientSpace, point_classes
 from nervelim.errors import GuardExceeded
 from nervelim.ground import CoverFamily, PointId
 from nervelim.homology import betti, boundary_matrix, gf2_rank, gf2_reduce
@@ -694,6 +696,76 @@ def pairwise_class_adjacency(
                 pairs.add((ci, cj))
         out[level.lam] = frozenset(pairs)
     return out
+
+
+def full_compare_quotient_to_ground(system: InverseSystem, result: EquivalenceResult) -> Report:
+    """``cells.compare_quotient_to_ground`` as it was before it was cut to
+    its bijection test: after the bijection, each vertex thread must have a
+    singleton image whose point's class is the thread's, and two points
+    must share an element of a level exactly when their classes share a
+    vertex there, read from ``level.fibers``."""
+    quotient = result.quotient
+    if quotient is None:
+        return Report(
+            "quotient_comparison",
+            False,
+            details={"skipped": "thread relation is not transitive"},
+        )
+    t = _top(system)
+    points = list(system.family.ground.points)
+    h = point_classes(system, quotient)
+
+    bijection = len(set(h)) == len(points) == len(quotient.classes)
+    if not bijection:
+        return Report(
+            "quotient_comparison",
+            False,
+            details={"classes": len(quotient.classes), "points": len(points)},
+            counterexample={"reason": "no bijection"},
+        )
+
+    threads = vertex_threads(system)
+    for i, z in enumerate(threads):
+        image = thread_image(system, z)
+        if image.bit_count() != 1:
+            return Report(
+                "quotient_comparison",
+                False,
+                details={"skipped": "a vertex thread has a non-singleton image"},
+            )
+        x = image.bit_length() - 1
+        if h[x] != quotient.class_of[z[t]]:
+            return Report(
+                "quotient_comparison",
+                False,
+                counterexample={"thread": i, "point": x},
+                details={"reason": "class of thread disagrees with its image point"},
+            )
+
+    # Shared-element consistency: x and y lie in a common wedge of the level
+    # exactly when their classes share a vertex there.
+    class_vertices = [
+        [{threads[i][p] for i in cls} for p in range(len(system.levels))]
+        for cls in quotient.classes
+    ]
+    for p, level in enumerate(system.levels):
+        fibers = level.fibers
+        fiber_sets = [set(f) for f in fibers]
+        for x, y in combinations(points, 2):
+            common = not fiber_sets[x].isdisjoint(fibers[y])
+            shared = bool(class_vertices[h[x]][p] & class_vertices[h[y]][p])
+            if common != shared:
+                return Report(
+                    "quotient_comparison",
+                    False,
+                    counterexample={"points": [x, y], "lambda": list(level.lam.cover_ids)},
+                    details={"reason": "shared-element consistency"},
+                )
+    return Report(
+        "quotient_comparison",
+        True,
+        details={"classes": len(quotient.classes), "points": len(points)},
+    )
 
 
 def sweep_every_net(system: InverseSystem, count: int, seed: int) -> Report:

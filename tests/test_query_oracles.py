@@ -11,7 +11,13 @@ reports on every preset.
 keeps the seeded samplers they replaced (whose Cauchy sampler and sweep
 test each distinct net once, and whose ``converge`` searches only the
 closed star of the net's top vertex, against the scans before them), and
-these tests require the sampled verdicts to equal the exact ones.  The
+these tests require the sampled verdicts to equal the exact ones.
+``quotient_comparison`` is decided by its bijection test alone;
+``oracles.full_compare_quotient_to_ground`` keeps the tests it made after
+that one, and these tests require the same reports on the presets, the
+benchmark families, generated families and a seeded sweep of random
+systems.  With one fiber tampered, the two may differ, but only where
+``flag_reconstruction`` fails.  The
 benchmark families built here also check Betti stabilization on the cores
 against the full complexes, and the flag reconstruction and skeleton
 checks against rebuilding and comparing every complex.
@@ -42,6 +48,7 @@ from oracles import (
     full_betti_stabilization,
     full_check_flag_reconstruction,
     full_check_skeleton_equality,
+    full_compare_quotient_to_ground,
     is_cauchy,
     non_max_levels,
     pairwise_class_adjacency,
@@ -59,7 +66,7 @@ from oracles import (
     two_search_build,
 )
 from nervelim.errors import GuardExceeded, PreconditionUnmet
-from nervelim.cells import cauchy_sweep, equivalence_classes
+from nervelim.cells import cauchy_sweep, compare_quotient_to_ground, equivalence_classes
 from nervelim.complexes import (
     LambdaIndex,
     build_complexes,
@@ -71,6 +78,7 @@ from nervelim.ground import (
     CantorDepth,
     CircleGrid,
     CoverFamily,
+    GroundSpace,
     IntervalGrid,
     WedgeOfCircles,
     ball_neighborhoods,
@@ -80,6 +88,7 @@ from nervelim.ground import (
 from nervelim.homology import betti_stabilization
 from nervelim.presets import PRESETS
 from nervelim.systems import (
+    all_lambdas,
     build_system,
     canonical_map,
     canonical_thread,
@@ -167,6 +176,9 @@ def _class_adjacency_matches_pairs(system):
     result = equivalence_classes(system)
     # the pairwise search and the triple scan agree, down to the breaking triple
     assert result == triple_scan_equivalence_classes(system)
+    assert compare_quotient_to_ground(system, result) == full_compare_quotient_to_ground(
+        system, result
+    )
     quotient = result.quotient
     if quotient is not None:
         expected = pairwise_class_adjacency(system, quotient.classes)
@@ -185,6 +197,88 @@ def test_preset_class_adjacency_matches_member_pairs(preset_systems):
         for name, (_, _, system) in preset_systems.items()
     }
     assert quotients["cantor-d3"] and quotients["interval-g8"]
+
+
+def _random_system(rng):
+    """1-8 points under 1-3 covers of 1-4 random elements of 1-3 points
+    each, every point added to some element; half the systems are built on
+    a random selection of levels, which may have no top."""
+    n = rng.randint(1, 8)
+    covers = []
+    for cover_id in range(rng.randint(1, 3)):
+        sets = [
+            set(rng.sample(range(n), rng.randint(1, min(n, 3))))
+            for _ in range(rng.randint(1, 4))
+        ]
+        for p in set(range(n)).difference(*sets):
+            sets[rng.randrange(len(sets))].add(p)
+        covers.append(cover_from_pointsets(cover_id, sets))
+    lambdas = None
+    if rng.random() < 0.5:
+        every = all_lambdas(len(covers))
+        lambdas = rng.sample(every, rng.randint(1, len(every)))
+    return build_system(CoverFamily(tuple(covers), GroundSpace(n)), lambdas)
+
+
+def _quotient_outcome(compare, system):
+    """The comparison's report, or the message of the ``PreconditionUnmet``
+    that it or the thread quotient raises."""
+    try:
+        return compare(system, equivalence_classes(system)).to_json()
+    except PreconditionUnmet as e:
+        return str(e)
+
+
+def test_quotient_comparison_matches_full_comparison_on_random_systems():
+    rng = random.Random(2022)
+    outcomes = set()
+    for _ in range(1000):
+        system = _random_system(rng)
+        outcome = _quotient_outcome(compare_quotient_to_ground, system)
+        assert outcome == _quotient_outcome(full_compare_quotient_to_ground, system)
+        if isinstance(outcome, dict) and outcome["pass"]:
+            outcomes.add("pass")
+        elif isinstance(outcome, dict):
+            outcomes.add(outcome["details"].get("skipped") or outcome["counterexample"]["reason"])
+    assert outcomes == {"pass", "no bijection", "thread relation is not transitive"}
+
+
+def test_quotient_comparisons_differ_only_where_fibers_disagree_with_wedges():
+    # one fiber of one level loses a vertex or gains one; the thread
+    # quotient reads no fiber, so it stays as built
+    rng = random.Random(7)
+    differing = 0
+    for _ in range(2000):
+        system = _random_system(rng)
+        if system.top is None:
+            continue
+        result = equivalence_classes(system)
+        if result.quotient is None:
+            continue
+        p = rng.randrange(len(system.levels))
+        level = system.levels[p]
+        x = rng.randrange(len(level.fibers))
+        fiber = level.fibers[x]
+        outside = [v for v in range(len(level.vertices)) if v not in fiber]
+        fibers = list(level.fibers)
+        if len(fiber) > 1 and (not outside or rng.random() < 0.5):
+            dropped = rng.choice(fiber)
+            fibers[x] = tuple(v for v in fiber if v != dropped)
+        elif outside:
+            fibers[x] = tuple(sorted((*fiber, rng.choice(outside))))
+        else:
+            continue
+        system.levels[p] = level._replace(fibers=fibers)
+        try:
+            comparison = compare_quotient_to_ground(system, result)
+            full = full_compare_quotient_to_ground(system, result)
+        except AssertionError:
+            # canonical_map refuses a top fiber whose wedges lack the point
+            continue
+        if comparison != full:
+            differing += 1
+            assert not check_flag_reconstruction(system).passed
+    assert differing
 
 
 def _assert_sampled_verdicts_are_exact(system, nets, threads, seed):
@@ -269,7 +363,11 @@ def test_clique_numbers_and_thread_classes_on_benchmark_families(benchmark_syste
         # no clique has more vertices than the graph, so the cap never binds
         width = clique_number(level.adjacency, len(level.adjacency))
         assert width == max(map(len, flag)), level.lam
-    assert equivalence_classes(system) == triple_scan_equivalence_classes(system)
+    result = equivalence_classes(system)
+    assert result == triple_scan_equivalence_classes(system)
+    assert compare_quotient_to_ground(system, result) == full_compare_quotient_to_ground(
+        system, result
+    )
 
 
 @pytest.mark.parametrize("name", list(BENCHMARK_SYSTEMS))
