@@ -27,7 +27,11 @@ Each checkout runs, from its own directory under the work directory:
   clique search is compared on its failure bytes as well; ``check`` runs
   every check, reports the two that enumerate a complex
   (``nerve_absorption``, ``betti_stabilization``) as skipped with that
-  guard's message, and exits 1.
+  guard's message, and exits 1;
+- circle-a3612's ``check --checks nerve_absorption,betti_stabilization``
+  at ``--max-dim 0``: level {0} is past the guard both by a clique and by
+  a point fiber, so the skip messages show that both checks meet the
+  level's clique guard first.
 
 A command that starts with ``-c`` is Python source, run with its
 arguments by the interpreter.  Output paths are relative, so stdout names
@@ -106,6 +110,8 @@ def commands() -> list[tuple[str, ...]]:
          "--out", "one-class-check"),
         ("build", *_family("circle-24-thick"), "--max-dim", "3", "--out", "guard-build"),
         ("check", *_family("circle-24-thick"), "--max-dim", "3", "--out", "guard-check"),
+        ("check", "--space", "circle-a3612", "--max-dim", "0",
+         "--checks", "nerve_absorption,betti_stabilization", "--out", "guard-order-check"),
     ]
     return out
 

@@ -5,8 +5,8 @@ from .complexes import (
     Complex,
     LambdaIndex,
     Vertex,
+    build_complexes,
     build_flag,
-    build_nerve,
     build_vertices,
     carrier_wedge,
 )

@@ -187,18 +187,18 @@ def build_flag(lam: LambdaIndex, adjacency: Sequence[int], max_dim: int) -> Comp
     """Clique complex of a graph given as neighbour bitmasks.  A level's
     flag complex is the clique complex of ``wedge_adjacency``: edges where
     wedges meet."""
-    return _all_cliques(adjacency, [-1] * len(adjacency), max_dim, _level_name(lam) + ": ")[0]
+    return _all_cliques(adjacency, [0] * len(adjacency), max_dim, _level_name(lam) + ": ")[0]
 
 
 def _all_cliques(
-    adj: Sequence[int], points: Sequence[int], max_dim: int, where: str, prune: bool = True
+    adj: Sequence[int], points: Sequence[int], max_dim: int, where: str
 ) -> tuple[Complex, Complex]:
     """Every clique up to max_dim+1 vertices and, as the first's tuple when
     equal, those whose ``points`` bitmasks share a bit, in lexicographic
     order: a depth-first search adding larger neighbours in ascending
-    order, which with ``prune`` enters only the second kind.  Raises past
-    the guard; the message starts with ``where`` and gives the size of a
-    maximal clique grown greedily from the first clique past the guard.
+    order.  Raises past the guard; the message starts with ``where`` and
+    gives the size of a maximal clique grown greedily from the first
+    clique past the guard.
     """
     out: list[Simplex] = []
     sub: list[Simplex] = []
@@ -221,9 +221,7 @@ def _all_cliques(
         while c:
             v = (c & -c).bit_length() - 1
             c &= c - 1
-            common = shared & points[v]
-            if common or not prune:
-                extend(clique + (v,), candidates & adj[v] & ~((1 << (v + 1)) - 1), common)
+            extend(clique + (v,), candidates & adj[v] & ~((1 << (v + 1)) - 1), shared & points[v])
 
     for v in range(len(adj)):
         extend((v,), adj[v] & ~((1 << (v + 1)) - 1), points[v])
@@ -260,34 +258,16 @@ def clique_number(adjacency: Sequence[int], cap: int) -> int:
     return best
 
 
-def build_nerve(
-    lam: LambdaIndex, adjacency: Sequence[int], fibers: Sequence[tuple[int, ...]], max_dim: int
-) -> Complex:
-    """Nerve of a level, or of a core on its own vertex ids: the cliques of
-    ``adjacency`` that lie in one of the point fibers ``fibers``.  A nerve
-    simplex lies in a fiber, so the fiber guard bounds it and the search
-    enters no other clique."""
-    wedges = [0] * len(adjacency)  # per vertex, the points whose fibers hold it
-    for x, carrier in enumerate(fibers):
-        if len(carrier) > max_dim + 1:
-            raise GuardExceeded(
-                f"{_level_name(lam)}: point {x} lies in a fiber of {len(carrier)} wedges,"
-                f" past the dimension guard (max_dim {max_dim} allows {max_dim + 1})"
-            )
-        for v in carrier:
-            wedges[v] |= 1 << x
-    return _all_cliques(adjacency, wedges, max_dim, _level_name(lam) + ": ")[1]
-
-
 def build_complexes(
     lam: LambdaIndex, adjacency: Sequence[int], wedges: Sequence[int], max_dim: int
 ) -> tuple[Complex, Complex]:
-    """A level's flag complex and nerve, given its vertices' wedges, from
-    one search, which guards the flag complex only (a fiber past the guard
-    is a clique past it).  A nerve is downward closed, so it is the part of
-    the flag complex's lexicographic order whose wedges share a point
-    (Zomorodian, "Fast construction of the Vietoris-Rips complex", 2010)."""
-    return _all_cliques(adjacency, wedges, max_dim, _level_name(lam) + ": ", False)
+    """A level's flag complex and nerve, or a core's on its own vertex ids,
+    given the vertices' wedges, from one search, which guards the flag
+    complex (a nerve simplex is a clique).  A nerve is downward closed, so
+    it is the part of the flag complex's lexicographic order whose wedges
+    share a point (Zomorodian, "Fast construction of the Vietoris-Rips
+    complex", 2010)."""
+    return _all_cliques(adjacency, wedges, max_dim, _level_name(lam) + ": ")
 
 
 def carrier_wedge(vertices: Sequence[Vertex], carrier: Sequence[int]) -> int:

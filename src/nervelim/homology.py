@@ -26,8 +26,8 @@ from .complexes import (
     Complex,
     LambdaIndex,
     Simplex,
+    build_complexes,
     build_flag,
-    build_nerve,
     clique_number,
     members,
     wedge_adjacency,
@@ -271,7 +271,8 @@ def nerve_core(level: Level, max_dim: int) -> NerveCore:
         tuple(index[v] for v in members(c & kept)) if points >> x & 1 else ()
         for x, c in enumerate(carriers)
     ]
-    cx = build_nerve(level.lam, wedge_adjacency(fibers, len(index)), fibers, max_dim)
+    adjacency = wedge_adjacency(fibers, len(index))
+    cx = build_complexes(level.lam, adjacency, [wedges[v] & points for v in index], max_dim)[1]
     retraction = []
     for v in range(len(wedges)):
         while v in dominator:
@@ -363,8 +364,9 @@ def betti_stabilization(system: InverseSystem, chain: list[int]) -> Stabilizatio
     Each row is padded to the length of its full complex's Betti vector:
     the largest point fiber for a nerve, whose every simplex lies in a
     fiber, and the clique number of the level graph for a flag complex.
-    Past the guard, the flag complex is built so that it raises
-    ``GuardExceeded`` as the full build does.
+    Each level's guard is decided before its cores, whose graphs are
+    subgraphs of the level graph, are built: past it, the flag complex is
+    built so that it raises ``GuardExceeded`` as the full build does.
     """
     for i, j in zip(chain, chain[1:]):
         if j not in system.above[i]:
@@ -372,12 +374,12 @@ def betti_stabilization(system: InverseSystem, chain: list[int]) -> Stabilizatio
     rows, cores, nerve_rows = [], [], []
     for i in chain:
         level = system.levels[i]
-        core = nerve_core(level, system.max_dim)
-        chains = chain_complex(core.cx)
-        bn = BettiVector(chains.betti().padded(max(map(len, level.fibers))))
         width = clique_number(level.adjacency, system.max_dim + 2)
         if width > system.max_dim + 1:
             build_flag(level.lam, level.adjacency, system.max_dim)  # raises the guard
+        core = nerve_core(level, system.max_dim)
+        chains = chain_complex(core.cx)
+        bn = BettiVector(chains.betti().padded(max(map(len, level.fibers))))
         bf = BettiVector(betti(flag_core(level, system.max_dim)).padded(width))
         rows.append(StabilizationRow(level.lam, "N", bn))
         rows.append(StabilizationRow(level.lam, "F", bf))

@@ -36,7 +36,7 @@ from .report import Report
 
 class Level(NamedTuple):
     """One level: its name, its vertices, and their wedge relation, from
-    which a reader builds a complex (``build_flag``, ``build_nerve``)."""
+    which a reader builds a complex (``build_flag``, ``build_complexes``)."""
 
     lam: LambdaIndex
     vertices: tuple[Vertex, ...]

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, settings, strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 
 from nervelim import build_system
-from nervelim.complexes import DEFAULT_MAX_DIM, Complex, build_flag, build_nerve
+from nervelim.complexes import DEFAULT_MAX_DIM, Complex, build_flag
 from nervelim.ground import CoverFamily, GroundSpace, cover_from_pointsets
 from nervelim.presets import PRESETS
 
@@ -35,8 +35,13 @@ def level_flag(level, max_dim: int) -> Complex:
 
 
 def level_nerve(level, max_dim: int) -> Complex:
-    """The nerve of ``level``, as ``level_flag`` builds the flag complex."""
-    return build_nerve(level.lam, level.adjacency, level.fibers, max_dim)
+    """The nerve of ``level`` on its graph and point fibers, by the pruned
+    search of ``oracles``, so a test that tampers with ``Level.fibers``
+    sees the nerve they describe.  ``build`` reads the wedges instead, and
+    the tests require the two to agree on every level it builds."""
+    from oracles import pruned_nerve  # oracles imports this module
+
+    return pruned_nerve(level.lam, level.adjacency, level.fibers, max_dim)
 
 
 def level_flags(system) -> list[Complex]:

@@ -7,13 +7,15 @@ seeded samplers that the thread checks used before they were decided
 exactly are kept here too, with the barycentric points they move, and so
 is Betti stabilization on the full complexes, from before it was computed
 on their cores, and the two clique searches that built a level's flag
-complex and nerve one after the other.  So are the flag reconstruction
-and skeleton checks that rebuilt and compared every complex, from before
-they compared the builders' inputs; a level's own complexes come from ``conftest``'s
-``level_flag`` and ``level_nerve``.  Each vertex's wedge is read here as a
-point set too, as vertices held it before it was a point bitmask.  The
-quotient comparison keeps here the tests it made after its bijection
-test, which the bijection decides on every system ``build_system`` makes.
+complex and nerve one after the other, the second pruned to the cliques
+whose wedges share a point and guarded by its point fibers.  So are the
+flag reconstruction and skeleton checks that rebuilt and compared every
+complex, from before they compared the builders' inputs; a level's own
+complexes come from ``conftest``'s ``level_flag`` and ``level_nerve``.
+Each vertex's wedge is read here as a point set too, as vertices held it
+before it was a point bitmask.  The quotient comparison keeps here the
+tests it made after its bijection test, which the bijection decides on
+every system ``build_system`` makes.
 """
 
 from __future__ import annotations
@@ -32,11 +34,12 @@ from nervelim.complexes import (
     LambdaIndex,
     Simplex,
     Vertex,
+    _level_name,
     build_flag,
-    build_nerve,
     carrier_wedge,
     graph_edges,
     members,
+    wedge_adjacency,
 )
 from nervelim.cells import EquivalenceResult, QuotientSpace, point_classes
 from nervelim.errors import GuardExceeded
@@ -338,13 +341,61 @@ def fiber_subset_nerve(
     return frozenset(simplices)
 
 
+def pruned_nerve(
+    lam: LambdaIndex, adjacency: Sequence[int], fibers: Sequence[tuple[int, ...]], max_dim: int
+) -> Complex:
+    """The nerve of a level, or of a core on its own vertex ids, as
+    ``complexes.build_nerve`` built it before one clique search served
+    both complexes: each point fiber checked against the guard, since a
+    nerve simplex lies in one fiber, then the cliques of ``adjacency`` in
+    lexicographic order, each branch dropped once its vertices' wedges,
+    read from ``fibers``, share no point.  Every clique it enters lies in
+    a fiber, so it needs no clique guard."""
+    wedges = [0] * len(adjacency)  # per vertex, the points whose fibers hold it
+    for x, carrier in enumerate(fibers):
+        if len(carrier) > max_dim + 1:
+            raise GuardExceeded(
+                f"{_level_name(lam)}: point {x} lies in a fiber of {len(carrier)} wedges,"
+                f" past the dimension guard (max_dim {max_dim} allows {max_dim + 1})"
+            )
+        for v in carrier:
+            wedges[v] |= 1 << x
+    out: list[Simplex] = []
+
+    def extend(clique: tuple[int, ...], candidates: int, shared: int) -> None:
+        if shared:
+            out.append(clique)
+        c = candidates
+        while c:
+            v = (c & -c).bit_length() - 1
+            c &= c - 1
+            if shared & wedges[v]:
+                extend(clique + (v,), candidates & adjacency[v] & ~((1 << (v + 1)) - 1),
+                       shared & wedges[v])
+
+    for v in range(len(adjacency)):
+        extend((v,), adjacency[v] & ~((1 << (v + 1)) - 1), wedges[v])
+    return tuple(out)
+
+
+def pruned_core_nerve(level, core_vertices: Sequence[int], max_dim: int) -> Complex:
+    """The nerve of a level's core, on the core's vertex ids, from
+    ``pruned_nerve``: the level's point fibers cut down to the kept
+    vertices ``core_vertices``.  It keeps the points the core reduction
+    drops, since a dropped point's kept vertices all share a kept point
+    and so change neither the core's graph nor its nerve."""
+    index = {v: c for c, v in enumerate(core_vertices)}
+    fibers = [tuple(index[v] for v in fiber if v in index) for fiber in level.fibers]
+    return pruned_nerve(level.lam, wedge_adjacency(fibers, len(index)), fibers, max_dim)
+
+
 def two_search_build(
     lam: LambdaIndex, adjacency: Sequence[int], fibers: Sequence[tuple[int, ...]], max_dim: int
 ) -> tuple[Complex, Complex]:
     """A level's flag complex and nerve as ``build`` made them before one
-    clique search served both: ``build_flag`` and then ``build_nerve``,
+    clique search served both: ``build_flag`` and then ``pruned_nerve``,
     each walking the clique tree on its own."""
-    return build_flag(lam, adjacency, max_dim), build_nerve(lam, adjacency, fibers, max_dim)
+    return build_flag(lam, adjacency, max_dim), pruned_nerve(lam, adjacency, fibers, max_dim)
 
 
 def product_scan_vertices(family: CoverFamily, lam: LambdaIndex) -> list[Vertex]:
@@ -426,7 +477,7 @@ def full_check_flag_reconstruction(system: InverseSystem) -> Report:
             bad = {"lambda": list(lam.cover_ids), "reason": "flag reconstruction"}
             break
         fibers = wedge_fibers(level.vertices, n_points)
-        if build_nerve(lam, graph, fibers, system.max_dim) != level_nerve(level, system.max_dim):
+        if pruned_nerve(lam, graph, fibers, system.max_dim) != level_nerve(level, system.max_dim):
             bad = {"lambda": list(lam.cover_ids), "reason": "nerve reconstruction"}
             break
     return Report("flag_reconstruction", bad is None, counterexample=bad)

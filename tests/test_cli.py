@@ -554,6 +554,20 @@ def test_check_runs_past_the_clique_guard(tmp_path, capsys):
         assert entries[name]["pass"]
 
 
+def test_betti_stabilization_decides_the_level_guard_before_its_cores(tmp_path, capsys):
+    # circle-a3612 at --max-dim 0: level {0} has a clique of 3 vertices and
+    # point fibers of 2 wedges.  The level's guard is met before its nerve
+    # core is built, so both checks skip with the same clique message
+    checks = "nerve_absorption,betti_stabilization"
+    out = tmp_path / "c"
+    code = run("check", "--space", "circle-a3612", "--max-dim", 0, "--checks", checks, "--out", out)
+    assert code == 1
+    assert capsys.readouterr() == ("SKIP  nerve_absorption\nSKIP  betti_stabilization\n", "")
+    guard = "level {0}: a clique of 3 vertices exceeds the dimension guard (max_dim 0 allows 1)"
+    entries = json.loads((out / "report.json").read_text())["checks"]
+    assert [e["details"] for e in entries] == [{"skipped": guard}] * 2
+
+
 @pytest.mark.parametrize(
     "args, message",
     [

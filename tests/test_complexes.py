@@ -27,6 +27,7 @@ from oracles import (
     k_simplices,
     point_mask,
     product_weights,
+    pruned_nerve,
     push_point,
     set_clique_flag,
     skeleton_adjacency,
@@ -41,7 +42,6 @@ from nervelim.complexes import (
     _level_name,
     build_complexes,
     build_flag,
-    build_nerve,
     build_vertices,
     carrier_wedge,
     clique_number,
@@ -188,11 +188,9 @@ def test_flag_guard_exceeded():
     verts = build_vertices(family, lam)
     fibers = point_fibers(verts, 1)
     adjacency = wedge_adjacency(fibers, len(verts))
-    # the message names the level and the size of the offending clique or fiber
+    # the message names the level and the size of the offending clique
     with pytest.raises(GuardExceeded, match=r"^level \{0\}: a clique of 6 vertices"):
         build_flag(lam, adjacency, 3)
-    with pytest.raises(GuardExceeded, match=r"^level \{0\}: point 0 lies in a fiber of 6 wedges"):
-        build_nerve(lam, adjacency, fibers, 3)
 
 
 @pytest.mark.parametrize("max_dim", [-2, -5])
@@ -417,20 +415,31 @@ _TRIANGLE = [[{0, 1}, {1, 2}, {0, 2}]]  # wedges meet pairwise, not all three
 @example((pointset_family(GroundSpace(3), _TRIANGLE), _TRIANGLE), 1)
 def test_clique_search_matches_set_builders(data, max_dim):
     # one search builds both complexes, in lexicographic order; the set
-    # builders it replaced are the oracle, guard messages included
+    # builders it replaced are the oracle, guard messages included.  The
+    # nerve meets the flag complex's guard, and the pruned nerve of the
+    # oracles the guard of its fibers
     family, lists = data
     lam = LambdaIndex.of(range(len(lists)))
     verts = build_vertices(family, lam)
     fibers = point_fibers(verts, family.ground.n_points)
     adjacency = wedge_adjacency(fibers, len(verts))
+    wedges = [v.wedge for v in verts]
     where = _level_name(lam) + ": "
+
+    def guarded_nerve():
+        set_clique_flag(adjacency, max_dim, where)  # raises at the flag complex's guard
+        return fiber_subset_nerve(fibers, max_dim, where)
+
     cases = [
-        (lambda: build_flag(lam, adjacency, max_dim), set_clique_flag, adjacency),
-        (lambda: build_nerve(lam, adjacency, fibers, max_dim), fiber_subset_nerve, fibers),
+        (lambda: build_flag(lam, adjacency, max_dim),
+         lambda: set_clique_flag(adjacency, max_dim, where)),
+        (lambda: build_complexes(lam, adjacency, wedges, max_dim)[1], guarded_nerve),
+        (lambda: pruned_nerve(lam, adjacency, fibers, max_dim),
+         lambda: fiber_subset_nerve(fibers, max_dim, where)),
     ]
-    for build, oracle, arg in cases:
+    for build, oracle in cases:
         try:
-            expected = tuple(sorted(oracle(arg, max_dim, where)))
+            expected = tuple(sorted(oracle()))
         except GuardExceeded as e:
             with pytest.raises(GuardExceeded, match=f"^{re.escape(str(e))}$"):
                 build()
@@ -483,21 +492,6 @@ def test_one_search_matches_two_searches_on_presets(preset_systems):
     ]
     # both cases occur: nerves that are their flag complexes and nerves that are not
     assert True in shared and False in shared
-
-
-def test_nerve_alone_never_meets_the_flag_guard():
-    # three wedges meeting pairwise with no common point: the flag complex
-    # has a triangle past max_dim 1, the nerve only edges
-    lam = LambdaIndex.of([0])
-    verts = build_vertices(pointset_family(GroundSpace(3), _TRIANGLE), lam)
-    fibers = point_fibers(verts, 3)
-    adjacency = wedge_adjacency(fibers, len(verts))
-    message = "level {0}: a clique of 3 vertices exceeds the dimension guard (max_dim 1 allows 2)"
-    for build in (lambda: build_flag(lam, adjacency, 1),
-                  lambda: build_complexes(lam, adjacency, [v.wedge for v in verts], 1)):
-        with pytest.raises(GuardExceeded, match=f"^{re.escape(message)}$"):
-            build()
-    assert build_nerve(lam, adjacency, fibers, 1) == ((0,), (0, 1), (0, 2), (1,), (1, 2), (2,))
 
 
 @pytest.mark.parametrize("max_dim", [1, 2, 3])

@@ -16,12 +16,13 @@ from oracles import (
     full_betti_stabilization,
     k_simplices,
     path_complex,
+    pruned_core_nerve,
     sphere_boundary_complex,
     sympy_betti,
     top_dim,
     wedge_graph_complex,
 )
-from nervelim.complexes import DEFAULT_MAX_DIM, LambdaIndex
+from nervelim.complexes import DEFAULT_MAX_DIM, LambdaIndex, clique_number
 from nervelim.ground import (
     Arcs,
     CircleGrid,
@@ -330,6 +331,25 @@ def test_cores_match_full_complexes_on_generated_families(data):
     system = build_system(family, max_dim=30)
     chains = _increasing_pairs(system) + [[i] for i in range(len(system.levels))]
     _assert_cores_match_full_complexes(system, chains)
+
+
+def _assert_core_nerves_match_pruned_search(system, max_dim):
+    # on each level inside the guard, as betti_stabilization builds cores
+    for level in system.levels:
+        if clique_number(level.adjacency, max_dim + 2) <= max_dim + 1:
+            core = nerve_core(level, max_dim)
+            assert core.cx == pruned_core_nerve(level, core.vertices, max_dim), level.lam
+
+
+def test_core_nerves_match_pruned_search_on_presets(preset_systems):
+    for _, _, system in preset_systems.values():
+        _assert_core_nerves_match_pruned_search(system, system.max_dim)
+
+
+@given(family_and_lambda() | planted_triangles(), st.sampled_from([0, 1, 30]))
+def test_core_nerves_match_pruned_search_on_generated_families(data, max_dim):
+    family, _ = data
+    _assert_core_nerves_match_pruned_search(build_system(family, max_dim=max_dim), max_dim)
 
 
 def test_cores_are_subcomplexes_retracted_onto(preset_systems):

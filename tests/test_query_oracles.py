@@ -56,6 +56,7 @@ from oracles import (
     perturbed_thread_net,
     point_image,
     point_thread,
+    pruned_core_nerve,
     sample_cauchy_nets,
     sampled_cauchy_sweep,
     sampled_check_homotopy,
@@ -85,7 +86,7 @@ from nervelim.ground import (
     cover_from_pointsets,
     generate_space,
 )
-from nervelim.homology import betti_stabilization
+from nervelim.homology import betti_stabilization, nerve_core
 from nervelim.presets import PRESETS
 from nervelim.systems import (
     all_lambdas,
@@ -379,6 +380,14 @@ def test_one_search_build_matches_two_searches_on_benchmark_families(benchmark_s
         expected = two_search_build(level.lam, level.adjacency, level.fibers, system.max_dim)
         assert (flag, nerve) == expected, level.lam
         assert (nerve is flag) == (nerve == flag), level.lam
+
+
+@pytest.mark.parametrize("name", list(BENCHMARK_SYSTEMS))
+def test_core_nerves_match_pruned_search_on_benchmark_families(benchmark_systems, name):
+    system = benchmark_systems[name]
+    for level in system.levels:
+        core = nerve_core(level, system.max_dim)
+        assert core.cx == pruned_core_nerve(level, core.vertices, system.max_dim), level.lam
 
 
 @pytest.mark.parametrize("name", list(BENCHMARK_SYSTEMS))
