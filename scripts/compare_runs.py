@@ -17,7 +17,8 @@ Each checkout runs, from its own directory under the work directory:
 - ``build`` of circle-48 (arcs 3/6/12/24, overlap 0) at all 15 levels and
   ``--max-dim 16``, its input written by the checkout's own library: the
   largest family whose nerves are their flag complexes at every level but
-  the base one;
+  the base one; then its default ``check`` at ``--max-dim 16``, every
+  check, where ``nerve_absorption`` reads every level's maximal cliques;
 - ``check --checks equivalence_classes,quotient_comparison`` of one-class,
   three points under one cover of one element, its input written with
   circle-48's: one thread class for three points, so the comparison fails
@@ -25,7 +26,7 @@ Each checkout runs, from its own directory under the work directory:
 - ``build`` and ``check`` of circle-24-thick at ``--max-dim 3``.  ``build``
   stops at the clique guard of level {0,1} and exits 2, so a change to the
   clique search is compared on its failure bytes as well; ``check`` runs
-  every check, reports the two that enumerate a complex
+  every check, reports the two that read maximal cliques
   (``nerve_absorption``, ``betti_stabilization``) as skipped with that
   guard's message, and exits 1;
 - circle-a3612's ``check --checks nerve_absorption,betti_stabilization``
@@ -106,6 +107,7 @@ def commands() -> list[tuple[str, ...]]:
         ("-c", WRITE_INPUTS, "inputs"),
         ("build", *_family("circle-48"), "--lambdas", "all", "--max-dim", "16",
          "--out", "circle-48-build"),
+        ("check", *_family("circle-48"), "--max-dim", "16", "--out", "circle-48-check"),
         ("check", *_family("one-class"), "--checks", "equivalence_classes,quotient_comparison",
          "--out", "one-class-check"),
         ("build", *_family("circle-24-thick"), "--max-dim", "3", "--out", "guard-build"),

@@ -80,16 +80,10 @@ MUTANTS: list[tuple[str, str, str]] = [
     ("homology.py",
      "out.append(gf2_rank(target.boundaries[k] + images) - target.ranks[k])",
      "out.append(gf2_rank(target.boundaries[k] + images))"),
-    # betti_stabilization letting a level one vertex past the guard build its cores
-    ("homology.py", "if width > system.max_dim + 1:", "if width > system.max_dim + 2:"),
     # a chain bond read on the cores without the target's retraction
     ("homology.py",
      "vertex_map = [core_i.retraction[bond[v]] for v in core_j.vertices]",
      "vertex_map = [bond[v] for v in core_j.vertices]"),
-    # open instead of closed neighbourhoods in the flag collapse
-    ("homology.py",
-     "closed = [a | 1 << v for v, a in enumerate(level.adjacency)]",
-     "closed = list(level.adjacency)"),
     # flag_reconstruction without its graph comparison
     ("systems.py", "if level.adjacency != wedge_graph(level.vertices):", "if False:"),
     # flag_reconstruction comparing the fibers' count, not the fibers
@@ -112,8 +106,8 @@ MUTANTS: list[tuple[str, str, str]] = [
      "if level.adjacency != graph:"),
     # nerve_absorption taking the first level that does not absorb
     ("systems.py",
-     "if unmapped(system.bond(i, j), flags[j], target) is None:",
-     "if unmapped(system.bond(i, j), flags[j], target) is not None:"),
+     "if unmapped(system.bond(i, j), cliques[j], target) is None:",
+     "if unmapped(system.bond(i, j), cliques[j], target) is not None:"),
     # the --max-dim bound off by one, and gone
     ("cli.py", "if args.max_dim > MAX_DIM_LIMIT:", "if args.max_dim >= MAX_DIM_LIMIT:"),
     ("cli.py", "if args.max_dim > MAX_DIM_LIMIT:", "if False:"),
@@ -143,8 +137,16 @@ MUTANTS: list[tuple[str, str, str]] = [
      "breaking = (row ^ rows[j] if linked else 0) >> (j + 1)"),
     ("cells.py", "elif rows[j] >> k & 1:", "elif True:"),
     ("cells.py", "witness = (i, k, j)", "witness = (i, j, k)"),
-    # clique_number not stopping at its cap
-    ("complexes.py", "while stack and best < cap:", "while stack:"),
+    # the maximal-clique search letting a clique one vertex past the guard
+    # through, listing cliques that the branched-on vertices extend, and
+    # branching on the pivot's neighbours instead of the others
+    ("complexes.py",
+     "if clique.bit_count() > max_dim + 1:",
+     "if clique.bit_count() > max_dim + 2:"),
+    ("complexes.py", "if not rest:", "if not candidates:"),
+    ("complexes.py",
+     "for v in members(candidates & ~adjacency[pivot]):",
+     "for v in members(candidates & adjacency[pivot]):"),
     # quotient_comparison without its bijection test
     ("cells.py",
      "bijection = len(set(h)) == len(points) == len(quotient.classes)",

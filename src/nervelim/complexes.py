@@ -124,8 +124,10 @@ def unmapped(
     """The first of ``simplices`` whose image's wedges, on the vertices
     ``target``, share no point (it is off their nerve), or None.
 
-    A subset of the source decides simpliciality when every source simplex
-    is a face of one of its members, such as the source's point fibers.
+    A family of source simplices decides simpliciality when every source
+    simplex is a face of one of its members, such as the point fibers for
+    the nerve or the maximal cliques for the flag complex: the target
+    nerve is downward closed, and a face's image is a face of the image.
     """
     image = [target[w].wedge for w in vertex_map]  # each source vertex's image wedge
     for s in simplices:
@@ -229,33 +231,31 @@ def _all_cliques(
     return flag, flag if len(sub) == len(out) else tuple(sub)
 
 
-def clique_number(adjacency: Sequence[int], cap: int) -> int:
-    """The number of vertices of a largest clique of a graph given as
-    neighbour bitmasks, or ``cap`` when that is smaller, without
-    enumerating the cliques: the search stops at the first clique of
-    ``cap`` vertices, as a caller asking whether a guard is passed needs
-    no more.
-
-    A branch-and-bound search over the lexicographic clique tree of
-    ``_all_cliques``: a node is a clique and the larger vertices adjacent
-    to all of it that are not yet branched on.  A node is dropped when its
-    clique and all those vertices together would not beat the largest
-    clique found (the bound of Carraghan and Pardalos, "An exact algorithm
-    for the maximum clique problem", Oper. Res. Lett. 1990).  The search is
-    exponential in the worst case.
-    """
-    best = 0
-    stack = [(0, (1 << len(adjacency)) - 1)]
-    while stack and best < cap:
-        size, candidates = stack.pop()
-        best = max(best, size)
-        if size + candidates.bit_count() <= best:
+def maximal_cliques(lam: LambdaIndex, adjacency: Sequence[int], max_dim: int) -> list[Simplex]:
+    """The inclusion-maximal cliques of a graph given as neighbour
+    bitmasks, as ascending tuples, by the Bron-Kerbosch search with a
+    pivot (Tomita, Tanaka and Takahashi, TCS 2006): a node is a clique, its
+    candidates and the vertices already branched on; it branches on the
+    candidates off the pivot's neighbours, the pivot being the lowest
+    vertex of the last two sets (one step, where a largest-degree pivot
+    costs a pass), and its clique is maximal when both are empty.  A
+    clique of max_dim+2 vertices stops it, and ``build_flag`` raises the
+    guard."""
+    out: list[Simplex] = []
+    stack = [(0, (1 << len(adjacency)) - 1, 0)]
+    while stack:
+        clique, candidates, done = stack.pop()
+        if clique.bit_count() > max_dim + 1:
+            build_flag(lam, adjacency, max_dim)  # raises the guard
+        rest = candidates | done
+        if not rest:
+            out.append(tuple(members(clique)))
             continue
-        v = (candidates & -candidates).bit_length() - 1
-        rest = candidates & (candidates - 1)
-        stack.append((size, rest))
-        stack.append((size + 1, rest & adjacency[v]))
-    return best
+        pivot = (rest & -rest).bit_length() - 1
+        for v in members(candidates & ~adjacency[pivot]):
+            stack.append((clique | 1 << v, candidates & adjacency[v], done & adjacency[v]))
+            candidates, done = candidates & ~(1 << v), done | 1 << v
+    return out
 
 
 def build_complexes(

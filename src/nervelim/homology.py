@@ -8,9 +8,10 @@ examples here are torsion free, so GF(2) ranks determine the answer.
 A level's complexes are not reduced whole.  Removing a vertex dominated by
 another is a strong collapse and keeps the homotopy type (Barmak & Minian,
 "Strong homotopy types, nerves and collapses", DCG 2012), so each level
-gives a core a few dozen simplices large: for the nerve by reducing the
-relation "point x lies in vertex v's wedge" on both sides, for the flag
-complex by reducing its graph.  The nerve core keeps its retraction, which
+gives a core a few dozen simplices large.  Each complex is the nerve of a
+relation, reduced on both sides by one function: the nerve's is "point x
+lies in vertex v's wedge", the flag complex's "vertex v lies in maximal
+clique k" of the level graph.  The nerve core keeps its retraction, which
 sends each vertex onto the core vertex it collapses to, so a bond read
 through the retractions is simplicial on the cores and induces the bond's
 map on homology (Chowdhury & Mémoli, "A functorial Dowker theorem and
@@ -27,8 +28,7 @@ from .complexes import (
     LambdaIndex,
     Simplex,
     build_complexes,
-    build_flag,
-    clique_number,
+    maximal_cliques,
     members,
     wedge_adjacency,
 )
@@ -230,71 +230,69 @@ def drop_dominated(
     return alive
 
 
-def _relabel(kept: int) -> dict[int, int]:
-    """Each member of ``kept`` by its rank among them."""
-    return {v: c for c, v in enumerate(members(kept))}
-
-
-class NerveCore(NamedTuple):
-    """The core of a level's nerve, a complex on its own vertex ids:
-    ``vertices`` lists the level vertices it keeps (core vertex c is
-    ``vertices[c]``), and ``retraction`` sends each level vertex onto the
-    core vertex it collapses to."""
+class Core(NamedTuple):
+    """The core of a relation's nerve, a complex on its own vertex ids:
+    ``vertices`` lists the rows it keeps (core vertex c is
+    ``vertices[c]``), and ``retraction`` sends each row onto the core
+    vertex it collapses to."""
 
     vertices: tuple[int, ...]
     retraction: tuple[int, ...]
     cx: Complex
 
 
-def nerve_core(level: Level, max_dim: int) -> NerveCore:
-    """Reduce the relation "x lies in v's wedge" until nothing changes:
-    drop each vertex whose wedge lies inside a kept vertex's wedge, then
-    each point whose set of kept vertices lies inside another kept point's.
-    Dropping such a point leaves the nerve as it is, and dropping such a
-    vertex is a strong collapse.  The core is the nerve of what is left: a
-    subcomplex of the level nerve with its homotopy type."""
-    wedges = [v.wedge for v in level.vertices]
-    carriers = [0] * len(level.fibers)
-    for x, fiber in enumerate(level.fibers):
-        for v in fiber:
-            carriers[x] |= 1 << v
-    kept, points = (1 << len(wedges)) - 1, (1 << len(carriers)) - 1
+def dowker_core(lam: LambdaIndex, rows: Sequence[int], cols: Sequence[int], max_dim: int) -> Core:
+    """Reduce a relation, given by rows and by columns as for
+    ``drop_dominated``, until nothing changes: drop each row whose bitmask
+    lies inside a kept row's, then each column whose kept rows lie inside
+    another kept column's.  The relation's nerve holds the sets of rows
+    that share a column.  Dropping such a column leaves it as it is, and
+    dropping such a row is a strong collapse, so the core, the nerve of
+    what is left, is a subcomplex with its homotopy type.  Two kept rows
+    are adjacent in the core only where they share a kept column, so its
+    clique search meets no guard the full nerve's graph passes."""
+    kept, points = (1 << len(rows)) - 1, (1 << len(cols)) - 1
     dominator: dict[int, int] = {}
     while True:
-        new_kept = drop_dominated([w & points for w in wedges], carriers, kept, dominator)
-        new_points = drop_dominated([c & new_kept for c in carriers], wedges, points, {})
+        new_kept = drop_dominated([r & points for r in rows], cols, kept, dominator)
+        new_points = drop_dominated([c & new_kept for c in cols], rows, points, {})
         if (new_kept, new_points) == (kept, points):
             break
         kept, points = new_kept, new_points
-    index = _relabel(kept)
+    index = {v: c for c, v in enumerate(members(kept))}
     fibers = [
         tuple(index[v] for v in members(c & kept)) if points >> x & 1 else ()
-        for x, c in enumerate(carriers)
+        for x, c in enumerate(cols)
     ]
     adjacency = wedge_adjacency(fibers, len(index))
-    cx = build_complexes(level.lam, adjacency, [wedges[v] & points for v in index], max_dim)[1]
+    cx = build_complexes(lam, adjacency, [rows[v] & points for v in index], max_dim)[1]
     retraction = []
-    for v in range(len(wedges)):
+    for v in range(len(rows)):
         while v in dominator:
             v = dominator[v]
         retraction.append(index[v])
-    return NerveCore(tuple(index), tuple(retraction), cx)
+    return Core(tuple(index), tuple(retraction), cx)
 
 
-def flag_core(level: Level, max_dim: int) -> Complex:
-    """The clique complex of the level graph once every vertex whose
-    closed neighbourhood lies inside another's is removed, repeatedly: a
-    sequence of strong collapses of the flag complex."""
-    closed = [a | 1 << v for v, a in enumerate(level.adjacency)]
-    kept = (1 << len(closed)) - 1
-    while True:
-        left = drop_dominated([c & kept for c in closed], closed, kept, {})
-        if left == kept:
-            break
-        kept = left
-    index = _relabel(kept)
-    adjacency = [sum(1 << index[u] for u in members(closed[v] & kept & ~(1 << v))) for v in index]
-    return build_flag(level.lam, adjacency, max_dim)
+def nerve_core(level: Level, max_dim: int) -> Core:
+    """The core of the level nerve, the nerve of "point x lies in vertex
+    v's wedge"."""
+    carriers = [sum(1 << v for v in fiber) for fiber in level.fibers]
+    return dowker_core(level.lam, [v.wedge for v in level.vertices], carriers, max_dim)
+
+
+def flag_core(level: Level, cliques: Sequence[Simplex], max_dim: int) -> Complex:
+    """The core of the level's flag complex, given the level graph's
+    maximal cliques: the flag complex is the nerve of "vertex v lies in
+    clique k".  A vertex is dropped when every maximal clique holding it
+    holds another kept vertex, that is, when its closed neighbourhood lies
+    inside that vertex's."""
+    rows = [0] * len(level.vertices)
+    for k, clique in enumerate(cliques):
+        for v in clique:
+            rows[v] |= 1 << k
+    cols = [sum(1 << v for v in clique) for clique in cliques]
+    return dowker_core(level.lam, rows, cols, max_dim).cx
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +361,10 @@ def betti_stabilization(system: InverseSystem, chain: list[int]) -> Stabilizatio
 
     Each row is padded to the length of its full complex's Betti vector:
     the largest point fiber for a nerve, whose every simplex lies in a
-    fiber, and the clique number of the level graph for a flag complex.
-    Each level's guard is decided before its cores, whose graphs are
-    subgraphs of the level graph, are built: past it, the flag complex is
-    built so that it raises ``GuardExceeded`` as the full build does.
+    fiber, and the largest maximal clique of the level graph for a flag
+    complex.  Each level's maximal cliques are found before its cores,
+    whose graphs are subgraphs of the level graph, are built, so past the
+    guard that search raises ``GuardExceeded`` as the full build does.
     """
     for i, j in zip(chain, chain[1:]):
         if j not in system.above[i]:
@@ -374,13 +372,12 @@ def betti_stabilization(system: InverseSystem, chain: list[int]) -> Stabilizatio
     rows, cores, nerve_rows = [], [], []
     for i in chain:
         level = system.levels[i]
-        width = clique_number(level.adjacency, system.max_dim + 2)
-        if width > system.max_dim + 1:
-            build_flag(level.lam, level.adjacency, system.max_dim)  # raises the guard
+        cliques = maximal_cliques(level.lam, level.adjacency, system.max_dim)
         core = nerve_core(level, system.max_dim)
         chains = chain_complex(core.cx)
         bn = BettiVector(chains.betti().padded(max(map(len, level.fibers))))
-        bf = BettiVector(betti(flag_core(level, system.max_dim)).padded(width))
+        width = max(map(len, cliques))
+        bf = BettiVector(betti(flag_core(level, cliques, system.max_dim)).padded(width))
         rows.append(StabilizationRow(level.lam, "N", bn))
         rows.append(StabilizationRow(level.lam, "F", bf))
         cores.append((core, chains))

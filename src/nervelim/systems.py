@@ -17,12 +17,12 @@ from typing import NamedTuple, Sequence
 
 from .complexes import (
     DEFAULT_MAX_DIM,
-    Complex,
     LambdaIndex,
+    Simplex,
     Vertex,
-    build_flag,
     build_vertices,
     carrier_wedge,
+    maximal_cliques,
     members,
     point_fibers,
     unmapped,
@@ -292,22 +292,24 @@ def check_homotopy(system: InverseSystem) -> Report:
 
 
 def find_nerve_absorbing_level(
-    system: InverseSystem, i: int, flags: Sequence[Complex]
+    system: InverseSystem, i: int, cliques: Sequence[Sequence[Simplex]]
 ) -> int | None:
-    """Position of the smallest built level above position i whose whole
-    flag complex, ``flags[j]``, projects into the nerve of level i, or None."""
+    """Position of the smallest built level above position i whose flag
+    complex projects into the nerve of level i, or None.  ``cliques[j]``
+    holds flag simplices of level j of which every flag simplex is a face,
+    such as its maximal cliques; by ``unmapped``, these decide it."""
     target = system.levels[i].vertices
     for j in system.above[i]:
-        if unmapped(system.bond(i, j), flags[j], target) is None:
+        if unmapped(system.bond(i, j), cliques[j], target) is None:
             return j
     return None
 
 
 def check_nerve_absorption(system: InverseSystem) -> Report:
-    flags = [build_flag(level.lam, level.adjacency, system.max_dim) for level in system.levels]
+    cliques = [maximal_cliques(lv.lam, lv.adjacency, system.max_dim) for lv in system.levels]
     rows = []
     for i, level in enumerate(system.levels):
-        j = find_nerve_absorbing_level(system, i, flags)
+        j = find_nerve_absorbing_level(system, i, cliques)
         rows.append(
             {
                 "lambda": list(level.lam.cover_ids),

@@ -46,7 +46,7 @@ def level_nerve(level, max_dim: int) -> Complex:
 
 def level_flags(system) -> list[Complex]:
     """Every level's flag complex, in level order, as
-    ``check_nerve_absorption`` builds them."""
+    ``oracles.full_check_nerve_absorption`` builds them."""
     return [level_flag(level, system.max_dim) for level in system.levels]
 
 

@@ -15,7 +15,11 @@ complexes come from ``conftest``'s ``level_flag`` and ``level_nerve``.
 Each vertex's wedge is read here as a point set too, as vertices held it
 before it was a point bitmask.  The quotient comparison keeps here the
 tests it made after its bijection test, which the bijection decides on
-every system ``build_system`` makes.
+every system ``build_system`` makes.  From before one maximal-clique
+search served them, here are the nerve absorption check that built every
+flag complex whole, the branch-and-bound clique number that padded the
+flag Betti rows, and the flag core that reduced the level graph by closed
+neighbourhoods.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Mapping, Sequence
 
-from conftest import level_flag, level_nerve
+from conftest import level_flag, level_flags, level_nerve
 from nervelim.complexes import (
     Complex,
     LambdaIndex,
@@ -44,12 +48,13 @@ from nervelim.complexes import (
 from nervelim.cells import EquivalenceResult, QuotientSpace, point_classes
 from nervelim.errors import GuardExceeded
 from nervelim.ground import CoverFamily, PointId
-from nervelim.homology import betti, boundary_matrix, gf2_rank, gf2_reduce
+from nervelim.homology import betti, boundary_matrix, drop_dominated, gf2_rank, gf2_reduce
 from nervelim.report import Report, _fraction
 from nervelim.systems import (
     InverseSystem,
     _top,
     canonical_map,
+    find_nerve_absorbing_level,
     thread_image,
     vertex_thread,
     vertex_threads,
@@ -498,6 +503,77 @@ def full_check_skeleton_equality(system: InverseSystem) -> Report:
             bad = {"lambda": list(level.lam.cover_ids)}
             break
     return Report("skeleton_equality", bad is None, counterexample=bad)
+
+
+def full_check_nerve_absorption(system: InverseSystem) -> Report:
+    """The nerve absorption check as it was before it read maximal cliques:
+    every level's whole flag complex, built in level order, so the first
+    level past the guard raises, and each pushed down the bonds simplex by
+    simplex."""
+    flags = level_flags(system)
+    rows = []
+    for i, level in enumerate(system.levels):
+        j = find_nerve_absorbing_level(system, i, flags)
+        rows.append(
+            {
+                "lambda": list(level.lam.cover_ids),
+                "found": j is not None,
+                "mu": None if j is None else list(system.levels[j].lam.cover_ids),
+            }
+        )
+    return Report("nerve_absorption", all(r["found"] for r in rows), details={"levels": rows})
+
+
+def maximal_simplices(cx: Iterable[Simplex]) -> set[Simplex]:
+    """The simplices of a complex that are faces of no other."""
+    cx = set(cx)
+    vertices = {v for s in cx for v in s}
+    return {s for s in cx if not any(tuple(sorted(s + (v,))) in cx for v in vertices - set(s))}
+
+
+def clique_number(adjacency: Sequence[int], cap: int) -> int:
+    """The number of vertices of a largest clique of a graph given as
+    neighbour bitmasks, or ``cap`` when that is smaller, without
+    enumerating the cliques: the search stops at the first clique of
+    ``cap`` vertices, as a caller asking whether a guard is passed needs
+    no more.
+
+    A branch-and-bound search over the lexicographic clique tree of
+    ``complexes._all_cliques``: a node is a clique and the larger vertices
+    adjacent to all of it that are not yet branched on.  A node is dropped
+    when its clique and all those vertices together would not beat the
+    largest clique found (the bound of Carraghan and Pardalos, "An exact
+    algorithm for the maximum clique problem", Oper. Res. Lett. 1990).
+    """
+    best = 0
+    stack = [(0, (1 << len(adjacency)) - 1)]
+    while stack and best < cap:
+        size, candidates = stack.pop()
+        best = max(best, size)
+        if size + candidates.bit_count() <= best:
+            continue
+        v = (candidates & -candidates).bit_length() - 1
+        rest = candidates & (candidates - 1)
+        stack.append((size, rest))
+        stack.append((size + 1, rest & adjacency[v]))
+    return best
+
+
+def graph_flag_core(level, max_dim: int) -> Complex:
+    """The flag core as ``homology.flag_core`` built it before it reduced
+    the vertex-maximal-clique relation: the clique complex of the level
+    graph once every vertex whose closed neighbourhood lies inside
+    another's is removed, repeatedly."""
+    closed = [a | 1 << v for v, a in enumerate(level.adjacency)]
+    kept = (1 << len(closed)) - 1
+    while True:
+        left = drop_dominated([c & kept for c in closed], closed, kept, {})
+        if left == kept:
+            break
+        kept = left
+    index = {v: c for c, v in enumerate(members(kept))}
+    adjacency = [sum(1 << index[u] for u in members(closed[v] & kept & ~(1 << v))) for v in index]
+    return build_flag(level.lam, adjacency, max_dim)
 
 
 # ---------------------------------------------------------------------------

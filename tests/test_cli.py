@@ -527,7 +527,7 @@ def test_max_dim_bound_stops_at_the_guard_without_a_traceback(tmp_path, capsys):
 def test_check_runs_past_the_clique_guard(tmp_path, capsys):
     # circle-24-thick at --max-dim 3: level {0,1} has a clique of 6
     # vertices.  build stops there and writes nothing; check runs every
-    # check and skips the two that enumerate a complex
+    # check and skips the two that read maximal cliques
     from fractions import Fraction
 
     from nervelim.ground import Arcs, CircleGrid, CoverFamily, generate_cover, generate_space

@@ -20,11 +20,13 @@ from oracles import (
     brute_flag_simplices,
     brute_nerve_simplices,
     brute_vertices,
+    clique_number,
     complex_from_json,
     convex_combination,
     fiber_subset_nerve,
     from_maximal,
     k_simplices,
+    maximal_simplices,
     point_mask,
     product_weights,
     pruned_nerve,
@@ -44,8 +46,8 @@ from nervelim.complexes import (
     build_flag,
     build_vertices,
     carrier_wedge,
-    clique_number,
     complex_to_json,
+    maximal_cliques,
     point_fibers,
     skeleton_dot,
     wedge_adjacency,
@@ -417,7 +419,9 @@ def test_clique_search_matches_set_builders(data, max_dim):
     # one search builds both complexes, in lexicographic order; the set
     # builders it replaced are the oracle, guard messages included.  The
     # nerve meets the flag complex's guard, and the pruned nerve of the
-    # oracles the guard of its fibers
+    # oracles the guard of its fibers.  The maximal cliques, each listed
+    # once, are the set-built complex's maximal simplices, and past the
+    # guard they raise the flag complex's message
     family, lists = data
     lam = LambdaIndex.of(range(len(lists)))
     verts = build_vertices(family, lam)
@@ -433,6 +437,8 @@ def test_clique_search_matches_set_builders(data, max_dim):
     cases = [
         (lambda: build_flag(lam, adjacency, max_dim),
          lambda: set_clique_flag(adjacency, max_dim, where)),
+        (lambda: tuple(sorted(maximal_cliques(lam, adjacency, max_dim))),
+         lambda: maximal_simplices(set_clique_flag(adjacency, max_dim, where))),
         (lambda: build_complexes(lam, adjacency, wedges, max_dim)[1], guarded_nerve),
         (lambda: pruned_nerve(lam, adjacency, fibers, max_dim),
          lambda: fiber_subset_nerve(fibers, max_dim, where)),
@@ -494,10 +500,12 @@ def test_one_search_matches_two_searches_on_presets(preset_systems):
     assert True in shared and False in shared
 
 
-@pytest.mark.parametrize("max_dim", [1, 2, 3])
+@pytest.mark.parametrize("max_dim", [0, 1, 2, 3])
 def test_one_search_guard_matches_two_searches_on_circle_24_thick(max_dim):
     # every level of the benchmark's circle-24-thick family, in build's
-    # order: the first guard message is the flag complex's, as before
+    # order: the first guard message is the flag complex's, as before.  On
+    # each level the maximal cliques are the flag complex's maximal
+    # simplices, or raise its message past the guard
     space = generate_space(CircleGrid(), 24)
     arcs = ((3, F(1)), (6, F(1, 4)), (12, F(1, 4)))
     family = CoverFamily(
@@ -520,6 +528,14 @@ def test_one_search_guard_matches_two_searches_on_circle_24_thick(max_dim):
         assert_one_search_matches_two(
             level.lam, level.adjacency, level.vertices, level.fibers, max_dim
         )
+        try:
+            flag = level_flag(level, max_dim)
+        except GuardExceeded as e:
+            with pytest.raises(GuardExceeded, match=f"^{re.escape(str(e))}$"):
+                maximal_cliques(level.lam, level.adjacency, max_dim)
+            continue
+        cliques = maximal_cliques(level.lam, level.adjacency, max_dim)
+        assert sorted(cliques) == sorted(maximal_simplices(flag)), level.lam
 
 
 @given(family_and_lambda() | planted_triangles())
@@ -530,6 +546,7 @@ def test_clique_number_is_the_longest_flag_simplex(data):
     verts = build_vertices(family, lam)
     adjacency = wedge_adjacency(point_fibers(verts, family.ground.n_points), len(verts))
     width = max(map(len, build_flag(lam, adjacency, 30)))
+    assert max(map(len, maximal_cliques(lam, adjacency, 30))) == width
     # the search stops at the first clique of cap vertices
     for cap in range(1, width + 2):
         assert clique_number(adjacency, cap) == min(width, cap)
@@ -542,6 +559,8 @@ def test_clique_search_matches_set_builders_on_presets(preset_systems):
             nerve = fiber_subset_nerve(level.fibers, system.max_dim)
             built = (level_flag(level, system.max_dim), level_nerve(level, system.max_dim))
             assert built == (tuple(sorted(flag)), tuple(sorted(nerve)))
+            cliques = maximal_cliques(level.lam, level.adjacency, system.max_dim)
+            assert sorted(cliques) == sorted(maximal_simplices(flag))
 
 
 @given(family_and_lambda())

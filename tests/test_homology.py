@@ -10,6 +10,7 @@ from conftest import build_level, family_and_lambda, level_flag, level_nerve, pl
 from oracles import (
     basis_gf2_rank,
     boundary_composition_is_zero,
+    clique_number,
     cycle_complex,
     discrete_complex,
     from_maximal,
@@ -22,7 +23,7 @@ from oracles import (
     top_dim,
     wedge_graph_complex,
 )
-from nervelim.complexes import DEFAULT_MAX_DIM, LambdaIndex, clique_number
+from nervelim.complexes import DEFAULT_MAX_DIM, LambdaIndex, maximal_cliques
 from nervelim.ground import (
     Arcs,
     CircleGrid,
@@ -265,7 +266,7 @@ def test_circle_24_3812_chain_table():
     table = betti_stabilization(system, [0, 1, 2])
     # each core is a point or a hollow polygon
     assert [len(nerve_core(level, 16).cx) for level in system.levels] == [1, 16, 32]
-    assert [len(flag_core(level, 16)) for level in system.levels] == [1, 16, 32]
+    assert [len(level_flag_core(level, 16)) for level in system.levels] == [1, 16, 32]
     assert [r.bettis.numbers for r in table.rows] == [
         (1, 0, 0),
         (1, 0, 0),
@@ -280,6 +281,12 @@ def test_circle_24_3812_chain_table():
 
 # ---------------------------------------------------------------------------
 # cores, against the full complexes
+
+
+def level_flag_core(level, max_dim):
+    """The flag core of ``level`` on the level graph's maximal cliques, as
+    ``betti_stabilization`` builds it."""
+    return flag_core(level, maximal_cliques(level.lam, level.adjacency, max_dim), max_dim)
 
 
 def test_domination_keeps_the_lower_of_equal_rows():
@@ -302,7 +309,7 @@ def test_flag_collapse_reads_closed_neighbourhoods():
         ),
         LambdaIndex.of([0]),
     )
-    assert flag_core(level, 8) == ((0,),)
+    assert level_flag_core(level, 8) == ((0,),)
 
 
 def _increasing_pairs(system):
@@ -363,7 +370,7 @@ def test_cores_are_subcomplexes_retracted_onto(preset_systems):
             assert [core.retraction[v] for v in core.vertices] == list(range(len(core.vertices)))
             for fiber in level.fibers:
                 assert tuple(sorted({core.retraction[v] for v in fiber})) in cx
-            assert len(flag_core(level, system.max_dim)) <= len(level_flag(level, system.max_dim))
+            assert len(level_flag_core(level, system.max_dim)) <= len(level_flag(level, system.max_dim))
 
 
 def test_core_ranks_match_sympy_oracle(preset_systems):
@@ -371,7 +378,7 @@ def test_core_ranks_match_sympy_oracle(preset_systems):
     for level in system.levels:
         for core, full in (
             (nerve_core(level, system.max_dim).cx, level_nerve(level, system.max_dim)),
-            (flag_core(level, system.max_dim), level_flag(level, system.max_dim)),
+            (level_flag_core(level, system.max_dim), level_flag(level, system.max_dim)),
         ):
             assert betti(core).numbers == sympy_betti(core), level.lam
             assert betti(core).agrees_with(betti(full).numbers), level.lam

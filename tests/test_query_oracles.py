@@ -20,7 +20,11 @@ systems.  With one fiber tampered, the two may differ, but only where
 ``flag_reconstruction`` fails.  The
 benchmark families built here also check Betti stabilization on the cores
 against the full complexes, and the flag reconstruction and skeleton
-checks against rebuilding and comparing every complex.
+checks against rebuilding and comparing every complex.  The readers of
+maximal cliques, ``check_nerve_absorption`` and the flag core, are held
+to the check on whole flag complexes and to the closed-neighbourhood
+core of ``oracles`` on generated families, the presets, the benchmark
+families and circle-48.
 
 Each vertex's wedge is a point bitmask.  ``oracles.element_wedges`` reads
 it as a point set, the intersection of the chosen elements' point sets,
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import importlib.util
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,12 +48,15 @@ from conftest import family_and_lambda, level_flag, level_nerve, planted_triangl
 from oracles import (
     BarycentricPoint,
     canonical_point,
+    clique_number,
     converge,
     element_wedges,
     full_betti_stabilization,
     full_check_flag_reconstruction,
+    full_check_nerve_absorption,
     full_check_skeleton_equality,
     full_compare_quotient_to_ground,
+    graph_flag_core,
     is_cauchy,
     non_max_levels,
     pairwise_class_adjacency,
@@ -72,10 +80,11 @@ from nervelim.complexes import (
     LambdaIndex,
     build_complexes,
     carrier_wedge,
-    clique_number,
+    maximal_cliques,
     members,
 )
 from nervelim.ground import (
+    Arcs,
     CantorDepth,
     CircleGrid,
     CoverFamily,
@@ -84,9 +93,10 @@ from nervelim.ground import (
     WedgeOfCircles,
     ball_neighborhoods,
     cover_from_pointsets,
+    generate_cover,
     generate_space,
 )
-from nervelim.homology import betti_stabilization, nerve_core
+from nervelim.homology import betti, betti_stabilization, flag_core, nerve_core
 from nervelim.presets import PRESETS
 from nervelim.systems import (
     all_lambdas,
@@ -95,6 +105,7 @@ from nervelim.systems import (
     canonical_thread,
     check_flag_reconstruction,
     check_homotopy,
+    check_nerve_absorption,
     check_skeleton_equality,
     thread_image,
     vertex_thread,
@@ -364,6 +375,8 @@ def test_clique_numbers_and_thread_classes_on_benchmark_families(benchmark_syste
         # no clique has more vertices than the graph, so the cap never binds
         width = clique_number(level.adjacency, len(level.adjacency))
         assert width == max(map(len, flag)), level.lam
+        cliques = maximal_cliques(level.lam, level.adjacency, system.max_dim)
+        assert max(map(len, cliques)) == width and set(cliques) <= set(flag), level.lam
     result = equivalence_classes(system)
     assert result == triple_scan_equivalence_classes(system)
     assert compare_quotient_to_ground(system, result) == full_compare_quotient_to_ground(
@@ -398,6 +411,67 @@ def test_cores_match_full_complexes_on_benchmark_families(benchmark_systems, nam
     chain = [system.position[LambdaIndex.of(range(k))] for k in range(1, n + 1)]
     table = betti_stabilization(system, chain)
     assert table.to_json() == full_betti_stabilization(system, chain)
+
+
+# ---------------------------------------------------------------------------
+# the readers of maximal cliques, against whole flag complexes and the
+# closed-neighbourhood flag core
+
+
+def _assert_clique_readers_match_oracles(system):
+    """``check_nerve_absorption`` against the check on whole flag
+    complexes, and on each level the flag Betti row of the maximal-clique
+    core against the closed-neighbourhood core's, each padded as
+    ``betti_stabilization`` pads it; past the guard, the same message from
+    either side."""
+    try:
+        expected = full_check_nerve_absorption(system)
+    except GuardExceeded as e:
+        with pytest.raises(GuardExceeded, match=f"^{re.escape(str(e))}$"):
+            check_nerve_absorption(system)
+    else:
+        assert check_nerve_absorption(system) == expected
+    d = system.max_dim
+    for level in system.levels:
+        width = clique_number(level.adjacency, d + 2)
+        if width > d + 1:
+            with pytest.raises(GuardExceeded) as e:
+                level_flag(level, d)
+            with pytest.raises(GuardExceeded, match=f"^{re.escape(str(e.value))}$"):
+                maximal_cliques(level.lam, level.adjacency, d)
+            continue
+        cliques = maximal_cliques(level.lam, level.adjacency, d)
+        row = betti(flag_core(level, cliques, d)).padded(max(map(len, cliques)))
+        assert row == betti(graph_flag_core(level, d)).padded(width), level.lam
+
+
+@given(family_and_lambda() | planted_triangles(), st.sampled_from([0, 1, 30]))
+def test_clique_readers_match_oracles_on_generated_families(data, max_dim):
+    family, _ = data
+    _assert_clique_readers_match_oracles(build_system(family, max_dim=max_dim))
+
+
+def test_clique_readers_match_oracles_on_presets(preset_systems):
+    for _, _, system in preset_systems.values():
+        _assert_clique_readers_match_oracles(system)
+
+
+@pytest.mark.parametrize("name", list(BENCHMARK_SYSTEMS))
+def test_clique_readers_match_oracles_on_benchmark_families(benchmark_systems, name):
+    _assert_clique_readers_match_oracles(benchmark_systems[name])
+
+
+def test_clique_readers_match_oracles_on_circle_48():
+    # arcs 3/6/12/24 with no overlap, all 15 levels: 404,725 flag
+    # simplices over all levels, which the old check enumerated
+    space = generate_space(CircleGrid(), 48)
+    arcs = tuple(
+        generate_cover(space, Arcs(n, Fraction(0)), cover_id=i)
+        for i, n in enumerate((3, 6, 12, 24))
+    )
+    system = build_system(CoverFamily(arcs, space), None, 16)
+    assert check_nerve_absorption(system).passed
+    _assert_clique_readers_match_oracles(system)
 
 
 def _assert_wedge_masks_match_element_sets(system):
