@@ -23,6 +23,10 @@ Each checkout runs, from its own directory under the work directory:
   three points under one cover of one element, its input written with
   circle-48's: one thread class for three points, so the comparison fails
   with "no bijection";
+- ``check --checks star_conditions,equivalence_classes,quotient_comparison``
+  of star-300, 300 points under one cover of the elements {0, i}, its
+  input written with circle-48's: the one level is a clique of 299
+  vertices, so both thread checks pass with one large class;
 - ``build`` and ``check`` of circle-24-thick at ``--max-dim 3``.  ``build``
   stops at the clique guard of level {0,1} and exits 2, so a change to the
   clique search is compared on its failure bytes as well; ``check`` runs
@@ -56,8 +60,8 @@ from pathlib import Path
 PRESETS = ("cantor-d3", "interval-g8", "circle-a3612", "circle-a3", "wedge2")
 SAMPLES = ("--seed", "7", "--nets", "1000", "--homotopy-samples", "5")
 
-# writes the space and covers files of circle-48 and of one-class (3 points
-# under one element) into the directory argv[1]
+# writes the space and covers files of circle-48, of one-class (3 points
+# under one element) and of star-300 into the directory argv[1]
 WRITE_INPUTS = """
 import sys
 from fractions import Fraction
@@ -75,6 +79,10 @@ space = GroundSpace(3)
 one = CoverFamily((cover_from_pointsets(0, [{0, 1, 2}]),), space)
 (out / "one-class.space.json").write_text(dump_json(space_to_json(space)))
 (out / "one-class.covers.json").write_text(dump_json(family_to_json(one)))
+space = GroundSpace(300)
+star = CoverFamily((cover_from_pointsets(0, [{0, i} for i in range(1, 300)]),), space)
+(out / "star-300.space.json").write_text(dump_json(space_to_json(space)))
+(out / "star-300.covers.json").write_text(dump_json(family_to_json(star)))
 """
 
 
@@ -110,6 +118,9 @@ def commands() -> list[tuple[str, ...]]:
         ("check", *_family("circle-48"), "--max-dim", "16", "--out", "circle-48-check"),
         ("check", *_family("one-class"), "--checks", "equivalence_classes,quotient_comparison",
          "--out", "one-class-check"),
+        ("check", *_family("star-300"),
+         "--checks", "star_conditions,equivalence_classes,quotient_comparison",
+         "--out", "star-300-check"),
         ("build", *_family("circle-24-thick"), "--max-dim", "3", "--out", "guard-build"),
         ("check", *_family("circle-24-thick"), "--max-dim", "3", "--out", "guard-check"),
         ("check", "--space", "circle-a3612", "--max-dim", "0",

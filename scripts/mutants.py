@@ -126,8 +126,16 @@ MUTANTS: list[tuple[str, str, str]] = [
      "elif False:"),
     # section_identity taking an image that holds the point for its singleton
     ("systems.py", "if image != 1 << x:", "if not image >> x & 1:"),
-    # star_conditions finding a contracting level at once
-    ("cells.py", "if not image & ~target:", "if True:"),
+    # star_conditions finding every projected double star inside the
+    # single star, and projecting it by the top level's own ids
+    ("cells.py", "if image & ~target:", "if False:"),
+    ("cells.py", "image |= 1 << vm[v]", "image |= 1 << v"),
+    # a closed star without its centre
+    ("cells.py", "return adj[v] | 1 << v", "return adj[v]"),
+    # the thread relation read at the base level, not the top
+    ("cells.py",
+     "rows = [_star(adjs[t], i) for i in range(n)]",
+     "rows = [_star(adjs[0], i) for i in range(n)]"),
     # equivalence_classes without its transitivity test, blind to a broken
     # triple whose i and j are unrelated, and naming a broken triple in
     # the wrong order, twice

@@ -6,8 +6,10 @@ homomorphisms: ``build_system`` verifies that every bond sends each
 source edge to an edge or to one vertex.  Threads are identified up to
 levelwise adjacency, and the quotient matches the ground space when
 sending each point to its class is a bijection: since projections only
-widen wedges, that one test decides the comparison.  Threads and nets are
-tuples of vertex ids aligned with ``system.levels``.
+widen wedges, that one test decides the comparison.  The thread relation
+and the star conditions are read at the top level alone, and both hold
+exactly when its graph is a disjoint union of cliques.  Threads and nets
+are tuples of vertex ids aligned with ``system.levels``.
 
 A net is Cauchy when, at every base level i, the projections to i of its
 vertices at the levels above i are pairwise adjacent there; it converges
@@ -29,10 +31,6 @@ from .report import Report
 from .systems import InverseSystem, _top, canonical_map, vertex_threads
 
 
-def _adjacent(adj: list[int], a: int, b: int) -> bool:
-    return a == b or bool(adj[a] >> b & 1)
-
-
 def _star(adj: list[int], v: int) -> int:
     """The closed neighbourhood of v as a bitmask."""
     return adj[v] | 1 << v
@@ -42,35 +40,32 @@ def _star(adj: list[int], v: int) -> int:
 # the star conditions
 
 
-def check_star_contraction(system: InverseSystem, z: tuple[int, ...], i: int) -> int | None:
-    """The position of a level above position i whose double star of the
-    thread projects into the single star at i, or None."""
-    target = _star(system.levels[i].adjacency, z[i])
-    for j in system.above[i]:
-        adj = system.levels[j].adjacency
-        double = 0
-        for v in members(_star(adj, z[j])):
-            double |= _star(adj, v)
-        vm = system.bond(i, j)
-        image = 0
-        for v in members(double):
-            image |= 1 << vm[v]
-        if not image & ~target:
-            return j
-    return None
-
-
 def check_star_conditions(system: InverseSystem) -> Report:
-    threads = vertex_threads(system)
-    t = system.top
+    """Some level above each level i projects each vertex thread's double
+    star into its single star at i.  Only the top level t is tried: a bond
+    maps a double star into the double star of its image, and bonds
+    compose, so if a level above i works, t does.  ``functoriality``
+    reports bonds that do not compose, and ``cauchy_sweep`` a ``bond(t, t)``
+    that is not the identity.  The scan over every level above i is
+    ``tests/oracles.py::every_level_star_conditions``."""
+    t = _top(system)
+    top = system.levels[t].adjacency
     bad = None
     max_star = 0
-    for z in threads:
+    for u in range(len(top)):
+        double = 0
+        for v in members(_star(top, u)):
+            double |= _star(top, v)
         for i, level in enumerate(system.levels):
-            if check_star_contraction(system, z, i) is None:
-                bad = {"thread_top": z[t], "lambda": list(level.lam.cover_ids)}
+            vm = system.bond(i, t)
+            image = 0
+            for v in members(double):
+                image |= 1 << vm[v]
+            target = _star(level.adjacency, vm[u])
+            if image & ~target:
+                bad = {"thread_top": u, "lambda": list(level.lam.cover_ids)}
                 break
-            max_star = max(max_star, _star(level.adjacency, z[i]).bit_count())
+            max_star = max(max_star, target.bit_count())
         if bad:
             break
     return Report(
@@ -78,7 +73,7 @@ def check_star_conditions(system: InverseSystem) -> Report:
         bad is None,
         counterexample=bad,
         details={
-            "threads": len(threads),
+            "threads": len(top),
             "finiteness": "vacuous on finite ground models",
             "max_star": max_star,
         },
@@ -116,6 +111,12 @@ def equivalence_classes(system: InverseSystem) -> EquivalenceResult:
     """Relate threads adjacent at every level; verify the relation is an
     equivalence before quotienting.  Failures are reported, not repaired.
 
+    Threads are related when their top vertices are equal or adjacent:
+    each ``bond(p, t)`` sends an edge to an edge or to one vertex, and
+    ``bond(t, t)`` is the identity (``cauchy_sweep`` reports one that is
+    not).  The relation read at every level is
+    ``tests/oracles.py::triple_scan_equivalence_classes``.
+
     Thread i's row is the bitmask of the threads related to it.  A triple
     i < j < k breaks transitivity exactly when two of its three pairs are
     related.  So for each pair i < j in order, the first such k is the
@@ -127,14 +128,9 @@ def equivalence_classes(system: InverseSystem) -> EquivalenceResult:
     """
     threads = vertex_threads(system)
     adjs = [level.adjacency for level in system.levels]
+    t = system.top
     n = len(threads)
-
-    def related(i: int, j: int) -> bool:
-        return all(map(_adjacent, adjs, threads[i], threads[j]))
-
-    rows = [sum(1 << j for j in range(n) if related(i, j)) for i in range(n)]
-    if any(not row >> i & 1 for i, row in enumerate(rows)):
-        raise AssertionError("reflexivity cannot fail on a reflexive graph")
+    rows = [_star(adjs[t], i) for i in range(n)]
     for i, row in enumerate(rows):
         for j in range(i + 1, n):
             linked = row >> j & 1

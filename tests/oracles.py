@@ -19,7 +19,8 @@ every system ``build_system`` makes.  From before one maximal-clique
 search served them, here are the nerve absorption check that built every
 flag complex whole, the branch-and-bound clique number that padded the
 flag Betti rows, and the flag core that reduced the level graph by closed
-neighbourhoods.
+neighbourhoods.  The star conditions that tried every level above each
+level, from before they read the top level alone, are here as well.
 """
 
 from __future__ import annotations
@@ -774,9 +775,51 @@ def scan_converge(system: InverseSystem, y: tuple[int, ...]) -> tuple[int, ...] 
     return None
 
 
+def every_level_star_conditions(system: InverseSystem) -> Report:
+    """``cells.check_star_conditions`` as it was before it read the top level
+    alone: for each vertex thread and each level i, the levels above i are
+    tried in order, each rebuilding the thread's double star there, until
+    one projects it into the thread's single star at i."""
+    threads = vertex_threads(system)
+    t = system.top
+    bad = None
+    max_star = 0
+    for z in threads:
+        for i, level in enumerate(system.levels):
+            target = _star(level.adjacency, z[i])
+            for j in system.above[i]:
+                adj = system.levels[j].adjacency
+                double = 0
+                for v in members(_star(adj, z[j])):
+                    double |= _star(adj, v)
+                vm = system.bond(i, j)
+                image = 0
+                for v in members(double):
+                    image |= 1 << vm[v]
+                if not image & ~target:
+                    break
+            else:
+                bad = {"thread_top": z[t], "lambda": list(level.lam.cover_ids)}
+                break
+            max_star = max(max_star, target.bit_count())
+        if bad:
+            break
+    return Report(
+        "star_conditions",
+        bad is None,
+        counterexample=bad,
+        details={
+            "threads": len(threads),
+            "finiteness": "vacuous on finite ground models",
+            "max_star": max_star,
+        },
+    )
+
+
 def triple_scan_equivalence_classes(system: InverseSystem) -> EquivalenceResult:
-    """``cells.equivalence_classes`` as it was before its pairwise search: the
-    relation as a table of bools, transitivity by scanning every triple,
+    """``cells.equivalence_classes`` as it was before its pairwise search and
+    before it read the top level alone: the relation, adjacency at every
+    level, as a table of bools, transitivity by scanning every triple,
     and each class read off the row of its first thread; the class
     adjacency is ``pairwise_class_adjacency``."""
     threads = vertex_threads(system)

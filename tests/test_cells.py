@@ -9,6 +9,7 @@ import oracles
 from conftest import level_flag
 from oracles import (
     converge,
+    every_level_star_conditions,
     is_cauchy,
     k_simplices,
     non_max_levels,
@@ -22,7 +23,6 @@ from nervelim.cells import (
     cauchy_sweep,
     check_equivalence,
     check_star_conditions,
-    check_star_contraction,
     compare_quotient_to_ground,
     equivalence_classes,
 )
@@ -110,15 +110,23 @@ def test_star_contraction_cantor_all_threads(cantor_system):
 
 
 def test_star_contraction_fails_on_path():
+    # the double star of an end of the path holds three vertices, its
+    # single star two; the end thread through vertex 0 comes first
     system = _path_system()
-    z = vertex_threads(system)[0]  # an end of the path
-    assert check_star_contraction(system, z, 0) is None
+    report = check_star_conditions(system)
+    assert not report.passed
+    assert report.counterexample == {"thread_top": 0, "lambda": [0]}
+    assert report.to_json() == every_level_star_conditions(system).to_json()
 
 
 def test_star_contraction_trivial_on_one_point():
-    system = _one_point_system()
-    z = vertex_threads(system)[0]
-    assert check_star_contraction(system, z, 0) == 0
+    report = check_star_conditions(_one_point_system())
+    assert report.passed
+    assert report.details == {
+        "threads": 1,
+        "finiteness": "vacuous on finite ground models",
+        "max_star": 1,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,11 @@ these tests require the sampled verdicts to equal the exact ones.
 that one, and these tests require the same reports on the presets, the
 benchmark families, generated families and a seeded sweep of random
 systems.  With one fiber tampered, the two may differ, but only where
-``flag_reconstruction`` fails.  The
+``flag_reconstruction`` fails.  ``star_conditions`` and the thread
+relation read the top level alone; ``oracles`` keeps their scans of
+every level, and these tests require equal results on the presets, the
+benchmark families, circle-48, generated families and a seeded sweep of
+random systems, and the two checks to give one verdict.  The
 benchmark families built here also check Betti stabilization on the cores
 against the full complexes, and the flag reconstruction and skeleton
 checks against rebuilding and comparing every complex.  The readers of
@@ -51,6 +55,7 @@ from oracles import (
     clique_number,
     converge,
     element_wedges,
+    every_level_star_conditions,
     full_betti_stabilization,
     full_check_flag_reconstruction,
     full_check_nerve_absorption,
@@ -75,11 +80,17 @@ from oracles import (
     two_search_build,
 )
 from nervelim.errors import GuardExceeded, PreconditionUnmet
-from nervelim.cells import cauchy_sweep, compare_quotient_to_ground, equivalence_classes
+from nervelim.cells import (
+    cauchy_sweep,
+    check_star_conditions,
+    compare_quotient_to_ground,
+    equivalence_classes,
+)
 from nervelim.complexes import (
     LambdaIndex,
     build_complexes,
     carrier_wedge,
+    graph_edges,
     maximal_cliques,
     members,
 )
@@ -377,8 +388,8 @@ def test_clique_numbers_and_thread_classes_on_benchmark_families(benchmark_syste
         assert width == max(map(len, flag)), level.lam
         cliques = maximal_cliques(level.lam, level.adjacency, system.max_dim)
         assert max(map(len, cliques)) == width and set(cliques) <= set(flag), level.lam
+    _assert_thread_checks_match_scans(system)
     result = equivalence_classes(system)
-    assert result == triple_scan_equivalence_classes(system)
     assert compare_quotient_to_ground(system, result) == full_compare_quotient_to_ground(
         system, result
     )
@@ -461,17 +472,91 @@ def test_clique_readers_match_oracles_on_benchmark_families(benchmark_systems, n
     _assert_clique_readers_match_oracles(benchmark_systems[name])
 
 
-def test_clique_readers_match_oracles_on_circle_48():
+@pytest.fixture(scope="module")
+def circle_48_system():
     # arcs 3/6/12/24 with no overlap, all 15 levels: 404,725 flag
-    # simplices over all levels, which the old check enumerated
+    # simplices over all levels, which the old nerve check enumerated
     space = generate_space(CircleGrid(), 48)
     arcs = tuple(
         generate_cover(space, Arcs(n, Fraction(0)), cover_id=i)
         for i, n in enumerate((3, 6, 12, 24))
     )
-    system = build_system(CoverFamily(arcs, space), None, 16)
-    assert check_nerve_absorption(system).passed
-    _assert_clique_readers_match_oracles(system)
+    return build_system(CoverFamily(arcs, space), None, 16)
+
+
+def test_clique_readers_match_oracles_on_circle_48(circle_48_system):
+    assert check_nerve_absorption(circle_48_system).passed
+    _assert_clique_readers_match_oracles(circle_48_system)
+
+
+def _unmet_or(f, system):
+    """``f(system)``, or the message of the ``PreconditionUnmet`` it raises."""
+    try:
+        return f(system)
+    except PreconditionUnmet as e:
+        return str(e)
+
+
+def _assert_thread_checks_match_scans(system):
+    """``check_star_conditions`` and ``equivalence_classes`` against their
+    scans of every level, down to the counterexample and the witness."""
+    star = _unmet_or(check_star_conditions, system)
+    assert star == _unmet_or(every_level_star_conditions, system)
+    relation = _unmet_or(equivalence_classes, system)
+    assert relation == _unmet_or(triple_scan_equivalence_classes, system)
+
+
+def _thread_verdict(system):
+    """"pass" or "fail" when ``star_conditions`` passes or fails, after
+    requiring the thread relation to be transitive exactly when it passes,
+    and that exactly when the top graph is a disjoint union of cliques
+    (adjacent vertices have equal closed stars); the message when the two
+    raise ``PreconditionUnmet``, as both must."""
+    star = _unmet_or(check_star_conditions, system)
+    relation = _unmet_or(equivalence_classes, system)
+    if isinstance(star, str) or isinstance(relation, str):
+        assert star == relation
+        return star
+    assert star.passed == (relation.witness is None)
+    top = system.levels[system.top].adjacency
+    stars = [adj | 1 << v for v, adj in enumerate(top)]
+    cliques = all(stars[a] == stars[b] for a, b in graph_edges(top))
+    assert star.passed == cliques
+    return "pass" if star.passed else "fail"
+
+
+def test_thread_checks_match_scans_on_presets(preset_systems):
+    for _, _, system in preset_systems.values():
+        _assert_thread_checks_match_scans(system)
+
+
+def test_thread_checks_match_scans_on_circle_48(circle_48_system):
+    _assert_thread_checks_match_scans(circle_48_system)
+
+
+@given(family_and_lambda())
+def test_thread_checks_match_scans_on_generated_families(data):
+    _assert_thread_checks_match_scans(build_system(data[0]))
+
+
+def test_thread_checks_match_scans_on_random_systems():
+    rng = random.Random(2025)
+    for _ in range(1000):
+        _assert_thread_checks_match_scans(_random_system(rng))
+
+
+def test_star_conditions_pass_exactly_when_the_relation_is_transitive(preset_systems):
+    verdicts = {name: _thread_verdict(system) for name, (_, _, system) in preset_systems.items()}
+    assert verdicts == {
+        "cantor-d3": "pass",
+        "interval-g8": "pass",
+        "circle-a3612": "fail",
+        "circle-a3": "pass",
+        "wedge2": "fail",
+    }
+    rng = random.Random(2025)
+    seen = {_thread_verdict(_random_system(rng)) for _ in range(1000)}
+    assert seen == {"pass", "fail", "the selected levels have no maximum level"}
 
 
 def _assert_wedge_masks_match_element_sets(system):
