@@ -26,7 +26,10 @@ Each checkout runs, from its own directory under the work directory:
 - ``check --checks star_conditions,equivalence_classes,quotient_comparison``
   of star-300, 300 points under one cover of the elements {0, i}, its
   input written with circle-48's: the one level is a clique of 299
-  vertices, so both thread checks pass with one large class;
+  vertices, so both thread checks pass with one large class; then
+  ``check --checks simpliciality,fibers,fiber_homotopy`` of star-300: its
+  one bond, the identity, is tested on point fibers, and point 0's fiber
+  holds all 299 vertices;
 - ``build`` and ``check`` of circle-24-thick at ``--max-dim 3``.  ``build``
   stops at the clique guard of level {0,1} and exits 2, so a change to the
   clique search is compared on its failure bytes as well; ``check`` runs
@@ -121,6 +124,8 @@ def commands() -> list[tuple[str, ...]]:
         ("check", *_family("star-300"),
          "--checks", "star_conditions,equivalence_classes,quotient_comparison",
          "--out", "star-300-check"),
+        ("check", *_family("star-300"), "--checks", "simpliciality,fibers,fiber_homotopy",
+         "--out", "star-300-bonds"),
         ("build", *_family("circle-24-thick"), "--max-dim", "3", "--out", "guard-build"),
         ("check", *_family("circle-24-thick"), "--max-dim", "3", "--out", "guard-check"),
         ("check", "--space", "circle-a3612", "--max-dim", "0",

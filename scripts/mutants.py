@@ -117,13 +117,16 @@ MUTANTS: list[tuple[str, str, str]] = [
     ("systems.py",
      "if system.bond(i, k) != tuple(outer[v] for v in system.bond(j, k)):",
      "if False:"),
-    # simpliciality without its flag half, and without its nerve half
+    # build_system without its bond assertion
+    ("systems.py", "if bad is not None:", "if False:"),
+    # simpliciality passing every bond without its nerve half, and naming
+    # every failing bond a nerve-only failure
     ("systems.py",
-     "if unmapped_edge(bond, levels[j].adjacency, levels[i].adjacency) is not None:",
-     "if False:"),
+     "if unmapped(bond, levels[j].fibers, levels[i].vertices) is None:",
+     "if True:"),
     ("systems.py",
-     "elif unmapped(bond, levels[j].fibers, levels[i].vertices) is not None:",
-     "elif False:"),
+     'kind = "N" if unmapped_edge(bond, levels[j].adjacency, levels[i].adjacency) is None else "F"',
+     'kind = "N"'),
     # section_identity taking an image that holds the point for its singleton
     ("systems.py", "if image != 1 << x:", "if not image >> x & 1:"),
     # star_conditions finding every projected double star inside the

@@ -2,14 +2,15 @@
 
 Each level's graph, the 1-skeleton of its flag complex and of its nerve,
 is held as ``Level.adjacency`` and read with loops.  Bonds are graph
-homomorphisms: ``build_system`` verifies that every bond sends each
-source edge to an edge or to one vertex.  Threads are identified up to
-levelwise adjacency, and the quotient matches the ground space when
-sending each point to its class is a bijection: since projections only
-widen wedges, that one test decides the comparison.  The thread relation
-and the star conditions are read at the top level alone, and both hold
-exactly when its graph is a disjoint union of cliques.  Threads and nets
-are tuples of vertex ids aligned with ``system.levels``.
+homomorphisms: every edge lies in a point fiber, and ``build_system``
+verifies that every bond maps each point's fiber into that point's
+fiber.  Threads are identified up to levelwise adjacency, and the
+quotient matches the ground space when sending each point to its class
+is a bijection: since projections only widen wedges, that one test
+decides the comparison.  The thread relation and the star conditions are
+read at the top level alone, and both hold exactly when its graph is a
+disjoint union of cliques.  Threads and nets are tuples of vertex ids
+aligned with ``system.levels``.
 
 A net is Cauchy when, at every base level i, the projections to i of its
 vertices at the levels above i are pairwise adjacent there; it converges

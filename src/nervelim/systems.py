@@ -98,9 +98,10 @@ def build_system(
     bond is simplicial.  No complex is enumerated, so the ``max_dim`` guard
     is applied by whatever builds one.
 
-    Each bond is checked on the level graphs by ``unmapped_edge``: it is
-    simplicial on the flag complexes exactly when it is a homomorphism of
-    the reflexive level graphs.
+    Each bond must map x's fiber into x's fiber, for every point x
+    (``fiber_escape``).  A level graph is ``wedge_adjacency`` of its fibers,
+    so each edge, lying in a fiber, goes to an edge or one vertex: the bond
+    is a reflexive graph homomorphism, hence simplicial on the flag complexes.
     """
     lams = sorted(
         all_lambdas(len(family.covers)) if lambdas is None else lambdas,
@@ -113,13 +114,13 @@ def build_system(
         levels.append(Level(lam, tuple(verts), wedge_adjacency(fibers, len(verts)), fibers))
     system = InverseSystem(family, levels, max_dim)
     index_of = [{v.elements: k for k, v in enumerate(level.vertices)} for level in levels]
-    for i, up in enumerate(system.above):
-        for j in up:
-            bond = _projection(levels[i], levels[j], index_of[i])
-            s = unmapped_edge(bond, levels[j].adjacency, levels[i].adjacency)
-            if s is not None:
-                raise AssertionError(f"image of {s} is not a simplex of the target")
-            system._bonds[(i, j)] = bond
+    pairs = [(i, j) for i, up in enumerate(system.above) for j in up]
+    system._bonds = {(i, j): _projection(levels[i], levels[j], index_of[i]) for i, j in pairs}
+    for x in family.ground.points:
+        bad = fiber_escape(system, x, pairs)
+        if bad is not None:
+            lam, mu = (list(levels[p].lam.cover_ids) for p in bad)
+            raise AssertionError(f"the bond from {mu} to {lam} maps point {x}'s fiber outside it")
     return system
 
 
@@ -352,21 +353,19 @@ def check_functoriality(system: InverseSystem) -> Report:
 def check_simpliciality(system: InverseSystem) -> Report:
     """Every bond is simplicial on the flag complexes and on the nerves.
 
-    The flag half is decided on the level graphs, as in ``build_system``.
     The nerve half is decided on point fibers: the nerve is the downward
     closure of its fibers, the image of a face is a face of the image, and
-    the target nerve is downward closed.
+    the target nerve is downward closed.  It implies the flag half, as in
+    ``build_system``, so only a failing bond is walked edge by edge, to
+    tell a flag failure ("F") from a nerve-only one ("N").
     """
     levels = system.levels
     bad = None
     for i, j in ((i, j) for i, up in enumerate(system.above) for j in up):
         bond = system.bond(i, j)
-        if unmapped_edge(bond, levels[j].adjacency, levels[i].adjacency) is not None:
-            kind = "F"
-        elif unmapped(bond, levels[j].fibers, levels[i].vertices) is not None:
-            kind = "N"
-        else:
+        if unmapped(bond, levels[j].fibers, levels[i].vertices) is None:
             continue
+        kind = "N" if unmapped_edge(bond, levels[j].adjacency, levels[i].adjacency) is None else "F"
         lam, mu = levels[i].lam, levels[j].lam
         bad = {"lambda": list(lam.cover_ids), "mu": list(mu.cover_ids), "complex": kind}
         break

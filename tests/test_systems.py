@@ -139,6 +139,26 @@ def test_bonds_simplicial(cantor_system, circle_system):
     assert check_simpliciality(circle_system).passed
 
 
+def test_build_system_rejects_a_bond_that_moves_a_point_off_its_fiber(
+    interval_system, monkeypatch
+):
+    # the bond from {0,1} down to {0} sends vertex (0,0), whose wedge holds
+    # points 0-2, to vertex (1,), whose wedge holds points 4-8.  It still
+    # sends every edge to an edge or one vertex, so no edge walk finds it
+    projection = systems._projection
+
+    def moved(dst, src, index_of):
+        bond = projection(dst, src, index_of)
+        if (dst.lam, src.lam) == (_lam(0), _lam(0, 1)):
+            bond = (1, *bond[1:])
+        return bond
+
+    monkeypatch.setattr(systems, "_projection", moved)
+    with pytest.raises(AssertionError) as raised:
+        build_system(interval_system.family)
+    assert str(raised.value) == "the bond from [0, 1] to [0] maps point 0's fiber outside it"
+
+
 # ---------------------------------------------------------------------------
 # canonical maps
 
