@@ -66,10 +66,12 @@ MUTANTS: list[tuple[str, str, str]] = [
     ("systems.py",
      "if not carrier_wedge(level.vertices, fiber) >> x & 1:",
      "if not carrier_wedge(level.vertices, fiber) & x:"),
-    # check_fibers reading the point id as its bit in a thread's image
+    # check_fibers filing each point under itself, not under the thread's top vertex
+    ("systems.py", "through[x].add(down[t][v])", "through[x].add(x)"),
+    # check_fibers never comparing the threads through x with x's top fiber
     ("systems.py",
-     "through_x = {z[t] for z, pts in zip(threads, images) if pts >> x & 1}",
-     "through_x = {z[t] for z, pts in zip(threads, images) if pts & x}"),
+     "if t is not None and through[x] != set(system.levels[t].fibers[x]):",
+     "if False:"),
     # no bond ever maps a fiber outside a fiber
     ("systems.py", "if any(vm[v] not in fiber for v in system.levels[j].fibers[x]):", "if False:"),
     # the Cauchy sweep's identity test always holding
@@ -125,7 +127,7 @@ MUTANTS: list[tuple[str, str, str]] = [
      "if unmapped(bond, levels[j].fibers, levels[i].vertices) is None:",
      "if True:"),
     ("systems.py",
-     'kind = "N" if unmapped_edge(bond, levels[j].adjacency, levels[i].adjacency) is None else "F"',
+     'kind = "N" if unmapped(bond, edges, levels[i].vertices) is None else "F"',
      'kind = "N"'),
     # section_identity taking an image that holds the point for its singleton
     ("systems.py", "if image != 1 << x:", "if not image >> x & 1:"),

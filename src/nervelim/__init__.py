@@ -28,8 +28,6 @@ from .systems import (
     canonical_map,
     canonical_thread,
     thread_image,
-    vertex_thread,
-    vertex_threads,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -9,8 +9,9 @@ quotient matches the ground space when sending each point to its class
 is a bijection: since projections only widen wedges, that one test
 decides the comparison.  The thread relation and the star conditions are
 read at the top level alone, and both hold exactly when its graph is a
-disjoint union of cliques.  Threads and nets are tuples of vertex ids
-aligned with ``system.levels``.
+disjoint union of cliques.  A vertex thread is named by its top vertex
+id v: its vertex at position i is ``bond(i, t)[v]``, for the top position
+t.  A net is a tuple of vertex ids aligned with ``system.levels``.
 
 A net is Cauchy when, at every base level i, the projections to i of its
 vertices at the levels above i are pairwise adjacent there; it converges
@@ -29,7 +30,7 @@ from typing import NamedTuple
 
 from .complexes import LambdaIndex, members
 from .report import Report
-from .systems import InverseSystem, _top, canonical_map, vertex_threads
+from .systems import InverseSystem, _top, canonical_map
 
 
 def _star(adj: list[int], v: int) -> int:
@@ -127,10 +128,9 @@ def equivalence_classes(system: InverseSystem) -> EquivalenceResult:
     (i, j, k), (j, i, k), (i, k, j) that is a chain a ~ b ~ c with a and c
     unrelated.  When no triple breaks, each row is its thread's class.
     """
-    threads = vertex_threads(system)
+    t = _top(system)
     adjs = [level.adjacency for level in system.levels]
-    t = system.top
-    n = len(threads)
+    n = len(adjs[t])
     rows = [_star(adjs[t], i) for i in range(n)]
     for i, row in enumerate(rows):
         for j in range(i + 1, n):
@@ -155,12 +155,13 @@ def equivalence_classes(system: InverseSystem) -> EquivalenceResult:
     # ci's vertices there meet cj's vertices; each class meets its own
     adjacency = {}
     for p, (level, adj) in enumerate(zip(system.levels, adjs)):
+        vm = system.bond(p, t)
         stars, masks = [], []
         for cls in classes:
             star = mask = 0
             for i in cls:
-                star |= _star(adj, threads[i][p])
-                mask |= 1 << threads[i][p]
+                star |= _star(adj, vm[i])
+                mask |= 1 << vm[i]
             stars.append(star)
             masks.append(mask)
         adjacency[level.lam] = frozenset(

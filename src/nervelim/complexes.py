@@ -100,24 +100,6 @@ def graph_edges(adjacency: Sequence[int]) -> Iterator[tuple[int, int]]:
             yield a, a + 1 + b
 
 
-def unmapped_edge(
-    vertex_map: Sequence[int], source: Sequence[int], target: Sequence[int]
-) -> tuple[int, int] | None:
-    """The first edge of the graph ``source``, in ``graph_edges`` order,
-    whose image is neither one vertex nor an edge of ``target``, or None.
-
-    On level graphs this decides whether the map is simplicial on the flag
-    complexes: the target flag complex holds every clique of its graph up
-    to the guard (``build_flag`` raises rather than leave one out), and
-    every source simplex is a clique of source edges.
-    """
-    for a, b in graph_edges(source):
-        fa, fb = vertex_map[a], vertex_map[b]
-        if fa != fb and not target[fa] >> fb & 1:
-            return a, b
-    return None
-
-
 def unmapped(
     vertex_map: Sequence[int], simplices: Iterable[Simplex], target: Sequence[Vertex]
 ) -> Simplex | None:

@@ -2,10 +2,11 @@
 
 With finitely many covers the index set has a maximum level, so limit
 objects are computed at the top and consistency with lower levels is
-verified rather than assumed.  A thread is a tuple aligned with
-``system.levels``: a vertex id per level (a vertex thread) or a carrier
-simplex per level (the canonical thread of a point), bond-compatible when
-built from the top.
+verified rather than assumed.  A thread is a tuple of carrier simplices
+aligned with ``system.levels``, bond-compatible when built from the top:
+the canonical thread of a point, or the vertex thread through a vertex v
+of the top level t, whose carrier at position i is ``(bond(i, t)[v],)``.
+A vertex thread is named by its top vertex id alone.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from .complexes import (
     Vertex,
     build_vertices,
     carrier_wedge,
+    graph_edges,
     maximal_cliques,
     members,
     point_fibers,
     unmapped,
-    unmapped_edge,
     wedge_adjacency,
 )
 from .errors import PreconditionUnmet
@@ -141,17 +142,6 @@ def _top(system: InverseSystem) -> int:
     return system.top
 
 
-def vertex_thread(system: InverseSystem, top_vid: int) -> tuple[int, ...]:
-    """The vertex thread through vertex ``top_vid`` of the top level."""
-    t = _top(system)
-    return tuple(system.bond(i, t)[top_vid] for i in range(len(system.levels)))
-
-
-def vertex_threads(system: InverseSystem) -> list[tuple[int, ...]]:
-    t = _top(system)
-    return [vertex_thread(system, v) for v in range(len(system.levels[t].vertices))]
-
-
 # ---------------------------------------------------------------------------
 # the maps between system and space
 
@@ -183,15 +173,10 @@ def thread_image(system: InverseSystem, z: tuple) -> int:
     finite-level image, as a point bitmask.  The thread is resolved when
     that is one point.
 
-    An entry is a vertex id or a carrier tuple.  A carrier that only spans
-    a flag simplex (not a nerve one) yields 0: a carrier spans a nerve
-    simplex exactly when its wedges share a point.
+    A carrier that only spans a flag simplex (not a nerve one) yields 0: a
+    carrier spans a nerve simplex exactly when its wedges share a point.
     """
-    return reduce(and_, [
-        carrier_wedge(level.vertices, entry) if isinstance(entry, tuple)
-        else level.vertices[entry].wedge
-        for level, entry in zip(system.levels, z)
-    ])
+    return reduce(and_, [carrier_wedge(level.vertices, s) for level, s in zip(system.levels, z)])
 
 
 def check_section_identity(system: InverseSystem) -> Report:
@@ -228,11 +213,20 @@ def fiber_escape(
 
 def check_fibers(system: InverseSystem) -> Report:
     """Fiber sets project into each other along every bond, and the top
-    fiber is realized by exactly the vertex threads through x."""
+    fiber is realized by exactly the vertex threads through x.
+
+    Each vertex thread's image is read once, and its entry at the top,
+    ``bond(t, t)[v]``, is added to the set of each of its points, so the
+    work is the total image size.  The scan of every thread for every point is
+    ``tests/oracles.py::thread_scan_check_fibers``."""
     bad = None
     t = system.top
-    threads = vertex_threads(system) if t is not None else []
-    images = [thread_image(system, z) for z in threads]
+    through: list[set[int]] = [set() for _ in system.family.ground.points]
+    if t is not None:
+        down = [system.bond(i, t) for i in range(len(system.levels))]
+        for v in range(len(system.levels[t].vertices)):
+            for x in members(thread_image(system, tuple((vm[v],) for vm in down))):
+                through[x].add(down[t][v])
     pairs = [(i, j) for i, up in enumerate(system.above) for j in up]
     for x in system.family.ground.points:
         escape = fiber_escape(system, x, pairs)
@@ -240,11 +234,9 @@ def check_fibers(system: InverseSystem) -> Report:
             lam, mu = (system.levels[p].lam for p in escape)
             bad = {"point": x, "lam": list(lam.cover_ids), "mu": list(mu.cover_ids)}
             break
-        if t is not None:
-            through_x = {z[t] for z, pts in zip(threads, images) if pts >> x & 1}
-            if through_x != set(system.levels[t].fibers[x]):
-                bad = {"point": x, "reason": "top fiber not realized by threads"}
-                break
+        if t is not None and through[x] != set(system.levels[t].fibers[x]):
+            bad = {"point": x, "reason": "top fiber not realized by threads"}
+            break
     return Report("fibers", bad is None, counterexample=bad)
 
 
@@ -353,9 +345,13 @@ def check_functoriality(system: InverseSystem) -> Report:
 def check_simpliciality(system: InverseSystem) -> Report:
     """Every bond is simplicial on the flag complexes and on the nerves.
 
-    The nerve half is decided on point fibers: the nerve is the downward
-    closure of its fibers, the image of a face is a face of the image, and
-    the target nerve is downward closed.  It implies the flag half, as in
+    Both halves are decided by ``unmapped``.  The nerve half is decided on
+    point fibers: the nerve is the downward closure of its fibers, the
+    image of a face is a face of the image, and the target nerve is
+    downward closed.  The flag half is decided on the source graph's
+    edges: an edge's image spans a nerve simplex exactly when it is one
+    vertex or an edge of the target graph, and the target flag complex is
+    its clique complex.  The nerve half implies the flag half, as in
     ``build_system``, so only a failing bond is walked edge by edge, to
     tell a flag failure ("F") from a nerve-only one ("N").
     """
@@ -365,7 +361,8 @@ def check_simpliciality(system: InverseSystem) -> Report:
         bond = system.bond(i, j)
         if unmapped(bond, levels[j].fibers, levels[i].vertices) is None:
             continue
-        kind = "N" if unmapped_edge(bond, levels[j].adjacency, levels[i].adjacency) is None else "F"
+        edges = graph_edges(levels[j].adjacency)
+        kind = "N" if unmapped(bond, edges, levels[i].vertices) is None else "F"
         lam, mu = levels[i].lam, levels[j].lam
         bad = {"lambda": list(lam.cover_ids), "mu": list(mu.cover_ids), "complex": kind}
         break

@@ -21,6 +21,10 @@ flag complex whole, the branch-and-bound clique number that padded the
 flag Betti rows, and the flag core that reduced the level graph by closed
 neighbourhoods.  The star conditions that tried every level above each
 level, from before they read the top level alone, are here as well.
+So are vertex threads as tuples of vertex ids, from before a vertex
+thread was named by its top vertex; the edge walk that decided the flag
+half of simpliciality, from before ``unmapped`` read the edges; and the
+fibers check that scanned every vertex thread for every point.
 """
 
 from __future__ import annotations
@@ -55,10 +59,9 @@ from nervelim.systems import (
     InverseSystem,
     _top,
     canonical_map,
+    fiber_escape,
     find_nerve_absorbing_level,
     thread_image,
-    vertex_thread,
-    vertex_threads,
     wedge_fibers,
     wedge_graph,
 )
@@ -208,6 +211,27 @@ def is_compatible(system: InverseSystem, z: tuple) -> bool:
             if image != z[i]:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# vertex threads as tuples of vertex ids
+
+
+def vertex_thread(system: InverseSystem, top_vid: int) -> tuple[int, ...]:
+    """The vertex thread through vertex ``top_vid`` of the top level."""
+    t = _top(system)
+    return tuple(system.bond(i, t)[top_vid] for i in range(len(system.levels)))
+
+
+def vertex_threads(system: InverseSystem) -> list[tuple[int, ...]]:
+    t = _top(system)
+    return [vertex_thread(system, v) for v in range(len(system.levels[t].vertices))]
+
+
+def vertex_thread_image(system: InverseSystem, z: tuple[int, ...]) -> int:
+    """``thread_image`` of a vertex thread, its vertices read as singleton
+    carriers."""
+    return thread_image(system, tuple((v,) for v in z))
 
 
 def path_complex(n_vertices: int) -> Complex:
@@ -449,6 +473,24 @@ def full_bond_check(vm: Sequence[int], source: Complex, target: Complex) -> bool
     """Simpliciality by pushing every simplex of the source forward."""
     target = set(target)
     return all(tuple(sorted({vm[v] for v in s})) in target for s in source)
+
+
+def unmapped_edge(
+    vertex_map: Sequence[int], source: Sequence[int], target: Sequence[int]
+) -> tuple[int, int] | None:
+    """The first edge of the graph ``source``, in ``graph_edges`` order,
+    whose image is neither one vertex nor an edge of ``target``, or None.
+
+    On level graphs this decides whether the map is simplicial on the flag
+    complexes: the target flag complex holds every clique of its graph up
+    to the guard (``build_flag`` raises rather than leave one out), and
+    every source simplex is a clique of source edges.
+    """
+    for a, b in graph_edges(source):
+        fa, fb = vertex_map[a], vertex_map[b]
+        if fa != fb and not target[fa] >> fb & 1:
+            return a, b
+    return None
 
 
 def full_check_simpliciality(system: InverseSystem) -> Report:
@@ -896,7 +938,7 @@ def full_compare_quotient_to_ground(system: InverseSystem, result: EquivalenceRe
 
     threads = vertex_threads(system)
     for i, z in enumerate(threads):
-        image = thread_image(system, z)
+        image = vertex_thread_image(system, z)
         if image.bit_count() != 1:
             return Report(
                 "quotient_comparison",
@@ -936,6 +978,28 @@ def full_compare_quotient_to_ground(system: InverseSystem, result: EquivalenceRe
         True,
         details={"classes": len(quotient.classes), "points": len(points)},
     )
+
+
+def thread_scan_check_fibers(system: InverseSystem) -> Report:
+    """``systems.check_fibers`` as it was before it read each thread's image
+    once: for each point, every vertex thread's image is tested for it."""
+    bad = None
+    t = system.top
+    threads = vertex_threads(system) if t is not None else []
+    images = [vertex_thread_image(system, z) for z in threads]
+    pairs = [(i, j) for i, up in enumerate(system.above) for j in up]
+    for x in system.family.ground.points:
+        escape = fiber_escape(system, x, pairs)
+        if escape is not None:
+            lam, mu = (system.levels[p].lam for p in escape)
+            bad = {"point": x, "lam": list(lam.cover_ids), "mu": list(mu.cover_ids)}
+            break
+        if t is not None:
+            through_x = {z[t] for z, pts in zip(threads, images) if pts >> x & 1}
+            if through_x != set(system.levels[t].fibers[x]):
+                bad = {"point": x, "reason": "top fiber not realized by threads"}
+                break
+    return Report("fibers", bad is None, counterexample=bad)
 
 
 def sweep_every_net(system: InverseSystem, count: int, seed: int) -> Report:

@@ -18,6 +18,8 @@ from oracles import (
     sampled_cauchy_sweep,
     sampled_check_homotopy,
     skeleton_adjacency,
+    vertex_thread_image,
+    vertex_threads,
     wedge_graph_complex,
 )
 from nervelim.cells import (
@@ -36,8 +38,6 @@ from nervelim.systems import (
     check_section_identity,
     check_simpliciality,
     find_nerve_absorbing_level,
-    thread_image,
-    vertex_threads,
 )
 
 F = Fraction
@@ -102,7 +102,7 @@ def test_criterion_4_fiber_formula(preset_systems):
             _, _, system = preset_systems[name]
             t = system.top
             threads = vertex_threads(system)
-            images = [thread_image(system, z) for z in threads]
+            images = [vertex_thread_image(system, z) for z in threads]
             nerves = [set(level_nerve(level, system.max_dim)) for level in system.levels]
             for x in system.family.ground.points:
                 fibers = [level.fibers[x] for level in system.levels]

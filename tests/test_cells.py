@@ -17,6 +17,7 @@ from oracles import (
     sample_cauchy_nets,
     sampled_cauchy_sweep,
     triple_scan_equivalence_classes,
+    vertex_threads,
 )
 from nervelim.cells import (
     EquivalenceResult,
@@ -33,7 +34,7 @@ from nervelim.ground import (
     GroundSpace,
     cover_from_pointsets,
 )
-from nervelim.systems import build_system, vertex_threads
+from nervelim.systems import build_system
 
 F = Fraction
 

@@ -7,8 +7,9 @@ level graph comes from point fibers instead of from every pair of wedges;
 these tests require the same results on random families with overlapping
 elements.  A map that keeps each point's fiber inside its fiber, or whose
 image of each fiber spans a nerve simplex, sends every edge of the level
-graph to an edge or one vertex, so it passes ``unmapped_edge``; the edge
-walk is left to name a bond that fails.
+graph to an edge or one vertex, so it passes ``oracles.unmapped_edge``;
+``unmapped`` on the graph's edges, which must agree with that walk, is
+left to name a bond that fails.
 """
 
 from __future__ import annotations
@@ -16,14 +17,14 @@ from __future__ import annotations
 from hypothesis import assume, given, strategies as st
 
 from conftest import level_flag, level_nerve
-from oracles import full_bond_check, full_check_simpliciality, product_scan_vertices
+from oracles import full_bond_check, full_check_simpliciality, product_scan_vertices, unmapped_edge
 from nervelim.complexes import (
     LambdaIndex,
     build_vertices,
+    graph_edges,
     members,
     point_fibers,
     unmapped,
-    unmapped_edge,
     wedge_adjacency,
 )
 from nervelim.errors import GuardExceeded
@@ -110,6 +111,7 @@ def test_edge_and_fiber_checks_match_full_check(family, data):
 
     flag_ok = unmapped_edge(vm, hi.adjacency, lo.adjacency) is None
     assert flag_ok == full_bond_check(vm, level_flag(hi, 7), level_flag(lo, 7))
+    assert flag_ok == (unmapped(vm, graph_edges(hi.adjacency), lo.vertices) is None)
     fibers = point_fibers(hi.vertices, family.ground.n_points)
     nerve_ok = unmapped(vm, fibers, lo.vertices) is None
     assert nerve_ok == full_bond_check(vm, level_nerve(hi, 7), level_nerve(lo, 7))

@@ -21,7 +21,11 @@ systems.  With one fiber tampered, the two may differ, but only where
 relation read the top level alone; ``oracles`` keeps their scans of
 every level, and these tests require equal results on the presets, the
 benchmark families, circle-48, generated families and a seeded sweep of
-random systems, and the two checks to give one verdict.  The
+random systems, and the two checks to give one verdict.  ``fibers``
+reads each vertex thread's image once; on the same systems, and on
+random systems with one bond entry moved, it must report what
+``oracles.thread_scan_check_fibers``, its scan of every thread for every
+point, reports.  The
 benchmark families built here also check Betti stabilization on the cores
 against the full complexes, and the flag reconstruction and skeleton
 checks against rebuilding and comparing every complex.  The readers of
@@ -76,8 +80,11 @@ from oracles import (
     scan_canonical_map,
     scan_converge,
     sweep_every_net,
+    thread_scan_check_fibers,
     triple_scan_equivalence_classes,
     two_search_build,
+    vertex_thread,
+    vertex_threads,
 )
 from nervelim.errors import GuardExceeded, PreconditionUnmet
 from nervelim.cells import (
@@ -114,13 +121,12 @@ from nervelim.systems import (
     build_system,
     canonical_map,
     canonical_thread,
+    check_fibers,
     check_flag_reconstruction,
     check_homotopy,
     check_nerve_absorption,
     check_skeleton_equality,
     thread_image,
-    vertex_thread,
-    vertex_threads,
 )
 
 
@@ -499,7 +505,9 @@ def _unmet_or(f, system):
 
 def _assert_thread_checks_match_scans(system):
     """``check_star_conditions`` and ``equivalence_classes`` against their
-    scans of every level, down to the counterexample and the witness."""
+    scans of every level, down to the counterexample and the witness, and
+    ``check_fibers`` against its scan of every thread for every point."""
+    assert check_fibers(system) == thread_scan_check_fibers(system)
     star = _unmet_or(check_star_conditions, system)
     assert star == _unmet_or(every_level_star_conditions, system)
     relation = _unmet_or(equivalence_classes, system)
@@ -545,6 +553,25 @@ def test_thread_checks_match_scans_on_random_systems():
         _assert_thread_checks_match_scans(_random_system(rng))
 
 
+def test_fibers_match_thread_scan_with_a_moved_bond_entry():
+    # one entry of one bond moved: some point's fiber escapes that bond,
+    # or the top level's bond to itself moved a vertex v to a vertex of
+    # every top fiber that holds v, so no thread ends at v and those
+    # fibers go unrealized
+    rng = random.Random(2027)
+    reasons = set()
+    for _ in range(1000):
+        system = _random_system(rng)
+        pair = rng.choice(sorted(system._bonds))
+        bond = list(system.bond(*pair))
+        bond[rng.randrange(len(bond))] = rng.randrange(len(system.levels[pair[0]].vertices))
+        system._bonds[pair] = tuple(bond)
+        report = check_fibers(system)
+        assert report == thread_scan_check_fibers(system)
+        reasons.add("pass" if report.passed else report.counterexample.get("reason", "escape"))
+    assert reasons == {"pass", "escape", "top fiber not realized by threads"}
+
+
 def test_star_conditions_pass_exactly_when_the_relation_is_transitive(preset_systems):
     verdicts = {name: _thread_verdict(system) for name, (_, _, system) in preset_systems.items()}
     assert verdicts == {
@@ -570,12 +597,9 @@ def _assert_wedge_masks_match_element_sets(system):
             expected = frozenset.intersection(*(wedges[v] for v in s))
             assert members(carrier_wedge(level.vertices, s)) == sorted(expected), s
     threads = [canonical_thread(system, x) for x in system.family.ground.points]
-    threads += vertex_threads(system)
+    threads += [tuple((v,) for v in z) for z in vertex_threads(system)]
     for z in threads:
-        carriers = (entry if isinstance(entry, tuple) else (entry,) for entry in z)
-        expected = frozenset.intersection(
-            *(wedges[v] for wedges, s in zip(sets, carriers) for v in s)
-        )
+        expected = frozenset.intersection(*(wedges[v] for wedges, s in zip(sets, z) for v in s))
         assert members(thread_image(system, z)) == sorted(expected), z
 
 

@@ -21,7 +21,11 @@ from oracles import (
     point_thread,
     push_point,
     sampled_check_homotopy,
+    thread_scan_check_fibers,
     vertex_point,
+    vertex_thread,
+    vertex_thread_image,
+    vertex_threads,
 )
 from nervelim import systems
 from nervelim.complexes import LambdaIndex, members
@@ -51,8 +55,6 @@ from nervelim.systems import (
     check_skeleton_equality,
     find_nerve_absorbing_level,
     thread_image,
-    vertex_thread,
-    vertex_threads,
 )
 
 F = Fraction
@@ -200,7 +202,7 @@ def test_canonical_thread_is_compatible(interval_system):
 
 def test_thread_image_cantor_resolved(cantor_system):
     z = vertex_thread(cantor_system, 0)
-    assert thread_image(cantor_system, z) == point_mask({0})
+    assert vertex_thread_image(cantor_system, z) == point_mask({0})
 
 
 def test_thread_image_off_nerve(circle_system):
@@ -218,7 +220,7 @@ def test_thread_image_unresolved_overlap():
     family = CoverFamily((cover_from_pointsets(0, [{0, 1, 2}, {1, 2}]),), space)
     system = build_system(family)
     z = vertex_thread(system, 1)
-    assert thread_image(system, z) == point_mask({1, 2})
+    assert vertex_thread_image(system, z) == point_mask({1, 2})
 
 
 def test_incompatible_thread_detected(cantor_system):
@@ -274,6 +276,25 @@ def test_fiber_singleton(cantor_system):
 def test_fiber_projection_inclusion(preset_systems):
     for name, (_, _, system) in preset_systems.items():
         assert check_fibers(system).passed, name
+
+
+def test_fibers_report_a_top_fiber_the_threads_overrun(monkeypatch):
+    # one level, so its one bond is the identity and no fiber escapes it;
+    # point 1's fiber loses vertex 0, whose wedge {0, 1} still holds point 1
+    point_fibers = systems.point_fibers
+
+    def dropped(vertices, n_points):
+        fibers = point_fibers(vertices, n_points)
+        fibers[1] = fibers[1][1:]
+        return fibers
+
+    monkeypatch.setattr(systems, "point_fibers", dropped)
+    family = CoverFamily((cover_from_pointsets(0, [{0, 1}, {1, 2}]),), GroundSpace(3))
+    system = build_system(family)
+    assert system.levels[0].fibers == [(0,), (1,), (1,)]
+    report = check_fibers(system)
+    assert report.counterexample == {"point": 1, "reason": "top fiber not realized by threads"}
+    assert report == thread_scan_check_fibers(system)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +382,10 @@ def test_homotopy_catches_a_fiber_the_bond_misses(cantor_system):
     report = check_homotopy(system)
     assert not report.passed
     assert report.counterexample == {"point": 0, "lambda": [0]}
-    assert not check_fibers(system).passed
+    fibers = check_fibers(system)
+    top_ids = list(system.levels[t].lam.cover_ids)
+    assert fibers.counterexample == {"point": 0, "lam": [0], "mu": top_ids}
+    assert fibers == thread_scan_check_fibers(system)
 
 
 def test_homotopy_skips_without_a_resolved_point(preset_systems):
@@ -414,7 +438,7 @@ def test_fiber_adjacency_disjoint_cylinders(cantor_system):
     # the top, so both sides of the equivalence fail together
     threads = vertex_threads(cantor_system)
     za, zb = threads[0], threads[7]
-    ia, ib = thread_image(cantor_system, za), thread_image(cantor_system, zb)
+    ia, ib = vertex_thread_image(cantor_system, za), vertex_thread_image(cantor_system, zb)
     assert ia != ib
     t = cantor_system.top
     va = cantor_system.levels[t].vertices[za[t]]
