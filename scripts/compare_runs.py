@@ -30,6 +30,12 @@ Each checkout runs, from its own directory under the work directory:
   ``check --checks simpliciality,fibers,fiber_homotopy`` of star-300: its
   one bond, the identity, is tested on point fibers, and point 0's fiber
   holds all 299 vertices;
+- ``check --checks star_conditions,equivalence_classes,quotient_comparison``
+  of clique-path, 7 points under the covers {0,1}, {0,2}, {3,4}, {4,5},
+  {5,6} and {0,1,2}, {3,4,5,6}, its input written with circle-48's: the
+  top graph is a clique on threads 0 and 1, which share one closed star,
+  then a path 2 - 3 - 4, so the thread checks reuse a star before they
+  fail at thread 2;
 - ``build`` and ``check`` of circle-24-thick at ``--max-dim 3``.  ``build``
   stops at the clique guard of level {0,1} and exits 2, so a change to the
   clique search is compared on its failure bytes as well; ``check`` runs
@@ -64,7 +70,8 @@ PRESETS = ("cantor-d3", "interval-g8", "circle-a3612", "circle-a3", "wedge2")
 SAMPLES = ("--seed", "7", "--nets", "1000", "--homotopy-samples", "5")
 
 # writes the space and covers files of circle-48, of one-class (3 points
-# under one element) and of star-300 into the directory argv[1]
+# under one element), of star-300 and of clique-path into the directory
+# argv[1]
 WRITE_INPUTS = """
 import sys
 from fractions import Fraction
@@ -86,6 +93,11 @@ space = GroundSpace(300)
 star = CoverFamily((cover_from_pointsets(0, [{0, i} for i in range(1, 300)]),), space)
 (out / "star-300.space.json").write_text(dump_json(space_to_json(space)))
 (out / "star-300.covers.json").write_text(dump_json(family_to_json(star)))
+space = GroundSpace(7)
+clique_path = CoverFamily((cover_from_pointsets(0, [{0, 1}, {0, 2}, {3, 4}, {4, 5}, {5, 6}]),
+                           cover_from_pointsets(1, [{0, 1, 2}, {3, 4, 5, 6}])), space)
+(out / "clique-path.space.json").write_text(dump_json(space_to_json(space)))
+(out / "clique-path.covers.json").write_text(dump_json(family_to_json(clique_path)))
 """
 
 
@@ -126,6 +138,9 @@ def commands() -> list[tuple[str, ...]]:
          "--out", "star-300-check"),
         ("check", *_family("star-300"), "--checks", "simpliciality,fibers,fiber_homotopy",
          "--out", "star-300-bonds"),
+        ("check", *_family("clique-path"),
+         "--checks", "star_conditions,equivalence_classes,quotient_comparison",
+         "--out", "clique-path-check"),
         ("build", *_family("circle-24-thick"), "--max-dim", "3", "--out", "guard-build"),
         ("check", *_family("circle-24-thick"), "--max-dim", "3", "--out", "guard-check"),
         ("check", "--space", "circle-a3612", "--max-dim", "0",

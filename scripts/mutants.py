@@ -132,9 +132,15 @@ MUTANTS: list[tuple[str, str, str]] = [
     # section_identity taking an image that holds the point for its singleton
     ("systems.py", "if image != 1 << x:", "if not image >> x & 1:"),
     # star_conditions finding every projected double star inside the
-    # single star, and projecting it by the top level's own ids
+    # single star, projecting it by the top level's own ids, and taking
+    # the single star for the double
     ("cells.py", "if image & ~target:", "if False:"),
-    ("cells.py", "image |= 1 << vm[v]", "image |= 1 << v"),
+    ("cells.py",
+     "images[star] = [reduce(or_, [1 << vm[v] for v in vs]) for vm in downs]",
+     "images[star] = [reduce(or_, [1 << v for v in vs]) for vm in downs]"),
+    ("cells.py",
+     "double = reduce(or_, map(top.__getitem__, members(star)), star)",
+     "double = star"),
     # a closed star without its centre
     ("cells.py", "return adj[v] | 1 << v", "return adj[v]"),
     # the thread relation read at the base level, not the top

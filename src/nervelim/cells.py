@@ -26,6 +26,8 @@ nervelim does not build.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import NamedTuple
 
 from .complexes import LambdaIndex, members
@@ -48,21 +50,23 @@ def check_star_conditions(system: InverseSystem) -> Report:
     maps a double star into the double star of its image, and bonds
     compose, so if a level above i works, t does.  ``functoriality``
     reports bonds that do not compose, and ``cauchy_sweep`` a ``bond(t, t)``
-    that is not the identity.  The scan over every level above i is
-    ``tests/oracles.py::every_level_star_conditions``."""
+    that is not the identity.  A closed star fixes the double star and its
+    images on any bonds, so each distinct one is read once.  The scans are
+    ``tests/oracles.py::every_level_star_conditions`` and
+    ``thread_scan_star_conditions``."""
     t = _top(system)
     top = system.levels[t].adjacency
+    downs = [system.bond(i, t) for i in range(len(system.levels))]
+    images: dict[int, list[int]] = {}
     bad = None
     max_star = 0
     for u in range(len(top)):
-        double = 0
-        for v in members(_star(top, u)):
-            double |= _star(top, v)
-        for i, level in enumerate(system.levels):
-            vm = system.bond(i, t)
-            image = 0
-            for v in members(double):
-                image |= 1 << vm[v]
+        star = _star(top, u)
+        if star not in images:
+            double = reduce(or_, map(top.__getitem__, members(star)), star)
+            vs = members(double)
+            images[star] = [reduce(or_, [1 << vm[v] for v in vs]) for vm in downs]
+        for level, vm, image in zip(system.levels, downs, images[star]):
             target = _star(level.adjacency, vm[u])
             if image & ~target:
                 bad = {"thread_top": u, "lambda": list(level.lam.cover_ids)}
@@ -126,13 +130,20 @@ def equivalence_classes(system: InverseSystem) -> EquivalenceResult:
     ``rows[i] & rows[j]`` when not.  The witness is the first breaking
     triple in ``combinations`` order, in the first of the orders
     (i, j, k), (j, i, k), (i, k, j) that is a chain a ~ b ~ c with a and c
-    unrelated.  When no triple breaks, each row is its thread's class.
+    unrelated.  A thread whose row repeats an earlier one relates to each
+    later pair as that one, which broke no triple, so it is skipped (the
+    search over every pair is ``tests/oracles.py::pair_scan_equivalence_classes``).
+    When no triple breaks, each row is its thread's class.
     """
     t = _top(system)
     adjs = [level.adjacency for level in system.levels]
     n = len(adjs[t])
     rows = [_star(adjs[t], i) for i in range(n)]
+    index: dict[int, int] = {}
     for i, row in enumerate(rows):
+        if row in index:
+            continue
+        index[row] = len(index)
         for j in range(i + 1, n):
             linked = row >> j & 1
             breaking = (row ^ rows[j] if linked else row & rows[j]) >> (j + 1)
@@ -146,11 +157,8 @@ def equivalence_classes(system: InverseSystem) -> EquivalenceResult:
                     witness = (j, i, k)
                 return EquivalenceResult(witness, None)
 
-    classes = [tuple(members(row)) for row in dict.fromkeys(rows)]
-    class_of = [0] * n
-    for idx, cls in enumerate(classes):
-        for j in cls:
-            class_of[j] = idx
+    classes = [tuple(members(row)) for row in index]
+    class_of = [index[row] for row in rows]
     # classes ci <= cj are adjacent at a level when the closed stars of
     # ci's vertices there meet cj's vertices; each class meets its own
     adjacency = {}

@@ -92,13 +92,17 @@ class GroundSpace(Record):
             return sum(((x - y) ** 2 for x, y in zip(a, b)), Fraction(0))
         return self.distance(p, q) ** 2
 
-    def ball(self, center: PointId, radius: Fraction) -> frozenset[PointId]:
-        """Closed metric ball, decided by exact comparisons."""
-        r = Fraction(radius)
+    def balls(self, center: PointId, radii: Sequence[Fraction]) -> list[frozenset[PointId]]:
+        """The closed metric balls about ``center``, one per radius, decided
+        by exact comparisons with one row of distances: squared under the
+        euclidean metric, plain otherwise."""
         if self.metric is Metric.EUCLIDEAN:
-            rsq = r * r
-            return frozenset(p for p in self.points if self.distance_sq(center, p) <= rsq)
-        return frozenset(p for p in self.points if self.distance(center, p) <= r)
+            row = [self.distance_sq(center, p) for p in self.points]
+            bounds = [Fraction(r) * Fraction(r) for r in radii]
+        else:
+            row = [self.distance(center, p) for p in self.points]
+            bounds = [Fraction(r) for r in radii]
+        return [frozenset(p for p, d in enumerate(row) if d <= bound) for bound in bounds]
 
 
 def _arc(a: Fraction, b: Fraction) -> Fraction:
@@ -344,7 +348,7 @@ def _ball_pointsets(space: GroundSpace, radius: Fraction, stride: int) -> list[f
         raise ValueError("stride must be positive")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    return [space.ball(c, radius) for c in range(0, space.n_points, stride)]
+    return [space.balls(c, [radius])[0] for c in range(0, space.n_points, stride)]
 
 
 # ---------------------------------------------------------------------------
@@ -398,23 +402,9 @@ def ball_neighborhoods(
     space: GroundSpace, radii: Sequence[Fraction]
 ) -> list[tuple[PointId, frozenset[PointId]]]:
     """Metric-ball schedule: one neighborhood per point per radius, radius
-    by radius.  Each distance is computed once and compared with every
-    radius, exactly as ``GroundSpace.ball`` compares it: squared under the
-    euclidean metric, plain otherwise."""
-    points = space.points
-    if not radii:
-        return []
-    if space.metric is Metric.EUCLIDEAN:
-        rows = [[space.distance_sq(p, q) for q in points] for p in points]
-        bounds = [Fraction(r) * Fraction(r) for r in radii]
-    else:
-        rows = [[space.distance(p, q) for q in points] for p in points]
-        bounds = [Fraction(r) for r in radii]
-    return [
-        (p, frozenset(q for q, d in enumerate(rows[p]) if d <= bound))
-        for bound in bounds
-        for p in points
-    ]
+    by radius, each distance computed once by ``GroundSpace.balls``."""
+    by_point = [space.balls(p, radii) for p in space.points]
+    return [(p, ball) for by_radius in zip(*by_point) for p, ball in enumerate(by_radius)]
 
 
 SELECTION_GUARD = 10**6

@@ -24,7 +24,10 @@ level, from before they read the top level alone, are here as well.
 So are vertex threads as tuples of vertex ids, from before a vertex
 thread was named by its top vertex; the edge walk that decided the flag
 half of simpliciality, from before ``unmapped`` read the edges; and the
-fibers check that scanned every vertex thread for every point.
+fibers check that scanned every vertex thread for every point.  The two
+thread checks that read every thread's closed star anew, from before
+they read each distinct one once, are here, and so is the one-ball scan
+from before ``GroundSpace.balls`` read one distance row for every radius.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from nervelim.complexes import (
 )
 from nervelim.cells import EquivalenceResult, QuotientSpace, point_classes
 from nervelim.errors import GuardExceeded
-from nervelim.ground import CoverFamily, PointId
+from nervelim.ground import CoverFamily, GroundSpace, Metric, PointId
 from nervelim.homology import betti, boundary_matrix, drop_dominated, gf2_rank, gf2_reduce
 from nervelim.report import Report, _fraction
 from nervelim.systems import (
@@ -469,6 +472,17 @@ def product_scan_selection(family: CoverFamily) -> Report:
     )
 
 
+def scan_ball(space: GroundSpace, center: PointId, radius: Fraction) -> frozenset[PointId]:
+    """``GroundSpace.ball`` as it was before ``GroundSpace.balls`` read one
+    row of distances for every radius: the closed ball, one comparison per
+    point, of squared distances under the euclidean metric."""
+    r = Fraction(radius)
+    if space.metric is Metric.EUCLIDEAN:
+        rsq = r * r
+        return frozenset(p for p in space.points if space.distance_sq(center, p) <= rsq)
+    return frozenset(p for p in space.points if space.distance(center, p) <= r)
+
+
 def full_bond_check(vm: Sequence[int], source: Complex, target: Complex) -> bool:
     """Simpliciality by pushing every simplex of the source forward."""
     target = set(target)
@@ -856,6 +870,90 @@ def every_level_star_conditions(system: InverseSystem) -> Report:
             "max_star": max_star,
         },
     )
+
+
+def thread_scan_star_conditions(system: InverseSystem) -> Report:
+    """``cells.check_star_conditions`` as it was before it read each distinct
+    closed star once: every top vertex's double star, and its image under
+    every ``bond(i, t)``, rebuilt for each thread."""
+    t = _top(system)
+    top = system.levels[t].adjacency
+    bad = None
+    max_star = 0
+    for u in range(len(top)):
+        double = 0
+        for v in members(_star(top, u)):
+            double |= _star(top, v)
+        for i, level in enumerate(system.levels):
+            vm = system.bond(i, t)
+            image = 0
+            for v in members(double):
+                image |= 1 << vm[v]
+            target = _star(level.adjacency, vm[u])
+            if image & ~target:
+                bad = {"thread_top": u, "lambda": list(level.lam.cover_ids)}
+                break
+            max_star = max(max_star, target.bit_count())
+        if bad:
+            break
+    return Report(
+        "star_conditions",
+        bad is None,
+        counterexample=bad,
+        details={
+            "threads": len(top),
+            "finiteness": "vacuous on finite ground models",
+            "max_star": max_star,
+        },
+    )
+
+
+def pair_scan_equivalence_classes(system: InverseSystem) -> EquivalenceResult:
+    """``cells.equivalence_classes`` as it was before it skipped a thread
+    whose row repeats an earlier one: every pair i < j is searched for a
+    breaking triple, and each thread's class is set from the members of
+    each class's row."""
+    t = _top(system)
+    adjs = [level.adjacency for level in system.levels]
+    n = len(adjs[t])
+    rows = [_star(adjs[t], i) for i in range(n)]
+    for i, row in enumerate(rows):
+        for j in range(i + 1, n):
+            linked = row >> j & 1
+            breaking = (row ^ rows[j] if linked else row & rows[j]) >> (j + 1)
+            if breaking:
+                k = j + (breaking & -breaking).bit_length()
+                if not linked:
+                    witness = (i, k, j)
+                elif rows[j] >> k & 1:
+                    witness = (i, j, k)
+                else:
+                    witness = (j, i, k)
+                return EquivalenceResult(witness, None)
+
+    classes = [tuple(members(row)) for row in dict.fromkeys(rows)]
+    class_of = [0] * n
+    for idx, cls in enumerate(classes):
+        for j in cls:
+            class_of[j] = idx
+    adjacency = {}
+    for p, (level, adj) in enumerate(zip(system.levels, adjs)):
+        vm = system.bond(p, t)
+        stars, masks = [], []
+        for cls in classes:
+            star = mask = 0
+            for i in cls:
+                star |= _star(adj, vm[i])
+                mask |= 1 << vm[i]
+            stars.append(star)
+            masks.append(mask)
+        adjacency[level.lam] = frozenset(
+            (ci, cj)
+            for ci, star in enumerate(stars)
+            for cj in range(ci, len(classes))
+            if star & masks[cj]
+        )
+    return EquivalenceResult(None, QuotientSpace(tuple(classes), tuple(class_of), adjacency))
 
 
 def triple_scan_equivalence_classes(system: InverseSystem) -> EquivalenceResult:

@@ -13,9 +13,11 @@ from oracles import (
     is_cauchy,
     k_simplices,
     non_max_levels,
+    pair_scan_equivalence_classes,
     perturbed_thread_net,
     sample_cauchy_nets,
     sampled_cauchy_sweep,
+    thread_scan_star_conditions,
     triple_scan_equivalence_classes,
     vertex_threads,
 )
@@ -118,6 +120,21 @@ def test_star_contraction_fails_on_path():
     assert not report.passed
     assert report.counterexample == {"thread_top": 0, "lambda": [0]}
     assert report.to_json() == every_level_star_conditions(system).to_json()
+    # a clique, then a path: top vertices 0 and 1 form a clique and share
+    # one closed star, so thread 1 reuses what thread 0's star gave; the
+    # path 2 - 3 - 4 fails at its end thread 2, at level {0}
+    covers = (
+        cover_from_pointsets(0, [{0, 1}, {0, 2}, {3, 4}, {4, 5}, {5, 6}]),
+        cover_from_pointsets(1, [{0, 1, 2}, {3, 4, 5, 6}]),
+    )
+    system = build_system(CoverFamily(covers, GroundSpace(7)))
+    report = check_star_conditions(system)
+    assert report.counterexample == {"thread_top": 2, "lambda": [0]}
+    assert report.details["max_star"] == 2
+    assert report == thread_scan_star_conditions(system) == every_level_star_conditions(system)
+    result = equivalence_classes(system)
+    assert result == EquivalenceResult((2, 3, 4), None)
+    assert result == pair_scan_equivalence_classes(system) == triple_scan_equivalence_classes(system)
 
 
 def test_star_contraction_trivial_on_one_point():

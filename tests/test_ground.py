@@ -101,8 +101,7 @@ def test_euclidean_plane_distances():
         space.distance(0, 2)
     # irrational distances still give exact squared comparisons
     assert space.distance_sq(0, 2) == 2
-    assert space.ball(0, F(3, 2)) == frozenset({0, 2})
-    assert space.ball(0, F(7, 5)) == frozenset({0})
+    assert space.balls(0, [F(3, 2), F(7, 5)]) == [frozenset({0, 2}), frozenset({0})]
 
 
 def test_generate_space_errors(tmp_path):

@@ -68,6 +68,7 @@ from oracles import (
     graph_flag_core,
     is_cauchy,
     non_max_levels,
+    pair_scan_equivalence_classes,
     pairwise_class_adjacency,
     pairwise_is_cauchy,
     perturbed_thread_net,
@@ -77,10 +78,12 @@ from oracles import (
     sample_cauchy_nets,
     sampled_cauchy_sweep,
     sampled_check_homotopy,
+    scan_ball,
     scan_canonical_map,
     scan_converge,
     sweep_every_net,
     thread_scan_check_fibers,
+    thread_scan_star_conditions,
     triple_scan_equivalence_classes,
     two_search_build,
     vertex_thread,
@@ -506,12 +509,15 @@ def _unmet_or(f, system):
 def _assert_thread_checks_match_scans(system):
     """``check_star_conditions`` and ``equivalence_classes`` against their
     scans of every level, down to the counterexample and the witness, and
+    against their scans that read every thread's closed star anew;
     ``check_fibers`` against its scan of every thread for every point."""
     assert check_fibers(system) == thread_scan_check_fibers(system)
     star = _unmet_or(check_star_conditions, system)
     assert star == _unmet_or(every_level_star_conditions, system)
+    assert star == _unmet_or(thread_scan_star_conditions, system)
     relation = _unmet_or(equivalence_classes, system)
     assert relation == _unmet_or(triple_scan_equivalence_classes, system)
+    assert relation == _unmet_or(pair_scan_equivalence_classes, system)
 
 
 def _thread_verdict(system):
@@ -557,7 +563,9 @@ def test_fibers_match_thread_scan_with_a_moved_bond_entry():
     # one entry of one bond moved: some point's fiber escapes that bond,
     # or the top level's bond to itself moved a vertex v to a vertex of
     # every top fiber that holds v, so no thread ends at v and those
-    # fibers go unrealized
+    # fibers go unrealized.  The bonds need not be graph homomorphisms
+    # here, and the thread checks, which reuse what a repeated closed star
+    # gave, must still equal their scans of every thread
     rng = random.Random(2027)
     reasons = set()
     for _ in range(1000):
@@ -568,6 +576,10 @@ def test_fibers_match_thread_scan_with_a_moved_bond_entry():
         system._bonds[pair] = tuple(bond)
         report = check_fibers(system)
         assert report == thread_scan_check_fibers(system)
+        star = _unmet_or(check_star_conditions, system)
+        assert star == _unmet_or(thread_scan_star_conditions, system)
+        relation = _unmet_or(equivalence_classes, system)
+        assert relation == _unmet_or(pair_scan_equivalence_classes, system)
         reasons.add("pass" if report.passed else report.counterexample.get("reason", "escape"))
     assert reasons == {"pass", "escape", "top fiber not realized by threads"}
 
@@ -673,6 +685,9 @@ def test_samples_follow_the_exact_rules(system, seed):
 )
 def test_ball_neighborhoods_match_balls(space):
     radii = [Fraction(1, 2), Fraction(1, 8), Fraction(1, 3), Fraction(2)]
-    expected = [(p, space.ball(p, r)) for r in radii for p in space.points]
+    # both readers of the ball rule against the scan of one ball at a time
+    balls = [[scan_ball(space, p, r) for r in radii] for p in space.points]
+    assert [space.balls(p, radii) for p in space.points] == balls
+    expected = [(p, balls[p][k]) for k in range(len(radii)) for p in space.points]
     assert ball_neighborhoods(space, radii) == expected
     assert ball_neighborhoods(space, []) == []
