@@ -54,6 +54,18 @@ MUTANTS: list[tuple[str, str, str]] = [
      "if any(map(s.isdisjoint, sets)):"),
     # a bool let into the emitter's fast path for int lists
     ("report.py", "_INTS = {int}", "_INTS = {int, bool}"),
+    # the emitter's name table built for a list that holds a negative int,
+    # and for one whose largest int equals its count
+    ("report.py",
+     "if ints and min(ints) >= 0 and max(ints) < sum(map(len, rows)):",
+     "if ints and max(ints) < sum(map(len, rows)):"),
+    ("report.py",
+     "if ints and min(ints) >= 0 and max(ints) < sum(map(len, rows)):",
+     "if ints and min(ints) >= 0 and max(ints) <= sum(map(len, rows)):"),
+    # the clique search's root candidates taking every neighbour, not the higher ones
+    ("complexes.py",
+     "up = [a >> (v + 1) << (v + 1) for v, a in enumerate(adj)]",
+     "up = list(adj)"),
     # dict keys sorted after their conversion to JSON strings
     ("report.py",
      "for k, v in sorted(o.items()):",
@@ -73,7 +85,9 @@ MUTANTS: list[tuple[str, str, str]] = [
      "if t is not None and through[x] != set(system.levels[t].fibers[x]):",
      "if False:"),
     # no bond ever maps a fiber outside a fiber
-    ("systems.py", "if any(vm[v] not in fiber for v in system.levels[j].fibers[x]):", "if False:"),
+    ("systems.py",
+     "if not fibers[i].issuperset(map(system.bond(i, j).__getitem__, levels[j].fibers[x])):",
+     "if False:"),
     # the Cauchy sweep's identity test always holding
     ("cells.py", "if system.bond(i, i) != tuple(range(len(level.vertices))):", "if False:"),
     # domination made strict: of two equal rows, neither is dropped

@@ -21,7 +21,7 @@ from .complexes import (DEFAULT_MAX_DIM, MAX_DIM_LIMIT, LambdaIndex, build_compl
 from .errors import GuardExceeded, InputError, PreconditionUnmet
 from .ground import family_to_json, load_family, load_space, space_to_json
 from .presets import PRESETS, Preset, file_preset
-from .report import FORMAT_VERSION, Report, dump_json, read_json
+from .report import FORMAT_VERSION, Report, read_json, write_json
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -118,8 +118,8 @@ def cmd_build(config: RunConfig) -> int:
     ]
     out = config.out
     out.mkdir(parents=True, exist_ok=True)
-    (out / "space.json").write_text(dump_json(space_to_json(system.family.ground)))
-    (out / "covers.json").write_text(dump_json(family_to_json(system.family)))
+    write_json(out / "space.json", space_to_json(system.family.ground))
+    write_json(out / "covers.json", family_to_json(system.family))
     for level, (flag, nerve) in zip(levels, complexes):
         lam = level.lam
         tag = "-".join(str(i) for i in lam.cover_ids)
@@ -129,7 +129,7 @@ def cmd_build(config: RunConfig) -> int:
             "flag_complex": complex_to_json(lam, level.vertices, flag, True),
             "nerve_complex": complex_to_json(lam, level.vertices, nerve, False),
         }
-        (out / f"level_{tag}.json").write_text(dump_json(payload))
+        write_json(out / f"level_{tag}.json", payload)
         (out / f"skeleton_{tag}.dot").write_text(skeleton_dot(level.adjacency, f"L{tag.replace('-', '_')}"))
     bonds = [
         {
@@ -141,9 +141,7 @@ def cmd_build(config: RunConfig) -> int:
         for j in up
         if i != j
     ]
-    (out / "bonds.json").write_text(
-        dump_json({"format_version": FORMAT_VERSION, "bonds": bonds})
-    )
+    write_json(out / "bonds.json", {"format_version": FORMAT_VERSION, "bonds": bonds})
     print(f"wrote {len(levels)} level files to {out}")
     return EXIT_OK
 
@@ -168,12 +166,12 @@ def cmd_check(config: RunConfig) -> int:
         "checks": [r.to_json() for r in reports],
         "all_pass": all(r.passed for r in reports),
     }
-    (out / "report.json").write_text(dump_json(payload))
+    write_json(out / "report.json", payload)
     for fname, content in sorted(extras.items()):
         if isinstance(content, str):
             (out / fname).write_text(content)
         else:
-            (out / fname).write_text(dump_json(content))
+            write_json(out / fname, content)
     for r in reports:
         status = "SKIP" if r.details.get("skipped") else "PASS" if r.passed else "FAIL"
         print(f"{status}  {r.check}")

@@ -180,12 +180,16 @@ def _all_cliques(
     """Every clique up to max_dim+1 vertices and, as the first's tuple when
     equal, those whose ``points`` bitmasks share a bit, in lexicographic
     order: a depth-first search adding larger neighbours in ascending
-    order.  Raises past the guard; the message starts with ``where`` and
+    order, each child's candidates being its parent's above the new vertex
+    and among that vertex's higher neighbours, read from a table built
+    once.  Raises past the guard; the message starts with ``where`` and
     gives the size of a maximal clique grown greedily from the first
     clique past the guard.
     """
     out: list[Simplex] = []
     sub: list[Simplex] = []
+    # each vertex's higher neighbours
+    up = [a >> (v + 1) << (v + 1) for v, a in enumerate(adj)]
 
     def extend(clique: tuple[int, ...], candidates: int, shared: int) -> None:
         if len(clique) > max_dim + 1:
@@ -203,12 +207,14 @@ def _all_cliques(
             sub.append(clique)
         c = candidates
         while c:
-            v = (c & -c).bit_length() - 1
-            c &= c - 1
-            extend(clique + (v,), candidates & adj[v] & ~((1 << (v + 1)) - 1), shared & points[v])
+            low = c & -c
+            c ^= low
+            v = low.bit_length() - 1
+            # the candidates left are those above v
+            extend(clique + (v,), c & up[v], shared & points[v])
 
     for v in range(len(adj)):
-        extend((v,), adj[v] & ~((1 << (v + 1)) - 1), points[v])
+        extend((v,), up[v], points[v])
     flag = tuple(out)
     return flag, flag if len(sub) == len(out) else tuple(sub)
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .errors import InputError
 from .records import Record
@@ -86,52 +86,67 @@ _ROWS = {list, tuple}
 _CONTAINERS = {list, tuple, dict}
 
 
-def _emit(o: Any, nl: str, out: list[str], memo: dict[tuple[int, str], str]) -> None:
-    """Append the pieces of ``o`` to ``out``; ``nl`` is a newline and the
-    indent of the line ``o`` starts on.  ``memo`` holds the text of each
-    list of int rows written so far, by its id and indent."""
+def _name_table(rows: list | tuple) -> list[str] | None:
+    """``str(i)`` for i from 0 up to the largest int of the int ``rows``,
+    when none is negative and the largest is below the count of ints, so
+    that the table is no longer than the rows it names; otherwise None.
+    The bounds are read from the set of distinct ints, which for vertex
+    ids is as small as the table."""
+    ints = set(chain.from_iterable(rows))
+    if ints and min(ints) >= 0 and max(ints) < sum(map(len, rows)):
+        return [str(i) for i in range(max(ints) + 1)]
+    return None
+
+
+def _emit(o: Any, nl: str, write: Callable[[str], Any], memo: dict[tuple[int, str], str]) -> None:
+    """Pass the pieces of ``o`` to ``write`` in order; ``nl`` is a newline
+    and the indent of the line ``o`` starts on.  ``memo`` holds the text of
+    each list of int rows written so far, by its id and indent."""
     if isinstance(o, str):
-        out.append(_quote(o))
+        write(_quote(o))
     elif o is None or isinstance(o, bool):
-        out.append(_CONSTANTS[o])
+        write(_CONSTANTS[o])
     elif isinstance(o, int):
-        out.append(_int(o))
+        write(_int(o))
     elif type(o) not in _CONTAINERS:
-        out.append(_quote(_fraction(o)))
+        write(_quote(_fraction(o)))
     elif not o:
-        out.append("{}" if isinstance(o, dict) else "[]")
+        write("{}" if isinstance(o, dict) else "[]")
     elif isinstance(o, dict):
         inner = nl + "  "
         sep = "{" + inner
         for k, v in sorted(o.items()):
-            out.append(sep + _quote(k) + ": ")
-            _emit(v, inner, out, memo)
+            write(sep + _quote(k) + ": ")
+            _emit(v, inner, write, memo)
             sep = "," + inner
-        out.append(nl + "}")
+        write(nl + "}")
     else:
         inner = nl + "  "
         types = set(map(type, o))
         key = id(o), nl
         if types == _INTS:
             # one join for a list of plain ints (a bool is not one)
-            out.append("[" + inner + ("," + inner).join(map(_int, o)) + nl + "]")
+            write("[" + inner + ("," + inner).join(map(_int, o)) + nl + "]")
         elif key in memo:
             # a row list written before at this indent: a nerve that is its flag complex
-            out.append(memo[key])
+            write(memo[key])
         elif types <= _ROWS and set(map(type, chain.from_iterable(o))) <= _INTS:
-            # ... and for a list of such lists: simplices, vertex maps
+            # ... and for a list of such lists: simplices, vertex maps, whose
+            # ints are mostly small vertex ids, named from one table
+            table = _name_table(o)
+            name = _int if table is None else table.__getitem__
             cell = inner + "  "
-            sep = "," + cell
-            rows = ("[" + cell + sep.join(map(_int, r)) + inner + "]" if r else "[]" for r in o)
+            first, sep, last = "[" + cell, "," + cell, inner + "]"
+            rows = [first + sep.join(map(name, r)) + last if r else "[]" for r in o]
             memo[key] = text = "[" + inner + ("," + inner).join(rows) + nl + "]"
-            out.append(text)
+            write(text)
         else:
             sep = "[" + inner
             for v in o:
-                out.append(sep)
-                _emit(v, inner, out, memo)
+                write(sep)
+                _emit(v, inner, write, memo)
                 sep = "," + inner
-            out.append(nl + "]")
+            write(nl + "]")
 
 
 def dump_json(obj: Any) -> str:
@@ -143,6 +158,21 @@ def dump_json(obj: Any) -> str:
     subclass or another key is a ``TypeError``.  A list of int rows met
     again at the same indent reuses its first text."""
     out: list[str] = []
-    _emit(obj, "\n", out, {})
+    _emit(obj, "\n", out.append, {})
     out.append("\n")
     return "".join(out)
+
+
+def write_json(path: Path, obj: Any) -> None:
+    """Write ``dump_json(obj)`` to the file at ``path``, passing its pieces
+    to the open file in order rather than joining them first.  A value
+    that cannot be written raises as ``dump_json`` does and removes the
+    file, so a failed write leaves none behind."""
+    f = Path(path).open("w")
+    try:
+        with f:
+            _emit(obj, "\n", f.write, {})
+            f.write("\n")
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise

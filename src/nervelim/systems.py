@@ -203,10 +203,15 @@ def fiber_escape(
     system: InverseSystem, x: PointId, pairs: Sequence[tuple[int, int]]
 ) -> tuple[int, int] | None:
     """The first pair (i, j) of ``pairs`` whose bond from position j down
-    to i maps a vertex of x's fiber at j outside x's fiber at i, or None."""
+    to i maps a vertex of x's fiber at j outside x's fiber at i, or None.
+
+    x's fiber at each level is made a set once, so each pair costs the size
+    of its source fiber; ``tests/oracles.py::tuple_scan_fiber_escape``
+    looks each image up in the target fiber's tuple."""
+    levels = system.levels
+    fibers = [frozenset(level.fibers[x]) for level in levels]
     for i, j in pairs:
-        vm, fiber = system.bond(i, j), system.levels[i].fibers[x]
-        if any(vm[v] not in fiber for v in system.levels[j].fibers[x]):
+        if not fibers[i].issuperset(map(system.bond(i, j).__getitem__, levels[j].fibers[x])):
             return i, j
     return None
 

@@ -1078,6 +1078,18 @@ def full_compare_quotient_to_ground(system: InverseSystem, result: EquivalenceRe
     )
 
 
+def tuple_scan_fiber_escape(
+    system: InverseSystem, x: PointId, pairs: Sequence[tuple[int, int]]
+) -> tuple[int, int] | None:
+    """``systems.fiber_escape`` as it was before it made each fiber a set:
+    each image vertex is looked up in the target fiber's tuple."""
+    for i, j in pairs:
+        vm, fiber = system.bond(i, j), system.levels[i].fibers[x]
+        if any(vm[v] not in fiber for v in system.levels[j].fibers[x]):
+            return i, j
+    return None
+
+
 def thread_scan_check_fibers(system: InverseSystem) -> Report:
     """``systems.check_fibers`` as it was before it read each thread's image
     once: for each point, every vertex thread's image is tested for it."""

@@ -25,7 +25,9 @@ random systems, and the two checks to give one verdict.  ``fibers``
 reads each vertex thread's image once; on the same systems, and on
 random systems with one bond entry moved, it must report what
 ``oracles.thread_scan_check_fibers``, its scan of every thread for every
-point, reports.  The
+point, reports, and ``fiber_escape`` must name the pair that
+``oracles.tuple_scan_fiber_escape``, its lookup in the fibers' tuples,
+names.  The
 benchmark families built here also check Betti stabilization on the cores
 against the full complexes, and the flag reconstruction and skeleton
 checks against rebuilding and comparing every complex.  The readers of
@@ -85,6 +87,7 @@ from oracles import (
     thread_scan_check_fibers,
     thread_scan_star_conditions,
     triple_scan_equivalence_classes,
+    tuple_scan_fiber_escape,
     two_search_build,
     vertex_thread,
     vertex_threads,
@@ -129,6 +132,7 @@ from nervelim.systems import (
     check_homotopy,
     check_nerve_absorption,
     check_skeleton_equality,
+    fiber_escape,
     thread_image,
 )
 
@@ -576,6 +580,9 @@ def test_fibers_match_thread_scan_with_a_moved_bond_entry():
         system._bonds[pair] = tuple(bond)
         report = check_fibers(system)
         assert report == thread_scan_check_fibers(system)
+        pairs = [(i, j) for i, up in enumerate(system.above) for j in up]
+        for x in system.family.ground.points:
+            assert fiber_escape(system, x, pairs) == tuple_scan_fiber_escape(system, x, pairs)
         star = _unmet_or(check_star_conditions, system)
         assert star == _unmet_or(thread_scan_star_conditions, system)
         relation = _unmet_or(equivalence_classes, system)

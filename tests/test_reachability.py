@@ -25,6 +25,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "nervelim"
 ALLOWED = {
     "cli.main": "the console entry point",
     "homology.BoundaryMatrix.cols": "perfbench's boundary_columns count reads it",
+    "report.dump_json": "write_json's string form; perfbench/inputs.py writes its inputs with it",
 }
 
 

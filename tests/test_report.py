@@ -10,7 +10,7 @@ from oracles import dump_json_oracle
 from nervelim.complexes import LambdaIndex, build_complexes, complex_to_json
 from nervelim.ground import Arcs, CircleGrid, CoverFamily, generate_cover, generate_space
 from nervelim.homology import BondRanks
-from nervelim.report import FORMAT_VERSION, dump_json
+from nervelim.report import FORMAT_VERSION, _name_table, dump_json, write_json
 from nervelim.systems import build_system
 
 # what nervelim writes: None, bools, ints, strs and rationals under str keys
@@ -31,9 +31,22 @@ def _containers(children):
 JSON_VALUES = st.recursive(SCALARS, _containers, max_leaves=24)
 
 
+@pytest.fixture(scope="module")
+def path(tmp_path_factory):
+    """One file for ``write_json`` to write, rewritten by each use."""
+    return tmp_path_factory.mktemp("emitter") / "out.json"
+
+
+def emitted(obj, path):
+    """The texts of ``obj`` from the emitter's two sinks: ``dump_json``'s
+    string and the file that ``write_json`` writes."""
+    write_json(path, obj)
+    return dump_json(obj), path.read_text()
+
+
 @given(JSON_VALUES)
-def test_dump_json_matches_json_dumps(obj):
-    assert dump_json(obj) == dump_json_oracle(obj)
+def test_dump_json_matches_json_dumps(path, obj):
+    assert emitted(obj, path) == (dump_json_oracle(obj),) * 2
 
 
 @pytest.mark.parametrize(
@@ -44,10 +57,36 @@ def test_dump_json_matches_json_dumps(obj):
         ([[True, 1]], "[\n  [\n    true,\n    1\n  ]\n]\n"),
         ({"x": (Fraction(1, 3), [], {})}, '{\n  "x": [\n    "1/3",\n    [],\n    {}\n  ]\n}\n'),
         ("é\n", '"\\u00e9\\n"\n'),
+        # row lists named from the table, or not: a negative int, 10**30
+        # among small ints, an int equal to the table's bound (the count of
+        # ints), an empty row, and rows that mix lists and tuples
+        ([[-1, 0, 1, 1]], "[\n  [\n    -1,\n    0,\n    1,\n    1\n  ]\n]\n"),
+        ([[0, 1], [10**30, 2, 0]],
+         "[\n  [\n    0,\n    1\n  ],\n  [\n    1000000000000000000000000000000,\n    2,\n    0\n  ]\n]\n"),
+        ([[0, 2]], "[\n  [\n    0,\n    2\n  ]\n]\n"),
+        ([[], [0, 1]], "[\n  [],\n  [\n    0,\n    1\n  ]\n]\n"),
+        ([(0, 1), [1, 0], (2,)],
+         "[\n  [\n    0,\n    1\n  ],\n  [\n    1,\n    0\n  ],\n  [\n    2\n  ]\n]\n"),
     ],
 )
-def test_dump_json_edge_cases(obj, text):
-    assert dump_json(obj) == text == dump_json_oracle(obj)
+def test_dump_json_edge_cases(path, obj, text):
+    assert emitted(obj, path) == (text, text)
+    assert text == dump_json_oracle(obj)
+
+
+@pytest.mark.parametrize(
+    "rows, table",
+    [
+        ([[0, 1]], ["0", "1"]),
+        ([(1,), [], [0, 1]], ["0", "1"]),
+        ([[0], (2,)], None),  # the largest equals the count
+        ([[-1, 0], [1, 1]], None),
+        ([[0, 1], [2, 10**30]], None),
+        ([[], ()], None),
+    ],
+)
+def test_name_table_is_no_longer_than_its_rows(rows, table):
+    assert _name_table(rows) == table
 
 
 @pytest.mark.parametrize(
@@ -83,7 +122,15 @@ def test_dump_json_refuses_floats_and_non_str_keys(obj, message):
         dump_json(obj)
 
 
-def test_level_files_match_json_dumps_at_scale():
+def test_write_json_leaves_no_file_when_a_value_is_refused(tmp_path):
+    # the float is met after the file is opened and its first piece written
+    path = tmp_path / "out.json"
+    with pytest.raises(TypeError, match="^cannot serialize float$"):
+        write_json(path, {"a": 1.5})
+    assert not path.exists()
+
+
+def test_level_files_match_json_dumps_at_scale(path):
     # the circle-24-thick family: its top level has 24,864 simplices per complex
     space = generate_space(CircleGrid(), 24)
     arcs = ((3, Fraction(1)), (6, Fraction(1, 4)), (12, Fraction(1, 4)))
@@ -106,7 +153,7 @@ def test_level_files_match_json_dumps_at_scale():
             "flag_complex": complex_to_json(level.lam, level.vertices, flag, True),
             "nerve_complex": complex_to_json(level.lam, level.vertices, nerve, False),
         }
-        assert dump_json(payload) == dump_json_oracle(payload)
+        assert emitted(payload, path) == (dump_json_oracle(payload),) * 2
 
 
 ROWS = st.lists(st.lists(st.integers(), max_size=3) | st.tuples(st.integers()), min_size=1)
@@ -120,18 +167,19 @@ PLACEMENTS = [
 
 
 @given(ROWS, st.sampled_from(PLACEMENTS))
-def test_dump_json_writes_a_repeated_row_list_as_json_dumps(rows, place):
+def test_dump_json_writes_a_repeated_row_list_as_json_dumps(path, rows, place):
     # the memo of row lists: the same object again, or an equal but
     # distinct one, gives the bytes json.dumps gives
     for obj in (place(rows), place([list(r) for r in rows])):
-        assert dump_json(obj) == dump_json_oracle(obj)
+        assert emitted(obj, path) == (dump_json_oracle(obj),) * 2
     distinct = {"a": rows, "b": [list(r) for r in rows], "c": {"d": rows}}
-    assert dump_json(distinct) == dump_json_oracle(distinct)
+    assert emitted(distinct, path) == (dump_json_oracle(distinct),) * 2
 
 
-def test_dump_json_memo_lives_for_one_call():
+def test_dump_json_memo_lives_for_one_call(path):
     rows = [[0, 1], [1]]
     payload = {"flag": rows, "nerve": rows}
-    first = dump_json(payload)
+    first = emitted(payload, path)
     rows.append([2])
-    assert dump_json(payload) == dump_json_oracle(payload) != first
+    assert emitted(payload, path) == (dump_json_oracle(payload),) * 2
+    assert dump_json_oracle(payload) not in first
