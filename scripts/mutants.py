@@ -48,6 +48,10 @@ MUTANTS: list[tuple[str, str, str]] = [
      "return flag, tuple(sub)"),
     # the emitter's memo of row lists keyed without the indent
     ("report.py", "key = id(o), nl", "key = id(o)"),
+    # a row list's slices written with no comma between them, and each
+    # slice cut one row short
+    ("report.py", "lead = between", "lead = inner"),
+    ("report.py", "for r in o[i:i + _CHUNK]]", "for r in o[i:i + _CHUNK - 1]]"),
     # the selection search without its triple test
     ("ground.py",
      "if any(map(s.isdisjoint, sets)) or any(map(s.isdisjoint, meets)):",

@@ -84,6 +84,8 @@ _ROWS = {list, tuple}
 # containers are these types exactly: a NamedTuple record is refused, not
 # written as a list
 _CONTAINERS = {list, tuple, dict}
+# rows of a row list rendered at a time: bounds the row strings alive at once
+_CHUNK = 512
 
 
 def _name_table(rows: list | tuple) -> list[str] | None:
@@ -98,10 +100,14 @@ def _name_table(rows: list | tuple) -> list[str] | None:
     return None
 
 
-def _emit(o: Any, nl: str, write: Callable[[str], Any], memo: dict[tuple[int, str], str]) -> None:
+def _emit(
+    o: Any, nl: str, write: Callable[[str], Any], memo: dict[tuple[int, str], list[str]]
+) -> None:
     """Pass the pieces of ``o`` to ``write`` in order; ``nl`` is a newline
-    and the indent of the line ``o`` starts on.  ``memo`` holds the text of
-    each list of int rows written so far, by its id and indent."""
+    and the indent of the line ``o`` starts on.  A list of int rows is
+    rendered ``_CHUNK`` rows at a time, each slice joined and written
+    before the next is rendered; ``memo`` holds the pieces of each such
+    list written so far, by its id and indent."""
     if isinstance(o, str):
         write(_quote(o))
     elif o is None or isinstance(o, bool):
@@ -129,7 +135,8 @@ def _emit(o: Any, nl: str, write: Callable[[str], Any], memo: dict[tuple[int, st
             write("[" + inner + ("," + inner).join(map(_int, o)) + nl + "]")
         elif key in memo:
             # a row list written before at this indent: a nerve that is its flag complex
-            write(memo[key])
+            for piece in memo[key]:
+                write(piece)
         elif types <= _ROWS and set(map(type, chain.from_iterable(o))) <= _INTS:
             # ... and for a list of such lists: simplices, vertex maps, whose
             # ints are mostly small vertex ids, named from one table
@@ -137,9 +144,16 @@ def _emit(o: Any, nl: str, write: Callable[[str], Any], memo: dict[tuple[int, st
             name = _int if table is None else table.__getitem__
             cell = inner + "  "
             first, sep, last = "[" + cell, "," + cell, inner + "]"
-            rows = [first + sep.join(map(name, r)) + last if r else "[]" for r in o]
-            memo[key] = text = "[" + inner + ("," + inner).join(rows) + nl + "]"
-            write(text)
+            lead, between = "[" + inner, "," + inner
+            memo[key] = pieces = []
+            for i in range(0, len(o), _CHUNK):
+                rows = [first + sep.join(map(name, r)) + last if r else "[]"
+                        for r in o[i:i + _CHUNK]]
+                pieces.append(lead + between.join(rows))
+                write(pieces[-1])
+                lead = between
+            pieces.append(nl + "]")
+            write(pieces[-1])
         else:
             sep = "[" + inner
             for v in o:
@@ -156,7 +170,8 @@ def dump_json(obj: Any) -> str:
     Leaves are None, bools, ints, strs and rationals, containers are lists,
     tuples and dicts but no subclass of them, and keys are strs: a float, a
     subclass or another key is a ``TypeError``.  A list of int rows met
-    again at the same indent reuses its first text."""
+    again at the same indent is written from the pieces kept when it was
+    first written."""
     out: list[str] = []
     _emit(obj, "\n", out.append, {})
     out.append("\n")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from oracles import dump_json_oracle
 from nervelim.complexes import LambdaIndex, build_complexes, complex_to_json
 from nervelim.ground import Arcs, CircleGrid, CoverFamily, generate_cover, generate_space
 from nervelim.homology import BondRanks
-from nervelim.report import FORMAT_VERSION, _name_table, dump_json, write_json
+from nervelim.report import _CHUNK, FORMAT_VERSION, _name_table, dump_json, write_json
 from nervelim.systems import build_system
 
 # what nervelim writes: None, bools, ints, strs and rationals under str keys
@@ -130,8 +131,11 @@ def test_write_json_leaves_no_file_when_a_value_is_refused(tmp_path):
     assert not path.exists()
 
 
-def test_level_files_match_json_dumps_at_scale(path):
-    # the circle-24-thick family: its top level has 24,864 simplices per complex
+@pytest.fixture(scope="module")
+def thick_payloads():
+    """Every level file payload of the circle-24-thick family, as ``build``
+    writes them, lowest level first: its top level has 24,864 simplices per
+    complex."""
     space = generate_space(CircleGrid(), 24)
     arcs = ((3, Fraction(1)), (6, Fraction(1, 4)), (12, Fraction(1, 4)))
     family = CoverFamily(
@@ -146,14 +150,37 @@ def test_level_files_match_json_dumps_at_scale(path):
     assert max(len(nerve) for _, nerve in built) >= 5000
     # as build writes them: each nerve is its flag complex's own tuple here
     assert all(nerve is flag for flag, nerve in built)
-    for level, (flag, nerve) in zip(system.levels, built):
-        payload = {
+    return [
+        {
             "format_version": FORMAT_VERSION,
             "lambda": list(level.lam.cover_ids),
             "flag_complex": complex_to_json(level.lam, level.vertices, flag, True),
             "nerve_complex": complex_to_json(level.lam, level.vertices, nerve, False),
         }
+        for level, (flag, nerve) in zip(system.levels, built)
+    ]
+
+
+def test_level_files_match_json_dumps_at_scale(path, thick_payloads):
+    for payload in thick_payloads:
         assert emitted(payload, path) == (dump_json_oracle(payload),) * 2
+
+
+def test_write_json_holds_one_complex_text_at_a_time(path, thick_payloads):
+    # the top level file's rows are rendered a slice at a time; what stays
+    # alive is the memo's pieces of the one row list both complexes share
+    payload = thick_payloads[-1]
+    rows = payload["flag_complex"]["simplices"]
+    assert len(rows) == 24_864 and payload["nerve_complex"]["simplices"] is rows
+    row_text = len(dump_json({"flag_complex": {"simplices": rows}}))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        write_json(path, payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < row_text + (1 << 20)
 
 
 ROWS = st.lists(st.lists(st.integers(), max_size=3) | st.tuples(st.integers()), min_size=1)
@@ -174,6 +201,19 @@ def test_dump_json_writes_a_repeated_row_list_as_json_dumps(path, rows, place):
         assert emitted(obj, path) == (dump_json_oracle(obj),) * 2
     distinct = {"a": rows, "b": [list(r) for r in rows], "c": {"d": rows}}
     assert emitted(distinct, path) == (dump_json_oracle(distinct),) * 2
+
+
+@pytest.mark.parametrize("count", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+@pytest.mark.parametrize("place", PLACEMENTS)
+def test_row_lists_across_slice_edges(path, count, place):
+    # a row list is written a slice of _CHUNK rows at a time; empty rows
+    # end the first slice and start the second, where the list has them
+    rows = [(i % 7, i % 5) if i % 3 else [i % 11] for i in range(count)]
+    for i in (_CHUNK - 1, _CHUNK):
+        if i < count:
+            rows[i] = []
+    for obj in (place(rows), place(tuple(rows))):
+        assert emitted(obj, path) == (dump_json_oracle(obj),) * 2
 
 
 def test_dump_json_memo_lives_for_one_call(path):
