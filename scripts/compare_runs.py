@@ -19,6 +19,10 @@ Each checkout runs, from its own directory under the work directory:
   largest family whose nerves are their flag complexes at every level but
   the base one; then its default ``check`` at ``--max-dim 16``, every
   check, where ``nerve_absorption`` reads every level's maximal cliques;
+- ``build`` of circle-96 (arcs 3/6/12/24/48, overlap 0) at ``--max-dim
+  16``, its input written with circle-48's: the top level {0,1,2,3,4} has
+  a clique of 32 vertices, so ``build`` exits 2 with the guard message and
+  writes no output directory, after 30 levels that pass the guard;
 - ``check --checks equivalence_classes,quotient_comparison`` of one-class,
   three points under one cover of one element, its input written with
   circle-48's: one thread class for three points, so the comparison fails
@@ -69,9 +73,9 @@ from pathlib import Path
 PRESETS = ("cantor-d3", "interval-g8", "circle-a3612", "circle-a3", "wedge2")
 SAMPLES = ("--seed", "7", "--nets", "1000", "--homotopy-samples", "5")
 
-# writes the space and covers files of circle-48, of one-class (3 points
-# under one element), of star-300 and of clique-path into the directory
-# argv[1]
+# writes the space and covers files of circle-48, of circle-96, of
+# one-class (3 points under one element), of star-300 and of clique-path
+# into the directory argv[1]
 WRITE_INPUTS = """
 import sys
 from fractions import Fraction
@@ -85,6 +89,11 @@ arcs = tuple(generate_cover(space, Arcs(n, Fraction(0)), cover_id=i)
              for i, n in enumerate((3, 6, 12, 24)))
 (out / "circle-48.space.json").write_text(dump_json(space_to_json(space)))
 (out / "circle-48.covers.json").write_text(dump_json(family_to_json(CoverFamily(arcs, space))))
+space = generate_space(CircleGrid(), 96)
+arcs = tuple(generate_cover(space, Arcs(n, Fraction(0)), cover_id=i)
+             for i, n in enumerate((3, 6, 12, 24, 48)))
+(out / "circle-96.space.json").write_text(dump_json(space_to_json(space)))
+(out / "circle-96.covers.json").write_text(dump_json(family_to_json(CoverFamily(arcs, space))))
 space = GroundSpace(3)
 one = CoverFamily((cover_from_pointsets(0, [{0, 1, 2}]),), space)
 (out / "one-class.space.json").write_text(dump_json(space_to_json(space)))
@@ -131,6 +140,7 @@ def commands() -> list[tuple[str, ...]]:
         ("build", *_family("circle-48"), "--lambdas", "all", "--max-dim", "16",
          "--out", "circle-48-build"),
         ("check", *_family("circle-48"), "--max-dim", "16", "--out", "circle-48-check"),
+        ("build", *_family("circle-96"), "--max-dim", "16", "--out", "circle-96-build"),
         ("check", *_family("one-class"), "--checks", "equivalence_classes,quotient_comparison",
          "--out", "one-class-check"),
         ("check", *_family("star-300"),

@@ -46,26 +46,28 @@ MUTANTS: list[tuple[str, str, str]] = [
     ("complexes.py",
      "return flag, flag if len(sub) == len(out) else tuple(sub)",
      "return flag, tuple(sub)"),
-    # the emitter's memo of row lists keyed without the indent
-    ("report.py", "key = id(o), nl", "key = id(o)"),
-    # a row list's slices written with no comma between them, and each
+    # a clique's row text left without its close, and the clique size not
+    # stepped, so that no clique meets the guard
+    ("complexes.py", "row = label + close", "row = label"),
+    ("complexes.py",
+     "extend(label + rest[v], k + 1, c & up[v], shared & points[v])",
+     "extend(label + rest[v], k, c & up[v], shared & points[v])"),
+    # row text written at any indent
+    ("report.py", "if nl != _ROWS_NL:", "if False:"),
+    # row text's slices written with no comma between them, and each
     # slice cut one row short
-    ("report.py", "lead = between", "lead = inner"),
-    ("report.py", "for r in o[i:i + _CHUNK]]", "for r in o[i:i + _CHUNK - 1]]"),
+    ("report.py", "lead = between", "lead = between[1:]"),
+    ("report.py",
+     "write(lead + between.join(rows[i:i + _CHUNK]))",
+     "write(lead + between.join(rows[i:i + _CHUNK - 1]))"),
+    # build without its guard-first pass over the levels
+    ("cli.py", "maximal_cliques(lv.lam, lv.adjacency, system.max_dim)", "pass"),
     # the selection search without its triple test
     ("ground.py",
      "if any(map(s.isdisjoint, sets)) or any(map(s.isdisjoint, meets)):",
      "if any(map(s.isdisjoint, sets)):"),
     # a bool let into the emitter's fast path for int lists
     ("report.py", "_INTS = {int}", "_INTS = {int, bool}"),
-    # the emitter's name table built for a list that holds a negative int,
-    # and for one whose largest int equals its count
-    ("report.py",
-     "if ints and min(ints) >= 0 and max(ints) < sum(map(len, rows)):",
-     "if ints and max(ints) < sum(map(len, rows)):"),
-    ("report.py",
-     "if ints and min(ints) >= 0 and max(ints) < sum(map(len, rows)):",
-     "if ints and min(ints) >= 0 and max(ints) <= sum(map(len, rows)):"),
     # the clique search's root candidates taking every neighbour, not the higher ones
     ("complexes.py",
      "up = [a >> (v + 1) << (v + 1) for v, a in enumerate(adj)]",

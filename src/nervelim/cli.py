@@ -17,11 +17,11 @@ from typing import NamedTuple, Sequence
 from . import systems
 from .checks import CHECKS, RunContext, betti_chain
 from .complexes import (DEFAULT_MAX_DIM, MAX_DIM_LIMIT, LambdaIndex, build_complexes,
-                        complex_to_json, skeleton_dot)
+                        complex_to_json, maximal_cliques, skeleton_dot)
 from .errors import GuardExceeded, InputError, PreconditionUnmet
 from .ground import family_to_json, load_family, load_space, space_to_json
 from .presets import PRESETS, Preset, file_preset
-from .report import FORMAT_VERSION, Report, read_json, write_json
+from .report import FORMAT_VERSION, Report, RowText, read_json, row_steps, write_json
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -108,28 +108,33 @@ def _parse_checks(spec: str) -> list[str]:
 # commands
 
 
+def _level_payload(level: systems.Level, max_dim: int) -> dict:
+    """A level file's contents, its complexes' rows as the search's text."""
+    lam, vertices = level.lam, level.vertices
+    flag, nerve = build_complexes(lam, level.adjacency, [v.wedge for v in vertices], max_dim,
+                                  row_steps(len(vertices)))
+    return {
+        "format_version": FORMAT_VERSION,
+        "lambda": list(lam.cover_ids),
+        "flag_complex": complex_to_json(lam, vertices, RowText(flag), True),
+        "nerve_complex": complex_to_json(lam, vertices, RowText(nerve), False),
+    }
+
+
 def cmd_build(config: RunConfig) -> int:
     system = _load_context(config).system
     levels = system.levels
-    # every complex is built before any file is written: a guard hit writes nothing
-    complexes = [
-        build_complexes(lv.lam, lv.adjacency, [v.wedge for v in lv.vertices], system.max_dim)
-        for lv in levels
-    ]
+    # the guard first, on every level in order: a guard hit writes nothing
+    for lv in levels:
+        maximal_cliques(lv.lam, lv.adjacency, system.max_dim)
     out = config.out
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "space.json", space_to_json(system.family.ground))
     write_json(out / "covers.json", family_to_json(system.family))
-    for level, (flag, nerve) in zip(levels, complexes):
-        lam = level.lam
-        tag = "-".join(str(i) for i in lam.cover_ids)
-        payload = {
-            "format_version": FORMAT_VERSION,
-            "lambda": list(lam.cover_ids),
-            "flag_complex": complex_to_json(lam, level.vertices, flag, True),
-            "nerve_complex": complex_to_json(lam, level.vertices, nerve, False),
-        }
-        write_json(out / f"level_{tag}.json", payload)
+    # one level's complexes at a time, alive while its file is written
+    for level in levels:
+        tag = "-".join(str(i) for i in level.lam.cover_ids)
+        write_json(out / f"level_{tag}.json", _level_payload(level, system.max_dim))
         (out / f"skeleton_{tag}.dot").write_text(skeleton_dot(level.adjacency, f"L{tag.replace('-', '_')}"))
     bonds = [
         {

@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import product
 from operator import and_
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .errors import GuardExceeded
 from .ground import CoverFamily, CoverId, ElementId
@@ -30,6 +30,8 @@ Simplex = tuple[int, ...]
 # an abstract complex on vertex ids 0..n-1: its simplices, downward closed and
 # in lexicographic order; its vertices, name and 1-skeleton belong to its level
 Complex = tuple[Simplex, ...]
+# a clique's label in the clique search: the first vertex's step, each further vertex's, the close
+Steps = tuple[Sequence[Any], Sequence[Any], Any]
 
 
 class LambdaIndex(Record):
@@ -132,11 +134,16 @@ def build_vertices(family: CoverFamily, lam: LambdaIndex) -> list[Vertex]:
     cover sizes.
     """
     covers = [family.covers[i] for i in lam.cover_ids]
+    # per cover, the ids of the elements holding each point, in element order
+    holding: list[list[list[ElementId]]] = [[[] for _ in family.ground.points] for _ in covers]
+    for table, c in zip(holding, covers):
+        for e in c.elements:
+            for x in e.pointset:
+                table[x].append(e.id)
     wedges: dict[tuple[ElementId, ...], int] = {}
     for x in family.ground.points:
         bit = 1 << x
-        rows = [[e.id for e in c.elements_containing(x)] for c in covers]
-        for choice in product(*rows):
+        for choice in product(*[table[x] for table in holding]):
             wedges[choice] = wedges.get(choice, 0) | bit
     return [Vertex(choice, wedges[choice]) for choice in sorted(wedges)]
 
@@ -175,25 +182,29 @@ def build_flag(lam: LambdaIndex, adjacency: Sequence[int], max_dim: int) -> Comp
 
 
 def _all_cliques(
-    adj: Sequence[int], points: Sequence[int], max_dim: int, where: str
-) -> tuple[Complex, Complex]:
+    adj: Sequence[int], points: Sequence[int], max_dim: int, where: str, steps: Steps | None = None
+) -> tuple[tuple, tuple]:
     """Every clique up to max_dim+1 vertices and, as the first's tuple when
     equal, those whose ``points`` bitmasks share a bit, in lexicographic
     order: a depth-first search adding larger neighbours in ascending
     order, each child's candidates being its parent's above the new vertex
     and among that vertex's higher neighbours, read from a table built
-    once.  Raises past the guard; the message starts with ``where`` and
-    gives the size of a maximal clique grown greedily from the first
-    clique past the guard.
+    once.  A clique v < w < ... is ``first[v] + rest[w] + ... + close`` of
+    ``steps``, grown from its parent's label by one step; by default the
+    simplex tuple.  Raises past the guard; the message starts with
+    ``where`` and gives the size of a maximal clique grown greedily from
+    the first clique past the guard.
     """
-    out: list[Simplex] = []
-    sub: list[Simplex] = []
+    singles = [(v,) for v in range(len(adj))]
+    first, rest, close = steps or (singles, singles, ())
+    out: list = []
+    sub: list = []
     # each vertex's higher neighbours
     up = [a >> (v + 1) << (v + 1) for v, a in enumerate(adj)]
 
-    def extend(clique: tuple[int, ...], candidates: int, shared: int) -> None:
-        if len(clique) > max_dim + 1:
-            size = len(clique)
+    def extend(label: Any, k: int, candidates: int, shared: int) -> None:
+        if k > max_dim + 1:
+            size = k
             while candidates:
                 v = (candidates & -candidates).bit_length() - 1
                 candidates &= adj[v]
@@ -202,19 +213,20 @@ def _all_cliques(
                 f"{where}a clique of {size} vertices exceeds the dimension guard"
                 f" (max_dim {max_dim} allows {max_dim + 1})"
             )
-        out.append(clique)
+        row = label + close
+        out.append(row)
         if shared:
-            sub.append(clique)
+            sub.append(row)
         c = candidates
         while c:
             low = c & -c
             c ^= low
             v = low.bit_length() - 1
             # the candidates left are those above v
-            extend(clique + (v,), c & up[v], shared & points[v])
+            extend(label + rest[v], k + 1, c & up[v], shared & points[v])
 
     for v in range(len(adj)):
-        extend((v,), up[v], points[v])
+        extend(first[v], 1, up[v], points[v])
     flag = tuple(out)
     return flag, flag if len(sub) == len(out) else tuple(sub)
 
@@ -246,16 +258,16 @@ def maximal_cliques(lam: LambdaIndex, adjacency: Sequence[int], max_dim: int) ->
     return out
 
 
-def build_complexes(
-    lam: LambdaIndex, adjacency: Sequence[int], wedges: Sequence[int], max_dim: int
-) -> tuple[Complex, Complex]:
+def build_complexes(lam: LambdaIndex, adjacency: Sequence[int], wedges: Sequence[int], max_dim: int,
+                    steps: Steps | None = None) -> tuple[Complex, Complex]:
     """A level's flag complex and nerve, or a core's on its own vertex ids,
     given the vertices' wedges, from one search, which guards the flag
     complex (a nerve simplex is a clique).  A nerve is downward closed, so
     it is the part of the flag complex's lexicographic order whose wedges
     share a point (Zomorodian, "Fast construction of the Vietoris-Rips
-    complex", 2010)."""
-    return _all_cliques(adjacency, wedges, max_dim, _level_name(lam) + ": ")
+    complex", 2010).  With ``steps``, each simplex is the label those
+    steps give it, as in ``_all_cliques``."""
+    return _all_cliques(adjacency, wedges, max_dim, _level_name(lam) + ": ", steps)
 
 
 def carrier_wedge(vertices: Sequence[Vertex], carrier: Sequence[int]) -> int:
@@ -267,9 +279,10 @@ def carrier_wedge(vertices: Sequence[Vertex], carrier: Sequence[int]) -> int:
 # serialization
 
 
-def complex_to_json(lam: LambdaIndex, vertices: Sequence[Vertex], cx: Complex, flag: bool) -> dict:
+def complex_to_json(lam: LambdaIndex, vertices: Sequence[Vertex], cx: Any, flag: bool) -> dict:
     """A complex of level ``lam`` on its vertices, as a level file holds it;
-    ``flag`` tells the flag complex from the nerve."""
+    ``cx`` is the complex or its ``report.RowText``, and ``flag`` tells the
+    flag complex from the nerve."""
     return {
         "lambda": list(lam.cover_ids),
         "vertices": [{"tuple": list(v.elements), "wedge": members(v.wedge)} for v in vertices],

@@ -220,9 +220,6 @@ class Cover(Record):
             out |= e.pointset
         return frozenset(out)
 
-    def elements_containing(self, x: PointId) -> list[CoverElement]:
-        return [e for e in self.elements if x in e.pointset]
-
 
 def cover_from_pointsets(cover_id: CoverId, pointsets: Sequence[Iterable[PointId]]) -> Cover:
     elements = tuple(
@@ -357,7 +354,7 @@ def _ball_pointsets(space: GroundSpace, radius: Fraction, stride: int) -> list[f
 
 def star_union(cover: Cover, x: PointId) -> frozenset[PointId]:
     """Union of the cover elements containing x."""
-    return frozenset().union(*(e.pointset for e in cover.elements_containing(x)))
+    return frozenset().union(*(e.pointset for e in cover.elements if x in e.pointset))
 
 
 def check_local_refinement(

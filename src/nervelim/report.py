@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .errors import InputError
 from .records import Record
@@ -80,40 +79,49 @@ def _fraction(obj: Any) -> str:
 _int = int.__repr__
 _CONSTANTS = {None: "null", True: "true", False: "false"}
 _INTS = {int}
-_ROWS = {list, tuple}
 # containers are these types exactly: a NamedTuple record is refused, not
 # written as a list
 _CONTAINERS = {list, tuple, dict}
-# rows of a row list rendered at a time: bounds the row strings alive at once
+# rows of a row list joined into one piece: bounds the text joined at once
 _CHUNK = 512
+# the indent of the line a level file's simplices list starts on
+_ROWS_NL = "\n    "
 
 
-def _name_table(rows: list | tuple) -> list[str] | None:
-    """``str(i)`` for i from 0 up to the largest int of the int ``rows``,
-    when none is negative and the largest is below the count of ints, so
-    that the table is no longer than the rows it names; otherwise None.
-    The bounds are read from the set of distinct ints, which for vertex
-    ids is as small as the table."""
-    ints = set(chain.from_iterable(rows))
-    if ints and min(ints) >= 0 and max(ints) < sum(map(len, rows)):
-        return [str(i) for i in range(max(ints) + 1)]
-    return None
+class RowText(NamedTuple):
+    """A list of int rows, each already written as ``_emit`` writes it in a
+    level file's ``simplices``, from the steps of ``row_steps``."""
+
+    rows: Sequence[str]
 
 
-def _emit(
-    o: Any, nl: str, write: Callable[[str], Any], memo: dict[tuple[int, str], list[str]]
-) -> None:
+def row_steps(n: int) -> tuple[list[str], list[str], str]:
+    """The steps from which ``complexes._all_cliques`` grows a clique's
+    row text on vertex ids 0..n-1, as ``RowText`` holds it: the first
+    vertex's, each further vertex's, and the close."""
+    cell, names = _ROWS_NL + "    ", [str(v) for v in range(n)]
+    return ["[" + cell + v for v in names], ["," + cell + v for v in names], _ROWS_NL + "  ]"
+
+
+def _emit(o: Any, nl: str, write: Callable[[str], Any]) -> None:
     """Pass the pieces of ``o`` to ``write`` in order; ``nl`` is a newline
-    and the indent of the line ``o`` starts on.  A list of int rows is
-    rendered ``_CHUNK`` rows at a time, each slice joined and written
-    before the next is rendered; ``memo`` holds the pieces of each such
-    list written so far, by its id and indent."""
+    and the indent of the line ``o`` starts on.  The rows of a ``RowText``
+    are joined ``_CHUNK`` rows at a time, each piece written before the
+    next is joined."""
     if isinstance(o, str):
         write(_quote(o))
     elif o is None or isinstance(o, bool):
         write(_CONSTANTS[o])
     elif isinstance(o, int):
         write(_int(o))
+    elif type(o) is RowText:
+        if nl != _ROWS_NL:
+            raise ValueError(f"row text for indent {len(_ROWS_NL) - 1} met at indent {len(nl) - 1}")
+        rows, lead, between = o.rows, "[" + nl + "  ", "," + nl + "  "
+        for i in range(0, len(rows), _CHUNK):
+            write(lead + between.join(rows[i:i + _CHUNK]))
+            lead = between
+        write(nl + "]" if rows else "[]")
     elif type(o) not in _CONTAINERS:
         write(_quote(_fraction(o)))
     elif not o:
@@ -123,44 +131,21 @@ def _emit(
         sep = "{" + inner
         for k, v in sorted(o.items()):
             write(sep + _quote(k) + ": ")
-            _emit(v, inner, write, memo)
+            _emit(v, inner, write)
             sep = "," + inner
         write(nl + "}")
+    elif set(map(type, o)) == _INTS:
+        # one join for a list of plain ints (a bool is not one)
+        inner = nl + "  "
+        write("[" + inner + ("," + inner).join(map(_int, o)) + nl + "]")
     else:
         inner = nl + "  "
-        types = set(map(type, o))
-        key = id(o), nl
-        if types == _INTS:
-            # one join for a list of plain ints (a bool is not one)
-            write("[" + inner + ("," + inner).join(map(_int, o)) + nl + "]")
-        elif key in memo:
-            # a row list written before at this indent: a nerve that is its flag complex
-            for piece in memo[key]:
-                write(piece)
-        elif types <= _ROWS and set(map(type, chain.from_iterable(o))) <= _INTS:
-            # ... and for a list of such lists: simplices, vertex maps, whose
-            # ints are mostly small vertex ids, named from one table
-            table = _name_table(o)
-            name = _int if table is None else table.__getitem__
-            cell = inner + "  "
-            first, sep, last = "[" + cell, "," + cell, inner + "]"
-            lead, between = "[" + inner, "," + inner
-            memo[key] = pieces = []
-            for i in range(0, len(o), _CHUNK):
-                rows = [first + sep.join(map(name, r)) + last if r else "[]"
-                        for r in o[i:i + _CHUNK]]
-                pieces.append(lead + between.join(rows))
-                write(pieces[-1])
-                lead = between
-            pieces.append(nl + "]")
-            write(pieces[-1])
-        else:
-            sep = "[" + inner
-            for v in o:
-                write(sep)
-                _emit(v, inner, write, memo)
-                sep = "," + inner
-            write(nl + "]")
+        sep = "[" + inner
+        for v in o:
+            write(sep)
+            _emit(v, inner, write)
+            sep = "," + inner
+        write(nl + "]")
 
 
 def dump_json(obj: Any) -> str:
@@ -169,11 +154,11 @@ def dump_json(obj: Any) -> str:
     sort_keys=True, indent=2)``, written without its pure-Python encoder.
     Leaves are None, bools, ints, strs and rationals, containers are lists,
     tuples and dicts but no subclass of them, and keys are strs: a float, a
-    subclass or another key is a ``TypeError``.  A list of int rows met
-    again at the same indent is written from the pieces kept when it was
-    first written."""
+    subclass or another key is a ``TypeError``.  A ``RowText`` is written
+    as the list of its rows; met at another indent than a level file's
+    simplices, it is a ``ValueError``."""
     out: list[str] = []
-    _emit(obj, "\n", out.append, {})
+    _emit(obj, "\n", out.append)
     out.append("\n")
     return "".join(out)
 
@@ -186,7 +171,7 @@ def write_json(path: Path, obj: Any) -> None:
     f = Path(path).open("w")
     try:
         with f:
-            _emit(obj, "\n", f.write, {})
+            _emit(obj, "\n", f.write)
             f.write("\n")
     except BaseException:
         Path(path).unlink(missing_ok=True)

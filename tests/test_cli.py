@@ -554,6 +554,46 @@ def test_check_runs_past_the_clique_guard(tmp_path, capsys):
         assert entries[name]["pass"]
 
 
+def test_build_decides_the_guard_before_it_searches_a_level(tmp_path, capsys, monkeypatch):
+    # circle-24-thick at --max-dim 3: the guard fires at level {0,1}, the
+    # fourth of seven.  build reads the maximal cliques of the levels up to
+    # it, in level order, raises the message the flag complex's search
+    # gives there, and lists no simplex of any level
+    from fractions import Fraction
+
+    import nervelim.cli
+    import nervelim.complexes
+    from nervelim.ground import Arcs, CircleGrid, CoverFamily, generate_cover, generate_space
+
+    space = generate_space(CircleGrid(), 24)
+    arcs = ((3, Fraction(1)), (6, Fraction(1, 4)), (12, Fraction(1, 4)))
+    family = CoverFamily(
+        tuple(generate_cover(space, Arcs(n, o), cover_id=i) for i, (n, o) in enumerate(arcs)),
+        space,
+    )
+    files = _write_family(tmp_path, family)
+    read, searched = [], []
+    maximal, search = nervelim.complexes.maximal_cliques, nervelim.complexes._all_cliques
+
+    def reading(lam, adjacency, max_dim):
+        read.append(lam.json_key())
+        return maximal(lam, adjacency, max_dim)
+
+    def searching(adj, points, max_dim, where, steps=None):
+        searched.append(where)
+        return search(adj, points, max_dim, where, steps)
+
+    monkeypatch.setattr(nervelim.cli, "maximal_cliques", reading)
+    monkeypatch.setattr(nervelim.complexes, "_all_cliques", searching)
+    guard = "level {0,1}: a clique of 6 vertices exceeds the dimension guard (max_dim 3 allows 4)"
+    assert run("build", *files, "--max-dim", 3, "--out", tmp_path / "b") == 2
+    assert capsys.readouterr() == ("", guard + "\n")
+    assert not (tmp_path / "b").exists()
+    assert read == ["0", "1", "2", "0,1"]
+    # the one search is build_flag's, which raises the guard at {0,1}
+    assert searched == ["level {0,1}: "]
+
+
 def test_betti_stabilization_decides_the_level_guard_before_its_cores(tmp_path, capsys):
     # circle-a3612 at --max-dim 0: level {0} has a clique of 3 vertices and
     # point fibers of 2 wedges.  The level's guard is met before its nerve

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
 from itertools import combinations
@@ -66,6 +67,7 @@ from nervelim.ground import (
     generate_cover,
     generate_space,
 )
+from nervelim.report import row_steps
 from nervelim.systems import build_system
 
 F = Fraction
@@ -201,6 +203,40 @@ def test_clique_guard_below_dimension_0(max_dim):
     complete = [0b111111 & ~(1 << v) for v in range(6)]
     with pytest.raises(GuardExceeded, match=rf"\(max_dim {max_dim} allows {max_dim + 1}\)"):
         _all_cliques(complete, [-1] * 6, max_dim, "")
+
+
+@st.composite
+def graphs_and_masks(draw):
+    """A graph on up to 8 vertices, as neighbour bitmasks, and a point
+    bitmask per vertex over 4 points."""
+    n = draw(st.integers(1, 8))
+    edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    adj = [0] * n
+    for a, b in edges:
+        if a != b:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+    return adj, draw(st.lists(st.integers(0, 15), min_size=n, max_size=n))
+
+
+@given(graphs_and_masks(), st.sampled_from([0, 1, 2, 30]))
+def test_row_text_is_json_dumps_of_each_simplex(data, max_dim):
+    # the search labelled with row_steps gives, for the flag complex and
+    # the nerve alike, each simplex's json.dumps text at the indent of a
+    # level file's simplices, and the nerve is the flag complex's own
+    # tuple exactly when the tuple search's is; past the guard, both raise
+    # one message
+    adj, masks = data
+    try:
+        expected = _all_cliques(adj, masks, max_dim, "")
+    except GuardExceeded as e:
+        with pytest.raises(GuardExceeded, match=f"^{re.escape(str(e))}$"):
+            _all_cliques(adj, masks, max_dim, "", row_steps(len(adj)))
+        return
+    flag, nerve = _all_cliques(adj, masks, max_dim, "", row_steps(len(adj)))
+    for text, rows in ((flag, expected[0]), (nerve, expected[1])):
+        assert list(text) == [json.dumps(list(r), indent=2).replace("\n", "\n      ") for r in rows]
+    assert (nerve is flag) == (expected[1] is expected[0])
 
 
 def test_downward_closure_validation():
@@ -378,7 +414,7 @@ def test_product_weights_multiply_and_sum_to_one():
         w = product_weights(family, lam, verts, x)
         assert sum(w.values()) == 1
         # x's fiber is every pair of elements holding x, one per cover
-        holding = [len(c.elements_containing(x)) for c in family.covers]
+        holding = [sum(x in e.pointset for e in c.elements) for c in family.covers]
         assert len(fibers[x]) == holding[0] * holding[1]
         for vid, v in enumerate(verts):
             assert w[v] == (F(1, len(fibers[x])) if vid in fibers[x] else 0)
