@@ -33,7 +33,9 @@ Each checkout runs, from its own directory under the work directory:
   vertices, so both thread checks pass with one large class; then
   ``check --checks simpliciality,fibers,fiber_homotopy`` of star-300: its
   one bond, the identity, is tested on point fibers, and point 0's fiber
-  holds all 299 vertices;
+  holds all 299 vertices; then ``check --checks
+  flag_reconstruction,skeleton_equality,fibers`` of star-300, the level's
+  graph and fibers read against its wedges and against each other;
 - ``check --checks star_conditions,equivalence_classes,quotient_comparison``
   of clique-path, 7 points under the covers {0,1}, {0,2}, {3,4}, {4,5},
   {5,6} and {0,1,2}, {3,4,5,6}, its input written with circle-48's: the
@@ -148,6 +150,8 @@ def commands() -> list[tuple[str, ...]]:
          "--out", "star-300-check"),
         ("check", *_family("star-300"), "--checks", "simpliciality,fibers,fiber_homotopy",
          "--out", "star-300-bonds"),
+        ("check", *_family("star-300"),
+         "--checks", "flag_reconstruction,skeleton_equality,fibers", "--out", "star-300-wedges"),
         ("check", *_family("clique-path"),
          "--checks", "star_conditions,equivalence_classes,quotient_comparison",
          "--out", "clique-path-check"),

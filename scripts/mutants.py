@@ -60,6 +60,8 @@ MUTANTS: list[tuple[str, str, str]] = [
     ("report.py",
      "write(lead + between.join(rows[i:i + _CHUNK]))",
      "write(lead + between.join(rows[i:i + _CHUNK - 1]))"),
+    # check leaving an earlier run's Betti table and quotient in place
+    ("cli.py", "if fname not in extras:", "if False:"),
     # build without its guard-first pass over the levels
     ("cli.py", "maximal_cliques(lv.lam, lv.adjacency, system.max_dim)", "pass"),
     # the selection search without its triple test
@@ -84,12 +86,6 @@ MUTANTS: list[tuple[str, str, str]] = [
     ("systems.py",
      "if not carrier_wedge(level.vertices, fiber) >> x & 1:",
      "if not carrier_wedge(level.vertices, fiber) & x:"),
-    # check_fibers filing each point under itself, not under the thread's top vertex
-    ("systems.py", "through[x].add(down[t][v])", "through[x].add(x)"),
-    # check_fibers never comparing the threads through x with x's top fiber
-    ("systems.py",
-     "if t is not None and through[x] != set(system.levels[t].fibers[x]):",
-     "if False:"),
     # no bond ever maps a fiber outside a fiber
     ("systems.py",
      "if not fibers[i].issuperset(map(system.bond(i, j).__getitem__, levels[j].fibers[x])):",
@@ -118,14 +114,10 @@ MUTANTS: list[tuple[str, str, str]] = [
     ("systems.py",
      "return [tuple(i for i, v in enumerate(vertices) if v.wedge >> x & 1) for x in range(n_points)]",
      "return [tuple(i for i, v in enumerate(vertices) if v.wedge & x) for x in range(n_points)]"),
-    # skeleton_equality without the level graph
+    # skeleton_equality never comparing the nerve's edges with the flag complex's
     ("systems.py",
-     "if level.adjacency != graph or wedge_adjacency(level.fibers, len(graph)) != graph:",
-     "if wedge_adjacency(level.fibers, len(graph)) != graph:"),
-    # skeleton_equality without the nerve's edges
-    ("systems.py",
-     "if level.adjacency != graph or wedge_adjacency(level.fibers, len(graph)) != graph:",
-     "if level.adjacency != graph:"),
+     "if wedge_adjacency(level.fibers, len(level.vertices)) != level.adjacency:",
+     "if False:"),
     # nerve_absorption taking the first level that does not absorb
     ("systems.py",
      "if unmapped(system.bond(i, j), cliques[j], target) is None:",
@@ -198,7 +190,20 @@ MUTANTS: list[tuple[str, str, str]] = [
     ("ground.py", "if ids != list(range(len(ids))):", "if False:"),
     ("ground.py", "if not covers:", "if False:"),
     ("ground.py", "if [c.id for c in covers] != list(range(len(covers))):", "if False:"),
-    ("ground.py", "if c.union() != all_points:", "if False:"),
+    ("ground.py",
+     "if len(union) != n or not 0 <= min(union) <= max(union) < n:",
+     "if False:"),
+    # a cover taken to cover the space when it has as many points, wherever they lie
+    ("ground.py",
+     "if len(union) != n or not 0 <= min(union) <= max(union) < n:",
+     "if len(union) != n:"),
+    # a covers file's point ids let one past the space's last point, and below 0
+    ("ground.py",
+     "outside = sorted(p for p in cover.union() if not 0 <= p < space.n_points)",
+     "outside = sorted(p for p in cover.union() if not 0 <= p <= space.n_points)"),
+    ("ground.py",
+     "outside = sorted(p for p in cover.union() if not 0 <= p < space.n_points)",
+     "outside = sorted(p for p in cover.union() if not p < space.n_points)"),
     ("complexes.py", "if not cover_ids:", "if False:"),
     ("complexes.py",
      "if list(cover_ids) != sorted(set(cover_ids)):",

@@ -177,6 +177,10 @@ def cmd_check(config: RunConfig) -> int:
             (out / fname).write_text(content)
         else:
             write_json(out / fname, content)
+    # the extras that report renders, left by an earlier run and not written by this one
+    for fname in ("betti.csv", "quotient.json"):
+        if fname not in extras:
+            (out / fname).unlink(missing_ok=True)
     for r in reports:
         status = "SKIP" if r.details.get("skipped") else "PASS" if r.passed else "FAIL"
         print(f"{status}  {r.check}")

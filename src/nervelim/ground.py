@@ -236,9 +236,10 @@ class CoverFamily(Record):
             raise ValueError("a family needs at least one cover")
         if [c.id for c in covers] != list(range(len(covers))):
             raise ValueError("cover ids must be 0..k-1 in list order")
-        all_points = frozenset(ground.points)
+        n = ground.n_points
         for c in covers:
-            if c.union() != all_points:
+            union = c.union()
+            if len(union) != n or not 0 <= min(union) <= max(union) < n:
                 raise ValueError(f"cover {c.id} does not cover the space")
         Record.__init__(self, covers, ground)
 
@@ -551,7 +552,7 @@ def family_from_json(data: dict, space: GroundSpace) -> CoverFamily:
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed covers file: {exc}") from exc
     for cover in covers:
-        outside = sorted(cover.union() - set(space.points))
+        outside = sorted(p for p in cover.union() if not 0 <= p < space.n_points)
         if outside:
             raise InputError(
                 f"cover {cover.id} names point {outside[0]}; "

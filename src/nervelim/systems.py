@@ -217,30 +217,21 @@ def fiber_escape(
 
 
 def check_fibers(system: InverseSystem) -> Report:
-    """Fiber sets project into each other along every bond, and the top
-    fiber is realized by exactly the vertex threads through x.
+    """Fiber sets project into each other along every bond.
 
-    Each vertex thread's image is read once, and its entry at the top,
-    ``bond(t, t)[v]``, is added to the set of each of its points, so the
-    work is the total image size.  The scan of every thread for every point is
-    ``tests/oracles.py::thread_scan_check_fibers``."""
+    The vertex threads through x then realize x's top fiber wherever
+    ``flag_reconstruction`` and ``cauchy_sweep`` pass.  With the fibers the
+    wedge fibers, a thread holds x exactly when its vertex at each level is
+    in x's fiber there; with no fiber escaping, the thread of each v in x's
+    top fiber does, and it ends at ``bond(t, t)[v]``, which is v.  The scan
+    of every thread's image is ``tests/oracles.py::thread_scan_check_fibers``."""
     bad = None
-    t = system.top
-    through: list[set[int]] = [set() for _ in system.family.ground.points]
-    if t is not None:
-        down = [system.bond(i, t) for i in range(len(system.levels))]
-        for v in range(len(system.levels[t].vertices)):
-            for x in members(thread_image(system, tuple((vm[v],) for vm in down))):
-                through[x].add(down[t][v])
     pairs = [(i, j) for i, up in enumerate(system.above) for j in up]
     for x in system.family.ground.points:
         escape = fiber_escape(system, x, pairs)
         if escape is not None:
             lam, mu = (system.levels[p].lam for p in escape)
             bad = {"point": x, "lam": list(lam.cover_ids), "mu": list(mu.cover_ids)}
-            break
-        if t is not None and through[x] != set(system.levels[t].fibers[x]):
-            bad = {"point": x, "reason": "top fiber not realized by threads"}
             break
     return Report("fibers", bad is None, counterexample=bad)
 
@@ -410,13 +401,14 @@ def check_flag_reconstruction(system: InverseSystem) -> Report:
 
 
 def check_skeleton_equality(system: InverseSystem) -> Report:
-    """The edges of the flag complex (the level graph) and of the nerve
-    (the pairs of vertices sharing a point fiber) are those of the wedge
-    graph."""
+    """The flag complex's edges, the level graph, are the nerve's: the pairs
+    of vertices that share a point fiber.  No wedge is read: where the graph
+    or the fibers are not the wedges', ``flag_reconstruction`` fails at that
+    level.  ``tests/oracles.py::full_check_skeleton_equality`` compares both
+    rebuilt complexes and the graph with ``wedge_graph``."""
     bad = None
     for level in system.levels:
-        graph = wedge_graph(level.vertices)
-        if level.adjacency != graph or wedge_adjacency(level.fibers, len(graph)) != graph:
+        if wedge_adjacency(level.fibers, len(level.vertices)) != level.adjacency:
             bad = {"lambda": list(level.lam.cover_ids)}
             break
     return Report("skeleton_equality", bad is None, counterexample=bad)

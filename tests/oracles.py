@@ -562,6 +562,20 @@ def full_check_skeleton_equality(system: InverseSystem) -> Report:
     return Report("skeleton_equality", bad is None, counterexample=bad)
 
 
+def wedge_graph_check_skeleton_equality(system: InverseSystem) -> Report:
+    """The skeleton equality check as it was before it compared the two
+    edge sets with each other: the level graph and the graph of the point
+    fibers, each against the wedge graph.  It builds no complex, so it
+    answers past the guard where ``full_check_skeleton_equality`` cannot."""
+    bad = None
+    for level in system.levels:
+        graph = wedge_graph(level.vertices)
+        if level.adjacency != graph or wedge_adjacency(level.fibers, len(graph)) != graph:
+            bad = {"lambda": list(level.lam.cover_ids)}
+            break
+    return Report("skeleton_equality", bad is None, counterexample=bad)
+
+
 def full_check_nerve_absorption(system: InverseSystem) -> Report:
     """The nerve absorption check as it was before it read maximal cliques:
     every level's whole flag complex, built in level order, so the first

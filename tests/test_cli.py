@@ -5,7 +5,11 @@ import hashlib
 import inspect
 import io
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
 import traceback
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -110,6 +114,8 @@ def test_build_from_files(tmp_path):
     [
         ([[[0, 1, 2], [2, 3]]], "cover 0 does not cover the space"),
         ([[[0, 1, 2], [3, 4, 7]]], "cover 0 names point 7"),
+        ([[[0, 1, 2], [3, 4, 5]]], "cover 0 names point 5"),
+        ([[[-1, 0, 1, 2], [3, 4]]], "cover 0 names point -1"),
         ([], "a family needs at least one cover"),
         # ids that are not JSON integers are refused, not truncated
         ([[[0, 1.7, 2, 3, 4]]], "a point id must be an integer, got 1.7"),
@@ -120,6 +126,8 @@ def test_build_from_files(tmp_path):
     ids=[
         "misses-a-point",
         "names-point-7",
+        "names-point-5",
+        "names-point-minus-1",
         "no-covers",
         "fractional-point",
         "boolean-point",
@@ -141,6 +149,30 @@ def test_bad_covers_file_exits_2(tmp_path, capsys, covers, message):
     assert code == 2
     err = capsys.readouterr().err
     assert message in err and len(err.splitlines()) == 1
+
+
+def test_a_declared_point_count_is_not_listed_to_check_a_cover(tmp_path):
+    # 10^12 declared points and a cover of one point: the cover is refused
+    # by its size, with no set of every declared point built.  The child's
+    # address space is capped, so a build of that set ends in a
+    # MemoryError (exit 1) rather than exhausting the machine
+    space = {**space_to_json(GroundSpace(1)), "points": 10**12}
+    (tmp_path / "space.json").write_text(json.dumps(space))
+    covers = {"covers": [{"elements": [{"points": [0]}]}]}
+    (tmp_path / "covers.json").write_text(json.dumps(covers))
+    cap = 256 << 20
+
+    def capped():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    p = subprocess.run(
+        [sys.executable, "-m", "nervelim.cli", "check", "--space", str(tmp_path / "space.json"),
+         "--covers", str(tmp_path / "covers.json"), "--out", str(tmp_path / "o")],
+        env={**os.environ, "PYTHONPATH": str(src)}, preexec_fn=capped,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (p.returncode, p.stderr) == (2, "bad covers file: cover 0 does not cover the space\n")
 
 
 @pytest.mark.parametrize(
@@ -710,6 +742,20 @@ def test_report_renders_tables(tmp_path, capsys):
     assert "0|1|2,N,8,0,0" in text
     assert "class/point bijection" in text
     assert (out / "report.txt").exists() and (out / "checks.csv").exists()
+
+
+def test_check_removes_the_extras_an_earlier_run_left(tmp_path, capsys):
+    # a run that writes no Betti table or quotient leaves neither file of
+    # the run before it, so report shows neither
+    out = tmp_path / "out"
+    run("check", "--space", "cantor-d3", "--out", out)
+    assert (out / "betti.csv").exists() and (out / "quotient.json").exists()
+    assert run("check", "--space", "cantor-d3", "--checks", "fibers", "--out", out) == 0
+    assert not (out / "betti.csv").exists() and not (out / "quotient.json").exists()
+    capsys.readouterr()
+    assert run("report", "--out", out) == 0
+    text = capsys.readouterr().out
+    assert "betti table" not in text and "class/point bijection" not in text
 
 
 # ---------------------------------------------------------------------------

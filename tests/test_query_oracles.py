@@ -22,10 +22,13 @@ relation read the top level alone; ``oracles`` keeps their scans of
 every level, and these tests require equal results on the presets, the
 benchmark families, circle-48, generated families and a seeded sweep of
 random systems, and the two checks to give one verdict.  ``fibers``
-reads each vertex thread's image once; on the same systems, and on
-random systems with one bond entry moved, it must report what
-``oracles.thread_scan_check_fibers``, its scan of every thread for every
-point, reports, and ``fiber_escape`` must name the pair that
+reads no thread and ``skeleton_equality`` no wedge; on the same systems
+they must report what ``oracles.thread_scan_check_fibers``, the scan of
+every thread for every point, and
+``oracles.wedge_graph_check_skeleton_equality`` report.  On random systems
+with a bond entry moved or a fiber vertex dropped, the two may differ
+from those only where ``flag_reconstruction`` or ``cauchy_sweep`` fails,
+and ``fiber_escape`` must name the pair that
 ``oracles.tuple_scan_fiber_escape``, its lookup in the fibers' tuples,
 names.  The
 benchmark families built here also check Betti stabilization on the cores
@@ -47,6 +50,7 @@ from __future__ import annotations
 import importlib.util
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -91,6 +95,7 @@ from oracles import (
     two_search_build,
     vertex_thread,
     vertex_threads,
+    wedge_graph_check_skeleton_equality,
 )
 from nervelim.errors import GuardExceeded, PreconditionUnmet
 from nervelim.cells import (
@@ -121,6 +126,7 @@ from nervelim.ground import (
     generate_space,
 )
 from nervelim.homology import betti, betti_stabilization, flag_core, nerve_core
+from nervelim import systems
 from nervelim.presets import PRESETS
 from nervelim.systems import (
     all_lambdas,
@@ -563,23 +569,38 @@ def test_thread_checks_match_scans_on_random_systems():
         _assert_thread_checks_match_scans(_random_system(rng))
 
 
+def _caught_elsewhere(system):
+    """Whether ``flag_reconstruction`` or ``cauchy_sweep`` fails on the
+    system; levels with no top, which the sweep refuses, are no failure."""
+    sweep = _unmet_or(cauchy_sweep, system)
+    return not check_flag_reconstruction(system).passed or not (
+        isinstance(sweep, str) or sweep.passed
+    )
+
+
+def _move_a_bond_entry(system, rng):
+    pair = rng.choice(sorted(system._bonds))
+    bond = list(system.bond(*pair))
+    bond[rng.randrange(len(bond))] = rng.randrange(len(system.levels[pair[0]].vertices))
+    system._bonds[pair] = tuple(bond)
+
+
 def test_fibers_match_thread_scan_with_a_moved_bond_entry():
     # one entry of one bond moved: some point's fiber escapes that bond,
     # or the top level's bond to itself moved a vertex v to a vertex of
     # every top fiber that holds v, so no thread ends at v and those
     # fibers go unrealized.  The bonds need not be graph homomorphisms
-    # here, and the thread checks, which reuse what a repeated closed star
-    # gave, must still equal their scans of every thread
+    # here.  check_fibers reads no thread, so it equals the scan of every
+    # thread wherever cauchy_sweep (and flag_reconstruction) pass; the
+    # thread checks, which reuse what a repeated closed star gave, must
+    # still equal their scans of every thread
     rng = random.Random(2027)
     reasons = set()
     for _ in range(1000):
         system = _random_system(rng)
-        pair = rng.choice(sorted(system._bonds))
-        bond = list(system.bond(*pair))
-        bond[rng.randrange(len(bond))] = rng.randrange(len(system.levels[pair[0]].vertices))
-        system._bonds[pair] = tuple(bond)
-        report = check_fibers(system)
-        assert report == thread_scan_check_fibers(system)
+        _move_a_bond_entry(system, rng)
+        report = thread_scan_check_fibers(system)
+        assert check_fibers(system) == report or _caught_elsewhere(system)
         pairs = [(i, j) for i, up in enumerate(system.above) for j in up]
         for x in system.family.ground.points:
             assert fiber_escape(system, x, pairs) == tuple_scan_fiber_escape(system, x, pairs)
@@ -589,6 +610,78 @@ def test_fibers_match_thread_scan_with_a_moved_bond_entry():
         assert relation == _unmet_or(pair_scan_equivalence_classes, system)
         reasons.add("pass" if report.passed else report.counterexample.get("reason", "escape"))
     assert reasons == {"pass", "escape", "top fiber not realized by threads"}
+
+
+def _rewritten_checks_differ(system):
+    """Whether ``check_fibers`` or ``check_skeleton_equality`` differs from
+    its oracle: the scan of every thread's image, or the comparison of the
+    level graph and the fibers' graph with ``wedge_graph``, which, unlike
+    rebuilding the complexes, answers on systems past the clique guard."""
+    return (check_fibers(system), check_skeleton_equality(system)) != (
+        thread_scan_check_fibers(system), wedge_graph_check_skeleton_equality(system)
+    )
+
+
+def _drop_from_a_fiber(fibers, rng):
+    """``fibers`` with one vertex dropped from a fiber of two or more, when
+    there is one."""
+    fibers = list(fibers)
+    xs = [x for x, fiber in enumerate(fibers) if len(fiber) > 1]
+    if xs:
+        x = rng.choice(xs)
+        dropped = rng.choice(fibers[x])
+        fibers[x] = tuple(v for v in fibers[x] if v != dropped)
+    return fibers
+
+
+def test_fiber_and_skeleton_checks_differ_from_their_oracles_only_where_another_fails(
+    monkeypatch,
+):
+    # each random system as built, then tampered with: a bond entry moved,
+    # a fiber vertex dropped after build_system, or point_fibers made to
+    # drop one before it, so that the level graph is read from the
+    # corrupted fibers.  A differing report is one that flag_reconstruction
+    # or cauchy_sweep answers by failing
+    rng = random.Random(2032)
+    point_fibers = systems.point_fibers
+    differing = Counter()
+    for _ in range(3000):
+        system = _random_system(rng)
+        assert not _rewritten_checks_differ(system)
+        kind = rng.choice(("bond", "fiber", "point_fibers"))
+        if kind == "bond":
+            _move_a_bond_entry(system, rng)
+        elif kind == "fiber":
+            p = rng.randrange(len(system.levels))
+            level = system.levels[p]
+            system.levels[p] = level._replace(fibers=_drop_from_a_fiber(level.fibers, rng))
+        else:
+            monkeypatch.setattr(
+                systems, "point_fibers",
+                lambda vertices, n: _drop_from_a_fiber(point_fibers(vertices, n), rng),
+            )
+            try:
+                system = build_system(system.family, [lv.lam for lv in system.levels])
+            except AssertionError:
+                # a bond maps a corrupted fiber outside it
+                continue
+            finally:
+                monkeypatch.undo()
+        if _rewritten_checks_differ(system):
+            differing[kind] += 1
+            assert _caught_elsewhere(system)
+    assert differing.keys() == {"bond", "fiber", "point_fibers"}, differing
+
+
+def test_fiber_and_skeleton_checks_match_their_oracles_on_circle_48(circle_48_system):
+    assert not _rewritten_checks_differ(circle_48_system)
+
+
+@pytest.mark.parametrize("name", list(BENCHMARK_SYSTEMS))
+def test_fiber_and_skeleton_checks_match_their_oracles_on_benchmark_families(
+    benchmark_systems, name
+):
+    assert not _rewritten_checks_differ(benchmark_systems[name])
 
 
 def test_star_conditions_pass_exactly_when_the_relation_is_transitive(preset_systems):

@@ -159,6 +159,13 @@ def test_each_validation_raises(make, message):
         make()
 
 
+def test_a_cover_with_points_outside_the_space_does_not_cover_it():
+    # as many points as the space has, but not the space's points
+    for points in ({0, 2}, {-1, 0}):
+        with pytest.raises(ValueError, match="cover 0 does not cover the space"):
+            CoverFamily((Cover(0, (_element(0, points),)),), GroundSpace(2))
+
+
 def test_report_details_are_not_shared():
     a, b = Report("a", True), Report("b", False)
     a.details["seen"] = True

@@ -28,8 +28,9 @@ from oracles import (
     vertex_threads,
 )
 from nervelim import systems
+from nervelim.checks import CHECKS, RunContext
 from nervelim.complexes import LambdaIndex, members
-from nervelim.errors import PreconditionUnmet
+from nervelim.errors import GuardExceeded, PreconditionUnmet
 from nervelim.ground import (
     Arcs,
     CircleGrid,
@@ -41,6 +42,7 @@ from nervelim.ground import (
     generate_cover,
     generate_space,
 )
+from nervelim.presets import PRESETS
 from nervelim.systems import (
     build_system,
     canonical_map,
@@ -292,9 +294,15 @@ def test_fibers_report_a_top_fiber_the_threads_overrun(monkeypatch):
     family = CoverFamily((cover_from_pointsets(0, [{0, 1}, {1, 2}]),), GroundSpace(3))
     system = build_system(family)
     assert system.levels[0].fibers == [(0,), (1,), (1,)]
-    report = check_fibers(system)
-    assert report.counterexample == {"point": 1, "reason": "top fiber not realized by threads"}
-    assert report == thread_scan_check_fibers(system)
+    # no fiber escapes, so check_fibers passes; the graph, read from those
+    # fibers, loses the edge of the wedges {0, 1} and {1, 2}, which
+    # flag_reconstruction reports, and the scan of every thread's image
+    # still finds the overrun
+    assert check_fibers(system).passed
+    report = check_flag_reconstruction(system)
+    assert report.counterexample == {"lambda": [0], "reason": "flag reconstruction"}
+    oracle = thread_scan_check_fibers(system)
+    assert oracle.counterexample == {"point": 1, "reason": "top fiber not realized by threads"}
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +472,28 @@ def test_flag_reconstruction_and_skeletons(preset_systems):
         _assert_structural_checks_match_rebuilds(system)
 
 
+def test_a_check_run_reads_the_wedge_graph_once_per_level(preset_systems, monkeypatch):
+    # every check of the registry, run as the check command runs it: only
+    # flag_reconstruction reads the wedge graph, once per level in order
+    calls = []
+    wedge_graph = systems.wedge_graph
+
+    def counted(vertices):
+        calls.append(len(vertices))
+        return wedge_graph(vertices)
+
+    monkeypatch.setattr(systems, "wedge_graph", counted)
+    for name, (_, _, system) in preset_systems.items():
+        ctx = RunContext(PRESETS[name], system)
+        calls.clear()
+        for runner in CHECKS.values():
+            try:
+                runner(ctx)
+            except (PreconditionUnmet, GuardExceeded):
+                pass
+        assert calls == [len(level.vertices) for level in system.levels], name
+
+
 @given(family_and_lambda() | planted_triangles())
 def test_structural_checks_match_rebuilds_on_generated_families(data):
     family, _ = data
@@ -527,9 +557,15 @@ def test_skeleton_equality_catches_a_missing_fiber_vertex(preset_systems, monkey
 
     monkeypatch.setattr(systems, "point_fibers", corrupted)
     system = build_system(family, [lam])
-    report = check_skeleton_equality(system)
-    assert report.counterexample == {"lambda": list(lam.cover_ids)}
-    _assert_structural_checks_match_rebuilds(system)
+    # the graph is read from the corrupted fibers, so the flag complex and
+    # the nerve still share their edges and skeleton_equality passes; the
+    # graph lacks the edge v-w of the wedge graph, which flag_reconstruction
+    # reports at that level, and the rebuilding oracle still fails there
+    assert check_skeleton_equality(system).passed
+    report = check_flag_reconstruction(system)
+    assert report.counterexample == {"lambda": list(lam.cover_ids), "reason": "flag reconstruction"}
+    assert report == full_check_flag_reconstruction(system)
+    assert full_check_skeleton_equality(system).counterexample == {"lambda": list(lam.cover_ids)}
 
 
 def test_skeleton_equality_catches_a_nerve_edge_missing_from_the_fibers(preset_systems):
