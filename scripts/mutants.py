@@ -62,6 +62,8 @@ MUTANTS: list[tuple[str, str, str]] = [
      "write(lead + between.join(rows[i:i + _CHUNK - 1]))"),
     # check leaving an earlier run's Betti table and quotient in place
     ("cli.py", "if fname not in extras:", "if False:"),
+    # build leaving an earlier build's level files in place
+    ("cli.py", "if path.name not in written:", "if False:"),
     # build without its guard-first pass over the levels
     ("cli.py", "maximal_cliques(lv.lam, lv.adjacency, system.max_dim)", "pass"),
     # the selection search without its triple test
@@ -132,7 +134,21 @@ MUTANTS: list[tuple[str, str, str]] = [
      "if system.bond(i, k) != tuple(outer[v] for v in system.bond(j, k)):",
      "if False:"),
     # build_system without its bond assertion
-    ("systems.py", "if bad is not None:", "if False:"),
+    ("systems.py",
+     "bad = fiber_escape(system, family.ground.points, system.pairs)",
+     "bad = None"),
+    # the fiber scan naming an escaping bond's pair the wrong way round,
+    # and fiber_homotopy naming the top level for the one it escapes at
+    ("systems.py", "return x, (i, j)", "return x, (j, i)"),
+    ("systems.py", "x, (i, _) = escape", "x, (_, i) = escape"),
+    # the comparable pairs without the identities, and each level's in
+    # descending order
+    ("systems.py",
+     "self.pairs = pairs = [(i, j) for i, up in enumerate(self.above) for j in up]",
+     "self.pairs = pairs = [(i, j) for i, up in enumerate(self.above) for j in up if i != j]"),
+    ("systems.py",
+     "self.pairs = pairs = [(i, j) for i, up in enumerate(self.above) for j in up]",
+     "self.pairs = pairs = [(i, j) for i, up in enumerate(self.above) for j in reversed(up)]"),
     # simpliciality passing every bond without its nerve half, and naming
     # every failing bond a nerve-only failure
     ("systems.py",

@@ -132,8 +132,10 @@ def cmd_build(config: RunConfig) -> int:
     write_json(out / "space.json", space_to_json(system.family.ground))
     write_json(out / "covers.json", family_to_json(system.family))
     # one level's complexes at a time, alive while its file is written
+    written = set()
     for level in levels:
         tag = "-".join(str(i) for i in level.lam.cover_ids)
+        written |= {f"level_{tag}.json", f"skeleton_{tag}.dot"}
         write_json(out / f"level_{tag}.json", _level_payload(level, system.max_dim))
         (out / f"skeleton_{tag}.dot").write_text(skeleton_dot(level.adjacency, f"L{tag.replace('-', '_')}"))
     bonds = [
@@ -142,11 +144,14 @@ def cmd_build(config: RunConfig) -> int:
             "target": list(levels[i].lam.cover_ids),
             "vertex_map": list(system.bond(i, j)),
         }
-        for i, up in enumerate(system.above)
-        for j in up
+        for i, j in system.pairs
         if i != j
     ]
     write_json(out / "bonds.json", {"format_version": FORMAT_VERSION, "bonds": bonds})
+    # the level files of an earlier build, not written by this one
+    for path in [*out.glob("level_*.json"), *out.glob("skeleton_*.dot")]:
+        if path.name not in written:
+            path.unlink()
     print(f"wrote {len(levels)} level files to {out}")
     return EXIT_OK
 

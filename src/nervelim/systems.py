@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import combinations
 from operator import and_
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .complexes import (
     DEFAULT_MAX_DIM,
@@ -55,14 +55,15 @@ class InverseSystem:
     A level is named by its position in ``levels``; ``levels[i].lam`` is
     its name for output, and ``position`` turns a name a user gives into a
     position.  ``above[i]`` lists, ascending, the positions of the levels
-    at or above position i, and ``bond(i, j)`` is the bond down from
-    position j to i: its vertex map, entry v the image of vertex v of level
-    j.  ``position``, ``above`` and ``top`` (the position of the maximum
-    level, when one exists) are computed from ``levels``; ``build_system``
-    fills in the bonds.
+    at or above position i, and ``pairs`` every comparable pair (i, j),
+    identities included, by i and then j.  ``bond(i, j)`` is the bond down
+    from position j to i: its vertex map, entry v the image of vertex v of
+    level j.  All of these, and ``top`` (the position of the maximum level,
+    when one exists), are computed from ``levels``: the bonds by
+    ``_projection`` over ``pairs``.
     """
 
-    __slots__ = ("family", "levels", "max_dim", "_bonds", "position", "above", "top")
+    __slots__ = ("family", "levels", "max_dim", "_bonds", "position", "above", "pairs", "top")
 
     def __init__(self, family: CoverFamily, levels: list[Level], max_dim: int) -> None:
         position = {level.lam: i for i, level in enumerate(levels)}
@@ -71,13 +72,15 @@ class InverseSystem:
         self.family = family
         self.levels = levels
         self.max_dim = max_dim
-        self._bonds: dict[tuple[int, int], tuple[int, ...]] = {}
         self.position = position
         ids = [frozenset(level.lam.cover_ids) for level in levels]
         self.above = [tuple(j for j, b in enumerate(ids) if a <= b) for a in ids]
+        self.pairs = pairs = [(i, j) for i, up in enumerate(self.above) for j in up]
         last = len(levels) - 1
         has_top = levels and all(up[-1] == last for up in self.above)
         self.top = last if has_top else None
+        index_of = [{v.elements: k for k, v in enumerate(level.vertices)} for level in levels]
+        self._bonds = {(i, j): _projection(levels[i], levels[j], index_of[i]) for i, j in pairs}
 
     def bond(self, i: int, j: int) -> tuple[int, ...]:
         """The bond from the level at position j down to position i."""
@@ -95,9 +98,9 @@ def build_system(
     lambdas: Sequence[LambdaIndex] | None = None,
     max_dim: int = DEFAULT_MAX_DIM,
 ) -> InverseSystem:
-    """Construct all selected levels and every bond, and verify that each
-    bond is simplicial.  No complex is enumerated, so the ``max_dim`` guard
-    is applied by whatever builds one.
+    """Construct all selected levels, and with them every bond, and verify
+    that each bond is simplicial.  No complex is enumerated, so the
+    ``max_dim`` guard is applied by whatever builds one.
 
     Each bond must map x's fiber into x's fiber, for every point x
     (``fiber_escape``).  A level graph is ``wedge_adjacency`` of its fibers,
@@ -114,14 +117,11 @@ def build_system(
         fibers = point_fibers(verts, family.ground.n_points)
         levels.append(Level(lam, tuple(verts), wedge_adjacency(fibers, len(verts)), fibers))
     system = InverseSystem(family, levels, max_dim)
-    index_of = [{v.elements: k for k, v in enumerate(level.vertices)} for level in levels]
-    pairs = [(i, j) for i, up in enumerate(system.above) for j in up]
-    system._bonds = {(i, j): _projection(levels[i], levels[j], index_of[i]) for i, j in pairs}
-    for x in family.ground.points:
-        bad = fiber_escape(system, x, pairs)
-        if bad is not None:
-            lam, mu = (list(levels[p].lam.cover_ids) for p in bad)
-            raise AssertionError(f"the bond from {mu} to {lam} maps point {x}'s fiber outside it")
+    bad = fiber_escape(system, family.ground.points, system.pairs)
+    if bad is not None:
+        x, pair = bad
+        lam, mu = (list(levels[p].lam.cover_ids) for p in pair)
+        raise AssertionError(f"the bond from {mu} to {lam} maps point {x}'s fiber outside it")
     return system
 
 
@@ -200,19 +200,22 @@ def check_section_identity(system: InverseSystem) -> Report:
 
 
 def fiber_escape(
-    system: InverseSystem, x: PointId, pairs: Sequence[tuple[int, int]]
-) -> tuple[int, int] | None:
-    """The first pair (i, j) of ``pairs`` whose bond from position j down
-    to i maps a vertex of x's fiber at j outside x's fiber at i, or None.
+    system: InverseSystem, points: Iterable[PointId], pairs: Sequence[tuple[int, int]]
+) -> tuple[PointId, tuple[int, int]] | None:
+    """The first point x of ``points`` with a pair (i, j) of ``pairs`` whose
+    bond from position j down to i maps a vertex of x's fiber at j outside
+    x's fiber at i, and the first such pair; or None.
 
-    x's fiber at each level is made a set once, so each pair costs the size
-    of its source fiber; ``tests/oracles.py::tuple_scan_fiber_escape``
-    looks each image up in the target fiber's tuple."""
+    x's fiber at each level is made a set once per point, so each pair
+    costs the size of its source fiber;
+    ``tests/oracles.py::tuple_scan_fiber_escape`` looks each image up in
+    the target fiber's tuple."""
     levels = system.levels
-    fibers = [frozenset(level.fibers[x]) for level in levels]
-    for i, j in pairs:
-        if not fibers[i].issuperset(map(system.bond(i, j).__getitem__, levels[j].fibers[x])):
-            return i, j
+    for x in points:
+        fibers = [frozenset(level.fibers[x]) for level in levels]
+        for i, j in pairs:
+            if not fibers[i].issuperset(map(system.bond(i, j).__getitem__, levels[j].fibers[x])):
+                return x, (i, j)
     return None
 
 
@@ -226,13 +229,11 @@ def check_fibers(system: InverseSystem) -> Report:
     top fiber does, and it ends at ``bond(t, t)[v]``, which is v.  The scan
     of every thread's image is ``tests/oracles.py::thread_scan_check_fibers``."""
     bad = None
-    pairs = [(i, j) for i, up in enumerate(system.above) for j in up]
-    for x in system.family.ground.points:
-        escape = fiber_escape(system, x, pairs)
-        if escape is not None:
-            lam, mu = (system.levels[p].lam for p in escape)
-            bad = {"point": x, "lam": list(lam.cover_ids), "mu": list(mu.cover_ids)}
-            break
+    escape = fiber_escape(system, system.family.ground.points, system.pairs)
+    if escape is not None:
+        x, pair = escape
+        lam, mu = (system.levels[p].lam for p in pair)
+        bad = {"point": x, "lam": list(lam.cover_ids), "mu": list(mu.cover_ids)}
     return Report("fibers", bad is None, counterexample=bad)
 
 
@@ -264,13 +265,11 @@ def check_homotopy(system: InverseSystem) -> Report:
         raise PreconditionUnmet(
             "no point is resolved: no top fiber's wedges share one point alone"
         )
-    down = [(i, t) for i in range(len(system.levels))]
     bad = None
-    for x in resolved:
-        escape = fiber_escape(system, x, down)
-        if escape is not None:
-            bad = {"point": x, "lambda": list(system.levels[escape[0]].lam.cover_ids)}
-            break
+    escape = fiber_escape(system, resolved, [(i, t) for i in range(len(system.levels))])
+    if escape is not None:
+        x, (i, _) = escape
+        bad = {"point": x, "lambda": list(system.levels[i].lam.cover_ids)}
     return Report(
         "fiber_homotopy", bad is None, counterexample=bad, details={"resolved": resolved}
     )
@@ -316,12 +315,7 @@ def check_nerve_absorption(system: InverseSystem) -> Report:
 def check_functoriality(system: InverseSystem) -> Report:
     """The bond along every chain lam <= mu <= nu of built levels equals
     the composite of the two bonds through mu."""
-    chains = (
-        (i, j, k)
-        for i, up in enumerate(system.above)
-        for j in up
-        for k in system.above[j]
-    )
+    chains = ((i, j, k) for i, j in system.pairs for k in system.above[j])
     bad = None
     count = 0
     for i, j, k in chains:
@@ -353,7 +347,7 @@ def check_simpliciality(system: InverseSystem) -> Report:
     """
     levels = system.levels
     bad = None
-    for i, j in ((i, j) for i, up in enumerate(system.above) for j in up):
+    for i, j in system.pairs:
         bond = system.bond(i, j)
         if unmapped(bond, levels[j].fibers, levels[i].vertices) is None:
             continue

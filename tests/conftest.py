@@ -50,6 +50,15 @@ def level_flags(system) -> list[Complex]:
     return [level_flag(level, system.max_dim) for level in system.levels]
 
 
+def assert_pairs_listed_once(system):
+    """``system.pairs`` is the comparable pairs by i and then j, as read
+    from ``above`` and from the cover ids, and the bonds are made on them."""
+    ids = [set(level.lam.cover_ids) for level in system.levels]
+    by_ids = [(i, j) for i, a in enumerate(ids) for j, b in enumerate(ids) if a <= b]
+    assert system.pairs == [(i, j) for i, up in enumerate(system.above) for j in up]
+    assert system.pairs == by_ids == sorted(system._bonds)
+
+
 def pointset_family(space, pointset_lists):
     """The family whose cover i has the point sets ``pointset_lists[i]``."""
     covers = tuple(

@@ -1113,9 +1113,9 @@ def thread_scan_check_fibers(system: InverseSystem) -> Report:
     images = [vertex_thread_image(system, z) for z in threads]
     pairs = [(i, j) for i, up in enumerate(system.above) for j in up]
     for x in system.family.ground.points:
-        escape = fiber_escape(system, x, pairs)
+        escape = fiber_escape(system, [x], pairs)
         if escape is not None:
-            lam, mu = (system.levels[p].lam for p in escape)
+            lam, mu = (system.levels[p].lam for p in escape[1])
             bad = {"point": x, "lam": list(lam.cover_ids), "mu": list(mu.cover_ids)}
             break
         if t is not None:

@@ -50,6 +50,26 @@ def test_build_cantor_writes_seven_levels(tmp_path):
         assert all(isinstance(v, int) for v in bond["vertex_map"])
 
 
+def _files(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+def test_build_removes_the_level_files_an_earlier_build_left(tmp_path, capsys):
+    # a build of two levels over one of seven leaves what it writes into an
+    # empty directory, and the check report beside them; a build that
+    # meets the guard then changes nothing
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert run("build", "--space", "cantor-d3", "--out", out) == 0
+    assert run("check", "--space", "cantor-d3", "--checks", "fibers", "--out", out) == 0
+    report = (out / "report.json").read_bytes()
+    assert run("build", "--space", "cantor-d3", "--lambdas", "0;1", "--out", out) == 0
+    assert run("build", "--space", "cantor-d3", "--lambdas", "0;1", "--out", fresh) == 0
+    assert len(list(fresh.glob("level_*.json"))) == 2
+    assert _files(out) == {**_files(fresh), "report.json": report}
+    assert run("build", "--space", "circle-a3612", "--max-dim", 0, "--out", out) == 2
+    assert _files(out) == {**_files(fresh), "report.json": report}
+
+
 def test_build_circle_complex_contents(tmp_path):
     out = tmp_path / "out"
     assert run("build", "--space", "circle-a3612", "--out", out, "--lambdas", "chain") == 0

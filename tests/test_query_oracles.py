@@ -28,11 +28,11 @@ every thread for every point, and
 ``oracles.wedge_graph_check_skeleton_equality`` report.  On random systems
 with a bond entry moved or a fiber vertex dropped, the two may differ
 from those only where ``flag_reconstruction`` or ``cauchy_sweep`` fails,
-and ``fiber_escape`` must name the pair that
+and ``fiber_escape`` must name, point by point, the pair that
 ``oracles.tuple_scan_fiber_escape``, its lookup in the fibers' tuples,
-names.  The
-benchmark families built here also check Betti stabilization on the cores
-against the full complexes, and the flag reconstruction and skeleton
+names, and over all points the first of those.  The benchmark families
+built here also check Betti stabilization on the cores against the full
+complexes, and the flag reconstruction and skeleton
 checks against rebuilding and comparing every complex.  The readers of
 maximal cliques, ``check_nerve_absorption`` and the flag core, are held
 to the check on whole flag complexes and to the closed-neighbourhood
@@ -58,7 +58,13 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import oracles
-from conftest import family_and_lambda, level_flag, level_nerve, planted_triangles
+from conftest import (
+    assert_pairs_listed_once,
+    family_and_lambda,
+    level_flag,
+    level_nerve,
+    planted_triangles,
+)
 from oracles import (
     BarycentricPoint,
     canonical_point,
@@ -260,6 +266,12 @@ def _random_system(rng):
         every = all_lambdas(len(covers))
         lambdas = rng.sample(every, rng.randint(1, len(every)))
     return build_system(CoverFamily(tuple(covers), GroundSpace(n)), lambdas)
+
+
+def test_pairs_are_the_comparable_pairs_on_random_systems():
+    rng = random.Random(2033)
+    for _ in range(300):
+        assert_pairs_listed_once(_random_system(rng))
 
 
 def _quotient_outcome(compare, system):
@@ -601,9 +613,16 @@ def test_fibers_match_thread_scan_with_a_moved_bond_entry():
         _move_a_bond_entry(system, rng)
         report = thread_scan_check_fibers(system)
         assert check_fibers(system) == report or _caught_elsewhere(system)
-        pairs = [(i, j) for i, up in enumerate(system.above) for j in up]
-        for x in system.family.ground.points:
-            assert fiber_escape(system, x, pairs) == tuple_scan_fiber_escape(system, x, pairs)
+        points, pairs = system.family.ground.points, system.pairs
+        hits = []
+        for x in points:
+            pair = tuple_scan_fiber_escape(system, x, pairs)
+            hit = None if pair is None else (x, pair)
+            assert fiber_escape(system, [x], pairs) == hit
+            if hit is not None:
+                hits.append(hit)
+        # over every point at once: the first point's first escape
+        assert fiber_escape(system, points, pairs) == (hits[0] if hits else None)
         star = _unmet_or(check_star_conditions, system)
         assert star == _unmet_or(thread_scan_star_conditions, system)
         relation = _unmet_or(equivalence_classes, system)

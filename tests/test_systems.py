@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from conftest import family_and_lambda, level_flag, level_flags, level_nerve, planted_triangles
+from conftest import (
+    assert_pairs_listed_once,
+    family_and_lambda,
+    level_flag,
+    level_flags,
+    level_nerve,
+    planted_triangles,
+)
 from oracles import (
     BarycentricPoint,
     canonical_point,
@@ -108,6 +115,16 @@ def test_bond_requires_comparable(cantor_system):
     assert j not in cantor_system.above[i]
     with pytest.raises(KeyError):
         cantor_system.bond(i, j)
+
+
+def test_pairs_are_the_comparable_pairs_on_presets(preset_systems):
+    for _, _, system in preset_systems.values():
+        assert_pairs_listed_once(system)
+
+
+@given(family_and_lambda())
+def test_pairs_are_the_comparable_pairs_on_generated_families(data):
+    assert_pairs_listed_once(build_system(data[0]))
 
 
 def test_duplicate_level_rejected(cantor_system):
