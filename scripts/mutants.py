@@ -82,18 +82,18 @@ MUTANTS: list[tuple[str, str, str]] = [
      "for k, v in sorted(o.items(), key=lambda kv: _quote(kv[0])):"),
     # a fiber resolves a point when the point is merely among its common points
     ("systems.py",
-     "if carrier_wedge(top.vertices, top.fibers[x]) == 1 << x",
-     "if carrier_wedge(top.vertices, top.fibers[x]) >> x & 1"),
+     "if carrier_wedge(top.wedges, top.fibers[x]) == 1 << x",
+     "if carrier_wedge(top.wedges, top.fibers[x]) >> x & 1"),
     # canonical_map reading the point id as its bit
     ("systems.py",
-     "if not carrier_wedge(level.vertices, fiber) >> x & 1:",
-     "if not carrier_wedge(level.vertices, fiber) & x:"),
+     "if not carrier_wedge(level.wedges, fiber) >> x & 1:",
+     "if not carrier_wedge(level.wedges, fiber) & x:"),
     # no bond ever maps a fiber outside a fiber
     ("systems.py",
      "if not fibers[i].issuperset(map(system.bond(i, j).__getitem__, levels[j].fibers[x])):",
      "if False:"),
     # the Cauchy sweep's identity test always holding
-    ("cells.py", "if system.bond(i, i) != tuple(range(len(level.vertices))):", "if False:"),
+    ("cells.py", "if system.bond(i, i) != tuple(range(len(level.wedges))):", "if False:"),
     # domination made strict: of two equal rows, neither is dropped
     ("homology.py", "if w < v or rows[w] != mask:", "if rows[w] != mask:"),
     # an induced rank that counts the target's boundaries as well
@@ -105,25 +105,40 @@ MUTANTS: list[tuple[str, str, str]] = [
      "vertex_map = [core_i.retraction[bond[v]] for v in core_j.vertices]",
      "vertex_map = [bond[v] for v in core_j.vertices]"),
     # flag_reconstruction without its graph comparison
-    ("systems.py", "if level.adjacency != wedge_graph(level.vertices):", "if False:"),
+    ("systems.py", "if level.adjacency != wedge_graph(level.wedges):", "if False:"),
     # flag_reconstruction comparing the fibers' count, not the fibers
     ("systems.py",
-     "if level.fibers != wedge_fibers(level.vertices, n_points):",
-     "if len(level.fibers) != len(wedge_fibers(level.vertices, n_points)):"),
+     "if level.fibers != wedge_fibers(level.wedges, n_points):",
+     "if len(level.fibers) != len(wedge_fibers(level.wedges, n_points)):"),
     # the wedge graph joining every two vertices, and the wedge fibers
     # reading the point id as its bit
-    ("systems.py", "if v.wedge & w.wedge:", "if v.wedge | w.wedge:"),
+    ("systems.py", "if v & w:", "if v | w:"),
     ("systems.py",
-     "return [tuple(i for i, v in enumerate(vertices) if v.wedge >> x & 1) for x in range(n_points)]",
-     "return [tuple(i for i, v in enumerate(vertices) if v.wedge & x) for x in range(n_points)]"),
+     "return [tuple(i for i, w in enumerate(wedges) if w >> x & 1) for x in range(n_points)]",
+     "return [tuple(i for i, w in enumerate(wedges) if w & x) for x in range(n_points)]"),
     # skeleton_equality never comparing the nerve's edges with the flag complex's
     ("systems.py",
-     "if wedge_adjacency(level.fibers, len(level.vertices)) != level.adjacency:",
+     "if wedge_adjacency(level.fibers, len(level.wedges)) != level.adjacency:",
      "if False:"),
     # nerve_absorption taking the first level that does not absorb
     ("systems.py",
      "if unmapped(system.bond(i, j), cliques[j], target) is None:",
      "if unmapped(system.bond(i, j), cliques[j], target) is not None:"),
+    # the level guard and the vertex guard, each off by one; and the
+    # vertex guard's test of a point's element tuples gone, so that they
+    # are enumerated before the running count refuses them
+    ("systems.py", "if n_levels > MAX_LEVELS:", "if n_levels >= MAX_LEVELS:"),
+    ("complexes.py",
+     "if (tuples := reduce(mul, map(len, pools))) > MAX_VERTICES:  # before they are enumerated",
+     "if (tuples := reduce(mul, map(len, pools))) >= MAX_VERTICES:"),
+    ("complexes.py",
+     "if (tuples := reduce(mul, map(len, pools))) > MAX_VERTICES:  # before they are enumerated",
+     "if False:"),
+    ("complexes.py", "if len(wedges) > MAX_VERTICES:", "if len(wedges) >= MAX_VERTICES:"),
+    # the system vertex guard off by one
+    ("systems.py",
+     "if (total := total + len(verts)) > MAX_SYSTEM_VERTICES:  # before its adjacency is built",
+     "if (total := total + len(verts)) >= MAX_SYSTEM_VERTICES:"),
     # the --max-dim bound off by one, and gone
     ("cli.py", "if args.max_dim > MAX_DIM_LIMIT:", "if args.max_dim >= MAX_DIM_LIMIT:"),
     ("cli.py", "if args.max_dim > MAX_DIM_LIMIT:", "if False:"),
@@ -152,10 +167,10 @@ MUTANTS: list[tuple[str, str, str]] = [
     # simpliciality passing every bond without its nerve half, and naming
     # every failing bond a nerve-only failure
     ("systems.py",
-     "if unmapped(bond, levels[j].fibers, levels[i].vertices) is None:",
+     "if unmapped(bond, levels[j].fibers, levels[i].wedges) is None:",
      "if True:"),
     ("systems.py",
-     'kind = "N" if unmapped(bond, edges, levels[i].vertices) is None else "F"',
+     'kind = "N" if unmapped(bond, edges, levels[i].wedges) is None else "F"',
      'kind = "N"'),
     # section_identity taking an image that holds the point for its singleton
     ("systems.py", "if image != 1 << x:", "if not image >> x & 1:"),
@@ -224,7 +239,6 @@ MUTANTS: list[tuple[str, str, str]] = [
     ("complexes.py",
      "if list(cover_ids) != sorted(set(cover_ids)):",
      "if list(cover_ids) != sorted(cover_ids):"),
-    ("complexes.py", "if not wedge:", "if False:"),
     ("homology.py", "if any(b < 0 for b in numbers):", "if False:"),
     # record equality across classes, equality ignoring the fields, and a
     # hash that is not the field tuple's

@@ -4,7 +4,6 @@ inverse systems with coordinate-projection bonds, and cell-structure checks."""
 from .complexes import (
     Complex,
     LambdaIndex,
-    Vertex,
     build_complexes,
     build_flag,
     build_vertices,

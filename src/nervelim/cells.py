@@ -253,7 +253,7 @@ def cauchy_sweep(system: InverseSystem) -> Report:
     _top(system)
     bad = None
     for i, level in enumerate(system.levels):
-        if system.bond(i, i) != tuple(range(len(level.vertices))):
+        if system.bond(i, i) != tuple(range(len(level.wedges))):
             reason = "bond to itself is not the identity"
             bad = {"lambda": list(level.lam.cover_ids), "reason": reason}
             break

@@ -110,14 +110,13 @@ def _parse_checks(spec: str) -> list[str]:
 
 def _level_payload(level: systems.Level, max_dim: int) -> dict:
     """A level file's contents, its complexes' rows as the search's text."""
-    lam, vertices = level.lam, level.vertices
-    flag, nerve = build_complexes(lam, level.adjacency, [v.wedge for v in vertices], max_dim,
-                                  row_steps(len(vertices)))
+    lam, wedges = level.lam, level.wedges
+    flag, nerve = build_complexes(lam, level.adjacency, wedges, max_dim, row_steps(len(wedges)))
     return {
         "format_version": FORMAT_VERSION,
         "lambda": list(lam.cover_ids),
-        "flag_complex": complex_to_json(lam, vertices, RowText(flag), True),
-        "nerve_complex": complex_to_json(lam, vertices, RowText(nerve), False),
+        "flag_complex": complex_to_json(lam, level.elements, wedges, RowText(flag), True),
+        "nerve_complex": complex_to_json(lam, level.elements, wedges, RowText(nerve), False),
     }
 
 

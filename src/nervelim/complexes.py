@@ -1,12 +1,12 @@
 """Simplicial complexes: nerves and flag complexes of cover families.
 
 Levels are indexed by nonempty sets of cover ids.  A level's vertices are
-the tuples of cover elements (one per cover) with nonempty intersection;
-the intersection is the vertex's wedge, held as a point bitmask.  The flag
-complex fills in every clique of pairwise-intersecting wedges, the nerve
-only the cliques whose wedges share a point; one clique search enumerates
-both.  A complex is its
-full downward-closed simplex set, as a tuple in lexicographic order.
+the tuples of cover elements (one per cover) with nonempty intersection,
+the vertex's wedge, held as a point bitmask; only the bonds and level
+files read the tuples.  The flag complex fills in every clique of
+pairwise-intersecting wedges, the nerve only the cliques whose wedges
+share a point; one clique search enumerates both.  A complex is its full
+downward-closed simplex set, as a tuple in lexicographic order.
 
 A map between levels is its vertex map, a tuple whose entry v is the image
 of vertex v; it acts on flag complexes and nerves alike and holds neither.
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import product
-from operator import and_
+from operator import and_, mul
 from typing import Any, Iterable, Iterator, Sequence
 
 from .errors import GuardExceeded
@@ -25,6 +25,7 @@ from .records import Record
 
 DEFAULT_MAX_DIM = 8
 MAX_DIM_LIMIT = 256  # the CLI's largest guard; the clique search recurses once per vertex
+MAX_VERTICES = 1 << 15  # a level's vertex guard: its adjacency then takes at most 128 MiB
 
 Simplex = tuple[int, ...]
 # an abstract complex on vertex ids 0..n-1: its simplices, downward closed and
@@ -62,22 +63,6 @@ class LambdaIndex(Record):
         return "L(" + ",".join(str(i) for i in self.cover_ids) + ")"
 
 
-class Vertex(Record):
-    """One element choice per cover of the level, in cover id order, with
-    the cached wedge as a point bitmask: bit x is set when x lies in it.
-
-    Identity is the tuple of element ids; distinct vertices may share a
-    wedge and stay distinct.
-    """
-
-    __slots__ = ("elements", "wedge")
-
-    def __init__(self, elements: tuple[ElementId, ...], wedge: int) -> None:
-        if not wedge:
-            raise ValueError("vertex wedge must be nonempty")
-        Record.__init__(self, elements, wedge)
-
-
 # ---------------------------------------------------------------------------
 # graphs and vertex maps
 #
@@ -103,17 +88,17 @@ def graph_edges(adjacency: Sequence[int]) -> Iterator[tuple[int, int]]:
 
 
 def unmapped(
-    vertex_map: Sequence[int], simplices: Iterable[Simplex], target: Sequence[Vertex]
+    vertex_map: Sequence[int], simplices: Iterable[Simplex], target_wedges: Sequence[int]
 ) -> Simplex | None:
-    """The first of ``simplices`` whose image's wedges, on the vertices
-    ``target``, share no point (it is off their nerve), or None.
+    """The first of ``simplices`` whose image's wedges, read from the
+    ``target_wedges``, share no point (it is off their nerve), or None.
 
     A family of source simplices decides simpliciality when every source
     simplex is a face of one of its members, such as the point fibers for
     the nerve or the maximal cliques for the flag complex: the target
     nerve is downward closed, and a face's image is a face of the image.
     """
-    image = [target[w].wedge for w in vertex_map]  # each source vertex's image wedge
+    image = [target_wedges[w] for w in vertex_map]  # each source vertex's image wedge
     for s in simplices:
         if not reduce(and_, map(image.__getitem__, s)):
             return s
@@ -124,8 +109,8 @@ def unmapped(
 # level construction
 
 
-def build_vertices(family: CoverFamily, lam: LambdaIndex) -> list[Vertex]:
-    """All element tuples with nonempty intersection, in lexicographic order.
+def build_vertices(family: CoverFamily, lam: LambdaIndex) -> dict[tuple[ElementId, ...], int]:
+    """Each element tuple with nonempty intersection, to its wedge, in lexicographic order.
 
     A tuple's wedge is the set of points lying in all of its elements, so
     the tuples are exactly those in the product, over the covers, of the
@@ -143,16 +128,23 @@ def build_vertices(family: CoverFamily, lam: LambdaIndex) -> list[Vertex]:
     wedges: dict[tuple[ElementId, ...], int] = {}
     for x in family.ground.points:
         bit = 1 << x
-        for choice in product(*[table[x] for table in holding]):
+        pools = [table[x] for table in holding]
+        if (tuples := reduce(mul, map(len, pools))) > MAX_VERTICES:  # before they are enumerated
+            raise GuardExceeded(f"{_level_name(lam)}: point {x} lies in {tuples} element tuples,"
+                                f" which exceeds the vertex guard ({MAX_VERTICES} vertices)")
+        for choice in product(*pools):
             wedges[choice] = wedges.get(choice, 0) | bit
-    return [Vertex(choice, wedges[choice]) for choice in sorted(wedges)]
+        if len(wedges) > MAX_VERTICES:
+            raise GuardExceeded(f"{_level_name(lam)}: {len(wedges)} vertices by point {x} exceed"
+                                f" the vertex guard ({MAX_VERTICES} vertices)")
+    return {choice: wedges[choice] for choice in sorted(wedges)}
 
 
-def point_fibers(vertices: Sequence[Vertex], n_points: int) -> list[tuple[int, ...]]:
+def point_fibers(wedges: Sequence[int], n_points: int) -> list[tuple[int, ...]]:
     """Per point x, the ids of the vertices whose wedge contains x, ascending."""
     fibers: list[list[int]] = [[] for _ in range(n_points)]
-    for i, v in enumerate(vertices):
-        for x in members(v.wedge):
+    for i, wedge in enumerate(wedges):
+        for x in members(wedge):
             fibers[x].append(i)
     return [tuple(f) for f in fibers]
 
@@ -270,22 +262,23 @@ def build_complexes(lam: LambdaIndex, adjacency: Sequence[int], wedges: Sequence
     return _all_cliques(adjacency, wedges, max_dim, _level_name(lam) + ": ", steps)
 
 
-def carrier_wedge(vertices: Sequence[Vertex], carrier: Sequence[int]) -> int:
+def carrier_wedge(wedges: Sequence[int], carrier: Sequence[int]) -> int:
     """Intersection of the carrier vertices' wedges; 0 off the nerve."""
-    return reduce(and_, [vertices[v].wedge for v in carrier])
+    return reduce(and_, [wedges[v] for v in carrier])
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
 
-def complex_to_json(lam: LambdaIndex, vertices: Sequence[Vertex], cx: Any, flag: bool) -> dict:
-    """A complex of level ``lam`` on its vertices, as a level file holds it;
-    ``cx`` is the complex or its ``report.RowText``, and ``flag`` tells the
-    flag complex from the nerve."""
+def complex_to_json(lam: LambdaIndex, elements: Sequence[tuple[ElementId, ...]],
+                    wedges: Sequence[int], cx: Any, flag: bool) -> dict:
+    """A complex of level ``lam`` on the vertices of these element tuples and
+    wedges, as a level file holds it; ``cx`` is the complex or its
+    ``report.RowText``, and ``flag`` tells the flag complex from the nerve."""
     return {
         "lambda": list(lam.cover_ids),
-        "vertices": [{"tuple": list(v.elements), "wedge": members(v.wedge)} for v in vertices],
+        "vertices": [{"tuple": list(e), "wedge": members(w)} for e, w in zip(elements, wedges)],
         "simplices": cx,
         "flag": flag,
     }

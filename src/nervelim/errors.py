@@ -1,6 +1,6 @@
 class GuardExceeded(RuntimeError):
-    """An enumeration guard (simplex dimension, partial selections visited
-    by the selection search) was exceeded."""
+    """An enumeration guard (levels selected, vertices of a level or of all
+    levels, simplex dimension, partial selections searched) was exceeded."""
 
 
 class InputError(ValueError):

@@ -278,7 +278,7 @@ def nerve_core(level: Level, max_dim: int) -> Core:
     """The core of the level nerve, the nerve of "point x lies in vertex
     v's wedge"."""
     carriers = [sum(1 << v for v in fiber) for fiber in level.fibers]
-    return dowker_core(level.lam, [v.wedge for v in level.vertices], carriers, max_dim)
+    return dowker_core(level.lam, level.wedges, carriers, max_dim)
 
 
 def flag_core(level: Level, cliques: Sequence[Simplex], max_dim: int) -> Complex:
@@ -287,7 +287,7 @@ def flag_core(level: Level, cliques: Sequence[Simplex], max_dim: int) -> Complex
     clique k".  A vertex is dropped when every maximal clique holding it
     holds another kept vertex, that is, when its closed neighbourhood lies
     inside that vertex's."""
-    rows = [0] * len(level.vertices)
+    rows = [0] * len(level.wedges)
     for k, clique in enumerate(cliques):
         for v in clique:
             rows[v] |= 1 << k

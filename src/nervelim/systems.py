@@ -20,7 +20,6 @@ from .complexes import (
     DEFAULT_MAX_DIM,
     LambdaIndex,
     Simplex,
-    Vertex,
     build_vertices,
     carrier_wedge,
     graph_edges,
@@ -30,9 +29,12 @@ from .complexes import (
     unmapped,
     wedge_adjacency,
 )
-from .errors import PreconditionUnmet
-from .ground import CoverFamily, PointId
+from .errors import GuardExceeded, PreconditionUnmet
+from .ground import CoverFamily, ElementId, PointId
 from .report import Report
+
+MAX_LEVELS = 1023  # the level guard, checked before any level is listed: all levels of 10 covers
+MAX_SYSTEM_VERTICES = 1 << 16  # over all levels: with MAX_VERTICES, 256 MiB of adjacency at most
 
 
 class Level(NamedTuple):
@@ -40,7 +42,10 @@ class Level(NamedTuple):
     which a reader builds a complex (``build_flag``, ``build_complexes``)."""
 
     lam: LambdaIndex
-    vertices: tuple[Vertex, ...]
+    # per vertex id, its element tuple, read by the bonds and the level files
+    # alone, and its wedge: the keys and values of ``complexes.build_vertices``
+    elements: tuple[tuple[ElementId, ...], ...]
+    wedges: tuple[int, ...]
     # the level graph, shared by the flag 1-skeleton and the nerve's, as
     # ``complexes.wedge_adjacency`` gives it
     adjacency: list[int]
@@ -79,7 +84,7 @@ class InverseSystem:
         last = len(levels) - 1
         has_top = levels and all(up[-1] == last for up in self.above)
         self.top = last if has_top else None
-        index_of = [{v.elements: k for k, v in enumerate(level.vertices)} for level in levels]
+        index_of = [{e: k for k, e in enumerate(level.elements)} for level in levels]
         self._bonds = {(i, j): _projection(levels[i], levels[j], index_of[i]) for i, j in pairs}
 
     def bond(self, i: int, j: int) -> tuple[int, ...]:
@@ -88,7 +93,8 @@ class InverseSystem:
 
 
 def all_lambdas(n_covers: int) -> list[LambdaIndex]:
-    """Every level index, by size and then by cover ids, as combinations come."""
+    """Every level index, by size and then by cover ids, as combinations come:
+    2 ** n_covers - 1 of them, the count ``build_system`` guards before listing."""
     ks = range(1, n_covers + 1)
     return [LambdaIndex(ids) for k in ks for ids in combinations(range(n_covers), k)]
 
@@ -107,15 +113,22 @@ def build_system(
     so each edge, lying in a fiber, goes to an edge or one vertex: the bond
     is a reflexive graph homomorphism, hence simplicial on the flag complexes.
     """
+    n_levels = 2 ** len(family.covers) - 1 if lambdas is None else len(lambdas)
+    if n_levels > MAX_LEVELS:
+        raise GuardExceeded(f"{n_levels} levels exceed the level guard ({MAX_LEVELS} levels)")
     lams = sorted(
         all_lambdas(len(family.covers)) if lambdas is None else lambdas,
         key=lambda l: l.sort_key,
     )
-    levels = []
+    levels, total = [], 0
     for lam in lams:
         verts = build_vertices(family, lam)
-        fibers = point_fibers(verts, family.ground.n_points)
-        levels.append(Level(lam, tuple(verts), wedge_adjacency(fibers, len(verts)), fibers))
+        if (total := total + len(verts)) > MAX_SYSTEM_VERTICES:  # before its adjacency is built
+            raise GuardExceeded(f"{total} vertices in {len(levels) + 1} levels exceed"
+                                f" the system vertex guard ({MAX_SYSTEM_VERTICES} vertices)")
+        wedges = tuple(verts.values())
+        fibers = point_fibers(wedges, family.ground.n_points)
+        levels.append(Level(lam, tuple(verts), wedges, wedge_adjacency(fibers, len(wedges)), fibers))
     system = InverseSystem(family, levels, max_dim)
     bad = fiber_escape(system, family.ground.points, system.pairs)
     if bad is not None:
@@ -129,7 +142,7 @@ def _projection(dst: Level, src: Level, index_of: dict[tuple[int, ...], int]) ->
     """The vertex map forgetting the covers of ``src`` that ``dst`` lacks;
     ``index_of`` gives each vertex id of ``dst`` by its elements."""
     positions = [src.lam.cover_ids.index(i) for i in dst.lam.cover_ids]
-    return tuple(index_of[tuple(v.elements[p] for p in positions)] for v in src.vertices)
+    return tuple(index_of[tuple(e[p] for p in positions)] for e in src.elements)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +172,7 @@ def canonical_map(system: InverseSystem, i: int, x: PointId) -> tuple[int, ...]:
     """
     level = system.levels[i]
     fiber = level.fibers[x]
-    if not carrier_wedge(level.vertices, fiber) >> x & 1:
+    if not carrier_wedge(level.wedges, fiber) >> x & 1:
         raise AssertionError("canonical support must span a nerve simplex at the point")
     return fiber
 
@@ -176,7 +189,7 @@ def thread_image(system: InverseSystem, z: tuple) -> int:
     A carrier that only spans a flag simplex (not a nerve one) yields 0: a
     carrier spans a nerve simplex exactly when its wedges share a point.
     """
-    return reduce(and_, [carrier_wedge(level.vertices, s) for level, s in zip(system.levels, z)])
+    return reduce(and_, [carrier_wedge(level.wedges, s) for level, s in zip(system.levels, z)])
 
 
 def check_section_identity(system: InverseSystem) -> Report:
@@ -259,7 +272,7 @@ def check_homotopy(system: InverseSystem) -> Report:
     top = system.levels[t]
     resolved = [
         x for x in system.family.ground.points
-        if carrier_wedge(top.vertices, top.fibers[x]) == 1 << x
+        if carrier_wedge(top.wedges, top.fibers[x]) == 1 << x
     ]
     if not resolved:
         raise PreconditionUnmet(
@@ -286,7 +299,7 @@ def find_nerve_absorbing_level(
     complex projects into the nerve of level i, or None.  ``cliques[j]``
     holds flag simplices of level j of which every flag simplex is a face,
     such as its maximal cliques; by ``unmapped``, these decide it."""
-    target = system.levels[i].vertices
+    target = system.levels[i].wedges
     for j in system.above[i]:
         if unmapped(system.bond(i, j), cliques[j], target) is None:
             return j
@@ -349,32 +362,32 @@ def check_simpliciality(system: InverseSystem) -> Report:
     bad = None
     for i, j in system.pairs:
         bond = system.bond(i, j)
-        if unmapped(bond, levels[j].fibers, levels[i].vertices) is None:
+        if unmapped(bond, levels[j].fibers, levels[i].wedges) is None:
             continue
         edges = graph_edges(levels[j].adjacency)
-        kind = "N" if unmapped(bond, edges, levels[i].vertices) is None else "F"
+        kind = "N" if unmapped(bond, edges, levels[i].wedges) is None else "F"
         lam, mu = levels[i].lam, levels[j].lam
         bad = {"lambda": list(lam.cover_ids), "mu": list(mu.cover_ids), "complex": kind}
         break
     return Report("simpliciality", bad is None, counterexample=bad)
 
 
-def wedge_graph(vertices: Sequence[Vertex]) -> list[int]:
+def wedge_graph(wedges: Sequence[int]) -> list[int]:
     """The level graph read pair by pair from the wedges, as neighbour
     bitmasks: two vertices are adjacent when their wedges meet.  It does
     not go through the point fibers the complexes are built from."""
-    adj = [0] * len(vertices)
-    for (a, v), (b, w) in combinations(enumerate(vertices), 2):
-        if v.wedge & w.wedge:
+    adj = [0] * len(wedges)
+    for (a, v), (b, w) in combinations(enumerate(wedges), 2):
+        if v & w:
             adj[a] |= 1 << b
             adj[b] |= 1 << a
     return adj
 
 
-def wedge_fibers(vertices: Sequence[Vertex], n_points: int) -> list[tuple[int, ...]]:
+def wedge_fibers(wedges: Sequence[int], n_points: int) -> list[tuple[int, ...]]:
     """Per ground point, the ids of the vertices whose wedge contains it,
     read point by point from the wedges rather than by ``point_fibers``."""
-    return [tuple(i for i, v in enumerate(vertices) if v.wedge >> x & 1) for x in range(n_points)]
+    return [tuple(i for i, w in enumerate(wedges) if w >> x & 1) for x in range(n_points)]
 
 
 def check_flag_reconstruction(system: InverseSystem) -> Report:
@@ -385,10 +398,10 @@ def check_flag_reconstruction(system: InverseSystem) -> Report:
     bad = None
     n_points = system.family.ground.n_points
     for level in system.levels:
-        if level.adjacency != wedge_graph(level.vertices):
+        if level.adjacency != wedge_graph(level.wedges):
             bad = {"lambda": list(level.lam.cover_ids), "reason": "flag reconstruction"}
             break
-        if level.fibers != wedge_fibers(level.vertices, n_points):
+        if level.fibers != wedge_fibers(level.wedges, n_points):
             bad = {"lambda": list(level.lam.cover_ids), "reason": "nerve reconstruction"}
             break
     return Report("flag_reconstruction", bad is None, counterexample=bad)
@@ -402,7 +415,7 @@ def check_skeleton_equality(system: InverseSystem) -> Report:
     rebuilt complexes and the graph with ``wedge_graph``."""
     bad = None
     for level in system.levels:
-        if wedge_adjacency(level.fibers, len(level.vertices)) != level.adjacency:
+        if wedge_adjacency(level.fibers, len(level.wedges)) != level.adjacency:
             bad = {"lambda": list(level.lam.cover_ids)}
             break
     return Report("skeleton_equality", bad is None, counterexample=bad)

@@ -45,7 +45,6 @@ from nervelim.complexes import (
     Complex,
     LambdaIndex,
     Simplex,
-    Vertex,
     _level_name,
     build_flag,
     carrier_wedge,
@@ -135,7 +134,8 @@ def complex_from_json(data: dict) -> Complex:
         for v in data["vertices"]:
             if len(v["tuple"]) != width:
                 raise ValueError("one element per cover id required")
-            Vertex(tuple(v["tuple"]), point_mask(v["wedge"]))  # checks the wedge
+            if not point_mask(v["wedge"]):
+                raise ValueError("vertex wedge must be nonempty")
         if len(data["vertices"]) != n:
             raise ValueError("vertex list length mismatch")
     return listed
@@ -228,7 +228,7 @@ def vertex_thread(system: InverseSystem, top_vid: int) -> tuple[int, ...]:
 
 def vertex_threads(system: InverseSystem) -> list[tuple[int, ...]]:
     t = _top(system)
-    return [vertex_thread(system, v) for v in range(len(system.levels[t].vertices))]
+    return [vertex_thread(system, v) for v in range(len(system.levels[t].wedges))]
 
 
 def vertex_thread_image(system: InverseSystem, z: tuple[int, ...]) -> int:
@@ -281,16 +281,17 @@ def point_mask(points: Iterable[PointId]) -> int:
 
 
 def element_wedges(
-    family: CoverFamily, lam: LambdaIndex, vertices: Sequence[Vertex]
+    family: CoverFamily, lam: LambdaIndex, elements: Sequence[tuple[int, ...]]
 ) -> list[frozenset[PointId]]:
-    """Each vertex's wedge as a point set: the intersection of the point
-    sets of its chosen elements, one per cover of the level.  This is the
-    wedge as vertices held it before it was a point bitmask, read from the
-    covers and not from ``build_vertices``."""
+    """Each vertex's wedge as a point set, given the vertices' element
+    tuples: the intersection of the point sets of its chosen elements, one
+    per cover of the level.  This is the wedge as vertices held it before
+    it was a point bitmask, read from the covers and not from
+    ``build_vertices``."""
     covers = [family.covers[i] for i in lam.cover_ids]
     return [
-        frozenset.intersection(*(c.elements[e].pointset for c, e in zip(covers, v.elements)))
-        for v in vertices
+        frozenset.intersection(*(c.elements[e].pointset for c, e in zip(covers, choice)))
+        for choice in elements
     ]
 
 
@@ -431,16 +432,17 @@ def two_search_build(
     return build_flag(lam, adjacency, max_dim), pruned_nerve(lam, adjacency, fibers, max_dim)
 
 
-def product_scan_vertices(family: CoverFamily, lam: LambdaIndex) -> list[Vertex]:
-    """Level vertices by scanning the full product of element choices, one
-    per cover, in lexicographic order: the construction before point
-    fibers, linear in the product of the cover sizes."""
+def product_scan_vertices(family: CoverFamily, lam: LambdaIndex) -> dict[tuple[int, ...], int]:
+    """Level vertices, each element tuple to its wedge bitmask, by scanning
+    the full product of element choices, one per cover, in lexicographic
+    order: the construction before point fibers, linear in the product of
+    the cover sizes."""
     covers = [family.covers[i] for i in lam.cover_ids]
-    out = []
+    out = {}
     for choice in product(*(c.elements for c in covers)):
         wedge = frozenset.intersection(*(e.pointset for e in choice))
         if wedge:
-            out.append(Vertex(tuple(e.id for e in choice), point_mask(wedge)))
+            out[tuple(e.id for e in choice)] = point_mask(wedge)
     return out
 
 
@@ -534,11 +536,11 @@ def full_check_flag_reconstruction(system: InverseSystem) -> Report:
     bad = None
     n_points = system.family.ground.n_points
     for level in system.levels:
-        lam, graph = level.lam, wedge_graph(level.vertices)
+        lam, graph = level.lam, wedge_graph(level.wedges)
         if build_flag(lam, graph, system.max_dim) != level_flag(level, system.max_dim):
             bad = {"lambda": list(lam.cover_ids), "reason": "flag reconstruction"}
             break
-        fibers = wedge_fibers(level.vertices, n_points)
+        fibers = wedge_fibers(level.wedges, n_points)
         if pruned_nerve(lam, graph, fibers, system.max_dim) != level_nerve(level, system.max_dim):
             bad = {"lambda": list(lam.cover_ids), "reason": "nerve reconstruction"}
             break
@@ -551,7 +553,7 @@ def full_check_skeleton_equality(system: InverseSystem) -> Report:
     level graph, against the wedge graph."""
     bad = None
     for level in system.levels:
-        graph = wedge_graph(level.vertices)
+        graph = wedge_graph(level.wedges)
         edges = set(graph_edges(graph))
         complexes = (level_flag(level, system.max_dim), level_nerve(level, system.max_dim))
         if level.adjacency != graph or any(
@@ -569,7 +571,7 @@ def wedge_graph_check_skeleton_equality(system: InverseSystem) -> Report:
     answers past the guard where ``full_check_skeleton_equality`` cannot."""
     bad = None
     for level in system.levels:
-        graph = wedge_graph(level.vertices)
+        graph = wedge_graph(level.wedges)
         if level.adjacency != graph or wedge_adjacency(level.fibers, len(graph)) != graph:
             bad = {"lambda": list(level.lam.cover_ids)}
             break
@@ -785,27 +787,27 @@ def full_betti_stabilization(system: InverseSystem, chain: list[int]) -> dict:
 
 
 def product_weights(
-    family: CoverFamily, lam: LambdaIndex, vertices: Sequence[Vertex], x: PointId
-) -> dict[Vertex, Fraction]:
+    family: CoverFamily, lam: LambdaIndex, elements: Sequence[tuple[int, ...]], x: PointId
+) -> dict[tuple[int, ...], Fraction]:
     """Per-vertex products of the covers' even splits at x, over the
-    vertices of level ``lam``.
+    vertices of level ``lam``, each named by its element tuple.
 
     A cover's split gives 1/(number of its elements containing x) to each
     element that contains x and 0 to every other, read from cover
     membership alone; the products sum to 1 exactly.
     """
-    if not vertices:
+    if not elements:
         raise ValueError("level has no vertices")
-    out: dict[Vertex, Fraction] = {}
-    for v in vertices:
+    out: dict[tuple[int, ...], Fraction] = {}
+    for choice in elements:
         w = Fraction(1)
-        for cover_id, eid in zip(lam.cover_ids, v.elements):
-            elements = family.covers[cover_id].elements
-            if x not in elements[eid].pointset:
+        for cover_id, eid in zip(lam.cover_ids, choice):
+            pool = family.covers[cover_id].elements
+            if x not in pool[eid].pointset:
                 w = Fraction(0)
                 break
-            w /= sum(x in e.pointset for e in elements)
-        out[v] = w
+            w /= sum(x in e.pointset for e in pool)
+        out[choice] = w
     return out
 
 
@@ -813,9 +815,9 @@ def scan_canonical_map(system: InverseSystem, i: int, x: PointId) -> Barycentric
     """The canonical map by product weights over every vertex of the level
     at position i, computed afresh on each call."""
     level = system.levels[i]
-    weights = product_weights(system.family, level.lam, level.vertices, x)
+    weights = product_weights(system.family, level.lam, level.elements, x)
     return BarycentricPoint.from_dict(
-        {k: weights[v] for k, v in enumerate(level.vertices) if weights[v] > 0}
+        {k: weights[e] for k, e in enumerate(level.elements) if weights[e] > 0}
     )
 
 
@@ -838,7 +840,7 @@ def scan_converge(system: InverseSystem, y: tuple[int, ...]) -> tuple[int, ...] 
     if not pairwise_is_cauchy(system, y):
         raise ValueError("convergence is only defined for Cauchy nets")
     adjs = [level.adjacency for level in system.levels]
-    for v in range(len(system.levels[system.top].vertices)):
+    for v in range(len(system.levels[system.top].wedges)):
         z = vertex_thread(system, v)
         if all(a == b or adj[a] >> b & 1 for adj, a, b in zip(adjs, z, y)):
             return z
@@ -1131,7 +1133,7 @@ def sweep_every_net(system: InverseSystem, count: int, seed: int) -> Report:
     every kept net searched, with the library's draws and report."""
     rng = random.Random(seed)
     threads = vertex_threads(system)
-    sizes = [len(level.vertices) for level in system.levels]
+    sizes = [len(level.wedges) for level in system.levels]
     non_max = non_max_levels(system)
     nets = []
     attempts = 0
@@ -1197,7 +1199,7 @@ def fiber_homotopy(
     for i, (level, point) in enumerate(zip(system.levels, z)):
         target = canonical_point(system, i, x)
         moved = convex_combination(Fraction(t), target, point)
-        if not carrier_wedge(level.vertices, point.carrier + target.carrier):
+        if not carrier_wedge(level.wedges, point.carrier + target.carrier):
             raise AssertionError("homotopy leaves the nerve")
         entries.append(moved)
     return tuple(entries)
@@ -1313,7 +1315,7 @@ def sample_cauchy_nets(system: InverseSystem, count: int, seed: int) -> list[tup
     from at most 50 * count candidates."""
     rng = random.Random(seed)
     threads = vertex_threads(system)
-    sizes = [len(level.vertices) for level in system.levels]
+    sizes = [len(level.wedges) for level in system.levels]
     non_max = non_max_levels(system)
     verdicts: dict[tuple[int, ...], bool] = {}  # is_cauchy, by distinct candidate
     nets: list[tuple[int, ...]] = []

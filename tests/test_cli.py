@@ -10,6 +10,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 import traceback
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -552,6 +553,74 @@ def _star(n):
     from nervelim.ground import CoverFamily, cover_from_pointsets
 
     return CoverFamily((cover_from_pointsets(0, [{0, i} for i in range(1, n)]),), GroundSpace(n))
+
+
+def _timed(*args):
+    """The exit code of a run and its seconds."""
+    start = time.perf_counter()
+    code = run(*args)
+    return code, time.perf_counter() - start
+
+
+def test_all_levels_of_22_covers_exit_2_at_the_level_guard(tmp_path, capsys):
+    # 22 covers of one element each over 4 points: --lambdas all selects
+    # 2^22 - 1 levels, refused before one is listed.  A chain of the same
+    # covers, and an explicit list, still run
+    from nervelim.ground import CoverFamily, cover_from_pointsets
+
+    family = CoverFamily(tuple(cover_from_pointsets(i, [range(4)]) for i in range(22)), GroundSpace(4))
+    files = _write_family(tmp_path, family)
+    for command in ("build", "check"):
+        code, seconds = _timed(command, *files, "--out", tmp_path / command)
+        assert code == 2 and seconds < 1
+        assert capsys.readouterr() == ("", "4194303 levels exceed the level guard (1023 levels)\n")
+        assert not (tmp_path / command).exists()
+    for spec in ("chain", "0;3,21"):
+        out = tmp_path / spec
+        assert run("check", *files, "--lambdas", spec, "--checks", "fibers", "--out", out) == 0
+
+
+def test_a_level_past_the_vertex_guard_exits_2_before_it_is_listed(tmp_path, capsys):
+    # two covers of 1,500 copies of {0, 1}: point 0 lies in 1,500^2
+    # element tuples of level {0,1}, refused before one is listed
+    from nervelim.ground import CoverFamily, cover_from_pointsets
+
+    family = CoverFamily(
+        tuple(cover_from_pointsets(i, [{0, 1}] * 1500) for i in range(2)), GroundSpace(2)
+    )
+    files = _write_family(tmp_path, family)
+    guard = (
+        "level {0,1}: point 0 lies in 2250000 element tuples,"
+        " which exceeds the vertex guard (32768 vertices)\n"
+    )
+    for command in ("build", "check"):
+        extra = ("--checks", "fibers") if command == "check" else ()
+        code, seconds = _timed(command, *files, *extra, "--out", tmp_path / command)
+        assert code == 2 and seconds < 1
+        assert capsys.readouterr() == ("", guard)
+        assert not (tmp_path / command).exists()
+
+
+def test_levels_past_the_system_vertex_guard_exit_2(tmp_path, capsys):
+    # covers 0 and 1 of 181 copies of {0, 1} and covers 2..9 of one
+    # element each: every level holding covers 0 and 1 has 181^2 = 32,761
+    # vertices, inside the vertex guard.  The second of them, the 56th
+    # level, takes the total past the system vertex guard, before its
+    # adjacency is built
+    from nervelim.ground import CoverFamily, cover_from_pointsets
+
+    family = CoverFamily(
+        tuple(cover_from_pointsets(i, [{0, 1}] * (181 if i < 2 else 1)) for i in range(10)),
+        GroundSpace(2),
+    )
+    files = _write_family(tmp_path, family)
+    guard = "68816 vertices in 56 levels exceed the system vertex guard (65536 vertices)\n"
+    for command in ("build", "check"):
+        extra = ("--checks", "fibers") if command == "check" else ()
+        code, seconds = _timed(command, *files, *extra, "--out", tmp_path / command)
+        assert code == 2 and seconds < 1
+        assert capsys.readouterr() == ("", guard)
+        assert not (tmp_path / command).exists()
 
 
 def test_max_dim_bound_stops_at_the_guard_without_a_traceback(tmp_path, capsys):

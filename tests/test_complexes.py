@@ -111,8 +111,7 @@ def test_vertices_single_cover():
     space = GroundSpace(3)
     family = pointset_family(space, [[{0, 1}, {2}]])
     verts = build_vertices(family, LambdaIndex.of([0]))
-    assert [v.elements for v in verts] == [(0,), (1,)]
-    assert verts[0].wedge == point_mask({0, 1})
+    assert list(verts.items()) == [((0,), point_mask({0, 1})), ((1,), point_mask({2}))]
 
 
 def test_vertices_grid10_mixed_covers():
@@ -122,7 +121,7 @@ def test_vertices_grid10_mixed_covers():
     custom = cover_from_pointsets(1, [set(range(4)), set(range(2, 8)), set(range(6, 11))])
     family = CoverFamily((dyadic, custom), space)
     verts = build_vertices(family, LambdaIndex.of([0, 1]))
-    assert [v.elements for v in verts] == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2)]
+    assert list(verts) == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2)]
 
 
 def test_vertices_cantor_nested():
@@ -136,15 +135,14 @@ def test_vertices_cantor_nested():
     )
     verts = build_vertices(family, LambdaIndex.of([0, 1]))
     # each depth-2 cylinder pairs only with its own prefix
-    assert [v.elements for v in verts] == [(0, 0), (0, 1), (1, 2), (1, 3)]
+    assert list(verts) == [(0, 0), (0, 1), (1, 2), (1, 3)]
 
 
 def test_duplicate_wedges_stay_distinct():
     space = GroundSpace(2)
     family = pointset_family(space, [[{0, 1}], [{0, 1}, {1}]])
     verts = build_vertices(family, LambdaIndex.of([0, 1]))
-    assert len(verts) == 2
-    assert verts[0].wedge == point_mask({0, 1})
+    assert list(verts.items()) == [((0, 0), point_mask({0, 1})), ((0, 1), point_mask({1}))]
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +187,9 @@ def test_flag_guard_exceeded():
     space = GroundSpace(1)
     family = pointset_family(space, [[{0}] * 6])
     lam = LambdaIndex.of([0])
-    verts = build_vertices(family, lam)
-    fibers = point_fibers(verts, 1)
-    adjacency = wedge_adjacency(fibers, len(verts))
+    wedges = list(build_vertices(family, lam).values())
+    fibers = point_fibers(wedges, 1)
+    adjacency = wedge_adjacency(fibers, len(wedges))
     # the message names the level and the size of the offending clique
     with pytest.raises(GuardExceeded, match=r"^level \{0\}: a clique of 6 vertices"):
         build_flag(lam, adjacency, 3)
@@ -306,13 +304,13 @@ def test_flag_completion_reconstructs_generated_levels(arcs3_family):
 
 
 def test_carrier_wedge_cases(arcs3_family):
-    verts = build_level(arcs3_family, LambdaIndex.of([0])).vertices
-    assert carrier_wedge(verts, vertex_point(0).carrier) == verts[0].wedge
+    wedges = build_level(arcs3_family, LambdaIndex.of([0])).wedges
+    assert carrier_wedge(wedges, vertex_point(0).carrier) == wedges[0]
     inside = BarycentricPoint.from_dict({0: F(1, 3), 1: F(1, 3), 2: F(1, 3)})
-    assert carrier_wedge(verts, inside.carrier) == 0
+    assert carrier_wedge(wedges, inside.carrier) == 0
     on_edge = BarycentricPoint.from_dict({0: F(1, 2), 1: F(1, 2)})
-    assert carrier_wedge(verts, on_edge.carrier) == verts[0].wedge & verts[1].wedge
-    assert carrier_wedge(verts, on_edge.carrier).bit_count() == 3
+    assert carrier_wedge(wedges, on_edge.carrier) == wedges[0] & wedges[1]
+    assert carrier_wedge(wedges, on_edge.carrier).bit_count() == 3
 
 
 def test_carrier_wedge_empty_exactly_off_nerve(arcs3_family):
@@ -323,7 +321,7 @@ def test_carrier_wedge_empty_exactly_off_nerve(arcs3_family):
     for s in flag:
         share = F(1, len(s))
         point = BarycentricPoint.from_dict({v: share for v in s})
-        wedge = carrier_wedge(level.vertices, point.carrier)
+        wedge = carrier_wedge(level.wedges, point.carrier)
         assert (wedge != 0) == (s in nerve)
 
 
@@ -376,7 +374,7 @@ def test_product_weights_single_cover_verbatim():
         (generate_cover(space, DyadicIntervals(1, F(1, 10)), cover_id=0),), space
     )
     lam = LambdaIndex.of([0])
-    verts = build_vertices(family, lam)
+    verts = list(build_vertices(family, lam))
     w = product_weights(family, lam, verts, 5)
     assert w[verts[0]] == F(1, 2) and w[verts[1]] == F(1, 2)
     w0 = product_weights(family, lam, verts, 0)
@@ -393,8 +391,7 @@ def test_product_weights_unique_vertex():
         space,
     )
     lam = LambdaIndex.of([0, 1])
-    verts = build_vertices(family, lam)
-    w = product_weights(family, lam, verts, 0)
+    w = product_weights(family, lam, list(build_vertices(family, lam)), 0)
     assert sorted(w.values(), reverse=True) == [1, 0, 0, 0]
 
 
@@ -409,17 +406,17 @@ def test_product_weights_multiply_and_sum_to_one():
     )
     lam = LambdaIndex.of([0, 1])
     verts = build_vertices(family, lam)
-    fibers = point_fibers(verts, space.n_points)
+    fibers = point_fibers(list(verts.values()), space.n_points)
     for x in space.points:
-        w = product_weights(family, lam, verts, x)
+        w = product_weights(family, lam, list(verts), x)
         assert sum(w.values()) == 1
         # x's fiber is every pair of elements holding x, one per cover
         holding = [sum(x in e.pointset for e in c.elements) for c in family.covers]
         assert len(fibers[x]) == holding[0] * holding[1]
-        for vid, v in enumerate(verts):
+        for vid, (v, wedge) in enumerate(verts.items()):
             assert w[v] == (F(1, len(fibers[x])) if vid in fibers[x] else 0)
             if w[v] > 0:
-                assert v.wedge >> x & 1
+                assert wedge >> x & 1
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +431,7 @@ def test_complexes_match_brute_force(data):
     expected_vertices = brute_vertices(pointsets)
     verts = build_vertices(family, lam)
     masks = [(c, point_mask(w)) for c, w in expected_vertices]
-    assert [(v.elements, v.wedge) for v in verts] == masks
+    assert list(verts.items()) == masks
 
     wedges = [w for _, w in expected_vertices]
     level = build_level(family, lam, max_dim=30)
@@ -460,10 +457,9 @@ def test_clique_search_matches_set_builders(data, max_dim):
     # guard they raise the flag complex's message
     family, lists = data
     lam = LambdaIndex.of(range(len(lists)))
-    verts = build_vertices(family, lam)
-    fibers = point_fibers(verts, family.ground.n_points)
-    adjacency = wedge_adjacency(fibers, len(verts))
-    wedges = [v.wedge for v in verts]
+    wedges = list(build_vertices(family, lam).values())
+    fibers = point_fibers(wedges, family.ground.n_points)
+    adjacency = wedge_adjacency(fibers, len(wedges))
     where = _level_name(lam) + ": "
 
     def guarded_nerve():
@@ -491,13 +487,12 @@ def test_clique_search_matches_set_builders(data, max_dim):
         assert cx == expected
 
 
-def assert_one_search_matches_two(lam, adjacency, vertices, fibers, max_dim):
+def assert_one_search_matches_two(lam, adjacency, wedges, fibers, max_dim):
     """``build_complexes`` on the vertices' wedges against the two-search
     oracle on their point fibers: the same pair, the nerve the flag
     complex's own tuple exactly when the two are equal, and the same guard
     message where the oracle raises.  Whether the nerve is the flag
     complex's tuple, or None past the guard."""
-    wedges = [v.wedge for v in vertices]
     try:
         expected = two_search_build(lam, adjacency, fibers, max_dim)
     except GuardExceeded as e:
@@ -519,15 +514,15 @@ def test_one_search_matches_two_searches(data, max_dim):
     # a point give a nerve that is
     family, lists = data
     lam = LambdaIndex.of(range(len(lists)))
-    verts = build_vertices(family, lam)
-    fibers = point_fibers(verts, family.ground.n_points)
-    assert_one_search_matches_two(lam, wedge_adjacency(fibers, len(verts)), verts, fibers, max_dim)
+    wedges = list(build_vertices(family, lam).values())
+    fibers = point_fibers(wedges, family.ground.n_points)
+    assert_one_search_matches_two(lam, wedge_adjacency(fibers, len(wedges)), wedges, fibers, max_dim)
 
 
 def test_one_search_matches_two_searches_on_presets(preset_systems):
     shared = [
         assert_one_search_matches_two(
-            level.lam, level.adjacency, level.vertices, level.fibers, system.max_dim
+            level.lam, level.adjacency, level.wedges, level.fibers, system.max_dim
         )
         for _, _, system in preset_systems.values()
         for level in system.levels
@@ -552,7 +547,7 @@ def test_one_search_guard_matches_two_searches_on_circle_24_thick(max_dim):
     raised = []
     for build in (
         lambda lv: two_search_build(lv.lam, lv.adjacency, lv.fibers, max_dim),
-        lambda lv: build_complexes(lv.lam, lv.adjacency, [v.wedge for v in lv.vertices], max_dim),
+        lambda lv: build_complexes(lv.lam, lv.adjacency, lv.wedges, max_dim),
     ):
         with pytest.raises(GuardExceeded) as e:
             for level in levels:
@@ -562,7 +557,7 @@ def test_one_search_guard_matches_two_searches_on_circle_24_thick(max_dim):
     assert raised[0].endswith(f"exceeds the dimension guard (max_dim {max_dim} allows {max_dim + 1})")
     for level in levels:
         assert_one_search_matches_two(
-            level.lam, level.adjacency, level.vertices, level.fibers, max_dim
+            level.lam, level.adjacency, level.wedges, level.fibers, max_dim
         )
         try:
             flag = level_flag(level, max_dim)
@@ -579,8 +574,8 @@ def test_one_search_guard_matches_two_searches_on_circle_24_thick(max_dim):
 def test_clique_number_is_the_longest_flag_simplex(data):
     family, lists = data
     lam = LambdaIndex.of(range(len(lists)))
-    verts = build_vertices(family, lam)
-    adjacency = wedge_adjacency(point_fibers(verts, family.ground.n_points), len(verts))
+    wedges = list(build_vertices(family, lam).values())
+    adjacency = wedge_adjacency(point_fibers(wedges, family.ground.n_points), len(wedges))
     width = max(map(len, build_flag(lam, adjacency, 30)))
     assert max(map(len, maximal_cliques(lam, adjacency, 30))) == width
     # the search stops at the first clique of cap vertices
@@ -605,7 +600,7 @@ def test_downward_closure_and_flag_tag(data):
     level = build_level(family, LambdaIndex.of(range(len(lists))), max_dim=30)
     flag = level_flag(level, 30)
     for cx in (flag, level_nerve(level, 30)):
-        assert all((v,) in cx for v in range(len(level.vertices)))
+        assert all((v,) in cx for v in range(len(level.wedges)))
         for s in cx:
             for k in range(1, len(s)):
                 for face in combinations(s, k):
@@ -624,12 +619,12 @@ def test_complex_json_round_trip(arcs3_family):
     lam = LambdaIndex.of([0])
     level = build_level(arcs3_family, lam)
     flag = level_flag(level, DEFAULT_MAX_DIM)
-    data = complex_to_json(lam, level.vertices, flag, True)
+    data = complex_to_json(lam, level.elements, level.wedges, flag, True)
     again = complex_from_json(data)
     assert again == flag
     assert data["flag"] is True and data["lambda"] == [0]
-    assert [tuple(v["tuple"]) for v in data["vertices"]] == [v.elements for v in level.vertices]
-    assert [point_mask(v["wedge"]) for v in data["vertices"]] == [v.wedge for v in level.vertices]
+    assert tuple(tuple(v["tuple"]) for v in data["vertices"]) == level.elements
+    assert tuple(point_mask(v["wedge"]) for v in data["vertices"]) == level.wedges
 
 
 def test_complex_json_without_vertices():

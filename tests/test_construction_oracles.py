@@ -72,15 +72,16 @@ def _system(family):
 @given(overlapping_family())
 def test_vertices_match_product_scan(family):
     for lam in all_lambdas(len(family.covers)):
-        assert build_vertices(family, lam) == product_scan_vertices(family, lam)
+        # in order: vertex ids, level files and bonds follow the lexicographic order
+        assert list(build_vertices(family, lam).items()) == list(product_scan_vertices(family, lam).items())
 
 
 @given(overlapping_family())
 def test_wedge_graph_matches_fiber_graph(family):
     for lam in all_lambdas(len(family.covers)):
-        verts = build_vertices(family, lam)
-        fibers = point_fibers(verts, family.ground.n_points)
-        assert wedge_graph(verts) == wedge_adjacency(fibers, len(verts))
+        wedges = list(build_vertices(family, lam).values())
+        fibers = point_fibers(wedges, family.ground.n_points)
+        assert wedge_graph(wedges) == wedge_adjacency(fibers, len(wedges))
 
 
 @st.composite
@@ -102,18 +103,18 @@ def test_edge_and_fiber_checks_match_full_check(family, data):
         # a bond with one vertex moved, or any map between its levels
         i, j = data.draw(st.sampled_from(sorted(system._bonds)))
         lo, hi = system.levels[i], system.levels[j]
-        vm = data.draw(other_map(system.bond(i, j), len(lo.vertices)))
+        vm = data.draw(other_map(system.bond(i, j), len(lo.wedges)))
     else:
         # any two levels: the checks need only a flag or nerve target
         lo, hi = (data.draw(st.sampled_from(system.levels)) for _ in range(2))
-        size, n = len(hi.vertices), len(lo.vertices)
+        size, n = len(hi.wedges), len(lo.wedges)
         vm = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size)))
 
     flag_ok = unmapped_edge(vm, hi.adjacency, lo.adjacency) is None
     assert flag_ok == full_bond_check(vm, level_flag(hi, 7), level_flag(lo, 7))
-    assert flag_ok == (unmapped(vm, graph_edges(hi.adjacency), lo.vertices) is None)
-    fibers = point_fibers(hi.vertices, family.ground.n_points)
-    nerve_ok = unmapped(vm, fibers, lo.vertices) is None
+    assert flag_ok == (unmapped(vm, graph_edges(hi.adjacency), lo.wedges) is None)
+    fibers = point_fibers(hi.wedges, family.ground.n_points)
+    nerve_ok = unmapped(vm, fibers, lo.wedges) is None
     assert nerve_ok == full_bond_check(vm, level_nerve(hi, 7), level_nerve(lo, 7))
     # a map that keeps each point's fiber inside its fiber (build_system's
     # test), or passes the nerve half (simpliciality's), passes the flag half
@@ -128,7 +129,7 @@ def test_simpliciality_report_matches_full_check(family, data):
     assert check_simpliciality(system) == full_check_simpliciality(system)
     # replace one bond by another vertex map, often not simplicial
     pair = data.draw(st.sampled_from(sorted(system._bonds)))
-    n = len(system.levels[pair[0]].vertices)
+    n = len(system.levels[pair[0]].wedges)
     system._bonds[pair] = data.draw(other_map(system.bond(*pair), n))
     assert check_simpliciality(system) == full_check_simpliciality(system)
 
@@ -146,7 +147,7 @@ def test_simpliciality_catches_a_bond_simplicial_only_on_flags():
     system = build_system(family)
     i, j = system.position[LambdaIndex.of([0])], system.position[LambdaIndex.of([0, 1])]
     vm = list(system.bond(i, j))
-    index_of = {v.elements: k for k, v in enumerate(system.levels[j].vertices)}
+    index_of = {e: k for k, e in enumerate(system.levels[j].elements)}
     # three vertices over point 0 onto the three vertices of the hollow triangle
     for elements, target in (((0, 0), 0), ((0, 1), 1), ((0, 2), 2)):
         vm[index_of[elements]] = target
@@ -166,5 +167,5 @@ def test_cantor_d6_top_level_has_64_vertices():
     verts = build_vertices(family, LambdaIndex.of(range(6)))
     assert len(verts) == 64
     # each point is the whole wedge of exactly one vertex
-    assert sorted(p for v in verts for p in members(v.wedge)) == list(space.points)
+    assert sorted(p for w in verts.values() for p in members(w)) == list(space.points)
 

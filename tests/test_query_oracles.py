@@ -196,7 +196,7 @@ def test_canonical_maps_of_presets_match_scan(preset_systems):
 @given(weighted_systems(), st.integers(0, 2**16))
 def test_cauchy_and_converge_match_scans(system, seed):
     rng = random.Random(seed)
-    sizes = [len(level.vertices) for level in system.levels]
+    sizes = [len(level.wedges) for level in system.levels]
     threads = vertex_threads(system)
     non_max = non_max_levels(system)
     for _ in range(20):
@@ -313,7 +313,7 @@ def test_quotient_comparisons_differ_only_where_fibers_disagree_with_wedges():
         level = system.levels[p]
         x = rng.randrange(len(level.fibers))
         fiber = level.fibers[x]
-        outside = [v for v in range(len(level.vertices)) if v not in fiber]
+        outside = [v for v in range(len(level.wedges)) if v not in fiber]
         fibers = list(level.fibers)
         if len(fiber) > 1 and (not outside or rng.random() < 0.5):
             dropped = rng.choice(fiber)
@@ -430,8 +430,7 @@ def test_clique_numbers_and_thread_classes_on_benchmark_families(benchmark_syste
 def test_one_search_build_matches_two_searches_on_benchmark_families(benchmark_systems, name):
     system = benchmark_systems[name]
     for level in system.levels:
-        wedges = [v.wedge for v in level.vertices]
-        flag, nerve = build_complexes(level.lam, level.adjacency, wedges, system.max_dim)
+        flag, nerve = build_complexes(level.lam, level.adjacency, level.wedges, system.max_dim)
         expected = two_search_build(level.lam, level.adjacency, level.fibers, system.max_dim)
         assert (flag, nerve) == expected, level.lam
         assert (nerve is flag) == (nerve == flag), level.lam
@@ -593,7 +592,7 @@ def _caught_elsewhere(system):
 def _move_a_bond_entry(system, rng):
     pair = rng.choice(sorted(system._bonds))
     bond = list(system.bond(*pair))
-    bond[rng.randrange(len(bond))] = rng.randrange(len(system.levels[pair[0]].vertices))
+    bond[rng.randrange(len(bond))] = rng.randrange(len(system.levels[pair[0]].wedges))
     system._bonds[pair] = tuple(bond)
 
 
@@ -677,7 +676,7 @@ def test_fiber_and_skeleton_checks_differ_from_their_oracles_only_where_another_
         else:
             monkeypatch.setattr(
                 systems, "point_fibers",
-                lambda vertices, n: _drop_from_a_fiber(point_fibers(vertices, n), rng),
+                lambda wedges, n: _drop_from_a_fiber(point_fibers(wedges, n), rng),
             )
             try:
                 system = build_system(system.family, [lv.lam for lv in system.levels])
@@ -721,12 +720,12 @@ def _assert_wedge_masks_match_element_sets(system):
     """Each vertex's wedge, ``carrier_wedge`` on every point fiber and flag
     simplex, and ``thread_image`` on every canonical and vertex thread,
     against the wedges read as point sets from the covers."""
-    sets = [element_wedges(system.family, lv.lam, lv.vertices) for lv in system.levels]
+    sets = [element_wedges(system.family, lv.lam, lv.elements) for lv in system.levels]
     for level, wedges in zip(system.levels, sets):
-        assert [members(v.wedge) for v in level.vertices] == [sorted(w) for w in wedges]
+        assert [members(w) for w in level.wedges] == [sorted(w) for w in wedges]
         for s in [*level.fibers, *level_flag(level, system.max_dim)]:
             expected = frozenset.intersection(*(wedges[v] for v in s))
-            assert members(carrier_wedge(level.vertices, s)) == sorted(expected), s
+            assert members(carrier_wedge(level.wedges, s)) == sorted(expected), s
     threads = [canonical_thread(system, x) for x in system.family.ground.points]
     threads += [tuple((v,) for v in z) for z in vertex_threads(system)]
     for z in threads:
@@ -786,7 +785,7 @@ def test_samples_follow_the_exact_rules(system, seed):
         weights = [Fraction(rng.randint(1, 9)) for _ in s]
         point = BarycentricPoint.from_dict({v: w / sum(weights) for v, w in zip(s, weights)})
         image = point_image(system, point_thread(system, point))
-        assert image == carrier_wedge(top.vertices, s)
+        assert image == carrier_wedge(top.wedges, s)
         if image.bit_count() == 1:
             x = image.bit_length() - 1
             assert x in resolved and set(s) <= set(top.fibers[x])

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from nervelim.complexes import LambdaIndex, Vertex
+from nervelim.complexes import LambdaIndex
 from nervelim.ground import (
     Arcs,
     Balls,
@@ -52,8 +52,6 @@ def _element(i, points):
 # the same class with other fields)
 VALUES = [
     (LambdaIndex((0, 2)), LambdaIndex.of([2, 0]), ((0, 2),), LambdaIndex((0,))),
-    (Vertex((0, 1), frozenset({3})), Vertex((0, 1), frozenset({3})), ((0, 1), frozenset({3})),
-     Vertex((0, 2), frozenset({3}))),
     (_element(0, {1}), _element(0, {1}), (0, frozenset({1})), _element(1, {1})),
     (Cover(0, (_element(0, {0, 1}),)), Cover(0, (_element(0, {1, 0}),)),
      (0, (_element(0, {0, 1}),)), Cover(1, (_element(0, {0, 1}),))),
@@ -140,7 +138,6 @@ def test_parameter_reprs_name_their_fields():
         (lambda: LambdaIndex(()), "level index must be nonempty"),
         (lambda: LambdaIndex((1, 0)), "sorted and deduplicated"),
         (lambda: LambdaIndex((0, 0)), "sorted and deduplicated"),
-        (lambda: Vertex((0,), 0), "vertex wedge must be nonempty"),
         (lambda: CoverElement(0, frozenset()), "cover elements must be nonempty"),
         (lambda: Cover(0, (_element(1, {0}),)), "element ids must be 0..k-1"),
         (lambda: GroundSpace(0), "at least one point"),

@@ -133,12 +133,12 @@ def thick_levels():
 def tuple_payload(level):
     """A level file's contents with its complexes as simplex tuples, the
     form ``json.dumps`` takes."""
-    flag, nerve = build_complexes(level.lam, level.adjacency, [v.wedge for v in level.vertices], 16)
+    flag, nerve = build_complexes(level.lam, level.adjacency, level.wedges, 16)
     return {
         "format_version": FORMAT_VERSION,
         "lambda": list(level.lam.cover_ids),
-        "flag_complex": complex_to_json(level.lam, level.vertices, flag, True),
-        "nerve_complex": complex_to_json(level.lam, level.vertices, nerve, False),
+        "flag_complex": complex_to_json(level.lam, level.elements, level.wedges, flag, True),
+        "nerve_complex": complex_to_json(level.lam, level.elements, level.wedges, nerve, False),
     }
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -98,16 +99,15 @@ def dyadic_pair_system():
 def test_bond_identity(cantor_system):
     i = _at(cantor_system, 0, 1)
     bond = cantor_system.bond(i, i)
-    assert bond == tuple(range(len(cantor_system.levels[i].vertices)))
+    assert bond == tuple(range(len(cantor_system.levels[i].wedges)))
 
 
 def test_bond_drops_coordinates(cantor_system):
     top, i = _at(cantor_system, 0, 1, 2), _at(cantor_system, 0, 1)
     assert top == cantor_system.top
     bond = cantor_system.bond(i, top)
-    for v_id, v in enumerate(cantor_system.levels[top].vertices):
-        image = cantor_system.levels[i].vertices[bond[v_id]]
-        assert image.elements == v.elements[:2]
+    for v_id, elements in enumerate(cantor_system.levels[top].elements):
+        assert cantor_system.levels[i].elements[bond[v_id]] == elements[:2]
 
 
 def test_bond_requires_comparable(cantor_system):
@@ -181,6 +181,70 @@ def test_build_system_rejects_a_bond_that_moves_a_point_off_its_fiber(
 
 
 # ---------------------------------------------------------------------------
+# the size guards
+
+
+def test_the_level_guard_admits_exactly_its_count(monkeypatch):
+    # three covers of one element each: every level has one vertex, and
+    # all levels are seven.  Past the guard no level is listed
+    family = CoverFamily(tuple(cover_from_pointsets(i, [{0, 1}]) for i in range(3)), GroundSpace(2))
+    lams = systems.all_lambdas(3)
+    monkeypatch.setattr(systems, "MAX_LEVELS", 7)
+    assert [lv.lam for lv in build_system(family).levels] == lams
+    assert len(build_system(family, lams).levels) == 7
+    monkeypatch.setattr(systems, "MAX_LEVELS", 6)
+    assert len(build_system(family, lams[:6]).levels) == 6
+    monkeypatch.setattr(systems, "all_lambdas", lambda n: pytest.fail("levels listed"))
+    for lambdas in (None, lams):
+        with pytest.raises(GuardExceeded, match=r"^7 levels exceed the level guard \(6 levels\)$"):
+            build_system(family, lambdas)
+
+
+def test_the_vertex_guard_admits_exactly_its_count(monkeypatch):
+    # two covers of three copies of {0, 1}: point 0 lies in all nine
+    # element tuples of level {0,1}, which are refused before they are
+    # listed.  One cover of five singletons: no point lies in more than
+    # one tuple, and the tuples are refused at the first point past the
+    # guard
+    import nervelim.complexes
+
+    copies = CoverFamily(
+        tuple(cover_from_pointsets(i, [{0, 1}] * 3) for i in range(2)), GroundSpace(2)
+    )
+    singletons = CoverFamily((cover_from_pointsets(0, [{x} for x in range(5)]),), GroundSpace(5))
+    monkeypatch.setattr(nervelim.complexes, "MAX_VERTICES", 9)
+    assert [len(lv.wedges) for lv in build_system(copies).levels] == [3, 3, 9]
+    monkeypatch.setattr(nervelim.complexes, "MAX_VERTICES", 8)
+    message = "level {0,1}: point 0 lies in 9 element tuples, which exceeds the vertex guard (8 vertices)"
+    with pytest.raises(GuardExceeded, match=f"^{re.escape(message)}$"):
+        build_system(copies)
+    monkeypatch.setattr(nervelim.complexes, "MAX_VERTICES", 5)
+    assert len(build_system(singletons).levels[0].wedges) == 5
+    monkeypatch.setattr(nervelim.complexes, "MAX_VERTICES", 2)
+    message = "level {0}: 3 vertices by point 2 exceed the vertex guard (2 vertices)"
+    with pytest.raises(GuardExceeded, match=f"^{re.escape(message)}$"):
+        build_system(singletons)
+
+
+def test_the_system_vertex_guard_admits_exactly_its_count(monkeypatch):
+    # two covers of three copies of {0, 1}: levels {0}, {1} and {0,1} have
+    # 3, 3 and 9 vertices.  Past the guard the last level's fibers and
+    # adjacency are not built
+    copies = CoverFamily(
+        tuple(cover_from_pointsets(i, [{0, 1}] * 3) for i in range(2)), GroundSpace(2)
+    )
+    monkeypatch.setattr(systems, "MAX_SYSTEM_VERTICES", 15)
+    assert [len(lv.wedges) for lv in build_system(copies).levels] == [3, 3, 9]
+    monkeypatch.setattr(systems, "MAX_SYSTEM_VERTICES", 14)
+    built = []
+    monkeypatch.setattr(systems, "point_fibers", lambda w, n: built.append(len(w)) or [()] * n)
+    message = "15 vertices in 3 levels exceed the system vertex guard (14 vertices)"
+    with pytest.raises(GuardExceeded, match=f"^{re.escape(message)}$"):
+        build_system(copies)
+    assert built == [3, 3]
+
+
+# ---------------------------------------------------------------------------
 # canonical maps
 
 
@@ -195,7 +259,7 @@ def test_canonical_map_support_contains_point(interval_system):
     for i, level in enumerate(interval_system.levels):
         for x in interval_system.family.ground.points:
             for vid in canonical_map(interval_system, i, x):
-                assert level.vertices[vid].wedge >> x & 1
+                assert level.wedges[vid] >> x & 1
 
 
 def _canonical_maps_commute_with_bonds(system):
@@ -302,8 +366,8 @@ def test_fibers_report_a_top_fiber_the_threads_overrun(monkeypatch):
     # point 1's fiber loses vertex 0, whose wedge {0, 1} still holds point 1
     point_fibers = systems.point_fibers
 
-    def dropped(vertices, n_points):
-        fibers = point_fibers(vertices, n_points)
+    def dropped(wedges, n_points):
+        fibers = point_fibers(wedges, n_points)
         fibers[1] = fibers[1][1:]
         return fibers
 
@@ -466,9 +530,8 @@ def test_fiber_adjacency_disjoint_cylinders(cantor_system):
     ia, ib = vertex_thread_image(cantor_system, za), vertex_thread_image(cantor_system, zb)
     assert ia != ib
     t = cantor_system.top
-    va = cantor_system.levels[t].vertices[za[t]]
-    vb = cantor_system.levels[t].vertices[zb[t]]
-    assert not va.wedge & vb.wedge
+    wedges = cantor_system.levels[t].wedges
+    assert not wedges[za[t]] & wedges[zb[t]]
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +558,9 @@ def test_a_check_run_reads_the_wedge_graph_once_per_level(preset_systems, monkey
     calls = []
     wedge_graph = systems.wedge_graph
 
-    def counted(vertices):
-        calls.append(len(vertices))
-        return wedge_graph(vertices)
+    def counted(wedges):
+        calls.append(len(wedges))
+        return wedge_graph(wedges)
 
     monkeypatch.setattr(systems, "wedge_graph", counted)
     for name, (_, _, system) in preset_systems.items():
@@ -508,7 +571,7 @@ def test_a_check_run_reads_the_wedge_graph_once_per_level(preset_systems, monkey
                 runner(ctx)
             except (PreconditionUnmet, GuardExceeded):
                 pass
-        assert calls == [len(level.vertices) for level in system.levels], name
+        assert calls == [len(level.wedges) for level in system.levels], name
 
 
 @given(family_and_lambda() | planted_triangles())
@@ -563,12 +626,12 @@ def test_skeleton_equality_catches_a_missing_fiber_vertex(preset_systems, monkey
         (x, v)
         for x, fib in enumerate(level.fibers)
         for v, w in ((v, w) for v in fib for w in fib if v != w)
-        if level.vertices[v].wedge & level.vertices[w].wedge == 1 << x
+        if level.wedges[v] & level.wedges[w] == 1 << x
     )
     point_fibers = systems.point_fibers
 
-    def corrupted(vertices, n_points):
-        fibers = point_fibers(vertices, n_points)
+    def corrupted(wedges, n_points):
+        fibers = point_fibers(wedges, n_points)
         fibers[x] = tuple(u for u in fibers[x] if u != v)
         return fibers
 
@@ -595,7 +658,7 @@ def test_skeleton_equality_catches_a_nerve_edge_missing_from_the_fibers(preset_s
         (x, v, w)
         for x, fib in enumerate(level.fibers)
         for v, w in ((v, w) for v in fib for w in fib if v < w)
-        if level.vertices[v].wedge & level.vertices[w].wedge == 1 << x
+        if level.wedges[v] & level.wedges[w] == 1 << x
     )
     fibers = list(level.fibers)
     fibers[x] = tuple(u for u in fibers[x] if u != v)
@@ -615,9 +678,9 @@ def test_flag_reconstruction_catches_a_nerve_simplex_off_the_wedges(preset_syste
     family, lam = _top_only(preset_systems, "circle-a3")
     point_fibers = systems.point_fibers
 
-    def corrupted(vertices, n_points):
-        fibers = point_fibers(vertices, n_points)
-        fibers[0] = tuple(range(len(vertices)))
+    def corrupted(wedges, n_points):
+        fibers = point_fibers(wedges, n_points)
+        fibers[0] = tuple(range(len(wedges)))
         return fibers
 
     monkeypatch.setattr(systems, "point_fibers", corrupted)
