@@ -38,28 +38,39 @@ TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-x", "-p", "n
 # (file under src/nervelim, line, replacement)
 MUTANTS: list[tuple[str, str, str]] = [
     # the nerve's append test: every clique kept, so the nerve is the flag complex
-    ("complexes.py", "if shared:", "if True:"),
+    ("complexes.py", "elif shared:", "else:"),
     # the nerve always, and never, the flag complex's own tuple
     ("complexes.py",
-     "return flag, flag if len(sub) == len(out) else tuple(sub)",
+     "return flag, flag if not missed else tuple(sub)",
      "return flag, flag"),
     ("complexes.py",
-     "return flag, flag if len(sub) == len(out) else tuple(sub)",
+     "return flag, flag if not missed else tuple(sub)",
      "return flag, tuple(sub)"),
+    # a clique whose wedges share no point left uncounted, so the nerve is
+    # taken for the flag complex; and the nerve's search not pruned there
+    ("complexes.py", "missed += 1", "pass"),
+    ("complexes.py", "if pruned:", "if False:"),
     # a clique's row text left without its close, and the clique size not
     # stepped, so that no clique meets the guard
     ("complexes.py", "row = label + close", "row = label"),
     ("complexes.py",
      "extend(label + rest[v], k + 1, c & up[v], shared & points[v])",
      "extend(label + rest[v], k, c & up[v], shared & points[v])"),
+    # the streaming search's flush bound: never met before the end, so
+    # every row is held, and met one row late
+    ("complexes.py", "if len(out) == _CHUNK:", "if False:"),
+    ("complexes.py", "if len(out) == _CHUNK:", "if len(out) == _CHUNK + 1:"),
     # row text written at any indent
     ("report.py", "if nl != _ROWS_NL:", "if False:"),
-    # row text's slices written with no comma between them, and each
-    # slice cut one row short
+    # streamed rows written with no comma between two lists of them, and
+    # an empty list written as a comma
     ("report.py", "lead = between", "lead = between[1:]"),
-    ("report.py",
-     "write(lead + between.join(rows[i:i + _CHUNK]))",
-     "write(lead + between.join(rows[i:i + _CHUNK - 1]))"),
+    ("report.py", "if rows:", "if True:"),
+    # a nerve always copied from the flag complex, and never: searched again
+    ("report.py", "if nerve and span[2]:", "if nerve:"),
+    ("report.py", "if nerve and span[2]:", "if False:"),
+    # the copied text ending one byte, or one piece, short
+    ("report.py", "start, end = span[:2]", "start, end = span[0], span[1] - 1"),
     # check leaving an earlier run's Betti table and quotient in place
     ("cli.py", "if fname not in extras:", "if False:"),
     # build leaving an earlier build's level files in place

@@ -21,7 +21,7 @@ from .complexes import (DEFAULT_MAX_DIM, MAX_DIM_LIMIT, LambdaIndex, build_compl
 from .errors import GuardExceeded, InputError, PreconditionUnmet
 from .ground import family_to_json, load_family, load_space, space_to_json
 from .presets import PRESETS, Preset, file_preset
-from .report import FORMAT_VERSION, Report, RowText, read_json, row_steps, write_json
+from .report import FORMAT_VERSION, Report, level_rows, read_json, row_steps, write_json
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -109,14 +109,16 @@ def _parse_checks(spec: str) -> list[str]:
 
 
 def _level_payload(level: systems.Level, max_dim: int) -> dict:
-    """A level file's contents, its complexes' rows as the search's text."""
-    lam, wedges = level.lam, level.wedges
-    flag, nerve = build_complexes(lam, level.adjacency, wedges, max_dim, row_steps(len(wedges)))
+    """A level file's contents, its complexes' rows as the search's text,
+    found while the file is written."""
+    lam, wedges, steps = level.lam, level.wedges, row_steps(len(level.wedges))
+    flag, nerve = level_rows(lambda flush, nerve: build_complexes(
+        lam, level.adjacency, wedges, max_dim, steps, flush, nerve))
     return {
         "format_version": FORMAT_VERSION,
         "lambda": list(lam.cover_ids),
-        "flag_complex": complex_to_json(lam, level.elements, wedges, RowText(flag), True),
-        "nerve_complex": complex_to_json(lam, level.elements, wedges, RowText(nerve), False),
+        "flag_complex": complex_to_json(lam, level.elements, wedges, flag, True),
+        "nerve_complex": complex_to_json(lam, level.elements, wedges, nerve, False),
     }
 
 
@@ -130,7 +132,7 @@ def cmd_build(config: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "space.json", space_to_json(system.family.ground))
     write_json(out / "covers.json", family_to_json(system.family))
-    # one level's complexes at a time, alive while its file is written
+    # each level's complexes found while its file is written, and not kept
     written = set()
     for level in levels:
         tag = "-".join(str(i) for i in level.lam.cover_ids)

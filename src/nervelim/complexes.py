@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import product
 from operator import and_, mul
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import GuardExceeded
 from .ground import CoverFamily, CoverId, ElementId
@@ -26,6 +26,7 @@ from .records import Record
 DEFAULT_MAX_DIM = 8
 MAX_DIM_LIMIT = 256  # the CLI's largest guard; the clique search recurses once per vertex
 MAX_VERTICES = 1 << 15  # a level's vertex guard: its adjacency then takes at most 128 MiB
+_CHUNK = 512  # the cliques a streaming search hands on at once: bounds the rows held
 
 Simplex = tuple[int, ...]
 # an abstract complex on vertex ids 0..n-1: its simplices, downward closed and
@@ -173,9 +174,9 @@ def build_flag(lam: LambdaIndex, adjacency: Sequence[int], max_dim: int) -> Comp
     return _all_cliques(adjacency, [0] * len(adjacency), max_dim, _level_name(lam) + ": ")[0]
 
 
-def _all_cliques(
-    adj: Sequence[int], points: Sequence[int], max_dim: int, where: str, steps: Steps | None = None
-) -> tuple[tuple, tuple]:
+def _all_cliques(adj: Sequence[int], points: Sequence[int], max_dim: int, where: str,
+                 steps: Steps | None = None, flush: Callable[[list], Any] | None = None,
+                 pruned: bool = False) -> Any:
     """Every clique up to max_dim+1 vertices and, as the first's tuple when
     equal, those whose ``points`` bitmasks share a bit, in lexicographic
     order: a depth-first search adding larger neighbours in ascending
@@ -183,18 +184,23 @@ def _all_cliques(
     and among that vertex's higher neighbours, read from a table built
     once.  A clique v < w < ... is ``first[v] + rest[w] + ... + close`` of
     ``steps``, grown from its parent's label by one step; by default the
-    simplex tuple.  Raises past the guard; the message starts with
+    simplex tuple.  With ``flush``, it keeps no clique but hands them to
+    ``flush`` in lists of ``_CHUNK`` (the last one shorter), and returns
+    whether every clique's bitmasks share a bit; ``pruned``, it enters
+    only those cliques.  Raises past the guard; the message starts with
     ``where`` and gives the size of a maximal clique grown greedily from
     the first clique past the guard.
     """
     singles = [(v,) for v in range(len(adj))]
     first, rest, close = steps or (singles, singles, ())
     out: list = []
-    sub: list = []
+    sub: list = []  # the cliques whose bitmasks share a bit, when kept
+    missed = 0  # the cliques whose bitmasks share none
     # each vertex's higher neighbours
     up = [a >> (v + 1) << (v + 1) for v, a in enumerate(adj)]
 
     def extend(label: Any, k: int, candidates: int, shared: int) -> None:
+        nonlocal missed
         if k > max_dim + 1:
             size = k
             while candidates:
@@ -205,9 +211,17 @@ def _all_cliques(
                 f"{where}a clique of {size} vertices exceeds the dimension guard"
                 f" (max_dim {max_dim} allows {max_dim + 1})"
             )
+        if not shared:
+            if pruned:
+                return
+            missed += 1
         row = label + close
         out.append(row)
-        if shared:
+        if flush:
+            if len(out) == _CHUNK:
+                flush(out)
+                out.clear()
+        elif shared:
             sub.append(row)
         c = candidates
         while c:
@@ -219,8 +233,11 @@ def _all_cliques(
 
     for v in range(len(adj)):
         extend(first[v], 1, up[v], points[v])
+    if flush:
+        flush(out)
+        return not missed
     flag = tuple(out)
-    return flag, flag if len(sub) == len(out) else tuple(sub)
+    return flag, flag if not missed else tuple(sub)
 
 
 def maximal_cliques(lam: LambdaIndex, adjacency: Sequence[int], max_dim: int) -> list[Simplex]:
@@ -251,15 +268,16 @@ def maximal_cliques(lam: LambdaIndex, adjacency: Sequence[int], max_dim: int) ->
 
 
 def build_complexes(lam: LambdaIndex, adjacency: Sequence[int], wedges: Sequence[int], max_dim: int,
-                    steps: Steps | None = None) -> tuple[Complex, Complex]:
+                    steps: Steps | None = None, flush: Callable[[list], Any] | None = None,
+                    nerve: bool = False) -> Any:
     """A level's flag complex and nerve, or a core's on its own vertex ids,
     given the vertices' wedges, from one search, which guards the flag
     complex (a nerve simplex is a clique).  A nerve is downward closed, so
     it is the part of the flag complex's lexicographic order whose wedges
     share a point (Zomorodian, "Fast construction of the Vietoris-Rips
-    complex", 2010).  With ``steps``, each simplex is the label those
-    steps give it, as in ``_all_cliques``."""
-    return _all_cliques(adjacency, wedges, max_dim, _level_name(lam) + ": ", steps)
+    complex", 2010).  ``steps`` label the simplices, and ``flush`` takes
+    the flag complex or the ``nerve``, as in ``_all_cliques``."""
+    return _all_cliques(adjacency, wedges, max_dim, _level_name(lam) + ": ", steps, flush, nerve)
 
 
 def carrier_wedge(wedges: Sequence[int], carrier: Sequence[int]) -> int:
@@ -274,8 +292,8 @@ def carrier_wedge(wedges: Sequence[int], carrier: Sequence[int]) -> int:
 def complex_to_json(lam: LambdaIndex, elements: Sequence[tuple[ElementId, ...]],
                     wedges: Sequence[int], cx: Any, flag: bool) -> dict:
     """A complex of level ``lam`` on the vertices of these element tuples and
-    wedges, as a level file holds it; ``cx`` is the complex or its
-    ``report.RowText``, and ``flag`` tells the flag complex from the nerve."""
+    wedges, as a level file holds it; ``cx`` is the complex or its writer
+    from ``report.level_rows``, and ``flag`` tells the flag complex from the nerve."""
     return {
         "lambda": list(lam.cover_ids),
         "vertices": [{"tuple": list(e), "wedge": members(w)} for e, w in zip(elements, wedges)],

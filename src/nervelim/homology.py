@@ -23,15 +23,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .complexes import (
-    Complex,
-    LambdaIndex,
-    Simplex,
-    build_complexes,
-    maximal_cliques,
-    members,
-    wedge_adjacency,
-)
+from .complexes import (Complex, LambdaIndex, Simplex, build_complexes, maximal_cliques, members,
+                        wedge_adjacency)
 from .records import Record
 from .systems import InverseSystem, Level
 

@@ -14,24 +14,9 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .checks import ALL_CHECKS
-from .ground import (
-    Arcs,
-    Balls,
-    CantorDepth,
-    CircleGrid,
-    CoverFamily,
-    Cylinders,
-    DyadicIntervals,
-    GroundSpace,
-    IntervalGrid,
-    PointId,
-    WedgeOfCircles,
-    ball_neighborhoods,
-    cover_from_pointsets,
-    generate_cover,
-    generate_space,
-    singleton_neighborhoods,
-)
+from .ground import (Arcs, Balls, CantorDepth, CircleGrid, CoverFamily, Cylinders, DyadicIntervals,
+                     GroundSpace, IntervalGrid, PointId, WedgeOfCircles, ball_neighborhoods,
+                     cover_from_pointsets, generate_cover, generate_space, singleton_neighborhoods)
 
 # Checks that need every vertex thread to resolve to a single point, or a
 # transitive thread relation; families of overlapping covers fail these at

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable
 
 from .errors import InputError
 from .records import Record
@@ -82,46 +83,70 @@ _INTS = {int}
 # containers are these types exactly: a NamedTuple record is refused, not
 # written as a list
 _CONTAINERS = {list, tuple, dict}
-# rows of a row list joined into one piece: bounds the text joined at once
-_CHUNK = 512
 # the indent of the line a level file's simplices list starts on
 _ROWS_NL = "\n    "
-
-
-class RowText(NamedTuple):
-    """A list of int rows, each already written as ``_emit`` writes it in a
-    level file's ``simplices``, from the steps of ``row_steps``."""
-
-    rows: Sequence[str]
+_BLOCK = 1 << 16  # the bytes a nerve copies from its level file at once
 
 
 def row_steps(n: int) -> tuple[list[str], list[str], str]:
     """The steps from which ``complexes._all_cliques`` grows a clique's
-    row text on vertex ids 0..n-1, as ``RowText`` holds it: the first
+    row text on vertex ids 0..n-1, as ``level_rows`` writes it: the first
     vertex's, each further vertex's, and the close."""
     cell, names = _ROWS_NL + "    ", [str(v) for v in range(n)]
     return ["[" + cell + v for v in names], ["," + cell + v for v in names], _ROWS_NL + "  ]"
 
 
+def level_rows(search: Callable[[Callable[[list], Any], bool], bool]) -> tuple[Callable, Callable]:
+    """A level file's flag complex and nerve ``simplices``, as two writers
+    that ``_emit`` calls with its ``write``, the append of ``dump_json``'s
+    pieces or the write of ``write_json``'s file.  ``search(flush, nerve)``
+    hands ``flush`` lists of the flag complex's rows, or the nerve's, as
+    text grown from ``row_steps``, and says whether the nerve is the flag
+    complex.  The flag complex is written first, as keys are sorted; a
+    nerve that is it copies what the sink holds of it (its pieces, or its
+    bytes read back in blocks), and any other nerve is searched for."""
+    span: list = []  # the rows last written: their place in the sink, and whether the nerve is them
+
+    def write_rows(write: Callable[[str], Any], nerve: bool = False) -> None:
+        sink = write.__self__  # type: ignore[attr-defined]
+        tell = sink.__len__ if type(sink) is list else sink.tell
+        if nerve and span[2]:
+            start, end = span[:2]
+            if type(sink) is list:
+                return sink.extend(sink[start:end])
+            sink.flush()
+            for at in range(start, end, _BLOCK):
+                write(os.pread(sink.fileno(), min(_BLOCK, end - at), at).decode())
+            return
+        start, lead, between = tell(), "[" + _ROWS_NL + "  ", "," + _ROWS_NL + "  "
+
+        def flush(rows: list) -> None:
+            nonlocal lead
+            if rows:
+                write(lead + between.join(rows))
+                lead = between
+
+        same = search(flush, nerve)
+        write(_ROWS_NL + "]" if lead is between else "[]")
+        span[:] = start, tell(), same
+
+    return write_rows, lambda write: write_rows(write, True)
+
+
 def _emit(o: Any, nl: str, write: Callable[[str], Any]) -> None:
     """Pass the pieces of ``o`` to ``write`` in order; ``nl`` is a newline
-    and the indent of the line ``o`` starts on.  The rows of a ``RowText``
-    are joined ``_CHUNK`` rows at a time, each piece written before the
-    next is joined."""
+    and the indent of the line ``o`` starts on.  A callable writes its own
+    pieces (``level_rows``), at a level file's simplices only."""
     if isinstance(o, str):
         write(_quote(o))
     elif o is None or isinstance(o, bool):
         write(_CONSTANTS[o])
     elif isinstance(o, int):
         write(_int(o))
-    elif type(o) is RowText:
+    elif callable(o):
         if nl != _ROWS_NL:
             raise ValueError(f"row text for indent {len(_ROWS_NL) - 1} met at indent {len(nl) - 1}")
-        rows, lead, between = o.rows, "[" + nl + "  ", "," + nl + "  "
-        for i in range(0, len(rows), _CHUNK):
-            write(lead + between.join(rows[i:i + _CHUNK]))
-            lead = between
-        write(nl + "]" if rows else "[]")
+        o(write)
     elif type(o) not in _CONTAINERS:
         write(_quote(_fraction(o)))
     elif not o:
@@ -154,9 +179,9 @@ def dump_json(obj: Any) -> str:
     sort_keys=True, indent=2)``, written without its pure-Python encoder.
     Leaves are None, bools, ints, strs and rationals, containers are lists,
     tuples and dicts but no subclass of them, and keys are strs: a float, a
-    subclass or another key is a ``TypeError``.  A ``RowText`` is written
-    as the list of its rows; met at another indent than a level file's
-    simplices, it is a ``ValueError``."""
+    subclass or another key is a ``TypeError``.  A callable writes a
+    level file's simplices (``level_rows``); met at another indent, it is
+    a ``ValueError``."""
     out: list[str] = []
     _emit(obj, "\n", out.append)
     out.append("\n")
@@ -165,10 +190,13 @@ def dump_json(obj: Any) -> str:
 
 def write_json(path: Path, obj: Any) -> None:
     """Write ``dump_json(obj)`` to the file at ``path``, passing its pieces
-    to the open file in order rather than joining them first.  A value
-    that cannot be written raises as ``dump_json`` does and removes the
-    file, so a failed write leaves none behind."""
-    f = Path(path).open("w")
+    to the open file in order rather than joining them first.  The file is
+    open to read as well, so that a nerve that is its flag complex is
+    copied from the bytes already written (``level_rows``).  A value that
+    cannot be written, or a search that raises while its rows are written,
+    raises as from ``dump_json`` and removes the file, so a failed write
+    leaves none behind."""
+    f = Path(path).open("w+")
     try:
         with f:
             _emit(obj, "\n", f.write)

@@ -16,19 +16,9 @@ from itertools import combinations
 from operator import and_
 from typing import Iterable, NamedTuple, Sequence
 
-from .complexes import (
-    DEFAULT_MAX_DIM,
-    LambdaIndex,
-    Simplex,
-    build_vertices,
-    carrier_wedge,
-    graph_edges,
-    maximal_cliques,
-    members,
-    point_fibers,
-    unmapped,
-    wedge_adjacency,
-)
+from .complexes import (DEFAULT_MAX_DIM, LambdaIndex, Simplex, build_vertices, carrier_wedge,
+                        graph_edges, maximal_cliques, members, point_fibers, unmapped,
+                        wedge_adjacency)
 from .errors import GuardExceeded, PreconditionUnmet
 from .ground import CoverFamily, ElementId, PointId
 from .report import Report

@@ -700,9 +700,9 @@ def test_build_decides_the_guard_before_it_searches_a_level(tmp_path, capsys, mo
         read.append(lam.json_key())
         return maximal(lam, adjacency, max_dim)
 
-    def searching(adj, points, max_dim, where, steps=None):
+    def searching(adj, points, max_dim, where, *rest):
         searched.append(where)
-        return search(adj, points, max_dim, where, steps)
+        return search(adj, points, max_dim, where, *rest)
 
     monkeypatch.setattr(nervelim.cli, "maximal_cliques", reading)
     monkeypatch.setattr(nervelim.complexes, "_all_cliques", searching)

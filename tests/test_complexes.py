@@ -39,6 +39,7 @@ from oracles import (
     vertex_point,
 )
 from nervelim.complexes import (
+    _CHUNK,
     DEFAULT_MAX_DIM,
     LambdaIndex,
     _all_cliques,
@@ -235,6 +236,36 @@ def test_row_text_is_json_dumps_of_each_simplex(data, max_dim):
     for text, rows in ((flag, expected[0]), (nerve, expected[1])):
         assert list(text) == [json.dumps(list(r), indent=2).replace("\n", "\n      ") for r in rows]
     assert (nerve is flag) == (expected[1] is expected[0])
+
+
+@given(graphs_and_masks(), st.sampled_from([0, 1, 2, 30]))
+def test_streamed_search_hands_on_the_tuple_search_rows(data, max_dim):
+    # with a flush, the search hands on the flag complex's rows, or pruned
+    # the nerve's, in the tuple search's order, and says whether the nerve
+    # is the flag complex; past the guard, it raises the same message
+    adj, masks = data
+    streams = [([], pruned) for pruned in (False, True)]
+    try:
+        flag, nerve = _all_cliques(adj, masks, max_dim, "")
+    except GuardExceeded as e:
+        with pytest.raises(GuardExceeded, match=f"^{re.escape(str(e))}$"):
+            _all_cliques(adj, masks, max_dim, "", None, lambda rows: None)
+        return
+    for (got, pruned), rows in zip(streams, (flag, nerve)):
+        same = _all_cliques(adj, masks, max_dim, "", None, lambda r: got.extend(r), pruned)
+        assert got == list(rows)
+        assert same == (True if pruned else nerve is flag)
+
+
+@pytest.mark.parametrize("count", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+def test_streamed_search_flushes_a_chunk_at_a_time(count):
+    # an edgeless graph has one clique per vertex: they are handed on in
+    # lists of _CHUNK, then the rest, and none is kept
+    chunks = []
+    wedges = [1] * count
+    assert _all_cliques([0] * count, wedges, 0, "", None, lambda rows: chunks.append(list(rows)))
+    assert [len(c) for c in chunks] == [_CHUNK] * (count // _CHUNK) + [count % _CHUNK]
+    assert [r for c in chunks for r in c] == [(v,) for v in range(count)]
 
 
 def test_downward_closure_validation():
