@@ -22,7 +22,10 @@ Each checkout runs, from its own directory under the work directory:
 - ``build`` of circle-96 (arcs 3/6/12/24/48, overlap 0) at ``--max-dim
   16``, its input written with circle-48's: the top level {0,1,2,3,4} has
   a clique of 32 vertices, so ``build`` exits 2 with the guard message and
-  writes no output directory, after 30 levels that pass the guard;
+  writes no output directory, after 30 levels that pass the guard; then
+  its default ``check`` at ``--max-dim 16``, all 15 checks over its 31
+  levels, where ``nerve_absorption`` and ``betti_stabilization`` are
+  skipped with that guard's message;
 - ``check --checks equivalence_classes,quotient_comparison`` of one-class,
   three points under one cover of one element, its input written with
   circle-48's: one thread class for three points, so the comparison fails
@@ -143,6 +146,7 @@ def commands() -> list[tuple[str, ...]]:
          "--out", "circle-48-build"),
         ("check", *_family("circle-48"), "--max-dim", "16", "--out", "circle-48-check"),
         ("build", *_family("circle-96"), "--max-dim", "16", "--out", "circle-96-build"),
+        ("check", *_family("circle-96"), "--max-dim", "16", "--out", "circle-96-check"),
         ("check", *_family("one-class"), "--checks", "equivalence_classes,quotient_comparison",
          "--out", "one-class-check"),
         ("check", *_family("star-300"),

@@ -116,17 +116,33 @@ MUTANTS: list[tuple[str, str, str]] = [
      "vertex_map = [core_i.retraction[bond[v]] for v in core_j.vertices]",
      "vertex_map = [bond[v] for v in core_j.vertices]"),
     # flag_reconstruction without its graph comparison
-    ("systems.py", "if level.adjacency != wedge_graph(level.wedges):", "if False:"),
+    ("systems.py", "if level.adjacency != graph:", "if False:"),
     # flag_reconstruction comparing the fibers' count, not the fibers
     ("systems.py",
-     "if level.fibers != wedge_fibers(level.wedges, n_points):",
-     "if len(level.fibers) != len(wedge_fibers(level.wedges, n_points)):"),
-    # the wedge graph joining every two vertices, and the wedge fibers
-    # reading the point id as its bit
-    ("systems.py", "if v & w:", "if v | w:"),
+     "if level.fibers != [tuple(members(h)) for h in holders[:n_points]]:",
+     "if len(level.fibers) != len(holders[:n_points]):"),
+    # the wedge graph joining each vertex to itself, holders sized by the
+    # ground points alone or by a bare max, which a level with no vertices
+    # breaks, fibers read past the ground points, and one wedge's bits skipped
     ("systems.py",
-     "return [tuple(i for i, w in enumerate(wedges) if w >> x & 1) for x in range(n_points)]",
-     "return [tuple(i for i, w in enumerate(wedges) if w & x) for x in range(n_points)]"),
+     "graph = [reduce(or_, map(holders.__getitem__, xs), 0) & ~(1 << v)",
+     "graph = [reduce(or_, map(holders.__getitem__, xs), 0)"),
+    ("systems.py",
+     "holders = [0] * max([n_points, *map(int.bit_length, level.wedges)])",
+     "holders = [0] * n_points"),
+    ("systems.py",
+     "holders = [0] * max([n_points, *map(int.bit_length, level.wedges)])",
+     "holders = [0] * max(n_points, *map(int.bit_length, level.wedges))"),
+    ("systems.py",
+     "if level.fibers != [tuple(members(h)) for h in holders[:n_points]]:",
+     "if level.fibers != [tuple(members(h)) for h in holders]:"),
+    ("systems.py", "for v, xs in enumerate(bits):", "for v, xs in enumerate(bits[1:], 1):"),
+    # balls comparing euclidean squared distances with unsquared radii,
+    # and counting the label characters that agree
+    ("ground.py", "bounds = [r * r for r in bounds]", "pass"),
+    ("ground.py",
+     "row = [sum(map(str.__ne__, self.labels[center], q)) for q in self.labels]",
+     "row = [sum(map(str.__eq__, self.labels[center], q)) for q in self.labels]"),
     # skeleton_equality never comparing the nerve's edges with the flag complex's
     ("systems.py",
      "if wedge_adjacency(level.fibers, len(level.wedges)) != level.adjacency:",

@@ -68,40 +68,22 @@ class GroundSpace(Record):
     def points(self) -> range:
         return range(self.n_points)
 
-    def distance(self, p: PointId, q: PointId) -> Fraction:
-        if self.metric is Metric.NONE:
-            raise ValueError("space has no metric")
-        if self.metric is Metric.HAMMING:
-            if self.labels is None:
-                raise ValueError("hamming metric needs bitstring labels")
-            a, b = self.labels[p], self.labels[q]
-            return Fraction(sum(x != y for x, y in zip(a, b)))
-        assert self.coords is not None
-        a, b = self.coords[p], self.coords[q]
-        if self.metric is Metric.CIRCLE_ARC:
-            return _arc_distance(a, b)
-        if len(a) == 1:
-            return abs(a[0] - b[0])
-        return _euclidean_distance(a, b)
-
-    def distance_sq(self, p: PointId, q: PointId) -> Fraction:
-        """Exact squared distance; preferred for euclidean comparisons."""
-        if self.metric is Metric.EUCLIDEAN:
-            assert self.coords is not None
-            a, b = self.coords[p], self.coords[q]
-            return sum(((x - y) ** 2 for x, y in zip(a, b)), Fraction(0))
-        return self.distance(p, q) ** 2
-
     def balls(self, center: PointId, radii: Sequence[Fraction]) -> list[frozenset[PointId]]:
         """The closed metric balls about ``center``, one per radius, decided
-        by exact comparisons with one row of distances: squared under the
-        euclidean metric, plain otherwise."""
+        by exact comparisons with one row of distances: squared sums under
+        the euclidean metric, arc lengths under the circle-arc metric, and
+        counts of differing label characters under the hamming metric."""
+        bounds = [Fraction(r) for r in radii]
         if self.metric is Metric.EUCLIDEAN:
-            row = [self.distance_sq(center, p) for p in self.points]
-            bounds = [Fraction(r) * Fraction(r) for r in radii]
+            c = self.coords[center]
+            row = [sum((x - y) ** 2 for x, y in zip(c, q)) for q in self.coords]
+            bounds = [r * r for r in bounds]
+        elif self.metric is Metric.CIRCLE_ARC:
+            row = [_arc_distance(self.coords[center], q) for q in self.coords]
+        elif self.metric is Metric.HAMMING:
+            row = [sum(map(str.__ne__, self.labels[center], q)) for q in self.labels]
         else:
-            row = [self.distance(center, p) for p in self.points]
-            bounds = [Fraction(r) for r in radii]
+            raise ValueError("space has no metric")
         return [frozenset(p for p, d in enumerate(row) if d <= bound) for bound in bounds]
 
 
@@ -120,16 +102,6 @@ def _arc_distance(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> Fraction:
     if ca == cb:
         return _arc(xa, xb)
     return _arc(xa, Fraction(0)) + _arc(Fraction(0), xb)
-
-
-def _euclidean_distance(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> Fraction:
-    """The exact distance; ``ValueError`` when it is not rational."""
-    sq = sum(((x - y) ** 2 for x, y in zip(a, b)), Fraction(0))
-    num, den = sq.numerator, sq.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        raise ValueError(f"distance sqrt({sq}) is not rational; compare distance_sq instead")
-    return Fraction(rn, rd)
 
 
 # --- generators ------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import combinations
-from operator import and_
+from operator import and_, or_
 from typing import Iterable, NamedTuple, Sequence
 
 from .complexes import (DEFAULT_MAX_DIM, LambdaIndex, Simplex, build_vertices, carrier_wedge,
@@ -362,36 +362,34 @@ def check_simpliciality(system: InverseSystem) -> Report:
     return Report("simpliciality", bad is None, counterexample=bad)
 
 
-def wedge_graph(wedges: Sequence[int]) -> list[int]:
-    """The level graph read pair by pair from the wedges, as neighbour
-    bitmasks: two vertices are adjacent when their wedges meet.  It does
-    not go through the point fibers the complexes are built from."""
-    adj = [0] * len(wedges)
-    for (a, v), (b, w) in combinations(enumerate(wedges), 2):
-        if v & w:
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-    return adj
-
-
-def wedge_fibers(wedges: Sequence[int], n_points: int) -> list[tuple[int, ...]]:
-    """Per ground point, the ids of the vertices whose wedge contains it,
-    read point by point from the wedges rather than by ``point_fibers``."""
-    return [tuple(i for i, w in enumerate(wedges) if w >> x & 1) for x in range(n_points)]
-
-
 def check_flag_reconstruction(system: InverseSystem) -> Report:
-    """Each level's graph must be the wedge graph, and its point fibers the
-    wedge fibers.  The builders read these alone, so the flag complex is
-    then the clique complex of the wedge graph and the nerve the nerve of
-    the wedge fibers, inside it: wedges that share a point meet pairwise."""
+    """Each level's graph must join the vertices whose wedges meet, and its
+    point fibers hold the vertices whose wedge holds the point.  The
+    builders read these alone, so the flag complex is then the clique
+    complex of the wedge graph and the nerve the nerve of the wedge fibers,
+    inside it: wedges that share a point meet pairwise.
+
+    One pass reads each wedge's bits once into ``holders[x]``, the vertices
+    whose wedge holds x, for every bit any wedge has: a bit past the ground
+    points joins vertices but is no fiber.  v's neighbours are the holders
+    of its wedge's bits, less v.  It calls none of the builder's readers
+    (``point_fibers``, ``wedge_adjacency``), so it stays independent of
+    what it checks.  ``tests/oracles.py`` keeps the wedges read pair by
+    pair (``wedge_graph``) and point by point (``wedge_fibers``)."""
     bad = None
     n_points = system.family.ground.n_points
     for level in system.levels:
-        if level.adjacency != wedge_graph(level.wedges):
+        bits = [members(w) for w in level.wedges]
+        holders = [0] * max([n_points, *map(int.bit_length, level.wedges)])
+        for v, xs in enumerate(bits):
+            for x in xs:
+                holders[x] |= 1 << v
+        graph = [reduce(or_, map(holders.__getitem__, xs), 0) & ~(1 << v)
+                 for v, xs in enumerate(bits)]
+        if level.adjacency != graph:
             bad = {"lambda": list(level.lam.cover_ids), "reason": "flag reconstruction"}
             break
-        if level.fibers != wedge_fibers(level.wedges, n_points):
+        if level.fibers != [tuple(members(h)) for h in holders[:n_points]]:
             bad = {"lambda": list(level.lam.cover_ids), "reason": "nerve reconstruction"}
             break
     return Report("flag_reconstruction", bad is None, counterexample=bad)
@@ -402,7 +400,7 @@ def check_skeleton_equality(system: InverseSystem) -> Report:
     of vertices that share a point fiber.  No wedge is read: where the graph
     or the fibers are not the wedges', ``flag_reconstruction`` fails at that
     level.  ``tests/oracles.py::full_check_skeleton_equality`` compares both
-    rebuilt complexes and the graph with ``wedge_graph``."""
+    rebuilt complexes and the graph with ``oracles.wedge_graph``."""
     bad = None
     for level in system.levels:
         if wedge_adjacency(level.fibers, len(level.wedges)) != level.adjacency:

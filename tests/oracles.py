@@ -27,7 +27,11 @@ half of simpliciality, from before ``unmapped`` read the edges; and the
 fibers check that scanned every vertex thread for every point.  The two
 thread checks that read every thread's closed star anew, from before
 they read each distinct one once, are here, and so is the one-ball scan
-from before ``GroundSpace.balls`` read one distance row for every radius.
+from before ``GroundSpace.balls`` read one distance row for every radius,
+with the per-pair distance from before ``balls`` was the one reader of the
+metric.  The wedges read pair by pair (``wedge_graph``) and point by point
+(``wedge_fibers``), from before ``flag_reconstruction`` read each wedge's
+bits once, are the reference for that check and for the skeleton checks.
 """
 
 from __future__ import annotations
@@ -64,8 +68,6 @@ from nervelim.systems import (
     fiber_escape,
     find_nerve_absorbing_level,
     thread_image,
-    wedge_fibers,
-    wedge_graph,
 )
 
 
@@ -474,15 +476,40 @@ def product_scan_selection(family: CoverFamily) -> Report:
     )
 
 
+def pair_distance(space: GroundSpace, p: PointId, q: PointId) -> Fraction:
+    """The distance from p to q, read from the pair alone, as
+    ``GroundSpace.distance`` read it before ``GroundSpace.balls`` became the
+    one reader of the metric: squared under the euclidean metric, where it
+    may be irrational; the shorter way round a circle of circumference 1
+    under the circle-arc metric, through the glue point at angle 0 between
+    two circles of a wedge; the count of differing label characters under
+    the hamming metric."""
+    if space.metric is Metric.HAMMING:
+        return Fraction(sum(x != y for x, y in zip(space.labels[p], space.labels[q])))
+    a, b = space.coords[p], space.coords[q]
+    if space.metric is Metric.EUCLIDEAN:
+        return sum(((x - y) ** 2 for x, y in zip(a, b)), Fraction(0))
+    if space.metric is not Metric.CIRCLE_ARC:
+        raise ValueError("space has no metric")
+
+    def around(s: Fraction, t: Fraction) -> Fraction:
+        d = (s - t) % 1
+        return min(d, 1 - d)
+
+    if len(a) == 1:
+        return around(a[0], b[0])
+    (ca, xa), (cb, xb) = a, b
+    return around(xa, xb) if ca == cb else around(xa, Fraction(0)) + around(Fraction(0), xb)
+
+
 def scan_ball(space: GroundSpace, center: PointId, radius: Fraction) -> frozenset[PointId]:
     """``GroundSpace.ball`` as it was before ``GroundSpace.balls`` read one
     row of distances for every radius: the closed ball, one comparison per
-    point, of squared distances under the euclidean metric."""
+    point of ``pair_distance``, against the squared radius under the
+    euclidean metric."""
     r = Fraction(radius)
-    if space.metric is Metric.EUCLIDEAN:
-        rsq = r * r
-        return frozenset(p for p in space.points if space.distance_sq(center, p) <= rsq)
-    return frozenset(p for p in space.points if space.distance(center, p) <= r)
+    bound = r * r if space.metric is Metric.EUCLIDEAN else r
+    return frozenset(p for p in space.points if pair_distance(space, center, p) <= bound)
 
 
 def full_bond_check(vm: Sequence[int], source: Complex, target: Complex) -> bool:
@@ -526,6 +553,40 @@ def full_check_simpliciality(system: InverseSystem) -> Report:
         if bad:
             break
     return Report("simpliciality", bad is None, counterexample=bad)
+
+
+def wedge_graph(wedges: Sequence[int]) -> list[int]:
+    """The level graph read pair by pair from the wedges, as neighbour
+    bitmasks: two vertices are adjacent when their wedges meet.  It does
+    not go through the point fibers the complexes are built from."""
+    adj = [0] * len(wedges)
+    for (a, v), (b, w) in combinations(enumerate(wedges), 2):
+        if v & w:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+    return adj
+
+
+def wedge_fibers(wedges: Sequence[int], n_points: int) -> list[tuple[int, ...]]:
+    """Per ground point, the ids of the vertices whose wedge contains it,
+    read point by point from the wedges rather than by ``point_fibers``."""
+    return [tuple(i for i, w in enumerate(wedges) if w >> x & 1) for x in range(n_points)]
+
+
+def pair_scan_check_flag_reconstruction(system: InverseSystem) -> Report:
+    """The flag reconstruction check as it was before it read each wedge's
+    bits once: the level graph against ``wedge_graph`` and the point
+    fibers against ``wedge_fibers``."""
+    bad = None
+    n_points = system.family.ground.n_points
+    for level in system.levels:
+        if level.adjacency != wedge_graph(level.wedges):
+            bad = {"lambda": list(level.lam.cover_ids), "reason": "flag reconstruction"}
+            break
+        if level.fibers != wedge_fibers(level.wedges, n_points):
+            bad = {"lambda": list(level.lam.cover_ids), "reason": "nerve reconstruction"}
+            break
+    return Report("flag_reconstruction", bad is None, counterexample=bad)
 
 
 def full_check_flag_reconstruction(system: InverseSystem) -> Report:

@@ -17,7 +17,13 @@ from __future__ import annotations
 from hypothesis import assume, given, strategies as st
 
 from conftest import level_flag, level_nerve
-from oracles import full_bond_check, full_check_simpliciality, product_scan_vertices, unmapped_edge
+from oracles import (
+    full_bond_check,
+    full_check_simpliciality,
+    product_scan_vertices,
+    unmapped_edge,
+    wedge_graph,
+)
 from nervelim.complexes import (
     LambdaIndex,
     build_vertices,
@@ -37,7 +43,7 @@ from nervelim.ground import (
     generate_cover,
     generate_space,
 )
-from nervelim.systems import all_lambdas, build_system, check_simpliciality, wedge_graph
+from nervelim.systems import all_lambdas, build_system, check_simpliciality
 
 
 @st.composite

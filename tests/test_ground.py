@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import event, given, strategies as st
 
-from oracles import product_scan_selection
+from oracles import pair_distance, product_scan_selection
 from nervelim.errors import GuardExceeded, InputError
 from nervelim.ground import (
     Arcs,
@@ -51,7 +51,10 @@ def test_cantor_depth_labels():
     space = generate_space(CantorDepth(), 3)
     assert space.n_points == 8
     assert space.labels == tuple(format(i, "03b") for i in range(8))
-    assert space.distance(0, 7) == 3  # 000 vs 111
+    # 000 is 3 characters from 111, 2 from 011, 101 and 110, 1 from 001, 010 and 100
+    assert space.balls(0, [F(3), F(5, 2), F(1), F(0)]) == [
+        frozenset(range(8)), frozenset(range(7)), frozenset({0, 1, 2, 4}), frozenset({0})
+    ]
 
 
 def test_circle_grid_arc_table():
@@ -63,29 +66,42 @@ def test_circle_grid_arc_table():
         for q in range(12):
             steps = abs(p - q)
             table[(p, q)] = F(min(steps, 12 - steps), 12)
-    for (p, q), expected in table.items():
-        assert space.distance(p, q) == expected
-    assert max(table.values()) == F(1, 2)
-    assert space.distance(0, 6) == F(1, 2)
+    radii = sorted(set(table.values()))
+    assert radii[-1] == F(1, 2)
+    for p in range(12):
+        expected = [frozenset(q for q in range(12) if table[(p, q)] <= r) for r in radii]
+        assert space.balls(p, radii) == expected
+        assert [pair_distance(space, p, q) for q in range(12)] == [table[(p, q)] for q in range(12)]
+    assert space.balls(0, [F(1, 2) - F(1, 100)]) == [frozenset(range(12)) - {6}]
 
 
 def test_wedge_space_path_metric():
     space = generate_space(WedgeOfCircles(2), 12)
     assert space.n_points == 23
     # points 1 and 12 sit one step from the glue point on different circles
-    assert space.distance(1, 12) == F(2, 12)
-    assert space.distance(1, 11) == F(2, 12)  # same circle, through the glue
-    assert space.distance(0, 6) == F(1, 2)
-    assert space.distance(3, 3) == 0
+    assert pair_distance(space, 1, 12) == F(2, 12)
+    assert pair_distance(space, 1, 11) == F(2, 12)  # same circle, through the glue
+    assert pair_distance(space, 0, 6) == F(1, 2)
+    (near, far) = space.balls(1, [F(1, 12), F(2, 12)])
+    assert near == {0, 1, 2}
+    assert far == {0, 1, 2, 3, 11, 12, 22}
+    assert space.balls(0, [F(1, 2)]) == [frozenset(space.points)]
+    assert space.balls(3, [F(0)]) == [frozenset({3})]
 
 
 def test_metric_axioms_sampled():
+    # each ball holds its centre, and q lies in p's ball of a radius
+    # exactly when p lies in q's
+    radii = [F(0), F(1, 7), F(1, 5), F(1, 3), F(1), F(2)]
     for kind, res in [(IntervalGrid(), 6), (CircleGrid(), 7), (CantorDepth(), 3), (WedgeOfCircles(3), 5)]:
         space = generate_space(kind, res)
+        balls = [space.balls(p, radii) for p in space.points]
         for p in space.points:
-            assert space.distance(p, p) == 0
+            assert balls[p][0] == {p}
             for q in space.points:
-                assert space.distance(p, q) == space.distance(q, p)
+                for k in range(len(radii)):
+                    assert (q in balls[p][k]) == (p in balls[q][k])
+                assert pair_distance(space, p, q) == pair_distance(space, q, p)
 
 
 def test_euclidean_plane_distances():
@@ -94,14 +110,16 @@ def test_euclidean_plane_distances():
         ((F(0), F(0)), (F(3), F(4)), (F(1), F(1))),
         Metric.EUCLIDEAN,
     )
-    # rational hypotenuse is exact
-    assert space.distance(0, 1) == 5
-    # an irrational distance is refused, not rounded to a float
-    with pytest.raises(ValueError, match="not rational"):
-        space.distance(0, 2)
-    # irrational distances still give exact squared comparisons
-    assert space.distance_sq(0, 2) == 2
+    # a rational hypotenuse is met exactly, and an irrational distance
+    # is compared through its square, not rounded to a float
+    assert space.balls(0, [F(5), F(5) - F(1, 10**9)]) == [frozenset({0, 1, 2}), frozenset({0, 2})]
     assert space.balls(0, [F(3, 2), F(7, 5)]) == [frozenset({0, 2}), frozenset({0})]
+    assert pair_distance(space, 0, 2) == 2
+
+
+def test_balls_need_a_metric():
+    with pytest.raises(ValueError, match="space has no metric"):
+        GroundSpace(2).balls(0, [F(1)])
 
 
 def test_generate_space_errors(tmp_path):

@@ -80,6 +80,7 @@ from oracles import (
     graph_flag_core,
     is_cauchy,
     non_max_levels,
+    pair_scan_check_flag_reconstruction,
     pair_scan_equivalence_classes,
     pairwise_class_adjacency,
     pairwise_is_cauchy,
@@ -101,6 +102,8 @@ from oracles import (
     two_search_build,
     vertex_thread,
     vertex_threads,
+    wedge_fibers,
+    wedge_graph,
     wedge_graph_check_skeleton_equality,
 )
 from nervelim.errors import GuardExceeded, PreconditionUnmet
@@ -125,6 +128,7 @@ from nervelim.ground import (
     CoverFamily,
     GroundSpace,
     IntervalGrid,
+    Metric,
     WedgeOfCircles,
     ball_neighborhoods,
     cover_from_pointsets,
@@ -691,6 +695,75 @@ def test_fiber_and_skeleton_checks_differ_from_their_oracles_only_where_another_
     assert differing.keys() == {"bond", "fiber", "point_fibers"}, differing
 
 
+_LEVEL_TAMPERS = (
+    "bit at n_points", "bits past n_points", "bit moved past n_points", "empty wedge",
+    "no vertices", "fibers too short", "fibers too long", "adjacency bit", "fiber rewritten",
+)
+
+
+def _tamper_a_level(system, rng):
+    """``system`` with one level rewritten by a tamper of ``_LEVEL_TAMPERS``,
+    and that tamper.  Half the wedge tampers come with the graph and the
+    fibers read anew from the tampered wedges by ``oracles.wedge_graph``
+    and ``oracles.wedge_fibers``, so that the check passes on them."""
+    n = system.family.ground.n_points
+    p = rng.randrange(len(system.levels))
+    level = system.levels[p]
+    wedges, adjacency, fibers = list(level.wedges), list(level.adjacency), list(level.fibers)
+    kind = rng.choice(_LEVEL_TAMPERS)
+    v = rng.randrange(len(wedges))
+    if kind == "bit at n_points":
+        wedges[v] |= 1 << n
+    elif kind == "bits past n_points":
+        # a bit no ground point has, which joins the vertices that share it
+        for u in rng.sample(range(len(wedges)), rng.randint(1, len(wedges))):
+            wedges[u] |= 1 << (n + rng.randrange(3))
+    elif kind == "bit moved past n_points":
+        wedges[v] ^= 1 << rng.choice(members(wedges[v])) | 1 << (n + rng.randrange(3))
+    elif kind == "empty wedge":
+        wedges[v] = 0
+    elif kind == "no vertices":
+        wedges, adjacency = [], []
+        fibers = rng.choice(([()] * n, fibers))
+    elif kind == "fibers too short":
+        del fibers[rng.randrange(n)]
+    elif kind == "fibers too long":
+        fibers.insert(rng.randrange(n + 1), ())
+    elif kind == "adjacency bit":
+        # an edge added or dropped, or a vertex joined to itself
+        u = rng.randrange(len(wedges))
+        adjacency[u] ^= 1 << v
+        adjacency[v] ^= 1 << u if u != v else 0
+    else:
+        fibers[rng.randrange(n)] = tuple(rng.sample(range(len(wedges)), min(len(wedges), 2)))
+    if kind in _LEVEL_TAMPERS[:5] and rng.random() < 0.5:
+        adjacency, fibers = wedge_graph(wedges), wedge_fibers(wedges, n)
+    system.levels[p] = level._replace(wedges=tuple(wedges), adjacency=adjacency, fibers=fibers)
+    return kind
+
+
+def test_flag_reconstruction_matches_the_wedge_readers_on_tampered_levels():
+    # each random system with one level tampered with: wedge bits at and
+    # past the ground points, an emptied wedge, no vertices at all, a
+    # fibers list of the wrong length, an adjacency bit or a fiber
+    # rewritten.  The one pass over the wedge bits reports what reading
+    # the wedges pair by pair and point by point reports
+    rng = random.Random(2036)
+    outcomes = Counter()
+    for _ in range(3000):
+        system = _random_system(rng)
+        kind = _tamper_a_level(system, rng)
+        report = check_flag_reconstruction(system)
+        assert report == pair_scan_check_flag_reconstruction(system), kind
+        outcomes[kind, "pass" if report.passed else report.counterexample["reason"]] += 1
+    reasons = {reason for _, reason in outcomes}
+    assert reasons == {"pass", "flag reconstruction", "nerve reconstruction"}
+    assert {kind for kind, _ in outcomes} == set(_LEVEL_TAMPERS)
+    # a wedge bit past the ground points both joins vertices and passes
+    assert outcomes["bits past n_points", "flag reconstruction"]
+    assert outcomes["bits past n_points", "pass"]
+
+
 def test_fiber_and_skeleton_checks_match_their_oracles_on_circle_48(circle_48_system):
     assert not _rewritten_checks_differ(circle_48_system)
 
@@ -798,8 +871,15 @@ def test_samples_follow_the_exact_rules(system, seed):
         generate_space(CircleGrid(), 12),
         generate_space(WedgeOfCircles(2), 6),
         generate_space(CantorDepth(), 3),
+        # distances sqrt(2), sqrt(5), sqrt(13)/6, ... with no rational value
+        GroundSpace(
+            5,
+            tuple(tuple(map(Fraction, c)) for c in
+                  [(0, 0), (1, 1), (1, 2), (Fraction(1, 3), Fraction(1, 2)), (2, 0)]),
+            Metric.EUCLIDEAN,
+        ),
     ],
-    ids=["interval", "circle", "wedge", "cantor"],
+    ids=["interval", "circle", "wedge", "cantor", "plane"],
 )
 def test_ball_neighborhoods_match_balls(space):
     radii = [Fraction(1, 2), Fraction(1, 8), Fraction(1, 3), Fraction(2)]

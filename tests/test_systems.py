@@ -24,6 +24,7 @@ from oracles import (
     full_check_skeleton_equality,
     is_compatible,
     k_simplices,
+    pair_scan_check_flag_reconstruction,
     point_image,
     point_mask,
     point_thread,
@@ -36,7 +37,6 @@ from oracles import (
     vertex_threads,
 )
 from nervelim import systems
-from nervelim.checks import CHECKS, RunContext
 from nervelim.complexes import LambdaIndex, members
 from nervelim.errors import GuardExceeded, PreconditionUnmet
 from nervelim.ground import (
@@ -52,6 +52,7 @@ from nervelim.ground import (
 )
 from nervelim.presets import PRESETS
 from nervelim.systems import (
+    InverseSystem,
     build_system,
     canonical_map,
     canonical_thread,
@@ -540,8 +541,12 @@ def test_fiber_adjacency_disjoint_cylinders(cantor_system):
 
 def _assert_structural_checks_match_rebuilds(system):
     """The two checks that compare a level's graph and fibers with the
-    wedges report what rebuilding and comparing its complexes reports."""
-    assert check_flag_reconstruction(system) == full_check_flag_reconstruction(system)
+    wedges report what rebuilding and comparing its complexes reports, and
+    flag reconstruction what reading the wedges pair by pair and point by
+    point reports."""
+    report = check_flag_reconstruction(system)
+    assert report == full_check_flag_reconstruction(system)
+    assert report == pair_scan_check_flag_reconstruction(system)
     assert check_skeleton_equality(system) == full_check_skeleton_equality(system)
 
 
@@ -552,26 +557,28 @@ def test_flag_reconstruction_and_skeletons(preset_systems):
         _assert_structural_checks_match_rebuilds(system)
 
 
-def test_a_check_run_reads_the_wedge_graph_once_per_level(preset_systems, monkeypatch):
-    # every check of the registry, run as the check command runs it: only
-    # flag_reconstruction reads the wedge graph, once per level in order
-    calls = []
-    wedge_graph = systems.wedge_graph
+def test_flag_reconstruction_calls_none_of_the_builders_readers(preset_systems, monkeypatch):
+    # the check stays independent of what it checks: with point_fibers and
+    # wedge_adjacency refusing every call once the systems are built, it
+    # reports as before, on each preset as built and with its last level's
+    # graph or fibers reversed
+    built = []
+    for _, family, system in preset_systems.values():
+        last = system.levels[-1]
+        built.append(system)
+        for change in ({"adjacency": last.adjacency[::-1]}, {"fibers": last.fibers[::-1]}):
+            levels = [*system.levels[:-1], last._replace(**change)]
+            built.append(InverseSystem(family, levels, system.max_dim))
+    reports = [check_flag_reconstruction(system) for system in built]
+    reasons = {r.counterexample["reason"] for r in reports if not r.passed}
+    assert reasons == {"flag reconstruction", "nerve reconstruction"}
 
-    def counted(wedges):
-        calls.append(len(wedges))
-        return wedge_graph(wedges)
+    def refuse(*args):
+        raise AssertionError("flag_reconstruction called a reader of the builder")
 
-    monkeypatch.setattr(systems, "wedge_graph", counted)
-    for name, (_, _, system) in preset_systems.items():
-        ctx = RunContext(PRESETS[name], system)
-        calls.clear()
-        for runner in CHECKS.values():
-            try:
-                runner(ctx)
-            except (PreconditionUnmet, GuardExceeded):
-                pass
-        assert calls == [len(level.wedges) for level in system.levels], name
+    monkeypatch.setattr(systems, "point_fibers", refuse)
+    monkeypatch.setattr(systems, "wedge_adjacency", refuse)
+    assert [check_flag_reconstruction(system) for system in built] == reports
 
 
 @given(family_and_lambda() | planted_triangles())
