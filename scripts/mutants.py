@@ -60,6 +60,27 @@ MUTANTS: list[tuple[str, str, str]] = [
     # every row is held, and met one row late
     ("complexes.py", "if len(out) == _CHUNK:", "if False:"),
     ("complexes.py", "if len(out) == _CHUNK:", "if len(out) == _CHUNK + 1:"),
+    # the block of cliques under a clique of candidates: taken past the
+    # _TAIL cap, so that one block can fill more than a chunk; taken one
+    # vertex past the guard; taken under candidates that are not a clique;
+    # and taken where its largest clique's bitmasks share no bit
+    ("complexes.py",
+     "if 0 < size <= _TAIL and k + size <= max_dim + 1:",
+     "if 0 < size <= _TAIL + 1 and k + size <= max_dim + 1:"),
+    ("complexes.py",
+     "if 0 < size <= _TAIL and k + size <= max_dim + 1:",
+     "if 0 < size <= _TAIL and k + size <= max_dim + 2:"),
+    ("complexes.py",
+     "if (candidates & ~up[v]) >> (v + 1):  # a later candidate is not v's neighbour",
+     "if False:"),
+    ("complexes.py",
+     "if meet:  # the candidates are a clique, and all of them share a point",
+     "if True:"),
+    # a block that exactly fills the chunk left unhanded, so the flush
+    # bound is never met again
+    ("complexes.py",
+     "if flush and count >= (room := _CHUNK - len(out)):  # the block fills the chunk",
+     "if flush and count > (room := _CHUNK - len(out)):"),
     # row text written at any indent
     ("report.py", "if nl != _ROWS_NL:", "if False:"),
     # streamed rows written with no comma between two lists of them, and

@@ -15,7 +15,7 @@ of vertex v; it acts on flag complexes and nerves alike and holds neither.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import product
+from itertools import chain, islice, product
 from operator import and_, mul
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -27,6 +27,7 @@ DEFAULT_MAX_DIM = 8
 MAX_DIM_LIMIT = 256  # the CLI's largest guard; the clique search recurses once per vertex
 MAX_VERTICES = 1 << 15  # a level's vertex guard: its adjacency then takes at most 128 MiB
 _CHUNK = 512  # the cliques a streaming search hands on at once: bounds the rows held
+_TAIL = 9  # the largest candidate clique listed as one block: its 2**9 - 1 rows stay under _CHUNK
 
 Simplex = tuple[int, ...]
 # an abstract complex on vertex ids 0..n-1: its simplices, downward closed and
@@ -184,12 +185,18 @@ def _all_cliques(adj: Sequence[int], points: Sequence[int], max_dim: int, where:
     and among that vertex's higher neighbours, read from a table built
     once.  A clique v < w < ... is ``first[v] + rest[w] + ... + close`` of
     ``steps``, grown from its parent's label by one step; by default the
-    simplex tuple.  With ``flush``, it keeps no clique but hands them to
-    ``flush`` in lists of ``_CHUNK`` (the last one shorter), and returns
-    whether every clique's bitmasks share a bit; ``pruned``, it enters
-    only those cliques.  Raises past the guard; the message starts with
-    ``where`` and gives the size of a maximal clique grown greedily from
-    the first clique past the guard.
+    simplex tuple.  A node whose candidates are a clique of at most
+    ``_TAIL`` vertices has a clique below it for each nonempty subset of
+    them, in an order known in advance; when the largest, the node's
+    clique with all its candidates, is within the guard and its bitmasks
+    share a bit, so that every one of them does, their labels are made at
+    once as one block, with no call per clique.  With ``flush``, it keeps
+    no clique but hands them to ``flush`` in lists of ``_CHUNK`` (the last
+    one shorter), a block split where a list fills, and returns whether
+    every clique's bitmasks share a bit; ``pruned``, it enters only those
+    cliques.  Raises past the guard; the message starts with ``where`` and
+    gives the size of a maximal clique grown greedily from the first
+    clique past the guard.
     """
     singles = [(v,) for v in range(len(adj))]
     first, rest, close = steps or (singles, singles, ())
@@ -223,6 +230,17 @@ def _all_cliques(adj: Sequence[int], points: Sequence[int], max_dim: int, where:
                 out.clear()
         elif shared:
             sub.append(row)
+        size = candidates.bit_count()
+        if 0 < size <= _TAIL and k + size <= max_dim + 1:
+            meet = shared
+            vs = members(candidates)
+            for v in vs:
+                if (candidates & ~up[v]) >> (v + 1):  # a later candidate is not v's neighbour
+                    break
+                meet &= points[v]
+            else:
+                if meet:  # the candidates are a clique, and all of them share a point
+                    return emit(label, vs)
         c = candidates
         while c:
             low = c & -c
@@ -230,6 +248,27 @@ def _all_cliques(adj: Sequence[int], points: Sequence[int], max_dim: int, where:
             v = low.bit_length() - 1
             # the candidates left are those above v
             extend(label + rest[v], k + 1, c & up[v], shared & points[v])
+
+    def emit(label: Any, vs: list[int]) -> None:
+        # label with each nonempty subset of vs, in the search's order.  The
+        # tails from v_i on are v_i alone, v_i before each tail from v_i+1
+        # on, and then those tails.  So the rows are head (label with the
+        # first vertex) alone, head before each tail from the second vertex
+        # on, and label before each of those: only those tails are held
+        tails: list = []
+        for v in reversed(vs[1:]):
+            r = rest[v]
+            tails = [r + close] + [r + t for t in tails] + tails
+        head = label + rest[vs[0]]
+        rows = chain((head + close,), map(head.__add__, tails), map(label.__add__, tails))
+        count = 2 * len(tails) + 1
+        if flush and count >= (room := _CHUNK - len(out)):  # the block fills the chunk
+            out.extend(islice(rows, room))
+            flush(out)
+            out.clear()
+        out.extend(rows)
+        if not flush:
+            sub.extend(out[-count:])
 
     for v in range(len(adj)):
         extend(first[v], 1, up[v], points[v])

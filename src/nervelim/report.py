@@ -104,7 +104,8 @@ def level_rows(search: Callable[[Callable[[list], Any], bool], bool]) -> tuple[C
     text grown from ``row_steps``, and says whether the nerve is the flag
     complex.  The flag complex is written first, as keys are sorted; a
     nerve that is it copies what the sink holds of it (its pieces, or its
-    bytes read back in blocks), and any other nerve is searched for."""
+    bytes read back in blocks and written to the file's byte layer as they
+    are), and any other nerve is searched for."""
     span: list = []  # the rows last written: their place in the sink, and whether the nerve is them
 
     def write_rows(write: Callable[[str], Any], nerve: bool = False) -> None:
@@ -116,7 +117,7 @@ def level_rows(search: Callable[[Callable[[list], Any], bool], bool]) -> tuple[C
                 return sink.extend(sink[start:end])
             sink.flush()
             for at in range(start, end, _BLOCK):
-                write(os.pread(sink.fileno(), min(_BLOCK, end - at), at).decode())
+                sink.buffer.write(os.pread(sink.fileno(), min(_BLOCK, end - at), at))
             return
         start, lead, between = tell(), "[" + _ROWS_NL + "  ", "," + _ROWS_NL + "  "
 
@@ -190,13 +191,14 @@ def dump_json(obj: Any) -> str:
 
 def write_json(path: Path, obj: Any) -> None:
     """Write ``dump_json(obj)`` to the file at ``path``, passing its pieces
-    to the open file in order rather than joining them first.  The file is
-    open to read as well, so that a nerve that is its flag complex is
-    copied from the bytes already written (``level_rows``).  A value that
-    cannot be written, or a search that raises while its rows are written,
-    raises as from ``dump_json`` and removes the file, so a failed write
-    leaves none behind."""
-    f = Path(path).open("w+")
+    to the open file in order rather than joining them first.  The file's
+    descriptor is open to read as well, so that a nerve that is its flag
+    complex is copied from the bytes already written (``level_rows``); its
+    text layer only writes, with no decoder to reset on every write.  A
+    value that cannot be written, or a search that raises while its rows
+    are written, raises as from ``dump_json`` and removes the file, so a
+    failed write leaves none behind."""
+    f = open(os.open(path, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o666), "w")
     try:
         with f:
             _emit(obj, "\n", f.write)

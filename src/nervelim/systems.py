@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import combinations
-from operator import and_, or_
+from operator import and_, itemgetter, or_
 from typing import Iterable, NamedTuple, Sequence
 
 from .complexes import (DEFAULT_MAX_DIM, LambdaIndex, Simplex, build_vertices, carrier_wedge,
@@ -55,7 +55,7 @@ class InverseSystem:
     from position j to i: its vertex map, entry v the image of vertex v of
     level j.  All of these, and ``top`` (the position of the maximum level,
     when one exists), are computed from ``levels``: the bonds by
-    ``_projection`` over ``pairs``.
+    ``_projection`` over ``pairs``, each identity as ``range``.
     """
 
     __slots__ = ("family", "levels", "max_dim", "_bonds", "position", "above", "pairs", "top")
@@ -75,7 +75,11 @@ class InverseSystem:
         has_top = levels and all(up[-1] == last for up in self.above)
         self.top = last if has_top else None
         index_of = [{e: k for k, e in enumerate(level.elements)} for level in levels]
-        self._bonds = {(i, j): _projection(levels[i], levels[j], index_of[i]) for i, j in pairs}
+        self._bonds = {
+            (i, j): tuple(range(len(levels[i].elements))) if i == j
+            else _projection(levels[i], levels[j], index_of[i])
+            for i, j in pairs
+        }
 
     def bond(self, i: int, j: int) -> tuple[int, ...]:
         """The bond from the level at position j down to position i."""
@@ -132,7 +136,11 @@ def _projection(dst: Level, src: Level, index_of: dict[tuple[int, ...], int]) ->
     """The vertex map forgetting the covers of ``src`` that ``dst`` lacks;
     ``index_of`` gives each vertex id of ``dst`` by its elements."""
     positions = [src.lam.cover_ids.index(i) for i in dst.lam.cover_ids]
-    return tuple(index_of[tuple(e[p] for p in positions)] for e in src.elements)
+    if len(positions) == 1:  # an itemgetter of one position gives the bare element
+        keep = itemgetter(slice(positions[0], positions[0] + 1))
+    else:
+        keep = itemgetter(*positions)
+    return tuple(map(index_of.__getitem__, map(keep, src.elements)))
 
 
 # ---------------------------------------------------------------------------

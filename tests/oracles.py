@@ -32,6 +32,10 @@ with the per-pair distance from before ``balls`` was the one reader of the
 metric.  The wedges read pair by pair (``wedge_graph``) and point by point
 (``wedge_fibers``), from before ``flag_reconstruction`` read each wedge's
 bits once, are the reference for that check and for the skeleton checks.
+The clique search that made one recursive call per clique, from before
+it listed the cliques under a clique of candidates as one block, and the
+bonds projected by one generator per vertex, from before they were
+projected with ``itemgetter``, are here too.
 """
 
 from __future__ import annotations
@@ -42,13 +46,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from conftest import level_flag, level_flags, level_nerve
 from nervelim.complexes import (
+    _CHUNK,
     Complex,
     LambdaIndex,
     Simplex,
+    Steps,
     _level_name,
     build_flag,
     carrier_wedge,
@@ -434,6 +440,61 @@ def two_search_build(
     return build_flag(lam, adjacency, max_dim), pruned_nerve(lam, adjacency, fibers, max_dim)
 
 
+def recursive_all_cliques(adj: Sequence[int], points: Sequence[int], max_dim: int, where: str,
+                          steps: Steps | None = None, flush: Callable[[list], Any] | None = None,
+                          pruned: bool = False) -> Any:
+    """``complexes._all_cliques`` as it was before it listed the cliques
+    under a clique of candidates as one block: one recursive call per
+    clique, with the same arguments, results, ``flush`` lists and guard."""
+    singles = [(v,) for v in range(len(adj))]
+    first, rest, close = steps or (singles, singles, ())
+    out: list = []
+    sub: list = []  # the cliques whose bitmasks share a bit, when kept
+    missed = 0  # the cliques whose bitmasks share none
+    # each vertex's higher neighbours
+    up = [a >> (v + 1) << (v + 1) for v, a in enumerate(adj)]
+
+    def extend(label: Any, k: int, candidates: int, shared: int) -> None:
+        nonlocal missed
+        if k > max_dim + 1:
+            size = k
+            while candidates:
+                v = (candidates & -candidates).bit_length() - 1
+                candidates &= adj[v]
+                size += 1
+            raise GuardExceeded(
+                f"{where}a clique of {size} vertices exceeds the dimension guard"
+                f" (max_dim {max_dim} allows {max_dim + 1})"
+            )
+        if not shared:
+            if pruned:
+                return
+            missed += 1
+        row = label + close
+        out.append(row)
+        if flush:
+            if len(out) == _CHUNK:
+                flush(out)
+                out.clear()
+        elif shared:
+            sub.append(row)
+        c = candidates
+        while c:
+            low = c & -c
+            c ^= low
+            v = low.bit_length() - 1
+            # the candidates left are those above v
+            extend(label + rest[v], k + 1, c & up[v], shared & points[v])
+
+    for v in range(len(adj)):
+        extend(first[v], 1, up[v], points[v])
+    if flush:
+        flush(out)
+        return not missed
+    flag = tuple(out)
+    return flag, flag if not missed else tuple(sub)
+
+
 def product_scan_vertices(family: CoverFamily, lam: LambdaIndex) -> dict[tuple[int, ...], int]:
     """Level vertices, each element tuple to its wedge bitmask, by scanning
     the full product of element choices, one per cover, in lexicographic
@@ -510,6 +571,19 @@ def scan_ball(space: GroundSpace, center: PointId, radius: Fraction) -> frozense
     r = Fraction(radius)
     bound = r * r if space.metric is Metric.EUCLIDEAN else r
     return frozenset(p for p in space.points if pair_distance(space, center, p) <= bound)
+
+
+def generator_bonds(system: InverseSystem) -> dict[tuple[int, int], tuple[int, ...]]:
+    """Every bond of the system, identities included, keyed by its pair as
+    ``InverseSystem`` holds them, projected as it did before it used
+    ``itemgetter``: one generator over the kept positions per vertex."""
+    bonds = {}
+    for i, j in system.pairs:
+        dst, src = system.levels[i], system.levels[j]
+        index_of = {e: k for k, e in enumerate(dst.elements)}
+        positions = [src.lam.cover_ids.index(c) for c in dst.lam.cover_ids]
+        bonds[(i, j)] = tuple(index_of[tuple(e[p] for p in positions)] for e in src.elements)
+    return bonds
 
 
 def full_bond_check(vm: Sequence[int], source: Complex, target: Complex) -> bool:

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import importlib.util
 import json
 import re
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -32,6 +35,7 @@ from oracles import (
     product_weights,
     pruned_nerve,
     push_point,
+    recursive_all_cliques,
     set_clique_flag,
     skeleton_adjacency,
     top_dim,
@@ -40,6 +44,7 @@ from oracles import (
 )
 from nervelim.complexes import (
     _CHUNK,
+    _TAIL,
     DEFAULT_MAX_DIM,
     LambdaIndex,
     _all_cliques,
@@ -72,6 +77,34 @@ from nervelim.report import row_steps
 from nervelim.systems import build_system
 
 F = Fraction
+ROOT = Path(__file__).resolve().parent.parent
+_TRIANGLE = [[{0, 1}, {1, 2}, {0, 2}]]  # wedges meet pairwise, not all three
+
+
+@pytest.fixture(scope="module")
+def scale_systems():
+    """The benchmark's three families as ``perfbench/inputs.py`` builds them
+    before it permutes their labels, all levels at ``--max-dim 16``, with
+    cantor-d6 as its chain; and circle-48 (arcs 3/6/12/24, no overlap),
+    all 15 levels, whose top complexes have 197,472 simplices."""
+    spec = importlib.util.spec_from_file_location("benchmark_inputs", ROOT / "perfbench" / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    families = dict(module.FAMILIES)
+    space = generate_space(CircleGrid(), 48)
+    arcs = tuple(generate_cover(space, Arcs(n, F(0)), cover_id=i) for i, n in enumerate((3, 6, 12, 24)))
+    families["circle-48"] = lambda: CoverFamily(arcs, space)
+    out = {}
+    for name, make in families.items():
+        family = make()
+        chain = [LambdaIndex.of(range(k)) for k in range(1, len(family.covers) + 1)]
+        out[name] = build_system(family, chain if name == "cantor-d6" else None, 16)
+    return out
+
+
+@pytest.fixture(scope="module")
+def thick_top(scale_systems):
+    return scale_systems["circle-24-thick"].levels[-1]
 
 
 @pytest.fixture(scope="module")
@@ -266,6 +299,159 @@ def test_streamed_search_flushes_a_chunk_at_a_time(count):
     assert _all_cliques([0] * count, wedges, 0, "", None, lambda rows: chunks.append(list(rows)))
     assert [len(c) for c in chunks] == [_CHUNK] * (count // _CHUNK) + [count % _CHUNK]
     assert [r for c in chunks for r in c] == [(v,) for v in range(count)]
+
+
+class Chunks(list):
+    """The lists a streaming search hands on, each copied as it comes."""
+
+    def append_copy(self, rows):
+        self.append(list(rows))
+
+
+def search_record(search, adj, points, max_dim, pruned=None):
+    """What a clique search gives on one graph, in each of its modes: the
+    simplex tuples (the flag complex, the nerve, and whether the nerve is
+    the flag complex's own tuple), and the row text of ``row_steps``
+    streamed, whole and pruned (every handed list, and whether the nerve
+    is the flag complex).  Where the search raises, the mode gives the
+    guard's message and the lists handed on before it.  ``pruned``
+    restricts the streamed modes to one of the two."""
+    steps = row_steps(len(adj))
+    modes = [(None, None)] + [(steps, p) for p in (False, True) if pruned in (None, p)]
+    for steps, p in modes:
+        chunks = Chunks()
+        try:
+            if steps is None:
+                flag, nerve = search(adj, points, max_dim, "L: ")
+                yield flag, nerve, nerve is flag
+            else:
+                same = search(adj, points, max_dim, "L: ", steps, chunks.append_copy, p)
+                yield chunks, same
+        except GuardExceeded as e:
+            yield str(e), chunks
+
+
+def assert_block_search_matches_recursive(adj, points, max_dim, pruned=None):
+    """``_all_cliques`` against ``oracles.recursive_all_cliques``, mode by
+    mode: the same rows, nerve, handed lists (so their lengths) and guard
+    message.  Whether the flag complex passed the guard."""
+    new = search_record(_all_cliques, adj, points, max_dim, pruned)
+    old = search_record(recursive_all_cliques, adj, points, max_dim, pruned)
+    passed = True
+    for got, expected in zip(new, old):
+        assert got == expected
+        passed = passed and not isinstance(got[0], str)
+    return passed
+
+
+@given(family_and_lambda() | planted_triangles(), st.sampled_from([0, 1, 2, 30]))
+@example((pointset_family(GroundSpace(3), _TRIANGLE), _TRIANGLE), 30)
+def test_block_search_matches_recursive_search(data, max_dim):
+    family, lists = data
+    level = build_level(family, LambdaIndex.of(range(len(lists))), max_dim)
+    assert_block_search_matches_recursive(level.adjacency, level.wedges, max_dim)
+
+
+@given(graphs_and_masks(), st.sampled_from([0, 1, 2, 3, 30]))
+@example(([0b110, 0b001, 0b001], [1, 1, 1]), 30)
+def test_block_search_matches_recursive_search_on_graphs(data, max_dim):
+    # on a level, vertices that share a point are a clique; on any graph,
+    # the example's candidates 1 and 2 share one and are not adjacent
+    assert_block_search_matches_recursive(*data, max_dim)
+
+
+def _clique(n, isolated=0, masks=None):
+    """``isolated`` vertices with no edge, then a clique on n more: their
+    neighbour bitmasks and point bitmasks, every vertex's point 0 unless
+    ``masks`` gives the clique's."""
+    adj = [0] * isolated + [((1 << n) - 1 & ~(1 << v)) << isolated for v in range(n)]
+    return adj, [1] * isolated + (masks or [1] * n)
+
+
+@pytest.mark.parametrize("name", ["cantor-d6", "circle-24-thick", "circle-24-3812", "circle-48"])
+def test_block_search_matches_recursive_search_at_scale(scale_systems, name):
+    # every level; the pruned search only where the nerve is not the flag complex
+    for level in scale_systems[name].levels:
+        adj, wedges = level.adjacency, level.wedges
+        same = _all_cliques(adj, wedges, 16, "", None, lambda rows: None)
+        assert assert_block_search_matches_recursive(adj, wedges, 16, False if same else None)
+
+
+@pytest.mark.parametrize("max_dim", [4, 3])
+def test_block_at_the_guard_and_one_vertex_past_it(max_dim):
+    # K5: the first vertex's candidates are a clique of 4, listed as one
+    # block at max_dim 4, where the block's largest clique is the guard's
+    # size; at max_dim 3 it is one vertex past it, so the search recurses
+    # and meets the guard
+    adj, points = _clique(5)
+    assert assert_block_search_matches_recursive(adj, points, max_dim) == (max_dim == 4)
+    if max_dim == 3:
+        with pytest.raises(GuardExceeded, match=r"^L: a clique of 5 vertices"):
+            _all_cliques(adj, points, max_dim, "L: ")
+
+
+@pytest.mark.parametrize("pruned", [False, True])
+def test_a_candidate_clique_sharing_no_point_is_searched(pruned):
+    # K4 whose last three wedges meet pairwise and share no point: no
+    # block below the first vertex, and the cliques off the nerve are
+    # counted, or pruned
+    masks = [0b111, 0b011, 0b110, 0b101]
+    adj, points = _clique(4, masks=masks)
+    assert assert_block_search_matches_recursive(adj, points, 30, pruned)
+    flag, nerve = _all_cliques(adj, points, 30, "")
+    assert (1, 2, 3) in flag and (1, 2, 3) not in nerve and len(flag) == 15 and len(nerve) == 13
+    chunks = Chunks()
+    assert _all_cliques(adj, points, 30, "", None, chunks.append_copy, pruned) is pruned
+    assert chunks == [list(nerve if pruned else flag)]
+
+
+@pytest.mark.parametrize("isolated", [0, 1, 3, _CHUNK - 1, _CHUNK, 700])
+@pytest.mark.parametrize("size", [_TAIL + 1, _TAIL + 2])
+def test_a_block_across_a_chunk_boundary(isolated, size):
+    # after `isolated` one-vertex rows, a clique whose first vertex's
+    # candidates are a clique of _TAIL vertices (2**_TAIL - 1 rows, one
+    # block that ends a chunk or crosses into the next), or one more, so
+    # the search recurses once before its blocks
+    adj, points = _clique(size, isolated)
+    assert 2 ** _TAIL - 1 < _CHUNK
+    assert assert_block_search_matches_recursive(adj, points, size, pruned=False)
+    chunks = Chunks()
+    assert _all_cliques(adj, points, size, "", None, chunks.append_copy)
+    total = isolated + 2 ** size - 1
+    assert [len(c) for c in chunks] == [_CHUNK] * (total // _CHUNK) + [total % _CHUNK]
+
+
+def _assert_rows_held_under_a_chunk(search, adj, points, max_dim):
+    """Stream the search's row text: every handed list holds _CHUNK rows
+    but the last, which holds fewer, and at each call and return of the
+    search's own functions it holds fewer than _CHUNK rows."""
+    held, lengths = [], []
+
+    def watch(frame, event, arg):
+        code = frame.f_code
+        if event in ("call", "return") and "out" in code.co_freevars + code.co_cellvars:
+            rows = frame.f_locals.get("out")  # not yet bound as the search starts
+            if rows is not None:
+                held.append(len(rows))
+
+    sys.setprofile(watch)
+    try:
+        search(adj, points, max_dim, "", row_steps(len(adj)), lambda rows: lengths.append(len(rows)))
+    finally:
+        sys.setprofile(None)
+    assert held and max(held) < _CHUNK
+    assert lengths[:-1] == [_CHUNK] * (len(lengths) - 1) and lengths[-1] < _CHUNK
+    return sum(lengths)
+
+
+@pytest.mark.parametrize("search", [_all_cliques, recursive_all_cliques])
+def test_a_streaming_search_holds_fewer_rows_than_a_chunk(search, thick_top):
+    # blocks that end a chunk, cross it, or fill most of one, and the top
+    # level of circle-24-thick
+    for isolated in (0, 3, _CHUNK - 1, 700):
+        adj, points = _clique(_TAIL + 2, isolated)
+        assert _assert_rows_held_under_a_chunk(search, adj, points, 30) == isolated + 2 ** (_TAIL + 2) - 1
+    assert _assert_rows_held_under_a_chunk(search, thick_top.adjacency, thick_top.wedges, 16) == 24_864
 
 
 def test_downward_closure_validation():
@@ -471,9 +657,6 @@ def test_complexes_match_brute_force(data):
     assert set(flag) == brute_flag_simplices(wedges, len(wedges))
     assert set(nerve) <= set(flag)
     assert skeleton_adjacency(nerve) == skeleton_adjacency(flag) == level.adjacency
-
-
-_TRIANGLE = [[{0, 1}, {1, 2}, {0, 2}]]  # wedges meet pairwise, not all three
 
 
 @given(family_and_lambda() | planted_triangles(), st.sampled_from([0, 1, 30]))

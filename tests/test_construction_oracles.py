@@ -1,7 +1,8 @@
 """Level construction against the constructions it replaced.
 
 Vertices come from point fibers instead of a scan of every element tuple,
-bonds are checked on point fibers instead of on every simplex, and the
+bonds are checked on point fibers instead of on every simplex and are
+projected with ``itemgetter`` instead of a generator per vertex, and the
 level graph comes from point fibers instead of from every pair of wedges;
 ``oracles`` and the structural checks keep the old constructions, and
 these tests require the same results on random families with overlapping
@@ -20,6 +21,7 @@ from conftest import level_flag, level_nerve
 from oracles import (
     full_bond_check,
     full_check_simpliciality,
+    generator_bonds,
     product_scan_vertices,
     unmapped_edge,
     wedge_graph,
@@ -88,6 +90,19 @@ def test_wedge_graph_matches_fiber_graph(family):
         wedges = list(build_vertices(family, lam).values())
         fibers = point_fibers(wedges, family.ground.n_points)
         assert wedge_graph(wedges) == wedge_adjacency(fibers, len(wedges))
+
+
+@given(overlapping_family())
+def test_bonds_match_generator_projection(family):
+    # every comparable pair, one-cover levels and identities included
+    system = build_system(family, max_dim=7)
+    assert system._bonds == generator_bonds(system)
+    assert all(type(bond) is tuple for bond in system._bonds.values())
+
+
+def test_bonds_match_generator_projection_on_presets(preset_systems):
+    for _, _, system in preset_systems.values():
+        assert system._bonds == generator_bonds(system)
 
 
 @st.composite
